@@ -98,8 +98,8 @@ let selectivity scale =
         let hi = lo +. Float.of_int (Rng.int qrng 500) in
         (lo, hi))
   in
-  let g = Sh_quantile.Gk.create ~epsilon:0.005 in
-  Array.iter (Sh_quantile.Gk.insert g) column;
+  let g = Sh_gk.Gk.create ~epsilon:0.005 in
+  Array.iter (Sh_gk.Gk.insert g) column;
   let methods =
     [
       ("equi-width", VH.selectivity_range (VH.equi_width column ~buckets));

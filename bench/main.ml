@@ -36,7 +36,6 @@ let experiments : (string * (Bench_config.scale -> unit)) list =
     ("micro-contention", Micro.run_contention);
     ("micro-par", Micro.run_par);
     ("micro-read", Micro.run_read);
-    ("micro-merge", Micro.run_merge);
     ("micro-persist", Micro.run_persist);
     ("micro-net", Micro.run_net);
   ]

@@ -65,9 +65,9 @@ let wavelet_build ~n ~coeffs =
     (Staged.stage (fun () -> ignore (Syn.build data ~coeffs)))
 
 let gk_insert =
-  let g = Sh_quantile.Gk.create ~epsilon:0.01 in
+  let g = Sh_gk.Gk.create ~epsilon:0.01 in
   let next = feeder (network ~seed:7 ~len:8192) in
-  Test.make ~name:"gk.insert eps=0.01" (Staged.stage (fun () -> Sh_quantile.Gk.insert g (next ())))
+  Test.make ~name:"gk.insert eps=0.01" (Staged.stage (fun () -> Sh_gk.Gk.insert g (next ())))
 
 let streaming_wavelet_push =
   let sw = Sh_wavelet.Streaming.create ~budget:32 in
@@ -520,7 +520,6 @@ let run_contention scale =
 module Pool = Sh_par.Domain_pool
 module SE = Sh_par.Shard_engine
 module Qop = Stream_histogram.Query_op
-module FG = Stream_histogram.Fw_group
 
 (* Pre-generated rounds of (key, value) arrivals, round-robin over shards,
    each shard's values drawn from its own split_ix-derived source — the
@@ -762,98 +761,6 @@ let run_read scale =
                 mode_rows) );
        ])
 
-(* ------------------------------------------------------ summary merges
-
-   The Mergeable capability's combine costs, per summary family: GK is a
-   two-pointer walk plus a compress, agglomerative shifts one operand's
-   interval queues into the concatenated index space, and the
-   fixed-window group union moves per-key summaries verbatim (so its
-   cost is the sorted-array splice, independent of window contents).
-   eval_global is benchmarked alongside because the aggregation plane
-   pays one per Global query element. *)
-let run_merge scale =
-  Report.section "BENCH-MICRO-MERGE: mergeable-summary combine costs";
-  (* the agglomerative merge recomputes the shifted side's prefix errors,
-     so its operands are kept an order of magnitude smaller *)
-  let n, n_ag, quota =
-    match scale with
-    | Bench_config.Small -> (2_000, 500, 0.25)
-    | Bench_config.Default | Bench_config.Full -> (20_000, 2_000, 1.0)
-  in
-  let gk_eps = 0.01 in
-  let mk_gk seed =
-    let g = Sh_quantile.Gk.create ~epsilon:gk_eps in
-    Array.iter (Sh_quantile.Gk.insert g) (network ~seed ~len:n);
-    g
-  in
-  let ga = mk_gk 51 and gb = mk_gk 52 in
-  let ag_buckets = 16 in
-  let mk_ag seed =
-    let ag = AG.create ~buckets:ag_buckets ~epsilon:0.1 in
-    Array.iter (AG.push ag) (network ~seed ~len:n_ag);
-    ag
-  in
-  let aa = mk_ag 53 and ab = mk_ag 54 in
-  let shards = 8 and window = 1024 and fw_buckets = 8 in
-  let fws =
-    Pool.with_pool ~domains:1 (fun pool ->
-        let eng = SE.create ~pool ~shards ~window ~buckets:fw_buckets ~epsilon:0.1 in
-        let data = network ~seed:55 ~len:(shards * window) in
-        SE.ingest eng (Array.mapi (fun i v -> (i mod shards, v)) data);
-        SE.refresh_all eng;
-        SE.decode_snapshot (SE.snapshot_bytes eng))
-  in
-  let half = shards / 2 in
-  let left = FG.of_summaries ~base:0 (Array.sub fws 0 half) in
-  let right = FG.of_summaries ~base:half (Array.sub fws half (shards - half)) in
-  let group = FG.merge left right in
-  let tests =
-    [
-      Test.make
-        ~name:(Printf.sprintf "gk.merge eps=%g n=%d+%d" gk_eps n n)
-        (Staged.stage (fun () -> ignore (Sh_quantile.Gk.merge ga gb)));
-      Test.make
-        ~name:(Printf.sprintf "agglomerative.merge B=%d n=%d+%d" ag_buckets n_ag n_ag)
-        (Staged.stage (fun () -> ignore (AG.merge aa ab)));
-      Test.make
-        ~name:(Printf.sprintf "fw_group.merge S=%d+%d" half (shards - half))
-        (Staged.stage (fun () -> ignore (FG.merge left right)));
-      Test.make
-        ~name:(Printf.sprintf "fw_group.eval_global range_sum S=%d" shards)
-        (Staged.stage (fun () ->
-             ignore
-               (FG.eval_global group
-                  (Qop.Range_sum { lo = 1; hi = window }))));
-    ]
-  in
-  Report.note
-    "GK: eps=%g, %d points per operand (%d and %d stored tuples); AG: B=%d, %d points per \
-     operand; FW group: %d keys of window n=%d, split %d+%d"
-    gk_eps n
-    (Sh_quantile.Gk.size ga)
-    (Sh_quantile.Gk.size gb)
-    ag_buckets n_ag shards window half (shards - half);
-  let rows = measure_group ~quota tests in
-  Report.table ~headers:[ "operation"; "time/op" ]
-    (List.map (fun (name, ns) -> [ name; pretty_ns ns ]) rows);
-  Report.json_add "micro_merge"
-    (Report.Jobj
-       [
-         ("points_per_operand", Report.Jint n);
-         ("ag_points_per_operand", Report.Jint n_ag);
-         ("gk_epsilon", Report.Jfloat gk_eps);
-         ("ag_buckets", Report.Jint ag_buckets);
-         ("fw_shards", Report.Jint shards);
-         ("fw_window", Report.Jint window);
-         ( "rows",
-           Report.Jlist
-             (List.map
-                (fun (name, ns) ->
-                  Report.Jobj
-                    [ ("op", Report.Jstring name); ("ns_per_op", Report.Jfloat ns) ])
-                rows) );
-       ])
-
 let run scale =
   Report.section "BENCH-MICRO: per-operation costs (bechamel, OLS estimate)";
   let quota, fw_windows =
@@ -994,7 +901,7 @@ module Net_addr = Sh_net.Addr
 module Net_server = Sh_net.Server
 module Net_client = Sh_net.Client
 module Wire = Sh_net.Wire
-module Gk = Sh_quantile.Gk
+module Gk = Sh_gk.Gk
 
 (* Pre-grouped rounds: every (connection, round) gets its own groups
    array, round-robin keys, values from per-shard split_ix sources —

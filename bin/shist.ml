@@ -37,7 +37,7 @@ module Addr = Sh_net.Addr
 module Net_server = Sh_net.Server
 module Net_client = Sh_net.Client
 module Wire = Sh_net.Wire
-module Gk = Sh_quantile.Gk
+module Gk = Sh_gk.Gk
 
 (* ------------------------------------------------------- common args *)
 
@@ -911,8 +911,8 @@ let loadgen_cmd =
       & info [ "global-mix" ] ~docv:"F"
           ~doc:
             "Fraction of $(b,--query-mix) traffic scoped $(b,global) (over all keys) instead of \
-             a single key — exercises the all-keys fold on a leaf and the snapshot-merge path \
-             on an aggregator.  The report counts degraded (partial) answers.")
+             a single key — exercises the all-keys fold on a leaf and on an aggregator, which \
+             folds its leaves' per-key answers.  The report counts degraded (partial) answers.")
   in
   let do_shutdown =
     Arg.(
@@ -1251,8 +1251,8 @@ let aggregate_cmd =
     (Cmd.info "aggregate"
        ~doc:
          "Root of a two-tier aggregation tree: fan ingest and scoped queries out over N leaf \
-          shist serve processes, merge snapshot summaries for global answers, degrade (never \
-          hang) on leaf failure")
+          shist serve processes, fold the leaves' per-key answers for global queries, degrade \
+          (never hang) on leaf failure")
     Term.(const run $ connect $ listen $ timeout $ idle_timeout)
 
 (* ------------------------------------------------------------- peek *)
@@ -1302,11 +1302,11 @@ let peek_cmd =
 let quantiles_cmd =
   let run file epsilon =
     let data = Source.of_file file in
-    let g = Sh_quantile.Gk.create ~epsilon in
-    Array.iter (Sh_quantile.Gk.insert g) data;
-    Printf.printf "n=%d summary-size=%d\n" (Sh_quantile.Gk.count g) (Sh_quantile.Gk.size g);
+    let g = Sh_gk.Gk.create ~epsilon in
+    Array.iter (Sh_gk.Gk.insert g) data;
+    Printf.printf "n=%d summary-size=%d\n" (Sh_gk.Gk.count g) (Sh_gk.Gk.size g);
     List.iter
-      (fun phi -> Printf.printf "  q%.2f = %.6g\n" phi (Sh_quantile.Gk.quantile g phi))
+      (fun phi -> Printf.printf "  q%.2f = %.6g\n" phi (Sh_gk.Gk.quantile g phi))
       [ 0.0; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ]
   in
   Cmd.v

@@ -11,7 +11,7 @@
 
 module Rng = Sh_util.Rng
 module VH = Sh_selectivity.Value_histogram
-module Gk = Sh_quantile.Gk
+module Gk = Sh_gk.Gk
 
 let () =
   (* A Zipf-skewed column: a few hot values dominate (e.g. status codes,

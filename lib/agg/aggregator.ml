@@ -1,7 +1,5 @@
 module Codec = Sh_persist.Codec
-module SE = Sh_par.Shard_engine
 module Q = Stream_histogram.Query_op
-module FG = Stream_histogram.Fw_group
 module SI = Stream_histogram.Summary_intf
 module Wire = Sh_net.Wire
 module Client = Sh_net.Client
@@ -14,9 +12,9 @@ module M = Sh_obs.Metric
    creation: the leaf owns global keys [offset .. offset + shards - 1].
    [client] is None while the leaf is down; every touch goes through
    [with_leaf], which reconnects on demand (zero retries, bounded by the
-   aggregator timeout) and marks the leaf down again on any transport or
-   protocol failure — a dead leaf costs one fast failed connect per
-   request, never a hang. *)
+   aggregator timeout), re-probes the leaf's geometry, and marks the leaf
+   down again on any transport or protocol failure — a dead leaf costs one
+   fast failed connect per request, never a hang. *)
 type leaf = {
   addr : Addr.t;
   shards : int;
@@ -103,41 +101,54 @@ let close t =
       | None -> ())
     t.leaves
 
+(* Reconnect a down leaf and re-probe its layout.  A leaf restarted with
+   a different shard count, window or bucket budget would shift the key
+   space or add foreign geometry into [Global] answers, so it stays down
+   until it matches the layout fixed at [create]. *)
+let reconnect t l =
+  let c = Client.connect ~timeout:t.timeout ~retries:0 l.addr in
+  match Client.stats c with
+  | s
+    when s.Wire.shards = l.shards && s.Wire.window = t.window
+         && s.Wire.buckets = t.buckets ->
+    c
+  | s ->
+    Client.close c;
+    SI.merge_incompatiblef
+      "aggregate: leaf %s came back with (shards %d, window %d, buckets %d), \
+       expected (%d, %d, %d)"
+      (Addr.to_string l.addr) s.Wire.shards s.Wire.window s.Wire.buckets l.shards
+      t.window t.buckets
+  | exception e ->
+    Client.close c;
+    raise e
+
+let leaf_failure = function
+  | Client.Net_error _ | Codec.Corrupt _ | Codec.Version_mismatch _
+  | SI.Merge_incompatible _ | Unix.Unix_error _ ->
+    true
+  | _ -> false
+
 (* Run [f] against a leaf's client, reconnecting a down leaf on demand
    (one attempt, fail-fast).  Any transport error, protocol garbage, or
-   mergeability violation (a leaf restarted with different geometry)
-   marks the leaf down and yields [None] — the caller degrades, never
-   crashes, never hangs beyond the client timeout. *)
+   layout change marks the leaf down and yields [None] — the caller
+   degrades, never crashes, never hangs beyond the client timeout. *)
 let with_leaf t l f =
-  let client =
-    match l.client with
-    | Some c -> Some c
-    | None -> (
-      match Client.connect ~timeout:t.timeout ~retries:0 l.addr with
-      | c ->
+  match
+    let c =
+      match l.client with
+      | Some c -> c
+      | None ->
+        let c = reconnect t l in
         l.client <- Some c;
-        Some c
-      | exception (Client.Net_error _ | Codec.Corrupt _ | Codec.Version_mismatch _)
-        ->
-        M.incr t.c_leaf_failures;
-        None
-      | exception Unix.Unix_error (_, _, _) ->
-        M.incr t.c_leaf_failures;
-        None)
-  in
-  match client with
-  | None -> None
-  | Some c -> (
-    match f c with
-    | v -> Some v
-    | exception
-        ( Client.Net_error _ | Codec.Corrupt _ | Codec.Version_mismatch _
-        | SI.Merge_incompatible _ ) ->
-      mark_down t l;
-      None
-    | exception Unix.Unix_error (_, _, _) ->
-      mark_down t l;
-      None)
+        c
+    in
+    f c
+  with
+  | v -> Some v
+  | exception e when leaf_failure e ->
+    mark_down t l;
+    None
 
 let check_key t k =
   if k < 0 || k >= t.total_shards then
@@ -153,24 +164,28 @@ let route t k =
   done;
   !li
 
-let count_missing missing =
-  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 missing
+(* A leaf's part in one query batch.  [Idle]: the batch asked nothing of
+   it.  [Answered]: [out.(globals_at + g * shards + k)] is local key [k]'s
+   answer to the batch's [g]-th [Global] op. *)
+type leaf_reply =
+  | Idle
+  | Missing
+  | Answered of { globals_at : int; out : float array }
 
-(* Fan a scoped query batch out.  [Key] elements are routed to their
-   owning leaf (rebased to the leaf's local key space) and answered by
-   the leaf's own view plane; [Global] elements pull one snapshot per
-   live leaf, decode it with the persistence codec, splice the per-leaf
-   summaries into one disjoint-key {!Fw_group} and fold — the exact
-   ascending-key association the single-process engine uses, so complete
-   answers are bit-identical to a one-process oracle over the same
-   per-key streams.  Elements whose leaf is down answer 0.0 and the leaf
-   counts once toward [leaves_missing]. *)
+(* Fan a scoped query batch out as one [Query] per leaf.  [Key] elements
+   are routed to their owning leaf (rebased to the leaf's local key
+   space); each [Global] op is expanded into [Key 0 .. shards - 1] on
+   every leaf and folded here from [0.0], leaves in ascending offset
+   order and each leaf's keys ascending — the exact association
+   {!Query_op.scope} fixes and the single-process engine uses, so
+   complete answers are bit-identical to a one-process oracle over the
+   same per-key streams, and every answer comes from a published view.
+   Elements whose leaf is down answer 0.0 (a [Global] drops that leaf's
+   terms) and the leaf counts once toward [leaves_missing]. *)
 let query t qs =
   M.incr t.c_fanouts;
-  let n = Array.length qs in
-  let answers = Array.make n 0.0 in
-  let missing = Array.make (Array.length t.leaves) false in
-  let per_leaf = Array.make (Array.length t.leaves) [] in
+  let answers = Array.make (Array.length qs) 0.0 in
+  let keyed = Array.make (Array.length t.leaves) [] in
   let globals = ref [] in
   Array.iteri
     (fun i (scope, q) ->
@@ -178,41 +193,52 @@ let query t qs =
       | Q.Key k ->
         check_key t k;
         let li = route t k in
-        per_leaf.(li) <-
-          (i, (Q.Key (k - t.leaves.(li).offset), q)) :: per_leaf.(li)
+        keyed.(li) <- (i, (Q.Key (k - t.leaves.(li).offset), q)) :: keyed.(li)
       | Q.Global -> globals := (i, q) :: !globals)
     qs;
-  Array.iteri
-    (fun li elems ->
-      match elems with
-      | [] -> ()
-      | elems -> (
-        let elems = Array.of_list (List.rev elems) in
-        let sub = Array.map snd elems in
-        match with_leaf t t.leaves.(li) (fun c -> Client.query c sub) with
-        | Some out when Array.length out = Array.length elems ->
-          Array.iteri (fun j (i, _) -> answers.(i) <- out.(j)) elems
-        | Some _ ->
-          mark_down t t.leaves.(li);
-          missing.(li) <- true
-        | None -> missing.(li) <- true))
-    per_leaf;
-  (match List.rev !globals with
-  | [] -> ()
-  | gs ->
-    let group = ref FG.empty in
-    Array.iteri
+  let globals = Array.of_list (List.rev !globals) in
+  let replies =
+    Array.mapi
       (fun li l ->
-        match
-          with_leaf t l (fun c ->
-              FG.of_summaries ~base:l.offset
-                (SE.decode_snapshot (Client.snapshot c)))
-        with
-        | Some g -> group := FG.merge !group g
-        | None -> missing.(li) <- true)
-      t.leaves;
-    List.iter (fun (i, q) -> answers.(i) <- FG.eval_global !group q) gs);
-  let lm = count_missing missing in
+        let keyed = Array.of_list (List.rev keyed.(li)) in
+        let expanded =
+          Array.init (Array.length globals * l.shards) (fun j ->
+              (Q.Key (j mod l.shards), snd globals.(j / l.shards)))
+        in
+        let sub = Array.append (Array.map snd keyed) expanded in
+        if Array.length sub = 0 then Idle
+        else
+          match with_leaf t l (fun c -> Client.query c sub) with
+          | Some out when Array.length out = Array.length sub ->
+            Array.iteri (fun j (i, _) -> answers.(i) <- out.(j)) keyed;
+            Answered { globals_at = Array.length keyed; out }
+          | Some _ ->
+            mark_down t l;
+            Missing
+          | None -> Missing)
+      t.leaves
+  in
+  Array.iteri
+    (fun g (i, _) ->
+      let acc = ref 0.0 in
+      Array.iteri
+        (fun li reply ->
+          match reply with
+          | Answered { globals_at; out } ->
+            let shards = t.leaves.(li).shards in
+            let base = globals_at + (g * shards) in
+            for k = 0 to shards - 1 do
+              acc := !acc +. out.(base + k)
+            done
+          | Idle | Missing -> ())
+        replies;
+      answers.(i) <- !acc)
+    globals;
+  let lm =
+    Array.fold_left
+      (fun n r -> match r with Missing -> n + 1 | Idle | Answered _ -> n)
+      0 replies
+  in
   if lm > 0 then M.incr t.c_partial;
   (answers, lm)
 
@@ -377,8 +403,6 @@ let run ?(idle_timeout = 30.0) ?(stop = fun () -> false) ~listeners t () =
     | Wire.Metrics -> send cl (Wire.Metrics_reply (Obs.render Obs.Prom))
     | Wire.Checkpoint ->
       send cl (Wire.Error_reply "aggregator holds no state to checkpoint")
-    | Wire.Snapshot ->
-      send cl (Wire.Error_reply "aggregator holds no state to snapshot")
     | Wire.Ping -> send cl Wire.Pong
     | Wire.Shutdown ->
       finishing := true;

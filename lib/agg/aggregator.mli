@@ -8,14 +8,33 @@
     order its address was given: leaf [i] with [s_i] shards owns global
     keys [offset_i .. offset_i + s_i - 1] where
     [offset_i = s_0 + ... + s_{i-1}].  [Key k] requests are routed to
-    the owning leaf with the key rebased into the leaf's local space;
-    [Global] requests pull one engine snapshot per leaf (the checkpoint
-    byte stream over the wire), decode them with the persistence codec,
-    splice the per-leaf summaries into one disjoint-key
-    {!Stream_histogram.Fw_group} and fold in ascending key order from
-    [0.0] — the exact float association the single-process engine's
-    [query_global] uses, so a complete answer is bit-identical to a
-    one-process oracle fed the same per-key streams.
+    the owning leaf with the key rebased into the leaf's local space.
+
+    {2 Global answers}
+
+    A [Global] op is the fold of per-key view answers.  The root expands
+    it into [Key 0 .. shards - 1] on every leaf, in the same single
+    [Query] that carries the leaf's routed [Key] elements, and folds the
+    replies from [0.0]: leaves in ascending offset order, each leaf's
+    keys ascending.  That is the association
+    {!Stream_histogram.Query_op.scope} fixes and the single-process
+    engine's [query_global] uses, so a complete answer is bit-identical to
+    a one-process oracle fed the same per-key streams.  A [Global] costs
+    each leaf 8 bytes per key on the wire and no root-side state.
+
+    Staleness: a [Global] answer reflects the leaves' {e published views},
+    the same contract as [Key] queries and as single-process
+    [query_global].  Points a leaf has acked but not yet published (under
+    a deferred refresh policy) are not in the answer until that leaf's
+    next publication.
+
+    {2 Layout}
+
+    The key-space layout is fixed at {!create}.  When a down leaf is
+    reconnected, its geometry is re-probed with [Stats]; a leaf that comes
+    back with a different [(shards, window, buckets)] stays down and
+    counts in ["agg.leaf_failures"], so replies touching it are typed
+    partials instead of silently shifted or foreign answers.
 
     {2 Degradation}
 
@@ -48,10 +67,11 @@ val query :
   t ->
   (Stream_histogram.Query_op.scope * Stream_histogram.Query_op.t) array ->
   float array * int
-(** Fan a scoped batch out and merge.  Returns the positional answers
-    and the number of distinct leaves that could not contribute; with a
-    leaf down, its [Key] answers and its slice of every [Global] answer
-    are [0.0].  Raises [Invalid_argument] on an out-of-range key. *)
+(** Fan a scoped batch out, one [Query] per leaf, and fold the [Global]
+    elements.  Returns the positional answers and the number of distinct
+    leaves that could not contribute; with a leaf down, its [Key] answers
+    are [0.0] and every [Global] answer leaves out its keys.  Raises
+    [Invalid_argument] on an out-of-range key. *)
 
 val ingest : t -> (int * float array) array -> int * int
 (** Split the batch across the owning leaves.  Returns
@@ -69,9 +89,9 @@ val close : t -> unit
 (** {2 Serving the wire protocol}
 
     The root speaks the same protocol as a leaf, so [shist loadgen] and
-    {!Sh_net.Client} work unchanged against it.  [Checkpoint] and [Snapshot]
-    are refused with an [Error_reply] (the root holds no state); a
-    degraded [Query] answers {!Sh_net.Wire.response.Answers_partial}. *)
+    {!Sh_net.Client} work unchanged against it.  [Checkpoint] is refused
+    with an [Error_reply] (the root holds no state); a degraded [Query]
+    answers {!Sh_net.Wire.response.Answers_partial}. *)
 
 type report = {
   connections : int;

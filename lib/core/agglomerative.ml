@@ -220,106 +220,6 @@ let work_counters t =
     intervals_extended = M.value t.c_extended;
   }
 
-(* --- merge ----------------------------------------------------------- *)
-
-let copy_entry e =
-  { idx = e.idx; sum = e.sum; sqsum = e.sqsum; herror = e.herror;
-    a_idx = e.a_idx; a_herror = e.a_herror }
-
-let copy t =
-  let c = mk ~params:t.params ~horizon:t.horizon in
-  c.n <- t.n;
-  c.sum <- t.sum;
-  c.sqsum <- t.sqsum;
-  c.last_error <- t.last_error;
-  Array.iteri
-    (fun i q -> Vec.iter (fun e -> Vec.push c.queues.(i) (copy_entry e)) q)
-    t.queues;
-  c
-
-(* Merge = stream concatenation: the merged summary describes a's points
-   followed by b's.  a's queue entries are kept verbatim (prefix sums over
-   the concatenated stream agree with a's on a's prefix); b's entries are
-   shifted into the concatenated index space (idx + a.n, sums + a's
-   totals) with herror recomputed bottom-up against the already-merged
-   level-(k-1) queue — the level-k prefix error of the concatenated stream
-   at that endpoint, by the same minimisation push uses.  Shifted entries
-   anchor on themselves (a_idx = idx, a_herror = recomputed herror), which
-   conservatively preserves the (1 + delta) growth invariant for future
-   pushes.  Error factors multiply across the splice point, so the merged
-   summary carries eps = eps_a + eps_b + eps_a * eps_b. *)
-let merge a b =
-  if buckets a <> buckets b then
-    Summary_intf.merge_incompatiblef
-      "Agglomerative.merge: bucket budgets differ (%d vs %d)" (buckets a)
-      (buckets b);
-  if b.n = 0 then copy a
-  else if a.n = 0 then copy b
-  else begin
-    let bkts = buckets a in
-    let eps_a = epsilon a and eps_b = epsilon b in
-    let params =
-      Params.make_with_delta ~buckets:bkts
-        ~epsilon:(eps_a +. eps_b +. (eps_a *. eps_b))
-        ~delta:(Float.max a.params.Params.delta b.params.Params.delta)
-    in
-    let horizon =
-      if a.horizon = max_int || b.horizon = max_int then max_int
-      else a.horizon + b.horizon
-    in
-    let t = mk ~params ~horizon in
-    t.n <- a.n + b.n;
-    t.sum <- a.sum +. b.sum;
-    t.sqsum <- a.sqsum +. b.sqsum;
-    (* Full scan, no early stop: recomputed herrors in a merged queue are
-       not guaranteed monotone the way push's incremental ones are. *)
-    let min_over q ~idx ~sum ~sqsum =
-      let best = ref infinity in
-      Vec.iter
-        (fun e ->
-          if e.idx < idx then begin
-            let cand = e.herror +. sqerror_from e ~idx ~sum ~sqsum in
-            if cand < !best then best := cand
-          end)
-        q;
-      !best
-    in
-    for k = 1 to bkts - 1 do
-      let dst = t.queues.(k - 1) in
-      Vec.iter (fun e -> Vec.push dst (copy_entry e)) a.queues.(k - 1);
-      Vec.iter
-        (fun e ->
-          let idx = e.idx + a.n in
-          let sum = e.sum +. a.sum in
-          let sqsum = e.sqsum +. a.sqsum in
-          let herror =
-            if k = 1 then
-              Float.max 0.0 (sqsum -. (sum *. sum /. Float.of_int idx))
-            else begin
-              (* a.n > 0, so the merged level-(k-1) queue always holds at
-                 least one endpoint strictly before idx. *)
-              let m = min_over t.queues.(k - 2) ~idx ~sum ~sqsum in
-              if m = infinity then 0.0 else m
-            end
-          in
-          Vec.push dst { idx; sum; sqsum; herror; a_idx = idx; a_herror = herror })
-        b.queues.(k - 1)
-    done;
-    t.last_error <-
-      (if bkts = 1 then
-         Float.max 0.0 (t.sqsum -. (t.sum *. t.sum /. Float.of_int t.n))
-       else if bkts >= t.n then 0.0
-       else begin
-         let m = min_over t.queues.(bkts - 2) ~idx:t.n ~sum:t.sum ~sqsum:t.sqsum in
-         if m = infinity then 0.0 else m
-       end);
-    t
-  end
-
-module _ : Summary_intf.Mergeable with type t := t = struct
-  let merge = merge
-end
-
 (* --- persistence ---------------------------------------------------- *)
 
 module Codec = Sh_persist.Codec

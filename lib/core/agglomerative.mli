@@ -78,34 +78,6 @@ val work_counters : t -> work_counters
     {!Sh_obs} registry (series [ag.*{instance="ag<i>"}]) — the
     agglomerative counterpart of [Fixed_window.work_counters]. *)
 
-(** {2 Merging} *)
-
-val merge : t -> t -> t
-(** [merge a b] summarises the {e concatenation} of the two streams ([a]'s
-    points then [b]'s), leaving both operands untouched: [a]'s interval
-    queues are kept verbatim, [b]'s are shifted into the concatenated
-    index space with prefix errors recomputed level by level.  Error
-    factors multiply, so the result carries
-    [epsilon = eps_a +. eps_b +. eps_a *. eps_b] (and the larger delta).
-
-    Accuracy: [current_error] never drops below the concatenated
-    stream's true optimum (every recomputed value minimises an exact
-    bucket cost over candidates whose prefix values already
-    upper-bound their optima), and for operands past a few dozen
-    points it stays within the multiplied per-operand factors of that
-    optimum (pinned against the exact V-optimal oracle by qcheck in
-    [test_agg]).  The factor bound is {e not} unconditional: on tiny
-    operands (roughly under 4B points each) the (1 + delta) pruning
-    can collapse equal-error prefixes so aggressively that no retained
-    candidate lands near the splice point, and the bucket spanning it
-    overshoots the multiplied factors — observed up to ~12x optimal at
-    4-12 points per operand, gone by 16.  Merge summaries, not
-    samples.
-
-    Merging with an empty summary returns a copy whose answers are
-    bit-identical to the non-empty operand's.  Raises
-    {!Summary_intf.Merge_incompatible} when the bucket budgets differ. *)
-
 (** {2 Persistence} *)
 
 val name : string

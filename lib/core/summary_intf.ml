@@ -16,36 +16,13 @@
     post-creation setters ([set_refresh_policy]). *)
 
 exception Merge_incompatible of string
-(** Raised by {!Mergeable.merge} when two summaries cannot be combined —
-    mismatched bucket budgets, mismatched window geometry, overlapping key
-    ranges.  A concrete exception (not part of the signature) so every
-    implementation raises the {e same} constructor and generic aggregation
-    code can catch one thing. *)
+(** Raised when summaries cannot be combined — today, when the leaves
+    behind [Sh_agg.Aggregator.create] disagree on window or bucket
+    geometry.  A concrete exception so aggregation code can catch one
+    thing. *)
 
 let merge_incompatiblef fmt =
   Printf.ksprintf (fun s -> raise (Merge_incompatible s)) fmt
-
-module type Mergeable = sig
-  type t
-
-  val merge : t -> t -> t
-  (** [merge a b] is a summary of [a]'s stream combined with [b]'s,
-      leaving both operands untouched.  What "combined" means, and how the
-      approximation error composes, is per-implementation and documented
-      there:
-
-      - {!Agglomerative} — stream concatenation ([a]'s points then [b]'s);
-        error factors multiply: [eps = eps_a + eps_b + eps_a * eps_b].
-      - [Sh_quantile.Gk] — stream union (order-free); rank error adds:
-        at most [eps_a * n_a + eps_b * n_b], within [max eps_a eps_b] of
-        the merged count.
-      - {!Fw_group} — disjoint-key-range union; no error composition at
-        all (per-key summaries are untouched), overlap raises.
-
-      Identity: merging with an empty summary returns a summary whose
-      answers are bit-identical to the non-empty operand's.  Raises
-      {!Merge_incompatible} when the operands' geometry cannot combine. *)
-end
 
 module type Persistable = sig
   type t

@@ -91,51 +91,6 @@ let quantile t phi =
   | [] -> assert false
   | first :: _ -> go 0 first.v t.tuples
 
-(* Structural merge (Agarwal et al.'s mergeable-summaries construction):
-   two-pointer walk of both tuple lists in value order.  A tuple x drawn
-   from one side keeps its g (it still covers the same g observations) and
-   widens its delta by the uncertainty of where it lands between the other
-   side's tuples: with y the other side's next-not-yet-consumed tuple,
-   up to y.g + y.delta - 1 of y's covered observations may precede x.
-   Summing both sides' per-summary enclosures widens each tuple by at most
-   eps_a * n_a + eps_b * n_b <= max(eps_a, eps_b) * (n_a + n_b), which is
-   within the merged summary's own g + delta <= 2 eps n cap — so the
-   result honestly carries epsilon = max(eps_a, eps_b) and keeps the
-   standard eps * n rank-error contract through the post-merge compress
-   (which re-widens tuples against that cap) and any later inserts.
-
-   Merging with an empty summary shares the non-empty operand's immutable
-   tuple spine verbatim — answers are bit-identical to the operand's (the
-   Mergeable identity law).  Neither operand is mutated. *)
-let merge a b =
-  let eps = Float.max a.eps b.eps in
-  let period = max 1 (int_of_float (1.0 /. (2.0 *. eps))) in
-  if b.n = 0 then
-    { a with eps; since_compress = 0; compress_period = period }
-  else if a.n = 0 then
-    { b with eps; since_compress = 0; compress_period = period }
-  else begin
-    let rec go xs ys =
-      match (xs, ys) with
-      | [], rest | rest, [] -> rest
-      | x :: xr, y :: yr ->
-        if x.v <= y.v then
-          { x with delta = x.delta + y.g + y.delta - 1 } :: go xr ys
-        else { y with delta = y.delta + x.g + x.delta - 1 } :: go xs yr
-    in
-    let t =
-      {
-        eps;
-        tuples = go a.tuples b.tuples;
-        n = a.n + b.n;
-        since_compress = 0;
-        compress_period = period;
-      }
-    in
-    compress t;
-    t
-  end
-
 let rank_bounds_list tuples v =
   let rec go rmin lo hi = function
     | [] -> (lo, hi)

@@ -34,21 +34,6 @@ val iter_values : t -> (float -> unit) -> unit
 (** Stored tuple values in non-decreasing order — the candidate set for
     cross-summary quantile queries. *)
 
-val merge : t -> t -> t
-(** [merge a b] is a summary of the union of the two streams (order-free),
-    leaving both operands untouched: a two-pointer walk in value order
-    widens each tuple's rank slack by the other side's local uncertainty
-    (the mergeable-summaries construction).  The merged summary carries
-    [epsilon = max (epsilon a) (epsilon b)] and honours the same contract
-    a directly-built summary would: absolute rank error at most
-    [epsilon *. (n_a + n_b)] (the classic mergeable-GK result — the
-    widened slacks [epsilon a *. n_a +. epsilon b *. n_b] are within the
-    merged cap, and the post-merge compression works against that cap,
-    so the max-epsilon bound is the one that survives further inserts
-    and merges).  Merging with an empty
-    summary returns a copy whose answers are bit-identical to the
-    non-empty operand's (the [Mergeable] identity law). *)
-
 val merged_quantile : t list -> float -> float
 (** [merged_quantile ts phi] answers a quantile over the union of the
     streams behind [ts] without structurally merging them: rank enclosures

@@ -171,11 +171,6 @@ let query_partial t qs =
   | Wire.Answers_partial { answers; leaves_missing } -> (answers, leaves_missing)
   | resp -> unexpected "query" resp
 
-let snapshot t =
-  match call t Wire.Snapshot with
-  | Wire.Snapshot_reply bytes -> bytes
-  | resp -> unexpected "snapshot" resp
-
 let stats t =
   match call t Wire.Stats with
   | Wire.Stats_reply s -> s

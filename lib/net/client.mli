@@ -62,10 +62,6 @@ val query_partial :
     answers and the number of leaves the answering peer could not reach
     ([0] for a complete {!Wire.response.Answers}). *)
 
-val snapshot : t -> string
-(** The peer engine's checkpoint byte stream
-    ({!Sh_par.Shard_engine.snapshot_bytes}). *)
-
 val stats : t -> Wire.stats
 val metrics : t -> string
 val checkpoint : t -> string

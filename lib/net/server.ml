@@ -63,7 +63,6 @@ type op =
   | Op_stats
   | Op_metrics
   | Op_checkpoint
-  | Op_snapshot
   | Op_ping
   | Op_shutdown
   | Op_bad of string
@@ -73,6 +72,9 @@ type client = {
   mutable preamble_ok : bool;
   mutable ops : op list; (* this iteration's requests, reversed *)
   mutable close_after_flush : bool;
+  mutable partial_head : bool;
+      (* the last decode left only an incomplete frame, whose declared
+         length passed the [max_frame_payload] check *)
 }
 
 let keys_ok shards arr = Array.for_all (fun (k, _) -> k >= 0 && k < shards) arr
@@ -164,6 +166,7 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
             preamble_ok = false;
             ops = [];
             close_after_flush = false;
+            partial_head = false;
           }
         in
         Conn.send cl.conn Wire.preamble;
@@ -193,8 +196,11 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
          let continue = ref true in
          while !continue && !budget_left > 0 do
            match Conn.next_frame ~max_len:config.max_frame_payload cl.conn with
-           | None -> continue := false
+           | None ->
+             cl.partial_head <- Conn.buffered cl.conn > 0;
+             continue := false
            | Some payload -> (
+             cl.partial_head <- false;
              incr r_frames_in;
              M.incr c_frames_in;
              match Wire.decode_request payload with
@@ -218,7 +224,6 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
              | Wire.Stats -> cl.ops <- Op_stats :: cl.ops
              | Wire.Metrics -> cl.ops <- Op_metrics :: cl.ops
              | Wire.Checkpoint -> cl.ops <- Op_checkpoint :: cl.ops
-             | Wire.Snapshot -> cl.ops <- Op_snapshot :: cl.ops
              | Wire.Ping -> cl.ops <- Op_ping :: cl.ops
              | Wire.Shutdown -> cl.ops <- Op_shutdown :: cl.ops)
          done
@@ -247,18 +252,6 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
           match write_checkpoint () with
           | Some file -> send cl (Wire.Checkpointed file)
           | None -> send cl (Wire.Error_reply "no checkpoint path configured"))
-        | Op_snapshot ->
-          let bytes = SE.snapshot_bytes engine in
-          (* frame overhead: one tag byte + the string's varint length
-             prefix; leave a conservative margin *)
-          if String.length bytes + 16 > config.max_frame_payload then
-            send cl
-              (Wire.Error_reply
-                 (Printf.sprintf
-                    "snapshot is %d byte(s), larger than the %d-byte frame \
-                     limit"
-                    (String.length bytes) config.max_frame_payload))
-          else send cl (Wire.Snapshot_reply bytes)
         | Op_ping -> send cl Wire.Pong
         | Op_shutdown ->
           finishing := true;
@@ -266,6 +259,15 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
         | Op_bad msg -> send cl (Wire.Error_reply msg))
       (List.rev cl.ops);
     cl.ops <- []
+  in
+  (* A connection stops being read once [read_watermark] bytes are
+     buffered — unless the last decode found them all to be one incomplete
+     frame within [max_frame_payload], which must arrive whole before the
+     buffer can drain.  Every read clears that finding until a decode
+     confirms it again, so a connection whose decode is deferred by the
+     coalescing budget is read at most one chunk past its frame. *)
+  let wants_input cl =
+    Conn.buffered cl.conn < config.read_watermark || cl.partial_head
   in
   let points_done () =
     match max_points with None -> false | Some n -> served_points () >= n
@@ -278,10 +280,7 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
       else
         List.filter_map
           (fun cl ->
-            if
-              cl.close_after_flush
-              || Conn.closed cl.conn
-              || Conn.buffered cl.conn >= config.read_watermark
+            if cl.close_after_flush || Conn.closed cl.conn || not (wants_input cl)
             then None
             else Some (Conn.fd cl.conn))
           !clients
@@ -320,6 +319,7 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
           | Some cl -> (
             match Conn.read_into cl.conn with
             | `Data n ->
+              cl.partial_head <- false;
               r_bytes_in := !r_bytes_in + n;
               M.add c_bytes_in n
             | `Again -> ()

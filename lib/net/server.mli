@@ -17,8 +17,12 @@
     socket (one stall, counted), and any connection holding more than
     [read_watermark] undecoded bytes is excluded from the read set until it
     drains — kernel socket buffers fill and the TCP window closes back to
-    the sender.  Nothing acknowledged is ever dropped; nothing is buffered
-    without bound.
+    the sender.  The one exception is a buffer the last decode found to be
+    a single incomplete frame whose declared length passed the
+    [max_frame_payload] check: it keeps reading until that frame is whole,
+    since nothing else can drain it.  Nothing acknowledged is ever dropped;
+    no connection buffers more than [max read_watermark max_frame_payload]
+    plus framing and one 64 KiB read.
 
     Malformed input (bad magic, foreign version, CRC mismatch, oversized
     length prefix, trailing bytes) earns the connection a final
@@ -32,7 +36,9 @@ type config = {
   max_coalesce_points : int;  (** per-iteration ingest coalescing cap *)
   max_frame_payload : int;  (** reject larger declared payloads *)
   idle_timeout : float;  (** seconds before a half-frame conn is reaped *)
-  read_watermark : int;  (** max undecoded bytes buffered per conn *)
+  read_watermark : int;
+      (** undecoded bytes buffered per conn before it stops being read,
+          unless they are one incomplete frame (see above) *)
   checkpoint : string option;  (** path served to [Checkpoint] requests *)
   checkpoint_every : int option;  (** also checkpoint every k ingest rounds *)
 }

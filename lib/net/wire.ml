@@ -3,7 +3,7 @@ module Frame = Sh_persist.Frame
 module Q = Stream_histogram.Query_op
 
 let magic = "SHNW"
-let protocol_version = 2
+let protocol_version = 3
 let preamble_len = 5
 
 let preamble =
@@ -32,7 +32,6 @@ type request =
   | Stats
   | Metrics
   | Checkpoint
-  | Snapshot
   | Ping
   | Shutdown
 
@@ -56,7 +55,6 @@ type response =
   | Stats_reply of stats
   | Metrics_reply of string
   | Checkpointed of string
-  | Snapshot_reply of string
   | Pong
   | Shutting_down
   | Error_reply of string
@@ -73,7 +71,6 @@ let tag_metrics = 0x04
 let tag_checkpoint = 0x05
 let tag_ping = 0x06
 let tag_shutdown = 0x07
-let tag_snapshot = 0x08
 let tag_ack = 0x81
 let tag_answers = 0x82
 let tag_stats_reply = 0x83
@@ -81,9 +78,11 @@ let tag_metrics_reply = 0x84
 let tag_checkpointed = 0x85
 let tag_pong = 0x86
 let tag_shutting_down = 0x87
-let tag_snapshot_reply = 0x88
 let tag_answers_partial = 0x89
 let tag_error = 0xFF
+
+(* 0x08 / 0x88 carried the v2 Snapshot request and its reply; v3 retired
+   them, and a new message must not reuse those tags. *)
 
 (* Query sub-tags live with the variant itself: {!Stream_histogram.Query_op}
    owns [put]/[get]/[put_scope]/[get_scope], so the wire encoding cannot
@@ -116,7 +115,6 @@ let encode_request req =
   | Stats -> Codec.put_u8 buf tag_stats
   | Metrics -> Codec.put_u8 buf tag_metrics
   | Checkpoint -> Codec.put_u8 buf tag_checkpoint
-  | Snapshot -> Codec.put_u8 buf tag_snapshot
   | Ping -> Codec.put_u8 buf tag_ping
   | Shutdown -> Codec.put_u8 buf tag_shutdown);
   frame_of buf
@@ -152,9 +150,6 @@ let encode_response resp =
   | Checkpointed path ->
     Codec.put_u8 buf tag_checkpointed;
     Codec.put_string buf path
-  | Snapshot_reply bytes ->
-    Codec.put_u8 buf tag_snapshot_reply;
-    Codec.put_string buf bytes
   | Pong -> Codec.put_u8 buf tag_pong
   | Shutting_down -> Codec.put_u8 buf tag_shutting_down
   | Error_reply msg ->
@@ -196,7 +191,6 @@ let decode_request r =
     else if t = tag_stats then Stats
     else if t = tag_metrics then Metrics
     else if t = tag_checkpoint then Checkpoint
-    else if t = tag_snapshot then Snapshot
     else if t = tag_ping then Ping
     else if t = tag_shutdown then Shutdown
     else Codec.corruptf "bad request tag %d" t
@@ -241,7 +235,6 @@ let decode_response r =
     end
     else if t = tag_metrics_reply then Metrics_reply (Codec.get_string r)
     else if t = tag_checkpointed then Checkpointed (Codec.get_string r)
-    else if t = tag_snapshot_reply then Snapshot_reply (Codec.get_string r)
     else if t = tag_pong then Pong
     else if t = tag_shutting_down then Shutting_down
     else if t = tag_error then Error_reply (Codec.get_string r)

@@ -9,9 +9,11 @@
     followed by {!Sh_persist.Codec} primitives.  See DESIGN.md section 15
     for the grammar and the version-bump policy (shared with the snapshot
     codec: any layout change bumps {!protocol_version}, peers reject
-    foreign versions with a typed error).  Version 2 adds scoped queries
-    ({!Stream_histogram.Query_op.scope}), snapshot interchange, and
-    partial answers — the aggregation-plane vocabulary.
+    foreign versions with a typed error).  Version 2 added scoped queries
+    ({!Stream_histogram.Query_op.scope}) and partial answers — the
+    aggregation-plane vocabulary.  Version 3 drops v2's [Snapshot]
+    request and reply: an aggregator answers [Global] from its leaves'
+    per-key answers and never needs a leaf's engine state.
 
     Every decoding failure raises {!Sh_persist.Codec.Corrupt} (or
     [Version_mismatch] for a foreign preamble) — the typed errors the
@@ -55,10 +57,6 @@ type request =
   | Stats  (** Engine geometry + cumulative counters. *)
   | Metrics  (** Prometheus text exposition of the metric registry. *)
   | Checkpoint  (** Write the server's configured checkpoint file now. *)
-  | Snapshot
-      (** Ask for the engine's checkpoint byte stream in one reply frame —
-          the aggregation plane's interchange format
-          ({!Sh_par.Shard_engine.snapshot_bytes}). *)
   | Ping
   | Shutdown  (** Ask the server to flush, close and exit its serve loop. *)
 
@@ -85,14 +83,10 @@ type response =
   | Stats_reply of stats
   | Metrics_reply of string
   | Checkpointed of string  (** The path the checkpoint was published to. *)
-  | Snapshot_reply of string
-      (** The engine's checkpoint bytes ({!Sh_par.Shard_engine.snapshot_bytes}),
-          decodable with {!Sh_par.Shard_engine.decode_snapshot}. *)
   | Pong
   | Shutting_down
   | Error_reply of string
-      (** Semantic rejection (bad key, no checkpoint configured, snapshot
-          too large for a frame) or the last frame before the server
+      (** Semantic rejection (bad key, no checkpoint configured) or the last frame before the server
           closes a misbehaving connection. *)
 
 val points_in_groups : (int * float array) array -> int

@@ -438,9 +438,8 @@ let with_key t ~key ~f = with_shard t key f
 
 (* [Global]: the fold of the per-key answers over the published views in
    ascending key order, accumulated left-to-right from 0.0 —
-   {!Query_op.scope}'s fixed float association, matching
-   [Fw_group.eval_global] over the same per-key window contents
-   bit-for-bit. *)
+   {!Query_op.scope}'s fixed float association, which the aggregation
+   root reproduces from its leaves' per-key answers bit-for-bit. *)
 let eval_global t q =
   let acc = ref 0.0 in
   for key = 0 to Array.length t.shards - 1 do
@@ -502,7 +501,7 @@ let engine_tag = Char.code 'S'
 
 (* Quiescence protocol: every batch drains its rings before [ingest]
    returns, so between engine calls the rings and overflow buffers are
-   empty — but a snapshot must not silently trust that, so it drains any
+   empty — but a checkpoint must not silently trust that, so it drains any
    residual hand-off state into the shards (on the caller, which is safe
    under the no-concurrent-ingest contract) before encoding a frame.  A
    frame therefore always captures a shard with no in-flight values. *)
@@ -511,10 +510,9 @@ let quiesce t =
     t.drain_one k
   done
 
-(* The checkpoint byte layout, shared verbatim by the on-disk file and the
-   wire snapshot interchange frames: persist header, one meta frame (tag,
-   shard count, point/batch/refresh totals), then one frame per shard in
-   key order. *)
+(* The checkpoint byte layout: persist header, one meta frame (tag, shard
+   count, point/batch/refresh totals), then one frame per shard in key
+   order. *)
 let encode_frames t =
   quiesce t;
   let meta = Buffer.create 32 in
@@ -540,11 +538,6 @@ let checkpoint t ~file =
   P.write_file_atomic ~path:file ~header ~frames;
   M.incr P.c_snapshots
 
-let snapshot_bytes t =
-  Obs.with_span "engine.snapshot" @@ fun () ->
-  let header, frames = encode_frames t in
-  String.concat "" (header :: frames)
-
 let decode_shards r =
   Frame.read_header r;
   let meta = Frame.read_frame r in
@@ -569,11 +562,6 @@ let decode_shards r =
   in
   Codec.expect_end r ~what:"engine checkpoint";
   (shard_arr, points, batches, refreshes)
-
-let decode_snapshot s =
-  P.rejecting @@ fun () ->
-  let arr, _, _, _ = decode_shards (Codec.of_string s) in
-  arr
 
 let restore_from ~pool ~file =
   Obs.with_span "engine.restore" @@ fun () ->

@@ -125,7 +125,7 @@ val refresh_all : ?cold:bool -> t -> unit
     oracle.
 
     Live-shard escape hatches ({!with_key}, {!fold}, {!work_counters},
-    {!set_refresh_policy}, {!checkpoint}, {!snapshot_bytes}) bypass the
+    {!set_refresh_policy}, {!checkpoint}) bypass the
     view and require the same exclusivity as {!ingest} itself (no overlap
     with an in-flight engine call — the single producer that drives
     ingest may use them between batches, which is every in-tree usage). *)
@@ -180,12 +180,11 @@ val query_global : t -> Stream_histogram.Query_op.t -> float
 (** Answer one query over {e every} key: the fold of the per-key view
     answers in ascending key order, accumulated left-to-right from [0.0]
     — {!Stream_histogram.Query_op.scope}'s [Global] contract, with its
-    fixed float association.  Bit-identical to
-    {!Stream_histogram.Fw_group.eval_global} over the same per-key window
-    contents, which is how the root aggregator's leaf-merged answers are
-    proved against this single-process oracle.  Wait-free (published
-    views only — quiesce with {!refresh_all} first for current
-    answers). *)
+    fixed float association.  The root aggregator folds its leaves'
+    per-key answers the same way, which is how its [Global] answers are
+    proved bit-identical to this single-process oracle.  Wait-free
+    (published views only — quiesce with {!refresh_all} first for
+    current answers). *)
 
 val with_key :
   t -> key:int -> f:(Stream_histogram.Fixed_window.t -> 'a) -> 'a
@@ -234,17 +233,14 @@ val snapshots_published : t -> int
 (** Read views published since creation (["engine.snapshots_published"]),
     including the initial per-shard captures. *)
 
-(** {2 Durability & snapshot interchange}
+(** {2 Durability}
 
     A checkpoint is one {!Sh_persist.Frame}-formatted byte stream:
     header, an engine meta frame (shard count, cumulative counters), then
     one {!Stream_histogram.Fixed_window} frame per shard in key order.
     {!checkpoint} publishes those bytes as a file (write-to-temp + atomic
     rename, so a crash during {!checkpoint} always leaves the previous
-    checkpoint readable — proved by the fault-injection suite);
-    {!snapshot_bytes} returns the {e same bytes} in memory — the
-    interchange format the aggregation plane ships over the wire and
-    decodes with {!decode_snapshot}. *)
+    checkpoint readable — proved by the fault-injection suite). *)
 
 val checkpoint : t -> file:string -> unit
 (** Capture every shard and atomically publish the file.  The engine is
@@ -253,21 +249,6 @@ val checkpoint : t -> file:string -> unit
     in-flight values.  Do not run concurrently with {!ingest}: frames are
     per-shard consistent, but a mid-batch checkpoint would split that
     batch across the checkpoint boundary. *)
-
-val snapshot_bytes : t -> string
-(** The checkpoint byte stream, in memory — byte-identical to what
-    {!checkpoint} would write.  Same quiescence and exclusivity contract
-    as {!checkpoint}. *)
-
-val decode_snapshot : string -> Stream_histogram.Fixed_window.t array
-(** Decode {!snapshot_bytes} (or a checkpoint file's contents) into its
-    per-shard summaries, in key order — each rebuilt with one cold
-    refresh, so every answer is bit-identical to the source shard's at
-    capture.  The aggregation plane's half of the interchange contract:
-    it feeds these to {!Stream_histogram.Fw_group.of_summaries} without
-    knowing the engine's framing.  Raises {!Sh_persist.Persist.Corrupt}
-    on damaged bytes, {!Sh_persist.Persist.Version_mismatch} on a foreign
-    format version. *)
 
 val restore_from : pool:Domain_pool.t -> file:string -> t
 (** Rebuild an engine from a {!checkpoint} file: geometry, per-shard

@@ -1,4 +1,4 @@
-module Gk = Sh_quantile.Gk
+module Gk = Sh_gk.Gk
 module Obs = Sh_obs.Obs
 module M = Sh_obs.Metric
 

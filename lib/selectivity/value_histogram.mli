@@ -35,7 +35,7 @@ val equi_width : float array -> buckets:int -> t
 val equi_depth : float array -> buckets:int -> t
 (** Boundaries at exact quantiles (sorts a copy). *)
 
-val equi_depth_of_gk : Sh_quantile.Gk.t -> buckets:int -> t
+val equi_depth_of_gk : Sh_gk.Gk.t -> buckets:int -> t
 (** Streaming equi-depth: boundaries from a GK summary, so the histogram
     is buildable in one pass and bucket counts are within the GK rank
     guarantee.  Raises on an empty summary. *)

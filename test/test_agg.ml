@@ -1,20 +1,13 @@
-(* lib/agg and the Mergeable capability: merge laws for the three
-   mergeable summaries (GK quantiles, agglomerative histograms,
-   fixed-window groups), composed-error accuracy against exact oracles,
-   and the two-tier aggregation plane over live sockets — a two-leaf
+(* lib/agg: the two-tier aggregation plane over live sockets.  A two-leaf
    root must answer [Global] bit-identically to a single process fed the
-   same per-key streams, and a killed leaf must degrade to a typed
-   partial result, never a hang. *)
+   same per-key streams — under eager and lagging refresh alike, since both
+   sides answer from published views — a killed leaf must degrade to a
+   typed partial result, never a hang, and a leaf that comes back with a
+   different layout must stay out of the answers. *)
 
-module Gk = Sh_quantile.Gk
-module AG = Stream_histogram.Agglomerative
-module FW = Stream_histogram.Fixed_window
-module FG = Stream_histogram.Fw_group
 module SI = Stream_histogram.Summary_intf
 module Qop = Stream_histogram.Query_op
 module Params = Stream_histogram.Params
-module P = Sh_prefix.Prefix_sums
-module V = Sh_histogram.Vopt
 module SE = Sh_par.Shard_engine
 module Pool = Sh_par.Domain_pool
 module Addr = Sh_net.Addr
@@ -22,12 +15,8 @@ module Wire = Sh_net.Wire
 module Server = Sh_net.Server
 module Client = Sh_net.Client
 module Aggregator = Sh_agg.Aggregator
+module Registry = Sh_obs.Registry
 module Rng = Sh_util.Rng
-
-(* Compile-time witnesses: each summary satisfies the capability. *)
-module _ : SI.Mergeable with type t := Gk.t = Gk
-module _ : SI.Mergeable with type t := AG.t = AG
-module _ : SI.Mergeable with type t := FG.t = FG
 
 let bits = Int64.bits_of_float
 
@@ -39,165 +28,10 @@ let expect_incompatible what f =
   | _ -> Alcotest.failf "%s: expected Merge_incompatible" what
   | exception SI.Merge_incompatible _ -> ()
 
-(* ------------------------------------------------------------ GK merge *)
-
-let gk_of eps data =
-  let g = Gk.create ~epsilon:eps in
-  Array.iter (Gk.insert g) data;
-  g
-
-(* True-rank check against the sorted union: the answer's occupied rank
-   interval must come within [bound] (+1 for rank discretisation) of the
-   target rank phi * n. *)
-let rank_ok union phi answer bound =
-  let n = Array.length union in
-  let target = phi *. float_of_int n in
-  let lo = ref 1 and hi = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if v < answer then lo := i + 2;
-      if v <= answer then hi := i + 1)
-    union;
-  let dist =
-    if target < float_of_int !lo then float_of_int !lo -. target
-    else if target > float_of_int !hi then target -. float_of_int !hi
-    else 0.0
-  in
-  dist <= bound +. 1.0
-
-let gk_phis = [ 0.01; 0.25; 0.5; 0.75; 0.99 ]
-
-let prop_gk_merge_composed_rank_error =
-  Helpers.qcheck_case ~count:60 ~name:"GK merge: answers within composed rank error"
-    QCheck2.Gen.(pair (Helpers.gen_data ~max_len:200 ()) (Helpers.gen_data ~max_len:200 ()))
-    (fun (da, db) ->
-      let ea = 0.1 and eb = 0.05 in
-      let a = gk_of ea da and b = gk_of eb db in
-      (* commutativity claim: both orders summarise the same union *)
-      let m = Gk.merge a b and m' = Gk.merge b a in
-      let union = Array.append da db in
-      Array.sort compare union;
-      (* the merged summary's own contract: max-epsilon times the merged
-         count (the post-merge compress works against that cap, so the
-         tighter ea*na + eb*nb does not survive it — see gk.mli) *)
-      let bound = Float.max ea eb *. float_of_int (Array.length union) in
-      Gk.count m = Array.length union
-      && Gk.count m' = Array.length union
-      && Float.equal (Gk.epsilon m) (Float.max ea eb)
-      && List.for_all
-           (fun phi ->
-             rank_ok union phi (Gk.quantile m phi) bound
-             && rank_ok union phi (Gk.quantile m' phi) bound)
-           gk_phis)
-
-let test_gk_merge_identity () =
-  let rng = Helpers.rng ~seed:42 in
-  let data = Array.init 500 (fun _ -> float_of_int (Rng.int rng 1000)) in
-  let a = gk_of 0.05 data in
-  let empty () = Gk.create ~epsilon:0.05 in
-  List.iter
-    (fun (tag, m) ->
-      Alcotest.(check int) (tag ^ ": count") (Gk.count a) (Gk.count m);
-      List.iter
-        (fun phi ->
-          check_bits
-            (Printf.sprintf "%s: quantile %.2f" tag phi)
-            (Gk.quantile a phi) (Gk.quantile m phi))
-        [ 0.0; 0.1; 0.5; 0.9; 1.0 ])
-    [ ("a+empty", Gk.merge a (empty ())); ("empty+a", Gk.merge (empty ()) a) ]
-
-let test_gk_merge_associative_bound () =
-  (* Merge is not claimed bitwise-associative; both association orders
-     must stay within the composed rank-error budget. *)
-  let rng = Helpers.rng ~seed:7 in
-  let mk n = Array.init n (fun _ -> float_of_int (Rng.int rng 500)) in
-  let da = mk 300 and db = mk 200 and dc = mk 250 in
-  let eps = 0.08 in
-  let a = gk_of eps da and b = gk_of eps db and c = gk_of eps dc in
-  let l = Gk.merge (Gk.merge a b) c and r = Gk.merge a (Gk.merge b c) in
-  let union = Array.concat [ da; db; dc ] in
-  Array.sort compare union;
-  let bound = eps *. float_of_int (Array.length union) in
-  Alcotest.(check int) "counts agree" (Gk.count l) (Gk.count r);
-  List.iter
-    (fun phi ->
-      List.iter
-        (fun (tag, m) ->
-          if not (rank_ok union phi (Gk.quantile m phi) bound) then
-            Alcotest.failf "%s: quantile %.2f outside composed rank bound" tag phi)
-        [ ("(a+b)+c", l); ("a+(b+c)", r) ])
-    gk_phis
-
-(* ------------------------------------------------------------ AG merge *)
-
-let feed_ag ag data = Array.iter (AG.push ag) data
-
-let test_ag_merge_identity () =
-  let rng = Helpers.rng ~seed:11 in
-  let data = Array.init 300 (fun _ -> float_of_int (Rng.int rng 100)) in
-  let a = AG.create ~buckets:4 ~epsilon:0.1 in
-  feed_ag a data;
-  List.iter
-    (fun (tag, m) ->
-      Alcotest.(check int) (tag ^ ": count") (AG.count a) (AG.count m);
-      Alcotest.(check int)
-        (tag ^ ": space") (AG.space_in_entries a) (AG.space_in_entries m);
-      check_bits (tag ^ ": current_error") (AG.current_error a) (AG.current_error m))
-    [
-      ("a+empty", AG.merge a (AG.create ~buckets:4 ~epsilon:0.1));
-      ("empty+a", AG.merge (AG.create ~buckets:4 ~epsilon:0.1) a);
-    ]
-
-let test_ag_merge_incompatible () =
-  let a = AG.create ~buckets:4 ~epsilon:0.1 in
-  let b = AG.create ~buckets:5 ~epsilon:0.1 in
-  feed_ag a [| 1.0; 2.0 |];
-  feed_ag b [| 3.0 |];
-  expect_incompatible "differing bucket budgets" (fun () -> AG.merge a b)
-
-let prop_ag_merge_within_composed_epsilon =
-  Helpers.qcheck_case ~count:30
-    ~name:"AG merge: error within composed (1+2eps) factors of optimal"
-    QCheck2.Gen.(
-      pair
-        (Helpers.gen_data ~min_len:32 ~max_len:96 ())
-        (Helpers.gen_data ~min_len:32 ~max_len:96 ()))
-    (fun (da, db) ->
-      let b = 4 in
-      let a = AG.create ~buckets:b ~epsilon:0.1 in
-      let bg = AG.create ~buckets:b ~epsilon:0.15 in
-      feed_ag a da;
-      feed_ag bg db;
-      let m = AG.merge a bg in
-      let concat = Array.append da db in
-      let opt = V.optimal_error (P.make concat) ~buckets:b in
-      (* Per-operand guarantees are (1 + 2 eps_i) (see test_core); the
-         merged summary's factors multiply.  Operands stay >= 32 points:
-         on tiny streams (< ~4B points) the (1 + delta) pruning can
-         collapse equal-error prefixes so hard that no retained
-         candidate lands near the splice, and the spanning bucket
-         overshoots the multiplied factors — observed up to ~12x optimal
-         at 4-12 points per operand, gone by 16 (see agglomerative.mli).
-         The lower bound below is unconditional. *)
-      let factor =
-        (1.0 +. (2.0 *. AG.epsilon a)) *. (1.0 +. (2.0 *. AG.epsilon bg))
-      in
-      AG.count m = Array.length concat
-      && AG.epsilon m > AG.epsilon a
-      && AG.current_error m <= (factor *. opt) +. 1e-6
-      && AG.current_error m >= opt -. 1e-6)
-
-(* ------------------------------------------------------- FW group merge *)
+(* ------------------------------------------------------- the Global fold *)
 
 let fw_window = 64
 let fw_buckets = 4
-
-let fw_of rng n =
-  let fw = FW.create ~window:fw_window ~buckets:fw_buckets ~epsilon:0.1 in
-  for _ = 1 to n do
-    FW.push fw (float_of_int (Rng.int rng 100))
-  done;
-  fw
 
 let global_queries =
   [
@@ -208,41 +42,9 @@ let global_queries =
     Qop.Herror { k = 2; x = 10 };
   ]
 
-let test_fw_group_laws () =
-  let rng = Helpers.rng ~seed:23 in
-  let mk base n =
-    FG.of_summaries ~base (Array.init n (fun _ -> fw_of rng (1 + Rng.int rng 80)))
-  in
-  let a = mk 0 3 and b = mk 3 2 and c = mk 5 4 in
-  (* identity: merging with empty shares entries, answers bit-identical *)
-  List.iter
-    (fun q ->
-      check_bits "identity left" (FG.eval_global a q)
-        (FG.eval_global (FG.merge a FG.empty) q);
-      check_bits "identity right" (FG.eval_global a q)
-        (FG.eval_global (FG.merge FG.empty a) q))
-    global_queries;
-  (* disjoint-key union is commutative and associative, bitwise *)
-  let ab = FG.merge a b in
-  List.iter
-    (fun q ->
-      check_bits "commutative" (FG.eval_global ab q) (FG.eval_global (FG.merge b a) q);
-      check_bits "associative"
-        (FG.eval_global (FG.merge ab c) q)
-        (FG.eval_global (FG.merge a (FG.merge b c)) q))
-    global_queries;
-  Alcotest.(check (array int))
-    "merged keys ascending" (Array.init 9 Fun.id)
-    (FG.keys (FG.merge ab c));
-  expect_incompatible "overlapping keys" (fun () -> FG.merge a a);
-  let alien =
-    FG.of_summaries ~base:100 [| FW.create ~window:32 ~buckets:fw_buckets ~epsilon:0.1 |]
-  in
-  expect_incompatible "mixed geometry" (fun () -> FG.merge a alien)
-
-let test_fw_group_matches_engine_global () =
-  (* Snapshot an engine, splice the halves back together as a group: every
-     Global answer must be bit-identical to the live engine's. *)
+let test_global_is_key_fold () =
+  (* The law the root relies on: an engine's [Global] answer is the
+     left fold from 0.0 of its [Key] answers in ascending key order. *)
   let shards = 8 in
   Pool.with_pool ~domains:1 @@ fun pool ->
   let eng =
@@ -257,14 +59,12 @@ let test_fw_group_matches_engine_global () =
            (fun _ -> (k, float_of_int (Rng.int rng 100)))))
     (Array.init shards Fun.id);
   SE.refresh_all eng;
-  let fws = SE.decode_snapshot (SE.snapshot_bytes eng) in
-  Alcotest.(check int) "snapshot shard count" shards (Array.length fws);
-  let half = shards / 2 in
-  let left = FG.of_summaries ~base:0 (Array.sub fws 0 half) in
-  let right = FG.of_summaries ~base:half (Array.sub fws half (shards - half)) in
-  let g = FG.merge left right in
   List.iter
-    (fun q -> check_bits (Qop.to_string q) (SE.query_global eng q) (FG.eval_global g q))
+    (fun q ->
+      let per_key = SE.query_many eng (Array.init shards (fun k -> (Qop.Key k, q))) in
+      check_bits (Qop.to_string q)
+        (SE.query_global eng q)
+        (Array.fold_left ( +. ) 0.0 per_key))
     global_queries
 
 (* ----------------------------------------- aggregation plane, live wire *)
@@ -279,13 +79,19 @@ type live_leaf = {
   sock_path : string;
 }
 
-(* One leaf server on its own domain, individually killable.  Eager
-   refresh so published views (and snapshots) are current once an ingest
-   is acked — the precondition for the bit-identity comparison. *)
-let start_leaf ~shards () =
-  let window, buckets, epsilon = geometry in
-  let path = Filename.temp_file "shist_agg" ".sock" in
-  Unix.unlink path;
+(* One leaf server on its own domain, individually killable, on a fresh
+   socket unless [path] names one (a restart on the old address). *)
+let start_leaf ?path ?window ?(policy = Params.Eager) ~shards () =
+  let default_window, buckets, epsilon = geometry in
+  let window = Option.value window ~default:default_window in
+  let path =
+    match path with
+    | Some p -> p
+    | None ->
+      let p = Filename.temp_file "shist_agg" ".sock" in
+      Unix.unlink p;
+      p
+  in
   let addr = Addr.Unix_sock path in
   let listener = Server.listen addr in
   let stop = Atomic.make false in
@@ -293,7 +99,7 @@ let start_leaf ~shards () =
     Domain.spawn (fun () ->
         Pool.with_pool ~domains:1 (fun pool ->
             let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon in
-            SE.set_refresh_policy eng Params.Eager;
+            SE.set_refresh_policy eng policy;
             Server.run
               ~stop:(fun () -> Atomic.get stop)
               ~engine:eng ~listeners:[ listener ] ()))
@@ -322,11 +128,14 @@ let scoped_batch ~shards ~window =
       (Qop.Global, Qop.Point_estimate { index = 7 });
     |]
 
-let test_aggregator_matches_single_process () =
+(* Both sides answer from published views, so the comparison holds for a
+   lagging refresh policy too: under [Every 64] the keys with fewer than
+   64 points still publish their empty initial view. *)
+let aggregator_matches_single_process policy =
   let window, _, _ = geometry in
-  let la = start_leaf ~shards:4 () in
-  let lb = start_leaf ~shards:4 () in
-  let oracle = start_leaf ~shards:8 () in
+  let la = start_leaf ~policy ~shards:4 () in
+  let lb = start_leaf ~policy ~shards:4 () in
+  let oracle = start_leaf ~policy ~shards:8 () in
   Fun.protect ~finally:(fun () -> List.iter kill_leaf [ la; lb; oracle ]) @@ fun () ->
   let agg = Aggregator.create ~timeout:10.0 [ la.addr; lb.addr ] in
   let oc = Client.connect ~timeout:10.0 oracle.addr in
@@ -365,10 +174,22 @@ let test_aggregator_matches_single_process () =
       in
       check_bits tag expected agg_answers.(i))
     oracle_answers;
+  (* a Global costs the root no per-query state: nothing registers new
+     metric series *)
+  let globals = Array.of_list (List.map (fun q -> (Qop.Global, q)) global_queries) in
+  let series = Registry.series_count () in
+  for _ = 1 to 10 do
+    ignore (Aggregator.query agg globals : float array * int)
+  done;
+  Alcotest.(check int) "registry series unchanged by Global queries" series
+    (Registry.series_count ());
   let st, sm = Aggregator.stats agg in
   Alcotest.(check int) "stats: no leaf missing" 0 sm;
   Alcotest.(check int) "stats: shards" 8 st.Wire.shards;
   Alcotest.(check int) "stats: total points" total st.Wire.total_points
+
+let test_aggregator_matches_single_process () =
+  List.iter aggregator_matches_single_process [ Params.Eager; Params.Every 64 ]
 
 let test_aggregator_leaf_failure_partial () =
   let per_key = 10 in
@@ -436,48 +257,56 @@ let test_aggregator_rejects_bad_key () =
   | exception Invalid_argument _ -> ()
 
 let test_aggregator_geometry_mismatch () =
-  let window, buckets, epsilon = geometry in
+  let window, _, _ = geometry in
   let la = start_leaf ~shards:2 () in
   (* a leaf with a different window must be refused at create time *)
-  let path = Filename.temp_file "shist_agg" ".sock" in
-  Unix.unlink path;
-  let addr = Addr.Unix_sock path in
-  let listener = Server.listen addr in
-  let stop = Atomic.make false in
-  let domain =
-    Domain.spawn (fun () ->
-        Pool.with_pool ~domains:1 (fun pool ->
-            let eng =
-              SE.create ~pool ~shards:2 ~window:(window * 2) ~buckets ~epsilon
-            in
-            Server.run
-              ~stop:(fun () -> Atomic.get stop)
-              ~engine:eng ~listeners:[ listener ] ()))
-  in
-  let lb = { addr; listener; stop; domain; sock_path = path } in
+  let lb = start_leaf ~window:(window * 2) ~shards:2 () in
   Fun.protect ~finally:(fun () -> List.iter kill_leaf [ la; lb ]) @@ fun () ->
   expect_incompatible "window mismatch across leaves" (fun () ->
       let agg = Aggregator.create ~timeout:5.0 [ la.addr; lb.addr ] in
       Aggregator.close agg;
       agg)
 
+let test_aggregator_reprobes_restarted_leaf () =
+  let per_key = 10 in
+  let la = start_leaf ~shards:2 () in
+  let lb = ref (start_leaf ~shards:2 ()) in
+  Fun.protect ~finally:(fun () -> List.iter kill_leaf [ la; !lb ]) @@ fun () ->
+  let agg = Aggregator.create ~timeout:5.0 [ la.addr; !lb.addr ] in
+  Fun.protect ~finally:(fun () -> Aggregator.close agg) @@ fun () ->
+  let acked, _ =
+    Aggregator.ingest agg (Array.init 4 (fun k -> (k, Array.make per_key 1.0)))
+  in
+  Alcotest.(check int) "all acked while healthy" (4 * per_key) acked;
+  let qs = [| (Qop.Key 0, Qop.Window_length); (Qop.Global, Qop.Window_length) |] in
+  let restart shards =
+    let path = !lb.sock_path in
+    kill_leaf !lb;
+    lb := start_leaf ~path ~shards ()
+  in
+  let check_global tag lm_expected =
+    let answers, lm = Aggregator.query agg qs in
+    Alcotest.(check int) (tag ^ ": leaves missing") lm_expected lm;
+    check_bits (tag ^ ": live key") (float_of_int per_key) answers.(0);
+    check_bits (tag ^ ": global") (float_of_int (2 * per_key)) answers.(1)
+  in
+  (* the first query after the kill finds the old connection dead *)
+  restart 3;
+  check_global "old connection dropped" 1;
+  (* the reconnect reaches a leaf with three shards: its keys would no
+     longer line up with the layout fixed at create, so it stays down *)
+  check_global "re-sharded leaf refused" 1;
+  (* back with the original layout (and an empty window): it rejoins *)
+  restart 2;
+  check_global "matching leaf rejoins" 0
+
 let () =
   Alcotest.run "agg"
     [
-      ( "merge laws",
+      ( "global fold",
         [
-          prop_gk_merge_composed_rank_error;
-          Alcotest.test_case "GK identity with empty" `Quick test_gk_merge_identity;
-          Alcotest.test_case "GK associativity within bound" `Quick
-            test_gk_merge_associative_bound;
-          Alcotest.test_case "AG identity with empty" `Quick test_ag_merge_identity;
-          Alcotest.test_case "AG bucket mismatch refused" `Quick
-            test_ag_merge_incompatible;
-          prop_ag_merge_within_composed_epsilon;
-          Alcotest.test_case "FW group identity/commutative/associative" `Quick
-            test_fw_group_laws;
-          Alcotest.test_case "FW group == engine global (bitwise)" `Quick
-            test_fw_group_matches_engine_global;
+          Alcotest.test_case "engine Global == ascending Key fold" `Quick
+            test_global_is_key_fold;
         ] );
       ( "aggregation plane",
         [
@@ -489,5 +318,7 @@ let () =
             test_aggregator_rejects_bad_key;
           Alcotest.test_case "leaf geometry mismatch refused" `Quick
             test_aggregator_geometry_mismatch;
+          Alcotest.test_case "restarted leaf re-probed" `Quick
+            test_aggregator_reprobes_restarted_leaf;
         ] );
     ]

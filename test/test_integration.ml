@@ -137,9 +137,9 @@ let test_end_to_end_determinism () =
 let test_quantile_cross_check () =
   let rng = Rng.create ~seed:6 in
   let data = Source.take (Wk.uniform_noise rng ~lo:0.0 ~hi:1000.0) 20_000 in
-  let g = Sh_quantile.Gk.create ~epsilon:0.01 in
-  Array.iter (Sh_quantile.Gk.insert g) data;
-  let med = Sh_quantile.Gk.quantile g 0.5 in
+  let g = Sh_gk.Gk.create ~epsilon:0.01 in
+  Array.iter (Sh_gk.Gk.insert g) data;
+  let med = Sh_gk.Gk.quantile g 0.5 in
   let true_med = Sh_util.Stats.median data in
   Alcotest.(check bool)
     (Printf.sprintf "GK median %.0f near true %.0f" med true_med)

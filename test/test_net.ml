@@ -72,7 +72,6 @@ let test_wire_request_round_trips () =
           (Qop.Global, Qop.Window_length);
         |];
       Wire.Stats;
-      Wire.Snapshot;
       Wire.Metrics;
       Wire.Checkpoint;
       Wire.Ping;
@@ -103,7 +102,6 @@ let test_wire_response_round_trips () =
       Wire.Answers [||];
       Wire.Answers [| 0.0; -1.5; 3.25e9 |];
       Wire.Answers_partial { answers = [| 1.0; 0.0 |]; leaves_missing = 1 };
-      Wire.Snapshot_reply "SHSNAPBYTES\x00\x01";
       Wire.Stats_reply stats;
       Wire.Metrics_reply "engine_points 12\n";
       Wire.Checkpointed "/tmp/x.ckpt";
@@ -410,16 +408,6 @@ let test_serve_equivalence () =
   let st = Client.stats c in
   Alcotest.(check int) "server points" (SE.total_points ref_eng) st.Wire.total_points;
   Alcotest.(check int) "query plane stayed lock-free" 0 st.Wire.query_lock_ops;
-  (* the snapshot interchange frame decodes to the same shard summaries
-     the in-process reference holds *)
-  let fws = SE.decode_snapshot (Client.snapshot c) in
-  Alcotest.(check int) "snapshot shard count" shards (Array.length fws);
-  Array.iteri
-    (fun k fw ->
-      Alcotest.(check int)
-        (Printf.sprintf "snapshot shard %d length" k)
-        (SE.length ref_eng ~key:k) (FW.length fw))
-    fws;
   Client.ping c
 
 let test_serve_backpressure_no_drop () =
@@ -556,6 +544,22 @@ let test_serve_slow_loris_reaped () =
   let st = Client.stats c in
   Alcotest.(check int) "half-frame never ingested" 0 st.Wire.total_points
 
+let test_serve_frame_above_read_watermark () =
+  let shards, window, buckets, epsilon = geometry in
+  with_temp_sock @@ fun addr ->
+  with_server ~policy:(Params.Every 4096) ~shards ~window ~buckets ~epsilon addr
+  @@ fun () ->
+  let points = 262_144 in
+  let groups = [| (0, Array.init points (fun i -> Float.of_int (i land 255))) |] in
+  let frame = Wire.encode_request (Wire.Ingest groups) in
+  Alcotest.(check bool)
+    (Printf.sprintf "one %d-byte frame, above the read watermark" (String.length frame))
+    true
+    (String.length frame > Server.default_config.read_watermark);
+  let c = Client.connect ~timeout:5. addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  Alcotest.(check int) "acked within the timeout" points (Client.ingest c groups)
+
 let test_serve_checkpoint_restart_reconnect () =
   let shards, window, buckets, epsilon = geometry in
   let ckpt = Filename.temp_file "shist_net" ".ckpt" in
@@ -652,6 +656,8 @@ let () =
             test_serve_rejects_bad_key_keeps_conn;
           Alcotest.test_case "malformed inputs rejected" `Quick test_serve_malformed_inputs;
           Alcotest.test_case "slow loris reaped" `Quick test_serve_slow_loris_reaped;
+          Alcotest.test_case "frame above read watermark acked" `Quick
+            test_serve_frame_above_read_watermark;
           Alcotest.test_case "checkpoint, restart, reconnect" `Quick
             test_serve_checkpoint_restart_reconnect;
         ] );

@@ -380,46 +380,6 @@ let test_engine_checkpoint_restore () =
         true (engines_equal eng restored))
     domain_counts
 
-(* the checkpoint byte stream doubles as the aggregation plane's snapshot
-   interchange: in-memory snapshot bytes must be exactly the checkpoint
-   file image, and decode back to the same shard summaries *)
-let test_engine_snapshot_bytes_roundtrip () =
-  with_temp_file @@ fun file ->
-  Pool.with_pool ~domains:2 @@ fun pool ->
-  let shards = 4 in
-  let eng = SE.create ~pool ~shards ~window:16 ~buckets:3 ~epsilon:0.2 in
-  for b = 0 to 3 do
-    SE.ingest eng (mk_batch ~shards ~n:30 b)
-  done;
-  SE.refresh_all eng;
-  SE.checkpoint eng ~file;
-  let bytes = SE.snapshot_bytes eng in
-  Alcotest.(check string) "snapshot bytes == checkpoint file image" (P.read_file file) bytes;
-  let fws = SE.decode_snapshot bytes in
-  Alcotest.(check int) "decoded shard count" shards (Array.length fws);
-  let enc fw =
-    let b = Buffer.create 256 in
-    FW.encode b fw;
-    Buffer.contents b
-  in
-  Array.iteri
-    (fun k fw ->
-      Alcotest.(check int)
-        (Printf.sprintf "shard %d length" k)
-        (SE.length eng ~key:k) (FW.length fw);
-      Alcotest.(check string)
-        (Printf.sprintf "shard %d re-encodes identically" k)
-        (SE.with_key eng ~key:k ~f:enc) (enc fw))
-    fws;
-  (* mangled interchange bytes are rejected, not mis-decoded *)
-  let mangled = Bytes.of_string bytes in
-  Bytes.set mangled (String.length bytes / 2)
-    (Char.chr ((Char.code (Bytes.get mangled (String.length bytes / 2)) + 1) land 0xff));
-  Alcotest.(check bool) "corrupt snapshot rejected" true
-    (match SE.decode_snapshot (Bytes.to_string mangled) with
-    | _ -> false
-    | exception Sh_persist.Persist.Corrupt _ -> true)
-
 (* -------------------------------------------------- fault-injection matrix *)
 
 (* A fixed scenario: checkpoint A is on disk; the engine advances; a fault
@@ -583,8 +543,6 @@ let () =
         [
           Alcotest.test_case "checkpoint/restore at 1,2,4 domains"
             `Quick test_engine_checkpoint_restore;
-          Alcotest.test_case "snapshot bytes interchange" `Quick
-            test_engine_snapshot_bytes_roundtrip;
         ] );
       ( "faults",
         [

@@ -1,4 +1,4 @@
-module Gk = Sh_quantile.Gk
+module Gk = Sh_gk.Gk
 module Reservoir = Sh_quantile.Reservoir
 module Rng = Sh_util.Rng
 

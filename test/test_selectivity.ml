@@ -1,5 +1,5 @@
 module VH = Sh_selectivity.Value_histogram
-module Gk = Sh_quantile.Gk
+module Gk = Sh_gk.Gk
 module Rng = Sh_util.Rng
 
 let true_selectivity data lo hi =
