@@ -42,17 +42,189 @@ type work_counters = {
    without warm-start hints, or query-time reads. *)
 type mode = Cold_rebuild | Warm_rebuild | Query
 
-(* Slots of the float scratch column (see [fs] below): unboxed out-params
-   for the hot internal calls, which would otherwise box a float (or a
-   tuple) per return.  Mixed records box float fields on every store, so
-   the scratch lives in a flat float array instead. *)
-let fs_eval = 0 (* eval_herror_into result              *)
-let fs_scan = 1 (* scan_candidates best candidate value *)
+(* --- the HERROR kernel ------------------------------------------------- *)
+
+(* The paper's evaluation kernel, defined once: [scan] (the candidate
+   scan), [eval] (HERROR[x, k]) and [histogram] (the boundary recursion).
+   Each reads a sliding prefix and the level lists it is handed — the live
+   summary passes its own, a published {!View.t} its frozen copies — and
+   writes its results into a [scratch].  The kernel touches no telemetry:
+   it leaves scan steps, splits and the memo outcome in the scratch, and
+   the live wrappers charge them to the registry counters. *)
+
+(* Slots of the scratch float column: unboxed out-params for the hot
+   internal calls, which would otherwise box a float (or a tuple) per
+   return.  Mixed records box float fields on every store, so the floats
+   live in a flat float array instead. *)
+let fs_eval = 0 (* eval result                          *)
+let fs_scan = 1 (* scan best candidate value            *)
 let fs_bnd = 2 (* find_boundary herror at the boundary *)
 let fs_tmp = 3 (* sqerror_into scratch inside scans    *)
 let fs_hstart = 4 (* find_boundary in-param: HERROR at the interval start *)
 let fs_thresh = 5 (* find_boundary in-param: (1 + delta) * h_start        *)
 let fs_len = 6
+
+(* What the last [eval] did with its memo table. *)
+type probe = Unprobed | Miss | Hit
+
+type scratch = {
+  fs : float array;        (* fs_* slots *)
+  mutable best_i : int;    (* scan argmin out-param *)
+  mutable steps : int;     (* scan binary-search steps not yet charged *)
+  mutable splits : int;    (* histogram argmin scans not yet charged *)
+  mutable probe : probe;   (* memo outcome of the last eval *)
+}
+
+let new_scratch () =
+  { fs = Array.make fs_len 0.0; best_i = 0; steps = 0; splits = 0; probe = Unprobed }
+
+(* Candidate scan: the approximate HERROR[x, k] read off the level-(k-1)
+   list [lists.(k-2)], with the split position achieving it.  Requires
+   k >= 2 and k < x.  Writes the best value to [fs.(fs_scan)] and its
+   split position to [best_i] (out-params: a tuple return would box the
+   float on every evaluation).
+
+   Candidates are the objective evaluated at list endpoints b < x, plus —
+   when the interval covering x-1 extends to or past x — that interval's
+   endpoint herror standing in for the "split at x-1" candidate
+   (monotonicity makes it an upper bound on HERROR[x-1, k-1], and the
+   interval invariant keeps it within (1 + delta) of it).
+
+   Both ends of the scan are pruned by binary search instead of walking the
+   list from entry 0: the covering entry is located directly on the sorted
+   b_idx column, and — seeding the running best with its proxy candidate —
+   entries whose SQERROR term alone already reaches that bound are skipped
+   (SQERROR(b+1, x) only shrinks along the list, so they form a prefix).
+   Steps of both binary searches accumulate in [steps]. *)
+let scan sp lists s ~k ~x =
+  let q = lists.(k - 2) in
+  let len = Soa.length q in
+  let a_idx = Soa.icol q col_a and b_idx = Soa.icol q col_b in
+  let b_her = Soa.fcol q col_hb in
+  let fs = s.fs in
+  let steps = ref 0 in
+  (* covering entry: first row with b_idx >= x *)
+  let lo = ref 0 and hi = ref len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    incr steps;
+    if Array.unsafe_get b_idx mid >= x then hi := mid else lo := mid + 1
+  done;
+  let cover = !lo in
+  let best = ref infinity in
+  let best_i = ref (x - 1) in
+  if cover < len && Array.unsafe_get a_idx cover <= x - 1 then begin
+    best := Array.unsafe_get b_her cover;
+    best_i := x - 1
+  end;
+  (* SQERROR values flow through [fs.(fs_tmp)] (sqerror_into) rather than
+     function returns: under -opaque a cross-module float return is a
+     fresh boxed float per probe, which was the bulk of the kernel's
+     remaining allocation. *)
+  let first =
+    if cover = 0 || !best = infinity then 0
+    else begin
+      let lo = ref 0 and hi = ref cover in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        incr steps;
+        Sliding_prefix.sqerror_into sp ~lo:(Array.unsafe_get b_idx mid + 1) ~hi:x fs fs_tmp;
+        if fs.(fs_tmp) < !best then hi := mid else lo := mid + 1
+      done;
+      !lo
+    end
+  in
+  s.steps <- s.steps + !steps;
+  let i = ref first in
+  let continue = ref true in
+  while !continue && !i < cover do
+    let bh = Array.unsafe_get b_her !i in
+    (* Early exit: stored herror values are non-decreasing along the list,
+       so once one alone reaches the current best, no later candidate
+       (herror + non-negative SQERROR) can improve it. *)
+    if bh >= !best then continue := false
+    else begin
+      let b = Array.unsafe_get b_idx !i in
+      Sliding_prefix.sqerror_into sp ~lo:(b + 1) ~hi:x fs fs_tmp;
+      let cand = bh +. fs.(fs_tmp) in
+      if cand < !best then begin
+        best := cand;
+        best_i := b
+      end;
+      incr i
+    end
+  done;
+  fs.(fs_scan) <- !best;
+  s.best_i <- !best_i
+
+(* Approximate HERROR[x, k], written to [fs.(fs_eval)].  With a memo
+   table, the scan is paid at most once per (k, x) key (x * stride + k,
+   stride = buckets + 1) for as long as the table's generation lasts: the
+   memo caches the final value, and [probe] records whether it was hit. *)
+let eval sp lists s memo ~stride ~k ~x =
+  let fs = s.fs in
+  s.probe <- Unprobed;
+  if x <= 0 then fs.(fs_eval) <- 0.0
+  else if k >= x then fs.(fs_eval) <- 0.0 (* x points in >= x buckets: zero error *)
+  else if k = 1 then Sliding_prefix.sqerror_into sp ~lo:1 ~hi:x fs fs_eval
+  else
+    match memo with
+    | None ->
+      scan sp lists s ~k ~x;
+      let best = fs.(fs_scan) in
+      fs.(fs_eval) <- (if best = infinity then 0.0 else best)
+    | Some m ->
+      let key = (x * stride) + k in
+      let slot = Intmemo.find_slot m key in
+      if slot >= 0 then begin
+        s.probe <- Hit;
+        fs.(fs_eval) <- Array.unsafe_get (Intmemo.vals m) slot
+      end
+      else begin
+        s.probe <- Miss;
+        scan sp lists s ~k ~x;
+        let best = fs.(fs_scan) in
+        let v = if best = infinity then 0.0 else best in
+        (* reserve + raw store rather than Intmemo.add: the float stays
+           unboxed on its way into the value column. *)
+        let slot = Intmemo.reserve m key in
+        Array.unsafe_set (Intmemo.vals m) slot v;
+        fs.(fs_eval) <- v
+      end
+
+(* The B-bucket histogram of a non-empty window: recover right endpoints
+   top-down — split off the last bucket at each level with the scan's
+   argmin, then recurse on the remaining prefix with one fewer bucket.
+   Every argmin scan counts one [splits].  Bucket values are exact range
+   means. *)
+let histogram sp lists s ~b =
+  let n = Sliding_prefix.length sp in
+  let rec boundaries x k acc =
+    if x <= 0 then acc
+    else if k <= 1 || x <= k then begin
+      (* Either a single remaining bucket, or x points fit in x singleton
+         buckets at zero error. *)
+      if k <= 1 then x :: acc
+      else begin
+        let acc = ref acc in
+        for i = x downto 1 do
+          acc := i :: !acc
+        done;
+        !acc
+      end
+    end
+    else begin
+      scan sp lists s ~k ~x;
+      s.splits <- s.splits + 1;
+      boundaries s.best_i (k - 1) (x :: acc)
+    end
+  in
+  let ends = Array.of_list (boundaries n b []) in
+  let bucket_of i hi =
+    let lo = if i = 0 then 1 else ends.(i - 1) + 1 in
+    { Histogram.lo; hi; value = Sliding_prefix.range_mean sp ~lo ~hi }
+  in
+  Histogram.make ~n (Array.mapi bucket_of ends)
 
 type t = {
   params : Params.t;
@@ -69,11 +241,12 @@ type t = {
      the same rebuild (or a query against the same window) already
      evaluated.  Owned by [t] — part of the reusable refresh arena. *)
   memo : Intmemo.t;
+  some_memo : Intmemo.t option; (* [Some memo], built once: wrapping it
+                                   per evaluation would allocate *)
   memo_stride : int; (* key = x * memo_stride + k, stride = buckets + 1 *)
   mutable memo_on : bool;  (* master switch (set_memoisation)          *)
   mutable use_memo : bool; (* consulted by eval_herror_into            *)
-  fs : float array; (* float out-param scratch, see fs_* slots *)
-  mutable scan_best_i : int; (* scan_candidates argmin out-param  *)
+  scr : scratch; (* kernel out-params and pending step counts *)
   mutable bnd_c : int;       (* find_boundary boundary out-param  *)
   mutable gauge_len : int;   (* last length stored in g_length    *)
   mutable gen : int;  (* refresh generation: bumped once per rebuild, the
@@ -115,17 +288,18 @@ let mk ~params ~sp =
   let buckets = params.Params.buckets in
   let labels = [ ("instance", Obs.instance "fw") ] in
   let c name = Obs.counter ~labels name in
+  let memo = Intmemo.create () in
   {
     params;
     sp;
     queues = Array.init (max 1 (buckets - 1)) (fun _ -> new_list ());
     prev_queues = Array.init (max 1 (buckets - 1)) (fun _ -> new_list ());
-    memo = Intmemo.create ();
+    memo;
+    some_memo = Some memo;
     memo_stride = buckets + 1;
     memo_on = true;
     use_memo = true;
-    fs = Array.make fs_len 0.0;
-    scan_best_i = 0;
+    scr = new_scratch ();
     bnd_c = 0;
     gauge_len = -1;
     gen = 0;
@@ -188,125 +362,33 @@ let count_eval t =
   | Warm_rebuild -> M.incr t.c_warm_evals
   | Query -> ()
 
-(* Candidate scan shared by [eval_herror_into] and [best_split]: the
-   approximate HERROR[x, k] for the current window, read off the
-   level-(k-1) list, with the split position achieving it.  Requires
-   k >= 2 and k < x.  Writes the best value to [fs.(fs_scan)] and its
-   split position to [scan_best_i] (out-params: a tuple return would box
-   the float on every evaluation).
-
-   Candidates are the objective evaluated at list endpoints b < x, plus —
-   when the interval covering x-1 extends to or past x — that interval's
-   endpoint herror standing in for the "split at x-1" candidate
-   (monotonicity makes it an upper bound on HERROR[x-1, k-1], and the
-   interval invariant keeps it within (1 + delta) of it).
-
-   Both ends of the scan are pruned by binary search instead of walking the
-   list from entry 0: the covering entry is located directly on the sorted
-   b_idx column, and — seeding the running best with its proxy candidate —
-   entries whose SQERROR term alone already reaches that bound are skipped
-   (SQERROR(b+1, x) only shrinks along the list, so they form a prefix).
-
-   Steps of both binary searches land in fw.search_steps (the legacy
-   total) and, separately, fw.scan_steps — so rebuild-probe work and
-   scan-internal work can be told apart (see work_counters). *)
-let scan_candidates t ~k ~x =
-  let q = t.queues.(k - 2) in
-  let len = Soa.length q in
-  let a_idx = Soa.icol q col_a and b_idx = Soa.icol q col_b in
-  let b_her = Soa.fcol q col_hb in
-  let steps = ref 0 in
-  (* covering entry: first row with b_idx >= x *)
-  let lo = ref 0 and hi = ref len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    incr steps;
-    if Array.unsafe_get b_idx mid >= x then hi := mid else lo := mid + 1
-  done;
-  let cover = !lo in
-  let best = ref infinity in
-  let best_i = ref (x - 1) in
-  if cover < len && Array.unsafe_get a_idx cover <= x - 1 then begin
-    best := Array.unsafe_get b_her cover;
-    best_i := x - 1
-  end;
-  (* SQERROR values flow through [fs.(fs_tmp)] (sqerror_into) rather than
-     function returns: under -opaque a cross-module float return is a
-     fresh boxed float per probe, which was the bulk of the kernel's
-     remaining allocation. *)
-  let first =
-    if cover = 0 || !best = infinity then 0
-    else begin
-      let lo = ref 0 and hi = ref cover in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        incr steps;
-        Sliding_prefix.sqerror_into t.sp ~lo:(Array.unsafe_get b_idx mid + 1) ~hi:x
-          t.fs fs_tmp;
-        if t.fs.(fs_tmp) < !best then hi := mid else lo := mid + 1
-      done;
-      !lo
-    end
-  in
-  M.add t.c_steps !steps;
-  M.add t.c_scan_steps !steps;
-  let i = ref first in
-  let continue = ref true in
-  while !continue && !i < cover do
-    let bh = Array.unsafe_get b_her !i in
-    (* Early exit: stored herror values are non-decreasing along the list,
-       so once one alone reaches the current best, no later candidate
-       (herror + non-negative SQERROR) can improve it. *)
-    if bh >= !best then continue := false
-    else begin
-      let b = Array.unsafe_get b_idx !i in
-      Sliding_prefix.sqerror_into t.sp ~lo:(b + 1) ~hi:x t.fs fs_tmp;
-      let cand = bh +. t.fs.(fs_tmp) in
-      if cand < !best then begin
-        best := cand;
-        best_i := b
-      end;
-      incr i
-    end
-  done;
-  t.fs.(fs_scan) <- !best;
-  t.scan_best_i <- !best_i
+(* Scan steps the kernel left in the scratch land in fw.search_steps (the
+   legacy total) and, separately, fw.scan_steps — so rebuild-probe work
+   and scan-internal work can be told apart (see work_counters). *)
+let charge_scan_steps t =
+  let s = t.scr in
+  if s.steps > 0 then begin
+    M.add t.c_steps s.steps;
+    M.add t.c_scan_steps s.steps;
+    s.steps <- 0
+  end
 
 (* Approximate HERROR[x, k] for the current window, written to
-   [fs.(fs_eval)].  When memoisation is on, the scan is paid at most once
-   per (k, x) per refresh generation: the memo caches the final value, and
-   every evaluation still counts in fw.herror_evals (the legacy meaning —
-   logical evaluations requested, hits included), with fw.memo_probes /
-   fw.memo_hits recording the dedup separately. *)
+   [t.scr.fs.(fs_eval)].  Every evaluation counts in fw.herror_evals (the
+   legacy meaning — logical evaluations requested, memo hits included),
+   with fw.memo_probes / fw.memo_hits recording the dedup separately. *)
 let eval_herror_into t ~k ~x =
   count_eval t;
-  if x <= 0 then t.fs.(fs_eval) <- 0.0
-  else if k >= x then t.fs.(fs_eval) <- 0.0 (* x points in >= x buckets: zero error *)
-  else if k = 1 then Sliding_prefix.sqerror_into t.sp ~lo:1 ~hi:x t.fs fs_eval
-  else if t.use_memo then begin
-    M.incr t.c_memo_probes;
-    let key = (x * t.memo_stride) + k in
-    let slot = Intmemo.find_slot t.memo key in
-    if slot >= 0 then begin
-      M.incr t.c_memo_hits;
-      t.fs.(fs_eval) <- Array.unsafe_get (Intmemo.vals t.memo) slot
-    end
-    else begin
-      scan_candidates t ~k ~x;
-      let best = t.fs.(fs_scan) in
-      let v = if best = infinity then 0.0 else best in
-      (* reserve + raw store rather than Intmemo.add: the float stays
-         unboxed on its way into the value column. *)
-      let s = Intmemo.reserve t.memo key in
-      Array.unsafe_set (Intmemo.vals t.memo) s v;
-      t.fs.(fs_eval) <- v
-    end
-  end
-  else begin
-    scan_candidates t ~k ~x;
-    let best = t.fs.(fs_scan) in
-    t.fs.(fs_eval) <- (if best = infinity then 0.0 else best)
-  end
+  eval t.sp t.queues t.scr
+    (if t.use_memo then t.some_memo else None)
+    ~stride:t.memo_stride ~k ~x;
+  (match t.scr.probe with
+   | Unprobed -> ()
+   | Miss -> M.incr t.c_memo_probes
+   | Hit ->
+     M.incr t.c_memo_probes;
+     M.incr t.c_memo_hits);
+  charge_scan_steps t
 
 (* Largest c in [start, hi] with HERROR[c, k] <= threshold; writes c to
    [bnd_c] and its herror to [fs.(fs_bnd)].  The float inputs arrive via
@@ -326,8 +408,8 @@ let eval_herror_into t ~k ~x =
    pre-SoA implementation, so step counts match it exactly when
    memoisation is off). *)
 let find_boundary t ~k ~start ~hi ~hint =
-  let h_start = t.fs.(fs_hstart) in
-  let threshold = t.fs.(fs_thresh) in
+  let h_start = t.scr.fs.(fs_hstart) in
+  let threshold = t.scr.fs.(fs_thresh) in
   (* bisect bracket: largest good position in [b_lo, b_hi], with b_h =
      HERROR[b_lo, k] already known. *)
   let b_lo = ref start and b_hi = ref hi and b_h = ref h_start in
@@ -338,7 +420,7 @@ let find_boundary t ~k ~start ~hi ~hint =
        else begin
          M.incr t.c_steps;
          eval_herror_into t ~k ~x:g;
-         t.fs.(fs_eval)
+         t.scr.fs.(fs_eval)
        end
      in
      if h_g <= threshold then begin
@@ -348,7 +430,7 @@ let find_boundary t ~k ~start ~hi ~hint =
          let p = g + !off in
          M.incr t.c_steps;
          eval_herror_into t ~k ~x:p;
-         let hp = t.fs.(fs_eval) in
+         let hp = t.scr.fs.(fs_eval) in
          if hp <= threshold then begin
            lo := p;
            h_lo := hp;
@@ -367,7 +449,7 @@ let find_boundary t ~k ~start ~hi ~hint =
          let p = g - !off in
          M.incr t.c_steps;
          eval_herror_into t ~k ~x:p;
-         let hp = t.fs.(fs_eval) in
+         let hp = t.scr.fs.(fs_eval) in
          if hp <= threshold then begin
            lo := p;
            h_lo := hp
@@ -392,7 +474,7 @@ let find_boundary t ~k ~start ~hi ~hint =
     let mid = (!b_lo + !b_hi + 1) / 2 in
     M.incr t.c_steps;
     eval_herror_into t ~k ~x:mid;
-    let hm = t.fs.(fs_eval) in
+    let hm = t.scr.fs.(fs_eval) in
     if hm <= threshold then begin
       b_lo := mid;
       b_h := hm
@@ -402,7 +484,7 @@ let find_boundary t ~k ~start ~hi ~hint =
   if hint <> min_int then
     if !b_lo = hint then M.incr t.c_hits else M.incr t.c_misses;
   t.bnd_c <- !b_lo;
-  t.fs.(fs_bnd) <- !b_h
+  t.scr.fs.(fs_bnd) <- !b_h
 
 (* CreateList (Figure 5): cover [1 .. n] with maximal intervals whose
    HERROR[., k] spread stays within (1 + delta).  A warm rebuild seeds each
@@ -431,15 +513,15 @@ let create_list t ~k ~warm =
       let r = Soa.add_row q in
       (Soa.icol q col_a).(r) <- start;
       (Soa.icol q col_b).(r) <- start;
-      (Soa.fcol q col_ha).(r) <- t.fs.(fs_eval);
-      (Soa.fcol q col_hb).(r) <- t.fs.(fs_eval);
+      (Soa.fcol q col_ha).(r) <- t.scr.fs.(fs_eval);
+      (Soa.fcol q col_hb).(r) <- t.scr.fs.(fs_eval);
       M.incr t.c_built;
       a := n + 1
     end
     else begin
       eval_herror_into t ~k ~x:start;
-      t.fs.(fs_hstart) <- t.fs.(fs_eval);
-      t.fs.(fs_thresh) <- (1.0 +. delta) *. t.fs.(fs_eval);
+      t.scr.fs.(fs_hstart) <- t.scr.fs.(fs_eval);
+      t.scr.fs.(fs_thresh) <- (1.0 +. delta) *. t.scr.fs.(fs_eval);
       let hint =
         if plen = 0 then min_int
         else begin
@@ -455,8 +537,8 @@ let create_list t ~k ~warm =
       let r = Soa.add_row q in
       (Soa.icol q col_a).(r) <- start;
       (Soa.icol q col_b).(r) <- c;
-      (Soa.fcol q col_ha).(r) <- t.fs.(fs_hstart);
-      (Soa.fcol q col_hb).(r) <- t.fs.(fs_bnd);
+      (Soa.fcol q col_ha).(r) <- t.scr.fs.(fs_hstart);
+      (Soa.fcol q col_hb).(r) <- t.scr.fs.(fs_bnd);
       M.incr t.c_built;
       a := c + 1
     end
@@ -505,25 +587,34 @@ let refresh ?(cold = false) ?memo t =
     t.use_memo <- t.memo_on
   end
 
-let push t v =
-  if not (Float.is_finite v) then invalid_arg "Fixed_window.push: non-finite value";
+(* One arrival into the sliding prefix; [slide] counts every eviction. *)
+let[@inline] append t v =
   if Sliding_prefix.length t.sp = Sliding_prefix.capacity t.sp then t.slide <- t.slide + 1;
-  Sliding_prefix.push t.sp v;
-  t.seen <- t.seen + 1;
-  let len = Sliding_prefix.length t.sp in
-  if len <> t.gauge_len then begin
+  Sliding_prefix.push t.sp v
+
+(* Bookkeeping shared by [push] and the batch path once [len] points are
+   appended, then the refresh-policy dispatch. *)
+let after_append t len =
+  t.seen <- t.seen + len;
+  let n = Sliding_prefix.length t.sp in
+  if n <> t.gauge_len then begin
     (* Gauge stores box their float; once the window is full the length is
        constant, so skipping the redundant store keeps steady-state push
        allocation at zero. *)
-    t.gauge_len <- len;
-    M.set t.g_length (Float.of_int len)
+    t.gauge_len <- n;
+    M.set t.g_length (Float.of_int n)
   end;
   t.dirty <- true;
-  t.pushes_since_refresh <- t.pushes_since_refresh + 1;
+  t.pushes_since_refresh <- t.pushes_since_refresh + len;
   match t.policy with
   | Params.Eager -> refresh t
   | Params.Lazy -> ()
   | Params.Every k -> if t.pushes_since_refresh >= k then refresh t
+
+let push t v =
+  if not (Float.is_finite v) then invalid_arg "Fixed_window.push: non-finite value";
+  append t v;
+  after_append t 1
 
 (* Batch fast path: append the whole batch to the sliding prefix first,
    then refresh at most ONCE under the refresh policy, so the warm-start
@@ -545,27 +636,13 @@ let push_slice_named t vs ~pos ~len ~name =
         invalid_arg ("Fixed_window." ^ name ^ ": non-finite value")
     done;
     for i = pos to pos + len - 1 do
-      if Sliding_prefix.length t.sp = Sliding_prefix.capacity t.sp then
-        t.slide <- t.slide + 1;
-      Sliding_prefix.push t.sp vs.(i)
+      append t vs.(i)
     done;
-    t.seen <- t.seen + len;
-    let n = Sliding_prefix.length t.sp in
-    if n <> t.gauge_len then begin
-      t.gauge_len <- n;
-      M.set t.g_length (Float.of_int n)
-    end;
-    t.dirty <- true;
-    t.pushes_since_refresh <- t.pushes_since_refresh + len;
-    match t.policy with
-    | Params.Eager -> refresh t
-    | Params.Lazy -> ()
-    | Params.Every k -> if t.pushes_since_refresh >= k then refresh t
+    after_append t len
   end
 
 let push_slice t vs ~pos ~len = push_slice_named t vs ~pos ~len ~name:"push_slice"
 let push_many t vs = push_slice_named t vs ~pos:0 ~len:(Array.length vs) ~name:"push_many"
-let push_batch = push_many
 
 let push_and_refresh t v =
   push t v;
@@ -574,57 +651,30 @@ let push_and_refresh t v =
 let current_error t =
   refresh t;
   eval_herror_into t ~k:(buckets t) ~x:(length t);
-  t.fs.(fs_eval)
+  t.scr.fs.(fs_eval)
+
+(* The [herror] domain, shared by the live summary and its views. *)
+let check_herror ~b ~n ~k ~x =
+  if k < 1 || k > b then invalid_arg "Fixed_window.herror: k out of range";
+  if x < 0 || x > n then invalid_arg "Fixed_window.herror: x out of range"
 
 let herror t ~k ~x =
-  if k < 1 || k > buckets t then invalid_arg "Fixed_window.herror: k out of range";
-  if x < 0 || x > length t then invalid_arg "Fixed_window.herror: x out of range";
+  check_herror ~b:(buckets t) ~n:(length t) ~k ~x;
   refresh t;
   eval_herror_into t ~k ~x;
-  t.fs.(fs_eval)
+  t.scr.fs.(fs_eval)
 
-(* Best split position for the last bucket of a k-bucket histogram of
-   [1 .. x]: the argmin counterpart of [eval_herror_into].  Returns the
-   chosen i (last bucket is [i+1 .. x]), in [1 .. x-1].  Runs the scan
-   directly — the memo caches only values, not argmins. *)
-let best_split t ~k ~x =
-  count_eval t;
-  scan_candidates t ~k ~x;
-  t.scan_best_i
-
+(* Each argmin scan of the boundary recursion is one fw.herror_evals (the
+   memo caches only values, not argmins, so the scans always run). *)
 let current_histogram t =
   refresh t;
-  let n = length t in
-  if n = 0 then invalid_arg "Fixed_window.current_histogram: empty window";
+  if length t = 0 then invalid_arg "Fixed_window.current_histogram: empty window";
   Obs.with_span "fw.histogram" @@ fun () ->
-  let b = buckets t in
-  (* Recover right endpoints top-down: split off the last bucket at each
-     level, then recurse on the remaining prefix with one fewer bucket. *)
-  let rec boundaries x k acc =
-    if x <= 0 then acc
-    else if k <= 1 || x <= k then begin
-      (* Either a single remaining bucket, or x points fit in x singleton
-         buckets at zero error. *)
-      if k <= 1 then x :: acc
-      else begin
-        let acc = ref acc in
-        for i = x downto 1 do
-          acc := i :: !acc
-        done;
-        !acc
-      end
-    end
-    else begin
-      let i = best_split t ~k ~x in
-      boundaries i (k - 1) (x :: acc)
-    end
-  in
-  let ends = Array.of_list (boundaries n b []) in
-  let bucket_of i hi =
-    let lo = if i = 0 then 1 else ends.(i - 1) + 1 in
-    { Histogram.lo; hi; value = Sliding_prefix.range_mean t.sp ~lo ~hi }
-  in
-  Histogram.make ~n (Array.mapi bucket_of ends)
+  let h = histogram t.sp t.queues t.scr ~b:(buckets t) in
+  M.add t.c_evals t.scr.splits;
+  t.scr.splits <- 0;
+  charge_scan_steps t;
+  h
 
 (* Compatibility view over the registry-backed counters: same record, same
    values as the pre-registry private fields. *)
@@ -661,133 +711,33 @@ let intervals t ~k =
 
 (* --- published read views -------------------------------------------- *)
 
-(* A [View.t] is a compact immutable copy of everything a query needs —
-   raw cumulative prefix sums, the endpoint columns of the interval lists,
+(* A [View.t] is an immutable copy of everything a query needs — the
+   sliding prefix ring and the level lists, copied verbatim, plus
    precomputed whole-window answers — cut from a refreshed summary by
-   {!view}.  Readers on other domains evaluate against the copy alone:
-   no telemetry stores, no scratch slots, no memo writes, no access to the
-   live [t].  Every float operation below mirrors the corresponding live
-   kernel operation on the same values in the same order, so view answers
-   are bit-identical to querying the quiesced live summary at the same
-   generation (pinned by the snapshot-equivalence property tests). *)
+   {!view}.  Readers on other domains evaluate against the copy alone, with
+   the same kernel functions the live summary runs and a fresh scratch per
+   call: no telemetry stores, no shared scratch, no access to the live
+   [t].  Same kernel, same slots, same subtractions, so view answers are
+   bit-identical to querying the quiesced live summary at the same
+   generation by construction (and pinned by the snapshot-equivalence
+   property tests). *)
 module View = struct
   type t = {
     gen : int;  (* refresh generation the copy was cut at *)
     seen : int; (* source points_seen when cut — the freshness watermark *)
-    n : int;    (* window length *)
     b : int;    (* buckets *)
     eps : float;
-    (* Raw cumulative sums for window-relative indices 0 .. n, copied
-       verbatim from the sliding ring (index 0 is the sentinel before the
-       oldest point).  Live range sums subtract exactly these values, so
-       subtracting the copies reproduces them bit for bit. *)
-    sum : float array;
-    sqsum : float array;
-    (* Level-k interval list endpoints (level k at index k - 1, for
-       k = 1 .. B-1): trimmed copies of the three Soa columns the
-       candidate scan reads. *)
-    a_idx : int array array;
-    b_idx : int array array;
-    b_her : float array array;
+    sp : Sliding_prefix.t; (* frozen copy of the live ring *)
+    lists : Soa.t array;   (* frozen copies of the level lists *)
     err : float;               (* HERROR[n, B] — the current_error answer *)
     hist : Histogram.t option; (* [None] iff the window is empty *)
   }
 
   let generation v = v.gen
   let points_seen v = v.seen
-  let length v = v.n
+  let length v = Sliding_prefix.length v.sp
   let buckets v = v.b
   let epsilon v = v.eps
-
-  (* [Sliding_prefix.sqerror] over the copied cumulatives: same guard,
-     same subtraction order, same clamp. *)
-  let sqerror v ~lo ~hi =
-    if lo > hi then 0.0
-    else begin
-      let s = v.sum.(hi) -. v.sum.(lo - 1) in
-      let q = v.sqsum.(hi) -. v.sqsum.(lo - 1) in
-      let n = Float.of_int (hi - lo + 1) in
-      let d = q -. (s *. s /. n) in
-      if d > 0.0 then d else 0.0
-    end
-
-  (* [scan_candidates] on the copied columns (see the live implementation
-     for the pruning argument); requires 2 <= k < x.  Returns
-     (best value, best split position) — a boxed pair is fine on the read
-     plane, which has no allocation budget to defend. *)
-  let scan v ~k ~x =
-    let a_idx = v.a_idx.(k - 2) and b_idx = v.b_idx.(k - 2) in
-    let b_her = v.b_her.(k - 2) in
-    let len = Array.length b_idx in
-    let lo = ref 0 and hi = ref len in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Array.unsafe_get b_idx mid >= x then hi := mid else lo := mid + 1
-    done;
-    let cover = !lo in
-    let best = ref infinity in
-    let best_i = ref (x - 1) in
-    if cover < len && Array.unsafe_get a_idx cover <= x - 1 then begin
-      best := Array.unsafe_get b_her cover;
-      best_i := x - 1
-    end;
-    let first =
-      if cover = 0 || !best = infinity then 0
-      else begin
-        let lo = ref 0 and hi = ref cover in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if sqerror v ~lo:(Array.unsafe_get b_idx mid + 1) ~hi:x < !best then
-            hi := mid
-          else lo := mid + 1
-        done;
-        !lo
-      end
-    in
-    let i = ref first in
-    let continue = ref true in
-    while !continue && !i < cover do
-      let bh = Array.unsafe_get b_her !i in
-      if bh >= !best then continue := false
-      else begin
-        let b = Array.unsafe_get b_idx !i in
-        let cand = bh +. sqerror v ~lo:(b + 1) ~hi:x in
-        if cand < !best then begin
-          best := cand;
-          best_i := b
-        end;
-        incr i
-      end
-    done;
-    (!best, !best_i)
-
-  (* [eval_herror_into], branch for branch, sans memo and telemetry. *)
-  let eval v ~k ~x =
-    if x <= 0 then 0.0
-    else if k >= x then 0.0
-    else if k = 1 then sqerror v ~lo:1 ~hi:x
-    else begin
-      let best, _ = scan v ~k ~x in
-      if best = infinity then 0.0 else best
-    end
-
-  let herror ?memo v ~k ~x =
-    if k < 1 || k > v.b then invalid_arg "Fixed_window.herror: k out of range";
-    if x < 0 || x > v.n then invalid_arg "Fixed_window.herror: x out of range";
-    match memo with
-    | None -> eval v ~k ~x
-    | Some m ->
-      (* packed like the live memo: key = x * (buckets + 1) + k *)
-      let key = (x * (v.b + 1)) + k in
-      let slot = Intmemo.find_slot m key in
-      if slot >= 0 then (Intmemo.vals m).(slot)
-      else begin
-        let value = eval v ~k ~x in
-        let s = Intmemo.reserve m key in
-        (Intmemo.vals m).(s) <- value;
-        value
-      end
-
   let current_error v = v.err
   let histogram v = v.hist
 
@@ -796,58 +746,24 @@ module View = struct
     | Some h -> h
     | None -> invalid_arg "Fixed_window.current_histogram: empty window"
 
-  (* The [current_histogram] boundary recursion with argmins from the
-     view-side scan; bucket values are the same prefix-difference means. *)
-  let hist_of v =
-    if v.n = 0 then None
-    else begin
-      let rec boundaries x k acc =
-        if x <= 0 then acc
-        else if k <= 1 || x <= k then begin
-          if k <= 1 then x :: acc
-          else begin
-            let acc = ref acc in
-            for i = x downto 1 do
-              acc := i :: !acc
-            done;
-            !acc
-          end
-        end
-        else begin
-          let _, i = scan v ~k ~x in
-          boundaries i (k - 1) (x :: acc)
-        end
-      in
-      let ends = Array.of_list (boundaries v.n v.b []) in
-      let bucket_of i hi =
-        let lo = if i = 0 then 1 else ends.(i - 1) + 1 in
-        let value = (v.sum.(hi) -. v.sum.(lo - 1)) /. Float.of_int (hi - lo + 1) in
-        { Histogram.lo; hi; value }
-      in
-      Some (Histogram.make ~n:v.n (Array.mapi bucket_of ends))
-    end
-
-  let make ~gen ~seen ~n ~b ~eps ~sum ~sqsum ~a_idx ~b_idx ~b_her =
-    let v0 =
-      { gen; seen; n; b; eps; sum; sqsum; a_idx; b_idx; b_her;
-        err = 0.0; hist = None }
-    in
-    { v0 with err = eval v0 ~k:b ~x:n; hist = hist_of v0 }
+  (* [?memo] is the caller's table, keyed like the live memo. *)
+  let herror ?memo v ~k ~x =
+    check_herror ~b:v.b ~n:(length v) ~k ~x;
+    let s = new_scratch () in
+    eval v.sp v.lists s memo ~stride:(v.b + 1) ~k ~x;
+    s.fs.(fs_eval)
 end
 
 let view t =
   refresh t;
-  let n = length t in
-  let b = buckets t in
-  let sum = Array.init (n + 1) (fun i -> Sliding_prefix.cumulative_sum t.sp i) in
-  let sqsum = Array.init (n + 1) (fun i -> Sliding_prefix.cumulative_sqsum t.sp i) in
-  let levels = b - 1 in
-  let trim_i col j = Array.init (Soa.length t.queues.(j)) (Array.get (Soa.icol t.queues.(j) col)) in
-  let trim_f col j = Array.init (Soa.length t.queues.(j)) (Array.get (Soa.fcol t.queues.(j) col)) in
-  View.make ~gen:t.gen ~seen:t.seen ~n ~b ~eps:(epsilon t) ~sum ~sqsum
-    ~a_idx:(Array.init levels (trim_i col_a))
-    ~b_idx:(Array.init levels (trim_i col_b))
-    ~b_her:(Array.init levels (trim_f col_hb))
+  let sp = Sliding_prefix.copy t.sp in
+  let lists = Array.map Soa.copy t.queues in
+  let n = length t and b = buckets t in
+  let s = new_scratch () in
+  eval sp lists s None ~stride:(b + 1) ~k:b ~x:n;
+  let err = s.fs.(fs_eval) in
+  let hist = if n = 0 then None else Some (histogram sp lists s ~b) in
+  { View.gen = t.gen; seen = t.seen; b; eps = epsilon t; sp; lists; err; hist }
 
 (* --- persistence ---------------------------------------------------- *)
 

@@ -101,9 +101,6 @@ val push_many : t -> float array -> unit
     Raises [Invalid_argument] on non-finite values, before ingesting
     anything. *)
 
-val push_batch : t -> float array -> unit
-(** Alias of {!push_many} (historical name). *)
-
 val push_slice : t -> float array -> pos:int -> len:int -> unit
 (** {!push_many} over the sub-array [\[pos, pos + len)] without copying it
     out — the zero-allocation batch entry point (used by the sharded
@@ -151,19 +148,18 @@ val herror : t -> k:int -> x:int -> float
 
 (** {2 Published read views}
 
-    A {!View.t} is a compact immutable snapshot of a refreshed summary:
-    the raw cumulative prefix sums of the window, the endpoint columns of
-    the interval lists, and precomputed whole-window answers, plus the
-    {!generation} / {!points_seen} stamps of the moment it was cut.  Views
-    hold no reference to the live summary and are never mutated, so they
-    may be handed to other domains and read wait-free — the RCU payload of
-    the sharded engine's query plane.
+    A {!View.t} is an immutable snapshot of a refreshed summary: a copy of
+    the sliding prefix ring and of the interval lists, and precomputed
+    whole-window answers, plus the {!generation} / {!points_seen} stamps
+    of the moment it was cut.  Views hold no reference to the live summary
+    and are never mutated, so they may be handed to other domains and read
+    wait-free — the RCU payload of the sharded engine's query plane.
 
-    View evaluation replicates the live kernel's float operations on the
-    same values in the same order, so every view answer is bit-identical
-    to the corresponding live query against the (quiesced) summary at the
-    same generation.  Views never touch telemetry: reads cost no counter
-    stores. *)
+    A view is evaluated by the same HERROR kernel as the live summary, over
+    verbatim copies of the same state, so every view answer is
+    bit-identical to the corresponding live query against the (quiesced)
+    summary at the same generation.  Views never touch telemetry: reads
+    cost no counter stores. *)
 
 module View : sig
   type t

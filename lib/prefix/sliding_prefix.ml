@@ -34,8 +34,14 @@ let length t = t.count
    fixed-window search kernel, and without inlining each call boxes its
    float return (no flambda), which is the bulk of the kernel's
    allocation.  Inlined into the caller, the whole computation stays in
-   float registers and the probe loop allocates nothing. *)
-let[@inline] slot t i = (t.pos - t.count + i + (2 * (t.cap + 1))) mod (t.cap + 1)
+   float registers and the probe loop allocates nothing.
+
+   Callers pass 0 <= i <= count, so pos - count + i lies in [-cap, cap]
+   and one conditional add wraps it: no integer division on the probe
+   path, which the published views share with the live summary. *)
+let[@inline] slot t i =
+  let s = t.pos - t.count + i in
+  if s < 0 then s + t.cap + 1 else s
 
 (* Shift the origin to the start of the current window: subtract the
    sentinel cumulative from every live slot.  Differences are unchanged. *)
@@ -92,22 +98,10 @@ let[@inline] sqerror t ~lo ~hi =
     if d > 0.0 then d else 0.0
   end
 
-(* Raw cumulative ring values for snapshot capture: window-relative index
-   i in [0 .. count], where 0 is the sentinel just before the oldest
-   point.  [range_sum ~lo ~hi] is exactly
-   [cumulative_sum hi -. cumulative_sum (lo-1)], so a caller that copies
-   these values and subtracts pairs of the copies reproduces live range
-   sums bit for bit (copying [range_sum ~lo:1 ~hi:i] instead would
-   re-associate the subtraction and drift in the last ulp). *)
-let cumulative_sum t i =
-  if i < 0 || i > t.count then
-    invalid_arg "Sliding_prefix.cumulative_sum: index out of range";
-  t.sum.(slot t i)
-
-let cumulative_sqsum t i =
-  if i < 0 || i > t.count then
-    invalid_arg "Sliding_prefix.cumulative_sqsum: index out of range";
-  t.sqsum.(slot t i)
+(* Frozen copy for the published read views: the same ring slots and
+   cursor, so every range query subtracts the same two stored values as
+   the source did when the copy was cut. *)
+let copy t = { t with sum = Array.copy t.sum; sqsum = Array.copy t.sqsum }
 
 (* Out-param variant for allocation-free callers: dev-profile builds pass
    -opaque, which strips cross-module Clambda approximations, so the

@@ -51,17 +51,10 @@ val sqerror_into : t -> lo:int -> hi:int -> float array -> int -> unit
 
 val range_mean : t -> lo:int -> hi:int -> float
 
-val cumulative_sum : t -> int -> float
-(** Raw cumulative sum at window-relative index [i] in [\[0, length t\]]
-    ([0] is the sentinel just before the oldest point; the origin is
-    arbitrary).  {!range_sum}[ ~lo ~hi] is exactly
-    [cumulative_sum hi -. cumulative_sum (lo - 1)], so snapshotting these
-    values and subtracting pairs of the copies reproduces live range sums
-    bit for bit — the capture hook for the published read views.  Raises
-    [Invalid_argument] out of range. *)
-
-val cumulative_sqsum : t -> int -> float
-(** {!cumulative_sum} for the squared sums. *)
+val copy : t -> t
+(** An independent copy: the same ring slots and cursor, so every query on
+    the copy returns exactly what the source returned when it was copied,
+    bit for bit, whatever the source ingests afterwards.  O(capacity). *)
 
 (** {2 Persistence} *)
 

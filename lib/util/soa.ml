@@ -91,16 +91,7 @@ let[@inline] set_i t ~col i x =
 let[@inline] fcol t col = t.fcols.(col)
 let[@inline] icol t col = t.icols.(col)
 
-(* First row in [lo, hi) whose [col] value is >= [target] ([hi] when none):
-   the standard lower-bound search, valid when the column is sorted
-   non-decreasing over the range. *)
-let bsearch_ge t ~col ?(lo = 0) ?hi target =
-  let hi = match hi with None -> t.len | Some h -> h in
-  if lo < 0 || hi > t.len || lo > hi then invalid_arg "Soa.bsearch_ge: bad range";
-  let c = t.icols.(col) in
-  let lo = ref lo and hi = ref hi in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if Array.unsafe_get c mid >= target then hi := mid else lo := mid + 1
-  done;
-  !lo
+(* Trimmed deep copy: capacity = length, columns cut to the rows. *)
+let copy t =
+  let sub col = Array.sub col 0 t.len in
+  { t with cap = t.len; fcols = Array.map sub t.fcols; icols = Array.map sub t.icols }

@@ -44,9 +44,6 @@ val icol : t -> int -> int array
     {!capacity} (>= {!length}), contents beyond [length - 1] are
     unspecified, and the array is only valid until the next growth. *)
 
-val bsearch_ge : t -> col:int -> ?lo:int -> ?hi:int -> int -> int
-(** [bsearch_ge t ~col target] is the first row index in [\[lo, hi)]
-    (default the whole store) whose [col] value is [>= target], or [hi]
-    when none is — a lower-bound binary search requiring the column to be
-    sorted non-decreasing over the range.  Raises [Invalid_argument] on a
-    bad range. *)
+val copy : t -> t
+(** An independent copy of the rows, with capacity trimmed to {!length}:
+    later writes to either store never show in the other. *)

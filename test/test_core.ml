@@ -203,7 +203,7 @@ let test_fw_push_batch () =
   let single = FW.create ~window:40 ~buckets:4 ~epsilon:0.1 in
   let batched = FW.create ~window:40 ~buckets:4 ~epsilon:0.1 in
   Array.iter (FW.push single) data;
-  FW.push_batch batched data;
+  FW.push_many batched data;
   Helpers.check_close "same error" (FW.current_error single) (FW.current_error batched);
   Alcotest.(check (array (float 0.0)))
     "same histogram"
@@ -601,6 +601,66 @@ let test_best_split_counted () =
   let after = (FW.work_counters fw).FW.herror_evaluations in
   Alcotest.(check bool) "best_split evaluations counted" true (after > before)
 
+(* A published view is a frozen copy: holding one while its source keeps
+   ingesting (the ring wraps and rebases, the double-buffered lists are
+   cleared and rebuilt) must not change a single bit of its answers.  The
+   reference is a view cut from a twin summary that stopped at the same
+   point and never ran again. *)
+let test_fw_held_view_keeps_answers () =
+  let window = 24 and buckets = 4 in
+  let data = Array.init 200 (fun i -> Float.of_int ((i * 37) mod 101) -. 50.0) in
+  let mk () =
+    let fw = FW.create ~window ~buckets ~epsilon:0.2 in
+    FW.set_refresh_policy fw (Stream_histogram.Params.Every 5);
+    fw
+  in
+  let bits f = Int64.bits_of_float f in
+  let same_view what (held : FW.View.t) (fresh : FW.View.t) =
+    let check_int name a b = Alcotest.(check int) (what ^ ": " ^ name) a b in
+    let check_bits name a b = Alcotest.(check int64) (what ^ ": " ^ name) (bits a) (bits b) in
+    check_int "generation" (FW.View.generation fresh) (FW.View.generation held);
+    check_int "points seen" (FW.View.points_seen fresh) (FW.View.points_seen held);
+    let n = FW.View.length fresh in
+    check_int "length" n (FW.View.length held);
+    check_bits "current_error" (FW.View.current_error fresh) (FW.View.current_error held);
+    (match (FW.View.histogram fresh, FW.View.histogram held) with
+     | None, None -> ()
+     | Some f, Some h ->
+       Alcotest.(check (list int64)) (what ^ ": histogram")
+         (List.map bits (Array.to_list (H.to_series f)))
+         (List.map bits (Array.to_list (H.to_series h)))
+     | _ -> Alcotest.fail (what ^ ": histogram presence differs"));
+    let memo = Sh_util.Intmemo.create () in
+    for k = 1 to buckets do
+      for x = 0 to n do
+        let expect = FW.View.herror fresh ~k ~x in
+        check_bits (Printf.sprintf "herror k=%d x=%d" k x) expect (FW.View.herror held ~k ~x);
+        check_bits (Printf.sprintf "memo herror k=%d x=%d" k x) expect
+          (FW.View.herror ~memo held ~k ~x)
+      done
+    done
+  in
+  let cuts = [ 3; 24; 61; 130 ] in
+  (* the same pushes and view cuts (a cut refreshes) up to point [upto] *)
+  let drive fw ~upto ~on_cut =
+    for i = 0 to upto - 1 do
+      if List.mem i cuts then on_cut i (FW.view fw);
+      FW.push fw data.(i)
+    done
+  in
+  let live = mk () in
+  let held = ref [] in
+  drive live ~upto:(Array.length data) ~on_cut:(fun i v -> held := (i, v) :: !held);
+  ignore (FW.current_error live);
+  List.iter
+    (fun (cut, view) ->
+      Alcotest.(check bool) "source moved on" true
+        (FW.generation live > FW.View.generation view);
+      let twin = mk () in
+      drive twin ~upto:cut ~on_cut:(fun _ _ -> ());
+      same_view (Printf.sprintf "cut at %d" cut) view (FW.view twin))
+    !held
+
 (* -------------------------------------------------------- agglomerative *)
 
 let test_ag_accessors () =
@@ -810,6 +870,7 @@ let () =
           Alcotest.test_case "slide reuses memory" `Quick test_fw_slide_reuses_memory;
           Alcotest.test_case "push allocation budget" `Quick test_fw_push_alloc_budget;
           Alcotest.test_case "interval bound" `Quick test_fw_interval_count_bound;
+          Alcotest.test_case "held view keeps its answers" `Quick test_fw_held_view_keeps_answers;
           prop_fw_guarantee;
           prop_fw_guarantee_while_sliding;
           prop_fw_herror_brackets_exact;

@@ -279,20 +279,29 @@ let test_soa_allocation_gauge () =
   done;
   Alcotest.(check (float 0.0)) "clear + refill reuses capacity" (before +. 5.0) (allocs ())
 
-let test_soa_bsearch_ge () =
-  let s = Soa.create ~fcols:0 ~icols:1 () in
-  List.iter
-    (fun x ->
-      let r = Soa.add_row s in
-      Soa.set_i s ~col:0 r x)
-    [ 2; 4; 4; 7; 11 ];
-  Alcotest.(check int) "below all" 0 (Soa.bsearch_ge s ~col:0 1);
-  Alcotest.(check int) "exact" 1 (Soa.bsearch_ge s ~col:0 4);
-  Alcotest.(check int) "between" 3 (Soa.bsearch_ge s ~col:0 5);
-  Alcotest.(check int) "above all" 5 (Soa.bsearch_ge s ~col:0 12);
-  Alcotest.(check int) "sub-range" 3 (Soa.bsearch_ge s ~col:0 ~lo:3 ~hi:5 1);
-  Alcotest.check_raises "bad range" (Invalid_argument "Soa.bsearch_ge: bad range")
-    (fun () -> ignore (Soa.bsearch_ge s ~col:0 ~lo:2 ~hi:1 0))
+let test_soa_copy () =
+  let s = Soa.create ~fcols:1 ~icols:1 () in
+  for i = 0 to 9 do
+    let r = Soa.add_row s in
+    Soa.set_i s ~col:0 r i;
+    Soa.set_f s ~col:0 r (Float.of_int i *. 0.5)
+  done;
+  let c = Soa.copy s in
+  Alcotest.(check int) "rows copied" 10 (Soa.length c);
+  Alcotest.(check int) "capacity trimmed" 10 (Soa.capacity c);
+  (* writes to the source, including a growth, never reach the copy *)
+  Soa.set_i s ~col:0 3 (-1);
+  Soa.clear s;
+  for _ = 1 to 40 do
+    let r = Soa.add_row s in
+    Soa.set_i s ~col:0 r 99;
+    Soa.set_f s ~col:0 r 99.0
+  done;
+  for i = 0 to 9 do
+    Alcotest.(check int) "int cell kept" i (Soa.get_i c ~col:0 i);
+    Alcotest.(check (float 0.0)) "float cell kept" (Float.of_int i *. 0.5)
+      (Soa.get_f c ~col:0 i)
+  done
 
 let soa_matches_reference =
   Helpers.qcheck_case ~name:"soa columns equal reference arrays"
@@ -434,7 +443,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_soa_basics;
           Alcotest.test_case "allocation gauge" `Quick test_soa_allocation_gauge;
-          Alcotest.test_case "bsearch_ge" `Quick test_soa_bsearch_ge;
+          Alcotest.test_case "copy" `Quick test_soa_copy;
           soa_matches_reference;
         ] );
       ( "intmemo",
