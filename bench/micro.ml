@@ -386,6 +386,22 @@ let obs_push_rate ~window ~buckets ~epsilon ~pushes =
   (* warmup rep *)
   Array.init 4 (fun _ -> run ())
 
+(* Steady-state minor words per insert into a latency-tracker GK, at the
+   trackers' default epsilon (0.001): warm the summary up, then insert
+   pre-boxed values from a list so the loop itself allocates nothing. *)
+let gk_epsilon = 0.001
+
+let gk_words_per_insert ~inserts =
+  let module Gk = Sh_gk.Gk in
+  let g = Gk.create ~epsilon:gk_epsilon in
+  let rng = Rng.create ~seed:3 in
+  let values () = List.init inserts (fun _ -> Rng.exponential rng ~rate:1e4) in
+  let warm = values () and measured = values () in
+  List.iter (Gk.insert g) warm;
+  let w0 = Gc.minor_words () in
+  List.iter (Gk.insert g) measured;
+  (Gc.minor_words () -. w0) /. Float.of_int inserts
+
 let run_obs scale =
   Report.section "BENCH-MICRO-OBS: telemetry overhead on fw.push_and_refresh";
   let window, buckets, epsilon, pushes =
@@ -409,6 +425,10 @@ let run_obs scale =
     ~headers:[ "telemetry"; "mean time/op"; "reps (ns/op)" ]
     [ row "disabled" disabled; row "enabled (spans on)" enabled ];
   Report.note "enabled/disabled ratio: %.4f" (mean enabled /. mean disabled);
+  let gk_inserts = 100_000 in
+  let gk_words = gk_words_per_insert ~inserts:gk_inserts in
+  Report.note "latency GK (eps=%g) steady-state minor words/insert over %d inserts: %.4f"
+    gk_epsilon gk_inserts gk_words;
   Report.json_add "obs_overhead"
     (Report.Jobj
        [
@@ -419,6 +439,8 @@ let run_obs scale =
          ("disabled_ns_per_op", Report.Jlist (Array.to_list (Array.map (fun f -> Report.Jfloat f) disabled)));
          ("enabled_ns_per_op", Report.Jlist (Array.to_list (Array.map (fun f -> Report.Jfloat f) enabled)));
          ("enabled_over_disabled", Report.Jfloat (mean enabled /. mean disabled));
+         ("gk_inserts", Report.Jint gk_inserts);
+         ("gk_words_per_insert", Report.Jfloat gk_words);
        ])
 
 (* ----------------------------- cross-domain metric-plane contention

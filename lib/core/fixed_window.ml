@@ -59,10 +59,9 @@ type mode = Cold_rebuild | Warm_rebuild | Query
 let fs_eval = 0 (* eval result                          *)
 let fs_scan = 1 (* scan best candidate value            *)
 let fs_bnd = 2 (* find_boundary herror at the boundary *)
-let fs_tmp = 3 (* sqerror_into scratch inside scans    *)
-let fs_hstart = 4 (* find_boundary in-param: HERROR at the interval start *)
-let fs_thresh = 5 (* find_boundary in-param: (1 + delta) * h_start        *)
-let fs_len = 6
+let fs_hstart = 3 (* find_boundary in-param: HERROR at the interval start *)
+let fs_thresh = 4 (* find_boundary in-param: (1 + delta) * h_start        *)
+let fs_len = 5
 
 (* What the last [eval] did with its memo table. *)
 type probe = Unprobed | Miss | Hit
@@ -77,6 +76,29 @@ type scratch = {
 
 let new_scratch () =
   { fs = Array.make fs_len 0.0; best_i = 0; steps = 0; splits = 0; probe = Unprobed }
+
+(* The slot of window index [i] in a prefix ring whose index 0 sits at
+   [base] (see Sliding_prefix.ring_base). *)
+let[@inline] ring_slot sum ~base i =
+  let s = base + i in
+  if s < 0 then s + Array.length sum else s
+
+(* SQERROR(b+1, x) straight off the prefix ring: [sum]/[sqsum] are the
+   ring arrays, [base] the unwrapped slot of window index 0, and [sx]/[qx]
+   the cumulative values at x, read once per scan.  The slot wrap and the
+   float operations are exactly those of [Sliding_prefix.sqerror], in the
+   same order, so the value is bit-identical to it.  Going through that
+   function instead costs a real call per candidate: the dev profile's
+   -opaque keeps it from inlining across modules, so it cannot return an
+   unboxed float (DESIGN.md section 10).  This helper is inlined at each
+   use and allocates nothing.  Requires 0 <= b < x <= length. *)
+let[@inline] sqerror_to_x sum sqsum ~base ~sx ~qx ~x b =
+  let s = ring_slot sum ~base b in
+  let ds = sx -. sum.(s) in
+  let dq = qx -. sqsum.(s) in
+  let d = dq -. (ds *. ds /. Float.of_int (x - b)) in
+  (* branch instead of Float.max, as in Sliding_prefix.sqerror *)
+  if d > 0.0 then d else 0.0
 
 (* Candidate scan: the approximate HERROR[x, k] read off the level-(k-1)
    list [lists.(k-2)], with the split position achieving it.  Requires
@@ -117,10 +139,11 @@ let scan sp lists s ~k ~x =
     best := Array.unsafe_get b_her cover;
     best_i := x - 1
   end;
-  (* SQERROR values flow through [fs.(fs_tmp)] (sqerror_into) rather than
-     function returns: under -opaque a cross-module float return is a
-     fresh boxed float per probe, which was the bulk of the kernel's
-     remaining allocation. *)
+  (* The x end of every candidate's SQERROR, hoisted out of both loops. *)
+  let sum = Sliding_prefix.ring_sum sp and sqsum = Sliding_prefix.ring_sqsum sp in
+  let base = Sliding_prefix.ring_base sp in
+  let xs = ring_slot sum ~base x in
+  let sx = sum.(xs) and qx = sqsum.(xs) in
   let first =
     if cover = 0 || !best = infinity then 0
     else begin
@@ -128,8 +151,9 @@ let scan sp lists s ~k ~x =
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
         incr steps;
-        Sliding_prefix.sqerror_into sp ~lo:(Array.unsafe_get b_idx mid + 1) ~hi:x fs fs_tmp;
-        if fs.(fs_tmp) < !best then hi := mid else lo := mid + 1
+        if sqerror_to_x sum sqsum ~base ~sx ~qx ~x (Array.unsafe_get b_idx mid) < !best then
+          hi := mid
+        else lo := mid + 1
       done;
       !lo
     end
@@ -145,8 +169,7 @@ let scan sp lists s ~k ~x =
     if bh >= !best then continue := false
     else begin
       let b = Array.unsafe_get b_idx !i in
-      Sliding_prefix.sqerror_into sp ~lo:(b + 1) ~hi:x fs fs_tmp;
-      let cand = bh +. fs.(fs_tmp) in
+      let cand = bh +. sqerror_to_x sum sqsum ~base ~sx ~qx ~x b in
       if cand < !best then begin
         best := cand;
         best_i := b
@@ -166,7 +189,12 @@ let eval sp lists s memo ~stride ~k ~x =
   s.probe <- Unprobed;
   if x <= 0 then fs.(fs_eval) <- 0.0
   else if k >= x then fs.(fs_eval) <- 0.0 (* x points in >= x buckets: zero error *)
-  else if k = 1 then Sliding_prefix.sqerror_into sp ~lo:1 ~hi:x fs fs_eval
+  else if k = 1 then begin
+    let sum = Sliding_prefix.ring_sum sp and sqsum = Sliding_prefix.ring_sqsum sp in
+    let base = Sliding_prefix.ring_base sp in
+    let xs = ring_slot sum ~base x in
+    fs.(fs_eval) <- sqerror_to_x sum sqsum ~base ~sx:sum.(xs) ~qx:sqsum.(xs) ~x 0
+  end
   else
     match memo with
     | None ->

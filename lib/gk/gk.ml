@@ -1,161 +1,268 @@
-(* Tuples (v, g, delta) in non-decreasing order of v.  With rmin_i the sum
-   of g over the prefix ending at i: the true rank of v_i lies in
+(* Tuples (v, g, delta) in non-decreasing order of v, stored as three
+   columns [v], [g], [d] of which the first [len] rows are live.  With
+   rmin_i the sum of g over the rows up to i: the true rank of v_i lies in
    [rmin_i, rmin_i + delta_i].  The maintained invariant
-   g_i + delta_i <= floor(2 epsilon n) yields the epsilon n rank error. *)
-type tuple = { v : float; g : int; delta : int }
+   g_i + delta_i <= floor(2 epsilon n) yields the epsilon n rank error.
 
+   Inserts land in [buf], a flat float array of ceil(1/(2 epsilon)) slots.
+   A full buffer is flushed: sorted in place, merged backwards into the
+   columns (which grow by doubling), then compressed forwards in place.
+   Once the columns have reached the summary's size, an insert allocates
+   nothing.  Until a flush, the buffered values are an exact sub-stream:
+   each is a tuple (v, 1, 0) of its own. *)
 type t = {
   eps : float;
-  mutable tuples : tuple list;
-  mutable n : int;
-  mutable since_compress : int;
-  compress_period : int;
+  buf : float array;        (* unflushed inserts, arrival order *)
+  mutable blen : int;       (* live prefix of [buf] *)
+  mutable v : float array;  (* tuple columns, capacity >= len *)
+  mutable g : int array;
+  mutable d : int array;
+  mutable len : int;        (* live tuple rows *)
+  mutable n : int;          (* values inserted, buffered ones included *)
 }
 
 let create ~epsilon =
   if epsilon <= 0.0 || epsilon >= 1.0 then invalid_arg "Gk.create: epsilon must be in (0, 1)";
   {
     eps = epsilon;
-    tuples = [];
+    buf = Array.make (int_of_float (ceil (1.0 /. (2.0 *. epsilon)))) 0.0;
+    blen = 0;
+    v = [||];
+    g = [||];
+    d = [||];
+    len = 0;
     n = 0;
-    since_compress = 0;
-    compress_period = max 1 (int_of_float (1.0 /. (2.0 *. epsilon)));
   }
+
+let reset t =
+  t.blen <- 0;
+  t.len <- 0;
+  t.n <- 0
 
 let epsilon t = t.eps
 let count t = t.n
-let size t = List.length t.tuples
+let size t = t.len + t.blen
 
 let cap t = int_of_float (2.0 *. t.eps *. Float.of_int t.n)
 
-(* Merge adjacent tuples while the merged (g, delta) stays within the cap.
-   Merging tuple i into its successor keeps rank enclosures valid because
-   the successor inherits the combined g.  The head tuple is never merged
-   away: it carries the exact minimum (rank 1), which phi ~ 0 queries
-   need; the maximum survives automatically since merges keep the right
-   neighbour. *)
-let compress t =
-  let bound = cap t in
-  let rec go = function
-    | a :: b :: rest ->
-      if a.g + b.g + b.delta < bound then go ({ b with g = a.g + b.g } :: rest)
-      else a :: go (b :: rest)
-    | rest -> rest
+(* In-place heapsort of [a.(0 .. n-1)]: the stdlib sorts go through a
+   polymorphic comparison closure, which boxes every float it reads. *)
+let sort_prefix (a : float array) n =
+  let sift root stop =
+    let root = ref root and go = ref true in
+    while !go do
+      let c = (2 * !root) + 1 in
+      if c >= stop then go := false
+      else begin
+        let c = if c + 1 < stop && a.(c) < a.(c + 1) then c + 1 else c in
+        if a.(!root) < a.(c) then begin
+          let x = a.(!root) in
+          a.(!root) <- a.(c);
+          a.(c) <- x;
+          root := c
+        end
+        else go := false
+      end
+    done
   in
-  match t.tuples with
-  | [] | [ _ ] -> ()
-  | head :: rest -> t.tuples <- head :: go rest
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift 0 last
+  done
+
+let grow t need =
+  let c = max 16 (max need (2 * Array.length t.v)) in
+  let v = Array.make c 0.0 and g = Array.make c 0 and d = Array.make c 0 in
+  Array.blit t.v 0 v 0 t.len;
+  Array.blit t.g 0 g 0 t.len;
+  Array.blit t.d 0 d 0 t.len;
+  t.v <- v;
+  t.g <- g;
+  t.d <- d
+
+(* Merge adjacent tuples while the merged (g, delta) stays within the cap,
+   left to right in place.  Merging tuple i into its successor keeps rank
+   enclosures valid because the successor inherits the combined g.  The
+   head tuple is never merged away: it carries the exact minimum (rank 1),
+   which phi ~ 0 queries need; the maximum survives automatically since
+   merges keep the right neighbour. *)
+let compress t =
+  if t.len > 2 then begin
+    let bound = cap t in
+    let v = t.v and g = t.g and d = t.d in
+    (* row [w] accumulates the tuple being merged forward *)
+    let w = ref 1 in
+    for r = 2 to t.len - 1 do
+      let gr = g.(r) in
+      if g.(!w) + gr + d.(r) < bound then g.(!w) <- g.(!w) + gr
+      else begin
+        incr w;
+        g.(!w) <- gr
+      end;
+      v.(!w) <- v.(r);
+      d.(!w) <- d.(r)
+    done;
+    t.len <- !w + 1
+  end
+
+(* Sort the buffer and merge it backwards into the columns.  A new value
+   with no stored tuple below it (a new minimum) or none above it (a new
+   maximum, ties included) knows its rank exactly and takes delta = 0;
+   any other takes cap - 1, which bounds the rank slack of the gap it
+   lands in (that gap's right neighbour has g + delta <= cap). *)
+let flush t =
+  let m = t.blen in
+  if m > 0 then begin
+    sort_prefix t.buf m;
+    let len = t.len in
+    let need = len + m in
+    if need > Array.length t.v then grow t need;
+    let v = t.v and g = t.g and d = t.d and buf = t.buf in
+    let interior = max 0 (cap t - 1) in
+    let i = ref (len - 1) and w = ref (need - 1) in
+    for j = m - 1 downto 0 do
+      let x = buf.(j) in
+      while !i >= 0 && v.(!i) > x do
+        v.(!w) <- v.(!i);
+        g.(!w) <- g.(!i);
+        d.(!w) <- d.(!i);
+        decr i;
+        decr w
+      done;
+      v.(!w) <- x;
+      g.(!w) <- 1;
+      d.(!w) <- (if !i < 0 || !i = len - 1 then 0 else interior);
+      decr w
+    done;
+    (* every new value is placed, so rows 0 .. !i never moved *)
+    t.len <- need;
+    t.blen <- 0;
+    compress t
+  end
 
 let insert t v =
   if not (Float.is_finite v) then invalid_arg "Gk.insert: non-finite value";
+  t.buf.(t.blen) <- v;
+  t.blen <- t.blen + 1;
   t.n <- t.n + 1;
-  let fresh_interior = { v; g = 1; delta = max 0 (cap t - 1) } in
-  let fresh_extreme = { v; g = 1; delta = 0 } in
-  let rec place = function
-    | [] -> [ fresh_extreme ]
-    | x :: rest when v < x.v ->
-      (* Inserting before x; if x is the head, v is a new minimum. *)
-      fresh_interior :: x :: rest
-    | x :: rest -> x :: place rest
-  in
-  (match t.tuples with
-  | [] -> t.tuples <- [ fresh_extreme ]
-  | first :: _ when v < first.v -> t.tuples <- fresh_extreme :: t.tuples
-  | _ ->
-    (* A new maximum must also carry delta = 0. *)
-    let rec is_max = function
-      | [] -> true
-      | x :: rest -> v >= x.v && is_max rest
-    in
-    if is_max t.tuples then t.tuples <- t.tuples @ [ fresh_extreme ]
-    else t.tuples <- place t.tuples);
-  t.since_compress <- t.since_compress + 1;
-  if t.since_compress >= t.compress_period then begin
-    compress t;
-    t.since_compress <- 0
-  end
+  if t.blen = Array.length t.buf then flush t
 
 let quantile t phi =
   if phi < 0.0 || phi > 1.0 then invalid_arg "Gk.quantile: phi out of [0, 1]";
   if t.n = 0 then invalid_arg "Gk.quantile: empty summary";
+  flush t;
   let target = Float.of_int (max 1 (int_of_float (ceil (phi *. Float.of_int t.n)))) in
   let allow = t.eps *. Float.of_int t.n in
-  (* First tuple whose maximum possible rank stays within target + eps n. *)
-  let rec go rmin best = function
-    | [] -> best
-    | x :: rest ->
-      let rmin = rmin + x.g in
-      if Float.of_int (rmin + x.delta) <= target +. allow then go rmin x.v rest else best
-  in
-  match t.tuples with
-  | [] -> assert false
-  | first :: _ -> go 0 first.v t.tuples
+  (* Last tuple of the prefix whose maximum possible rank stays within
+     target + eps n. *)
+  let best = ref t.v.(0) and rmin = ref 0 and i = ref 0 in
+  while
+    !i < t.len
+    && begin
+      rmin := !rmin + t.g.(!i);
+      Float.of_int (!rmin + t.d.(!i)) <= target +. allow
+    end
+  do
+    best := t.v.(!i);
+    incr i
+  done;
+  !best
 
-let rank_bounds_list tuples v =
-  let rec go rmin lo hi = function
-    | [] -> (lo, hi)
-    | x :: rest ->
-      let rmin = rmin + x.g in
-      if x.v <= v then go rmin rmin (rmin + x.delta) rest else (lo, hi)
-  in
-  go 0 0 0 tuples
+let rank_bounds t x =
+  flush t;
+  let rmin = ref 0 and lo = ref 0 and hi = ref 0 and i = ref 0 in
+  while !i < t.len && t.v.(!i) <= x do
+    rmin := !rmin + t.g.(!i);
+    lo := !rmin;
+    hi := !rmin + t.d.(!i);
+    incr i
+  done;
+  (!lo, !hi)
 
-let rank_bounds t v = rank_bounds_list t.tuples v
+let iter_values t f =
+  flush t;
+  for i = 0 to t.len - 1 do
+    f t.v.(i)
+  done
 
-let iter_values t f = List.iter (fun x -> f x.v) t.tuples
+(* One summary's state as a reader captured it: copies of the live tuple
+   rows, and of the buffer as its own exact sub-stream (sorted, g = 1,
+   delta = 0).  Lengths are clamped to the arrays actually read, so an
+   owner that grows or flushes meanwhile can make the copy stale or
+   inconsistent but never out of bounds. *)
+type part = { pv : float array; pg : int array; pd : int array }
+
+let capture t =
+  let v = t.v and g = t.g and d = t.d and buf = t.buf in
+  let len = min t.len (min (Array.length v) (min (Array.length g) (Array.length d))) in
+  let blen = min t.blen (Array.length buf) in
+  let b = Array.sub buf 0 blen in
+  Array.sort Float.compare b;
+  [
+    { pv = Array.sub v 0 len; pg = Array.sub g 0 len; pd = Array.sub d 0 len };
+    { pv = b; pg = Array.make blen 1; pd = Array.make blen 0 };
+  ]
 
 (* Combined quantile over several summaries without building a merged
-   structure: every stored value is a candidate, its rank enclosure in the
-   union stream is the sum of the per-summary [rank_bounds] enclosures
-   (ranks are additive over disjoint streams), and we return the candidate
-   whose enclosure midpoint sits closest to the target rank.  The error is
-   bounded by sum_i (eps_i * n_i): each summary contributes at most
-   eps_i * n_i of rank slack.
+   structure: every stored or buffered value is a candidate, its rank
+   enclosure in the union stream is the sum of the per-part enclosures
+   (ranks are additive over disjoint streams, and each buffer is a
+   disjoint exact sub-stream of its summary), and we return the candidate
+   whose enclosure midpoint sits closest to the target rank.  Each
+   summary's enclosure is at most 2 eps_i n_i wide and each buffer's is
+   exact, so the true rank lies within sum_i (eps_i * n_i) of the chosen
+   midpoint; the midpoint itself can miss the target by a step between
+   candidates (see the .mli).
 
-   Tuple lists are captured once per summary up front, so the walk is
-   coherent even when owner domains keep inserting concurrently (the
-   spines are immutable; a racy read just sees a slightly stale list). *)
+   Read-only: owner state is copied up front and never flushed, so owner
+   domains may keep inserting concurrently (see the .mli on what such a
+   racing read can return).  The stream size is the sum of the copied g
+   values, which equals the summaries' [count] when their owners are
+   quiescent. *)
 let merged_quantile summaries phi =
   if phi < 0.0 || phi > 1.0 then invalid_arg "Gk.merged_quantile: phi out of [0, 1]";
-  let views =
-    summaries
-    |> List.filter_map (fun t ->
-           let tuples = t.tuples and n = t.n in
-           if n = 0 || tuples = [] then None else Some (Array.of_list tuples, n))
+  let parts =
+    summaries |> List.concat_map capture
+    |> List.filter (fun p -> Array.length p.pv > 0)
     |> Array.of_list
   in
-  let total = Array.fold_left (fun acc (_, n) -> acc + n) 0 views in
+  let total = Array.fold_left (fun acc p -> Array.fold_left ( + ) acc p.pg) 0 parts in
   if total = 0 then invalid_arg "Gk.merged_quantile: empty summaries";
   let target = Float.of_int (max 1 (int_of_float (ceil (phi *. Float.of_int total)))) in
-  (* Candidates ascending; one monotone pointer per view keeps the whole
-     scan O(candidates * views + total tuples) instead of re-walking every
-     summary per candidate. *)
+  (* Candidates ascending; one monotone pointer per part keeps the whole
+     scan O(candidates * parts + total tuples) instead of re-walking every
+     part per candidate. *)
   let candidates =
-    let c = Array.concat (Array.to_list (Array.map (fun (tu, _) -> Array.map (fun x -> x.v) tu) views)) in
+    let c = Array.concat (Array.to_list (Array.map (fun p -> p.pv) parts)) in
     Array.sort Float.compare c;
     c
   in
-  let nv = Array.length views in
-  let ptr = Array.make nv 0
-  and rmin = Array.make nv 0
-  and lo = Array.make nv 0
-  and hi = Array.make nv 0 in
+  let np = Array.length parts in
+  let ptr = Array.make np 0
+  and rmin = Array.make np 0
+  and lo = Array.make np 0
+  and hi = Array.make np 0 in
   let best_v = ref candidates.(0) and best_gap = ref infinity in
   Array.iter
     (fun v ->
-      for j = 0 to nv - 1 do
-        let tu, _ = views.(j) in
-        let len = Array.length tu in
-        while ptr.(j) < len && (Array.unsafe_get tu ptr.(j)).v <= v do
-          let x = Array.unsafe_get tu ptr.(j) in
-          rmin.(j) <- rmin.(j) + x.g;
+      for j = 0 to np - 1 do
+        let p = parts.(j) in
+        let len = Array.length p.pv in
+        while ptr.(j) < len && p.pv.(ptr.(j)) <= v do
+          let i = ptr.(j) in
+          rmin.(j) <- rmin.(j) + p.pg.(i);
           lo.(j) <- rmin.(j);
-          hi.(j) <- rmin.(j) + x.delta;
-          ptr.(j) <- ptr.(j) + 1
+          hi.(j) <- rmin.(j) + p.pd.(i);
+          ptr.(j) <- i + 1
         done
       done;
       let slo = ref 0 and shi = ref 0 in
-      for j = 0 to nv - 1 do
+      for j = 0 to np - 1 do
         slo := !slo + lo.(j);
         shi := !shi + hi.(j)
       done;

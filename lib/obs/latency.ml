@@ -5,8 +5,9 @@ module Gk = Sh_gk.Gk
    order-statistics structure — and merged only at snapshot time via
    [Gk.merged_quantile].  Recording is owner-only (a GK insert into this
    domain's slot state, no shared line), so trackers follow the same plane
-   discipline as counters; the merged p50/p90/p99/p999 carry rank error at
-   most sum_i (eps * n_i) over the per-domain streams.
+   discipline as counters; the merged p50/p90/p99/p999 carry rank error of
+   order sum_i (eps * n_i) over the per-domain streams (Gk.merged_quantile
+   states the exact guarantee).
 
    The optional "last k batches" window rides on a global epoch counter:
    [advance] bumps it once per ingest batch, and each slot keeps a small
@@ -110,7 +111,9 @@ let record_into t st v =
     let e = Atomic.get epoch in
     let idx = e mod k in
     if st.win_epoch.(idx) <> e then begin
-      st.win.(idx) <- Gk.create ~epsilon:t.l_eps;
+      (* Rotation reuses the cell's summary: once per batch, a fresh GK
+         would allocate its insert buffer again. *)
+      Gk.reset st.win.(idx);
       st.win_epoch.(idx) <- e
     end;
     Gk.insert st.win.(idx) v
@@ -190,7 +193,14 @@ let summaries t =
   end
 
 let quantile t phi =
-  match summaries t with [] -> None | gks -> Some (Gk.merged_quantile gks phi)
+  match summaries t with
+  | [] -> None
+  | gks -> (
+    (* An owner may rotate (reset) a window cell between [summaries] and
+       the merge; if that empties every summary, nothing is recorded in
+       the window.  An out-of-range phi still raises. *)
+    try Some (Gk.merged_quantile gks phi)
+    with Invalid_argument _ when phi >= 0.0 && phi <= 1.0 -> None)
 
 let percentiles = [ 0.5; 0.9; 0.99; 0.999 ]
 

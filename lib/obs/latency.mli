@@ -7,7 +7,8 @@
     calling domain's own slot state, no shared-cacheline traffic; slotless
     domains fall back to a mutex-guarded overflow state and bump the
     [obs.plane_collisions] witness.  A merged quantile over the per-domain
-    streams carries rank error at most [sum_i (epsilon * n_i)].
+    streams carries rank error of order [sum_i (epsilon * n_i)] (see
+    {!Sh_gk.Gk.merged_quantile} for what holds exactly).
 
     Gated by {!Control.latency_enabled}, independently of span tracing:
     a GK insert per timed section is cheap but not free, and it must be
@@ -18,7 +19,12 @@
     keeps a ring of per-epoch summaries rotated lazily by its owner.
     Aggregate reads ({!quantile}, {!count}, {!sum}) are exact when
     recording domains are quiescent, and memory-safe but possibly slightly
-    stale mid-flight — same contract as the metric snapshot readers. *)
+    stale mid-flight — same contract as the metric snapshot readers.  For
+    {!quantile} mid-flight means: a summary caught mid-flush (see
+    {!Sh_gk.Gk.merged_quantile}) can make the answer miss its rank bound,
+    and a window cell its owner rotates during the read — the cell's
+    summary is reset in place — can contribute the new epoch's samples or
+    none at all. *)
 
 type t
 

@@ -30,15 +30,15 @@ let length t = t.count
    where i = 0 is the sentinel just before the window's oldest point.
 
    The query chain below (slot / check / range_sum / range_sqsum /
-   sqerror) is [@inline]-annotated: these run once per probe of the
-   fixed-window search kernel, and without inlining each call boxes its
-   float return (no flambda), which is the bulk of the kernel's
-   allocation.  Inlined into the caller, the whole computation stays in
-   float registers and the probe loop allocates nothing.
+   sqerror) is [@inline]-annotated so that [sqerror]'s float arithmetic
+   stays in registers within this module.  Callers in other modules do
+   not get that under the dev profile's -opaque (their float returns are
+   boxed); the fixed-window candidate scan therefore reads the ring
+   through {!ring_sum} / {!ring_sqsum} / {!ring_base} and does the same
+   arithmetic itself.
 
    Callers pass 0 <= i <= count, so pos - count + i lies in [-cap, cap]
-   and one conditional add wraps it: no integer division on the probe
-   path, which the published views share with the live summary. *)
+   and one conditional add wraps it: no integer division. *)
 let[@inline] slot t i =
   let s = t.pos - t.count + i in
   if s < 0 then s + t.cap + 1 else s
@@ -103,14 +103,13 @@ let[@inline] sqerror t ~lo ~hi =
    the source did when the copy was cut. *)
 let copy t = { t with sum = Array.copy t.sum; sqsum = Array.copy t.sqsum }
 
-(* Out-param variant for allocation-free callers: dev-profile builds pass
-   -opaque, which strips cross-module Clambda approximations, so the
-   [@inline] annotations above only help callers inside this module — an
-   external [sqerror] call still boxes its float return.  Storing into a
-   caller-owned float array crosses the module boundary with ints only;
-   [sqerror] inlines here (same module), so the value goes from registers
-   straight into the array. *)
-let sqerror_into t ~lo ~hi dst i = dst.(i) <- sqerror t ~lo ~hi
+(* Raw ring reads for the fixed-window candidate scan (see the .mli):
+   the arrays themselves and the unwrapped slot of window index 0, so the
+   scan can hoist the x-end cell out of its loop and wrap each candidate
+   slot with the same conditional add as [slot]. *)
+let ring_sum t = t.sum
+let ring_sqsum t = t.sqsum
+let ring_base t = t.pos - t.count
 
 (* --- persistence ---------------------------------------------------- *)
 

@@ -42,19 +42,39 @@ val range_sqsum : t -> lo:int -> hi:int -> float
 val sqerror : t -> lo:int -> hi:int -> float
 (** SQERROR(lo, hi) over the current window, clamped non-negative. *)
 
-val sqerror_into : t -> lo:int -> hi:int -> float array -> int -> unit
-(** [sqerror_into t ~lo ~hi dst i] stores {!sqerror}[ t ~lo ~hi] into
-    [dst.(i)] without boxing the result — the hot-path variant for callers
-    that must not allocate per query (a cross-module float return is a
-    boxed float under the dev profile's [-opaque]; an int-indexed store
-    into a caller-owned array is not). *)
-
 val range_mean : t -> lo:int -> hi:int -> float
 
 val copy : t -> t
 (** An independent copy: the same ring slots and cursor, so every query on
     the copy returns exactly what the source returned when it was copied,
     bit for bit, whatever the source ingests afterwards.  O(capacity). *)
+
+(** {2 Raw ring access}
+
+    For the fixed-window CreateList candidate scan only, which evaluates
+    SQERROR(b+1, x) for many b against one x.  Under the dev profile's
+    [-opaque] a cross-module {!sqerror} call is not inlined and boxes its
+    result, so the scan reads the ring directly: the cumulative value of
+    window-relative index [i] (0 = the sentinel before the oldest point,
+    valid for [0 <= i <= length t]) sits at slot [s = ring_base t + i],
+    plus [Array.length (ring_sum t)] when [s < 0].  SQERROR(lo, hi) is
+    then the arithmetic of {!sqerror}: with [ds] and [dq] the differences
+    of the [hi] and [lo - 1] cells of {!ring_sum} and {!ring_sqsum},
+    [max 0 (dq - ds * ds / (hi - lo + 1))].
+
+    The arrays are the structure's own storage, not copies: callers must
+    not write to them, and must re-read all three after any {!push}
+    (which moves the base and may rebase every cell). *)
+
+val ring_sum : t -> float array
+(** The ring of [capacity + 1] cumulative sums. *)
+
+val ring_sqsum : t -> float array
+(** The ring of cumulative sums of squares, slot for slot with
+    {!ring_sum}. *)
+
+val ring_base : t -> int
+(** The unwrapped slot of window index 0, in [\[-capacity, capacity\]]. *)
 
 (** {2 Persistence} *)
 

@@ -79,7 +79,7 @@ let rec grow t =
    Amortised O(1); doubles (rehashing only the live generation) past 50%
    load, so probe chains stay short.  Split from [add] so callers can
    store the value themselves: passing a float across the module boundary
-   would box it (see Sliding_prefix.sqerror_into), whereas an int slot
+   would box it (see Prefix_sums.sqerror_into), whereas an int slot
    plus a store into {!vals} never allocates. *)
 and reserve t key =
   if 2 * (t.live + 1) > t.mask + 1 then grow t;

@@ -661,6 +661,83 @@ let test_fw_held_view_keeps_answers () =
       same_view (Printf.sprintf "cut at %d" cut) view (FW.view twin))
     !held
 
+(* Golden answers, recorded as hex floats before the candidate scan began
+   reading SQERROR straight off the prefix ring, from a seeded stream of
+   83 points through a 32-point window: the ring wraps twice and the
+   prefix sums rebase at pushes 32 and 64, so the stored cumulative values
+   carry rebase rounding.  Every HERROR[x, k], the current error and the
+   histogram must match bit for bit, on the live summary and on a view. *)
+let test_fw_golden_answers () =
+  let window = 32 and buckets = 4 and epsilon = 0.2 in
+  let module Wk = Sh_gen.Workloads in
+  let module Source = Sh_gen.Source in
+  let data = Source.take (Wk.network (Sh_util.Rng.create ~seed:14) Wk.default_network) 83 in
+  let fw = FW.create ~window ~buckets ~epsilon in
+  FW.set_refresh_policy fw (Stream_histogram.Params.Every 5);
+  Array.iter (FW.push fw) data;
+  let view = FW.view fw in
+  let err = 0x1.e6a4fd0bd0ap+17 in
+  let hist =
+    [ (1, 4, 0x1.1fcp+12); (5, 9, 0x1.3193333333333p+12);
+      (10, 19, 0x1.1f04ccccccccdp+12); (20, 32, 0x1.14e6276276276p+12) ]
+  in
+  let herror =
+    [|
+      [| 0x0p+0; 0x0p+0; 0x1.861p+13; 0x1.0912aaaaaa8p+14; 0x1.1e68p+14; 0x1.e2826666668p+15;
+         0x1.450daaaaaaap+17; 0x1.7d526db6db8p+17; 0x1.84cc7p+17; 0x1.b3fe1c71c7p+17;
+         0x1.bcf70ccccccp+17; 0x1.1456ba2e8bap+18; 0x1.2b3abaaaaaap+18; 0x1.3674p+18;
+         0x1.53d56db6db8p+18; 0x1.5893d555554p+18; 0x1.5d804p+18; 0x1.73cc0787878p+18;
+         0x1.75f971c71c8p+18; 0x1.7b4d7286bccp+18; 0x1.bc66a333334p+18; 0x1.db6dbcf3cf4p+18;
+         0x1.ea377745d18p+18; 0x1.0746a6f4deap+19; 0x1.1f1a5p+19; 0x1.32168p+19;
+         0x1.73d4813b13cp+19; 0x1.9b0c9555554p+19; 0x1.ceab76db6dcp+19; 0x1.e9e3cp+19;
+         0x1.eee5abbbbbcp+19; 0x1.f1a85ef7bep+19; 0x1.f287fp+19 |];
+      [| 0x0p+0; 0x0p+0; 0x0p+0; 0x1.861p+13; 0x1.885p+13; 0x1.1e68p+14; 0x1.fae8p+14;
+         0x1.01895555558p+15; 0x1.48018p+15; 0x1.4bd59999998p+15; 0x1.25cad555558p+16;
+         0x1.5caadb6db6cp+17; 0x1.b9e6fp+17; 0x1.c6cf6222221p+17; 0x1.c8576ccccccp+17;
+         0x1.d029a666666p+17; 0x1.d4547777776p+17; 0x1.d7b1e83a838p+17; 0x1.ddc27ccccccp+17;
+         0x1.de9c0ccccccp+17; 0x1.09b60666666p+18; 0x1.106e4094f2p+18; 0x1.114bc666666p+18;
+         0x1.1b544b52b52p+18; 0x1.2bb49d41d42p+18; 0x1.36b0f555556p+18; 0x1.8041c666666p+18;
+         0x1.a31de848486p+18; 0x1.c3697286bccp+18; 0x1.c585ac20566p+18; 0x1.cbebdb40eb4p+18;
+         0x1.0232bd1ad1bp+19; 0x1.0a0bd61bed5p+19 |];
+      [| 0x0p+0; 0x0p+0; 0x0p+0; 0x0p+0; 0x1.2p+6; 0x1.885p+13; 0x1.1e68p+14; 0x1.8068p+14;
+         0x1.01895555558p+15; 0x1.1eb59999998p+15; 0x1.4bd59999998p+15; 0x1.cd399999998p+15;
+         0x1.d1059999998p+15; 0x1.d2b71999998p+15; 0x1.ec84p+15; 0x1.f8e4444444p+15;
+         0x1.ff0d9999998p+15; 0x1.0c3eaccccccp+16; 0x1.1328cccccccp+16; 0x1.137ce666664p+16;
+         0x1.8c1b86fb584p+16; 0x1.aee17777774p+16; 0x1.b557b91b91cp+16; 0x1.e637283a83cp+16;
+         0x1.19524444446p+17; 0x1.33bf4666666p+17; 0x1.d23b5757576p+17; 0x1.0e151737376p+18;
+         0x1.3657fe85e85p+18; 0x1.366c00a80a7p+18; 0x1.3fec6f2094ep+18; 0x1.6f5ca924926p+18;
+         0x1.7f0edb26c9ap+18 |];
+      [| 0x0p+0; 0x0p+0; 0x0p+0; 0x0p+0; 0x0p+0; 0x1.2p+6; 0x1.885p+13; 0x1.cb95555556p+13;
+         0x1.5f1ap+14; 0x1.7a63333333p+14; 0x1.1eb59999998p+15; 0x1.4bd59999998p+15;
+         0x1.5bd59999998p+15; 0x1.7336eeeeeecp+15; 0x1.79571999998p+15; 0x1.98ap+15;
+         0x1.a94b444444p+15; 0x1.b6c10750748p+15; 0x1.cf035999998p+15; 0x1.d2699999998p+15;
+         0x1.137ce666664p+16; 0x1.1cc96666664p+16; 0x1.2e82e666664p+16; 0x1.2fede666664p+16;
+         0x1.38dfb33333p+16; 0x1.3b63bbbbbb8p+16; 0x1.c6f4e666664p+16; 0x1.ebece666664p+16;
+         0x1.19f67333332p+17; 0x1.1e2ee666666p+17; 0x1.2afb44a7902p+17; 0x1.9dbee888886p+17;
+         0x1.e6a4fd0bd0ap+17 |];
+    |]
+  in
+  let hex = Printf.sprintf "%h" in
+  let check_hist side h =
+    Alcotest.(check (list (triple int int string)))
+      (side ^ ": histogram buckets")
+      (List.map (fun (lo, hi, v) -> (lo, hi, hex v)) hist)
+      (Array.to_list (Array.map (fun b -> (b.H.lo, b.H.hi, hex b.H.value)) h.H.buckets))
+  in
+  Alcotest.(check int) "window full" window (FW.length fw);
+  Alcotest.(check string) "live: current_error" (hex err) (hex (FW.current_error fw));
+  Alcotest.(check string) "view: current_error" (hex err) (hex (FW.View.current_error view));
+  check_hist "live" (FW.current_histogram fw);
+  check_hist "view" (FW.View.current_histogram view);
+  for k = 1 to buckets do
+    for x = 0 to window do
+      let expect = hex herror.(k - 1).(x) in
+      let what side = Printf.sprintf "%s: herror k=%d x=%d" side k x in
+      Alcotest.(check string) (what "live") expect (hex (FW.herror fw ~k ~x));
+      Alcotest.(check string) (what "view") expect (hex (FW.View.herror view ~k ~x))
+    done
+  done
+
 (* -------------------------------------------------------- agglomerative *)
 
 let test_ag_accessors () =
@@ -871,6 +948,7 @@ let () =
           Alcotest.test_case "push allocation budget" `Quick test_fw_push_alloc_budget;
           Alcotest.test_case "interval bound" `Quick test_fw_interval_count_bound;
           Alcotest.test_case "held view keeps its answers" `Quick test_fw_held_view_keeps_answers;
+          Alcotest.test_case "golden answers" `Quick test_fw_golden_answers;
           prop_fw_guarantee;
           prop_fw_guarantee_while_sliding;
           prop_fw_herror_brackets_exact;

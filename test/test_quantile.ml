@@ -7,21 +7,23 @@ let true_rank data v = Array.fold_left (fun acc x -> if x <= v then acc + 1 else
 
 let count_eq data v = Array.fold_left (fun acc x -> if x = v then acc + 1 else acc) 0 data
 
+(* v's rank interval must intersect [target - allow, target + allow]
+   (plus one for rounding): since values can repeat, accept if the rank
+   of v is within the allowance of the target, widened by v's
+   multiplicity. *)
+let rank_ok data ~allow ~phi v =
+  let n = Array.length data in
+  let target = Float.of_int (max 1 (int_of_float (ceil (phi *. Float.of_int n)))) in
+  let r = Float.of_int (true_rank data v) in
+  Float.abs (r -. target) <= allow +. 1.0 +. Float.of_int (count_eq data v)
+
+let phis = [ 0.0; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ]
+
 let check_rank_guarantee ~eps data =
   let g = Gk.create ~epsilon:eps in
   Array.iter (Gk.insert g) data;
-  let n = Array.length data in
-  let allow = (eps *. Float.of_int n) +. 1.0 in
-  List.for_all
-    (fun phi ->
-      let v = Gk.quantile g phi in
-      let target = Float.of_int (max 1 (int_of_float (ceil (phi *. Float.of_int n)))) in
-      let r = Float.of_int (true_rank data v) in
-      (* v's rank interval must intersect [target - allow, target + allow]:
-         since values can repeat, accept if the rank of v is within the
-         allowance of the target. *)
-      Float.abs (r -. target) <= allow +. Float.of_int (count_eq data v))
-    [ 0.0; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ]
+  let allow = eps *. Float.of_int (Array.length data) in
+  List.for_all (fun phi -> rank_ok data ~allow ~phi (Gk.quantile g phi)) phis
 
 let test_gk_validation () =
   Alcotest.check_raises "epsilon too big" (Invalid_argument "Gk.create: epsilon must be in (0, 1)")
@@ -78,6 +80,98 @@ let test_gk_rank_bounds () =
   let lo, hi = Gk.rank_bounds g 50.0 in
   Alcotest.(check bool) "bounds order" true (lo <= hi);
   Alcotest.(check bool) "enclose true rank 51" true (lo <= 51 + 10 && hi >= 51 - 10)
+
+(* Queries flush the insert buffer: asked at points that fall mid-buffer
+   (37 is coprime to the 25-slot buffer), every answer must still hold the
+   epsilon n guarantee over the prefix inserted so far. *)
+let test_gk_interleaved_queries () =
+  let eps = 0.02 in
+  let rng = Rng.create ~seed:77 in
+  let data = Array.init 5000 (fun _ -> Float.of_int (Rng.int rng 10_000)) in
+  let g = Gk.create ~epsilon:eps in
+  Array.iteri
+    (fun i v ->
+      Gk.insert g v;
+      if (i + 1) mod 37 = 0 then begin
+        let prefix = Array.sub data 0 (i + 1) in
+        let allow = eps *. Float.of_int (i + 1) in
+        List.iter
+          (fun phi ->
+            let q = Gk.quantile g phi in
+            if not (rank_ok prefix ~allow ~phi q) then
+              Alcotest.failf "n=%d phi=%g: answer %g outside the rank bound" (i + 1) phi q)
+          phis
+      end)
+    data;
+  Alcotest.(check int) "count" 5000 (Gk.count g)
+
+(* Merged quantiles read each summary's unflushed buffer as an exact
+   sub-stream and never flush it.  Counts are chosen off the buffer size
+   (50 slots at eps = 0.01); the last summary holds only buffered values. *)
+let test_gk_merged_unflushed () =
+  let eps = 0.01 in
+  let rng = Rng.create ~seed:78 in
+  let streams =
+    List.map (fun n -> Array.init n (fun _ -> Rng.float rng 1000.0)) [ 1237; 503; 49 ]
+  in
+  let gks =
+    List.map
+      (fun data ->
+        let g = Gk.create ~epsilon:eps in
+        Array.iter (Gk.insert g) data;
+        g)
+      streams
+  in
+  let all = Array.concat streams in
+  (* the nearest-midpoint rule can miss eps N by a candidate step; 2 eps N
+     covers it *)
+  let allow = 2.0 *. eps *. Float.of_int (Array.length all) in
+  let sizes = List.map Gk.size gks in
+  List.iter
+    (fun phi ->
+      let q = Gk.merged_quantile gks phi in
+      if not (rank_ok all ~allow ~phi q) then
+        Alcotest.failf "phi=%g: merged answer %g outside the rank bound" phi q)
+    phis;
+  Alcotest.(check (list int)) "no summary flushed by the reads" sizes (List.map Gk.size gks);
+  (* the buffer-only summary alone answers exactly *)
+  let last = List.nth gks 2 and data = List.nth streams 2 in
+  let sorted = Array.copy data in
+  Array.sort Float.compare sorted;
+  Helpers.check_close "buffered min exact" sorted.(0) (Gk.merged_quantile [ last ] 0.0);
+  Helpers.check_close "buffered max exact" sorted.(48) (Gk.merged_quantile [ last ] 1.0)
+
+let test_gk_reset () =
+  let rng = Rng.create ~seed:79 in
+  let data = Array.init 3000 (fun _ -> Rng.float rng 1.0) in
+  let used = Gk.create ~epsilon:0.01 in
+  Array.iter (Gk.insert used) (Array.map (fun x -> x +. 5.0) data);
+  Gk.reset used;
+  Alcotest.(check int) "reset count" 0 (Gk.count used);
+  let fresh = Gk.create ~epsilon:0.01 in
+  Array.iter (Gk.insert fresh) data;
+  Array.iter (Gk.insert used) data;
+  Alcotest.(check int) "size" (Gk.size fresh) (Gk.size used);
+  List.iter
+    (fun phi ->
+      Alcotest.(check (float 0.0)) (Printf.sprintf "phi=%g" phi) (Gk.quantile fresh phi)
+        (Gk.quantile used phi))
+    phis
+
+(* The steady state allocates nothing per insert: values go into the flat
+   buffer, flushes sort and merge in place, and the columns stop growing
+   once they hold the summary.  The values come pre-boxed in a list, so
+   the loop itself allocates nothing either. *)
+let test_gk_insert_alloc () =
+  let g = Gk.create ~epsilon:0.001 in
+  let rng = Rng.create ~seed:80 in
+  let values n = List.init n (fun _ -> Rng.float rng 1.0) in
+  let warm = values 100_000 and measured = values 100_000 in
+  List.iter (Gk.insert g) warm;
+  let w0 = Gc.minor_words () in
+  List.iter (Gk.insert g) measured;
+  let per_insert = (Gc.minor_words () -. w0) /. 100_000.0 in
+  if per_insert > 0.1 then Alcotest.failf "%.3f minor words per insert (> 0.1)" per_insert
 
 (* ------------------------------------------------------------------ MRL *)
 
@@ -208,6 +302,10 @@ let () =
           Alcotest.test_case "space sublinear" `Quick test_gk_space_sublinear;
           Alcotest.test_case "rank bounds" `Quick test_gk_rank_bounds;
           prop_gk_rank_guarantee;
+          Alcotest.test_case "queries interleaved mid-buffer" `Quick test_gk_interleaved_queries;
+          Alcotest.test_case "merged over unflushed buffers" `Quick test_gk_merged_unflushed;
+          Alcotest.test_case "reset equals fresh" `Quick test_gk_reset;
+          Alcotest.test_case "insert allocation" `Quick test_gk_insert_alloc;
         ] );
       ( "mrl",
         [
