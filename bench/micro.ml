@@ -177,6 +177,7 @@ type eval_stats = {
   evals : float;       (* logical HERROR evaluations / push (memo hits included) *)
   steps : float;       (* executed search steps / push *)
   scan : float;        (* subset of [steps] inside candidate scans / push *)
+  cands : float;       (* candidates the scans evaluated / push *)
   hits : int;          (* boundary-hint hits over the whole run *)
   misses : int;
   memo_probes : int;
@@ -203,6 +204,7 @@ let fw_eval_stats ~window ~buckets ~epsilon ~pushes =
       evals = per (fun c -> c.FW.herror_evaluations);
       steps = per (fun c -> c.FW.search_steps);
       scan = per (fun c -> c.FW.scan_steps);
+      cands = per (fun c -> c.FW.scan_candidates);
       hits = after.FW.hint_hits - before.FW.hint_hits;
       misses = after.FW.hint_misses - before.FW.hint_misses;
       memo_probes = after.FW.memo_probes - before.FW.memo_probes;
@@ -210,6 +212,44 @@ let fw_eval_stats ~window ~buckets ~epsilon ~pushes =
     }
   in
   (run ~cold:false ~memo:true, run ~cold:false ~memo:false, run ~cold:true ~memo:true)
+
+(* A window's first refresh: [window] points pushed as one slice into a
+   fresh summary, then one refresh — what every new key, set-up prefill and
+   restore pays.  The default (seeded) refresh against the unassisted cold
+   rebuild of the same windows, per window, over [keys] distinct windows.
+   The counts are deterministic; the time is a single wall-clock pass. *)
+type first_stats = {
+  ms : float;       (* wall-clock ms / first refresh *)
+  f_evals : float;  (* logical HERROR evaluations / first refresh *)
+  f_steps : float;  (* executed search steps / first refresh *)
+  f_cands : float;  (* scan candidates / first refresh *)
+}
+
+let first_window = 1024
+let first_buckets = 8
+let first_epsilon = 0.2
+
+let fw_first_refresh ~keys ~cold =
+  let window = first_window in
+  let fws =
+    Array.init keys (fun k ->
+        let fw = FW.create ~window ~buckets:first_buckets ~epsilon:first_epsilon in
+        FW.push_slice fw (network ~seed:(40 + k) ~len:window) ~pos:0 ~len:window;
+        fw)
+  in
+  let t0 = Unix.gettimeofday () in
+  Array.iter (fun fw -> FW.refresh ~cold fw) fws;
+  let dt = Unix.gettimeofday () -. t0 in
+  let per f =
+    Float.of_int (Array.fold_left (fun acc fw -> acc + f (FW.work_counters fw)) 0 fws)
+    /. Float.of_int keys
+  in
+  {
+    ms = dt *. 1e3 /. Float.of_int keys;
+    f_evals = per (fun c -> c.FW.herror_evaluations);
+    f_steps = per (fun c -> c.FW.search_steps);
+    f_cands = per (fun c -> c.FW.scan_candidates);
+  }
 
 (* ------------------------------------ steady-state allocation per push
 
@@ -274,21 +314,37 @@ let run_fw scale =
     pushes;
   Report.table
     ~headers:
-      [ "rebuild"; "herror evals/push"; "search steps/push"; "scan steps/push"; "hint hits";
-        "hint misses"; "memo hit rate" ]
+      [ "rebuild"; "herror evals/push"; "search steps/push"; "scan steps/push";
+        "scan candidates/push"; "hint hits"; "hint misses"; "memo hit rate" ]
     [
       [ "warm (memo)"; Report.fmt_g warm.evals; Report.fmt_g warm.steps; Report.fmt_g warm.scan;
-        string_of_int warm.hits; string_of_int warm.misses;
+        Report.fmt_g warm.cands; string_of_int warm.hits; string_of_int warm.misses;
         Printf.sprintf "%.3f" (hit_rate warm) ];
       [ "warm (no memo)"; Report.fmt_g warm_nomemo.evals; Report.fmt_g warm_nomemo.steps;
-        Report.fmt_g warm_nomemo.scan; string_of_int warm_nomemo.hits;
-        string_of_int warm_nomemo.misses; "-" ];
+        Report.fmt_g warm_nomemo.scan; Report.fmt_g warm_nomemo.cands;
+        string_of_int warm_nomemo.hits; string_of_int warm_nomemo.misses; "-" ];
       [ "cold"; Report.fmt_g cold.evals; Report.fmt_g cold.steps; Report.fmt_g cold.scan;
-        "-"; "-"; Printf.sprintf "%.3f" (hit_rate cold) ];
+        Report.fmt_g cold.cands; "-"; "-"; Printf.sprintf "%.3f" (hit_rate cold) ];
     ];
   Report.note "eval reduction (cold/warm): %.2fx; memo step reduction (no-memo/memo): %.2fx"
     (cold.evals /. warm.evals)
     (warm_nomemo.steps /. warm.steps);
+  let first_keys = match scale with Bench_config.Small -> 4 | _ -> 16 in
+  let first = fw_first_refresh ~keys:first_keys ~cold:false in
+  let first_cold = fw_first_refresh ~keys:first_keys ~cold:true in
+  Report.note "first refresh of a filled window at n=%d B=%d eps=%g, per window over %d windows:"
+    first_window first_buckets first_epsilon first_keys;
+  let first_row tag f =
+    [ tag; Printf.sprintf "%.2f" f.ms; Report.fmt_g f.f_evals; Report.fmt_g f.f_steps;
+      Report.fmt_g f.f_cands ]
+  in
+  Report.table
+    ~headers:[ "first refresh"; "ms"; "herror evals"; "search steps"; "scan candidates" ]
+    [ first_row "seeded" first; first_row "cold" first_cold ];
+  let eval_ratio = first.f_evals /. first_cold.f_evals in
+  let cand_ratio = first.f_cands /. first_cold.f_cands in
+  Report.note "seeded/cold: evals %.3f, candidates %.3f, time %.3f" eval_ratio cand_ratio
+    (first.ms /. first_cold.ms);
   let alloc_pushes = match scale with Bench_config.Small -> 128 | _ -> 256 in
   let warm_words = fw_alloc_stats ~pushes:alloc_pushes ~cold:false in
   let cold_words = fw_alloc_stats ~pushes:alloc_pushes ~cold:true in
@@ -310,7 +366,8 @@ let run_fw scale =
     Report.Jobj
       ([ ("herror_evals_per_push", Report.Jfloat s.evals);
          ("search_steps_per_push", Report.Jfloat s.steps);
-         ("scan_steps_per_push", Report.Jfloat s.scan) ]
+         ("scan_steps_per_push", Report.Jfloat s.scan);
+         ("scan_candidates_per_push", Report.Jfloat s.cands) ]
       @ extra)
   in
   let memo_fields s =
@@ -345,6 +402,27 @@ let run_fw scale =
                ("cold", side cold (memo_fields cold));
                ("eval_reduction", Report.Jfloat (cold.evals /. warm.evals));
                ("memo_step_reduction", Report.Jfloat (warm_nomemo.steps /. warm.steps));
+             ] );
+         ( "first_refresh",
+           let first_json f =
+             Report.Jobj
+               [
+                 ("ms", Report.Jfloat f.ms);
+                 ("herror_evals", Report.Jfloat f.f_evals);
+                 ("search_steps", Report.Jfloat f.f_steps);
+                 ("scan_candidates", Report.Jfloat f.f_cands);
+               ]
+           in
+           Report.Jobj
+             [
+               ("window", Report.Jint first_window);
+               ("buckets", Report.Jint first_buckets);
+               ("epsilon", Report.Jfloat first_epsilon);
+               ("windows", Report.Jint first_keys);
+               ("seeded", first_json first);
+               ("cold", first_json first_cold);
+               ("eval_ratio", Report.Jfloat eval_ratio);
+               ("candidate_ratio", Report.Jfloat cand_ratio);
              ] );
          ( "alloc",
            Report.Jobj
@@ -809,8 +887,8 @@ let run scale =
    BENCH-MICRO-PERSIST (EXPERIMENTS.md): the durability tax.  Snapshot
    size should be O(window) — two float arrays of prefix sums plus a few
    dozen bytes of parameters — and snapshot latency a memcpy-scale walk of
-   that state; restore pays one extra cold refresh to rebuild the interval
-   lists.  The shard-engine rows add the file-backed atomic write path
+   that state; restore pays one extra (first, seeded) refresh to rebuild
+   the interval lists.  The shard-engine rows add the file-backed atomic write path
    (temp + fsync-free rename on the bench host). *)
 
 module Snapshot = Stream_histogram.Snapshot

@@ -237,8 +237,9 @@ let stream_cmd =
       (Stream_histogram.Params.policy_to_string policy)
       c.FW.refreshes c.FW.warm_refreshes c.FW.cold_refreshes c.FW.herror_evaluations
       c.FW.intervals_built;
-    Printf.printf "warm-start: %d search steps (%d in candidate scans), %d hint hits / %d misses\n"
-      c.FW.search_steps c.FW.scan_steps c.FW.hint_hits c.FW.hint_misses;
+    Printf.printf
+      "warm-start: %d search steps (%d in candidate scans), %d scan candidates, %d hint hits / %d misses\n"
+      c.FW.search_steps c.FW.scan_steps c.FW.scan_candidates c.FW.hint_hits c.FW.hint_misses;
     if c.FW.memo_probes > 0 then
       Printf.printf "herror memo: %d hits / %d probes (%.1f%% hit rate)\n" c.FW.memo_hits
         c.FW.memo_probes

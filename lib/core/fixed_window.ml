@@ -32,6 +32,7 @@ type work_counters = {
   warm_refreshes : int;
   search_steps : int;
   scan_steps : int;
+  scan_candidates : int;
   hint_hits : int;
   hint_misses : int;
   memo_probes : int;
@@ -69,13 +70,30 @@ type probe = Unprobed | Miss | Hit
 type scratch = {
   fs : float array;        (* fs_* slots *)
   mutable best_i : int;    (* scan argmin out-param *)
+  mutable best_row : int;  (* list row of that argmin; -1 when the proxy won *)
   mutable steps : int;     (* scan binary-search steps not yet charged *)
+  mutable cands : int;     (* scan candidates evaluated, not yet charged *)
   mutable splits : int;    (* histogram argmin scans not yet charged *)
   mutable probe : probe;   (* memo outcome of the last eval *)
+  (* Scan seeds: [seeds.(k)] is the row that won the last seeded scan at
+     level k (-1: none yet).  [eval] seeds its scans while [seeding] holds;
+     a scratch made with [~levels:0] never seeds. *)
+  seeds : int array;
+  mutable seeding : bool;
 }
 
-let new_scratch () =
-  { fs = Array.make fs_len 0.0; best_i = 0; steps = 0; splits = 0; probe = Unprobed }
+let new_scratch ~levels =
+  {
+    fs = Array.make fs_len 0.0;
+    best_i = 0;
+    best_row = -1;
+    steps = 0;
+    cands = 0;
+    splits = 0;
+    probe = Unprobed;
+    seeds = Array.make levels (-1);
+    seeding = levels > 0;
+  }
 
 (* The slot of window index [i] in a prefix ring whose index 0 sits at
    [base] (see Sliding_prefix.ring_base). *)
@@ -102,9 +120,9 @@ let[@inline] sqerror_to_x sum sqsum ~base ~sx ~qx ~x b =
 
 (* Candidate scan: the approximate HERROR[x, k] read off the level-(k-1)
    list [lists.(k-2)], with the split position achieving it.  Requires
-   k >= 2 and k < x.  Writes the best value to [fs.(fs_scan)] and its
-   split position to [best_i] (out-params: a tuple return would box the
-   float on every evaluation).
+   k >= 2 and k < x.  Writes the best value to [fs.(fs_scan)], its split
+   position to [best_i] and its row to [best_row] (out-params: a tuple
+   return would box the float on every evaluation).
 
    Candidates are the objective evaluated at list endpoints b < x, plus —
    when the interval covering x-1 extends to or past x — that interval's
@@ -117,8 +135,17 @@ let[@inline] sqerror_to_x sum sqsum ~base ~sx ~qx ~x b =
    b_idx column, and — seeding the running best with its proxy candidate —
    entries whose SQERROR term alone already reaches that bound are skipped
    (SQERROR(b+1, x) only shrinks along the list, so they form a prefix).
-   Steps of both binary searches accumulate in [steps]. *)
-let scan sp lists s ~k ~x =
+
+   [seed] (-1: none) names a row to evaluate before that search — the
+   caller's guess at the argmin, typically the winner of the previous scan
+   at this level.  Any row below the covering entry is a genuine candidate,
+   so a stale seed costs one evaluation and changes nothing but how early
+   [best] tightens: the minimum is taken over the same candidate set, and
+   only which of several tied candidates wins can differ.  A seed whose
+   SQERROR term alone is below [best] also bounds the prefix search, which
+   cannot end past it.  Steps of both binary searches accumulate in
+   [steps], evaluated candidates in [cands]. *)
+let scan sp lists s ~k ~x ~seed =
   let q = lists.(k - 2) in
   let len = Soa.length q in
   let a_idx = Soa.icol q col_a and b_idx = Soa.icol q col_b in
@@ -134,20 +161,34 @@ let scan sp lists s ~k ~x =
   done;
   let cover = !lo in
   let best = ref infinity in
-  let best_i = ref (x - 1) in
-  if cover < len && Array.unsafe_get a_idx cover <= x - 1 then begin
-    best := Array.unsafe_get b_her cover;
-    best_i := x - 1
-  end;
+  let best_i = ref (x - 1) and best_row = ref (-1) in
+  if cover < len && Array.unsafe_get a_idx cover <= x - 1 then best := Array.unsafe_get b_her cover;
   (* The x end of every candidate's SQERROR, hoisted out of both loops. *)
   let sum = Sliding_prefix.ring_sum sp and sqsum = Sliding_prefix.ring_sqsum sp in
   let base = Sliding_prefix.ring_base sp in
   let xs = ring_slot sum ~base x in
   let sx = sum.(xs) and qx = sqsum.(xs) in
+  let cands = ref 0 in
+  let seed = if seed < cover then seed else -1 in
+  (* prefix-search bracket end: the first row whose SQERROR term is below
+     [best] lies in [0, first_hi] *)
+  let first_hi = ref cover in
+  if seed >= 0 then begin
+    let b = Array.unsafe_get b_idx seed in
+    let sq = sqerror_to_x sum sqsum ~base ~sx ~qx ~x b in
+    let cand = Array.unsafe_get b_her seed +. sq in
+    incr cands;
+    if cand < !best then begin
+      best := cand;
+      best_i := b;
+      best_row := seed
+    end;
+    if sq < !best then first_hi := seed
+  end;
   let first =
     if cover = 0 || !best = infinity then 0
     else begin
-      let lo = ref 0 and hi = ref cover in
+      let lo = ref 0 and hi = ref !first_hi in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
         incr steps;
@@ -158,7 +199,6 @@ let scan sp lists s ~k ~x =
       !lo
     end
   in
-  s.steps <- s.steps + !steps;
   let i = ref first in
   let continue = ref true in
   while !continue && !i < cover do
@@ -168,17 +208,34 @@ let scan sp lists s ~k ~x =
        (herror + non-negative SQERROR) can improve it. *)
     if bh >= !best then continue := false
     else begin
-      let b = Array.unsafe_get b_idx !i in
-      let cand = bh +. sqerror_to_x sum sqsum ~base ~sx ~qx ~x b in
-      if cand < !best then begin
-        best := cand;
-        best_i := b
+      if !i <> seed (* already evaluated *) then begin
+        let b = Array.unsafe_get b_idx !i in
+        let cand = bh +. sqerror_to_x sum sqsum ~base ~sx ~qx ~x b in
+        incr cands;
+        if cand < !best then begin
+          best := cand;
+          best_i := b;
+          best_row := !i
+        end
       end;
       incr i
     end
   done;
+  s.steps <- s.steps + !steps;
+  s.cands <- s.cands + !cands;
   fs.(fs_scan) <- !best;
-  s.best_i <- !best_i
+  s.best_i <- !best_i;
+  s.best_row <- !best_row
+
+(* The scan [eval] runs: seeded from, and recording, the scratch's last
+   winner at level k while [seeding] holds.  A proxy win keeps the old
+   seed, which still names a recent genuine winner. *)
+let seeded_scan sp lists s ~k ~x =
+  if s.seeding then begin
+    scan sp lists s ~k ~x ~seed:(Array.unsafe_get s.seeds k);
+    if s.best_row >= 0 then Array.unsafe_set s.seeds k s.best_row
+  end
+  else scan sp lists s ~k ~x ~seed:(-1)
 
 (* Approximate HERROR[x, k], written to [fs.(fs_eval)].  With a memo
    table, the scan is paid at most once per (k, x) key (x * stride + k,
@@ -198,7 +255,7 @@ let eval sp lists s memo ~stride ~k ~x =
   else
     match memo with
     | None ->
-      scan sp lists s ~k ~x;
+      seeded_scan sp lists s ~k ~x;
       let best = fs.(fs_scan) in
       fs.(fs_eval) <- (if best = infinity then 0.0 else best)
     | Some m ->
@@ -210,7 +267,7 @@ let eval sp lists s memo ~stride ~k ~x =
       end
       else begin
         s.probe <- Miss;
-        scan sp lists s ~k ~x;
+        seeded_scan sp lists s ~k ~x;
         let best = fs.(fs_scan) in
         let v = if best = infinity then 0.0 else best in
         (* reserve + raw store rather than Intmemo.add: the float stays
@@ -242,7 +299,7 @@ let histogram sp lists s ~b =
       end
     end
     else begin
-      scan sp lists s ~k ~x;
+      scan sp lists s ~k ~x ~seed:(-1);
       s.splits <- s.splits + 1;
       boundaries s.best_i (k - 1) (x :: acc)
     end
@@ -301,6 +358,7 @@ type t = {
   c_warm_refreshes : M.counter;
   c_steps : M.counter;
   c_scan_steps : M.counter;
+  c_scan_cands : M.counter;
   c_hits : M.counter;
   c_misses : M.counter;
   c_memo_probes : M.counter;
@@ -311,7 +369,7 @@ type t = {
 
 (* Shared constructor: everything but [params] and the prefix-sum state is
    derived or starts empty, which is also why [decode] below can rebuild a
-   full summary from just those two (plus a cold refresh). *)
+   full summary from just those two (plus a refresh). *)
 let mk ~params ~sp =
   let buckets = params.Params.buckets in
   let labels = [ ("instance", Obs.instance "fw") ] in
@@ -327,7 +385,7 @@ let mk ~params ~sp =
     memo_stride = buckets + 1;
     memo_on = true;
     use_memo = true;
-    scr = new_scratch ();
+    scr = new_scratch ~levels:(buckets + 1);
     bnd_c = 0;
     gauge_len = -1;
     gen = 0;
@@ -346,6 +404,7 @@ let mk ~params ~sp =
     c_warm_refreshes = c "fw.warm_refreshes";
     c_steps = c "fw.search_steps";
     c_scan_steps = c "fw.scan_steps";
+    c_scan_cands = c "fw.scan_candidates";
     c_hits = c "fw.hint_hits";
     c_misses = c "fw.hint_misses";
     c_memo_probes = c "fw.memo_probes";
@@ -392,13 +451,18 @@ let count_eval t =
 
 (* Scan steps the kernel left in the scratch land in fw.search_steps (the
    legacy total) and, separately, fw.scan_steps — so rebuild-probe work
-   and scan-internal work can be told apart (see work_counters). *)
-let charge_scan_steps t =
+   and scan-internal work can be told apart (see work_counters).  The
+   candidates the scans evaluated land in fw.scan_candidates. *)
+let charge_scan t =
   let s = t.scr in
   if s.steps > 0 then begin
     M.add t.c_steps s.steps;
     M.add t.c_scan_steps s.steps;
     s.steps <- 0
+  end;
+  if s.cands > 0 then begin
+    M.add t.c_scan_cands s.cands;
+    s.cands <- 0
   end
 
 (* Approximate HERROR[x, k] for the current window, written to
@@ -416,7 +480,7 @@ let eval_herror_into t ~k ~x =
    | Hit ->
      M.incr t.c_memo_probes;
      M.incr t.c_memo_hits);
-  charge_scan_steps t
+  charge_scan t
 
 (* Largest c in [start, hi] with HERROR[c, k] <= threshold; writes c to
    [bnd_c] and its herror to [fs.(fs_bnd)].  The float inputs arrive via
@@ -518,8 +582,12 @@ let find_boundary t ~k ~start ~hi ~hint =
    HERROR[., k] spread stays within (1 + delta).  A warm rebuild seeds each
    boundary search from the previous refresh's boundary over the same
    stream points (the prev_queues entry covering this interval's start,
-   shifted back by the window slide); the search result is independent of
-   the seed, so warm and cold rebuilds produce identical lists. *)
+   shifted back by the window slide).  Where there is none — a fresh or
+   restored summary, or past the end of the previous list — it gallops
+   from [start] plus the width of the interval it just built instead of
+   bisecting [start, n].  The search result is independent of the seed, so
+   warm and cold rebuilds produce identical lists; a cold rebuild seeds
+   nothing. *)
 let create_list t ~k ~warm =
   let q = t.queues.(k - 1) in
   Soa.clear q;
@@ -530,6 +598,7 @@ let create_list t ~k ~warm =
   let prev_b = Soa.icol prev col_b in
   let slide = t.slide in
   let pcur = ref 0 in
+  let width = ref (-1) in (* c - start of the interval just built *)
   (* Rows are written through the raw column arrays (re-fetched after each
      add_row, which may grow them): Soa.set_f would box its float argument
      at every cross-module call. *)
@@ -560,6 +629,7 @@ let create_list t ~k ~warm =
           if !pcur < plen then Array.unsafe_get prev_b !pcur - slide else min_int
         end
       in
+      let hint = if hint = min_int && warm && !width >= 0 then start + !width else hint in
       find_boundary t ~k ~start ~hi:n ~hint;
       let c = t.bnd_c in
       let r = Soa.add_row q in
@@ -568,6 +638,7 @@ let create_list t ~k ~warm =
       (Soa.fcol q col_ha).(r) <- t.scr.fs.(fs_hstart);
       (Soa.fcol q col_hb).(r) <- t.scr.fs.(fs_bnd);
       M.incr t.c_built;
+      width := c - start;
       a := c + 1
     end
   done
@@ -582,11 +653,14 @@ let do_refresh t ~warm =
      without touching the arena. *)
   Intmemo.next_generation t.memo;
   t.mode <- (if warm then Warm_rebuild else Cold_rebuild);
+  (* A cold rebuild is the unassisted reference: no scan seeds either. *)
+  t.scr.seeding <- warm;
   let b = buckets t in
   if length t > 0 then
     for k = 1 to b - 1 do
       create_list t ~k ~warm
     done;
+  t.scr.seeding <- true;
   t.mode <- Query;
   t.dirty <- false;
   t.slide <- 0;
@@ -701,7 +775,7 @@ let current_histogram t =
   let h = histogram t.sp t.queues t.scr ~b:(buckets t) in
   M.add t.c_evals t.scr.splits;
   t.scr.splits <- 0;
-  charge_scan_steps t;
+  charge_scan t;
   h
 
 (* Compatibility view over the registry-backed counters: same record, same
@@ -717,6 +791,7 @@ let work_counters t =
     warm_refreshes = M.value t.c_warm_refreshes;
     search_steps = M.value t.c_steps;
     scan_steps = M.value t.c_scan_steps;
+    scan_candidates = M.value t.c_scan_cands;
     hint_hits = M.value t.c_hits;
     hint_misses = M.value t.c_misses;
     memo_probes = M.value t.c_memo_probes;
@@ -777,7 +852,7 @@ module View = struct
   (* [?memo] is the caller's table, keyed like the live memo. *)
   let herror ?memo v ~k ~x =
     check_herror ~b:v.b ~n:(length v) ~k ~x;
-    let s = new_scratch () in
+    let s = new_scratch ~levels:0 in
     eval v.sp v.lists s memo ~stride:(v.b + 1) ~k ~x;
     s.fs.(fs_eval)
 end
@@ -787,7 +862,7 @@ let view t =
   let sp = Sliding_prefix.copy t.sp in
   let lists = Array.map Soa.copy t.queues in
   let n = length t and b = buckets t in
-  let s = new_scratch () in
+  let s = new_scratch ~levels:0 in
   eval sp lists s None ~stride:(b + 1) ~k:b ~x:n;
   let err = s.fs.(fs_eval) in
   let hist = if n = 0 then None else Some (histogram sp lists s ~b) in
@@ -802,7 +877,7 @@ let summary_tag = Char.code 'F'
 
 (* Snapshots carry only the irreducible state: parameters and the sliding
    prefix sums (Theorem 1's point — the interval lists are a deterministic
-   function of the window, so [decode] rebuilds them with one cold refresh
+   function of the window, so [decode] rebuilds them with one refresh
    and the restored summary is indistinguishable from one that never
    stopped).  Derived scratch (queues, memo, fs) and telemetry counters are
    deliberately not persisted: counters restart at zero in the fresh
@@ -847,11 +922,11 @@ let decode r =
   let t = mk ~params ~sp in
   t.policy <- params.Params.policy;
   set_memoisation t memo_on;
-  (* Rebuild the interval lists from the restored window, then put the
-     arrival-cadence counter back so an [Every k] policy resumes exactly
-     where the snapshot left it. *)
+  (* Rebuild the interval lists from the restored window (a first refresh,
+     seeded like any other), then put the arrival-cadence counter back so
+     an [Every k] policy resumes exactly where the snapshot left it. *)
   t.dirty <- true;
-  refresh ~cold:true t;
+  refresh t;
   t.pushes_since_refresh <- pending;
   (* The watermark restarts at the restored window length: pre-snapshot
      history is not recoverable, and only deltas of [points_seen] are

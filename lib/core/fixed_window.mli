@@ -36,6 +36,13 @@
     and cold rebuilds produce identical lists, and [refresh ~cold:true]
     stays available as the correctness oracle (see DESIGN.md section 7).
 
+    A search with no previous boundary to start from (the first refresh of
+    a fresh or restored summary, or past the end of the previous list)
+    gallops from its start plus the width of the interval just built.
+    Each HERROR evaluation's candidate scan first evaluates the list row
+    that won the previous scan at the same level, which tightens its
+    pruning bound; the minimum, and so every HERROR value, is unchanged.
+
     {2 Allocation-free kernel}
 
     The hot path is (amortised) allocation-free: interval lists live in
@@ -110,10 +117,12 @@ val push_slice : t -> float array -> pos:int -> len:int -> unit
 
 val refresh : ?cold:bool -> ?memo:bool -> t -> unit
 (** Rebuild the interval lists for the current window contents; no-op when
-    they are already current.  [~cold:true] ignores the previous lists and
-    rebuilds from scratch with full-range binary searches — the correctness
-    oracle for the default warm-start rebuild, which produces identical
-    lists in fewer HERROR evaluations.  [~memo] overrides the
+    they are already current.  [~cold:true] is the unassisted rebuild: it
+    ignores the previous lists, the width of the interval just built and
+    the previous scan winners, and runs the paper's full-range binary
+    searches — the correctness oracle for the default seeded rebuild, which
+    produces identical lists in fewer HERROR evaluations (including a
+    summary's first refresh, which has no previous lists).  [~memo] overrides the
     {!set_memoisation} setting for this one rebuild: [~memo:false] is the
     second oracle, re-evaluating every HERROR probe so step counters match
     the pre-memo kernel exactly. *)
@@ -216,6 +225,8 @@ type work_counters = {
                                 actually executed (memo hits skip their steps) *)
   scan_steps : int;         (** the subset of [search_steps] spent inside the
                                 candidate-scan binary searches *)
+  scan_candidates : int;    (** candidates the scans evaluated (one SQERROR
+                                each): the walk between those searches *)
   hint_hits : int;          (** boundary searches where the hinted boundary was exact *)
   hint_misses : int;        (** hinted boundary searches that had to move *)
   memo_probes : int;        (** HERROR evaluations that consulted the memo table *)
@@ -251,9 +262,9 @@ val intervals : t -> k:int -> (int * float * int * float) array
 
     See {!Summary_intf.S}.  Snapshots carry only parameters and the
     sliding prefix sums — O(window) bytes; {!decode} rebuilds the interval
-    lists with one cold refresh, so the restored summary answers every
-    query bit-identically to one that never stopped (pinned by the
-    round-trip property tests). *)
+    lists with one default (seeded) refresh, so the restored summary
+    answers every query bit-identically to one that never stopped (pinned
+    by the round-trip property tests). *)
 
 val name : string
 (** ["fixed_window"] — the {!Summary_intf.S} family name. *)
@@ -264,6 +275,7 @@ val encode : Buffer.t -> t -> unit
 
 val decode : Sh_persist.Codec.reader -> t
 (** Rebuild a summary from {!encode}'s bytes: restores params and window
-    state verbatim, performs one eager cold refresh, then restores the
+    state verbatim, performs one eager first refresh (the default seeded
+    rebuild; the lists equal a cold rebuild's), then restores the
     [Every k] arrival cadence.  Raises {!Sh_persist.Codec.Corrupt} on
     malformed input (bad tag, invalid params, inconsistent window). *)

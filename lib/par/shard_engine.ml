@@ -552,7 +552,7 @@ let decode_shards r =
   if shards < 1 then
     Codec.corruptf "Shard_engine: shard count %d < 1" shards;
   (* Sequential decode in key order: deterministic instance names, and
-     each shard's cold refresh happens inside FW.decode. *)
+     each shard's first refresh happens inside FW.decode. *)
   let shard_arr =
     Array.init shards (fun _ ->
         let fr = Frame.read_frame r in

@@ -252,7 +252,7 @@ val checkpoint : t -> file:string -> unit
 
 val restore_from : pool:Domain_pool.t -> file:string -> t
 (** Rebuild an engine from a {!checkpoint} file: geometry, per-shard
-    window state (each rebuilt with one cold refresh), policies, and the
+    window state (each rebuilt with one first refresh), policies, and the
     cumulative {!total_points}/{!batches} counters all come from the
     file.  Raises {!Sh_persist.Persist.Corrupt} on any damaged or
     truncated file, {!Sh_persist.Persist.Version_mismatch} on a foreign
