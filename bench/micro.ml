@@ -884,15 +884,31 @@ let run scale =
 
 (* --------------------------------------- snapshot / restore micro costs
 
-   BENCH-MICRO-PERSIST (EXPERIMENTS.md): the durability tax.  Snapshot
-   size should be O(window) — two float arrays of prefix sums plus a few
-   dozen bytes of parameters — and snapshot latency a memcpy-scale walk of
-   that state; restore pays one extra (first, seeded) refresh to rebuild
-   the interval lists.  The shard-engine rows add the file-backed atomic write path
-   (temp + fsync-free rename on the bench host). *)
+   BENCH-MICRO-PERSIST (EXPERIMENTS.md): the durability tax.  The fw rows
+   time one shard's share of a checkpoint: FW.encode wrapped in its
+   CRC-guarded frame, and the frame check + FW.decode that restore runs
+   per shard.  Size should be O(window) — two float arrays of prefix sums
+   plus a few dozen bytes of parameters — and encoding a memcpy-scale walk
+   of that state; decoding pays one extra (first, seeded) refresh to
+   rebuild the interval lists.  The shard-engine row adds the file-backed
+   atomic write path (temp + fsync-free rename on the bench host). *)
 
-module Snapshot = Stream_histogram.Snapshot
 module Persist = Sh_persist.Persist
+module Codec = Sh_persist.Codec
+module Frame = Sh_persist.Frame
+
+let fw_frame fw =
+  let buf = Buffer.create 256 in
+  FW.encode buf fw;
+  Frame.frame_string (Buffer.contents buf)
+
+let fw_of_frame image =
+  let r = Codec.of_string image in
+  let fr = Frame.read_frame r in
+  let fw = FW.decode fr in
+  Codec.expect_end fr ~what:"shard frame";
+  Codec.expect_end r ~what:"bench image";
+  fw
 
 let timed_ns ~reps f =
   ignore (f ());
@@ -917,9 +933,9 @@ let run_persist scale =
         let fw = FW.create ~window ~buckets ~epsilon in
         Array.iter (FW.push fw) (network ~seed:21 ~len:(window + (window / 2)));
         FW.refresh fw;
-        let image = Snapshot.Fixed_window.snapshot fw in
-        let snap_ns = timed_ns ~reps (fun () -> Snapshot.Fixed_window.snapshot fw) in
-        let restore_ns = timed_ns ~reps (fun () -> Snapshot.Fixed_window.restore image) in
+        let image = fw_frame fw in
+        let snap_ns = timed_ns ~reps (fun () -> fw_frame fw) in
+        let restore_ns = timed_ns ~reps (fun () -> fw_of_frame image) in
         (window, String.length image, snap_ns, restore_ns))
       fw_windows
   in
@@ -942,7 +958,7 @@ let run_persist scale =
         (window, bytes, ck_ns, rs_ns))
   in
   let bytes_per_point w b = Float.of_int b /. Float.of_int w in
-  Report.note "fixed-window snapshots at B=%d eps=%g (in-memory, %d reps); engine checkpoint \
+  Report.note "fixed-window shard frames at B=%d eps=%g (in-memory, %d reps); engine checkpoint \
                S=%d via temp-file + atomic rename" buckets epsilon reps shards;
   Report.table
     ~headers:[ "state"; "bytes"; "bytes/point"; "snapshot"; "restore" ]

@@ -23,6 +23,7 @@ module V = Sh_histogram.Vopt
 module Heur = Sh_histogram.Heuristics
 module FW = Stream_histogram.Fixed_window
 module AG = Stream_histogram.Agglomerative
+module EW = Stream_histogram.Exact_window
 module Syn = Sh_wavelet.Synopsis
 module E = Sh_query.Estimator
 module Q = Sh_query.Workload
@@ -617,14 +618,14 @@ let serve_cmd =
         incr checkpoints
     in
     (* --- continuous-evaluation recorder --------------------------------
-       Shadow per-key value rings mirror the exact content of each shard's
-       window on the caller, so a sample can rebuild the exact V-optimal
-       oracle over the very values the engine summarises and report the
-       engine histogram's SSE next to the optimum.  After --restore the
-       shadow starts empty while the engine window does not, so the spot
-       check only reports once that key's shadow has filled. *)
+       One exact baseline per key mirrors the content of that shard's
+       window on the caller, so a sample can score the engine histogram
+       against the exact values it summarises and report that SSE next to
+       the V-optimal optimum.  After --restore the baselines start empty
+       while the engine windows do not, so the spot check only reports once
+       that key's baseline has filled. *)
     let eng_window, eng_buckets =
-      SE.fold eng ~init:(window, buckets) ~f:(fun _ _ fw -> (FW.window fw, FW.buckets fw))
+      SE.with_key eng ~key:0 ~f:(fun fw -> (FW.window fw, FW.buckets fw))
     in
     let recording = record_file <> None in
     let restored = restore_file <> None in
@@ -633,22 +634,10 @@ let serve_cmd =
       | None -> None
       | Some f -> Some (open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 f)
     in
-    let shadow =
-      if recording then Array.init shards (fun _ -> Array.make eng_window 0.0) else [||]
-    in
-    let shadow_len = Array.make (max 1 shards) 0 in
-    let shadow_pos = Array.make (max 1 shards) 0 in
-    let note_arrival (k, v) =
-      let buf = shadow.(k) in
-      buf.(shadow_pos.(k)) <- v;
-      shadow_pos.(k) <- (shadow_pos.(k) + 1) mod eng_window;
-      if shadow_len.(k) < eng_window then shadow_len.(k) <- shadow_len.(k) + 1
-    in
-    let shadow_window k =
-      let len = shadow_len.(k) in
-      let buf = shadow.(k) in
-      if len < eng_window then Array.sub buf 0 len
-      else Array.init eng_window (fun i -> buf.((shadow_pos.(k) + i) mod eng_window))
+    let exact =
+      if recording then
+        Array.init shards (fun _ -> EW.create ~window:eng_window ~buckets:eng_buckets)
+      else [||]
     in
     let samples = ref 0 in
     let last_sample_t = ref (Unix.gettimeofday ()) in
@@ -664,20 +653,18 @@ let serve_cmd =
       last_sample_pts := pts;
       let spot_key = !samples mod shards in
       incr samples;
-      let data = shadow_window spot_key in
-      let spot_valid =
-        Array.length data > 0 && ((not restored) || Array.length data = eng_window)
-      in
+      let ew = exact.(spot_key) in
+      let spot_n = EW.length ew in
+      let spot_valid = spot_n > 0 && ((not restored) || spot_n = eng_window) in
       let sse, sse_opt =
         if not spot_valid then (0.0, 0.0)
         else begin
-          let p = P.make data in
-          (* the live summary, not the published snapshot: the shadow ring
+          (* the live summary, not the published view: the baseline
              mirrors the live window exactly, so the SSE spot check must
              read through [with_key] or a stale [Pinned] view would be
              scored against data it has not seen yet *)
           let h = SE.with_key eng ~key:spot_key ~f:FW.current_histogram in
-          (H.sse_against h p, H.sse_against (V.build_prefix p ~buckets:eng_buckets) p)
+          (EW.sse ew h, EW.sse ew (EW.current_histogram ew))
         end
       in
       let heap_words = (Gc.quick_stat ()).Gc.heap_words in
@@ -686,7 +673,7 @@ let serve_cmd =
         "{\"batches\":%d,\"items\":%d,\"ns_per_point\":%.6g,\"spot_key\":%d,\"spot_n\":%d,\
          \"spot_valid\":%b,\"sse\":%.9g,\"sse_opt\":%.9g,\"resident_words\":%d,\
          \"backpressure_waits\":%d,\"refresh_steals\":%d,\"lock_ops\":%d,\"latency\":{"
-        (SE.batches eng) pts ns_per_point spot_key (Array.length data) spot_valid sse sse_opt
+        (SE.batches eng) pts ns_per_point spot_key spot_n spot_valid sse sse_opt
         heap_words
         (SE.backpressure_waits eng) (SE.refresh_steals eng) (SE.lock_ops eng);
       let first = ref true in
@@ -777,7 +764,7 @@ let serve_cmd =
             (k, sources.(k) ()))
       in
       SE.ingest eng arrivals;
-      if recording then Array.iter note_arrival arrivals;
+      if recording then Array.iter (fun (k, v) -> EW.push exact.(k) v) arrivals;
       remaining := !remaining - b;
       incr batches_done;
       (match rec_oc with

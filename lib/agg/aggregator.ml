@@ -1,12 +1,16 @@
 module Codec = Sh_persist.Codec
 module Q = Stream_histogram.Query_op
-module SI = Stream_histogram.Summary_intf
 module Wire = Sh_net.Wire
 module Client = Sh_net.Client
 module Conn = Sh_net.Conn
 module Addr = Sh_net.Addr
 module Obs = Sh_obs.Obs
 module M = Sh_obs.Metric
+
+exception Merge_incompatible of string
+
+let merge_incompatiblef fmt =
+  Printf.ksprintf (fun s -> raise (Merge_incompatible s)) fmt
 
 (* One leaf `shist serve` process.  [shards] and [offset] are fixed at
    creation: the leaf owns global keys [offset .. offset + shards - 1].
@@ -57,7 +61,7 @@ let create ?(timeout = 5.0) addrs =
       (fun (addr, _, s) ->
         if s.Wire.window <> s0.Wire.window || s.Wire.buckets <> s0.Wire.buckets
         then
-          SI.merge_incompatiblef
+          merge_incompatiblef
             "aggregate: leaf %s geometry (window %d, buckets %d) differs \
              from leaf %s (window %d, buckets %d)"
             (Addr.to_string addr) s.Wire.window s.Wire.buckets
@@ -114,7 +118,7 @@ let reconnect t l =
     c
   | s ->
     Client.close c;
-    SI.merge_incompatiblef
+    merge_incompatiblef
       "aggregate: leaf %s came back with (shards %d, window %d, buckets %d), \
        expected (%d, %d, %d)"
       (Addr.to_string l.addr) s.Wire.shards s.Wire.window s.Wire.buckets l.shards
@@ -125,7 +129,7 @@ let reconnect t l =
 
 let leaf_failure = function
   | Client.Net_error _ | Codec.Corrupt _ | Codec.Version_mismatch _
-  | SI.Merge_incompatible _ | Unix.Unix_error _ ->
+  | Merge_incompatible _ | Unix.Unix_error _ ->
     true
   | _ -> false
 

@@ -49,13 +49,17 @@
 
 type t
 
+exception Merge_incompatible of string
+(** The leaves disagree on layout: raised by {!create} when their
+    [(window, buckets)] differ, and caught internally when a reconnected
+    leaf comes back with a different [(shards, window, buckets)]. *)
+
 val create : ?timeout:float -> Sh_net.Addr.t list -> t
 (** Connect to every leaf (all must be reachable), probe geometry via
-    [Stats] and fix the key-space layout.  Raises
-    {!Stream_histogram.Summary_intf.Merge_incompatible} if the leaves
-    disagree on [(window, buckets)], {!Sh_net.Client.Net_error} if a leaf is
-    unreachable.  [timeout] (default 5 s) bounds every later leaf
-    touch. *)
+    [Stats] and fix the key-space layout.  Raises {!Merge_incompatible}
+    if the leaves disagree on [(window, buckets)],
+    {!Sh_net.Client.Net_error} if a leaf is unreachable.  [timeout]
+    (default 5 s) bounds every later leaf touch. *)
 
 val total_shards : t -> int
 val leaf_count : t -> int

@@ -13,22 +13,11 @@ type entry = {
   mutable sum : float;    (* SUM[1 .. idx] *)
   mutable sqsum : float;  (* SQSUM[1 .. idx] *)
   mutable herror : float; (* HERROR[idx, k] *)
-  a_idx : int;
-  a_herror : float;
-}
-
-type work_counters = {
-  pushes : int;
-  candidate_evaluations : int;
-  intervals_built : int;
-  intervals_extended : int;
+  a_herror : float;       (* HERROR at the interval's start *)
 }
 
 type t = {
   params : Params.t;
-  horizon : int;              (* nominal window for Summary_intf parity;
-                                 max_int = the whole stream (the GKS01
-                                 algorithm is inherently unbounded) *)
   queues : entry Vec.t array; (* queues.(k-1) is the level-k queue, k = 1 .. B-1 *)
   herr : float array;         (* scratch: herr.(k) = HERROR[n, k] of this step *)
   mutable n : int;
@@ -41,14 +30,16 @@ type t = {
   c_extended : M.counter;
 }
 
-let mk ~params ~horizon =
-  if horizon < 1 then invalid_arg "Agglomerative.create: window must be >= 1";
+let create ~buckets ~epsilon =
+  let params =
+    Params.make_with_delta ~buckets ~epsilon
+      ~delta:(epsilon /. (2.0 *. Float.of_int buckets))
+  in
   let buckets = params.Params.buckets in
   let labels = [ ("instance", Obs.instance "ag") ] in
   let c name = Obs.counter ~labels name in
   {
     params;
-    horizon;
     queues = Array.init (max 0 (buckets - 1)) (fun _ -> Vec.create ());
     herr = Array.make (buckets + 1) 0.0;
     n = 0;
@@ -61,24 +52,9 @@ let mk ~params ~horizon =
     c_extended = c "ag.intervals_extended";
   }
 
-let create_with_delta ~buckets ~epsilon ~delta =
-  mk ~params:(Params.make_with_delta ~buckets ~epsilon ~delta) ~horizon:max_int
-
-let create ~buckets ~epsilon =
-  create_with_delta ~buckets ~epsilon ~delta:(epsilon /. (2.0 *. Float.of_int buckets))
-
-let create_windowed ~window ~buckets ~epsilon =
-  mk
-    ~params:
-      (Params.make_with_delta ~buckets ~epsilon
-         ~delta:(epsilon /. (2.0 *. Float.of_int buckets)))
-    ~horizon:window
-
 let buckets t = t.params.Params.buckets
 let epsilon t = t.params.Params.epsilon
-let window t = t.horizon
 let count t = t.n
-let length t = t.n
 
 (* SQERROR[e.idx + 1 .. idx] from stored prefix sums, clamped against
    floating-point cancellation. *)
@@ -138,7 +114,6 @@ let push t v =
           sum = t.sum;
           sqsum = t.sqsum;
           herror = t.herr.(k);
-          a_idx = n;
           a_herror = t.herr.(k);
         }
     in
@@ -172,7 +147,7 @@ let current_histogram t =
     let len = Float.of_int (idx - e_lo.idx) in
     { Histogram.lo; hi = idx; value = (sum -. e_lo.sum) /. len }
   in
-  let origin = { idx = 0; sum = 0.0; sqsum = 0.0; herror = 0.0; a_idx = 0; a_herror = 0.0 } in
+  let origin = { idx = 0; sum = 0.0; sqsum = 0.0; herror = 0.0; a_herror = 0.0 } in
   let rec recon ~idx ~sum ~sqsum ~k acc =
     if idx <= 0 then acc
     else if k <= 1 then bucket_between origin ~idx ~sum :: acc
@@ -211,114 +186,3 @@ let current_histogram t =
 
 let space_in_entries t = Array.fold_left (fun acc q -> acc + Vec.length q) 0 t.queues
 let interval_counts t = Array.map Vec.length t.queues
-
-let work_counters t =
-  {
-    pushes = M.value t.c_pushes;
-    candidate_evaluations = M.value t.c_cand;
-    intervals_built = M.value t.c_built;
-    intervals_extended = M.value t.c_extended;
-  }
-
-(* --- persistence ---------------------------------------------------- *)
-
-module Codec = Sh_persist.Codec
-
-let name = "agglomerative"
-let summary_tag = Char.code 'A'
-
-let encode buf t =
-  Codec.put_u8 buf summary_tag;
-  Codec.put_varint buf (buckets t);
-  Codec.put_float buf (epsilon t);
-  Codec.put_float buf t.params.Params.delta;
-  Codec.put_varint buf t.horizon;
-  Codec.put_varint buf t.n;
-  Codec.put_float buf t.sum;
-  Codec.put_float buf t.sqsum;
-  Codec.put_float buf t.last_error;
-  (* [herr] is per-push scratch, fully rewritten by the next push; the
-     queues are the real small-space state (Figure 3). *)
-  Array.iter
-    (fun q ->
-       Codec.put_varint buf (Vec.length q);
-       Vec.iter
-         (fun e ->
-            Codec.put_varint buf e.idx;
-            Codec.put_float buf e.sum;
-            Codec.put_float buf e.sqsum;
-            Codec.put_float buf e.herror;
-            Codec.put_varint buf e.a_idx;
-            Codec.put_float buf e.a_herror)
-         q)
-    t.queues
-
-let get_finite r what =
-  let v = Codec.get_float r in
-  if not (Float.is_finite v) then
-    Codec.corruptf "Agglomerative.decode: non-finite %s" what;
-  v
-
-let decode r =
-  let tag = Codec.get_u8 r in
-  if tag <> summary_tag then
-    Codec.corruptf "Agglomerative.decode: tag %d is not an agglomerative payload"
-      tag;
-  let buckets = Codec.get_varint r in
-  let epsilon = Codec.get_float r in
-  let delta = Codec.get_float r in
-  let horizon = Codec.get_varint r in
-  let n = Codec.get_varint r in
-  let sum = get_finite r "running sum" in
-  let sqsum = get_finite r "running sqsum" in
-  let last_error = get_finite r "last error" in
-  let t =
-    try mk ~params:(Params.make_with_delta ~buckets ~epsilon ~delta) ~horizon
-    with Invalid_argument m -> Codec.corruptf "Agglomerative.decode: %s" m
-  in
-  t.n <- n;
-  t.sum <- sum;
-  t.sqsum <- sqsum;
-  t.last_error <- last_error;
-  Array.iter
-    (fun q ->
-       let len = Codec.get_varint r in
-       let prev_idx = ref 0 in
-       for _ = 1 to len do
-         let idx = Codec.get_varint r in
-         let sum = get_finite r "entry sum" in
-         let sqsum = get_finite r "entry sqsum" in
-         let herror = get_finite r "entry herror" in
-         let a_idx = Codec.get_varint r in
-         let a_herror = get_finite r "entry a_herror" in
-         if idx <= !prev_idx || idx > n then
-           Codec.corruptf
-             "Agglomerative.decode: entry idx %d out of order (prev %d, n %d)"
-             idx !prev_idx n;
-         if a_idx < 1 || a_idx > idx then
-           Codec.corruptf "Agglomerative.decode: entry a_idx %d outside [1, %d]"
-             a_idx idx;
-         prev_idx := idx;
-         Vec.push q { idx; sum; sqsum; herror; a_idx; a_herror }
-       done)
-    t.queues;
-  t
-
-(* Strict Summary_intf.S conformance for the whole-stream maintainer: the
-   primary API keeps its historical no-window [create] (and [count]); this
-   view is what generic durability and test code programs against. *)
-module Summary = struct
-  type nonrec t = t
-
-  let name = name
-  let create = create_windowed
-  let window = window
-  let buckets = buckets
-  let epsilon = epsilon
-  let length = length
-  let push = push
-  let current_error = current_error
-  let current_histogram = current_histogram
-  let encode = encode
-  let decode = decode
-end

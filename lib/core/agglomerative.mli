@@ -16,29 +16,13 @@
 type t
 
 val create : buckets:int -> epsilon:float -> t
-(** Whole-stream maintainer: no window bound ({!window} reports
-    [max_int]). *)
-
-val create_with_delta : buckets:int -> epsilon:float -> delta:float -> t
-
-val create_windowed : window:int -> buckets:int -> epsilon:float -> t
-(** {!Summary_intf.S}-shaped constructor: records [window] as the nominal
-    horizon reported by {!window}.  The GKS01 algorithm itself is
-    inherently whole-stream — the horizon is parameter parity, not an
-    eviction policy.  [window >= 1]. *)
+(** Whole-stream maintainer with delta = epsilon / 2B. *)
 
 val buckets : t -> int
 val epsilon : t -> float
 
-val window : t -> int
-(** Nominal horizon: the [window] given to {!create_windowed}, [max_int]
-    for summaries from {!create}. *)
-
 val count : t -> int
 (** Number of stream points ingested so far (the paper's N). *)
-
-val length : t -> int
-(** Alias of {!count} ({!Summary_intf.S} parity). *)
 
 val push : t -> float -> unit
 (** Process the next stream point: lines 1-11 of Figure 3. *)
@@ -60,40 +44,3 @@ val space_in_entries : t -> int
 
 val interval_counts : t -> int array
 (** Entries per level k = 1 .. B-1. *)
-
-(** {2 Introspection} *)
-
-type work_counters = {
-  pushes : int;  (** stream points ingested *)
-  candidate_evaluations : int;
-      (** level-(k-1) queue entries examined across all per-push HERROR
-          minimisations — the algorithm's dominant cost term *)
-  intervals_built : int;  (** queue entries created *)
-  intervals_extended : int;
-      (** pushes absorbed by extending an existing interval in place *)
-}
-
-val work_counters : t -> work_counters
-(** Cumulative per-instance work accounting, backed by the shared
-    {!Sh_obs} registry (series [ag.*{instance="ag<i>"}]) — the
-    agglomerative counterpart of [Fixed_window.work_counters]. *)
-
-(** {2 Persistence} *)
-
-val name : string
-(** ["agglomerative"] — the {!Summary_intf.S} family name. *)
-
-val encode : Buffer.t -> t -> unit
-(** Append the snapshot payload: params, horizon, running prefix sums, and
-    every queue entry verbatim (the [herr] per-push scratch is rebuilt by
-    the next push).  Read-only. *)
-
-val decode : Sh_persist.Codec.reader -> t
-(** Rebuild a summary from {!encode}'s bytes, bit-identical: subsequent
-    pushes, errors, and histograms match an uninterrupted run exactly.
-    Raises {!Sh_persist.Codec.Corrupt} on malformed input (non-finite
-    sums, out-of-order queue entries, bad params). *)
-
-module Summary : Summary_intf.S with type t = t
-(** The {!Summary_intf.S} view: [Summary.create] is {!create_windowed},
-    [Summary.length] is {!count}; everything else is the primary API. *)

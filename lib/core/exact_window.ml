@@ -6,11 +6,6 @@ module M = Sh_obs.Metric
 type t = {
   ring : RB.t;
   buckets : int;
-  epsilon : float;
-      (* The DP is exact, so epsilon never changes a result; it is recorded
-         so the baseline answers the same parameter accessors as the
-         approximate maintainers (Summary_intf parity) and survives
-         snapshot round trips. *)
   scratch : float array;
   (* Query scratch, reused across calls: the prefix-sum pair is refilled
      in place once the window length stabilises, and the O(n^2 B) DP runs
@@ -24,15 +19,13 @@ type t = {
   c_rebuilds : M.counter;
 }
 
-let mk ~ring ~buckets ~epsilon =
+let create ~window ~buckets =
   if buckets < 1 then invalid_arg "Exact_window.create: buckets must be >= 1";
-  if not (Float.is_finite epsilon) || epsilon < 0.0 then
-    invalid_arg "Exact_window.create: epsilon must be finite and >= 0";
+  let ring = RB.create ~capacity:window in
   let labels = [ ("instance", Obs.instance "ew") ] in
   {
     ring;
     buckets;
-    epsilon;
     scratch = Array.make (RB.capacity ring) 0.0;
     vopt = Sh_histogram.Vopt.scratch ();
     prefix_cache = None;
@@ -40,12 +33,8 @@ let mk ~ring ~buckets ~epsilon =
     c_rebuilds = Obs.counter ~labels "ew.rebuilds";
   }
 
-let create ~window ~buckets ~epsilon =
-  mk ~ring:(RB.create ~capacity:window) ~buckets ~epsilon
-
 let window t = RB.capacity t.ring
 let buckets t = t.buckets
-let epsilon t = t.epsilon
 let length t = RB.length t.ring
 
 let push t v =
@@ -77,26 +66,4 @@ let current_histogram t =
 let current_error t =
   Sh_histogram.Vopt.optimal_error_with t.vopt (prefix t) ~buckets:t.buckets
 
-(* --- persistence ---------------------------------------------------- *)
-
-module Codec = Sh_persist.Codec
-
-let name = "exact_window"
-let summary_tag = Char.code 'E'
-
-let encode buf t =
-  Codec.put_u8 buf summary_tag;
-  Codec.put_varint buf t.buckets;
-  Codec.put_float buf t.epsilon;
-  RB.encode buf t.ring
-
-let decode r =
-  let tag = Codec.get_u8 r in
-  if tag <> summary_tag then
-    Codec.corruptf "Exact_window.decode: tag %d is not an exact-window payload"
-      tag;
-  let buckets = Codec.get_varint r in
-  let epsilon = Codec.get_float r in
-  let ring = RB.decode r in
-  try mk ~ring ~buckets ~epsilon
-  with Invalid_argument m -> Codec.corruptf "Exact_window.decode: %s" m
+let sse t h = Sh_histogram.Histogram.sse_against h (prefix t)

@@ -5,22 +5,16 @@
 
     This is the "Exact" series of Figure 6: the quality ceiling the
     streaming algorithm approximates, at a per-query cost that is
-    quadratic in the window length. *)
+    quadratic in the window length.  [shist serve --record] keeps one per
+    key as the oracle for its SSE spot checks. *)
 
 type t
 
-val create : window:int -> buckets:int -> epsilon:float -> t
-(** The DP is exact, so [epsilon] never changes a result; it is recorded
-    (finite, [>= 0] — pass [0.0] for "exact") so the baseline presents the
-    same {!Summary_intf.S} parameter surface as the approximate
-    maintainers.  Raises [Invalid_argument] on bad geometry. *)
+val create : window:int -> buckets:int -> t
+(** Raises [Invalid_argument] on bad geometry. *)
 
 val window : t -> int
 val buckets : t -> int
-
-val epsilon : t -> float
-(** The recorded nominal precision (accessor parity; never used by the DP). *)
-
 val length : t -> int
 
 val push : t -> float -> unit
@@ -34,15 +28,8 @@ val current_histogram : t -> Sh_histogram.Histogram.t
 val current_error : t -> float
 (** The optimal SSE itself.  Raises [Invalid_argument] on an empty window. *)
 
-(** {2 Persistence} *)
-
-val name : string
-(** ["exact_window"] — the {!Summary_intf.S} family name. *)
-
-val encode : Buffer.t -> t -> unit
-(** Append the snapshot payload (tag, params, raw ring buffer); read-only. *)
-
-val decode : Sh_persist.Codec.reader -> t
-(** Rebuild a baseline from {!encode}'s bytes — the ring is restored
-    verbatim, queries re-run the exact DP as always.  Raises
-    {!Sh_persist.Codec.Corrupt} on malformed input. *)
+val sse : t -> Sh_histogram.Histogram.t -> float
+(** SSE of the given histogram against the current window's exact values,
+    e.g. another summary's answer for the same window: O(n) to rebuild the
+    prefix sums, then O(buckets).  Raises [Invalid_argument] on an empty
+    window. *)

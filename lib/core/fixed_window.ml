@@ -872,14 +872,13 @@ let view t =
 
 module Codec = Sh_persist.Codec
 
-let name = "fixed_window"
 let summary_tag = Char.code 'F'
 
-(* Snapshots carry only the irreducible state: parameters and the sliding
-   prefix sums (Theorem 1's point — the interval lists are a deterministic
-   function of the window, so [decode] rebuilds them with one refresh
-   and the restored summary is indistinguishable from one that never
-   stopped).  Derived scratch (queues, memo, fs) and telemetry counters are
+(* Shard payloads carry only the irreducible state: parameters and the
+   sliding prefix sums (Theorem 1's point — the interval lists are a
+   deterministic function of the window, so [decode] rebuilds them with
+   one refresh and the restored summary is indistinguishable from one
+   that never stopped).  Derived scratch (queues, memo, fs) and telemetry counters are
    deliberately not persisted: counters restart at zero in the fresh
    process, like every other series in the registry. *)
 let encode buf t =

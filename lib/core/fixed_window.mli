@@ -260,17 +260,14 @@ val intervals : t -> k:int -> (int * float * int * float) array
 
 (** {2 Persistence}
 
-    See {!Summary_intf.S}.  Snapshots carry only parameters and the
-    sliding prefix sums — O(window) bytes; {!decode} rebuilds the interval
-    lists with one default (seeded) refresh, so the restored summary
-    answers every query bit-identically to one that never stopped (pinned
-    by the round-trip property tests). *)
-
-val name : string
-(** ["fixed_window"] — the {!Summary_intf.S} family name. *)
+    The per-shard payload of a [Shard_engine] checkpoint.  It carries only
+    parameters and the sliding prefix sums — O(window) bytes; {!decode}
+    rebuilds the interval lists with one default (seeded) refresh, so the
+    restored summary answers every query bit-identically to one that never
+    stopped (pinned by the round-trip property tests). *)
 
 val encode : Buffer.t -> t -> unit
-(** Append the snapshot payload (tag, params, policy, memoisation flag,
+(** Append the shard payload (tag, params, policy, memoisation flag,
     arrival cadence, prefix-sum state).  Read-only; O(window) bytes. *)
 
 val decode : Sh_persist.Codec.reader -> t

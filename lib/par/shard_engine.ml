@@ -431,7 +431,6 @@ let herror t ~key ~k ~x =
   M.incr t.c_queries;
   view_query t key (fun v -> FW.View.herror ~memo:(reader_memo t key v) v ~k ~x)
 
-let work_counters t ~key = with_shard t key FW.work_counters
 let with_key t ~key ~f = with_shard t key f
 
 (* --- batched queries --------------------------------------------------- *)
@@ -560,6 +559,21 @@ let decode_shards r =
         Codec.expect_end fr ~what:"shard frame";
         fw)
   in
+  (* Every shard frame is CRC-valid on its own, so nothing above stops a
+     file whose shards disagree on geometry; the engine (and everything
+     that reports one window for it) assumes they agree. *)
+  let fw0 = shard_arr.(0) in
+  Array.iteri
+    (fun k fw ->
+       if FW.window fw <> FW.window fw0 || FW.buckets fw <> FW.buckets fw0
+          || not (Float.equal (FW.epsilon fw) (FW.epsilon fw0))
+       then
+         Codec.corruptf
+           "Shard_engine: shard %d geometry (window %d, buckets %d, epsilon %g) \
+            differs from shard 0 (window %d, buckets %d, epsilon %g)"
+           k (FW.window fw) (FW.buckets fw) (FW.epsilon fw) (FW.window fw0)
+           (FW.buckets fw0) (FW.epsilon fw0))
+    shard_arr;
   Codec.expect_end r ~what:"engine checkpoint";
   (shard_arr, points, batches, refreshes)
 

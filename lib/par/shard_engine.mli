@@ -124,11 +124,11 @@ val refresh_all : ?cold:bool -> t -> unit
     suite pins against the sequential {!Stream_histogram.Fixed_window}
     oracle.
 
-    Live-shard escape hatches ({!with_key}, {!fold}, {!work_counters},
-    {!set_refresh_policy}, {!checkpoint}) bypass the
-    view and require the same exclusivity as {!ingest} itself (no overlap
-    with an in-flight engine call — the single producer that drives
-    ingest may use them between batches, which is every in-tree usage). *)
+    Live-shard escape hatches ({!with_key}, {!fold}, {!set_refresh_policy},
+    {!checkpoint}) bypass the view and require the same exclusivity as
+    {!ingest} itself (no overlap with an in-flight engine call — the
+    single producer that drives ingest may use them between batches,
+    which is every in-tree usage). *)
 
 val length : t -> key:int -> int
 (** Window length, from the published view (not counted as an estimation
@@ -193,8 +193,6 @@ val with_key :
     concurrent engine call.  If [f] refreshed the shard, its view is
     republished before returning. *)
 
-val work_counters : t -> key:int -> Stream_histogram.Fixed_window.work_counters
-
 val fold : t -> init:'a -> f:('a -> int -> Stream_histogram.Fixed_window.t -> 'a) -> 'a
 (** Fold over live shards in key order (see the live-shard contract
     above).  [f] must not call back into the engine. *)
@@ -255,6 +253,7 @@ val restore_from : pool:Domain_pool.t -> file:string -> t
     window state (each rebuilt with one first refresh), policies, and the
     cumulative {!total_points}/{!batches} counters all come from the
     file.  Raises {!Sh_persist.Persist.Corrupt} on any damaged or
-    truncated file, {!Sh_persist.Persist.Version_mismatch} on a foreign
+    truncated file or one whose shards disagree on window, buckets or
+    epsilon, {!Sh_persist.Persist.Version_mismatch} on a foreign
     format version, and [Sys_error] if the file cannot be read — never
     returns a silently wrong engine. *)

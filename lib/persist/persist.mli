@@ -35,12 +35,12 @@ val read_file : string -> string
 
 (** {2 Telemetry}
 
-    Registered eagerly under [persist.*]; snapshot/restore call sites
-    (the [Snapshot] functor, [Shard_engine.checkpoint]) bump the
-    operation counters, file I/O here accounts bytes. *)
+    Registered eagerly under [persist.*]; the checkpoint/restore call
+    sites ([Shard_engine.checkpoint], [Shard_engine.restore_from]) bump
+    the operation counters, file I/O here accounts bytes. *)
 
 val c_snapshots : Sh_obs.Metric.counter
-(** [persist.snapshots] — summary/engine snapshot operations. *)
+(** [persist.snapshots] — engine checkpoint operations. *)
 
 val c_restores : Sh_obs.Metric.counter
 (** [persist.restores] — successful restore operations. *)

@@ -56,31 +56,3 @@ let iteri t f =
 let clear t =
   t.head <- 0;
   t.count <- 0
-
-(* --- persistence ---------------------------------------------------- *)
-
-module C = Sh_persist.Codec
-
-let encode buf t =
-  C.put_varint buf (Array.length t.data);
-  C.put_varint buf t.head;
-  C.put_varint buf t.count;
-  C.put_float_array buf t.data
-
-let decode r =
-  let cap = C.get_varint r in
-  let head = C.get_varint r in
-  let count = C.get_varint r in
-  if cap < 1 then C.corruptf "Ring_buffer.decode: capacity %d < 1" cap;
-  if head >= cap then C.corruptf "Ring_buffer.decode: head %d >= cap %d" head cap;
-  if count > cap then C.corruptf "Ring_buffer.decode: count %d > cap %d" count cap;
-  let data = C.get_float_array r in
-  if Array.length data <> cap then
-    C.corruptf "Ring_buffer.decode: data length %d, expected %d"
-      (Array.length data) cap;
-  for i = 0 to count - 1 do
-    if not (Float.is_finite data.((head + i) mod cap)) then
-      C.corruptf "Ring_buffer.decode: non-finite live value"
-  done;
-  Sh_obs.Metric.gincr allocations;
-  { data; head; count }

@@ -43,15 +43,3 @@ val allocations : Sh_obs.Metric.gauge
 (** Process-wide count of ring creations, exported as the
     ["ring_buffer.allocations"] gauge; rings never reallocate after
     [create], so slides leave it unchanged. *)
-
-(** {2 Persistence} *)
-
-val encode : Buffer.t -> t -> unit
-(** Append the full buffer state (capacity, head, count, backing array)
-    to a snapshot payload; read-only. *)
-
-val decode : Sh_persist.Codec.reader -> t
-(** Rebuild a buffer from {!encode}'s bytes, bit-identical including slot
-    layout, so post-restore slides behave exactly as pre-crash.  Raises
-    {!Sh_persist.Codec.Corrupt} on truncation, inconsistent geometry, or
-    a non-finite live value. *)

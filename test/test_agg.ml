@@ -5,7 +5,6 @@
    typed partial result, never a hang, and a leaf that comes back with a
    different layout must stay out of the answers. *)
 
-module SI = Stream_histogram.Summary_intf
 module Qop = Stream_histogram.Query_op
 module Params = Stream_histogram.Params
 module SE = Sh_par.Shard_engine
@@ -26,7 +25,7 @@ let check_bits msg a b =
 let expect_incompatible what f =
   match f () with
   | _ -> Alcotest.failf "%s: expected Merge_incompatible" what
-  | exception SI.Merge_incompatible _ -> ()
+  | exception Aggregator.Merge_incompatible _ -> ()
 
 (* ------------------------------------------------------- the Global fold *)
 

@@ -959,7 +959,7 @@ module EW = Stream_histogram.Exact_window
 
 let test_ew_matches_vopt_on_window () =
   let data = Array.init 120 (fun i -> Float.of_int ((i * 53) mod 97)) in
-  let ew = EW.create ~window:48 ~buckets:5 ~epsilon:0.0 in
+  let ew = EW.create ~window:48 ~buckets:5 in
   Array.iter (EW.push ew) data;
   let window = Array.sub data (120 - 48) 48 in
   let p = P.make window in
@@ -970,14 +970,14 @@ let test_ew_matches_vopt_on_window () =
 
 let test_ew_is_lower_bound_for_fw () =
   let data = Array.init 200 (fun i -> Float.of_int ((i * 17) mod 211)) in
-  let ew = EW.create ~window:64 ~buckets:4 ~epsilon:0.0 in
+  let ew = EW.create ~window:64 ~buckets:4 in
   let fw = FW.create ~window:64 ~buckets:4 ~epsilon:0.1 in
   Array.iter (fun v -> EW.push ew v; FW.push fw v) data;
   Alcotest.(check bool) "exact <= approximate" true
     (EW.current_error ew <= FW.current_error fw +. 1e-6)
 
 let test_ew_partial_and_empty () =
-  let ew = EW.create ~window:10 ~buckets:2 ~epsilon:0.0 in
+  let ew = EW.create ~window:10 ~buckets:2 in
   Alcotest.check_raises "empty" (Invalid_argument "Exact_window.current_histogram: empty window")
     (fun () -> ignore (EW.current_error ew));
   EW.push ew 5.0;
@@ -1012,7 +1012,7 @@ let test_non_finite_rejected () =
         (fun () -> AG.push ag v))
     [ ("ag nan", Float.nan); ("ag inf", Float.infinity); ("ag -inf", Float.neg_infinity) ];
   Alcotest.(check int) "ag count unchanged" 1 (AG.count ag);
-  let ew = EW.create ~window:4 ~buckets:2 ~epsilon:0.0 in
+  let ew = EW.create ~window:4 ~buckets:2 in
   EW.push ew 4.0;
   List.iter
     (fun (label, v) ->

@@ -510,14 +510,15 @@ let test_work_stealing_sweep_exactly_once () =
           in
           SE.ingest eng batch;
           let before =
-            Array.init shards (fun k -> (SE.work_counters eng ~key:k).FW.refreshes)
+            Array.init shards (fun k ->
+                (SE.with_key eng ~key:k ~f:FW.work_counters).FW.refreshes)
           in
           SE.refresh_all eng;
           for k = 0 to shards - 1 do
             Alcotest.(check int)
               (Printf.sprintf "shard %d refreshed exactly once, %d domains" k domains)
               (before.(k) + 1)
-              (SE.work_counters eng ~key:k).FW.refreshes
+              (SE.with_key eng ~key:k ~f:FW.work_counters).FW.refreshes
           done;
           Alcotest.(check bool) "steal counter is sane" true (SE.refresh_steals eng >= 0)))
     domain_counts

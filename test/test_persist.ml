@@ -1,7 +1,8 @@
-(* lib/persist + snapshot/restore: codec primitives, frame integrity,
-   round-trip equivalence ("restore == never crashed", bit-identical), and
-   the fault-injection matrix proving every partial or mangled write is
-   either cleanly recovered or loudly rejected with a typed error. *)
+(* lib/persist + engine checkpoints: codec primitives, frame integrity,
+   round-trip equivalence ("restore == never crashed", bit-identical), a
+   pinned checkpoint image, and the fault-injection matrix proving every
+   partial or mangled write is either cleanly recovered or loudly rejected
+   with a typed error. *)
 
 module Crc32 = Sh_persist.Crc32
 module Codec = Sh_persist.Codec
@@ -9,9 +10,6 @@ module Frame = Sh_persist.Frame
 module Fault = Sh_persist.Fault
 module P = Sh_persist.Persist
 module FW = Stream_histogram.Fixed_window
-module EW = Stream_histogram.Exact_window
-module AG = Stream_histogram.Agglomerative
-module Snapshot = Stream_histogram.Snapshot
 module Params = Stream_histogram.Params
 module Pool = Sh_par.Domain_pool
 module SE = Sh_par.Shard_engine
@@ -32,6 +30,11 @@ let expect_rejected what f =
   | _ -> Alcotest.failf "%s: expected Corrupt/Version_mismatch, restore succeeded" what
   | exception P.Corrupt _ -> ()
   | exception P.Version_mismatch _ -> ()
+
+let expect_corrupt what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Corrupt, restore succeeded" what
+  | exception P.Corrupt _ -> ()
 
 let expect_injected what f =
   match f () with
@@ -183,7 +186,7 @@ let test_frame_damage_detected () =
       (fun () -> Frame.read_frame (Codec.of_string (String.sub img 0 k)))
   done
 
-(* ------------------------------------------- summary round trips (qcheck) *)
+(* --------------------------------------- shard payload round trips (qcheck) *)
 
 let policies = [ Params.Lazy; Params.Eager; Params.Every 3 ]
 
@@ -204,6 +207,19 @@ let fw_answers_equal a b =
      || bits (FW.current_error a) = bits (FW.current_error b)
         && H.to_series (FW.current_histogram a) = H.to_series (FW.current_histogram b))
 
+(* One shard's payload, through the same calls [Shard_engine] makes per
+   shard frame. *)
+let fw_encode fw =
+  let buf = Buffer.create 256 in
+  FW.encode buf fw;
+  Buffer.contents buf
+
+let fw_decode s =
+  let r = Codec.of_string s in
+  let fw = FW.decode r in
+  Codec.expect_end r ~what:"shard frame";
+  fw
+
 let prop_fixed_window_round_trip =
   Helpers.qcheck_case ~count:60 ~name:"Fixed_window: restore (snapshot t) == t, bit-identical"
     QCheck2.Gen.(
@@ -220,12 +236,12 @@ let prop_fixed_window_round_trip =
       FW.set_memoisation fw memo;
       let prefix = Array.sub data 0 cut and suffix = Array.sub data cut (Array.length data - cut) in
       Array.iter (FW.push fw) prefix;
-      let s = Snapshot.Fixed_window.snapshot fw in
-      let r = Snapshot.Fixed_window.restore s in
-      (* snapshot is a pure function of the state, so a restored summary
-         must re-snapshot to the very same bytes *)
+      let s = fw_encode fw in
+      let r = fw_decode s in
+      (* the payload is a pure function of the state, so a restored
+         summary must re-encode to the very same bytes *)
       fw_state_equal fw r
-      && Snapshot.Fixed_window.snapshot r = s
+      && fw_encode r = s
       && fw_answers_equal fw r
       && begin
            (* "equivalent to never having crashed": the restored summary
@@ -238,82 +254,24 @@ let prop_fixed_window_round_trip =
            fw_answers_equal fw r
          end)
 
-let prop_exact_window_round_trip =
-  Helpers.qcheck_case ~count:40 ~name:"Exact_window: restore (snapshot t) == t"
-    QCheck2.Gen.(
-      let* data = Helpers.gen_data ~min_len:0 ~max_len:40 ~vmax:200 () in
-      let* window = int_range 1 16 in
-      let* buckets = int_range 1 4 in
-      return (data, window, buckets))
-    (fun (data, window, buckets) ->
-      let ew = EW.create ~window ~buckets ~epsilon:0.0 in
-      Array.iter (EW.push ew) data;
-      let s = Snapshot.Exact_window.snapshot ew in
-      let r = Snapshot.Exact_window.restore s in
-      EW.length ew = EW.length r
-      && Snapshot.Exact_window.snapshot r = s
-      && (EW.length ew = 0
-         || bits (EW.current_error ew) = bits (EW.current_error r)
-            && H.to_series (EW.current_histogram ew) = H.to_series (EW.current_histogram r))
-      && begin
-           EW.push ew 7.0;
-           EW.push r 7.0;
-           H.to_series (EW.current_histogram ew) = H.to_series (EW.current_histogram r)
-         end)
-
-let prop_agglomerative_round_trip =
-  Helpers.qcheck_case ~count:40 ~name:"Agglomerative: restore (snapshot t) == t, bit-identical"
-    QCheck2.Gen.(
-      let* data = Helpers.gen_data ~min_len:0 ~max_len:150 ~vmax:500 () in
-      let* buckets = int_range 2 4 in
-      let* cut = int_range 0 (Array.length data) in
-      return (data, buckets, cut))
-    (fun (data, buckets, cut) ->
-      let ag = AG.create ~buckets ~epsilon:0.2 in
-      let prefix = Array.sub data 0 cut and suffix = Array.sub data cut (Array.length data - cut) in
-      Array.iter (AG.push ag) prefix;
-      let s = Snapshot.Agglomerative.snapshot ag in
-      let r = Snapshot.Agglomerative.restore s in
-      let answers_equal a b =
-        AG.count a = AG.count b
-        && bits (AG.current_error a) = bits (AG.current_error b)
-        && AG.space_in_entries a = AG.space_in_entries b
-        && (AG.count a = 0
-           || H.to_series (AG.current_histogram a) = H.to_series (AG.current_histogram b))
-      in
-      AG.window ag = AG.window r
-      && Snapshot.Agglomerative.snapshot r = s
-      && answers_equal ag r
-      && begin
-           Array.iter
-             (fun v ->
-               AG.push ag v;
-               AG.push r v)
-             suffix;
-           answers_equal ag r
-         end)
-
-let test_cross_type_restore_rejected () =
-  let ew = EW.create ~window:8 ~buckets:2 ~epsilon:0.0 in
-  EW.push ew 1.0;
-  let s = Snapshot.Exact_window.snapshot ew in
-  (* well-formed frames, wrong payload tag: typed rejection, not garbage *)
-  expect_rejected "EW snapshot fed to FW restore" (fun () ->
-      Snapshot.Fixed_window.restore s);
-  expect_rejected "EW snapshot fed to AG restore" (fun () ->
-      Snapshot.Agglomerative.restore s);
-  expect_rejected "empty string" (fun () -> Snapshot.Fixed_window.restore "")
-
+(* One summary to a file and back, through the framing and atomic write
+   that [Shard_engine.checkpoint] uses for each shard. *)
 let test_save_load_file () =
   with_temp_file @@ fun file ->
   let fw = FW.create ~window:16 ~buckets:3 ~epsilon:0.2 in
   for i = 1 to 50 do
     FW.push fw (Float.of_int ((i * 13) mod 97))
   done;
-  Snapshot.Fixed_window.save fw ~file;
-  let r = Snapshot.Fixed_window.load ~file in
-  Alcotest.(check bool) "state equal" true (fw_state_equal fw r);
-  Alcotest.(check bool) "answers equal" true (fw_answers_equal fw r);
+  P.write_file_atomic ~path:file ~header:(Frame.header_string ())
+    ~frames:[ Frame.frame_string (fw_encode fw) ];
+  let r = Codec.of_string (P.read_file file) in
+  Frame.read_header r;
+  let fr = Frame.read_frame r in
+  let restored = FW.decode fr in
+  Codec.expect_end fr ~what:"shard frame";
+  Alcotest.(check bool) "no frame left" false (Frame.has_frame r);
+  Alcotest.(check bool) "state equal" true (fw_state_equal fw restored);
+  Alcotest.(check bool) "answers equal" true (fw_answers_equal fw restored);
   Alcotest.(check bool) "no temp residue" false (Sys.file_exists (file ^ ".tmp"))
 
 (* -------------------------------------------- shard-engine checkpointing *)
@@ -359,6 +317,9 @@ let test_engine_checkpoint_restore () =
       (* quiesce so both sides' read planes agree (see [engines_equal]) *)
       SE.refresh_all eng;
       SE.checkpoint eng ~file;
+      Alcotest.(check bool)
+        (Printf.sprintf "no temp residue, %s" tag)
+        false (Sys.file_exists (file ^ ".tmp"));
       let restored = SE.restore_from ~pool ~file in
       Alcotest.(check bool)
         (Printf.sprintf "restored == original, %s" tag)
@@ -378,6 +339,74 @@ let test_engine_checkpoint_restore () =
       Alcotest.(check bool)
         (Printf.sprintf "tracks original after restart, %s" tag)
         true (engines_equal eng restored))
+    domain_counts
+
+(* A checkpoint image assembled by hand: header, an engine meta frame, then
+   the given shard payloads — each frame CRC-valid, so only the decoder's
+   own checks stand between these bytes and a restored engine. *)
+let write_checkpoint_image ~file ~shards payloads =
+  let meta = Buffer.create 16 in
+  Codec.put_u8 meta (Char.code 'S');
+  List.iter (Codec.put_varint meta) [ shards; 0; 0; 0 ];
+  P.write_file_atomic ~path:file ~header:(Frame.header_string ())
+    ~frames:(List.map Frame.frame_string (Buffer.contents meta :: payloads))
+
+let test_cross_type_restore_rejected () =
+  Pool.with_pool ~domains:1 @@ fun pool ->
+  with_temp_file @@ fun file ->
+  let fw = FW.create ~window:8 ~buckets:2 ~epsilon:0.2 in
+  FW.push fw 1.0;
+  (* well-formed frames, but the first one is a bare fixed-window payload
+     where the engine meta frame belongs *)
+  P.write_file_atomic ~path:file ~header:(Frame.header_string ())
+    ~frames:[ Frame.frame_string (fw_encode fw) ];
+  expect_corrupt "bare 'F' frame fed to engine restore" (fun () ->
+      SE.restore_from ~pool ~file);
+  P.write_file_atomic ~path:file ~header:"" ~frames:[];
+  expect_corrupt "empty file" (fun () -> SE.restore_from ~pool ~file)
+
+let test_mixed_geometry_rejected () =
+  Pool.with_pool ~domains:1 @@ fun pool ->
+  with_temp_file @@ fun file ->
+  let shard ~window ~buckets ~epsilon =
+    let fw = FW.create ~window ~buckets ~epsilon in
+    for i = 1 to 20 do
+      FW.push fw (Float.of_int ((i * 13) mod 97))
+    done;
+    fw_encode fw
+  in
+  let base = shard ~window:16 ~buckets:3 ~epsilon:0.2 in
+  write_checkpoint_image ~file ~shards:2 [ base; base ];
+  Alcotest.(check int) "matching shards restore" 2
+    (SE.shard_count (SE.restore_from ~pool ~file));
+  List.iter
+    (fun (what, other) ->
+      write_checkpoint_image ~file ~shards:2 [ base; other ];
+      expect_corrupt what (fun () -> SE.restore_from ~pool ~file))
+    [
+      ("shards differ in window", shard ~window:24 ~buckets:3 ~epsilon:0.2);
+      ("shards differ in buckets", shard ~window:16 ~buckets:4 ~epsilon:0.2);
+      ("shards differ in epsilon", shard ~window:16 ~buckets:3 ~epsilon:0.3);
+    ]
+
+(* Every other checkpoint test round-trips within one build, so a layout
+   change made without a [Frame.format_version] bump would pass them all.
+   This pins the bytes of one fixed engine: any change to them must come
+   with a version bump and a new pin. *)
+let test_checkpoint_format_pinned () =
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains @@ fun pool ->
+      with_temp_file @@ fun file ->
+      let shards = 2 in
+      let eng = SE.create ~pool ~shards ~window:16 ~buckets:3 ~epsilon:0.2 in
+      SE.set_refresh_policy eng (Params.Every 3);
+      SE.ingest eng (mk_batch ~shards ~n:41 5);
+      SE.checkpoint eng ~file;
+      let image = P.read_file file in
+      let tag = Printf.sprintf "%d domains" domains in
+      Alcotest.(check int) ("checkpoint length, " ^ tag) 629 (String.length image);
+      Alcotest.(check int) ("checkpoint CRC-32, " ^ tag) 0x98965458 (Crc32.string image))
     domain_counts
 
 (* -------------------------------------------------- fault-injection matrix *)
@@ -485,31 +514,17 @@ let test_fault_mangling_matrix () =
   Alcotest.(check bool) "healed by clean checkpoint" true
     (engines_equal eng (SE.restore_from ~pool ~file))
 
-let test_fault_save_crash_keeps_old_snapshot () =
-  with_temp_file @@ fun file ->
-  let fw = FW.create ~window:12 ~buckets:2 ~epsilon:0.3 in
-  for i = 1 to 30 do
-    FW.push fw (Float.of_int (i mod 11))
-  done;
-  Snapshot.Fixed_window.save fw ~file;
-  let golden = P.read_file file in
-  FW.push fw 42.0;
-  Fault.arm Fault.Crash_before_rename;
-  expect_injected "crashing save" (fun () -> Snapshot.Fixed_window.save fw ~file);
-  Alcotest.(check string) "old snapshot intact" golden (P.read_file file);
-  let r = Snapshot.Fixed_window.load ~file in
-  Alcotest.(check int) "old state restored" 12 (FW.length r)
-
 let test_fault_disarm () =
   Fault.arm (Fault.Truncate_at 3);
   Fault.disarm ();
   Alcotest.(check (option reject)) "disarmed" None (Fault.armed ());
+  Pool.with_pool ~domains:1 @@ fun pool ->
   with_temp_file @@ fun file ->
-  let fw = FW.create ~window:4 ~buckets:2 ~epsilon:0.5 in
-  FW.push fw 1.0;
-  Snapshot.Fixed_window.save fw ~file;
+  let eng = SE.create ~pool ~shards:2 ~window:4 ~buckets:2 ~epsilon:0.5 in
+  SE.ingest eng [| (0, 1.0) |];
+  SE.checkpoint eng ~file;
   Alcotest.(check int) "write unaffected after disarm" 1
-    (FW.length (Snapshot.Fixed_window.load ~file))
+    (SE.total_points (SE.restore_from ~pool ~file))
 
 let () =
   Alcotest.run "sh_persist"
@@ -534,8 +549,6 @@ let () =
       ( "round_trip",
         [
           prop_fixed_window_round_trip;
-          prop_exact_window_round_trip;
-          prop_agglomerative_round_trip;
           Alcotest.test_case "cross-type rejected" `Quick test_cross_type_restore_rejected;
           Alcotest.test_case "save/load file" `Quick test_save_load_file;
         ] );
@@ -543,13 +556,15 @@ let () =
         [
           Alcotest.test_case "checkpoint/restore at 1,2,4 domains"
             `Quick test_engine_checkpoint_restore;
+          Alcotest.test_case "mixed shard geometry rejected" `Quick
+            test_mixed_geometry_rejected;
+          Alcotest.test_case "checkpoint format pinned" `Quick
+            test_checkpoint_format_pinned;
         ] );
       ( "faults",
         [
           Alcotest.test_case "crash matrix" `Quick test_fault_crash_matrix;
           Alcotest.test_case "mangling matrix" `Quick test_fault_mangling_matrix;
-          Alcotest.test_case "save crash keeps old file" `Quick
-            test_fault_save_crash_keeps_old_snapshot;
           Alcotest.test_case "disarm" `Quick test_fault_disarm;
         ] );
     ]
