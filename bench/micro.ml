@@ -287,6 +287,37 @@ let fw_alloc_stats ~pushes ~cold =
   done;
   (Gc.minor_words () -. w0) /. Float.of_int pushes
 
+(* ------------------------------------------ engine memory per shard
+
+   Words reachable from a Shard_engine (live summaries, published views,
+   ingest rings, telemetry handles, the pool) divided by its shard count,
+   once every shard's window is full and has had its first refresh.  A
+   deterministic count at fixed shapes — the two e2e workloads' engines —
+   so CI gates it against the committed budgets (ci.yml fails when a
+   measurement exceeds its budget by more than 25%).  Per-domain scratch
+   such as the HERROR memo table belongs to no shard and is not counted. *)
+let memory_shapes =
+  (* name, shards, window, buckets, epsilon, budget words/shard *)
+  [ ("wire-bound", 64, 512, 8, 0.5, 13_000); ("refresh-bound", 16, 1024, 8, 0.2, 29_000) ]
+
+let engine_words_per_shard ~shards ~window ~buckets ~epsilon =
+  let module Pool = Sh_par.Domain_pool in
+  let module SE = Sh_par.Shard_engine in
+  Pool.with_pool ~domains:1 (fun pool ->
+      let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon in
+      let data = Array.init shards (fun k -> network ~seed:(60 + k) ~len:window) in
+      (* batches of 64 points per shard stay within the default ring, so
+         no overflow buffer grows *)
+      let per = 64 in
+      for r = 0 to (window / per) - 1 do
+        SE.ingest eng
+          (Array.init (shards * per) (fun i ->
+               let k = i mod shards in
+               (k, data.(k).((r * per) + (i / shards)))))
+      done;
+      SE.refresh_all eng;
+      Obj.reachable_words (Obj.repr eng) / shards)
+
 let run_fw scale =
   Report.section "BENCH-MICRO-FW: cold vs warm fixed-window refresh";
   let quota, windows, counter_window, pushes =
@@ -356,6 +387,24 @@ let run_fw scale =
       [ "warm"; Report.fmt_g warm_words; Report.fmt_g budget_words_per_push ];
       [ "cold"; Report.fmt_g cold_words; "-" ];
     ];
+  (* snapshot the registry before the memory engines register their
+     series: it reports the experiments above *)
+  let registry = Report.registry_json () in
+  let memory =
+    List.map
+      (fun (name, shards, window, buckets, epsilon, budget) ->
+        (name, shards, window, buckets, epsilon, budget,
+         engine_words_per_shard ~shards ~window ~buckets ~epsilon))
+      memory_shapes
+  in
+  Report.note "engine words/shard after every shard's first refresh:";
+  Report.table
+    ~headers:[ "shape"; "S"; "n"; "B"; "eps"; "words/shard"; "budget" ]
+    (List.map
+       (fun (name, shards, window, buckets, epsilon, budget, words) ->
+         [ name; string_of_int shards; string_of_int window; string_of_int buckets;
+           Report.fmt_g epsilon; string_of_int words; string_of_int budget ])
+       memory);
   let bench_json =
     Report.Jlist
       (List.map
@@ -382,7 +431,7 @@ let run_fw scale =
        [
          ("bench_params", Report.Jobj [ ("buckets", Report.Jint buckets); ("epsilon", Report.Jfloat epsilon) ]);
          ("benchmarks", bench_json);
-         ("registry", Report.registry_json ());
+         ("registry", registry);
          ( "work_counters",
            Report.Jobj
              [
@@ -424,6 +473,21 @@ let run_fw scale =
                ("eval_ratio", Report.Jfloat eval_ratio);
                ("candidate_ratio", Report.Jfloat cand_ratio);
              ] );
+         ( "memory",
+           Report.Jobj
+             (List.map
+                (fun (name, shards, window, buckets, epsilon, budget, words) ->
+                  ( name,
+                    Report.Jobj
+                      [
+                        ("shards", Report.Jint shards);
+                        ("window", Report.Jint window);
+                        ("buckets", Report.Jint buckets);
+                        ("epsilon", Report.Jfloat epsilon);
+                        ("budget_words_per_shard", Report.Jint budget);
+                        ("words_per_shard", Report.Jint words);
+                      ] ))
+                memory) );
          ( "alloc",
            Report.Jobj
              [

@@ -419,8 +419,9 @@ let serve_cmd =
           ~doc:
             "Continuous evaluation: append one JSONL sample to $(docv) every \
              $(b,--record-every) batches — items ingested, ns/point, an exact-oracle SSE spot \
-             check on a rotating key, resident heap words, backpressure/steal/lock counters \
-             and the latency quantiles.")
+             check on a rotating key, the major heap's size in words (column \
+             $(i,resident_words): free space included, so neither RSS nor live data), \
+             backpressure/steal/lock counters and the latency quantiles.")
   in
   let record_every =
     Arg.(

@@ -311,6 +311,33 @@ let histogram sp lists s ~b =
   in
   Histogram.make ~n (Array.mapi bucket_of ends)
 
+(* --- the per-domain memo arena ----------------------------------------- *)
+
+(* The HERROR memo caches [eval] results under packed (k, x) keys for one
+   refresh generation of one summary: a deterministic function of that
+   summary's window and lists, so a hit can never change an answer.  It is
+   only needed while an entry point runs, and a domain runs one at a time,
+   so there is one table per domain rather than one per summary.  A summary
+   claims its domain's table under its owner stamp, taken fresh at every
+   rebuild from one process-wide counter (a stamp names one summary at one
+   generation on every domain); a claim under a different stamp than the
+   table's owner clears it in O(1).  A rebuild runs wholly on the domain
+   that started it, so the claim holds for all of its evaluations. *)
+type arena = {
+  table : Intmemo.t;
+  some_table : Intmemo.t option; (* [Some table], built once: wrapping it
+                                    per claim would allocate *)
+  mutable owner : int; (* stamp the table's entries belong to; 0: none *)
+}
+
+let arena_key =
+  Domain.DLS.new_key (fun () ->
+      let table = Intmemo.create () in
+      { table; some_table = Some table; owner = 0 })
+
+let stamps = Atomic.make 0
+let fresh_stamp () = 1 + Atomic.fetch_and_add stamps 1
+
 type t = {
   params : Params.t;
   sp : Sliding_prefix.t;
@@ -320,17 +347,14 @@ type t = {
      two arrays are swapped at every refresh instead of reallocating. *)
   mutable queues : Soa.t array;
   mutable prev_queues : Soa.t array;
-  (* Per-refresh HERROR memo: caches eval_herror results under packed
-     (k, x) int keys for the duration of one refresh generation, so
-     gallop/bisect searches never re-pay for a position another search of
-     the same rebuild (or a query against the same window) already
-     evaluated.  Owned by [t] — part of the reusable refresh arena. *)
-  memo : Intmemo.t;
-  some_memo : Intmemo.t option; (* [Some memo], built once: wrapping it
-                                   per evaluation would allocate *)
+  (* HERROR memo (see [arena]): gallop/bisect searches never re-pay for a
+     position another search of the same rebuild (or a query against the
+     same window) already evaluated. *)
   memo_stride : int; (* key = x * memo_stride + k, stride = buckets + 1 *)
-  mutable memo_on : bool;  (* master switch (set_memoisation)          *)
-  mutable use_memo : bool; (* consulted by eval_herror_into            *)
+  mutable memo_on : bool; (* master switch (set_memoisation) *)
+  mutable stamp : int;    (* owner stamp of the current generation *)
+  mutable claimed : Intmemo.t option; (* the domain's table while an entry
+                                         point that evaluates runs, else None *)
   scr : scratch; (* kernel out-params and pending step counts *)
   mutable bnd_c : int;       (* find_boundary boundary out-param  *)
   mutable gauge_len : int;   (* last length stored in g_length    *)
@@ -374,17 +398,15 @@ let mk ~params ~sp =
   let buckets = params.Params.buckets in
   let labels = [ ("instance", Obs.instance "fw") ] in
   let c name = Obs.counter ~labels name in
-  let memo = Intmemo.create () in
   {
     params;
     sp;
     queues = Array.init (max 1 (buckets - 1)) (fun _ -> new_list ());
     prev_queues = Array.init (max 1 (buckets - 1)) (fun _ -> new_list ());
-    memo;
-    some_memo = Some memo;
     memo_stride = buckets + 1;
     memo_on = true;
-    use_memo = true;
+    stamp = fresh_stamp ();
+    claimed = None;
     scr = new_scratch ~levels:(buckets + 1);
     bnd_c = 0;
     gauge_len = -1;
@@ -434,9 +456,7 @@ let slide_since_refresh t = t.slide
 let needs_refresh t = t.dirty
 let memoisation t = t.memo_on
 
-let set_memoisation t on =
-  t.memo_on <- on;
-  t.use_memo <- on
+let set_memoisation t on = t.memo_on <- on
 
 let set_refresh_policy t policy =
   (* Reuse the Params validation (rejects [Every k] with k < 1). *)
@@ -471,9 +491,7 @@ let charge_scan t =
    with fw.memo_probes / fw.memo_hits recording the dedup separately. *)
 let eval_herror_into t ~k ~x =
   count_eval t;
-  eval t.sp t.queues t.scr
-    (if t.use_memo then t.some_memo else None)
-    ~stride:t.memo_stride ~k ~x;
+  eval t.sp t.queues t.scr t.claimed ~stride:t.memo_stride ~k ~x;
   (match t.scr.probe with
    | Unprobed -> ()
    | Miss -> M.incr t.c_memo_probes
@@ -481,6 +499,19 @@ let eval_herror_into t ~k ~x =
      M.incr t.c_memo_probes;
      M.incr t.c_memo_hits);
   charge_scan t
+
+(* Point [claimed] at the calling domain's memo table ([on]) or at none,
+   clearing the table first if another stamp owns it. *)
+let claim t ~on =
+  if on then begin
+    let a = Domain.DLS.get arena_key in
+    if a.owner <> t.stamp then begin
+      Intmemo.next_generation a.table;
+      a.owner <- t.stamp
+    end;
+    t.claimed <- a.some_table
+  end
+  else t.claimed <- None
 
 (* Largest c in [start, hi] with HERROR[c, k] <= threshold; writes c to
    [bnd_c] and its herror to [fs.(fs_bnd)].  The float inputs arrive via
@@ -643,15 +674,16 @@ let create_list t ~k ~warm =
     end
   done
 
-let do_refresh t ~warm =
+let do_refresh t ~warm ~memo =
   (* Swap buffers: the lists of the last refresh become the warm-start
      hints, their buffers the target of this rebuild. *)
   let tmp = t.queues in
   t.queues <- t.prev_queues;
   t.prev_queues <- tmp;
-  (* O(1) memo clear: a new generation invalidates every cached HERROR
-     without touching the arena. *)
-  Intmemo.next_generation t.memo;
+  (* A new stamp invalidates every HERROR cached for the old lists: the
+     claim clears the domain's table in O(1). *)
+  t.stamp <- fresh_stamp ();
+  claim t ~on:memo;
   t.mode <- (if warm then Warm_rebuild else Cold_rebuild);
   (* A cold rebuild is the unassisted reference: no scan seeds either. *)
   t.scr.seeding <- warm;
@@ -661,6 +693,7 @@ let do_refresh t ~warm =
       create_list t ~k ~warm
     done;
   t.scr.seeding <- true;
+  t.claimed <- None;
   t.mode <- Query;
   t.dirty <- false;
   t.slide <- 0;
@@ -672,7 +705,7 @@ let do_refresh t ~warm =
 let refresh ?(cold = false) ?memo t =
   if t.dirty then begin
     let warm = not cold in
-    t.use_memo <- (match memo with None -> t.memo_on | Some m -> m);
+    let memo = Option.value memo ~default:t.memo_on in
     if Obs.enabled () then begin
       (* fw.alloc_words_per_push: minor-heap words this rebuild cost per
          pending arrival.  Only maintained while telemetry is collecting —
@@ -680,13 +713,10 @@ let refresh ?(cold = false) ?memo t =
          steady state must not pay unconditionally. *)
       let pushes = Float.of_int (max 1 t.pushes_since_refresh) in
       let w0 = Gc.minor_words () in
-      Obs.with_span "fw.refresh" (fun () -> do_refresh t ~warm);
+      Obs.with_span "fw.refresh" (fun () -> do_refresh t ~warm ~memo);
       M.set t.g_alloc ((Gc.minor_words () -. w0) /. pushes)
     end
-    else do_refresh t ~warm;
-    (* Queries against the unchanged window may keep hitting this
-       generation's memo (values stay valid until the next rebuild). *)
-    t.use_memo <- t.memo_on
+    else do_refresh t ~warm ~memo
   end
 
 (* One arrival into the sliding prefix; [slide] counts every eviction. *)
@@ -750,10 +780,18 @@ let push_and_refresh t v =
   push t v;
   refresh t
 
+(* A live read of HERROR[x, k].  Until the next rebuild it keeps the
+   stamp, so it hits what the rebuild (or an earlier read) cached — unless
+   another summary claimed this domain's table in between. *)
+let eval_live t ~k ~x =
+  claim t ~on:t.memo_on;
+  eval_herror_into t ~k ~x;
+  t.claimed <- None;
+  t.scr.fs.(fs_eval)
+
 let current_error t =
   refresh t;
-  eval_herror_into t ~k:(buckets t) ~x:(length t);
-  t.scr.fs.(fs_eval)
+  eval_live t ~k:(buckets t) ~x:(length t)
 
 (* The [herror] domain, shared by the live summary and its views. *)
 let check_herror ~b ~n ~k ~x =
@@ -763,8 +801,7 @@ let check_herror ~b ~n ~k ~x =
 let herror t ~k ~x =
   check_herror ~b:(buckets t) ~n:(length t) ~k ~x;
   refresh t;
-  eval_herror_into t ~k ~x;
-  t.scr.fs.(fs_eval)
+  eval_live t ~k ~x
 
 (* Each argmin scan of the boundary recursion is one fw.herror_evals (the
    memo caches only values, not argmins, so the scans always run). *)
@@ -849,11 +886,10 @@ module View = struct
     | Some h -> h
     | None -> invalid_arg "Fixed_window.current_histogram: empty window"
 
-  (* [?memo] is the caller's table, keyed like the live memo. *)
-  let herror ?memo v ~k ~x =
+  let herror v ~k ~x =
     check_herror ~b:v.b ~n:(length v) ~k ~x;
     let s = new_scratch ~levels:0 in
-    eval v.sp v.lists s memo ~stride:(v.b + 1) ~k ~x;
+    eval v.sp v.lists s None ~stride:(v.b + 1) ~k ~x;
     s.fs.(fs_eval)
 end
 
@@ -878,7 +914,7 @@ let summary_tag = Char.code 'F'
    sliding prefix sums (Theorem 1's point — the interval lists are a
    deterministic function of the window, so [decode] rebuilds them with
    one refresh and the restored summary is indistinguishable from one
-   that never stopped).  Derived scratch (queues, memo, fs) and telemetry counters are
+   that never stopped).  Derived scratch (queues, fs) and telemetry counters are
    deliberately not persisted: counters restart at zero in the fresh
    process, like every other series in the registry. *)
 let encode buf t =

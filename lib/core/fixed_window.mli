@@ -47,10 +47,14 @@
 
     The hot path is (amortised) allocation-free: interval lists live in
     struct-of-arrays stores ({!Sh_util.Soa}) rather than boxed-record
-    vectors, rebuild scratch (double buffers, memo table, float out-param
-    slots) is owned by [t] and reused across refreshes, and HERROR
-    evaluations are deduplicated through a per-refresh memo table
-    ({!Sh_util.Intmemo}) cleared in O(1) by generation stamp.  Once the
+    vectors, rebuild scratch (double buffers, float out-param slots) is
+    owned by [t] and reused across refreshes, and HERROR evaluations are
+    deduplicated through a memo table ({!Sh_util.Intmemo}).  The table is
+    one per domain, not one per summary: a rebuild takes a fresh owner
+    stamp and claims its domain's table, clearing it in O(1) when another
+    stamp owned it, and {!herror} / {!current_error} claim it the same
+    way, so they hit what the rebuild cached unless another summary's
+    rebuild ran on that domain in between.  Once the
     backing arrays reach steady capacity, a push + warm refresh allocates
     ~zero minor-heap words (pinned by the allocation-budget test; see
     DESIGN.md section 10).  [refresh ~memo:false] disables the memo for
@@ -125,11 +129,15 @@ val refresh : ?cold:bool -> ?memo:bool -> t -> unit
     summary's first refresh, which has no previous lists).  [~memo] overrides the
     {!set_memoisation} setting for this one rebuild: [~memo:false] is the
     second oracle, re-evaluating every HERROR probe so step counters match
-    the pre-memo kernel exactly. *)
+    the pre-memo kernel exactly.  A memoised rebuild borrows the calling
+    domain's memo table for its duration and runs wholly on that domain. *)
 
 val set_memoisation : t -> bool -> unit
-(** Enable / disable the per-refresh HERROR memo (default on).  Purely a
-    performance toggle: results are bit-identical either way. *)
+(** Enable / disable HERROR memoisation (default on) for this summary's
+    rebuilds and live {!herror} / {!current_error} reads.  The memo table
+    itself belongs to the calling domain, not to the summary (see the
+    allocation-free kernel notes above).  Purely a performance toggle:
+    results are bit-identical either way. *)
 
 val memoisation : t -> bool
 (** Current {!set_memoisation} setting. *)
@@ -194,14 +202,11 @@ module View : sig
   val histogram : t -> Sh_histogram.Histogram.t option
   (** {!current_histogram} without the exception: [None] iff empty. *)
 
-  val herror : ?memo:Sh_util.Intmemo.t -> t -> k:int -> x:int -> float
+  val herror : t -> k:int -> x:int -> float
   (** Approximate HERROR\[x, k\] evaluated against the view's arrays; same
       domain ([1 <= k <= buckets], [0 <= x <= length]) and same answers as
-      the live {!Fixed_window.herror} at the view's generation.  [?memo]
-      caches answers across calls under the live memo's packed keys; the
-      table must be private to the calling domain, used with views of one
-      summary only, and cleared ({!Sh_util.Intmemo.next_generation}) when
-      switching to a view with a different {!generation}. *)
+      the live {!Fixed_window.herror} at the view's generation.  Each call
+      runs the candidate scan: views carry no memo table. *)
 end
 
 val view : t -> View.t

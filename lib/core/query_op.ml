@@ -34,14 +34,14 @@ let eval_hist h ~n q =
     if index < 1 || index > n then 0.0 else Histogram.point_estimate h index
   | Current_error | Window_length | Herror _ -> assert false
 
-let eval_view ?memo v q =
+let eval_view v q =
   let module V = Fixed_window.View in
   match q with
   | Current_error -> V.current_error v
   | Window_length -> Float.of_int (V.length v)
   | Herror { k; x } ->
     let k, x = clamp_herror ~b:(V.buckets v) ~n:(V.length v) ~k ~x in
-    V.herror ?memo v ~k ~x
+    V.herror v ~k ~x
   | (Range_sum _ | Point_estimate _) as q -> (
     match V.histogram v with
     | None -> 0.0

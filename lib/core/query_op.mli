@@ -38,12 +38,10 @@ type scope =
 
 val to_string : t -> string
 
-val eval_view :
-  ?memo:Sh_util.Intmemo.t -> Fixed_window.View.t -> t -> float
+val eval_view : Fixed_window.View.t -> t -> float
 (** Answer one query against a published fixed-window view under the
-    clamping contract above.  [?memo] amortises repeated [Herror] probes
-    against the same view (see {!Fixed_window.View.herror}); it never
-    changes answers. *)
+    clamping contract above.  [Herror] runs the view's candidate scan
+    (see {!Fixed_window.View.herror}). *)
 
 (** {2 Codec}
 

@@ -1,6 +1,5 @@
 module FW = Stream_histogram.Fixed_window
 module Q = Stream_histogram.Query_op
-module Intmemo = Sh_util.Intmemo
 module Obs = Sh_obs.Obs
 module M = Sh_obs.Metric
 module L = Sh_obs.Latency
@@ -59,10 +58,6 @@ type t = {
      summary or the owner's cache lines. *)
   views : FW.View.t Atomic.t array;
   publish : int -> unit; (* owner-side: republish shard k if stale *)
-  (* Per-domain, per-shard HERROR memo for view-side reads, stamped with
-     the view generation it was filled against (reader-private: a memo
-     inside the shared view itself would be a cross-domain data race). *)
-  reader_memos : (Intmemo.t array * int array) Domain.DLS.key;
   c_points : M.counter;
   c_batches : M.counter;
   c_refreshes : M.counter;
@@ -222,9 +217,6 @@ let build ~ring_capacity ~pool shard_arr =
     cold_sweep = Array.init owners (sweep_task ~cold:true);
     views;
     publish;
-    reader_memos =
-      Domain.DLS.new_key (fun () ->
-          (Array.init shards (fun _ -> Intmemo.create ()), Array.make shards (-1)));
     c_points = Obs.counter ~labels "engine.points";
     c_batches = Obs.counter ~labels "engine.batches";
     c_refreshes = Obs.counter ~labels "engine.refresh_sweeps";
@@ -395,17 +387,6 @@ let publication_lag t ~key =
   in
   if lag < 0 then 0 else lag
 
-(* The calling domain's memo for view-side HERROR reads against shard
-   [key], invalidated (O(1)) whenever the published generation moved. *)
-let reader_memo t key v =
-  let memos, gens = Domain.DLS.get t.reader_memos in
-  let g = FW.View.generation v in
-  if gens.(key) <> g then begin
-    Intmemo.next_generation memos.(key);
-    gens.(key) <- g
-  end;
-  memos.(key)
-
 (* Estimation queries feed the "latency.query" tracker; the timers are
    hand-rolled like the task timers so the disabled path costs one boolean
    load and no closure beyond the continuation.  Every query answers from
@@ -429,7 +410,7 @@ let current_histogram t ~key =
 
 let herror t ~key ~k ~x =
   M.incr t.c_queries;
-  view_query t key (fun v -> FW.View.herror ~memo:(reader_memo t key v) v ~k ~x)
+  view_query t key (fun v -> FW.View.herror v ~k ~x)
 
 let with_key t ~key ~f = with_shard t key f
 
@@ -442,8 +423,7 @@ let with_key t ~key ~f = with_shard t key f
 let eval_global t q =
   let acc = ref 0.0 in
   for key = 0 to Array.length t.shards - 1 do
-    let v = Atomic.get t.views.(key) in
-    acc := !acc +. Q.eval_view ~memo:(reader_memo t key v) v q
+    acc := !acc +. Q.eval_view (Atomic.get t.views.(key)) q
   done;
   !acc
 
@@ -457,8 +437,7 @@ let query_many t qs =
         (match scope with
         | Q.Key key ->
           check_key t key;
-          let v = Atomic.get t.views.(key) in
-          Q.eval_view ~memo:(reader_memo t key v) v q
+          Q.eval_view (Atomic.get t.views.(key)) q
         | Q.Global -> eval_global t q))
     qs;
   M.add t.c_queries (Array.length qs);

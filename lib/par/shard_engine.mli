@@ -170,8 +170,8 @@ val query_many :
   float array
 (** Answer a batch of scoped queries, one float per element.  A
     [Key key] element is a wait-free view load + one
-    {!Stream_histogram.Query_op.eval_view} (with a per-domain HERROR memo
-    amortising repeated [Herror] probes against the same view); raises
+    {!Stream_histogram.Query_op.eval_view}, memo-free (an [Herror]
+    element runs its candidate scan every time); raises
     [Invalid_argument] on an out-of-range key.  A [Global] element is
     answered inline as {!query_global}.  Counted in ["engine.queries"]
     per element and timed as one ["latency.query"] observation. *)

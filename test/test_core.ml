@@ -690,13 +690,10 @@ let test_fw_held_view_keeps_answers () =
          (List.map bits (Array.to_list (H.to_series f)))
          (List.map bits (Array.to_list (H.to_series h)))
      | _ -> Alcotest.fail (what ^ ": histogram presence differs"));
-    let memo = Sh_util.Intmemo.create () in
     for k = 1 to buckets do
       for x = 0 to n do
-        let expect = FW.View.herror fresh ~k ~x in
-        check_bits (Printf.sprintf "herror k=%d x=%d" k x) expect (FW.View.herror held ~k ~x);
-        check_bits (Printf.sprintf "memo herror k=%d x=%d" k x) expect
-          (FW.View.herror ~memo held ~k ~x)
+        check_bits (Printf.sprintf "herror k=%d x=%d" k x) (FW.View.herror fresh ~k ~x)
+          (FW.View.herror held ~k ~x)
       done
     done
   in
@@ -720,6 +717,73 @@ let test_fw_held_view_keeps_answers () =
       drive twin ~upto:cut ~on_cut:(fun _ _ -> ());
       same_view (Printf.sprintf "cut at %d" cut) view (FW.view twin))
     !held
+
+(* The HERROR memo table is one per domain, shared by every summary on
+   it.  Three summaries of different geometry (n, B, eps) push and refresh
+   in interleaved order, and between one summary's rebuild and the next
+   every HERROR[x, k], the current error and the histogram of another are
+   read live — each read claims the table from the summary that last
+   used it.  All must match memo-off twins bit for bit. *)
+let test_fw_shared_memo_arena () =
+  let geoms = [| (24, 4, 0.2); (40, 6, 0.5); (17, 3, 0.1) |] in
+  let mk memo (window, buckets, epsilon) =
+    let fw = FW.create ~window ~buckets ~epsilon in
+    FW.set_refresh_policy fw (Stream_histogram.Params.Every 3);
+    FW.set_memoisation fw memo;
+    fw
+  in
+  let live = Array.map (mk true) geoms and twin = Array.map (mk false) geoms in
+  let bits = Int64.bits_of_float in
+  let compare_all step j =
+    let fw = live.(j) and tw = twin.(j) in
+    let what s = Printf.sprintf "step %d summary %d: %s" step j s in
+    let same s expect got = Alcotest.(check int64) (what s) (bits expect) (bits got) in
+    same "current_error" (FW.current_error tw) (FW.current_error fw);
+    for k = 1 to FW.buckets fw do
+      for x = 0 to FW.length fw do
+        same (Printf.sprintf "herror k=%d x=%d" k x) (FW.herror tw ~k ~x) (FW.herror fw ~k ~x)
+      done
+    done;
+    if FW.length fw > 0 then
+      Alcotest.(check (list int64)) (what "histogram")
+        (List.map bits (Array.to_list (H.to_series (FW.current_histogram tw))))
+        (List.map bits (Array.to_list (H.to_series (FW.current_histogram fw))))
+  in
+  for step = 0 to 239 do
+    let i = step mod 3 in
+    let v = Float.of_int (((step * 37) + (i * 11)) mod 97) -. 40.0 in
+    FW.push live.(i) v;
+    FW.push twin.(i) v;
+    if step mod 2 = 0 then begin
+      FW.refresh live.(i);
+      FW.refresh twin.(i)
+    end;
+    compare_all step ((i + 1) mod 3)
+  done;
+  (* A lone summary claims the table only from itself, so its memo
+     outcomes are those of a summary that owns its table: these values
+     were recorded when every summary had one (network seed 9, 400
+     arrivals, a live herror and current_error every fifth push). *)
+  let data =
+    Sh_gen.Source.take
+      (Sh_gen.Workloads.network (Sh_util.Rng.create ~seed:9) Sh_gen.Workloads.default_network)
+      400
+  in
+  let fw = FW.create ~window:64 ~buckets:6 ~epsilon:0.25 in
+  FW.set_refresh_policy fw (Stream_histogram.Params.Every 7);
+  Array.iteri
+    (fun i v ->
+      FW.push fw v;
+      if i mod 5 = 0 then begin
+        ignore (FW.herror fw ~k:(1 + (i mod 6)) ~x:((FW.length fw + 1) / 2));
+        ignore (FW.current_error fw)
+      end)
+    data;
+  ignore (FW.current_histogram fw);
+  let c = FW.work_counters fw in
+  Alcotest.(check (list int)) "lone summary: evaluations, memo probes, memo hits"
+    [ 37770; 29369; 12923 ]
+    [ c.FW.herror_evaluations; c.FW.memo_probes; c.FW.memo_hits ]
 
 (* Golden answers, recorded as hex floats before the candidate scan began
    reading SQERROR straight off the prefix ring, from a seeded stream of
@@ -1067,6 +1131,7 @@ let () =
           Alcotest.test_case "push allocation budget" `Quick test_fw_push_alloc_budget;
           Alcotest.test_case "interval bound" `Quick test_fw_interval_count_bound;
           Alcotest.test_case "held view keeps its answers" `Quick test_fw_held_view_keeps_answers;
+          Alcotest.test_case "memo table shared per domain" `Quick test_fw_shared_memo_arena;
           Alcotest.test_case "golden answers" `Quick test_fw_golden_answers;
           Alcotest.test_case "first refresh golden" `Quick test_fw_first_refresh_golden;
           prop_fw_guarantee;

@@ -523,6 +523,64 @@ let test_work_stealing_sweep_exactly_once () =
           Alcotest.(check bool) "steal counter is sane" true (SE.refresh_steals eng >= 0)))
     domain_counts
 
+(* A rebuild borrows the HERROR memo table of the domain it runs on,
+   stolen sweeps included, and a live read claims the calling domain's.
+   Shard 0 gets most points and noisy values, the rest constant ones, so
+   its owner is still rebuilding it while the others run out of work and
+   steal (the scheduler decides how often, so that is not asserted).
+   After every sweep each shard must answer bit for bit like a memo-off
+   sequential summary, live and through its published view. *)
+let test_stolen_sweeps_match_memo_off () =
+  let shards = 8 and window = 48 and buckets = 4 and epsilon = 0.2 in
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon in
+          SE.set_refresh_policy eng Params.Lazy;
+          let refs =
+            Array.init shards (fun _ ->
+                let fw = FW.create ~window ~buckets ~epsilon in
+                FW.set_refresh_policy fw Params.Lazy;
+                FW.set_memoisation fw false;
+                fw)
+          in
+          for round = 0 to 5 do
+            let batch =
+              Array.init 240 (fun i ->
+                  if i < 160 then (0, Float.of_int (((round * 240) + i) * 53 mod 211))
+                  else (i mod shards, Float.of_int (i mod shards)))
+            in
+            SE.ingest eng batch;
+            Array.iter (fun (k, v) -> FW.push refs.(k) v) batch;
+            SE.refresh_all eng;
+            Array.iteri
+              (fun key fw ->
+                let ok = ref true in
+                let same a b =
+                  if Int64.bits_of_float a <> Int64.bits_of_float b then ok := false
+                in
+                let live f = SE.with_key eng ~key ~f in
+                let expect = FW.current_error fw in
+                same expect (live FW.current_error);
+                same expect (SE.current_error eng ~key);
+                for k = 1 to buckets do
+                  for x = 0 to FW.length fw do
+                    let expect = FW.herror fw ~k ~x in
+                    same expect (live (fun s -> FW.herror s ~k ~x));
+                    same expect (SE.herror eng ~key ~k ~x)
+                  done
+                done;
+                let series h = List.map Int64.bits_of_float (Array.to_list (H.to_series h)) in
+                let expect = series (FW.current_histogram fw) in
+                if series (live FW.current_histogram) <> expect then ok := false;
+                if series (SE.current_histogram eng ~key) <> expect then ok := false;
+                Alcotest.(check bool)
+                  (Printf.sprintf "%d domains, round %d, shard %d: bit-identical" domains round key)
+                  true !ok)
+              refs
+          done))
+    domain_counts
+
 (* ------------------------------------------------ wait-free read plane *)
 
 (* The read plane's central claim: a published snapshot answers
@@ -799,6 +857,8 @@ let () =
             test_backpressure_no_point_dropped;
           Alcotest.test_case "work-stealing sweep exactly once" `Quick
             test_work_stealing_sweep_exactly_once;
+          Alcotest.test_case "stolen sweeps == memo-off oracle" `Quick
+            test_stolen_sweeps_match_memo_off;
         ] );
       ( "read_plane",
         [
