@@ -1129,7 +1129,7 @@ let run_net scale =
       Domain.spawn (fun () ->
           Pool.with_pool ~domains:1 (fun pool ->
               let eng = fresh_engine pool in
-              Net_server.run ~engine:eng ~listeners:[ listener ] ()))
+              Net_server.run ~backend:(Net_server.engine eng) ~listeners:[ listener ] ()))
     in
     let cs = Array.init conns (fun _ -> Net_client.connect ~timeout:60. ~retries:50 addr) in
     let rtt = Gk.create ~epsilon:0.001 in

@@ -113,6 +113,44 @@ let policy_conv =
   in
   Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Stream_histogram.Params.policy_to_string p))
 
+(* ------------------------------------------------------ wire serving *)
+
+let addr_conv =
+  let parse s =
+    match Addr.of_string s with Ok a -> Ok a | Error msg -> Error (`Msg msg)
+  in
+  Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (Addr.to_string a))
+
+(* Bind every address, serve [backend] until the loop ends, then close the
+   listeners, unlink their socket files and print the two [net:] report
+   lines.  Returns the loop's report and the seconds it served. *)
+let serve_wire ~config ?max_points ~backend addrs =
+  let listeners =
+    List.map
+      (fun a ->
+        let fd = Net_server.listen a in
+        Printf.printf "listening on %s\n%!" (Addr.to_string a);
+        fd)
+      addrs
+  in
+  let t0 = Unix.gettimeofday () in
+  let rep = Net_server.run ~config ?max_points ~backend ~listeners () in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) listeners;
+  List.iter
+    (function
+      | Addr.Unix_sock p -> ( try Unix.unlink p with Sys_error _ | Unix.Unix_error _ -> ())
+      | Addr.Tcp _ -> ())
+    addrs;
+  Printf.printf
+    "net: %d connection(s), %d frame(s) in, %d out, %d protocol error(s), %d idle close(s)\n"
+    rep.Net_server.connections rep.Net_server.frames_in rep.Net_server.frames_out
+    rep.Net_server.protocol_errors rep.Net_server.idle_closes;
+  Printf.printf "net: %d bytes in, %d bytes out, %d ingest round(s), %d backpressure stall(s)\n"
+    rep.Net_server.bytes_in rep.Net_server.bytes_out rep.Net_server.ingest_rounds
+    rep.Net_server.backpressure_stalls;
+  (rep, elapsed)
+
 (* --------------------------------------------------------- generate *)
 
 let generate_cmd =
@@ -448,12 +486,6 @@ let serve_cmd =
              mutex acquisitions, witnessed by the end-of-run $(b,query_lock_ops=0) — and the \
              report counts queries served, throughput and snapshot generation lag.")
   in
-  let addr_conv =
-    let parse s =
-      match Addr.of_string s with Ok a -> Ok a | Error msg -> Error (`Msg msg)
-    in
-    Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (Addr.to_string a))
-  in
   let listen =
     Arg.(
       value
@@ -522,42 +554,10 @@ let serve_cmd =
     let shards = SE.shard_count eng in
     if listen <> [] then begin
       (* ---- network mode: clients drive ingest and queries ------------- *)
-      let listeners =
-        List.map
-          (fun a ->
-            let fd = Net_server.listen a in
-            Printf.printf "listening on %s\n%!" (Addr.to_string a);
-            fd)
-          listen
+      let config = { Net_server.idle_timeout; checkpoint = checkpoint_file; checkpoint_every } in
+      let rep, elapsed =
+        serve_wire ~config ?max_points ~backend:(Net_server.engine eng) listen
       in
-      let config =
-        {
-          Net_server.default_config with
-          idle_timeout;
-          checkpoint = checkpoint_file;
-          checkpoint_every;
-        }
-      in
-      let t0 = Unix.gettimeofday () in
-      let rep = Net_server.run ~config ?max_points ~engine:eng ~listeners () in
-      List.iter
-        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-        listeners;
-      List.iter
-        (function
-          | Addr.Unix_sock p -> ( try Unix.unlink p with Sys_error _ | Unix.Unix_error _ -> ())
-          | Addr.Tcp _ -> ())
-        listen;
-      let elapsed = Unix.gettimeofday () -. t0 in
-      Printf.printf
-        "net: %d connection(s), %d frame(s) in, %d out, %d protocol error(s), %d idle \
-         close(s)\n"
-        rep.Net_server.connections rep.Net_server.frames_in rep.Net_server.frames_out
-        rep.Net_server.protocol_errors rep.Net_server.idle_closes;
-      Printf.printf
-        "net: %d bytes in, %d bytes out, %d ingest round(s), %d backpressure stall(s)\n"
-        rep.Net_server.bytes_in rep.Net_server.bytes_out rep.Net_server.ingest_rounds
-        rep.Net_server.backpressure_stalls;
       (match checkpoint_file with
        | Some file when rep.Net_server.checkpoints_written > 0 ->
          Printf.printf "checkpoint: wrote %s (%d write(s))\n" file
@@ -854,12 +854,6 @@ let serve_cmd =
 
 let loadgen_cmd =
   let connect =
-    let addr_conv =
-      let parse s =
-        match Addr.of_string s with Ok a -> Ok a | Error msg -> Error (`Msg msg)
-      in
-      Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (Addr.to_string a))
-    in
     Arg.(
       required
       & opt (some addr_conv) None
@@ -1161,12 +1155,6 @@ let loadgen_cmd =
 
 (* -------------------------------------------------------- aggregate *)
 
-let addr_conv =
-  let parse s =
-    match Addr.of_string s with Ok a -> Ok a | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (Addr.to_string a))
-
 let aggregate_cmd =
   let connect =
     Arg.(
@@ -1205,36 +1193,14 @@ let aggregate_cmd =
     Printf.printf "aggregate: %d leaves, %d shards total (window %d, buckets %d)\n%!"
       (Aggregator.leaf_count agg) (Aggregator.total_shards agg) (Aggregator.window agg)
       (Aggregator.buckets agg);
-    let listeners =
-      List.map
-        (fun a ->
-          let fd = Net_server.listen a in
-          Printf.printf "listening on %s\n%!" (Addr.to_string a);
-          fd)
-        listen
-    in
-    let t0 = Unix.gettimeofday () in
-    let rep = Aggregator.run ~idle_timeout ~listeners agg () in
-    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) listeners;
-    List.iter
-      (function
-        | Addr.Unix_sock p -> ( try Unix.unlink p with Sys_error _ | Unix.Unix_error _ -> ())
-        | Addr.Tcp _ -> ())
-      listen;
+    let config = { Net_server.default_config with idle_timeout } in
+    let rep, elapsed = serve_wire ~config ~backend:(Aggregator.backend agg) listen in
     Aggregator.close agg;
-    let elapsed = Unix.gettimeofday () -. t0 in
-    Printf.printf
-      "net: %d connection(s), %d frame(s) in, %d out, %d protocol error(s), %d idle close(s)\n"
-      rep.Aggregator.connections rep.Aggregator.frames_in rep.Aggregator.frames_out
-      rep.Aggregator.protocol_errors rep.Aggregator.idle_closes;
-    Printf.printf "net: %d bytes in, %d bytes out\n" rep.Aggregator.bytes_in
-      rep.Aggregator.bytes_out;
     Printf.printf
       "aggregate: %d point(s) forwarded, %d query element(s), %d partial (degraded) replies\n"
-      rep.Aggregator.points_forwarded rep.Aggregator.queries_served
-      rep.Aggregator.partial_replies;
+      rep.Net_server.points rep.Net_server.queries_served rep.Net_server.partial_replies;
     Printf.printf "elapsed %.3fs  throughput %.0f points/s\n" elapsed
-      (Float.of_int rep.Aggregator.points_forwarded /. Float.max elapsed 1e-9)
+      (Float.of_int rep.Net_server.points /. Float.max elapsed 1e-9)
   in
   Cmd.v
     (Cmd.info "aggregate"

@@ -2,7 +2,7 @@ module Codec = Sh_persist.Codec
 module Q = Stream_histogram.Query_op
 module Wire = Sh_net.Wire
 module Client = Sh_net.Client
-module Conn = Sh_net.Conn
+module Server = Sh_net.Server
 module Addr = Sh_net.Addr
 module Obs = Sh_obs.Obs
 module M = Sh_obs.Metric
@@ -313,234 +313,14 @@ let stats t =
     t.leaves;
   (!acc, !missing)
 
-(* --- the root serve loop --------------------------------------------- *)
-
-type report = {
-  connections : int;
-  frames_in : int;
-  frames_out : int;
-  bytes_in : int;
-  bytes_out : int;
-  points_forwarded : int;
-  queries_served : int;
-  partial_replies : int;
-  protocol_errors : int;
-  idle_closes : int;
-}
-
-type client_conn = {
-  conn : Conn.t;
-  mutable preamble_ok : bool;
-  mutable close_after_flush : bool;
-}
-
-let keys_ok t arr =
-  Array.for_all (fun (k, _) -> k >= 0 && k < t.total_shards) arr
-
-let scopes_ok t qs =
-  Array.for_all
-    (fun (scope, _) ->
-      match scope with
-      | Q.Key k -> k >= 0 && k < t.total_shards
-      | Q.Global -> true)
-    qs
-
-(* Same select/accept/flush skeleton as {!Sh_net.Server.run}, minus the
-   cross-connection ingest coalescing (the aggregator holds no engine):
-   each request is answered inline by a blocking fan-out to the leaves,
-   bounded by the aggregator timeout per leaf touch.  Degradation is in
-   the reply, never the transport: a down leaf yields a partial ack or an
-   [Answers_partial] frame, and the loop keeps serving. *)
-let run ?(idle_timeout = 30.0) ?(stop = fun () -> false) ~listeners t () =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  let r_connections = ref 0 in
-  let r_frames_in = ref 0 in
-  let r_frames_out = ref 0 in
-  let r_bytes_in = ref 0 in
-  let r_bytes_out = ref 0 in
-  let r_points = ref 0 in
-  let r_queries = ref 0 in
-  let r_partial = ref 0 in
-  let r_proto_errors = ref 0 in
-  let r_idle_closes = ref 0 in
-  let clients = ref ([] : client_conn list) in
-  let finishing = ref false in
-  let send cl resp =
-    Conn.send cl.conn (Wire.encode_response resp);
-    incr r_frames_out
-  in
-  let protocol_error cl msg =
-    incr r_proto_errors;
-    send cl (Wire.Error_reply msg);
-    cl.close_after_flush <- true
-  in
-  let handle cl req =
-    match req with
-    | Wire.Ingest gs ->
-      if not (keys_ok t gs) then
-        send cl
-          (Wire.Error_reply
-             (Printf.sprintf "key out of range [0, %d)" t.total_shards))
-      else begin
-        let acked, _missing = ingest t gs in
-        r_points := !r_points + acked;
-        send cl (Wire.Ack acked)
-      end
-    | Wire.Query qs ->
-      if not (scopes_ok t qs) then
-        send cl
-          (Wire.Error_reply
-             (Printf.sprintf "key out of range [0, %d)" t.total_shards))
-      else begin
-        let answers, leaves_missing = query t qs in
-        r_queries := !r_queries + Array.length qs;
-        if leaves_missing = 0 then send cl (Wire.Answers answers)
-        else begin
-          incr r_partial;
-          send cl (Wire.Answers_partial { answers; leaves_missing })
-        end
-      end
-    | Wire.Stats ->
-      let s, _missing = stats t in
-      send cl (Wire.Stats_reply s)
-    | Wire.Metrics -> send cl (Wire.Metrics_reply (Obs.render Obs.Prom))
-    | Wire.Checkpoint ->
-      send cl (Wire.Error_reply "aggregator holds no state to checkpoint")
-    | Wire.Ping -> send cl Wire.Pong
-    | Wire.Shutdown ->
-      finishing := true;
-      send cl Wire.Shutting_down
-  in
-  let accept_all lfd =
-    let continue = ref true in
-    while !continue do
-      match Unix.accept lfd with
-      | fd, _ ->
-        let cl =
-          { conn = Conn.create fd; preamble_ok = false; close_after_flush = false }
-        in
-        Conn.send cl.conn Wire.preamble;
-        incr r_connections;
-        clients := cl :: !clients
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-        continue := false
-    done
-  in
-  let drain_client cl =
-    try
-      if not cl.preamble_ok then begin
-        match Conn.peek cl.conn Wire.preamble_len with
-        | None -> ()
-        | Some s ->
-          Wire.check_preamble s;
-          Conn.consume cl.conn Wire.preamble_len;
-          cl.preamble_ok <- true
-      end;
-      if cl.preamble_ok then begin
-        let continue = ref true in
-        while !continue do
-          match Conn.next_frame ~max_len:Wire.max_frame_payload cl.conn with
-          | None -> continue := false
-          | Some payload ->
-            incr r_frames_in;
-            handle cl (Wire.decode_request payload)
-        done
-      end
-    with
-    | Codec.Corrupt msg -> protocol_error cl ("corrupt frame: " ^ msg)
-    | Codec.Version_mismatch { found; expected } ->
-      protocol_error cl
-        (Printf.sprintf "protocol version %d, this aggregator speaks %d" found
-           expected)
-  in
-  let running = ref true in
-  while !running do
-    let read_fds =
-      if !finishing then []
-      else
-        List.rev_append listeners
-          (List.filter_map
-             (fun cl ->
-               if cl.close_after_flush || Conn.closed cl.conn then None
-               else Some (Conn.fd cl.conn))
-             !clients)
-    in
-    let write_fds =
-      List.filter_map
-        (fun cl ->
-          if Conn.pending_out cl.conn && not (Conn.closed cl.conn) then
-            Some (Conn.fd cl.conn)
-          else None)
-        !clients
-    in
-    let readable, _, _ =
-      try Unix.select read_fds write_fds [] 0.05
-      with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
-    in
-    List.iter
-      (fun fd ->
-        if List.memq fd listeners then accept_all fd
-        else
-          match
-            List.find_opt
-              (fun cl -> (not (Conn.closed cl.conn)) && Conn.fd cl.conn == fd)
-              !clients
-          with
-          | None -> ()
-          | Some cl -> (
-            match Conn.read_into cl.conn with
-            | `Data n ->
-              r_bytes_in := !r_bytes_in + n;
-              drain_client cl
-            | `Again -> ()
-            | `Eof -> Conn.close cl.conn))
-      readable;
-    List.iter
-      (fun cl ->
-        if Conn.pending_out cl.conn && not (Conn.closed cl.conn) then begin
-          let before = Conn.bytes_out cl.conn in
-          (match Conn.flush cl.conn with
-          | `Flushed | `Blocked -> ()
-          | `Closed -> Conn.close cl.conn);
-          r_bytes_out := !r_bytes_out + (Conn.bytes_out cl.conn - before)
-        end)
-      !clients;
-    clients :=
-      List.filter
-        (fun cl ->
-          let gone = Conn.closed cl.conn in
-          let flushed_goodbye =
-            cl.close_after_flush && not (Conn.pending_out cl.conn)
-          in
-          let idle_kill =
-            idle_timeout > 0.
-            && Conn.idle_for cl.conn > idle_timeout
-            && ((not cl.preamble_ok) || Conn.buffered cl.conn > 0)
-          in
-          if idle_kill && not gone then incr r_idle_closes;
-          if gone || flushed_goodbye || idle_kill then begin
-            Conn.close cl.conn;
-            false
-          end
-          else true)
-        !clients;
-    if stop () then running := false
-    else if
-      !finishing
-      && List.for_all (fun cl -> not (Conn.pending_out cl.conn)) !clients
-    then running := false
-  done;
-  List.iter (fun cl -> Conn.close cl.conn) !clients;
+(* The root as a backend of the one serve loop: each ingest request is
+   forwarded on its own, so a down leaf shortens only that request's ack. *)
+let backend t =
   {
-    connections = !r_connections;
-    frames_in = !r_frames_in;
-    frames_out = !r_frames_out;
-    bytes_in = !r_bytes_in;
-    bytes_out = !r_bytes_out;
-    points_forwarded = !r_points;
-    queries_served = !r_queries;
-    partial_replies = !r_partial;
-    protocol_errors = !r_proto_errors;
-    idle_closes = !r_idle_closes;
+    Server.shards = t.total_shards;
+    ingest = Array.map (fun gs -> fst (ingest t gs));
+    query = query t;
+    stats = (fun () -> fst (stats t));
+    checkpoint = None;
+    pressure = (fun () -> 0);
   }

@@ -92,32 +92,18 @@ val close : t -> unit
 
 (** {2 Serving the wire protocol}
 
-    The root speaks the same protocol as a leaf, so [shist loadgen] and
-    {!Sh_net.Client} work unchanged against it.  [Checkpoint] is refused
-    with an [Error_reply] (the root holds no state); a degraded [Query]
-    answers {!Sh_net.Wire.response.Answers_partial}. *)
-
-type report = {
-  connections : int;
-  frames_in : int;
-  frames_out : int;
-  bytes_in : int;
-  bytes_out : int;
-  points_forwarded : int;  (** points acked by leaves on forwarded ingest *)
-  queries_served : int;  (** individual query elements answered *)
-  partial_replies : int;  (** [Answers_partial] frames sent *)
-  protocol_errors : int;
-  idle_closes : int;
-}
-
-val run :
-  ?idle_timeout:float ->
-  ?stop:(unit -> bool) ->
-  listeners:Unix.file_descr list ->
-  t ->
-  unit ->
-  report
-(** Serve until [Shutdown] or [stop ()].  [listeners] are bound,
-    listening, non-blocking sockets (see {!Sh_net.Server.listen}).  Leaf
+    The root speaks the same protocol as a leaf, through the same loop
+    ({!Sh_net.Server.run}), so [shist loadgen] and {!Sh_net.Client} work
+    unchanged against it and it exports the same [net.*] series.  Leaf
     fan-out is inline and blocking, bounded per leaf by the aggregator
     timeout. *)
+
+val backend : t -> Sh_net.Server.backend
+(** The root's serve-loop backend.  Each ingest request of a round is
+    forwarded on its own through {!ingest}, so a down leaf shortens only
+    the acks of the requests that touched it; queries answer through
+    {!query}, so a degraded batch is sent as
+    {!Sh_net.Wire.response.Answers_partial}; [Stats] answers {!stats}.
+    [Checkpoint] is refused with an [Error_reply] (the root holds no
+    state) and the root never stalls reads for backpressure (each leaf
+    applies its own). *)

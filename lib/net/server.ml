@@ -6,22 +6,54 @@ module M = Sh_obs.Metric
 module Obs = Sh_obs.Obs
 
 type config = {
-  max_coalesce_points : int;
-  max_frame_payload : int;
   idle_timeout : float;
-  read_watermark : int;
   checkpoint : string option;
   checkpoint_every : int option;
 }
 
-let default_config =
+let default_config = { idle_timeout = 30.0; checkpoint = None; checkpoint_every = None }
+let max_coalesce_points = 65536
+let read_watermark = 1 lsl 20
+
+type backend = {
+  shards : int;
+  ingest : (int * float array) array array -> int array;
+  query : (Q.scope * Q.t) array -> float array * int;
+  stats : unit -> Wire.stats;
+  checkpoint : (string -> unit) option;
+  pressure : unit -> int;
+}
+
+let engine eng =
+  (* Geometry is fixed at engine creation; capture it once for Stats. *)
+  let shards = SE.shard_count eng in
+  let window, buckets =
+    SE.fold eng ~init:(0, 0) ~f:(fun (w, b) _ fw ->
+        (max w (FW.window fw), max b (FW.buckets fw)))
+  in
   {
-    max_coalesce_points = 65536;
-    max_frame_payload = Wire.max_frame_payload;
-    idle_timeout = 30.0;
-    read_watermark = 1 lsl 20;
-    checkpoint = None;
-    checkpoint_every = None;
+    shards;
+    ingest =
+      (fun reqs ->
+        SE.ingest_groups eng (Array.concat (Array.to_list reqs));
+        Array.map Wire.points_in_groups reqs);
+    query = (fun qs -> (SE.query_many eng qs, 0));
+    stats =
+      (fun () ->
+        {
+          Wire.shards = shards;
+          window;
+          buckets;
+          total_points = SE.total_points eng;
+          batches = SE.batches eng;
+          queries = SE.queries eng;
+          backpressure_waits = SE.backpressure_waits eng;
+          lock_ops = SE.lock_ops eng;
+          query_lock_ops = SE.query_lock_ops eng;
+          snapshots_published = SE.snapshots_published eng;
+        });
+    checkpoint = Some (fun file -> SE.checkpoint eng ~file);
+    pressure = (fun () -> SE.backpressure_waits eng);
   }
 
 type report = {
@@ -33,6 +65,7 @@ type report = {
   points : int;
   ingest_rounds : int;
   queries_served : int;
+  partial_replies : int;
   protocol_errors : int;
   idle_closes : int;
   backpressure_stalls : int;
@@ -55,10 +88,10 @@ let listen addr =
   fd
 
 (* One decoded request, tagged for in-order response generation.  Ingest
-   groups are pulled out for cross-connection coalescing; [Op_bad] is a
+   requests are pulled out for cross-connection coalescing; [Op_bad] is a
    semantic rejection that keeps the connection open. *)
 type op =
-  | Op_ingest of int (* points in this request's groups *)
+  | Op_ingest of int (* this request's index in the round's ingest batch *)
   | Op_query of (Q.scope * Q.t) array
   | Op_stats
   | Op_metrics
@@ -74,7 +107,7 @@ type client = {
   mutable close_after_flush : bool;
   mutable partial_head : bool;
       (* the last decode left only an incomplete frame, whose declared
-         length passed the [max_frame_payload] check *)
+         length passed the [Wire.max_frame_payload] check *)
 }
 
 let keys_ok shards arr = Array.for_all (fun (k, _) -> k >= 0 && k < shards) arr
@@ -86,7 +119,7 @@ let scopes_ok shards qs =
     qs
 
 let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
-    ~engine ~listeners () =
+    ~backend ~listeners () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let c_conns = Obs.counter "net.connections" in
@@ -99,19 +132,17 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
   let c_proto_errors = Obs.counter "net.protocol_errors" in
   let c_idle_closes = Obs.counter "net.idle_closes" in
   let c_stalls = Obs.counter "net.backpressure_stalls" in
-  let shards = SE.shard_count engine in
-  (* Geometry is fixed at engine creation; capture it once for Stats. *)
-  let window, buckets =
-    SE.fold engine ~init:(0, 0) ~f:(fun (w, b) _ fw ->
-        (max w (FW.window fw), max b (FW.buckets fw)))
-  in
+  let shards = backend.shards in
+  let bad_key = Op_bad (Printf.sprintf "key out of range [0, %d)" shards) in
   let r_connections = ref 0 in
   let r_frames_in = ref 0 in
   let r_frames_out = ref 0 in
   let r_bytes_in = ref 0 in
   let r_bytes_out = ref 0 in
+  let r_points = ref 0 in
   let r_rounds = ref 0 in
   let r_queries = ref 0 in
+  let r_partial = ref 0 in
   let r_proto_errors = ref 0 in
   let r_idle_closes = ref 0 in
   let r_stalls = ref 0 in
@@ -119,30 +150,14 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
   let clients = ref ([] : client list) in
   let finishing = ref false in
   let stalled = ref false in
-  let base_points = SE.total_points engine in
-  let served_points () = SE.total_points engine - base_points in
   let write_checkpoint () =
-    match config.checkpoint with
-    | None -> None
-    | Some file ->
-      SE.checkpoint engine ~file;
+    match (backend.checkpoint, config.checkpoint) with
+    | None, _ -> Error "this server holds no state to checkpoint"
+    | Some _, None -> Error "no checkpoint path configured"
+    | Some save, Some file ->
+      save file;
       incr r_checkpoints;
-      Some file
-  in
-  let stats_reply () =
-    Wire.Stats_reply
-      {
-        shards;
-        window;
-        buckets;
-        total_points = SE.total_points engine;
-        batches = SE.batches engine;
-        queries = SE.queries engine;
-        backpressure_waits = SE.backpressure_waits engine;
-        lock_ops = SE.lock_ops engine;
-        query_lock_ops = SE.query_lock_ops engine;
-        snapshots_published = SE.snapshots_published engine;
-      }
+      Ok file
   in
   let send cl resp =
     Conn.send cl.conn (Wire.encode_response resp);
@@ -179,9 +194,9 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
   in
   (* Decode the complete frames [cl] has buffered into [cl.ops], stopping
      once the iteration's coalescing [budget] (in points) is spent.
-     Accumulates ingest groups into [groups_acc] in arrival order
-     (reversed); returns the points taken from the budget. *)
-  let decode_client cl ~budget groups_acc =
+     Accumulates ingest requests into [reqs] in arrival order (reversed,
+     [nreqs] long); returns the points taken from the budget. *)
+  let decode_client cl ~budget reqs nreqs =
     let budget_left = ref budget in
     (try
        if not cl.preamble_ok then begin
@@ -195,7 +210,7 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
        if cl.preamble_ok then begin
          let continue = ref true in
          while !continue && !budget_left > 0 do
-           match Conn.next_frame ~max_len:config.max_frame_payload cl.conn with
+           match Conn.next_frame ~max_len:Wire.max_frame_payload cl.conn with
            | None ->
              cl.partial_head <- Conn.buffered cl.conn > 0;
              continue := false
@@ -206,21 +221,14 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
              match Wire.decode_request payload with
              | Wire.Ingest gs ->
                if keys_ok shards gs then begin
-                 let pts = Wire.points_in_groups gs in
-                 budget_left := !budget_left - pts;
-                 cl.ops <- Op_ingest pts :: cl.ops;
-                 Array.iter (fun g -> groups_acc := g :: !groups_acc) gs
+                 budget_left := !budget_left - Wire.points_in_groups gs;
+                 cl.ops <- Op_ingest !nreqs :: cl.ops;
+                 reqs := gs :: !reqs;
+                 incr nreqs
                end
-               else
-                 cl.ops <-
-                   Op_bad (Printf.sprintf "key out of range [0, %d)" shards)
-                   :: cl.ops
+               else cl.ops <- bad_key :: cl.ops
              | Wire.Query qs ->
-               cl.ops <-
-                 (if scopes_ok shards qs then Op_query qs
-                  else
-                    Op_bad (Printf.sprintf "key out of range [0, %d)" shards))
-                 :: cl.ops
+               cl.ops <- (if scopes_ok shards qs then Op_query qs else bad_key) :: cl.ops
              | Wire.Stats -> cl.ops <- Op_stats :: cl.ops
              | Wire.Metrics -> cl.ops <- Op_metrics :: cl.ops
              | Wire.Checkpoint -> cl.ops <- Op_checkpoint :: cl.ops
@@ -236,22 +244,26 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
            expected));
     budget - !budget_left
   in
-  let respond cl =
+  let respond cl acks =
     List.iter
       (fun opn ->
         match opn with
-        | Op_ingest pts -> send cl (Wire.Ack pts)
+        | Op_ingest i -> send cl (Wire.Ack acks.(i))
         | Op_query qs ->
-          let answers = SE.query_many engine qs in
+          let answers, leaves_missing = backend.query qs in
           r_queries := !r_queries + Array.length qs;
           M.add c_queries (Array.length qs);
-          send cl (Wire.Answers answers)
-        | Op_stats -> send cl (stats_reply ())
+          if leaves_missing = 0 then send cl (Wire.Answers answers)
+          else begin
+            incr r_partial;
+            send cl (Wire.Answers_partial { answers; leaves_missing })
+          end
+        | Op_stats -> send cl (Wire.Stats_reply (backend.stats ()))
         | Op_metrics -> send cl (Wire.Metrics_reply (Obs.render Obs.Prom))
         | Op_checkpoint -> (
           match write_checkpoint () with
-          | Some file -> send cl (Wire.Checkpointed file)
-          | None -> send cl (Wire.Error_reply "no checkpoint path configured"))
+          | Ok file -> send cl (Wire.Checkpointed file)
+          | Error msg -> send cl (Wire.Error_reply msg))
         | Op_ping -> send cl Wire.Pong
         | Op_shutdown ->
           finishing := true;
@@ -262,15 +274,15 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
   in
   (* A connection stops being read once [read_watermark] bytes are
      buffered — unless the last decode found them all to be one incomplete
-     frame within [max_frame_payload], which must arrive whole before the
-     buffer can drain.  Every read clears that finding until a decode
+     frame within [Wire.max_frame_payload], which must arrive whole before
+     the buffer can drain.  Every read clears that finding until a decode
      confirms it again, so a connection whose decode is deferred by the
      coalescing budget is read at most one chunk past its frame. *)
   let wants_input cl =
-    Conn.buffered cl.conn < config.read_watermark || cl.partial_head
+    Conn.buffered cl.conn < read_watermark || cl.partial_head
   in
   let points_done () =
-    match max_points with None -> false | Some n -> served_points () >= n
+    match max_points with None -> false | Some n -> !r_points >= n
   in
   let running = ref true in
   while !running do
@@ -326,29 +338,33 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
             | `Eof -> Conn.close cl.conn))
       readable;
     (* -- decode + coalesce + apply ------------------------------------ *)
-    let groups_acc = ref [] in
-    let budget = ref config.max_coalesce_points in
+    let reqs = ref [] and nreqs = ref 0 in
+    let budget = ref max_coalesce_points in
     List.iter
       (fun cl ->
         if !budget > 0 && not (cl.close_after_flush || Conn.closed cl.conn)
-        then budget := !budget - decode_client cl ~budget:!budget groups_acc)
+        then budget := !budget - decode_client cl ~budget:!budget reqs nreqs)
       !clients;
-    (match !groups_acc with
-    | [] -> ()
-    | gs ->
-      let groups = Array.of_list (List.rev gs) in
-      let pts = Wire.points_in_groups groups in
-      let bp0 = SE.backpressure_waits engine in
-      SE.ingest_groups engine groups;
-      incr r_rounds;
-      M.add c_points pts;
-      if SE.backpressure_waits engine > bp0 then stalled := true;
-      match config.checkpoint_every with
-      | Some k when !r_rounds mod k = 0 -> ignore (write_checkpoint ())
-      | _ -> ());
+    let acks =
+      match !reqs with
+      | [] -> [||]
+      | rs ->
+        let p0 = backend.pressure () in
+        let acks = backend.ingest (Array.of_list (List.rev rs)) in
+        let pts = Array.fold_left ( + ) 0 acks in
+        incr r_rounds;
+        r_points := !r_points + pts;
+        M.add c_points pts;
+        if backend.pressure () > p0 then stalled := true;
+        (match config.checkpoint_every with
+        | Some k when !r_rounds mod k = 0 -> ignore (write_checkpoint ())
+        | _ -> ());
+        acks
+    in
     (* -- respond in per-connection request order ---------------------- *)
     List.iter
-      (fun cl -> if cl.ops <> [] && not (Conn.closed cl.conn) then respond cl)
+      (fun cl ->
+        if cl.ops <> [] && not (Conn.closed cl.conn) then respond cl acks)
       !clients;
     (* -- flush + reap ------------------------------------------------- *)
     List.iter
@@ -399,9 +415,10 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
     frames_out = !r_frames_out;
     bytes_in = !r_bytes_in;
     bytes_out = !r_bytes_out;
-    points = served_points ();
+    points = !r_points;
     ingest_rounds = !r_rounds;
     queries_served = !r_queries;
+    partial_replies = !r_partial;
     protocol_errors = !r_proto_errors;
     idle_closes = !r_idle_closes;
     backpressure_stalls = !r_stalls;

@@ -1,50 +1,84 @@
-(** The serve loop: a single-threaded, [select]-driven event loop that owns
-    one {!Sh_par.Shard_engine} and any number of client connections.
+(** The serve loop: a single-threaded, [select]-driven event loop that
+    serves any number of client connections on behalf of one {!backend}.
+    A leaf's backend is its {!Sh_par.Shard_engine} ({!engine}); an
+    aggregating root's forwards to its leaves
+    ([Sh_agg.Aggregator.backend]).  Both speak the same protocol through
+    this one loop, so transport behaviour and [net.*] telemetry are the
+    same at every tier.
 
     Single-threaded is not a simplification here — it is the concurrency
     model the engine demands: ingest is single-producer, so the loop {e is}
-    the producer, and the wire protocol's batching becomes the engine's
+    the producer, and the wire protocol's batching becomes the backend's
     batching.  Each iteration drains every readable socket, decodes the
-    complete frames each connection has buffered, coalesces {e all}
-    connections' ingest groups into one {!Sh_par.Shard_engine.ingest_groups}
-    call (capped at [max_coalesce_points] per iteration), and only then
-    queues each connection's responses in its request order.  An [Ack] is
-    therefore a durability-in-window statement: the points it covers are in
-    the engine before the ack bytes exist.
+    complete frames each connection has buffered, hands {e all}
+    connections' ingest requests to one [backend.ingest] call (capped at
+    {!max_coalesce_points} per iteration), and only then queues each
+    connection's responses in its request order.  An [Ack] is therefore a
+    durability-in-window statement: the points it covers are in the
+    backend before the ack bytes exist.
 
-    Backpressure is propagated, not absorbed: when an ingest round reports
-    new [engine.backpressure_waits], the next iteration reads from no
-    socket (one stall, counted), and any connection holding more than
-    [read_watermark] undecoded bytes is excluded from the read set until it
-    drains — kernel socket buffers fill and the TCP window closes back to
-    the sender.  The one exception is a buffer the last decode found to be
-    a single incomplete frame whose declared length passed the
-    [max_frame_payload] check: it keeps reading until that frame is whole,
-    since nothing else can drain it.  Nothing acknowledged is ever dropped;
-    no connection buffers more than [max read_watermark max_frame_payload]
-    plus framing and one 64 KiB read.
+    Backpressure is propagated, not absorbed: when an ingest round raises
+    [backend.pressure], the next iteration reads from no socket (one
+    stall, counted), and any connection holding more than
+    {!read_watermark} undecoded bytes is excluded from the read set until
+    it drains — kernel socket buffers fill and the TCP window closes back
+    to the sender.  The one exception is a buffer the last decode found to
+    be a single incomplete frame whose declared length passed the
+    {!Wire.max_frame_payload} check: it keeps reading until that frame is
+    whole, since nothing else can drain it.  Nothing acknowledged is ever
+    dropped; no connection buffers more than
+    [max read_watermark Wire.max_frame_payload] plus framing and one
+    64 KiB read.
 
     Malformed input (bad magic, foreign version, CRC mismatch, oversized
     length prefix, trailing bytes) earns the connection a final
     [Error_reply] and a close; a connection that trickles a partial frame
     and then stalls is reaped after [idle_timeout].  Either way the loop
-    and the other connections are unaffected. *)
+    and the other connections are unaffected.  A semantically bad request
+    (a key outside [\[0, backend.shards)], a [Checkpoint] the backend
+    cannot serve) earns an [Error_reply] and the connection stays open. *)
 
 module SE := Sh_par.Shard_engine
+module Q := Stream_histogram.Query_op
 
 type config = {
-  max_coalesce_points : int;  (** per-iteration ingest coalescing cap *)
-  max_frame_payload : int;  (** reject larger declared payloads *)
   idle_timeout : float;  (** seconds before a half-frame conn is reaped *)
-  read_watermark : int;
-      (** undecoded bytes buffered per conn before it stops being read,
-          unless they are one incomplete frame (see above) *)
   checkpoint : string option;  (** path served to [Checkpoint] requests *)
   checkpoint_every : int option;  (** also checkpoint every k ingest rounds *)
 }
 
 val default_config : config
-(** 65536 points, {!Wire.max_frame_payload}, 30 s, 1 MiB, no checkpoint. *)
+(** 30 s idle timeout, no checkpoint. *)
+
+val max_coalesce_points : int
+(** Per-iteration ingest coalescing cap, in points (65536). *)
+
+val read_watermark : int
+(** Undecoded bytes buffered per connection before it stops being read,
+    unless they are one incomplete frame (1 MiB; see above). *)
+
+type backend = {
+  shards : int;  (** keys are [\[0, shards)]; others are refused *)
+  ingest : (int * float array) array array -> int array;
+      (** Called once per iteration with every decoded ingest request's
+          groups, in arrival order; returns each request's ack. *)
+  query : (Q.scope * Q.t) array -> float array * int;
+      (** Positional answers and the number of leaves that could not
+          contribute: [0] sends [Answers], more sends [Answers_partial]. *)
+  stats : unit -> Wire.stats;
+  checkpoint : (string -> unit) option;
+      (** Write state to the given path; [None]: the backend holds no
+          state, and [Checkpoint] is refused. *)
+  pressure : unit -> int;
+      (** Monotone backpressure count: a rise across an ingest call
+          stalls the next read. *)
+}
+
+val engine : SE.t -> backend
+(** The leaf: the round's requests are concatenated into one
+    {!SE.ingest_groups} call (so ingest order matches arrival order),
+    each is acked with its point count, queries answer through
+    {!SE.query_many}, and [pressure] is [SE.backpressure_waits]. *)
 
 type report = {
   connections : int;  (** accepted over the run *)
@@ -52,9 +86,10 @@ type report = {
   frames_out : int;
   bytes_in : int;
   bytes_out : int;
-  points : int;  (** ingested (and acked) over the run *)
-  ingest_rounds : int;  (** coalesced {!SE.ingest_groups} calls *)
+  points : int;  (** the sum of every [Ack] sent *)
+  ingest_rounds : int;  (** [backend.ingest] calls *)
   queries_served : int;  (** individual query elements answered *)
+  partial_replies : int;  (** [Answers_partial] frames sent *)
   protocol_errors : int;
   idle_closes : int;
   backpressure_stalls : int;
@@ -69,12 +104,11 @@ val run :
   ?config:config ->
   ?stop:(unit -> bool) ->
   ?max_points:int ->
-  engine:SE.t ->
+  backend:backend ->
   listeners:Unix.file_descr list ->
   unit ->
   report
 (** Serve until a client sends [Shutdown] (the loop then drains and closes
     every connection), [stop ()] turns true, or [max_points] have been
-    ingested over the wire.  Closes the accepted connections but leaves
-    the listener fds to the caller.  [SIGPIPE] is ignored for the
-    process. *)
+    acked over the wire.  Closes the accepted connections but leaves the
+    listener fds to the caller.  [SIGPIPE] is ignored for the process. *)

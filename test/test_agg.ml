@@ -3,7 +3,8 @@
    same per-key streams — under eager and lagging refresh alike, since both
    sides answer from published views — a killed leaf must degrade to a
    typed partial result, never a hang, and a leaf that comes back with a
-   different layout must stay out of the answers. *)
+   different layout must stay out of the answers.  Served by the one
+   serve loop, the root exports the same [net.*] telemetry as a leaf. *)
 
 module Qop = Stream_histogram.Query_op
 module Params = Stream_histogram.Params
@@ -101,7 +102,7 @@ let start_leaf ?path ?window ?(policy = Params.Eager) ~shards () =
             SE.set_refresh_policy eng policy;
             Server.run
               ~stop:(fun () -> Atomic.get stop)
-              ~engine:eng ~listeners:[ listener ] ()))
+              ~backend:(Server.engine eng) ~listeners:[ listener ] ()))
   in
   { addr; listener; stop; domain; sock_path = path }
 
@@ -299,6 +300,89 @@ let test_aggregator_reprobes_restarted_leaf () =
   restart 2;
   check_global "matching leaf rejoins" 0
 
+(* ------------------------------------------------ the root on the wire *)
+
+(* A Prometheus family's samples in a Metrics reply, one per series. *)
+let prom_samples text family =
+  List.filter_map
+    (fun line ->
+      match String.rindex_opt line ' ' with
+      | Some i when line.[0] <> '#' ->
+        let series = String.sub line 0 i in
+        let name =
+          match String.index_opt series '{' with
+          | Some j -> String.sub series 0 j
+          | None -> series
+        in
+        if name = family then
+          Some (float_of_string (String.sub line (i + 1) (String.length line - i - 1)))
+        else None
+      | _ -> None)
+    (String.split_on_char '\n' text)
+
+(* A root served by the one serve loop in front of two in-process leaves.
+   The leaves share this process's registry, so the root's own [net.*]
+   traffic is read as deltas: traffic to the root alone must move them. *)
+let test_root_serves_metrics_and_degrades () =
+  let la = start_leaf ~shards:2 () in
+  let lb = start_leaf ~shards:2 () in
+  let lb_killed = ref false in
+  let path = Filename.temp_file "shist_agg_root" ".sock" in
+  Unix.unlink path;
+  let addr = Addr.Unix_sock path in
+  let listener = Server.listen addr in
+  let agg = Aggregator.create ~timeout:5.0 [ la.addr; lb.addr ] in
+  let stop = Atomic.make false in
+  let root =
+    Domain.spawn (fun () ->
+        Server.run
+          ~stop:(fun () -> Atomic.get stop)
+          ~backend:(Aggregator.backend agg) ~listeners:[ listener ] ())
+  in
+  let report = lazy (Domain.join root) in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      ignore (Lazy.force report : Server.report);
+      Aggregator.close agg;
+      (try Unix.close listener with Unix.Unix_error _ -> ());
+      (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
+      kill_leaf la;
+      if not !lb_killed then kill_leaf lb)
+  @@ fun () ->
+  let c = Client.connect ~timeout:5.0 addr in
+  let m1 = Client.metrics c in
+  List.iter
+    (fun family ->
+      if prom_samples m1 family = [] then Alcotest.failf "root metrics lack %s" family)
+    [ "net_connections_total"; "net_frames_in_total"; "agg_fanouts_total" ];
+  let c2 = Client.connect ~timeout:5.0 addr in
+  Client.ping c2;
+  Client.close c2;
+  let m2 = Client.metrics c in
+  let total m family = List.fold_left ( +. ) 0.0 (prom_samples m family) in
+  let delta family = int_of_float (total m2 family -. total m1 family) in
+  Alcotest.(check int) "root counts its connections" 1 (delta "net_connections_total");
+  (* the Ping on the new connection and this Metrics request *)
+  Alcotest.(check int) "root counts its frames" 2 (delta "net_frames_in_total");
+  let groups = Array.init 4 (fun k -> (k, [| 1.0; 2.0 |])) in
+  Alcotest.(check int) "all acked while healthy" 8 (Client.ingest c groups);
+  kill_leaf lb;
+  lb_killed := true;
+  (match Client.call c (Wire.Query [| (Qop.Key 0, Qop.Window_length); (Qop.Global, Qop.Window_length) |]) with
+  | Wire.Answers_partial { answers; leaves_missing } ->
+    Alcotest.(check int) "one leaf missing" 1 leaves_missing;
+    check_bits "live key" 2.0 answers.(0);
+    check_bits "global covers the live leaf" 4.0 answers.(1)
+  | _ -> Alcotest.fail "expected Answers_partial with a leaf down");
+  Alcotest.(check int) "short ack: the dead leaf's points dropped" 4 (Client.ingest c groups);
+  Client.shutdown c;
+  Client.close c;
+  let rep = Lazy.force report in
+  Alcotest.(check int) "report: acked points" 12 rep.Server.points;
+  Alcotest.(check int) "report: partial replies" 1 rep.Server.partial_replies;
+  Alcotest.(check int) "report: connections" 2 rep.Server.connections
+
 let () =
   Alcotest.run "agg"
     [
@@ -319,5 +403,10 @@ let () =
             test_aggregator_geometry_mismatch;
           Alcotest.test_case "restarted leaf re-probed" `Quick
             test_aggregator_reprobes_restarted_leaf;
+        ] );
+      ( "root serve loop",
+        [
+          Alcotest.test_case "net.* metrics, partial answers, short acks" `Quick
+            test_root_serves_metrics_and_degrades;
         ] );
     ]

@@ -2,13 +2,16 @@
    truncation and corruption, and a live serve loop driven over real Unix
    sockets — equivalence with the in-process engine, the no-drop
    backpressure contract, malformed-input rejection (fuzzed), slow-loris
-   reaping, and checkpoint/restore across a server generation. *)
+   reaping, and checkpoint/restore across a server generation.  The
+   transport cases run twice: against a leaf, and against an aggregating
+   root in front of one leaf. *)
 
 module Addr = Sh_net.Addr
 module Wire = Sh_net.Wire
 module Conn = Sh_net.Conn
 module Server = Sh_net.Server
 module Client = Sh_net.Client
+module Aggregator = Sh_agg.Aggregator
 module Codec = Sh_persist.Codec
 module Frame = Sh_persist.Frame
 module Pool = Sh_par.Domain_pool
@@ -292,28 +295,60 @@ let with_temp_sock f =
     ~finally:(fun () -> try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
     (fun () -> f (Addr.Unix_sock path))
 
-(* A live engine + serve loop on its own domain.  The listener is bound
-   before the domain spawns, so clients can connect immediately (the
-   backlog holds them until the loop's first iteration). *)
-let with_server ?config ?(policy = Params.Eager) ?(ring_capacity = SE.default_ring_capacity)
-    ~shards ~window ~buckets ~epsilon addr f =
-  let listener = Server.listen addr in
+(* Where a live-serve case aims: a leaf serving its own engine, or an
+   aggregating root ([Aggregator.backend]) in front of one in-process leaf
+   of the same geometry.  Both run the one serve loop, so every transport
+   contract must hold at either tier. *)
+type tier = Leaf | Root
+
+(* A live serve loop on its own domain (two, for a root and its leaf).
+   [config] applies to the endpoint at [addr]; the engine options to the
+   leaf.  Listeners are bound before the domains spawn, so clients can
+   connect immediately (the backlog holds them until the loop's first
+   iteration). *)
+let with_server ?(tier = Leaf) ?config ?(policy = Params.Eager)
+    ?(ring_capacity = SE.default_ring_capacity) ~shards ~window ~buckets ~epsilon addr f =
   let stop = Atomic.make false in
-  let srv =
+  let serve ?config backend listener =
+    Server.run ?config ~stop:(fun () -> Atomic.get stop) ~backend ~listeners:[ listener ] ()
+  in
+  let spawn_leaf ?config listener =
     Domain.spawn (fun () ->
         Pool.with_pool ~domains:1 (fun pool ->
             let eng =
               SE.create_with_ring ~ring_capacity ~pool ~shards ~window ~buckets ~epsilon
             in
             SE.set_refresh_policy eng policy;
-            Server.run ?config ~stop:(fun () -> Atomic.get stop) ~engine:eng
-              ~listeners:[ listener ] ()))
+            serve ?config (Server.engine eng) listener))
+  in
+  let listener = Server.listen addr in
+  let servers, cleanup =
+    match tier with
+    | Leaf -> ([ (spawn_leaf ?config listener, listener) ], ignore)
+    | Root ->
+      let leaf_path = Filename.temp_file "shist_net_leaf" ".sock" in
+      Unix.unlink leaf_path;
+      let leaf_addr = Addr.Unix_sock leaf_path in
+      let leaf_listener = Server.listen leaf_addr in
+      let leaf = spawn_leaf leaf_listener in
+      let root =
+        Domain.spawn (fun () ->
+            let agg = Aggregator.create ~timeout:5. [ leaf_addr ] in
+            Fun.protect ~finally:(fun () -> Aggregator.close agg) @@ fun () ->
+            serve ?config (Aggregator.backend agg) listener)
+      in
+      ( [ (root, listener); (leaf, leaf_listener) ],
+        fun () -> try Unix.unlink leaf_path with Unix.Unix_error _ | Sys_error _ -> () )
   in
   Fun.protect
     ~finally:(fun () ->
       Atomic.set stop true;
-      ignore (Domain.join srv : Server.report);
-      try Unix.close listener with Unix.Unix_error _ -> ())
+      List.iter
+        (fun (d, l) ->
+          ignore (Domain.join d : Server.report);
+          try Unix.close l with Unix.Unix_error _ -> ())
+        servers;
+      cleanup ())
     (fun () -> f ())
 
 let geometry = (8, 64, 4, 0.1)
@@ -352,10 +387,10 @@ let read_exact fd n =
   done;
   Bytes.to_string b
 
-let test_serve_equivalence () =
+let test_serve_equivalence tier =
   let shards, window, buckets, epsilon = geometry in
   with_temp_sock @@ fun addr ->
-  with_server ~shards ~window ~buckets ~epsilon addr @@ fun () ->
+  with_server ~tier ~shards ~window ~buckets ~epsilon addr @@ fun () ->
   (* reference: the same batches through an in-process engine *)
   Pool.with_pool ~domains:1 @@ fun pool ->
   let ref_eng = SE.create ~pool ~shards ~window ~buckets ~epsilon in
@@ -410,12 +445,12 @@ let test_serve_equivalence () =
   Alcotest.(check int) "query plane stayed lock-free" 0 st.Wire.query_lock_ops;
   Client.ping c
 
-let test_serve_backpressure_no_drop () =
+let test_serve_backpressure_no_drop tier =
   let shards, window, buckets, epsilon = geometry in
   with_temp_sock @@ fun addr ->
   (* ring capacity 1: every batched point beyond the first per shard
      spills, so backpressure_waits must rise while nothing is lost *)
-  with_server ~ring_capacity:1 ~policy:(Params.Every 64) ~shards ~window ~buckets ~epsilon
+  with_server ~tier ~ring_capacity:1 ~policy:(Params.Every 64) ~shards ~window ~buckets ~epsilon
     addr
   @@ fun () ->
   let nconn = 3 and batches = 8 and batch = 256 in
@@ -452,10 +487,10 @@ let test_serve_backpressure_no_drop () =
     true
     (st.Wire.backpressure_waits > 0)
 
-let test_serve_rejects_bad_key_keeps_conn () =
+let test_serve_rejects_bad_key_keeps_conn tier =
   let shards, window, buckets, epsilon = geometry in
   with_temp_sock @@ fun addr ->
-  with_server ~shards ~window ~buckets ~epsilon addr @@ fun () ->
+  with_server ~tier ~shards ~window ~buckets ~epsilon addr @@ fun () ->
   let c = Client.connect ~timeout:5. addr in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   (match Client.call c (Wire.Ingest [| (shards, [| 1.0 |]) |]) with
@@ -468,10 +503,10 @@ let test_serve_rejects_bad_key_keeps_conn () =
   let st = Client.stats c in
   Alcotest.(check int) "only the good points landed" 2 st.Wire.total_points
 
-let test_serve_malformed_inputs () =
+let test_serve_malformed_inputs tier =
   let shards, window, buckets, epsilon = geometry in
   with_temp_sock @@ fun addr ->
-  with_server ~shards ~window ~buckets ~epsilon addr @@ fun () ->
+  with_server ~tier ~shards ~window ~buckets ~epsilon addr @@ fun () ->
   (* 1. garbage preamble: error frame (or nothing) then EOF, never a hang *)
   let fd = raw_connect addr in
   ignore (read_exact fd Wire.preamble_len : string);
@@ -522,11 +557,11 @@ let test_serve_malformed_inputs () =
   let st = Client.stats c in
   Alcotest.(check int) "nothing ingested by attackers" 0 st.Wire.total_points
 
-let test_serve_slow_loris_reaped () =
+let test_serve_slow_loris_reaped tier =
   let shards, window, buckets, epsilon = geometry in
   with_temp_sock @@ fun addr ->
   let config = { Server.default_config with idle_timeout = 0.25 } in
-  with_server ~config ~shards ~window ~buckets ~epsilon addr @@ fun () ->
+  with_server ~tier ~config ~shards ~window ~buckets ~epsilon addr @@ fun () ->
   let fd = raw_connect addr in
   ignore (read_exact fd Wire.preamble_len : string);
   write_string fd Wire.preamble;
@@ -544,10 +579,10 @@ let test_serve_slow_loris_reaped () =
   let st = Client.stats c in
   Alcotest.(check int) "half-frame never ingested" 0 st.Wire.total_points
 
-let test_serve_frame_above_read_watermark () =
+let test_serve_frame_above_read_watermark tier =
   let shards, window, buckets, epsilon = geometry in
   with_temp_sock @@ fun addr ->
-  with_server ~policy:(Params.Every 4096) ~shards ~window ~buckets ~epsilon addr
+  with_server ~tier ~policy:(Params.Every 4096) ~shards ~window ~buckets ~epsilon addr
   @@ fun () ->
   let points = 262_144 in
   let groups = [| (0, Array.init points (fun i -> Float.of_int (i land 255))) |] in
@@ -555,10 +590,28 @@ let test_serve_frame_above_read_watermark () =
   Alcotest.(check bool)
     (Printf.sprintf "one %d-byte frame, above the read watermark" (String.length frame))
     true
-    (String.length frame > Server.default_config.read_watermark);
+    (String.length frame > Server.read_watermark);
   let c = Client.connect ~timeout:5. addr in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   Alcotest.(check int) "acked within the timeout" points (Client.ingest c groups)
+
+(* The root holds no state: a [Checkpoint] is refused even with a path
+   configured, and the refusal is semantic — the connection serves on. *)
+let test_root_checkpoint_refused () =
+  let shards, window, buckets, epsilon = geometry in
+  let ckpt = Filename.temp_file "shist_net" ".ckpt" in
+  Sys.remove ckpt;
+  with_temp_sock @@ fun addr ->
+  let config = { Server.default_config with checkpoint = Some ckpt } in
+  with_server ~tier:Root ~config ~shards ~window ~buckets ~epsilon addr @@ fun () ->
+  let c = Client.connect ~timeout:5. addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (match Client.call c Wire.Checkpoint with
+  | Wire.Error_reply _ -> ()
+  | _ -> Alcotest.fail "root accepted a Checkpoint");
+  Client.ping c;
+  Alcotest.(check int) "still serving ingest" 2 (Client.ingest c [| (0, [| 1.0; 2.0 |]) |]);
+  Alcotest.(check bool) "no checkpoint file written" false (Sys.file_exists ckpt)
 
 let test_serve_checkpoint_restart_reconnect () =
   let shards, window, buckets, epsilon = geometry in
@@ -600,7 +653,7 @@ let test_serve_checkpoint_restart_reconnect () =
     Domain.spawn (fun () ->
         Pool.with_pool ~domains:1 (fun pool ->
             let eng = SE.restore_from ~pool ~file:ckpt in
-            Server.run ~engine:eng ~listeners:[ listener ] ()))
+            Server.run ~backend:(Server.engine eng) ~listeners:[ listener ] ()))
   in
   Fun.protect
     ~finally:(fun () ->
@@ -624,6 +677,26 @@ let test_serve_checkpoint_restart_reconnect () =
   Alcotest.(check int) "post-restore ingest acked" 3 n;
   Client.shutdown c
 
+(* The live-serve cases, aimed at one tier.  Only the checkpoint case
+   differs: a leaf round-trips its state, a root refuses. *)
+let serve_cases tier =
+  let case name f = Alcotest.test_case name `Quick (fun () -> f tier) in
+  [
+    case "equivalence with in-process engine" test_serve_equivalence;
+    case "backpressure drops nothing" test_serve_backpressure_no_drop;
+    case "bad key rejected, connection survives" test_serve_rejects_bad_key_keeps_conn;
+    case "malformed inputs rejected" test_serve_malformed_inputs;
+    case "slow loris reaped" test_serve_slow_loris_reaped;
+    case "frame above read watermark acked" test_serve_frame_above_read_watermark;
+    (match tier with
+    | Leaf ->
+      Alcotest.test_case "checkpoint, restart, reconnect" `Quick
+        test_serve_checkpoint_restart_reconnect
+    | Root ->
+      Alcotest.test_case "checkpoint refused, connection survives" `Quick
+        test_root_checkpoint_refused);
+  ]
+
 let () =
   Alcotest.run "net"
     [
@@ -646,19 +719,6 @@ let () =
             test_scan_oversized_and_overlong;
           prop_scan_split_stream;
         ] );
-      ( "serve",
-        [
-          Alcotest.test_case "equivalence with in-process engine" `Quick
-            test_serve_equivalence;
-          Alcotest.test_case "backpressure drops nothing" `Quick
-            test_serve_backpressure_no_drop;
-          Alcotest.test_case "bad key rejected, connection survives" `Quick
-            test_serve_rejects_bad_key_keeps_conn;
-          Alcotest.test_case "malformed inputs rejected" `Quick test_serve_malformed_inputs;
-          Alcotest.test_case "slow loris reaped" `Quick test_serve_slow_loris_reaped;
-          Alcotest.test_case "frame above read watermark acked" `Quick
-            test_serve_frame_above_read_watermark;
-          Alcotest.test_case "checkpoint, restart, reconnect" `Quick
-            test_serve_checkpoint_restart_reconnect;
-        ] );
+      ("serve", serve_cases Leaf);
+      ("root", serve_cases Root);
     ]
