@@ -146,9 +146,8 @@ let serve_wire ~config ?max_points ~backend addrs =
     "net: %d connection(s), %d frame(s) in, %d out, %d protocol error(s), %d idle close(s)\n"
     rep.Net_server.connections rep.Net_server.frames_in rep.Net_server.frames_out
     rep.Net_server.protocol_errors rep.Net_server.idle_closes;
-  Printf.printf "net: %d bytes in, %d bytes out, %d ingest round(s), %d backpressure stall(s)\n"
-    rep.Net_server.bytes_in rep.Net_server.bytes_out rep.Net_server.ingest_rounds
-    rep.Net_server.backpressure_stalls;
+  Printf.printf "net: %d bytes in, %d bytes out, %d ingest round(s)\n"
+    rep.Net_server.bytes_in rep.Net_server.bytes_out rep.Net_server.ingest_rounds;
   (rep, elapsed)
 
 (* --------------------------------------------------------- generate *)
@@ -386,6 +385,39 @@ let heavy_cmd =
 
 (* ------------------------------------------------------------ serve *)
 
+(* The end-of-run report both serve modes print after their [serve:]
+   line: the lock-freedom witnesses, query and ingest throughput (plus
+   the reader's lag histogram when one ran), and the latency quantiles. *)
+let print_serve_report eng ~latency_window ~served ~query_elapsed ~lag ~points ~elapsed =
+  Printf.printf "pinned: %d refresh steal(s), %d lock op(s)\n" (SE.refresh_steals eng)
+    (SE.lock_ops eng);
+  Printf.printf "queries: %d served, %.0f queries/s, query_lock_ops=%d\n" served
+    (Float.of_int served /. Float.max query_elapsed 1e-9)
+    (SE.query_lock_ops eng);
+  Option.iter
+    (fun lag ->
+      Printf.printf "query lag histogram: lag0=%d lag1=%d lag2plus=%d\n" lag.(0) lag.(1)
+        lag.(2))
+    lag;
+  Printf.printf "elapsed %.3fs  throughput %.0f points/s\n" elapsed
+    (Float.of_int points /. Float.max elapsed 1e-9);
+  match List.filter (fun t -> Lat.count t > 0) (Lat.snapshot ()) with
+  | [] -> ()
+  | lats ->
+    Printf.printf "latency quantiles%s (ms):\n"
+      (if latency_window > 0 then Printf.sprintf ", last %d batches" latency_window else "");
+    List.iter
+      (fun t ->
+        Printf.printf "  %-22s count=%-8d" (Lat.name t) (Lat.count t);
+        List.iter
+          (fun phi ->
+            match Lat.quantile t phi with
+            | Some v -> Printf.printf " %s=%.4g" (Sh_obs.Sink.phi_label phi) (1e3 *. v)
+            | None -> ())
+          Lat.percentiles;
+        print_newline ())
+      lats
+
 let serve_cmd =
   let shards =
     Arg.(value & opt int 16 & info [ "s"; "shards" ] ~docv:"S" ~doc:"Independent stream keys.")
@@ -459,7 +491,7 @@ let serve_cmd =
              $(b,--record-every) batches — items ingested, ns/point, an exact-oracle SSE spot \
              check on a rotating key, the major heap's size in words (column \
              $(i,resident_words): free space included, so neither RSS nor live data), \
-             backpressure/steal/lock counters and the latency quantiles.")
+             steal/lock counters and the latency quantiles.")
   in
   let record_every =
     Arg.(
@@ -566,29 +598,8 @@ let serve_cmd =
       Printf.printf "serve: %d points, %d batches over %d shards, %d domains (%s)\n"
         (SE.total_points eng) (SE.batches eng) shards domains
         (Stream_histogram.Params.policy_to_string policy);
-      Printf.printf "pinned: %d backpressure spill(s), %d refresh steal(s), %d lock op(s)\n"
-        (SE.backpressure_waits eng) (SE.refresh_steals eng) (SE.lock_ops eng);
-      Printf.printf "queries: %d served, %.0f queries/s, query_lock_ops=%d\n"
-        rep.Net_server.queries_served
-        (Float.of_int rep.Net_server.queries_served /. Float.max elapsed 1e-9)
-        (SE.query_lock_ops eng);
-      Printf.printf "elapsed %.3fs  throughput %.0f points/s\n" elapsed
-        (Float.of_int rep.Net_server.points /. Float.max elapsed 1e-9);
-      match List.filter (fun t -> Lat.count t > 0) (Lat.snapshot ()) with
-      | [] -> ()
-      | lats ->
-        Printf.printf "latency quantiles (ms):\n";
-        List.iter
-          (fun t ->
-            Printf.printf "  %-22s count=%-8d" (Lat.name t) (Lat.count t);
-            List.iter
-              (fun phi ->
-                match Lat.quantile t phi with
-                | Some v -> Printf.printf " %s=%.4g" (Sh_obs.Sink.phi_label phi) (1e3 *. v)
-                | None -> ())
-              Lat.percentiles;
-            print_newline ())
-          lats
+      print_serve_report eng ~latency_window ~served:rep.Net_server.queries_served
+        ~query_elapsed:elapsed ~lag:None ~points:rep.Net_server.points ~elapsed
     end
     else begin
     let root = Rng.create ~seed in
@@ -673,10 +684,9 @@ let serve_cmd =
       Printf.bprintf buf
         "{\"batches\":%d,\"items\":%d,\"ns_per_point\":%.6g,\"spot_key\":%d,\"spot_n\":%d,\
          \"spot_valid\":%b,\"sse\":%.9g,\"sse_opt\":%.9g,\"resident_words\":%d,\
-         \"backpressure_waits\":%d,\"refresh_steals\":%d,\"lock_ops\":%d,\"latency\":{"
+         \"refresh_steals\":%d,\"lock_ops\":%d,\"latency\":{"
         (SE.batches eng) pts ns_per_point spot_key spot_n spot_valid sse sse_opt
-        heap_words
-        (SE.backpressure_waits eng) (SE.refresh_steals eng) (SE.lock_ops eng);
+        heap_words (SE.refresh_steals eng) (SE.lock_ops eng);
       let first = ref true in
       List.iter
         (fun t ->
@@ -798,39 +808,15 @@ let serve_cmd =
     Printf.printf "serve: %d points, %d batches of <=%d over %d shards, %d domains (%s)\n"
       (SE.total_points eng) (SE.batches eng) batch shards domains
       (Stream_histogram.Params.policy_to_string policy);
-    Printf.printf "pinned: %d backpressure spill(s), %d refresh steal(s), %d lock op(s)\n"
-      (SE.backpressure_waits eng) (SE.refresh_steals eng) (SE.lock_ops eng);
-    (match query_report with
-    | None ->
-      (* No query traffic was requested: say so explicitly (with the
-         lock-op witness, which must be 0 even for the ingest-only run)
-         instead of omitting the line. *)
-      Printf.printf "queries: 0 served, 0 queries/s, query_lock_ops=%d\n"
-        (SE.query_lock_ops eng)
-    | Some ((served, lag), q_elapsed) ->
-      Printf.printf "queries: %d served, %.0f queries/s, query_lock_ops=%d\n" served
-        (Float.of_int served /. Float.max q_elapsed 1e-9)
-        (SE.query_lock_ops eng);
-      Printf.printf "query lag histogram: lag0=%d lag1=%d lag2plus=%d\n" lag.(0) lag.(1)
-        lag.(2));
-    Printf.printf "elapsed %.3fs  throughput %.0f points/s\n" elapsed
-      (Float.of_int count /. Float.max elapsed 1e-9);
-    (match List.filter (fun t -> Lat.count t > 0) (Lat.snapshot ()) with
-    | [] -> ()
-    | lats ->
-      Printf.printf "latency quantiles%s (ms):\n"
-        (if latency_window > 0 then Printf.sprintf ", last %d batches" latency_window else "");
-      List.iter
-        (fun t ->
-          Printf.printf "  %-22s count=%-8d" (Lat.name t) (Lat.count t);
-          List.iter
-            (fun phi ->
-              match Lat.quantile t phi with
-              | Some v -> Printf.printf " %s=%.4g" (Sh_obs.Sink.phi_label phi) (1e3 *. v)
-              | None -> ())
-            Lat.percentiles;
-          print_newline ())
-        lats);
+    (* With no query traffic the queries line still prints, with the
+       lock-op witness, which must be 0 even for the ingest-only run. *)
+    let served, query_elapsed, lag =
+      match query_report with
+      | None -> (0, elapsed, None)
+      | Some ((served, lag), q_elapsed) -> (served, q_elapsed, Some lag)
+    in
+    print_serve_report eng ~latency_window ~served ~query_elapsed ~lag ~points:count
+      ~elapsed;
     let tot_refreshes, tot_intervals =
       SE.fold eng ~init:(0, 0) ~f:(fun (r, iv) key fw ->
           let c = FW.work_counters fw in
@@ -1141,8 +1127,8 @@ let loadgen_cmd =
     Printf.printf "spot queries: %s (%d key(s), window lengths within [0, %d])\n"
       (if spot_ok then "ok" else "FAILED")
       spot_keys eng_window;
-    Printf.printf "server: %d total points, query_lock_ops=%d, backpressure_waits=%d\n"
-      st1.Wire.total_points st1.Wire.query_lock_ops st1.Wire.backpressure_waits;
+    Printf.printf "server: %d total points, query_lock_ops=%d\n"
+      st1.Wire.total_points st1.Wire.query_lock_ops;
     if not spot_ok then exit 1
   in
   Cmd.v

@@ -302,8 +302,6 @@ let stats t =
             Wire.total_points = !acc.Wire.total_points + s.Wire.total_points;
             batches = !acc.Wire.batches + s.Wire.batches;
             queries = !acc.Wire.queries + s.Wire.queries;
-            backpressure_waits =
-              !acc.Wire.backpressure_waits + s.Wire.backpressure_waits;
             lock_ops = !acc.Wire.lock_ops + s.Wire.lock_ops;
             query_lock_ops = !acc.Wire.query_lock_ops + s.Wire.query_lock_ops;
             snapshots_published =
@@ -322,5 +320,4 @@ let backend t =
     query = query t;
     stats = (fun () -> fst (stats t));
     checkpoint = None;
-    pressure = (fun () -> 0);
   }

@@ -105,5 +105,4 @@ val backend : t -> Sh_net.Server.backend
     {!query}, so a degraded batch is sent as
     {!Sh_net.Wire.response.Answers_partial}; [Stats] answers {!stats}.
     [Checkpoint] is refused with an [Error_reply] (the root holds no
-    state) and the root never stalls reads for backpressure (each leaf
-    applies its own). *)
+    state). *)

@@ -21,7 +21,6 @@ type backend = {
   query : (Q.scope * Q.t) array -> float array * int;
   stats : unit -> Wire.stats;
   checkpoint : (string -> unit) option;
-  pressure : unit -> int;
 }
 
 let engine eng =
@@ -47,13 +46,12 @@ let engine eng =
           total_points = SE.total_points eng;
           batches = SE.batches eng;
           queries = SE.queries eng;
-          backpressure_waits = SE.backpressure_waits eng;
+          backpressure_waits = 0;
           lock_ops = SE.lock_ops eng;
           query_lock_ops = SE.query_lock_ops eng;
           snapshots_published = SE.snapshots_published eng;
         });
     checkpoint = Some (fun file -> SE.checkpoint eng ~file);
-    pressure = (fun () -> SE.backpressure_waits eng);
   }
 
 type report = {
@@ -68,7 +66,6 @@ type report = {
   partial_replies : int;
   protocol_errors : int;
   idle_closes : int;
-  backpressure_stalls : int;
   checkpoints_written : int;
 }
 
@@ -131,7 +128,6 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
   let c_queries = Obs.counter "net.queries" in
   let c_proto_errors = Obs.counter "net.protocol_errors" in
   let c_idle_closes = Obs.counter "net.idle_closes" in
-  let c_stalls = Obs.counter "net.backpressure_stalls" in
   let shards = backend.shards in
   let bad_key = Op_bad (Printf.sprintf "key out of range [0, %d)" shards) in
   let r_connections = ref 0 in
@@ -145,11 +141,9 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
   let r_partial = ref 0 in
   let r_proto_errors = ref 0 in
   let r_idle_closes = ref 0 in
-  let r_stalls = ref 0 in
   let r_checkpoints = ref 0 in
   let clients = ref ([] : client list) in
   let finishing = ref false in
-  let stalled = ref false in
   let write_checkpoint () =
     match (backend.checkpoint, config.checkpoint) with
     | None, _ -> Error "this server holds no state to checkpoint"
@@ -288,7 +282,7 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
   while !running do
     (* -- build fd sets ------------------------------------------------ *)
     let read_fds =
-      if !stalled || !finishing then []
+      if !finishing then []
       else
         List.filter_map
           (fun cl ->
@@ -308,11 +302,6 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
           else None)
         !clients
     in
-    if !stalled then begin
-      incr r_stalls;
-      M.incr c_stalls;
-      stalled := false
-    end;
     let readable, _writable, _ =
       try Unix.select read_fds write_fds [] 0.05
       with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
@@ -349,13 +338,11 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
       match !reqs with
       | [] -> [||]
       | rs ->
-        let p0 = backend.pressure () in
         let acks = backend.ingest (Array.of_list (List.rev rs)) in
         let pts = Array.fold_left ( + ) 0 acks in
         incr r_rounds;
         r_points := !r_points + pts;
         M.add c_points pts;
-        if backend.pressure () > p0 then stalled := true;
         (match config.checkpoint_every with
         | Some k when !r_rounds mod k = 0 -> ignore (write_checkpoint ())
         | _ -> ());
@@ -421,6 +408,5 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
     partial_replies = !r_partial;
     protocol_errors = !r_proto_errors;
     idle_closes = !r_idle_closes;
-    backpressure_stalls = !r_stalls;
     checkpoints_written = !r_checkpoints;
   }

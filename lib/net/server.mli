@@ -17,16 +17,16 @@
     durability-in-window statement: the points it covers are in the
     backend before the ack bytes exist.
 
-    Backpressure is propagated, not absorbed: when an ingest round raises
-    [backend.pressure], the next iteration reads from no socket (one
-    stall, counted), and any connection holding more than
-    {!read_watermark} undecoded bytes is excluded from the read set until
-    it drains — kernel socket buffers fill and the TCP window closes back
-    to the sender.  The one exception is a buffer the last decode found to
-    be a single incomplete frame whose declared length passed the
-    {!Wire.max_frame_payload} check: it keeps reading until that frame is
-    whole, since nothing else can drain it.  Nothing acknowledged is ever
-    dropped; no connection buffers more than
+    Backpressure is propagated, not absorbed: an iteration applies at
+    most {!max_coalesce_points} (frames past that budget wait in their
+    connection's buffer for the next iteration), and any connection
+    holding more than {!read_watermark} undecoded bytes is excluded from
+    the read set until it drains — kernel socket buffers fill and the TCP
+    window closes back to the sender.  The one exception is a buffer the
+    last decode found to be a single incomplete frame whose declared
+    length passed the {!Wire.max_frame_payload} check: it keeps reading
+    until that frame is whole, since nothing else can drain it.  Nothing
+    acknowledged is ever dropped; no connection buffers more than
     [max read_watermark Wire.max_frame_payload] plus framing and one
     64 KiB read.
 
@@ -69,16 +69,13 @@ type backend = {
   checkpoint : (string -> unit) option;
       (** Write state to the given path; [None]: the backend holds no
           state, and [Checkpoint] is refused. *)
-  pressure : unit -> int;
-      (** Monotone backpressure count: a rise across an ingest call
-          stalls the next read. *)
 }
 
 val engine : SE.t -> backend
 (** The leaf: the round's requests are concatenated into one
     {!SE.ingest_groups} call (so ingest order matches arrival order),
-    each is acked with its point count, queries answer through
-    {!SE.query_many}, and [pressure] is [SE.backpressure_waits]. *)
+    each is acked with its point count, and queries answer through
+    {!SE.query_many}.  Its [Stats] report [backpressure_waits = 0]. *)
 
 type report = {
   connections : int;  (** accepted over the run *)
@@ -92,7 +89,6 @@ type report = {
   partial_replies : int;  (** [Answers_partial] frames sent *)
   protocol_errors : int;
   idle_closes : int;
-  backpressure_stalls : int;
   checkpoints_written : int;
 }
 

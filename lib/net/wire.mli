@@ -68,6 +68,9 @@ type stats = {
   batches : int;
   queries : int;
   backpressure_waits : int;
+      (** Always [0]: the engine applies every batch whole, so there is
+          nothing to count.  Kept so the stats format, and older peers,
+          decode unchanged. *)
   lock_ops : int;
   query_lock_ops : int;
   snapshots_published : int;

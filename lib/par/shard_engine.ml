@@ -3,46 +3,38 @@ module Q = Stream_histogram.Query_op
 module Obs = Sh_obs.Obs
 module M = Sh_obs.Metric
 module L = Sh_obs.Latency
-module Ring = Spsc_ring
 
 (* One shard = one independent fixed-window summary, under static
-   ownership: each owner (a slot of the domain pool) exclusively drains a
-   contiguous slice of shards, the producer hands values over through one
-   bounded SPSC ring per shard, and nothing on the per-point path locks or
-   CASes.  (The historical [Locked] mutex-per-shard mode is retired; the
-   [lock_ops] / [query_lock_ops] counters remain as flat-zero witnesses
-   that nothing reintroduced a lock.) *)
+   ownership: each owner (a slot of the domain pool) exclusively applies
+   a contiguous slice of shards, and nothing on the per-point path locks
+   or CASes.  (The historical [Locked] mutex-per-shard mode is retired;
+   the [lock_ops] / [query_lock_ops] counters remain as flat-zero
+   witnesses that nothing reintroduced a lock.) *)
 
-let default_ring_capacity = 1024
-
-(* Per-shard cells that one side writes while another reads across batch
-   boundaries (overflow fill levels) are spread out by this stride so
-   neighbouring shards — which may belong to different owners — never
-   share a cache line.  8 words = 64 bytes on every 64-bit target. *)
+(* The read-plane atomics are spread out by this stride so neighbouring
+   shards — which may belong to different owners — never share a cache
+   line.  8 words = 64 bytes on every 64-bit target. *)
 let pad_stride = 8
 
 type t = {
   pool : Domain_pool.t;
   shards : FW.t array;
-  (* --- ownership map: owner o drains shards
-     [slice_lo.(o) .. slice_hi.(o) - 1]; owners = min(domains, shards) so
-     every owner has a non-empty slice. *)
-  owners : int;
+  (* --- ownership map: owner o applies shards
+     [slice_lo.(o) .. slice_hi.(o) - 1] (see [build]); owners =
+     min(domains, shards) so every owner has a non-empty slice.  The
+     tasks close over the map; [refresh_all] rewinds the sweep cursors
+     to [slice_lo]. *)
   slice_lo : int array;
-  slice_hi : int array;
-  (* --- ingest lane: one SPSC ring per (producer, shard) pair — the
-     engine is single-producer (see [ingest]), so that is one ring per
-     shard.  A full ring spills into the per-shard overflow buffer
-     (growable, bounded by the batch size) and counts a backpressure
-     event; [drain_buf] is the owner-side scratch a shard's ring + spill
-     are assembled into so each shard still sees exactly one [push_slice]
-     per batch. *)
-  rings : Ring.t array;
-  overflow : float array array;
-  overflow_len : int array; (* slot k * pad_stride *)
-  drain_buf : float array array;
-  drain_tasks : (unit -> unit) array; (* one per owner *)
-  drain_one : int -> unit; (* caller-side drain of one shard (quiesce) *)
+  (* --- ingest: a batch is stably counting-sorted by key into [buf]
+     (grown to the largest batch, then reused), shard k's [cnt.(k)]
+     points starting at [off.(k)] in arrival order; one apply task per
+     owner then pushes each owned shard's run.  Only the caller writes
+     them, never while a task runs, and nothing in them carries over
+     from one engine call to the next. *)
+  cnt : int array;
+  off : int array;
+  buf : float array ref;
+  apply_tasks : (unit -> unit) array; (* one per owner *)
   (* --- refresh: work-stealing sweep.  Each owner claims shards from its
      own slice through a per-owner atomic cursor, then steals from other
      owners' cursors once its slice is done — a Zipf-hot slice cannot
@@ -52,7 +44,7 @@ type t = {
   cold_sweep : (unit -> unit) array;
   (* --- RCU read plane: one padded atomic slot per shard holding the
      immutable view published at that shard's last refresh.  The slot's
-     owner (drain/sweep task) republishes whenever the live generation has
+     owner (apply/sweep task) republishes whenever the live generation has
      advanced past the published one; readers [Atomic.get] the pointer and
      evaluate against the copy — wait-free, never touching the live
      summary or the owner's cache lines. *)
@@ -62,13 +54,12 @@ type t = {
   c_batches : M.counter;
   c_refreshes : M.counter;
   c_lock_ops : M.counter;
-  c_backpressure : M.counter;
   c_steals : M.counter;
   c_queries : M.counter;
   c_query_lock_ops : M.counter;
   c_published : M.counter;
   g_read_gen : M.gauge;
-  (* --- latency trackers (gated by [Obs.set_latency_enabled]): drain and
+  (* --- latency trackers (gated by [Obs.set_latency_enabled]): apply and
      sweep durations are recorded inside the pool tasks, so each owner
      feeds its own domain's GK slot and the merged quantile sees the
      cross-domain distribution. *)
@@ -78,26 +69,25 @@ type t = {
 
 (* Wire an engine around an existing shard array — shared by [create]
    (fresh summaries) and [restore_from] (decoded ones). *)
-let build ~ring_capacity ~pool shard_arr =
+let build ~pool shard_arr =
   let shards = Array.length shard_arr in
   let labels = [ ("instance", Obs.instance "se") ] in
   let c_lock_ops = Obs.counter ~labels "engine.lock_ops" in
-  let c_backpressure = Obs.counter ~labels "engine.backpressure_waits" in
   let c_steals = Obs.counter ~labels "engine.refresh_steals" in
   let c_queries = Obs.counter ~labels "engine.queries" in
   let c_query_lock_ops = Obs.counter ~labels "engine.query_lock_ops" in
   let c_published = Obs.counter ~labels "engine.snapshots_published" in
   let g_read_gen = Obs.gauge ~labels "engine.read_gen" in
   let l_ingest = L.tracker ~labels "latency.ingest_batch" in
-  let l_drain = L.tracker ~labels "latency.ring_drain" in
+  let l_apply = L.tracker ~labels "latency.shard_apply" in
   let l_sweep = L.tracker ~labels "latency.refresh_sweep" in
   let l_query = L.tracker ~labels "latency.query" in
   (* Read-plane slots.  Every shard starts with a real view (capturing
      refreshes, which is a no-op on decoded shards and trivial on empty
      fresh ones), so readers never see a sentinel.  The throwaway spacer
-     allocations keep consecutive atomics off one cache line (the
-     spsc_ring idiom): a reader polling shard k must not contend with the
-     owner publishing shard k+1. *)
+     allocations keep consecutive atomics off one cache line: a reader
+     polling shard k must not contend with the owner publishing shard
+     k+1. *)
   let views =
     Array.init shards (fun k ->
         ignore (Sys.opaque_identity (Array.make pad_stride 0));
@@ -109,7 +99,7 @@ let build ~ring_capacity ~pool shard_arr =
   (* Republish shard k's view if its live generation moved past the
      published one.  Only called with exclusive access to the shard (its
      owner), which makes the needs_refresh/generation reads stable; the
-     publication points are refresh completions — a drain that left the
+     publication points are refresh completions — an apply that left the
      shard dirty under a [Lazy] / mid-cadence [Every k] policy publishes
      nothing. *)
   let publish k =
@@ -128,45 +118,26 @@ let build ~ring_capacity ~pool shard_arr =
   let owners = max 1 (min (Domain_pool.domains pool) shards) in
   let slice_lo = Array.init owners (fun o -> o * shards / owners) in
   let slice_hi = Array.init owners (fun o -> (o + 1) * shards / owners) in
-  let rings = Array.init shards (fun _ -> Ring.create ~capacity:ring_capacity) in
-  let ring_cap = Ring.capacity rings.(0) in
-  let overflow = Array.make shards [||] in
-  let overflow_len = Array.make (shards * pad_stride) 0 in
-  let drain_buf = Array.init shards (fun _ -> Array.make ring_cap 0.0) in
-  (* Drain one shard: assemble ring contents then spilled overflow (older
-     values first — the producer only spills once the ring is full and the
-     ring is not consumed mid-routing, so this order is arrival order)
-     into the shard's scratch, and apply them as a single push_slice. *)
-  let drain_one k =
-    let ring = rings.(k) in
-    let spilled = overflow_len.(k * pad_stride) in
-    let total = Ring.length ring + spilled in
-    if total > 0 then begin
-      if Array.length drain_buf.(k) < total then
-        drain_buf.(k) <-
-          Array.make (max total (2 * Array.length drain_buf.(k))) 0.0;
-      let buf = drain_buf.(k) in
-      let n = Ring.pop_into ring buf ~pos:0 in
-      if spilled > 0 then begin
-        Array.blit overflow.(k) 0 buf n spilled;
-        overflow_len.(k * pad_stride) <- 0
-      end;
-      FW.push_slice shard_arr.(k) buf ~pos:0 ~len:(n + spilled);
-      (* the Every-k boundary publication point: push_slice refreshed iff
-         the policy fired, and publish keys off that *)
-      publish k
-    end
-  in
-  (* Timing is hand-rolled (no [L.time] closure) so the disabled path
-     stays allocation-free: one boolean load per task. *)
-  let drain_task o =
+  let cnt = Array.make shards 0 in
+  let off = Array.make shards 0 in
+  let buf = ref [||] in
+  (* Apply each owned shard's run of the sorted batch as one push_slice,
+     then publish: the Every-k boundary publication point (push_slice
+     refreshed iff the policy fired, and publish keys off that).  Timing
+     is hand-rolled (no [L.time] closure) so the disabled path stays
+     allocation-free: one boolean load per task. *)
+  let apply_task o =
     fun () ->
       let lat = Obs.latency_enabled () in
       let t0 = if lat then Obs.now () else 0.0 in
+      let buf = !buf in
       for k = slice_lo.(o) to slice_hi.(o) - 1 do
-        drain_one k
+        if cnt.(k) > 0 then begin
+          FW.push_slice shard_arr.(k) buf ~pos:off.(k) ~len:cnt.(k);
+          publish k
+        end
       done;
-      if lat then L.record l_drain (Obs.now () -. t0)
+      if lat then L.record l_apply (Obs.now () -. t0)
   in
   (* Work-stealing refresh sweep: claims go through per-owner cursors so
      an index is handed out exactly once; [refresh_all] resets the cursors
@@ -203,15 +174,11 @@ let build ~ring_capacity ~pool shard_arr =
   {
     pool;
     shards = shard_arr;
-    owners;
     slice_lo;
-    slice_hi;
-    rings;
-    overflow;
-    overflow_len;
-    drain_buf;
-    drain_tasks = Array.init owners drain_task;
-    drain_one;
+    cnt;
+    off;
+    buf;
+    apply_tasks = Array.init owners apply_task;
     cursors;
     warm_sweep = Array.init owners (sweep_task ~cold:false);
     cold_sweep = Array.init owners (sweep_task ~cold:true);
@@ -221,7 +188,6 @@ let build ~ring_capacity ~pool shard_arr =
     c_batches = Obs.counter ~labels "engine.batches";
     c_refreshes = Obs.counter ~labels "engine.refresh_sweeps";
     c_lock_ops;
-    c_backpressure;
     c_steals;
     c_queries;
     c_query_lock_ops;
@@ -231,21 +197,13 @@ let build ~ring_capacity ~pool shard_arr =
     l_query;
   }
 
-let create_with_ring ~ring_capacity ~pool ~shards ~window ~buckets ~epsilon =
+let create ~pool ~shards ~window ~buckets ~epsilon =
   if shards < 1 then invalid_arg "Shard_engine.create: shards must be >= 1";
-  if ring_capacity < 1 then
-    invalid_arg "Shard_engine.create: ring_capacity must be >= 1";
   (* sequential creation: instance-name allocation stays deterministic
      (fw0, fw1, ... in key order) regardless of the pool size *)
-  build ~ring_capacity ~pool
-    (Array.init shards (fun _ -> FW.create ~window ~buckets ~epsilon))
-
-let create ~pool ~shards ~window ~buckets ~epsilon =
-  create_with_ring ~ring_capacity:default_ring_capacity ~pool ~shards ~window
-    ~buckets ~epsilon
+  build ~pool (Array.init shards (fun _ -> FW.create ~window ~buckets ~epsilon))
 
 let shard_count t = Array.length t.shards
-let ring_capacity t = Ring.capacity t.rings.(0)
 
 let check_key t key =
   if key < 0 || key >= Array.length t.shards then
@@ -261,46 +219,33 @@ let with_shard t key f =
   t.publish key;
   v
 
-(* Spill one value that found its ring full.  Growable, never shrinks;
-   bounded by the batch size (once a ring is full it stays full for the
-   rest of the routing pass, so a shard spills at most one batch). *)
-let spill t k v =
-  let len = t.overflow_len.(k * pad_stride) in
-  if Array.length t.overflow.(k) = len then begin
-    let grown = Array.make (max 8 (2 * len)) 0.0 in
-    Array.blit t.overflow.(k) 0 grown 0 len;
-    t.overflow.(k) <- grown
-  end;
-  t.overflow.(k).(len) <- v;
-  t.overflow_len.(k * pad_stride) <- len + 1;
-  M.incr t.c_backpressure
-
-(* Route a batch: validate everything first (a rejected batch ingests
-   nothing), count points once per batch, and give every touched shard
-   exactly one [push_slice] covering its sub-batch in arrival order — so
-   the per-batch refresh amortisation of the sequential path carries over
-   unchanged.  Each value goes into its shard's SPSC ring — no lock, no
-   CAS — spilling to the overflow buffer on a full ring; then one drain
-   task per owner applies each owned shard's ring + spill.  Steady state
-   allocates nothing per batch beyond pool submission bookkeeping.
-
-   The rings make [ingest] single-producer: concurrent [ingest] calls on
-   the same engine would race on them. *)
-let ingest t batch =
-  let nb = Array.length batch in
+(* The one ingest routine, shared by [ingest] and [ingest_groups]: a
+   stable counting sort of the batch by key, then one apply task per
+   owner.  [count] validates the whole batch (raising before anything is
+   ingested) while adding each key's points to the zeroed [t.cnt], and
+   returns the batch size; [scatter] writes the values into [t.buf]
+   walking the batch backwards, moving [t.off.(k)] down from the end of
+   key k's run to its start — so every shard's run is contiguous, in
+   arrival order, and gets exactly one [push_slice]: the per-batch
+   refresh amortisation of the sequential path carries over unchanged.
+   [t.cnt], [t.off] and [t.buf] make the engine single-producer:
+   concurrent ingest calls on one engine would race on them. *)
+let route t ~count ~scatter =
+  let lat = Obs.latency_enabled () in
+  let t0 = if lat then Obs.now () else 0.0 in
+  let cnt = t.cnt and off = t.off in
+  Array.fill cnt 0 (Array.length cnt) 0;
+  let nb = count cnt in
   if nb > 0 then begin
-    let lat = Obs.latency_enabled () in
-    let t0 = if lat then Obs.now () else 0.0 in
-    for i = 0 to nb - 1 do
-      let k, v = batch.(i) in
-      check_key t k;
-      if not (Float.is_finite v) then invalid_arg "Shard_engine.ingest: non-finite value"
-    done;
-    for i = 0 to nb - 1 do
-      let k, v = batch.(i) in
-      if not (Ring.try_push t.rings.(k) v) then spill t k v
-    done;
-    ignore (Domain_pool.run t.pool t.drain_tasks);
+    let ends = ref 0 in
+    Array.iteri
+      (fun k c ->
+        ends := !ends + c;
+        off.(k) <- !ends)
+      cnt;
+    if Array.length !(t.buf) < nb then t.buf := Array.make nb 0.0;
+    scatter !(t.buf) off;
+    ignore (Domain_pool.run t.pool t.apply_tasks);
     M.add t.c_points nb;
     M.incr t.c_batches;
     if lat then begin
@@ -310,44 +255,45 @@ let ingest t batch =
     end
   end
 
+let ingest t batch =
+  route t
+    ~count:(fun cnt ->
+      Array.iter
+        (fun (k, v) ->
+          check_key t k;
+          if not (Float.is_finite v) then
+            invalid_arg "Shard_engine.ingest: non-finite value";
+          cnt.(k) <- cnt.(k) + 1)
+        batch;
+      Array.length batch)
+    ~scatter:(fun buf off ->
+      for i = Array.length batch - 1 downto 0 do
+        let k, v = batch.(i) in
+        off.(k) <- off.(k) - 1;
+        buf.(off.(k)) <- v
+      done)
+
 (* Pre-grouped ingest: the batch arrives as (key, values) runs — the shape
-   of a decoded network ingest frame — and is routed without ever building
-   per-point (key, value) pairs.  Same contract and same observable
-   behaviour as [ingest] of the flattened pairs. *)
+   of a decoded network ingest frame — and each run is blitted whole,
+   without ever building per-point (key, value) pairs. *)
 let ingest_groups t groups =
-  let ng = Array.length groups in
-  let nb = ref 0 in
-  for g = 0 to ng - 1 do
-    nb := !nb + Array.length (snd groups.(g))
-  done;
-  let nb = !nb in
-  if nb > 0 then begin
-    let lat = Obs.latency_enabled () in
-    let t0 = if lat then Obs.now () else 0.0 in
-    for g = 0 to ng - 1 do
-      let k, vs = groups.(g) in
-      check_key t k;
-      for i = 0 to Array.length vs - 1 do
-        if not (Float.is_finite vs.(i)) then
-          invalid_arg "Shard_engine.ingest_groups: non-finite value"
-      done
-    done;
-    for g = 0 to ng - 1 do
-      let k, vs = groups.(g) in
-      let ring = t.rings.(k) in
-      for i = 0 to Array.length vs - 1 do
-        let v = vs.(i) in
-        if not (Ring.try_push ring v) then spill t k v
-      done
-    done;
-    ignore (Domain_pool.run t.pool t.drain_tasks);
-    M.add t.c_points nb;
-    M.incr t.c_batches;
-    if lat then begin
-      L.record t.l_ingest (Obs.now () -. t0);
-      L.advance ()
-    end
-  end
+  route t
+    ~count:(fun cnt ->
+      Array.fold_left
+        (fun nb (k, vs) ->
+          check_key t k;
+          if not (Array.for_all Float.is_finite vs) then
+            invalid_arg "Shard_engine.ingest_groups: non-finite value";
+          cnt.(k) <- cnt.(k) + Array.length vs;
+          nb + Array.length vs)
+        0 groups)
+    ~scatter:(fun buf off ->
+      for g = Array.length groups - 1 downto 0 do
+        let k, vs = groups.(g) in
+        let n = Array.length vs in
+        off.(k) <- off.(k) - n;
+        Array.blit vs 0 buf off.(k) n
+      done)
 
 (* Rebuild every stale shard's interval lists across the pool: the batched
    refresh, as a work-stealing sweep so skewed per-shard costs cannot
@@ -455,7 +401,6 @@ let query_global t q =
 let total_points t = M.value t.c_points
 let batches t = M.value t.c_batches
 let lock_ops t = M.value t.c_lock_ops
-let backpressure_waits t = M.value t.c_backpressure
 let refresh_steals t = M.value t.c_steals
 let queries t = M.value t.c_queries
 let query_lock_ops t = M.value t.c_query_lock_ops
@@ -477,22 +422,10 @@ module P = Sh_persist.Persist
 
 let engine_tag = Char.code 'S'
 
-(* Quiescence protocol: every batch drains its rings before [ingest]
-   returns, so between engine calls the rings and overflow buffers are
-   empty — but a checkpoint must not silently trust that, so it drains any
-   residual hand-off state into the shards (on the caller, which is safe
-   under the no-concurrent-ingest contract) before encoding a frame.  A
-   frame therefore always captures a shard with no in-flight values. *)
-let quiesce t =
-  for k = 0 to Array.length t.shards - 1 do
-    t.drain_one k
-  done
-
 (* The checkpoint byte layout: persist header, one meta frame (tag, shard
    count, point/batch/refresh totals), then one frame per shard in key
    order. *)
 let encode_frames t =
-  quiesce t;
   let meta = Buffer.create 32 in
   Codec.put_u8 meta engine_tag;
   Codec.put_varint meta (Array.length t.shards);
@@ -561,7 +494,7 @@ let restore_from ~pool ~file =
   P.rejecting @@ fun () ->
   let r = Codec.of_string (P.read_file file) in
   let shard_arr, points, batches, refreshes = decode_shards r in
-  let t = build ~ring_capacity:default_ring_capacity ~pool shard_arr in
+  let t = build ~pool shard_arr in
   M.add t.c_points points;
   M.add t.c_batches batches;
   M.add t.c_refreshes refreshes;

@@ -6,15 +6,14 @@
     router port ...) at line rate.  Shards are fully independent — the
     paper's per-stream algorithm (Theorem 1) needs no cross-stream state —
     so the engine needs no histogram-level locking.  A batch reaches the
-    shards through the lock-free pipeline: the producer routes each value
-    into a bounded {!Spsc_ring} per shard — one array store plus one
-    atomic store, no mutex, no CAS — and one drain task per {e owner}
-    applies each owned shard's sub-batch.  Owners are static contiguous
-    slices of the shard space, at most one per pool domain, so no two
-    tasks ever touch the same shard.  A full ring spills to a per-shard
-    overflow buffer (bounded by the batch size) and counts
-    [engine.backpressure_waits].  Refresh sweeps are work-stealing: each
-    owner claims its own slice through an atomic cursor, then steals from
+    shards in two steps, neither of which locks or CASes: the caller
+    stably counting-sorts it by key into one engine-owned flat buffer
+    (grown to the largest batch, then reused), and one apply task per
+    {e owner} pushes each owned shard's contiguous run.  Owners are
+    static contiguous slices of the shard space, at most one per pool
+    domain, so no two tasks ever touch the same shard.  Nothing is held
+    between engine calls.  Refresh sweeps are work-stealing: each owner
+    claims its own slice through an atomic cursor, then steals from
     slower owners, so a Zipf-hot slice cannot serialise the sweep.
 
     (The historical [Locked] mutex-per-shard mode is retired; the
@@ -39,33 +38,15 @@ val create :
 (** An engine of [shards] summaries ([>= 1]), each a fixed-window
     maintainer with the given window/buckets/epsilon and the default
     ([Lazy]) refresh policy — use {!set_refresh_policy} for another.
-    Stream keys are [0 .. shards - 1].  Rings hold
-    {!default_ring_capacity} values ({!create_with_ring} for another).
-    The pool is borrowed, not owned: several engines may share one pool,
-    and {!Domain_pool.shutdown} remains the caller's job. *)
-
-val create_with_ring :
-  ring_capacity:int ->
-  pool:Domain_pool.t ->
-  shards:int ->
-  window:int ->
-  buckets:int ->
-  epsilon:float ->
-  t
-(** {!create} with an explicit per-shard ring capacity ([>= 1], rounded up
-    to a power of two).  Smaller rings trade memory for earlier
-    backpressure spills; capacity only affects wall-clock and the
-    [engine.backpressure_waits] count, never answers. *)
-
-val default_ring_capacity : int
+    Stream keys are [0 .. shards - 1].  The pool is borrowed, not
+    owned: several engines may share one pool, and
+    {!Domain_pool.shutdown} remains the caller's job. *)
 
 val set_refresh_policy : t -> Stream_histogram.Params.refresh_policy -> unit
 (** Set the arrival-time refresh policy of every shard.  Raises
     [Invalid_argument] on [Every k] with [k < 1]. *)
 
 val shard_count : t -> int
-val ring_capacity : t -> int
-(** Actual (power-of-two) per-shard ring capacity. *)
 
 val pool : t -> Domain_pool.t
 
@@ -74,18 +55,17 @@ val ingest : t -> (int * float) array -> unit
     each shard's sub-batch as a single
     {!Stream_histogram.Fixed_window.push_slice} in arrival order — so the
     per-batch refresh amortisation of the sequential path carries over
-    unchanged.  Returns once every point of the batch is applied (the
-    rings are fully drained — no value is ever left in flight between
-    calls).  The engine is single-producer: at most one [ingest] per
-    engine at a time.  Raises [Invalid_argument] (before ingesting
+    unchanged.  Returns once every point of the batch is applied; no
+    value is ever left in flight between calls.  The engine is
+    single-producer: at most one [ingest] per engine at a time.  Raises [Invalid_argument] (before ingesting
     anything) if any key is out of range or any value non-finite. *)
 
 val ingest_groups : t -> (int * float array) array -> unit
 (** {!ingest} for a batch that arrives pre-grouped as [(key, values)] runs
-    — the shape of a decoded network ingest frame — routed without ever
-    materialising per-point [(key, value)] pairs.  Keys may repeat; a
-    shard's sub-batch is its groups' values concatenated in group order,
-    so [ingest_groups t gs] is observationally identical to [ingest t]
+    — the shape of a decoded network ingest frame — each run blitted
+    whole, without ever materialising per-point [(key, value)] pairs.
+    Keys may repeat; a shard's sub-batch is its groups' values
+    concatenated in group order, so [ingest_groups t gs] is observationally identical to [ingest t]
     of the flattened pairs (same single-producer contract, same
     validation, same per-batch refresh cadence). *)
 
@@ -113,16 +93,16 @@ val refresh_all : ?cold:bool -> t -> unit
     an in-flight {!ingest} / {!refresh_all}.  The price is bounded
     staleness: answers reflect the shard as of its last publication
     point, i.e. at most one refresh cadence behind the live summary
-    ([Lazy] defers publication to the next {!refresh_all} — quiesce with
-    it before reading if you need current answers).  After any engine
+    ([Lazy] defers publication to the next {!refresh_all} — call it
+    before reading if you need current answers).  After any engine
     call returns, the published generation equals the live generation of
     every shard that call refreshed (property-tested);
     {!generation_lag} / {!publication_lag} expose the distance.
 
-    View answers are bit-identical to querying the quiesced live summary
-    at the same generation — the snapshot-equivalence property the test
-    suite pins against the sequential {!Stream_histogram.Fixed_window}
-    oracle.
+    View answers are bit-identical to querying the live summary between
+    engine calls at the same generation — the snapshot-equivalence
+    property the test suite pins against the sequential
+    {!Stream_histogram.Fixed_window} oracle.
 
     Live-shard escape hatches ({!with_key}, {!fold}, {!set_refresh_policy},
     {!checkpoint}) bypass the view and require the same exclusivity as
@@ -183,14 +163,14 @@ val query_global : t -> Stream_histogram.Query_op.t -> float
     fixed float association.  The root aggregator folds its leaves'
     per-key answers the same way, which is how its [Global] answers are
     proved bit-identical to this single-process oracle.  Wait-free
-    (published views only — quiesce with {!refresh_all} first for
-    current answers). *)
+    (published views only — call {!refresh_all} first for current
+    answers). *)
 
 val with_key :
   t -> key:int -> f:(Stream_histogram.Fixed_window.t -> 'a) -> 'a
-(** Run [f] against the {e live} summary of one shard — the quiesced-read
-    escape hatch (recorders, oracles, tests).  Caller must guarantee no
-    concurrent engine call.  If [f] refreshed the shard, its view is
+(** Run [f] against the {e live} summary of one shard — the between-calls
+    read escape hatch (recorders, oracles, tests).  Caller must
+    guarantee no concurrent engine call.  If [f] refreshed the shard, its view is
     republished before returning. *)
 
 val fold : t -> init:'a -> f:('a -> int -> Stream_histogram.Fixed_window.t -> 'a) -> 'a
@@ -208,11 +188,6 @@ val lock_ops : t -> int
 (** Mutex acquisitions this engine has performed (["engine.lock_ops"]).
     Always [0] since the [Locked] mode's retirement — kept as the
     steady-state lock-freedom witness (CI greps it). *)
-
-val backpressure_waits : t -> int
-(** Values that found their ring full and were spilled to the overflow
-    buffer (["engine.backpressure_waits"]).  No value is ever dropped;
-    a non-zero count means ring capacity is small for the batch shape. *)
 
 val refresh_steals : t -> int
 (** Shards refreshed by a non-owner during {!refresh_all} work-stealing
@@ -241,11 +216,10 @@ val snapshots_published : t -> int
     checkpoint readable — proved by the fault-injection suite). *)
 
 val checkpoint : t -> file:string -> unit
-(** Capture every shard and atomically publish the file.  The engine is
-    quiesced first: any residual ring/overflow contents are drained into
-    their shards on the caller, so every frame captures a shard with no
-    in-flight values.  Do not run concurrently with {!ingest}: frames are
-    per-shard consistent, but a mid-batch checkpoint would split that
+(** Capture every shard and atomically publish the file.  Every point of
+    a returned {!ingest} is already in its shard, so each frame captures
+    a shard with no in-flight values.  Do not run concurrently with
+    {!ingest}: frames are per-shard consistent, but a mid-batch checkpoint would split that
     batch across the checkpoint boundary. *)
 
 val restore_from : pool:Domain_pool.t -> file:string -> t

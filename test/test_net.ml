@@ -306,8 +306,8 @@ type tier = Leaf | Root
    leaf.  Listeners are bound before the domains spawn, so clients can
    connect immediately (the backlog holds them until the loop's first
    iteration). *)
-let with_server ?(tier = Leaf) ?config ?(policy = Params.Eager)
-    ?(ring_capacity = SE.default_ring_capacity) ~shards ~window ~buckets ~epsilon addr f =
+let with_server ?(tier = Leaf) ?config ?(policy = Params.Eager) ~shards ~window ~buckets
+    ~epsilon addr f =
   let stop = Atomic.make false in
   let serve ?config backend listener =
     Server.run ?config ~stop:(fun () -> Atomic.get stop) ~backend ~listeners:[ listener ] ()
@@ -315,9 +315,7 @@ let with_server ?(tier = Leaf) ?config ?(policy = Params.Eager)
   let spawn_leaf ?config listener =
     Domain.spawn (fun () ->
         Pool.with_pool ~domains:1 (fun pool ->
-            let eng =
-              SE.create_with_ring ~ring_capacity ~pool ~shards ~window ~buckets ~epsilon
-            in
+            let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon in
             SE.set_refresh_policy eng policy;
             serve ?config (Server.engine eng) listener))
   in
@@ -445,47 +443,104 @@ let test_serve_equivalence tier =
   Alcotest.(check int) "query plane stayed lock-free" 0 st.Wire.query_lock_ops;
   Client.ping c
 
+(* Competing pipelined connections, one of them sending more than a
+   thousand points of one key per request (the key repeated across
+   groups): nothing is lost, and the served state is exactly an
+   in-process engine's fed the acked requests.  Each connection owns
+   disjoint keys, so every key's arrival order is its connection's
+   however the server coalesces rounds; under [Eager] every batch ends
+   in a refresh, so the published views match whatever the batching. *)
 let test_serve_backpressure_no_drop tier =
   let shards, window, buckets, epsilon = geometry in
   with_temp_sock @@ fun addr ->
-  (* ring capacity 1: every batched point beyond the first per shard
-     spills, so backpressure_waits must rise while nothing is lost *)
-  with_server ~tier ~ring_capacity:1 ~policy:(Params.Every 64) ~shards ~window ~buckets ~epsilon
-    addr
-  @@ fun () ->
-  let nconn = 3 and batches = 8 and batch = 256 in
+  with_server ~tier ~shards ~window ~buckets ~epsilon addr @@ fun () ->
+  Pool.with_pool ~domains:1 @@ fun pool ->
+  let oracle = SE.create ~pool ~shards ~window ~buckets ~epsilon in
+  SE.set_refresh_policy oracle Params.Eager;
+  let nconn = 3 and rounds = 8 in
   let cs = Array.init nconn (fun _ -> Client.connect ~timeout:5. addr) in
   Fun.protect ~finally:(fun () -> Array.iter Client.close cs) @@ fun () ->
   let rng = Rng.create ~seed:11 in
+  (* connection c owns keys c, c + nconn, ...; its first key is hot on
+     connection 0 *)
+  let request c =
+    let own = List.filter (fun k -> k mod nconn = c) (List.init shards Fun.id) in
+    let values n = Array.init n (fun _ -> Float.of_int (Rng.int rng 50)) in
+    let hot = List.hd own in
+    Array.of_list
+      ((if c = 0 then [ (hot, values 600); (hot, values 500) ] else [])
+      @ List.map (fun k -> (k, values (16 + Rng.int rng 48))) own
+      @ [ (hot, [||]) ])
+  in
   let sent = ref 0 in
   let acked = ref 0 in
-  for _ = 1 to batches do
+  for _ = 1 to rounds do
     (* pipeline: all connections send, then all collect — forcing the
        server to coalesce competing batches in one iteration *)
-    Array.iter
-      (fun c ->
-        let groups =
-          Array.init 4 (fun _ ->
-              let k = Rng.int rng shards in
-              (k, Array.init (batch / 4) (fun _ -> Float.of_int (Rng.int rng 50))))
-        in
-        sent := !sent + Wire.points_in_groups groups;
-        Client.send c (Wire.Ingest groups))
-      cs;
-    Array.iter
-      (fun c ->
-        match Client.recv c with
-        | Wire.Ack n -> acked := !acked + n
+    let reqs = Array.init nconn request in
+    Array.iteri
+      (fun c gs ->
+        sent := !sent + Wire.points_in_groups gs;
+        Client.send cs.(c) (Wire.Ingest gs))
+      reqs;
+    Array.iteri
+      (fun c gs ->
+        match Client.recv cs.(c) with
+        | Wire.Ack n ->
+          Alcotest.(check int) "request acked whole" (Wire.points_in_groups gs) n;
+          acked := !acked + n;
+          SE.ingest_groups oracle gs
         | _ -> Alcotest.fail "expected Ack")
-      cs
+      reqs
   done;
   let st = Client.stats cs.(0) in
   Alcotest.(check int) "acked == sent" !sent !acked;
-  Alcotest.(check int) "server holds every acked point" !sent st.Wire.total_points;
+  Alcotest.(check int) "server holds every acked point" !acked st.Wire.total_points;
+  let qs =
+    Array.concat
+      (List.init shards (fun k ->
+           [|
+             (Qop.Key k, Qop.Window_length);
+             (Qop.Key k, Qop.Range_sum { lo = 1; hi = window });
+             (Qop.Key k, Qop.Current_error);
+           |]))
+  in
+  let remote = Client.query cs.(1) qs in
+  Array.iteri
+    (fun i expect ->
+      if Int64.bits_of_float expect <> Int64.bits_of_float remote.(i) then
+        Alcotest.failf "query %d: oracle %.17g <> served %.17g" i expect remote.(i))
+    (SE.query_many oracle qs)
+
+(* A request that sends thousands of points to one key must not delay the
+   reads that follow it: each ping after such a request is answered
+   within one loop iteration, not after a [select] timeout.  Behind a
+   root the ping is answered by the root, so a leaf that stalled would
+   show up in the next forwarded request instead: the whole rounds are
+   bounded too. *)
+let test_serve_hot_key_no_stall tier =
+  let shards, window, buckets, epsilon = geometry in
+  with_temp_sock @@ fun addr ->
+  with_server ~tier ~shards ~window ~buckets ~epsilon addr @@ fun () ->
+  let c = Client.connect ~timeout:5. addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let hot = [| (0, Array.init 2000 (fun i -> Float.of_int (i mod 97))) |] in
+  let acked = ref 0 and pinging = ref 0.0 in
+  let r0 = Unix.gettimeofday () in
+  for _ = 1 to 20 do
+    acked := !acked + Client.ingest c hot;
+    let t0 = Unix.gettimeofday () in
+    Client.ping c;
+    pinging := !pinging +. (Unix.gettimeofday () -. t0)
+  done;
+  let rounds = Unix.gettimeofday () -. r0 in
+  Alcotest.(check int) "every hot request acked" (20 * 2000) !acked;
   Alcotest.(check bool)
-    (Printf.sprintf "backpressure engaged (waits=%d)" st.Wire.backpressure_waits)
-    true
-    (st.Wire.backpressure_waits > 0)
+    (Printf.sprintf "20 pings took %.3f s (< 0.5 s)" !pinging)
+    true (!pinging < 0.5);
+  Alcotest.(check bool)
+    (Printf.sprintf "20 rounds took %.3f s (< 0.5 s)" rounds)
+    true (rounds < 0.5)
 
 let test_serve_rejects_bad_key_keeps_conn tier =
   let shards, window, buckets, epsilon = geometry in
@@ -684,6 +739,7 @@ let serve_cases tier =
   [
     case "equivalence with in-process engine" test_serve_equivalence;
     case "backpressure drops nothing" test_serve_backpressure_no_drop;
+    case "hot key does not stall reads" test_serve_hot_key_no_stall;
     case "bad key rejected, connection survives" test_serve_rejects_bad_key_keeps_conn;
     case "malformed inputs rejected" test_serve_malformed_inputs;
     case "slow loris reaped" test_serve_slow_loris_reaped;

@@ -7,7 +7,6 @@
 
 module Pool = Sh_par.Domain_pool
 module SE = Sh_par.Shard_engine
-module Ring = Sh_par.Spsc_ring
 module FW = Stream_histogram.Fixed_window
 module Qop = Stream_histogram.Query_op
 module Params = Stream_histogram.Params
@@ -113,106 +112,6 @@ let test_split_ix_deterministic () =
     (draws (Rng.split_ix (root ()) 1) <> draws (Rng.split_ix (root ()) 2));
   Alcotest.check_raises "negative index" (Invalid_argument "Rng.split_ix: index must be >= 0")
     (fun () -> ignore (Rng.split_ix (root ()) (-1)))
-
-(* ------------------------------------------------------ SPSC ring queue *)
-
-let test_ring_validation () =
-  Alcotest.check_raises "capacity >= 1"
-    (Invalid_argument "Spsc_ring.create: capacity must be >= 1") (fun () ->
-      ignore (Ring.create ~capacity:0));
-  Alcotest.(check int) "capacity rounds up to a power of two" 8
-    (Ring.capacity (Ring.create ~capacity:5));
-  Alcotest.(check int) "power of two kept" 4 (Ring.capacity (Ring.create ~capacity:4))
-
-let test_ring_capacity_one () =
-  let r = Ring.create ~capacity:1 in
-  Alcotest.(check int) "capacity 1" 1 (Ring.capacity r);
-  Alcotest.(check bool) "starts empty" true (Ring.is_empty r);
-  Alcotest.(check bool) "push into empty" true (Ring.try_push r 1.0);
-  Alcotest.(check bool) "second push blocks" false (Ring.try_push r 2.0);
-  Alcotest.(check (option (float 0.0))) "pop" (Some 1.0) (Ring.pop r);
-  Alcotest.(check (option (float 0.0))) "pop empty" None (Ring.pop r);
-  (* the freed slot is reusable: the ring cycles forever at capacity 1 *)
-  for i = 0 to 99 do
-    Alcotest.(check bool) "cycle push" true (Ring.try_push r (Float.of_int i));
-    Alcotest.(check (option (float 0.0))) "cycle pop" (Some (Float.of_int i)) (Ring.pop r)
-  done
-
-let test_ring_full_empty_boundary () =
-  let r = Ring.create ~capacity:4 in
-  for i = 0 to 3 do
-    Alcotest.(check bool) (Printf.sprintf "push %d" i) true (Ring.try_push r (Float.of_int i))
-  done;
-  Alcotest.(check int) "full length" 4 (Ring.length r);
-  Alcotest.(check bool) "push into full blocks" false (Ring.try_push r 99.0);
-  Alcotest.(check bool) "still blocks (cache refreshed)" false (Ring.try_push r 99.0);
-  for i = 0 to 3 do
-    Alcotest.(check (option (float 0.0))) (Printf.sprintf "fifo pop %d" i)
-      (Some (Float.of_int i)) (Ring.pop r)
-  done;
-  Alcotest.(check bool) "empty again" true (Ring.is_empty r);
-  Alcotest.(check (option (float 0.0))) "pop empty" None (Ring.pop r)
-
-let test_ring_wraparound () =
-  (* drive 10x capacity values through a capacity-4 ring with a fill level
-     of 3, so the cursors lap the buffer repeatedly: FIFO order must hold
-     across every wrap *)
-  let r = Ring.create ~capacity:4 in
-  let next_in = ref 0 and next_out = ref 0 in
-  for _ = 1 to 40 do
-    while Ring.length r < 3 do
-      Alcotest.(check bool) "push" true (Ring.try_push r (Float.of_int !next_in));
-      incr next_in
-    done;
-    Alcotest.(check (option (float 0.0))) "fifo across wrap"
-      (Some (Float.of_int !next_out)) (Ring.pop r);
-    incr next_out
-  done
-
-let test_ring_pop_into () =
-  let r = Ring.create ~capacity:8 in
-  for i = 0 to 5 do
-    ignore (Ring.try_push r (Float.of_int i))
-  done;
-  let dst = Array.make 10 Float.nan in
-  (* bounded by the room left in dst *)
-  Alcotest.(check int) "partial drain" 4 (Ring.pop_into r dst ~pos:6);
-  Alcotest.(check (array (float 0.0))) "drained prefix in order"
-    [| 0.0; 1.0; 2.0; 3.0 |] (Array.sub dst 6 4);
-  Alcotest.(check int) "rest drains" 2 (Ring.pop_into r dst ~pos:0);
-  Alcotest.(check (array (float 0.0))) "tail in order" [| 4.0; 5.0 |] (Array.sub dst 0 2);
-  Alcotest.(check int) "empty drains zero" 0 (Ring.pop_into r dst ~pos:0);
-  Alcotest.check_raises "pos out of range"
-    (Invalid_argument "Spsc_ring.pop_into: pos out of range") (fun () ->
-      ignore (Ring.pop_into r dst ~pos:11))
-
-let test_ring_across_domains () =
-  (* one producer domain, one consumer domain, a deliberately tiny ring:
-     every pushed value must come out exactly once, in order *)
-  let r = Ring.create ~capacity:4 in
-  let n = 10_000 in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 0 to n - 1 do
-          while not (Ring.try_push r (Float.of_int i)) do
-            Domain.cpu_relax ()
-          done
-        done)
-  in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    let rec next () =
-      match Ring.pop r with
-      | Some v -> v
-      | None ->
-        Domain.cpu_relax ();
-        next ()
-    in
-    if next () <> Float.of_int i then ok := false
-  done;
-  Domain.join producer;
-  Alcotest.(check bool) "10k values cross the ring in order" true !ok;
-  Alcotest.(check bool) "ring drained" true (Ring.is_empty r)
 
 (* --------------------------------------- engine == sequential reference *)
 
@@ -361,11 +260,6 @@ let test_engine_validation () =
       Alcotest.check_raises "shards >= 1"
         (Invalid_argument "Shard_engine.create: shards must be >= 1") (fun () ->
           ignore (SE.create ~pool ~shards:0 ~window:8 ~buckets:2 ~epsilon:0.1));
-      Alcotest.check_raises "ring capacity >= 1"
-        (Invalid_argument "Shard_engine.create: ring_capacity must be >= 1") (fun () ->
-          ignore
-            (SE.create_with_ring ~ring_capacity:0 ~pool ~shards:2 ~window:8 ~buckets:2
-               ~epsilon:0.1));
       let eng = SE.create ~pool ~shards:4 ~window:8 ~buckets:2 ~epsilon:0.1 in
       Alcotest.(check int) "shard count" 4 (SE.shard_count eng);
       Alcotest.check_raises "key out of range"
@@ -407,7 +301,7 @@ let test_engine_refresh_all_and_counters () =
             (SE.current_error eng ~key:k))
         errs)
 
-(* ------------------------------------ lock-freedom and backpressure *)
+(* ------------------------------------ lock-freedom and skewed batches *)
 
 (* The acceptance gate of the lock-free rework, kept as a flat-zero
    witness now that the Locked comparison mode is retired: the engine
@@ -444,53 +338,153 @@ let test_pinned_zero_lock_ops () =
             0 (SE.query_lock_ops eng)))
     domain_counts
 
-(* Saturate deliberately tiny rings: every point must still land (spilled
-   through the overflow path, counted as backpressure waits), and the
-   results must stay bit-identical to the sequential reference. *)
+(* One key far hotter than the rest, more than a thousand points of it
+   in one batch: every point must land in order, whether the batch comes
+   as pairs or as groups that repeat the hot key, and each shard must
+   answer bit for bit like a memo-off sequential summary fed its
+   per-key subsequence. *)
 let test_backpressure_no_point_dropped () =
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          let eng =
-            SE.create_with_ring ~ring_capacity:4 ~pool ~shards:2 ~window:64 ~buckets:2
-              ~epsilon:0.3
-          in
-          Alcotest.(check int) "tiny ring capacity" 4 (SE.ring_capacity eng);
-          (* 90 of 100 points hit shard 0: its capacity-4 ring must spill *)
-          let batch =
-            Array.init 100 (fun i ->
-                ((if i mod 10 = 9 then 1 else 0), Float.of_int ((i * 7) mod 53)))
-          in
-          let refs = Array.init 2 (fun _ -> FW.create ~window:64 ~buckets:2 ~epsilon:0.3) in
-          Array.iter (fun fw -> FW.set_memoisation fw false) refs;
-          SE.ingest eng batch;
-          Array.iteri
-            (fun k _ ->
-              FW.push_many refs.(k)
-                (Array.of_list
+  let shards = 3 and window = 1500 and buckets = 3 and epsilon = 0.3 in
+  let value i = Float.of_int ((i * 7) mod 53) in
+  (* 1,800 of 2,000 points hit shard 0 *)
+  let pairs =
+    Array.init 2000 (fun i -> ((if i mod 10 = 9 then 1 + (i / 10 mod 2) else 0), value i))
+  in
+  (* the same arrivals as runs of 100: shard 0 recurs in every run *)
+  let groups =
+    Array.concat
+      (List.init 20 (fun r ->
+           let run = Array.sub pairs (r * 100) 100 in
+           List.filter_map
+             (fun k ->
+               let vs =
+                 Array.of_list
                    (List.filter_map
                       (fun (k', v) -> if k' = k then Some v else None)
-                      (Array.to_list batch))))
-            refs;
-          Alcotest.(check bool)
-            (Printf.sprintf "ring saturation spilled, %d domains" domains)
-            true
-            (SE.backpressure_waits eng > 0);
-          Alcotest.(check int) "every point counted" 100 (SE.total_points eng);
-          (* quiesce: publish the post-spill state so snapshot-backed
-             queries see it (default policy is Lazy) *)
-          SE.refresh_all eng;
-          Array.iteri
-            (fun k fw ->
-              Alcotest.(check int)
-                (Printf.sprintf "shard %d length matches sequential, %d domains" k domains)
-                (FW.length fw) (SE.length eng ~key:k);
-              Alcotest.(check bool)
-                (Printf.sprintf "shard %d histogram matches sequential, %d domains" k domains)
-                true
-                (H.to_series (SE.current_histogram eng ~key:k) = H.to_series (FW.current_histogram fw)))
-            refs))
+                      (Array.to_list run))
+               in
+               if vs = [||] then None else Some (k, vs))
+             [ 0; 1; 2 ]
+           |> Array.of_list))
+  in
+  let refs =
+    Array.init shards (fun k ->
+        let fw = FW.create ~window ~buckets ~epsilon in
+        FW.set_memoisation fw false;
+        FW.push_many fw
+          (Array.of_list
+             (List.filter_map
+                (fun (k', v) -> if k' = k then Some v else None)
+                (Array.to_list pairs)));
+        fw)
+  in
+  Alcotest.(check bool) "hot shard takes > 1024 points in the batch" true
+    (Array.fold_left (fun n (k, _) -> if k = 0 then n + 1 else n) 0 pairs > 1024);
+  let bits x = Int64.bits_of_float x in
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun (entry, feed) ->
+          Pool.with_pool ~domains (fun pool ->
+              let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon in
+              feed eng;
+              Alcotest.(check int) "every point counted" 2000 (SE.total_points eng);
+              Alcotest.(check int) "one batch" 1 (SE.batches eng);
+              (* publish: the default policy is Lazy *)
+              SE.refresh_all eng;
+              Array.iteri
+                (fun key fw ->
+                  let what = Printf.sprintf "%s, %d domains, shard %d" entry domains key in
+                  Alcotest.(check int) (what ^ ": length") (FW.length fw)
+                    (SE.length eng ~key);
+                  Alcotest.(check int64) (what ^ ": current error")
+                    (bits (FW.current_error fw)) (bits (SE.current_error eng ~key));
+                  Alcotest.(check (list int64)) (what ^ ": histogram")
+                    (List.map bits (Array.to_list (H.to_series (FW.current_histogram fw))))
+                    (List.map bits
+                       (Array.to_list (H.to_series (SE.current_histogram eng ~key))));
+                  List.iter
+                    (fun x ->
+                      Alcotest.(check int64)
+                        (Printf.sprintf "%s: herror x=%d" what x)
+                        (bits (FW.herror fw ~k:buckets ~x))
+                        (bits (SE.herror eng ~key ~k:buckets ~x)))
+                    [ 1; FW.length fw / 2; FW.length fw ])
+                refs))
+        [ ("ingest", fun eng -> SE.ingest eng pairs);
+          ("ingest_groups", fun eng -> SE.ingest_groups eng groups) ])
     domain_counts
+
+(* The .mli's promise for [ingest_groups]: the same engine state as
+   [ingest] of the flattened pairs, batch for batch — answers, counters
+   and publications — with keys repeating across groups and empty groups
+   mixed in. *)
+let prop_ingest_groups_equals_ingest =
+  Helpers.qcheck_case ~count:20 ~name:"ingest_groups == ingest of flattened pairs"
+    QCheck2.Gen.(
+      let* shards = int_range 1 6 in
+      let* window = int_range 4 40 in
+      let* buckets = int_range 2 4 in
+      let* policy = oneofl policies in
+      let* batches =
+        list_size (int_range 1 5)
+          (list_size (int_range 0 8)
+             (pair (int_range 0 (shards - 1)) (list_size (int_range 0 12) (int_range 0 200))))
+      in
+      return (shards, window, buckets, policy, batches))
+    (fun (shards, window, buckets, policy, batches) ->
+      let batches =
+        List.map
+          (fun b ->
+            Array.of_list
+              (List.map (fun (k, vs) -> (k, Array.of_list (List.map Float.of_int vs))) b))
+          batches
+      in
+      let flatten gs =
+        Array.concat (Array.to_list (Array.map (fun (k, vs) -> Array.map (fun v -> (k, v)) vs) gs))
+      in
+      List.for_all
+        (fun domains ->
+          Pool.with_pool ~domains (fun pool ->
+              let mk () =
+                let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon:0.2 in
+                SE.set_refresh_policy eng policy;
+                eng
+              in
+              let by_groups = mk () and by_pairs = mk () in
+              let same () =
+                let ok = ref true in
+                let check b = if not b then ok := false in
+                check (SE.total_points by_groups = SE.total_points by_pairs);
+                check (SE.batches by_groups = SE.batches by_pairs);
+                check (SE.snapshots_published by_groups = SE.snapshots_published by_pairs);
+                for key = 0 to shards - 1 do
+                  check (SE.read_gen by_groups ~key = SE.read_gen by_pairs ~key);
+                  check (SE.length by_groups ~key = SE.length by_pairs ~key);
+                  check
+                    (Float.equal (SE.current_error by_groups ~key)
+                       (SE.current_error by_pairs ~key));
+                  if SE.length by_pairs ~key > 0 then
+                    check
+                      (H.to_series (SE.current_histogram by_groups ~key)
+                      = H.to_series (SE.current_histogram by_pairs ~key));
+                  check
+                    (SE.with_key by_groups ~key ~f:FW.length
+                    = SE.with_key by_pairs ~key ~f:FW.length)
+                done;
+                !ok
+              in
+              let ok = ref true in
+              List.iter
+                (fun gs ->
+                  SE.ingest_groups by_groups gs;
+                  SE.ingest by_pairs (flatten gs);
+                  if not (same ()) then ok := false)
+                batches;
+              SE.refresh_all by_groups;
+              SE.refresh_all by_pairs;
+              !ok && same ()))
+        domain_counts)
 
 (* The work-stealing sweep must refresh every shard exactly once per
    refresh_all, whatever the owner/stealer interleaving — claims go
@@ -835,15 +829,6 @@ let () =
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown_rejects;
         ] );
       ("rng", [ Alcotest.test_case "split_ix deterministic" `Quick test_split_ix_deterministic ]);
-      ( "spsc_ring",
-        [
-          Alcotest.test_case "validation" `Quick test_ring_validation;
-          Alcotest.test_case "capacity 1" `Quick test_ring_capacity_one;
-          Alcotest.test_case "full/empty boundary" `Quick test_ring_full_empty_boundary;
-          Alcotest.test_case "wraparound fifo" `Quick test_ring_wraparound;
-          Alcotest.test_case "pop_into batch drain" `Quick test_ring_pop_into;
-          Alcotest.test_case "cross-domain hand-off" `Quick test_ring_across_domains;
-        ] );
       ( "shard_engine",
         [
           prop_engine_equals_sequential;
@@ -855,6 +840,7 @@ let () =
           Alcotest.test_case "Pinned performs zero lock ops" `Quick test_pinned_zero_lock_ops;
           Alcotest.test_case "backpressure drops nothing" `Quick
             test_backpressure_no_point_dropped;
+          prop_ingest_groups_equals_ingest;
           Alcotest.test_case "work-stealing sweep exactly once" `Quick
             test_work_stealing_sweep_exactly_once;
           Alcotest.test_case "stolen sweeps == memo-off oracle" `Quick
