@@ -500,32 +500,10 @@ let run_fw scale =
              ] );
        ])
 
-(* ------------------------------------------- telemetry overhead budget
+(* ------------------------------------------- latency-tracker allocation
 
-   Disabled-mode telemetry must be invisible on the hottest path: the
-   counters are the same single-word stores as the int fields they
-   replaced, and spans cost one boolean load.  Measured with a
-   deterministic fixed-work harness (fresh structure per rep over the
-   identical stream segment — no cyclic-feed drift), the same shape used
-   to record the pre-telemetry baseline in EXPERIMENTS.md. *)
-
-let obs_push_rate ~window ~buckets ~epsilon ~pushes =
-  let data = network ~seed:1 ~len:(window + pushes) in
-  let run () =
-    let fw = FW.create ~window ~buckets ~epsilon in
-    for i = 0 to window - 1 do
-      FW.push fw data.(i)
-    done;
-    FW.refresh fw;
-    let t0 = Unix.gettimeofday () in
-    for i = window to window + pushes - 1 do
-      FW.push_and_refresh fw data.(i)
-    done;
-    (Unix.gettimeofday () -. t0) /. Float.of_int pushes *. 1e9
-  in
-  ignore (run ());
-  (* warmup rep *)
-  Array.init 4 (fun _ -> run ())
+   Counters and gauges are single-word stores with no switch; the one
+   telemetry cost left to budget is a latency tracker's GK insert. *)
 
 (* Steady-state minor words per insert into a latency-tracker GK, at the
    trackers' default epsilon (0.001): warm the summary up, then insert
@@ -543,46 +521,15 @@ let gk_words_per_insert ~inserts =
   List.iter (Gk.insert g) measured;
   (Gc.minor_words () -. w0) /. Float.of_int inserts
 
-let run_obs scale =
-  Report.section "BENCH-MICRO-OBS: telemetry overhead on fw.push_and_refresh";
-  let window, buckets, epsilon, pushes =
-    match scale with
-    | Bench_config.Small -> (1024, 8, 0.5, 64)
-    | Bench_config.Default | Bench_config.Full -> (4096, 16, 0.1, 40)
-  in
-  let mean a = Array.fold_left ( +. ) 0.0 a /. Float.of_int (Array.length a) in
-  let was_enabled = Sh_obs.Obs.enabled () in
-  Sh_obs.Obs.set_enabled false;
-  let disabled = obs_push_rate ~window ~buckets ~epsilon ~pushes in
-  Sh_obs.Obs.set_enabled true;
-  let enabled = obs_push_rate ~window ~buckets ~epsilon ~pushes in
-  Sh_obs.Obs.set_enabled was_enabled;
-  let row tag a =
-    [ tag; pretty_ns (mean a);
-      String.concat " " (Array.to_list (Array.map (fun ns -> Printf.sprintf "%.0f" ns) a)) ]
-  in
-  Report.note "n=%d B=%d eps=%g, %d timed pushes per rep, 4 reps" window buckets epsilon pushes;
-  Report.table
-    ~headers:[ "telemetry"; "mean time/op"; "reps (ns/op)" ]
-    [ row "disabled" disabled; row "enabled (spans on)" enabled ];
-  Report.note "enabled/disabled ratio: %.4f" (mean enabled /. mean disabled);
+let run_obs _scale =
+  Report.section "BENCH-MICRO-OBS: latency-tracker GK allocation";
   let gk_inserts = 100_000 in
   let gk_words = gk_words_per_insert ~inserts:gk_inserts in
   Report.note "latency GK (eps=%g) steady-state minor words/insert over %d inserts: %.4f"
     gk_epsilon gk_inserts gk_words;
   Report.json_add "obs_overhead"
     (Report.Jobj
-       [
-         ("window", Report.Jint window);
-         ("buckets", Report.Jint buckets);
-         ("epsilon", Report.Jfloat epsilon);
-         ("pushes", Report.Jint pushes);
-         ("disabled_ns_per_op", Report.Jlist (Array.to_list (Array.map (fun f -> Report.Jfloat f) disabled)));
-         ("enabled_ns_per_op", Report.Jlist (Array.to_list (Array.map (fun f -> Report.Jfloat f) enabled)));
-         ("enabled_over_disabled", Report.Jfloat (mean enabled /. mean disabled));
-         ("gk_inserts", Report.Jint gk_inserts);
-         ("gk_words_per_insert", Report.Jfloat gk_words);
-       ])
+       [ ("gk_inserts", Report.Jint gk_inserts); ("gk_words_per_insert", Report.Jfloat gk_words) ])
 
 (* ----------------------------- cross-domain metric-plane contention
 

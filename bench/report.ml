@@ -138,15 +138,7 @@ let registry_json () =
        (fun m ->
          match m with
          | R.Counter c -> series m [ ("type", Jstring "counter"); ("value", Jint (M.value c)) ]
-         | R.Gauge g -> series m [ ("type", Jstring "gauge"); ("value", Jfloat (M.gvalue g)) ]
-         | R.Histogram h ->
-           series m
-             [
-               ("type", Jstring "histogram");
-               ("count", Jint (M.hcount h));
-               ("sum", Jfloat (M.hsum h));
-               ("mean", Jfloat (M.hmean h));
-             ])
+         | R.Gauge g -> series m [ ("type", Jstring "gauge"); ("value", Jfloat (M.gvalue g)) ])
        (R.snapshot ()))
 
 let fmt_time seconds =

@@ -70,36 +70,14 @@ let metrics_arg =
     & opt (some fmt_conv) None
     & info [ "metrics" ] ~docv:"FMT"
         ~doc:
-          "Enable telemetry and dump the metric registry on exit: $(b,text) aligned dump, \
-           $(b,json) JSON lines (one series per line), $(b,prom) Prometheus text exposition.")
+          "Dump the metric registry on exit: $(b,text) aligned dump, $(b,json) JSON lines (one \
+           series per line), $(b,prom) Prometheus text exposition.")
 
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "Enable span tracing and write the trace to $(docv) on exit as Chrome trace-event \
-           JSON (loadable in chrome://tracing or Perfetto; one track per recording domain).")
-
-(* Enable telemetry for the duration of [f] when either flag is given;
-   spans get a real wall clock instead of the Sys.time default.  Metrics
-   go to stdout after the command's own output, the trace to its file,
-   even when [f] raises. *)
-let with_obs metrics trace_out f =
-  if metrics <> None || trace_out <> None then begin
-    O.set_enabled true;
-    O.set_clock Unix.gettimeofday
-  end;
-  let finish () =
-    (match metrics with None -> () | Some fmt -> print_string (O.render fmt));
-    match trace_out with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      output_string oc (O.render_chrome_trace ());
-      close_out oc
-  in
+(* Dump the registry to stdout after the command's own output, even when
+   [f] raises.  Counters and gauges are always live, so there is nothing
+   to switch on first. *)
+let with_metrics metrics f =
+  let finish () = match metrics with None -> () | Some fmt -> print_string (O.render fmt) in
   Fun.protect ~finally:finish f
 
 let policy_conv =
@@ -255,8 +233,8 @@ let stream_cmd =
              model), $(b,lazy) only at queries, $(b,every:K) with K >= 1 amortises bulk loads \
              over K points ($(b,every:1) matches eager's cadence).")
   in
-  let run file window buckets epsilon report policy metrics trace_out =
-    with_obs metrics trace_out @@ fun () ->
+  let run file window buckets epsilon report policy metrics =
+    with_metrics metrics @@ fun () ->
     let data = Source.of_file file in
     let fw = FW.create ~window ~buckets ~epsilon in
     FW.set_refresh_policy fw policy;
@@ -287,7 +265,7 @@ let stream_cmd =
     (Cmd.info "stream" ~doc:"Maintain a fixed-window histogram over a stream file")
     Term.(
       const run $ file_arg 0 $ window $ buckets_arg $ epsilon_arg $ report $ policy
-      $ metrics_arg $ trace_out_arg)
+      $ metrics_arg)
 
 (* ------------------------------------------------------------ query *)
 
@@ -295,8 +273,8 @@ let query_cmd =
   let queries =
     Arg.(value & opt int 1000 & info [ "q"; "queries" ] ~docv:"Q" ~doc:"Number of random range-sum queries.")
   in
-  let run file buckets epsilon queries seed metrics trace_out =
-    with_obs metrics trace_out @@ fun () ->
+  let run file buckets epsilon queries seed metrics =
+    with_metrics metrics @@ fun () ->
     let data = Source.of_file file in
     let n = Array.length data in
     let p = P.make data in
@@ -316,8 +294,7 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query" ~doc:"Compare synopses on random range-sum queries over a data file")
     Term.(
-      const run $ file_arg 0 $ buckets_arg $ epsilon_arg $ queries $ seed_arg $ metrics_arg
-      $ trace_out_arg)
+      const run $ file_arg 0 $ buckets_arg $ epsilon_arg $ queries $ seed_arg $ metrics_arg)
 
 (* ------------------------------------------------------ selectivity *)
 
@@ -329,8 +306,8 @@ let selectivity_cmd =
       & info [ "p"; "predicates" ] ~docv:"LO:HI,..."
           ~doc:"Comma-separated value ranges to estimate selectivity for.")
   in
-  let run file buckets preds metrics trace_out =
-    with_obs metrics trace_out @@ fun () ->
+  let run file buckets preds metrics =
+    with_metrics metrics @@ fun () ->
     let data = Source.of_file file in
     let n = Array.length data in
     let module VH = Sh_selectivity.Value_histogram in
@@ -356,7 +333,7 @@ let selectivity_cmd =
   in
   Cmd.v
     (Cmd.info "selectivity" ~doc:"Value-histogram selectivity estimates over a data file")
-    Term.(const run $ file_arg 0 $ buckets_arg $ preds $ metrics_arg $ trace_out_arg)
+    Term.(const run $ file_arg 0 $ buckets_arg $ preds $ metrics_arg)
 
 (* ------------------------------------------------------------ heavy *)
 
@@ -367,8 +344,8 @@ let heavy_cmd =
   let threshold =
     Arg.(value & opt float 0.01 & info [ "t"; "threshold" ] ~docv:"F" ~doc:"Frequency threshold.")
   in
-  let run file capacity threshold metrics trace_out =
-    with_obs metrics trace_out @@ fun () ->
+  let run file capacity threshold metrics =
+    with_metrics metrics @@ fun () ->
     let data = Source.of_file file in
     let h = Sh_mining.Heavy_hitters.create ~capacity in
     Array.iter (Sh_mining.Heavy_hitters.add h) data;
@@ -381,7 +358,7 @@ let heavy_cmd =
   in
   Cmd.v
     (Cmd.info "heavy" ~doc:"Misra-Gries heavy hitters of a data file")
-    Term.(const run $ file_arg 0 $ capacity $ threshold $ metrics_arg $ trace_out_arg)
+    Term.(const run $ file_arg 0 $ capacity $ threshold $ metrics_arg)
 
 (* ------------------------------------------------------------ serve *)
 
@@ -547,9 +524,9 @@ let serve_cmd =
              completes its preamble) for $(docv) seconds — the slow-loris guard.")
   in
   let run shards domains count batch window buckets epsilon policy dist skew seed metrics
-      trace_out checkpoint_file checkpoint_every restore_file record_file record_every
+      checkpoint_file checkpoint_every restore_file record_file record_every
       latency_window query_mix listen max_points idle_timeout =
-    with_obs metrics trace_out @@ fun () ->
+    with_metrics metrics @@ fun () ->
     if batch < 1 then invalid_arg "serve: --batch must be >= 1";
     if record_every < 1 then invalid_arg "serve: --record-every must be >= 1";
     if latency_window < 0 then invalid_arg "serve: --latency-window must be >= 0";
@@ -832,7 +809,7 @@ let serve_cmd =
        ~doc:"Ingest many independent streams in parallel across a sharded domain pool")
     Term.(
       const run $ shards $ domains $ count $ batch $ window $ buckets_arg $ epsilon_arg $ policy
-      $ dist $ skew $ seed_arg $ metrics_arg $ trace_out_arg $ checkpoint_file $ checkpoint_every
+      $ dist $ skew $ seed_arg $ metrics_arg $ checkpoint_file $ checkpoint_every
       $ restore_file $ record_file $ record_every $ latency_window $ query_mix
       $ listen $ max_points $ idle_timeout)
 

@@ -141,7 +141,6 @@ let current_error t = t.last_error
    queues, whose intervals are finer early in the stream. *)
 let current_histogram t =
   if t.n = 0 then invalid_arg "Agglomerative.current_histogram: empty stream";
-  Obs.with_span "ag.histogram" @@ fun () ->
   let bucket_between e_lo ~idx ~sum =
     let lo = e_lo.idx + 1 in
     let len = Float.of_int (idx - e_lo.idx) in

@@ -43,22 +43,21 @@ let push t v =
   RB.push t.ring v
 
 (* The exact baseline recomputes prefix sums of the whole window per
-   query — the O(n) cost the streaming algorithm avoids; spanned so the
-   trace shows where baseline time goes. *)
+   query — the O(n) cost the streaming algorithm avoids; ew.rebuilds
+   counts how often it is paid. *)
 let prefix t =
   let n = RB.length t.ring in
   if n = 0 then invalid_arg "Exact_window.current_histogram: empty window";
-  Obs.with_span "ew.rebuild" (fun () ->
-      M.incr t.c_rebuilds;
-      RB.blit_to t.ring t.scratch;
-      match t.prefix_cache with
-      | Some p when P.length p = n ->
-        P.refill_sub p t.scratch ~pos:0 ~len:n;
-        p
-      | _ ->
-        let p = P.of_sub t.scratch ~pos:0 ~len:n in
-        t.prefix_cache <- Some p;
-        p)
+  M.incr t.c_rebuilds;
+  RB.blit_to t.ring t.scratch;
+  match t.prefix_cache with
+  | Some p when P.length p = n ->
+    P.refill_sub p t.scratch ~pos:0 ~len:n;
+    p
+  | _ ->
+    let p = P.of_sub t.scratch ~pos:0 ~len:n in
+    t.prefix_cache <- Some p;
+    p
 
 let current_histogram t =
   Sh_histogram.Vopt.build_prefix_with t.vopt (prefix t) ~buckets:t.buckets

@@ -369,10 +369,10 @@ type t = {
   mutable pushes_since_refresh : int;
   mutable mode : mode;
   (* Work accounting lives in per-instance registry counters (labelled
-     instance="fw<i>") so the same tallies back work_counters, the
-     exposition sinks, and per-span deltas.  The handles are registered
-     once at creation; recording is a single int store, unconditionally
-     live (see Sh_obs.Obs on the overhead model). *)
+     instance="fw<i>") so the same tallies back work_counters and the
+     exposition sinks.  The handles are registered once at creation;
+     recording is a single int store, unconditionally live (see
+     Sh_obs.Obs on the overhead model). *)
   c_evals : M.counter;
   c_cold_evals : M.counter;
   c_warm_evals : M.counter;
@@ -388,7 +388,6 @@ type t = {
   c_memo_probes : M.counter;
   c_memo_hits : M.counter;
   g_length : M.gauge;
-  g_alloc : M.gauge;
 }
 
 (* Shared constructor: everything but [params] and the prefix-sum state is
@@ -432,7 +431,6 @@ let mk ~params ~sp =
     c_memo_probes = c "fw.memo_probes";
     c_memo_hits = c "fw.memo_hits";
     g_length = Obs.gauge ~labels "fw.window_length";
-    g_alloc = Obs.gauge ~labels "fw.alloc_words_per_push";
   }
 
 let create_with_delta ~window ~buckets ~epsilon ~delta =
@@ -703,21 +701,7 @@ let do_refresh t ~warm ~memo =
   if warm then M.incr t.c_warm_refreshes else M.incr t.c_cold_refreshes
 
 let refresh ?(cold = false) ?memo t =
-  if t.dirty then begin
-    let warm = not cold in
-    let memo = Option.value memo ~default:t.memo_on in
-    if Obs.enabled () then begin
-      (* fw.alloc_words_per_push: minor-heap words this rebuild cost per
-         pending arrival.  Only maintained while telemetry is collecting —
-         the gauge write itself boxes a float, which the allocation-free
-         steady state must not pay unconditionally. *)
-      let pushes = Float.of_int (max 1 t.pushes_since_refresh) in
-      let w0 = Gc.minor_words () in
-      Obs.with_span "fw.refresh" (fun () -> do_refresh t ~warm ~memo);
-      M.set t.g_alloc ((Gc.minor_words () -. w0) /. pushes)
-    end
-    else do_refresh t ~warm ~memo
-  end
+  if t.dirty then do_refresh t ~warm:(not cold) ~memo:(Option.value memo ~default:t.memo_on)
 
 (* One arrival into the sliding prefix; [slide] counts every eviction. *)
 let[@inline] append t v =
@@ -808,7 +792,6 @@ let herror t ~k ~x =
 let current_histogram t =
   refresh t;
   if length t = 0 then invalid_arg "Fixed_window.current_histogram: empty window";
-  Obs.with_span "fw.histogram" @@ fun () ->
   let h = histogram t.sp t.queues t.scr ~b:(buckets t) in
   M.add t.c_evals t.scr.splits;
   t.scr.splits <- 0;

@@ -28,10 +28,28 @@ type t = {
   l_labels : Metric.labels;
   l_eps : float;
   l_rows : slot_state Atomic.t array;
-  l_ov : slot_state;  (* slotless-domain fallback, under Plane.ov_mutex *)
+  l_ov : slot_state;  (* slotless-domain fallback, under [ov_mutex] *)
 }
 
 let default_epsilon = 0.001
+
+(* Serialises every tracker's slotless-domain fallback state. *)
+let ov_mutex = Mutex.create ()
+
+(* The switch is an [Atomic.t] so parallel shard domains (lib/par) read
+   and toggle it without a data race; the disabled path of [record] and
+   [time] is one atomic load, a plain load on the usual platforms. *)
+let tracking_cell = Atomic.make false
+let set_tracking b = Atomic.set tracking_cell b
+let tracking () = Atomic.get tracking_cell
+
+(* The default clock is the portable [Sys.time] (CPU seconds); callers that
+   link unix inject [Unix.gettimeofday], tests inject a fake.  Set at
+   startup, before domains are spawned. *)
+let clock : (unit -> float) ref = ref Sys.time
+let set_clock f = clock := f
+let now () = !clock ()
+
 let epoch = Atomic.make 0
 let window_k = Atomic.make 0
 
@@ -50,25 +68,14 @@ let make_state eps =
 
 (* ------------------------------------------------------- tracker registry *)
 
-let key name labels =
-  let buf = Buffer.create (String.length name + 16) in
-  Buffer.add_string buf name;
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char buf '\x00';
-      Buffer.add_string buf k;
-      Buffer.add_char buf '\x01';
-      Buffer.add_string buf v)
-    labels;
-  Buffer.contents buf
-
 let table : (string, t) Hashtbl.t = Hashtbl.create 16
 let m = Mutex.create ()
 
 let tracker ?(labels = []) ?(epsilon = default_epsilon) name =
+  Registry.validate_name name;
   if epsilon <= 0.0 || epsilon >= 1.0 then invalid_arg "Obs.Latency: epsilon must be in (0, 1)";
-  let labels = List.sort compare labels in
-  let k = key name labels in
+  let labels = Registry.canonical labels in
+  let k = Registry.key name labels in
   Mutex.lock m;
   let t =
     match Hashtbl.find_opt table k with
@@ -120,7 +127,7 @@ let record_into t st v =
   end
 
 let record t v =
-  if Atomic.get Control.latency_enabled && Float.is_finite v && v >= 0.0 then begin
+  if Atomic.get tracking_cell && Float.is_finite v && v >= 0.0 then begin
     let s = Plane.slot () in
     if s >= 0 then begin
       let st = Atomic.get (Array.unsafe_get t.l_rows s) in
@@ -135,27 +142,27 @@ let record t v =
       record_into t st v
     end
     else begin
-      Mutex.lock Plane.ov_mutex;
+      Mutex.lock ov_mutex;
       record_into t t.l_ov v;
-      Mutex.unlock Plane.ov_mutex;
+      Mutex.unlock ov_mutex;
       Atomic.incr Metric.plane_collisions_cell
     end
   end
 
 let time t f =
-  if not (Atomic.get Control.latency_enabled) then f ()
+  if not (Atomic.get tracking_cell) then f ()
   else begin
-    let t0 = Control.now () in
+    let t0 = now () in
     match f () with
     | r ->
-      record t (Control.now () -. t0);
+      record t (now () -. t0);
       r
     | exception e ->
-      record t (Control.now () -. t0);
+      record t (now () -. t0);
       raise e
   end
 
-let advance () = if Atomic.get Control.latency_enabled then Atomic.incr epoch
+let advance () = if Atomic.get tracking_cell then Atomic.incr epoch
 
 let set_window k =
   if k < 0 then invalid_arg "Obs.Latency: window must be >= 0";
@@ -212,12 +219,6 @@ let snapshot () =
     (fun a b ->
       match compare a.l_name b.l_name with 0 -> compare a.l_labels b.l_labels | c -> c)
     all
-
-let tracker_count () =
-  Mutex.lock m;
-  let n = Hashtbl.length table in
-  Mutex.unlock m;
-  n
 
 let reset () =
   let reset_state t st =

@@ -10,9 +10,10 @@
     streams carries rank error of order [sum_i (epsilon * n_i)] (see
     {!Sh_gk.Gk.merged_quantile} for what holds exactly).
 
-    Gated by {!Control.latency_enabled}, independently of span tracing:
-    a GK insert per timed section is cheap but not free, and it must be
-    possible to collect latency percentiles without full span capture.
+    Trackers are the one duration mechanism in the telemetry subsystem.
+    They have their own switch ({!set_tracking}, off by default): a GK
+    insert per timed section is cheap but not free, while counters and
+    gauges are always live.
 
     The optional sliding window ("last k batches") is driven by a global
     epoch: callers bump it with {!advance} once per batch, and each slot
@@ -28,18 +29,37 @@
 
 type t
 
+(** {2 Switch and clock} *)
+
+val set_tracking : bool -> unit
+(** Turn duration recording on or off for every tracker.  Atomic, so
+    parallel domains observe a toggle without a data race. *)
+
+val tracking : unit -> bool
+
+val set_clock : (unit -> float) -> unit
+(** Inject the clock {!time} reads, in seconds.  Defaults to [Sys.time]
+    (CPU seconds); binaries that link unix should inject
+    [Unix.gettimeofday].  Not synchronised: set it at startup, before any
+    domains are spawned. *)
+
+val now : unit -> float
+
+(** {2 Trackers} *)
+
 val tracker : ?labels:Metric.labels -> ?epsilon:float -> string -> t
-(** Get-or-create by (name, canonically sorted labels).  [epsilon]
-    (default 0.001) bounds the per-summary rank error; the first
-    registration's epsilon wins.  Raises [Invalid_argument] when epsilon
-    is outside (0, 1). *)
+(** Get-or-create by (name, canonically sorted labels), keyed the way
+    {!Registry} keys metric series.  [epsilon] (default 0.001) bounds the
+    per-summary rank error; the first registration's epsilon wins.
+    Raises [Invalid_argument] when the name is malformed (the
+    {!Registry.validate_name} rule) or epsilon is outside (0, 1). *)
 
 val record : t -> float -> unit
 (** Record one duration in seconds.  No-op while latency tracking is
     disabled; negative and non-finite values are ignored. *)
 
 val time : t -> (unit -> 'a) -> 'a
-(** Time [f] with the {!Control} clock and record the elapsed seconds.
+(** Time [f] with the {!set_clock} clock and record the elapsed seconds.
     One boolean load when disabled; exceptions propagate after the
     duration is recorded. *)
 
@@ -75,8 +95,6 @@ val percentiles : float list
 
 val snapshot : unit -> t list
 (** All trackers sorted by (name, labels) — the order sinks render. *)
-
-val tracker_count : unit -> int
 
 val reset : unit -> unit
 (** Forget all recorded durations and rewind the epoch; registrations

@@ -4,8 +4,8 @@ type labels = (string * string) list
    written only by the slot's owner with plain (non-atomic) stores, read
    by aggregating accessors at snapshot time.  The steady-state recording
    path therefore touches no shared cacheline — the property the lock-free
-   shard engine (lib/par) needs to scale — while [value]/[gvalue]/[hcount]
-   remain exact once writers are quiescent (joins/awaits establish the
+   shard engine (lib/par) needs to scale — while [value]/[gvalue] remain
+   exact once writers are quiescent (joins/awaits establish the
    necessary happens-before).  Mid-flight reads are memory-safe and at
    worst slightly stale.
 
@@ -33,23 +33,6 @@ type gauge = {
   g_labels : labels;
   g_rows : float array Atomic.t array;
   g_base : float Atomic.t;  (* [set] target and slotless-domain adds *)
-}
-
-(* Log-scale histogram: bucket [i] counts observations v with
-   le(i-1) < v <= le(i) where le(i) = 2^(i - bucket_offset); the last
-   bucket is the +infinity overflow.  [observe] is O(1) via frexp. *)
-let bucket_count = 64
-let bucket_offset = 40
-
-type hrow = { hb : int array; mutable hn : int; mutable hs : float }
-
-let no_hrow = { hb = [||]; hn = 0; hs = 0.0 }
-
-type histogram = {
-  h_name : string;
-  h_labels : labels;
-  h_rows : hrow Atomic.t array;
-  h_ov : hrow;  (* slotless-domain fallback, guarded by Plane.ov_mutex *)
 }
 
 let make_rows absent = Array.init Plane.max_slots (fun _ -> Atomic.make absent)
@@ -155,87 +138,3 @@ let reset_gauge g =
     if r != no_frow then r.(0) <- 0.0
   done;
   Atomic.set g.g_base 0.0
-
-(* ------------------------------------------------------------ histograms *)
-
-let bucket_index v =
-  if v <= 0.0 then 0
-  else begin
-    let m, e = Float.frexp v in
-    (* frexp: v = m * 2^e with m in [0.5, 1); an exact power of two
-       (m = 0.5) sits on its bucket's inclusive upper bound. *)
-    let e = if m = 0.5 then e - 1 else e in
-    if e < -bucket_offset then 0
-    else if e >= bucket_count - 1 - bucket_offset then bucket_count - 1
-    else e + bucket_offset
-  end
-
-let bucket_le i =
-  if i < 0 || i >= bucket_count then invalid_arg "Obs: bucket index out of range";
-  if i = bucket_count - 1 then infinity else Float.ldexp 1.0 (i - bucket_offset)
-
-let h_row h s =
-  let r = Atomic.get (Array.unsafe_get h.h_rows s) in
-  if r != no_hrow then r
-  else begin
-    let r = { hb = Array.make bucket_count 0; hn = 0; hs = 0.0 } in
-    Atomic.set h.h_rows.(s) r;
-    r
-  end
-
-let hrow_observe r v =
-  let i = bucket_index v in
-  r.hb.(i) <- r.hb.(i) + 1;
-  r.hn <- r.hn + 1;
-  r.hs <- r.hs +. v
-
-let observe h v =
-  if Atomic.get Control.enabled then begin
-    let s = Plane.slot () in
-    if s >= 0 then hrow_observe (h_row h s) v
-    else begin
-      Mutex.lock Plane.ov_mutex;
-      hrow_observe h.h_ov v;
-      Mutex.unlock Plane.ov_mutex;
-      Atomic.incr plane_collisions_cell
-    end
-  end
-
-let fold_rows h ~init ~f =
-  let acc = ref (f init h.h_ov) in
-  for s = 0 to Plane.max_slots - 1 do
-    let r = Atomic.get h.h_rows.(s) in
-    if r != no_hrow then acc := f !acc r
-  done;
-  !acc
-
-let hcount h = fold_rows h ~init:0 ~f:(fun acc r -> acc + r.hn)
-let hsum h = fold_rows h ~init:0.0 ~f:(fun acc r -> acc +. r.hs)
-
-let hmean h =
-  let n = hcount h in
-  if n = 0 then 0.0 else hsum h /. Float.of_int n
-
-let bucket_value h i =
-  if i < 0 || i >= bucket_count then invalid_arg "Obs: bucket index out of range";
-  fold_rows h ~init:0 ~f:(fun acc r -> acc + r.hb.(i))
-
-(* Cumulative count of observations <= bucket_le i, Prometheus-style. *)
-let cumulative h i =
-  let acc = ref 0 in
-  for j = 0 to i do
-    acc := !acc + bucket_value h j
-  done;
-  !acc
-
-let reset_histogram h =
-  let zero r =
-    Array.fill r.hb 0 bucket_count 0;
-    r.hn <- 0;
-    r.hs <- 0.0
-  in
-  zero h.h_ov;
-  for s = 0 to Plane.max_slots - 1 do
-    let r = Atomic.get h.h_rows.(s) in
-    if r != no_hrow then zero r
-  done

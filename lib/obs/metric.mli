@@ -1,25 +1,24 @@
-(** Metric primitives: named counters, gauges, and log-scale histograms,
-    backed by per-domain {!Plane} rows.
+(** Metric primitives: named counters and gauges, backed by per-domain
+    {!Plane} rows.
 
     Values are created through {!Registry} (get-or-create by name and
     label set).  Each handle holds one padded row per plane slot; a
     recording operation writes only the calling domain's own row with a
     plain store, so the hot paths perform {e zero shared-cacheline
     writes} — no atomic RMW, no false sharing between domains — and the
-    aggregating readers ([value], [gvalue], [hcount], ...) sum the rows
-    at snapshot time.  Totals are exact once writers are quiescent
+    aggregating readers ([value], [gvalue]) sum the rows at snapshot
+    time.  Totals are exact once writers are quiescent
     (domain joins / pool awaits establish the ordering); a snapshot taken
     mid-flight is memory-safe and at worst slightly stale.
 
-    Domains beyond {!Plane.max_slots} fall back to shared overflow cells
-    (atomic for counters/gauges, mutex-guarded for histograms); every such
-    miss bumps the [obs.plane_collisions] witness counter, which stays
-    flat whenever the contention-free fast path is actually in use.
+    Domains beyond {!Plane.max_slots} fall back to shared atomic overflow
+    cells; every such miss bumps the [obs.plane_collisions] witness
+    counter, which stays flat whenever the contention-free fast path is
+    actually in use.
 
-    Counters and gauges ignore {!Control.enabled}: they double as the
-    algorithms' work-accounting state, which must keep counting when
-    telemetry collection is off.  Histogram {!observe} honours the
-    switch. *)
+    Counters and gauges have no on/off switch: they double as the
+    algorithms' work-accounting state, which must always count.
+    Durations are not metrics; they live in {!Latency} trackers. *)
 
 type labels = (string * string) list
 (** Label pairs, canonically sorted by {!Registry} on registration. *)
@@ -38,28 +37,17 @@ type gauge = {
   g_base : float Atomic.t;
 }
 
-type hrow = { hb : int array; mutable hn : int; mutable hs : float }
-
-type histogram = {
-  h_name : string;
-  h_labels : labels;
-  h_rows : hrow Atomic.t array;
-  h_ov : hrow;
-}
-
 val row_pad : int
 (** Words per plane row (8 = one 64-byte cacheline of payload). *)
 
 val no_irow : int array
 val no_frow : float array
-
-val no_hrow : hrow
 (** Absent-row sentinels, compared physically: a plane row equal to one of
     these has not been claimed by its slot's owner yet. *)
 
 val make_rows : 'a -> 'a Atomic.t array
 (** A fresh plane of {!Plane.max_slots} unpublished rows holding the given
-    absent-sentinel — used by {!Registry} and the span/latency planes. *)
+    absent-sentinel — used by {!Registry} and the {!Latency} plane. *)
 
 val plane_collisions_cell : int Atomic.t
 (** The cell behind the [obs.plane_collisions] counter ({!Registry} wires
@@ -86,37 +74,7 @@ val gadd : gauge -> float -> unit
 val gincr : gauge -> unit
 val gvalue : gauge -> float
 
-(** {2 Histograms} — base-2 log-scale buckets, O(1) record *)
-
-val bucket_count : int
-(** Number of buckets including the final +infinity overflow bucket. *)
-
-val bucket_le : int -> float
-(** Inclusive upper bound of bucket [i]: [2^(i - 40)] for
-    [i < bucket_count - 1], [infinity] for the last.  Bucket 0 also absorbs
-    everything below its bound (including zero and negatives). *)
-
-val bucket_index : float -> int
-(** The bucket whose [(le (i-1), le i]] range contains the value; exact
-    powers of two land on their inclusive upper bound. *)
-
-val observe : histogram -> float -> unit
-(** Record one observation — O(1), on the caller's own plane row.  No-op
-    while {!Control.enabled} is false. *)
-
-val hcount : histogram -> int
-val hsum : histogram -> float
-val hmean : histogram -> float
-
-val bucket_value : histogram -> int -> int
-(** Observations in bucket [i], summed across all plane rows. *)
-
-val cumulative : histogram -> int -> int
-(** Observations in buckets [0 .. i], i.e. the Prometheus cumulative count
-    for [le = bucket_le i]. *)
-
 (** {2 Reset} — used by {!Registry.reset}; quiesce writers for exactness *)
 
 val reset_counter : counter -> unit
 val reset_gauge : gauge -> unit
-val reset_histogram : histogram -> unit

@@ -1,17 +1,13 @@
 (* Facade over the telemetry subsystem: the one module instrumented code
    and binaries interact with. *)
 
-let set_enabled = Control.set_enabled
-let enabled = Control.is_enabled
-let set_latency_enabled = Control.set_latency_enabled
-let latency_enabled = Control.is_latency_enabled
-let set_clock = Control.set_clock
-let now = Control.now
+let set_latency_enabled = Latency.set_tracking
+let latency_enabled = Latency.tracking
+let set_clock = Latency.set_clock
+let now = Latency.now
 
 let counter = Registry.counter
 let gauge = Registry.gauge
-let histogram = Registry.histogram
-let with_span = Span.with_span
 
 let plane_collisions () = Atomic.get Metric.plane_collisions_cell
 
@@ -54,25 +50,13 @@ let render fmt =
   | Prom -> Sink.prometheus buf);
   Buffer.contents buf
 
-let render_trace () =
-  let buf = Buffer.create 4096 in
-  Sink.trace_json_lines buf;
-  Buffer.contents buf
-
-let render_chrome_trace () =
-  let buf = Buffer.create 4096 in
-  Sink.chrome_trace buf;
-  Buffer.contents buf
-
 let reset () =
   Registry.reset ();
-  Latency.reset ();
-  Span.clear ()
+  Latency.reset ()
 
 let clear () =
   Registry.clear ();
   Latency.clear ();
-  Span.clear ();
   Mutex.lock instance_m;
   Hashtbl.reset instance_seq;
   Mutex.unlock instance_m

@@ -4,7 +4,6 @@ let max_slots = 16
    domain gets slot 0 and single-domain runs touch exactly one row. *)
 let free : int list ref = ref (List.init max_slots Fun.id)
 let m = Mutex.create ()
-let ov_mutex = Mutex.create ()
 
 let claim () =
   Mutex.lock m;
@@ -37,9 +36,3 @@ let slot_key =
       s)
 
 let slot () = Domain.DLS.get slot_key
-
-let slots_in_use () =
-  Mutex.lock m;
-  let n = max_slots - List.length !free in
-  Mutex.unlock m;
-  n

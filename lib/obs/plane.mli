@@ -1,11 +1,10 @@
 (** Per-domain plane slots: the foundation of contention-free telemetry.
 
-    Every plane-backed structure (counters, gauges, histograms, span
-    rings, latency summaries) keeps one padded row per {e slot}; a slot is
-    a small integer owned by exactly one live domain.  Writers only ever
-    touch their own slot's row, so the steady-state recording paths
-    perform zero shared-cacheline writes; readers aggregate across all
-    rows at snapshot time.
+    Every plane-backed structure (counters, gauges, latency summaries)
+    keeps one padded row per {e slot}; a slot is a small integer owned by
+    exactly one live domain.  Writers only ever touch their own slot's
+    row, so the steady-state recording paths perform zero shared-cacheline
+    writes; readers aggregate across all rows at snapshot time.
 
     Slots are claimed lazily on a domain's first recording operation (via
     a [Domain.DLS]-cached lookup — one array read on the hot path) and
@@ -27,11 +26,3 @@ val slot : unit -> int
 (** This domain's slot in [0 .. max_slots - 1], or [-1] when all slots
     were taken by other live domains (overflow).  First call on a domain
     claims a slot; subsequent calls are one domain-local array read. *)
-
-val slots_in_use : unit -> int
-(** Currently claimed slots — diagnostic only. *)
-
-val ov_mutex : Mutex.t
-(** Serialises the shared overflow rows of the non-atomic plane structures
-    (histograms, span rings, latency summaries).  Counters and gauges use
-    atomic overflow cells instead and never take it. *)

@@ -1,7 +1,4 @@
-type metric =
-  | Counter of Metric.counter
-  | Gauge of Metric.gauge
-  | Histogram of Metric.histogram
+type metric = Counter of Metric.counter | Gauge of Metric.gauge
 
 (* Key = name + canonically sorted labels, flattened with unprintable
    separators so distinct label sets cannot collide. *)
@@ -97,21 +94,6 @@ let gauge ?(labels = []) name =
       in
       (Gauge g, g))
 
-let histogram ?(labels = []) name =
-  get_or_register ~name ~labels
-    ~found:(function Histogram h -> h | _ -> type_clash name)
-    ~make:(fun labels ->
-      let ov = { Metric.hb = Array.make Metric.bucket_count 0; hn = 0; hs = 0.0 } in
-      let h =
-        {
-          Metric.h_name = name;
-          h_labels = labels;
-          h_rows = Metric.make_rows Metric.no_hrow;
-          h_ov = ov;
-        }
-      in
-      (Histogram h, h))
-
 let find ?(labels = []) name =
   let k = key name (canonical labels) in
   locked (fun () -> Hashtbl.find_opt table k)
@@ -123,12 +105,10 @@ let iter f = locked (fun () -> Hashtbl.iter (fun _ m -> f m) table)
 let metric_name = function
   | Counter c -> c.Metric.c_name
   | Gauge g -> g.Metric.g_name
-  | Histogram h -> h.Metric.h_name
 
 let metric_labels = function
   | Counter c -> c.Metric.c_labels
   | Gauge g -> g.Metric.g_labels
-  | Histogram h -> h.Metric.h_labels
 
 let snapshot () =
   let all = locked (fun () -> Hashtbl.fold (fun _ m acc -> m :: acc) table []) in
@@ -146,8 +126,7 @@ let reset () =
       Hashtbl.iter
         (fun _ -> function
           | Counter c -> Metric.reset_counter c
-          | Gauge g -> Metric.reset_gauge g
-          | Histogram h -> Metric.reset_histogram h)
+          | Gauge g -> Metric.reset_gauge g)
         table)
 
 let clear () = locked (fun () -> Hashtbl.reset table)

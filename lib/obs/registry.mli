@@ -7,10 +7,7 @@
     handles are then recorded through directly ({!Metric}), keeping the
     hot paths O(1) with no lookups. *)
 
-type metric =
-  | Counter of Metric.counter
-  | Gauge of Metric.gauge
-  | Histogram of Metric.histogram
+type metric = Counter of Metric.counter | Gauge of Metric.gauge
 
 val counter : ?labels:Metric.labels -> string -> Metric.counter
 (** Get-or-create.  Raises [Invalid_argument] when the name is malformed
@@ -18,7 +15,18 @@ val counter : ?labels:Metric.labels -> string -> Metric.counter
     exists with a different type. *)
 
 val gauge : ?labels:Metric.labels -> string -> Metric.gauge
-val histogram : ?labels:Metric.labels -> string -> Metric.histogram
+
+val validate_name : string -> unit
+(** Raises [Invalid_argument] unless the name is non-empty, uses only
+    [[a-zA-Z0-9_.]] and starts with a letter or [_].  {!Latency.tracker}
+    applies the same rule. *)
+
+val canonical : Metric.labels -> Metric.labels
+(** Labels in the canonical (sorted) order series are registered under. *)
+
+val key : string -> Metric.labels -> string
+(** The table key of a (name, canonical labels) series; distinct label
+    sets never collide.  {!Latency} keys its trackers the same way. *)
 
 val find : ?labels:Metric.labels -> string -> metric option
 

@@ -1,6 +1,6 @@
-(* Exposition of the registry and the span trace in three formats: an
-   aligned human-readable dump, JSON lines (one object per series /
-   event), and Prometheus text format.  All sinks render the same
+(* Exposition of the registry and the latency trackers in three formats:
+   an aligned human-readable dump, JSON lines (one object per series),
+   and Prometheus text format.  All sinks render the same
    Registry.snapshot order, so diffs between dumps are meaningful. *)
 
 let json_escape s =
@@ -42,7 +42,6 @@ let text buf =
   let series = Registry.snapshot () in
   let counters = List.filter_map (function Registry.Counter c -> Some c | _ -> None) series in
   let gauges = List.filter_map (function Registry.Gauge g -> Some g | _ -> None) series in
-  let hists = List.filter_map (function Registry.Histogram h -> Some h | _ -> None) series in
   if counters <> [] then begin
     line "counters:";
     List.iter
@@ -56,15 +55,6 @@ let text buf =
       (fun (g : Metric.gauge) ->
         line "  %-48s %g" (g.Metric.g_name ^ labels_to_string g.Metric.g_labels) (Metric.gvalue g))
       gauges
-  end;
-  if hists <> [] then begin
-    line "histograms:";
-    List.iter
-      (fun (h : Metric.histogram) ->
-        line "  %-48s count=%d sum=%g mean=%g"
-          (h.Metric.h_name ^ labels_to_string h.Metric.h_labels)
-          (Metric.hcount h) (Metric.hsum h) (Metric.hmean h))
-      hists
   end;
   (match Latency.snapshot () with
   | [] -> ()
@@ -86,9 +76,7 @@ let text buf =
         line "  %-48s count=%d sum=%g%s"
           (Latency.name tr ^ labels_to_string (Latency.labels tr))
           (Latency.count tr) (Latency.sum tr) quantiles)
-      trackers);
-  if Span.trace_length () > 0 || Span.dropped_events () > 0 then
-    line "spans: %d traced, %d dropped" (Span.trace_length ()) (Span.dropped_events ())
+      trackers)
 
 (* ------------------------------------------------------- JSON lines *)
 
@@ -107,23 +95,7 @@ let json_lines buf =
           (json_escape c.Metric.c_name) (json_labels c.Metric.c_labels) (Metric.value c)
       | Registry.Gauge g ->
         line "{\"type\":\"gauge\",\"name\":\"%s\",\"labels\":%s,\"value\":%s}"
-          (json_escape g.Metric.g_name) (json_labels g.Metric.g_labels) (json_float (Metric.gvalue g))
-      | Registry.Histogram h ->
-        (* only occupied buckets, as (le, non-cumulative count) pairs *)
-        let buckets = ref [] in
-        for i = Metric.bucket_count - 1 downto 0 do
-          let n = Metric.bucket_value h i in
-          if n > 0 then
-            buckets :=
-              Printf.sprintf "{\"le\":%s,\"count\":%d}"
-                (let le = Metric.bucket_le i in
-                 if Float.is_finite le then json_float le else "\"+Inf\"")
-                n
-              :: !buckets
-        done;
-        line "{\"type\":\"histogram\",\"name\":\"%s\",\"labels\":%s,\"count\":%d,\"sum\":%s,\"buckets\":[%s]}"
-          (json_escape h.Metric.h_name) (json_labels h.Metric.h_labels) (Metric.hcount h)
-          (json_float (Metric.hsum h)) (String.concat "," !buckets))
+          (json_escape g.Metric.g_name) (json_labels g.Metric.g_labels) (json_float (Metric.gvalue g)))
     (Registry.snapshot ());
   List.iter
     (fun tr ->
@@ -145,24 +117,6 @@ let json_lines buf =
         (json_float (Latency.sum tr))
         quantiles)
     (Latency.snapshot ())
-
-let trace_json_lines buf =
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  List.iter
-    (fun (ev : Span.event) ->
-      let deltas =
-        String.concat ","
-          (List.map
-             (fun (name, labels, d) ->
-               Printf.sprintf "{\"counter\":\"%s\",\"labels\":%s,\"delta\":%d}" (json_escape name)
-                 (json_labels labels) d)
-             ev.Span.deltas)
-      in
-      line
-        "{\"type\":\"span\",\"seq\":%d,\"name\":\"%s\",\"depth\":%d,\"start_s\":%s,\"duration_s\":%s,\"deltas\":[%s]}"
-        ev.Span.seq (json_escape ev.Span.name) ev.Span.depth (json_float ev.Span.start)
-        (json_float ev.Span.duration) deltas)
-    (Span.trace ())
 
 (* ------------------------------------------------------- Prometheus *)
 
@@ -230,25 +184,7 @@ let prometheus buf =
       | Registry.Gauge g ->
         let family = prom_name g.Metric.g_name in
         type_line family "gauge";
-        line "%s%s %s" family (prom_labels g.Metric.g_labels) (prom_float (Metric.gvalue g))
-      | Registry.Histogram h ->
-        let family = prom_name h.Metric.h_name in
-        type_line family "histogram";
-        (* cumulative buckets; skip empty ranges but always keep +Inf *)
-        let cum = ref 0 in
-        for i = 0 to Metric.bucket_count - 1 do
-          let n = Metric.bucket_value h i in
-          cum := !cum + n;
-          if n > 0 && i < Metric.bucket_count - 1 then
-            line "%s_bucket%s %d" family
-              (prom_labels (h.Metric.h_labels @ [ ("le", prom_float (Metric.bucket_le i)) ]))
-              !cum
-        done;
-        line "%s_bucket%s %d" family
-          (prom_labels (h.Metric.h_labels @ [ ("le", "+Inf") ]))
-          (Metric.hcount h);
-        line "%s_sum%s %s" family (prom_labels h.Metric.h_labels) (prom_float (Metric.hsum h));
-        line "%s_count%s %d" family (prom_labels h.Metric.h_labels) (Metric.hcount h))
+        line "%s%s %s" family (prom_labels g.Metric.g_labels) (prom_float (Metric.gvalue g)))
     (Registry.snapshot ());
   List.iter
     (fun tr ->
@@ -268,50 +204,3 @@ let prometheus buf =
       line "%s_sum%s %s" family (prom_labels labels) (prom_float (Latency.sum tr));
       line "%s_count%s %d" family (prom_labels labels) (Latency.count tr))
     (Latency.snapshot ())
-
-(* ---------------------------------------------- Chrome trace (catapult) *)
-
-(* The span rings rendered as a Trace Event Format JSON object that
-   chrome://tracing / Perfetto load directly: one complete ("X") event per
-   span, one track (tid) per recording domain's plane slot, timestamps and
-   durations in microseconds relative to the earliest span.  A
-   thread_name metadata event labels each occupied track. *)
-let chrome_trace buf =
-  let evs = Span.trace () in
-  let t0 = List.fold_left (fun acc (ev : Span.event) -> Float.min acc ev.Span.start) infinity evs in
-  let t0 = if Float.is_finite t0 then t0 else 0.0 in
-  let us s = json_float (s *. 1e6) in
-  let tracks = List.sort_uniq compare (List.map (fun (ev : Span.event) -> ev.Span.track) evs) in
-  let track_name t = if t >= Plane.max_slots then "overflow" else Printf.sprintf "domain-%d" t in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  let item fmt =
-    Printf.ksprintf
-      (fun s ->
-        if !first then first := false else Buffer.add_char buf ',';
-        Buffer.add_string buf s)
-      fmt
-  in
-  List.iter
-    (fun t ->
-      item "{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}" t
-        (track_name t))
-    tracks;
-  List.iter
-    (fun (ev : Span.event) ->
-      let deltas =
-        String.concat ","
-          (List.map
-             (fun (name, labels, d) ->
-               Printf.sprintf "{\"counter\":\"%s\",\"labels\":%s,\"delta\":%d}" (json_escape name)
-                 (json_labels labels) d)
-             ev.Span.deltas)
-      in
-      item
-        "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"name\":\"%s\",\"ts\":%s,\"dur\":%s,\"args\":{\"seq\":%d,\"depth\":%d,\"deltas\":[%s]}}"
-        ev.Span.track (json_escape ev.Span.name)
-        (us (ev.Span.start -. t0))
-        (us ev.Span.duration) ev.Span.seq ev.Span.depth deltas)
-    evs;
-  Printf.bprintf buf "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_spans\":\"%d\"}}"
-    (Span.dropped_events ())

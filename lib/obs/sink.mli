@@ -1,5 +1,5 @@
-(** Exposition sinks: render the current registry contents, the latency
-    trackers and the span trace into a caller-supplied [Buffer.t].
+(** Exposition sinks: render the current registry contents (counters and
+    gauges) and the latency trackers into a caller-supplied [Buffer.t].
 
     All sinks render series in {!Registry.snapshot} order followed by
     {!Latency.snapshot} order, so two dumps of the same state are
@@ -14,32 +14,16 @@
     sinks consume. *)
 
 val text : Buffer.t -> unit
-(** Aligned human-readable dump: counters, gauges, histogram summaries,
-    latency quantiles, span-trace totals. *)
+(** Aligned human-readable dump: counters, gauges, latency quantiles. *)
 
 val json_lines : Buffer.t -> unit
 (** One JSON object per line per series.  Counters/gauges carry [value];
-    histograms carry [count], [sum] and the occupied (le, count) buckets,
-    with the overflow bucket's [le] rendered as the string ["+Inf"];
-    latency trackers carry [type:"summary"] with a [quantiles] object
-    keyed by phi. *)
-
-val trace_json_lines : Buffer.t -> unit
-(** One JSON object per completed span, completion order: name, depth,
-    sequence number, start/duration (clock seconds), counter deltas. *)
-
-val chrome_trace : Buffer.t -> unit
-(** The span rings as one Chrome trace-event (catapult) JSON object —
-    loadable by chrome://tracing and Perfetto.  One complete ("X") event
-    per span, one track per recording domain (tid = plane slot, labelled
-    by a thread_name metadata event), [ts]/[dur] in microseconds relative
-    to the earliest span; counter deltas, seq and depth ride in [args].
-    The drop count appears under [otherData.dropped_spans]. *)
+    latency trackers carry [type:"summary"] with [count], [sum] and a
+    [quantiles] object keyed by phi. *)
 
 val prometheus : Buffer.t -> unit
 (** Prometheus text exposition format.  Dots in registry names become
-    underscores, counter families get a [_total] suffix, histograms emit
-    cumulative [_bucket{le=...}] series plus [_sum]/[_count], and latency
+    underscores, counter families get a [_total] suffix, and latency
     trackers emit [summary] families: one [{quantile="..."}] sample per
     exposed percentile plus [_sum]/[_count]. *)
 

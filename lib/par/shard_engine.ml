@@ -299,10 +299,9 @@ let ingest_groups t groups =
    refresh, as a work-stealing sweep so skewed per-shard costs cannot
    serialise on one owner. *)
 let refresh_all ?(cold = false) t =
-  Obs.with_span "engine.refresh_all" (fun () ->
-      Array.iteri (fun o c -> Atomic.set c t.slice_lo.(o)) t.cursors;
-      ignore (Domain_pool.run t.pool (if cold then t.cold_sweep else t.warm_sweep));
-      M.incr t.c_refreshes)
+  Array.iteri (fun o c -> Atomic.set c t.slice_lo.(o)) t.cursors;
+  ignore (Domain_pool.run t.pool (if cold then t.cold_sweep else t.warm_sweep));
+  M.incr t.c_refreshes
 
 let pool t = t.pool
 
@@ -444,7 +443,6 @@ let encode_frames t =
   (Frame.header_string (), Frame.frame_string (Buffer.contents meta) :: shard_frames)
 
 let checkpoint t ~file =
-  Obs.with_span "engine.checkpoint" @@ fun () ->
   let header, frames = encode_frames t in
   P.write_file_atomic ~path:file ~header ~frames;
   M.incr P.c_snapshots
@@ -490,7 +488,6 @@ let decode_shards r =
   (shard_arr, points, batches, refreshes)
 
 let restore_from ~pool ~file =
-  Obs.with_span "engine.restore" @@ fun () ->
   P.rejecting @@ fun () ->
   let r = Codec.of_string (P.read_file file) in
   let shard_arr, points, batches, refreshes = decode_shards r in

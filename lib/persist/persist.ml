@@ -19,7 +19,6 @@ let write_whole path s =
   close_out oc
 
 let write_file_atomic ~path ~header ~frames:frame_list =
-  Obs.with_span "persist.write_file" @@ fun () ->
   let tmp = path ^ ".tmp" in
   let image () = String.concat "" (header :: frame_list) in
   let publish img =

@@ -15,7 +15,6 @@ let check_compatible (truth : Estimator.t) (est : Estimator.t) =
 
 let range_sum_errors ~truth est queries =
   check_compatible truth est;
-  Obs.with_span "query.range_sum" @@ fun () ->
   M.add c_range_sum (Array.length queries);
   let truths =
     Array.map (fun { Workload.lo; hi } -> truth.Estimator.range_sum ~lo ~hi) queries
@@ -27,7 +26,6 @@ let range_sum_errors ~truth est queries =
 
 let point_errors ~truth est points =
   check_compatible truth est;
-  Obs.with_span "query.point" @@ fun () ->
   M.add c_point (Array.length points);
   let truths = Array.map truth.Estimator.point points in
   let estimates = Array.map est.Estimator.point points in
@@ -35,7 +33,6 @@ let point_errors ~truth est points =
 
 let range_avg_errors ~truth est queries =
   check_compatible truth est;
-  Obs.with_span "query.range_avg" @@ fun () ->
   M.add c_range_avg (Array.length queries);
   let truths =
     Array.map (fun { Workload.lo; hi } -> Estimator.range_avg truth ~lo ~hi) queries

@@ -3,7 +3,7 @@ module Obs = Sh_obs.Obs
 module M = Sh_obs.Metric
 
 (* Selectivity estimates are issued per query-optimizer probe; the
-   global counters expose probe volume next to build spans. *)
+   global counters expose probe volume. *)
 let c_range_estimates = Obs.counter "sel.range_estimates"
 let c_eq_estimates = Obs.counter "sel.eq_estimates"
 
@@ -39,7 +39,6 @@ let distinct_in_sorted sorted lo_i hi_i =
 let equi_width data ~buckets =
   let n = Array.length data in
   if n = 0 then invalid_arg "Value_histogram.equi_width: empty data";
-  Obs.with_span "sel.equi_width" @@ fun () ->
   let b = max 1 buckets in
   let lo, hi = Sh_util.Stats.min_max data in
   let hi = if hi = lo then lo +. 1.0 else hi in
@@ -86,7 +85,6 @@ let of_boundaries_sorted sorted ~cuts =
 let equi_depth data ~buckets =
   let n = Array.length data in
   if n = 0 then invalid_arg "Value_histogram.equi_depth: empty data";
-  Obs.with_span "sel.equi_depth" @@ fun () ->
   let b = min (max 1 buckets) n in
   let sorted = Array.copy data in
   Array.sort compare sorted;
@@ -116,7 +114,6 @@ let v_optimal data ~buckets ~domain_bins =
   let n = Array.length data in
   if n = 0 then invalid_arg "Value_histogram.v_optimal: empty data";
   if domain_bins < 1 then invalid_arg "Value_histogram.v_optimal: domain_bins must be >= 1";
-  Obs.with_span "sel.v_optimal" @@ fun () ->
   let lo, hi = Sh_util.Stats.min_max data in
   let hi' = if hi = lo then lo +. 1.0 else hi in
   let width = (hi' -. lo) /. Float.of_int domain_bins in
@@ -165,7 +162,6 @@ let of_window_view v =
   match Stream_histogram.Fixed_window.View.histogram v with
   | None -> invalid_arg "Value_histogram.of_window_view: empty window view"
   | Some h ->
-    Obs.with_span "sel.of_window_view" @@ fun () ->
     let module H = Sh_histogram.Histogram in
     let pts =
       Array.map

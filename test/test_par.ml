@@ -798,24 +798,6 @@ let test_registry_get_or_create_race () =
   Alcotest.(check int) "one series, all increments" (nd * per_domain)
     (M.value (Obs.counter "par.stress.race"))
 
-let test_spans_across_domains () =
-  Obs.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Obs.set_enabled false)
-    (fun () ->
-      let before = Sh_obs.Span.trace_length () in
-      let nd = 4 and per_domain = 50 in
-      let ds =
-        List.init nd (fun _ ->
-            Domain.spawn (fun () ->
-                for _ = 1 to per_domain do
-                  Obs.with_span "par.stress.span" (fun () -> ())
-                done))
-      in
-      List.iter Domain.join ds;
-      Alcotest.(check int) "every span recorded" (before + (nd * per_domain))
-        (Sh_obs.Span.trace_length ()))
-
 let () =
   Alcotest.run "sh_par"
     [
@@ -857,6 +839,5 @@ let () =
           Alcotest.test_case "counter stress" `Quick test_counter_no_lost_increments;
           Alcotest.test_case "gauge stress" `Quick test_gauge_no_lost_adds;
           Alcotest.test_case "registry race" `Quick test_registry_get_or_create_race;
-          Alcotest.test_case "spans across domains" `Quick test_spans_across_domains;
         ] );
     ]
