@@ -100,6 +100,7 @@ let () =
     names;
   (match !json_file with
   | Some path ->
+    Report.json_add "host" (Report.host_json ~scale:scale_name);
     Report.json_out ~path;
     Printf.printf "\nwrote machine-readable results to %s\n" path
   | None -> ());

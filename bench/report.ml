@@ -115,6 +115,34 @@ let json_to_string j =
 let json_acc : (string * json) list ref = ref []
 let json_add key value = json_acc := (key, value) :: !json_acc
 
+(* Provenance of a results file: every timing in it is a property of the
+   host that produced it. *)
+let host_json ~scale =
+  let cpu_model =
+    let prefix = "model name" in
+    match open_in "/proc/cpuinfo" with
+    | exception Sys_error _ -> "unknown"
+    | ic ->
+      let rec find () =
+        match input_line ic with
+        | exception End_of_file -> "unknown"
+        | l when String.starts_with ~prefix l -> (
+          match String.index_opt l ':' with
+          | Some i -> String.trim (String.sub l (i + 1) (String.length l - i - 1))
+          | None -> "unknown")
+        | _ -> find ()
+      in
+      Fun.protect ~finally:(fun () -> close_in ic) find
+  in
+  Jobj
+    [
+      ("cpu_model", Jstring cpu_model);
+      ("cores", Jint (Domain.recommended_domain_count ()));
+      ("os", Jstring Sys.os_type);
+      ("ocaml", Jstring Sys.ocaml_version);
+      ("scale", Jstring scale);
+    ]
+
 let json_out ~path =
   let oc = open_out path in
   output_string oc (json_to_string (Jobj (List.rev !json_acc)));

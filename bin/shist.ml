@@ -541,7 +541,9 @@ let serve_cmd =
        section is far below the batch work it measures, and the end-of-run
        report depends on it. *)
     O.set_latency_enabled true;
-    O.set_clock Unix.gettimeofday;
+    (* CLOCK_MONOTONIC: a wall clock can step, making a duration negative
+       (dropped) or huge. *)
+    O.set_clock (fun () -> Int64.to_float (Monotonic_clock.now ()) *. 1e-9);
     Lat.set_window latency_window;
     let host_cores = Domain.recommended_domain_count () in
     if domains > host_cores then

@@ -1,7 +1,6 @@
 module Sliding_prefix = Sh_prefix.Sliding_prefix
 module Histogram = Sh_histogram.Histogram
 module Soa = Sh_util.Soa
-module Intmemo = Sh_util.Intmemo
 module Obs = Sh_obs.Obs
 module M = Sh_obs.Metric
 
@@ -39,10 +38,6 @@ type work_counters = {
   memo_hits : int;
 }
 
-(* Which activity an HERROR evaluation is charged to: list rebuilds with /
-   without warm-start hints, or query-time reads. *)
-type mode = Cold_rebuild | Warm_rebuild | Query
-
 (* --- the HERROR kernel ------------------------------------------------- *)
 
 (* The paper's evaluation kernel, defined once: [scan] (the candidate
@@ -50,8 +45,11 @@ type mode = Cold_rebuild | Warm_rebuild | Query
    Each reads a sliding prefix and the level lists it is handed — the live
    summary passes its own, a published {!View.t} its frozen copies — and
    writes its results into a [scratch].  The kernel touches no telemetry:
-   it leaves scan steps, splits and the memo outcome in the scratch, and
-   the live wrappers charge them to the registry counters. *)
+   it tallies its work (evaluations, scan steps and candidates, memo
+   probes and hits) in the scratch's int fields, and the live summary adds
+   the tallies to its registry counters once per entry point ([flush]).
+   Under the dev profile's -opaque every registry store is a real
+   cross-module call, too dear to pay per evaluation. *)
 
 (* Slots of the scratch float column: unboxed out-params for the hot
    internal calls, which would otherwise box a float (or a tuple) per
@@ -64,22 +62,26 @@ let fs_hstart = 3 (* find_boundary in-param: HERROR at the interval start *)
 let fs_thresh = 4 (* find_boundary in-param: (1 + delta) * h_start        *)
 let fs_len = 5
 
-(* What the last [eval] did with its memo table. *)
-type probe = Unprobed | Miss | Hit
-
 type scratch = {
   fs : float array;        (* fs_* slots *)
   mutable best_i : int;    (* scan argmin out-param *)
   mutable best_row : int;  (* list row of that argmin; -1 when the proxy won *)
-  mutable steps : int;     (* scan binary-search steps not yet charged *)
-  mutable cands : int;     (* scan candidates evaluated, not yet charged *)
-  mutable splits : int;    (* histogram argmin scans not yet charged *)
-  mutable probe : probe;   (* memo outcome of the last eval *)
   (* Scan seeds: [seeds.(k)] is the row that won the last seeded scan at
      level k (-1: none yet).  [eval] seeds its scans while [seeding] holds;
      a scratch made with [~levels:0] never seeds. *)
   seeds : int array;
   mutable seeding : bool;
+  (* Work tallies not yet flushed to the registry.  The kernel writes the
+     first five; the live boundary search and CreateList the rest. *)
+  mutable evals : int;  (* eval calls and histogram argmin scans *)
+  mutable steps : int;  (* scan binary-search steps *)
+  mutable cands : int;  (* scan candidates evaluated *)
+  mutable probes : int; (* memo probes *)
+  mutable hits : int;   (* memo probes answered from the table *)
+  mutable search : int; (* boundary-search probe steps *)
+  mutable hint_hits : int;
+  mutable hint_misses : int;
+  mutable built : int;  (* interval-list rows added *)
 }
 
 let new_scratch ~levels =
@@ -87,12 +89,17 @@ let new_scratch ~levels =
     fs = Array.make fs_len 0.0;
     best_i = 0;
     best_row = -1;
-    steps = 0;
-    cands = 0;
-    splits = 0;
-    probe = Unprobed;
     seeds = Array.make levels (-1);
     seeding = levels > 0;
+    evals = 0;
+    steps = 0;
+    cands = 0;
+    probes = 0;
+    hits = 0;
+    search = 0;
+    hint_hits = 0;
+    hint_misses = 0;
+    built = 0;
   }
 
 (* The slot of window index [i] in a prefix ring whose index 0 sits at
@@ -109,11 +116,13 @@ let[@inline] ring_slot sum ~base i =
    function instead costs a real call per candidate: the dev profile's
    -opaque keeps it from inlining across modules, so it cannot return an
    unboxed float (DESIGN.md section 10).  This helper is inlined at each
-   use and allocates nothing.  Requires 0 <= b < x <= length. *)
+   use and allocates nothing.  Requires 0 <= b < x <= length, which keeps
+   the slot inside the ring (Sliding_prefix.slot's invariant), so the two
+   reads skip their bounds checks: about 8% of a first refresh. *)
 let[@inline] sqerror_to_x sum sqsum ~base ~sx ~qx ~x b =
   let s = ring_slot sum ~base b in
-  let ds = sx -. sum.(s) in
-  let dq = qx -. sqsum.(s) in
+  let ds = sx -. Array.unsafe_get sum s in
+  let dq = qx -. Array.unsafe_get sqsum s in
   let d = dq -. (ds *. ds /. Float.of_int (x - b)) in
   (* branch instead of Float.max, as in Sliding_prefix.sqerror *)
   if d > 0.0 then d else 0.0
@@ -237,13 +246,26 @@ let seeded_scan sp lists s ~k ~x =
   end
   else scan sp lists s ~k ~x ~seed:(-1)
 
+(* A direct-indexed HERROR memo: [vals.(x * stride + k)] holds
+   HERROR[x, k] (stride = buckets + 1) while [marks] at the same index
+   equals [gen].  Bumping [gen] forgets every entry in O(1).  Who owns the
+   table, and so when it is bumped and how large it is, is the arena's
+   business (below); the kernel trusts the index to be in bounds. *)
+type memo = {
+  mutable vals : float array;
+  mutable marks : int array;
+  mutable gen : int;
+  mutable owner : int; (* stamp the entries belong to; 0: none *)
+}
+
 (* Approximate HERROR[x, k], written to [fs.(fs_eval)].  With a memo
-   table, the scan is paid at most once per (k, x) key (x * stride + k,
-   stride = buckets + 1) for as long as the table's generation lasts: the
-   memo caches the final value, and [probe] records whether it was hit. *)
+   table, the scan is paid at most once per (k, x) for as long as the
+   table's generation lasts: the memo caches the final value.  Every call
+   counts one [evals]; a memo lookup counts one [probes], and one [hits]
+   when it skips the scan. *)
 let eval sp lists s memo ~stride ~k ~x =
   let fs = s.fs in
-  s.probe <- Unprobed;
+  s.evals <- s.evals + 1;
   if x <= 0 then fs.(fs_eval) <- 0.0
   else if k >= x then fs.(fs_eval) <- 0.0 (* x points in >= x buckets: zero error *)
   else if k = 1 then begin
@@ -259,28 +281,25 @@ let eval sp lists s memo ~stride ~k ~x =
       let best = fs.(fs_scan) in
       fs.(fs_eval) <- (if best = infinity then 0.0 else best)
     | Some m ->
-      let key = (x * stride) + k in
-      let slot = Intmemo.find_slot m key in
-      if slot >= 0 then begin
-        s.probe <- Hit;
-        fs.(fs_eval) <- Array.unsafe_get (Intmemo.vals m) slot
+      let i = (x * stride) + k in
+      s.probes <- s.probes + 1;
+      if Array.unsafe_get m.marks i = m.gen then begin
+        s.hits <- s.hits + 1;
+        fs.(fs_eval) <- Array.unsafe_get m.vals i
       end
       else begin
-        s.probe <- Miss;
         seeded_scan sp lists s ~k ~x;
         let best = fs.(fs_scan) in
         let v = if best = infinity then 0.0 else best in
-        (* reserve + raw store rather than Intmemo.add: the float stays
-           unboxed on its way into the value column. *)
-        let slot = Intmemo.reserve m key in
-        Array.unsafe_set (Intmemo.vals m) slot v;
+        Array.unsafe_set m.vals i v;
+        Array.unsafe_set m.marks i m.gen;
         fs.(fs_eval) <- v
       end
 
 (* The B-bucket histogram of a non-empty window: recover right endpoints
    top-down — split off the last bucket at each level with the scan's
    argmin, then recurse on the remaining prefix with one fewer bucket.
-   Every argmin scan counts one [splits].  Bucket values are exact range
+   Every argmin scan counts one [evals].  Bucket values are exact range
    means. *)
 let histogram sp lists s ~b =
   let n = Sliding_prefix.length sp in
@@ -300,7 +319,7 @@ let histogram sp lists s ~b =
     end
     else begin
       scan sp lists s ~k ~x ~seed:(-1);
-      s.splits <- s.splits + 1;
+      s.evals <- s.evals + 1;
       boundaries s.best_i (k - 1) (x :: acc)
     end
   in
@@ -313,27 +332,24 @@ let histogram sp lists s ~b =
 
 (* --- the per-domain memo arena ----------------------------------------- *)
 
-(* The HERROR memo caches [eval] results under packed (k, x) keys for one
-   refresh generation of one summary: a deterministic function of that
-   summary's window and lists, so a hit can never change an answer.  It is
-   only needed while an entry point runs, and a domain runs one at a time,
-   so there is one table per domain rather than one per summary.  A summary
+(* The HERROR memo caches [eval] results at (k, x) for one refresh
+   generation of one summary: a deterministic function of that summary's
+   window and lists, so a hit can never change an answer.  It is only
+   needed while an entry point runs, and a domain runs one at a time, so
+   there is one table per domain rather than one per summary.  A summary
    claims its domain's table under its owner stamp, taken fresh at every
    rebuild from one process-wide counter (a stamp names one summary at one
    generation on every domain); a claim under a different stamp than the
-   table's owner clears it in O(1).  A rebuild runs wholly on the domain
-   that started it, so the claim holds for all of its evaluations. *)
-type arena = {
-  table : Intmemo.t;
-  some_table : Intmemo.t option; (* [Some table], built once: wrapping it
-                                    per claim would allocate *)
-  mutable owner : int; (* stamp the table's entries belong to; 0: none *)
-}
-
+   table's owner bumps its generation, clearing it in O(1).  The table is
+   sized (window + 1) * (buckets + 1) for the largest geometry claimed on
+   its domain, grown at claim time.  A rebuild runs wholly on the domain
+   that started it, so the claim holds for all of its evaluations.  The
+   key holds [Some table], built once: wrapping it per claim would
+   allocate. *)
 let arena_key =
-  Domain.DLS.new_key (fun () ->
-      let table = Intmemo.create () in
-      { table; some_table = Some table; owner = 0 })
+  Domain.DLS.new_key (fun () -> Some { vals = [||]; marks = [||]; gen = 0; owner = 0 })
+
+let memo_arena_words () = Obj.reachable_words (Obj.repr (Domain.DLS.get arena_key))
 
 let stamps = Atomic.make 0
 let fresh_stamp () = 1 + Atomic.fetch_and_add stamps 1
@@ -347,15 +363,15 @@ type t = {
      two arrays are swapped at every refresh instead of reallocating. *)
   mutable queues : Soa.t array;
   mutable prev_queues : Soa.t array;
-  (* HERROR memo (see [arena]): gallop/bisect searches never re-pay for a
-     position another search of the same rebuild (or a query against the
-     same window) already evaluated. *)
-  memo_stride : int; (* key = x * memo_stride + k, stride = buckets + 1 *)
+  (* HERROR memo (see [arena_key]): gallop/bisect searches never re-pay
+     for a position another search of the same rebuild (or a query against
+     the same window) already evaluated. *)
+  memo_stride : int; (* index = x * memo_stride + k, stride = buckets + 1 *)
   mutable memo_on : bool; (* master switch (set_memoisation) *)
   mutable stamp : int;    (* owner stamp of the current generation *)
-  mutable claimed : Intmemo.t option; (* the domain's table while an entry
-                                         point that evaluates runs, else None *)
-  scr : scratch; (* kernel out-params and pending step counts *)
+  mutable claimed : memo option; (* the domain's table while an entry
+                                    point that evaluates runs, else None *)
+  scr : scratch; (* kernel out-params and unflushed work tallies *)
   mutable bnd_c : int;       (* find_boundary boundary out-param  *)
   mutable gauge_len : int;   (* last length stored in g_length    *)
   mutable gen : int;  (* refresh generation: bumped once per rebuild, the
@@ -367,11 +383,10 @@ type t = {
   mutable slide : int; (* evictions since the last refresh: how far the
                           prev_queues coordinates have shifted *)
   mutable pushes_since_refresh : int;
-  mutable mode : mode;
   (* Work accounting lives in per-instance registry counters (labelled
      instance="fw<i>") so the same tallies back work_counters and the
-     exposition sinks.  The handles are registered once at creation;
-     recording is a single int store, unconditionally live (see
+     exposition sinks.  The handles are registered once at creation and
+     fed from the scratch tallies by [flush], once per entry point (see
      Sh_obs.Obs on the overhead model). *)
   c_evals : M.counter;
   c_cold_evals : M.counter;
@@ -415,7 +430,6 @@ let mk ~params ~sp =
     policy = params.Params.policy;
     slide = 0;
     pushes_since_refresh = 0;
-    mode = Query;
     c_evals = c "fw.herror_evals";
     c_cold_evals = c "fw.cold_evals";
     c_warm_evals = c "fw.warm_evals";
@@ -460,56 +474,59 @@ let set_refresh_policy t policy =
   (* Reuse the Params validation (rejects [Every k] with k < 1). *)
   t.policy <- (Params.with_policy t.params policy).Params.policy
 
-let count_eval t =
-  M.incr t.c_evals;
-  match t.mode with
-  | Cold_rebuild -> M.incr t.c_cold_evals
-  | Warm_rebuild -> M.incr t.c_warm_evals
-  | Query -> ()
-
-(* Scan steps the kernel left in the scratch land in fw.search_steps (the
-   legacy total) and, separately, fw.scan_steps — so rebuild-probe work
-   and scan-internal work can be told apart (see work_counters).  The
-   candidates the scans evaluated land in fw.scan_candidates. *)
-let charge_scan t =
+(* Add the scratch's work tallies to the registry counters and zero them.
+   Every entry point that evaluates ends with it, so a scrape between
+   calls reads every count.  Boundary-search probes and scan steps both
+   land in fw.search_steps (the legacy total), scan steps also in
+   fw.scan_steps, so rebuild-probe work and scan-internal work can be told
+   apart (see work_counters).  fw.herror_evals counts logical evaluations
+   requested, memo hits included; fw.memo_probes / fw.memo_hits record the
+   dedup separately. *)
+let flush t =
   let s = t.scr in
-  if s.steps > 0 then begin
-    M.add t.c_steps s.steps;
-    M.add t.c_scan_steps s.steps;
-    s.steps <- 0
-  end;
-  if s.cands > 0 then begin
-    M.add t.c_scan_cands s.cands;
-    s.cands <- 0
-  end
+  let tally c n = if n > 0 then M.add c n in
+  tally t.c_evals s.evals;
+  tally t.c_steps (s.search + s.steps);
+  tally t.c_scan_steps s.steps;
+  tally t.c_scan_cands s.cands;
+  tally t.c_memo_probes s.probes;
+  tally t.c_memo_hits s.hits;
+  tally t.c_hits s.hint_hits;
+  tally t.c_misses s.hint_misses;
+  tally t.c_built s.built;
+  s.evals <- 0;
+  s.steps <- 0;
+  s.cands <- 0;
+  s.probes <- 0;
+  s.hits <- 0;
+  s.search <- 0;
+  s.hint_hits <- 0;
+  s.hint_misses <- 0;
+  s.built <- 0
 
 (* Approximate HERROR[x, k] for the current window, written to
-   [t.scr.fs.(fs_eval)].  Every evaluation counts in fw.herror_evals (the
-   legacy meaning — logical evaluations requested, memo hits included),
-   with fw.memo_probes / fw.memo_hits recording the dedup separately. *)
-let eval_herror_into t ~k ~x =
-  count_eval t;
-  eval t.sp t.queues t.scr t.claimed ~stride:t.memo_stride ~k ~x;
-  (match t.scr.probe with
-   | Unprobed -> ()
-   | Miss -> M.incr t.c_memo_probes
-   | Hit ->
-     M.incr t.c_memo_probes;
-     M.incr t.c_memo_hits);
-  charge_scan t
+   [t.scr.fs.(fs_eval)]. *)
+let eval_herror_into t ~k ~x = eval t.sp t.queues t.scr t.claimed ~stride:t.memo_stride ~k ~x
 
 (* Point [claimed] at the calling domain's memo table ([on]) or at none,
-   clearing the table first if another stamp owns it. *)
+   growing the table to this summary's geometry, and clearing it if
+   another stamp owns it. *)
 let claim t ~on =
-  if on then begin
-    let a = Domain.DLS.get arena_key in
-    if a.owner <> t.stamp then begin
-      Intmemo.next_generation a.table;
-      a.owner <- t.stamp
-    end;
-    t.claimed <- a.some_table
-  end
-  else t.claimed <- None
+  t.claimed <- None;
+  if on then
+    match Domain.DLS.get arena_key with
+    | None -> ()
+    | Some m as table ->
+      let need = (window t + 1) * t.memo_stride in
+      if Array.length m.marks < need then begin
+        m.vals <- Array.make need 0.0;
+        m.marks <- Array.make need 0
+      end;
+      if m.owner <> t.stamp then begin
+        m.gen <- m.gen + 1;
+        m.owner <- t.stamp
+      end;
+      t.claimed <- table
 
 (* Largest c in [start, hi] with HERROR[c, k] <= threshold; writes c to
    [bnd_c] and its herror to [fs.(fs_bnd)].  The float inputs arrive via
@@ -525,7 +542,7 @@ let claim t ~on =
    arrivals) costs O(1) instead of O(log n).
 
    The shared bisect runs over refs seeded per branch; every probe is one
-   fw.search_steps increment plus one eval_herror (identical to the
+   [search] step plus one eval_herror (identical to the
    pre-SoA implementation, so step counts match it exactly when
    memoisation is off). *)
 let find_boundary t ~k ~start ~hi ~hint =
@@ -539,7 +556,7 @@ let find_boundary t ~k ~start ~hi ~hint =
      let h_g =
        if g = start then h_start
        else begin
-         M.incr t.c_steps;
+         t.scr.search <- t.scr.search + 1;
          eval_herror_into t ~k ~x:g;
          t.scr.fs.(fs_eval)
        end
@@ -549,7 +566,7 @@ let find_boundary t ~k ~start ~hi ~hint =
        let off = ref 1 and lo = ref g and h_lo = ref h_g and bad = ref (-1) in
        while !bad < 0 && g + !off <= hi do
          let p = g + !off in
-         M.incr t.c_steps;
+         t.scr.search <- t.scr.search + 1;
          eval_herror_into t ~k ~x:p;
          let hp = t.scr.fs.(fs_eval) in
          if hp <= threshold then begin
@@ -568,7 +585,7 @@ let find_boundary t ~k ~start ~hi ~hint =
        let off = ref 1 and bad = ref g and lo = ref (-1) and h_lo = ref h_start in
        while !lo < 0 && g - !off > start do
          let p = g - !off in
-         M.incr t.c_steps;
+         t.scr.search <- t.scr.search + 1;
          eval_herror_into t ~k ~x:p;
          let hp = t.scr.fs.(fs_eval) in
          if hp <= threshold then begin
@@ -593,7 +610,7 @@ let find_boundary t ~k ~start ~hi ~hint =
    end);
   while !b_lo < !b_hi do
     let mid = (!b_lo + !b_hi + 1) / 2 in
-    M.incr t.c_steps;
+    t.scr.search <- t.scr.search + 1;
     eval_herror_into t ~k ~x:mid;
     let hm = t.scr.fs.(fs_eval) in
     if hm <= threshold then begin
@@ -603,7 +620,8 @@ let find_boundary t ~k ~start ~hi ~hint =
     else b_hi := mid - 1
   done;
   if hint <> min_int then
-    if !b_lo = hint then M.incr t.c_hits else M.incr t.c_misses;
+    if !b_lo = hint then t.scr.hint_hits <- t.scr.hint_hits + 1
+    else t.scr.hint_misses <- t.scr.hint_misses + 1;
   t.bnd_c <- !b_lo;
   t.scr.fs.(fs_bnd) <- !b_h
 
@@ -641,7 +659,7 @@ let create_list t ~k ~warm =
       (Soa.icol q col_b).(r) <- start;
       (Soa.fcol q col_ha).(r) <- t.scr.fs.(fs_eval);
       (Soa.fcol q col_hb).(r) <- t.scr.fs.(fs_eval);
-      M.incr t.c_built;
+      t.scr.built <- t.scr.built + 1;
       a := n + 1
     end
     else begin
@@ -666,7 +684,7 @@ let create_list t ~k ~warm =
       (Soa.icol q col_b).(r) <- c;
       (Soa.fcol q col_ha).(r) <- t.scr.fs.(fs_hstart);
       (Soa.fcol q col_hb).(r) <- t.scr.fs.(fs_bnd);
-      M.incr t.c_built;
+      t.scr.built <- t.scr.built + 1;
       width := c - start;
       a := c + 1
     end
@@ -682,7 +700,6 @@ let do_refresh t ~warm ~memo =
      claim clears the domain's table in O(1). *)
   t.stamp <- fresh_stamp ();
   claim t ~on:memo;
-  t.mode <- (if warm then Warm_rebuild else Cold_rebuild);
   (* A cold rebuild is the unassisted reference: no scan seeds either. *)
   t.scr.seeding <- warm;
   let b = buckets t in
@@ -692,7 +709,8 @@ let do_refresh t ~warm ~memo =
     done;
   t.scr.seeding <- true;
   t.claimed <- None;
-  t.mode <- Query;
+  M.add (if warm then t.c_warm_evals else t.c_cold_evals) t.scr.evals;
+  flush t;
   t.dirty <- false;
   t.slide <- 0;
   t.pushes_since_refresh <- 0;
@@ -771,6 +789,7 @@ let eval_live t ~k ~x =
   claim t ~on:t.memo_on;
   eval_herror_into t ~k ~x;
   t.claimed <- None;
+  flush t;
   t.scr.fs.(fs_eval)
 
 let current_error t =
@@ -793,29 +812,30 @@ let current_histogram t =
   refresh t;
   if length t = 0 then invalid_arg "Fixed_window.current_histogram: empty window";
   let h = histogram t.sp t.queues t.scr ~b:(buckets t) in
-  M.add t.c_evals t.scr.splits;
-  t.scr.splits <- 0;
-  charge_scan t;
+  flush t;
   h
 
-(* Compatibility view over the registry-backed counters: same record, same
-   values as the pre-registry private fields. *)
+(* The registry counters plus any tallies still in the scratch.  Every
+   entry point flushes before it returns, so between calls the scratch is
+   empty and this reads exactly what a metrics scrape reads — the flush
+   discipline test compares the two. *)
 let work_counters t =
+  let s = t.scr in
   {
-    herror_evaluations = M.value t.c_evals;
+    herror_evaluations = M.value t.c_evals + s.evals;
     cold_evaluations = M.value t.c_cold_evals;
     warm_evaluations = M.value t.c_warm_evals;
-    intervals_built = M.value t.c_built;
+    intervals_built = M.value t.c_built + s.built;
     refreshes = M.value t.c_refreshes;
     cold_refreshes = M.value t.c_cold_refreshes;
     warm_refreshes = M.value t.c_warm_refreshes;
-    search_steps = M.value t.c_steps;
-    scan_steps = M.value t.c_scan_steps;
-    scan_candidates = M.value t.c_scan_cands;
-    hint_hits = M.value t.c_hits;
-    hint_misses = M.value t.c_misses;
-    memo_probes = M.value t.c_memo_probes;
-    memo_hits = M.value t.c_memo_hits;
+    search_steps = M.value t.c_steps + s.search + s.steps;
+    scan_steps = M.value t.c_scan_steps + s.steps;
+    scan_candidates = M.value t.c_scan_cands + s.cands;
+    hint_hits = M.value t.c_hits + s.hint_hits;
+    hint_misses = M.value t.c_misses + s.hint_misses;
+    memo_probes = M.value t.c_memo_probes + s.probes;
+    memo_hits = M.value t.c_memo_hits + s.hits;
   }
 
 let interval_counts t =

@@ -49,17 +49,23 @@
     struct-of-arrays stores ({!Sh_util.Soa}) rather than boxed-record
     vectors, rebuild scratch (double buffers, float out-param slots) is
     owned by [t] and reused across refreshes, and HERROR evaluations are
-    deduplicated through a memo table ({!Sh_util.Intmemo}).  The table is
-    one per domain, not one per summary: a rebuild takes a fresh owner
-    stamp and claims its domain's table, clearing it in O(1) when another
-    stamp owned it, and {!herror} / {!current_error} claim it the same
-    way, so they hit what the rebuild cached unless another summary's
-    rebuild ran on that domain in between.  Once the
-    backing arrays reach steady capacity, a push + warm refresh allocates
-    ~zero minor-heap words (pinned by the allocation-budget test; see
-    DESIGN.md section 10).  [refresh ~memo:false] disables the memo for
-    one rebuild — with it, the probe sequence is identical to the pre-memo
-    kernel, which the golden step-count tests rely on. *)
+    deduplicated through a memo table indexed directly by (x, k).  The
+    table is one per domain, not one per summary, sized
+    (window + 1) * (buckets + 1) for the largest summary that has claimed
+    it ({!memo_arena_words}): a rebuild takes a fresh owner stamp and
+    claims its domain's table, clearing it in O(1) when another stamp
+    owned it, and {!herror} / {!current_error} claim it the same way, so
+    they hit what the rebuild cached unless another summary's rebuild ran
+    on that domain in between.  Once the backing arrays reach steady
+    capacity, a push + warm refresh allocates ~zero minor-heap words
+    (pinned by the allocation-budget test; see DESIGN.md section 10).
+    [refresh ~memo:false] disables the memo for one rebuild — with it, the
+    probe sequence is identical to the pre-memo kernel, which the golden
+    step-count tests rely on.
+
+    Work counters are tallied in the summary's scratch and added to the
+    registry once at the end of every entry point that evaluates, so
+    {!work_counters} and a metrics scrape between calls see every count. *)
 
 type t
 
@@ -241,7 +247,16 @@ type work_counters = {
 val work_counters : t -> work_counters
 (** Cumulative work counters, used by the complexity benchmarks to check
     the per-point cost grows polylogarithmically in the window length and
-    by the regression tests pinning the warm-start speedup. *)
+    by the regression tests pinning the warm-start speedup.  The same
+    counts are registry series ([fw.herror_evals{instance="fw<i>"}], ...),
+    updated once at the end of each call that evaluates HERROR, so a
+    metrics scrape between calls reads exactly these values. *)
+
+val memo_arena_words : unit -> int
+(** Words reachable from the calling domain's HERROR memo table: about
+    2 * (n + 1) * (B + 1) for the largest window n and bucket count B
+    claimed on this domain, a few words before any claim.  The table is
+    per-domain state, so it is not reachable from any summary or engine. *)
 
 val pending_pushes : t -> int
 (** Points ingested since the last refresh — the count an [Every k] policy

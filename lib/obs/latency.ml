@@ -43,9 +43,9 @@ let tracking_cell = Atomic.make false
 let set_tracking b = Atomic.set tracking_cell b
 let tracking () = Atomic.get tracking_cell
 
-(* The default clock is the portable [Sys.time] (CPU seconds); callers that
-   link unix inject [Unix.gettimeofday], tests inject a fake.  Set at
-   startup, before domains are spawned. *)
+(* The default clock is the portable [Sys.time] (CPU seconds); binaries
+   inject a monotonic clock, tests a fake.  Set at startup, before domains
+   are spawned. *)
 let clock : (unit -> float) ref = ref Sys.time
 let set_clock f = clock := f
 let now () = !clock ()

@@ -39,9 +39,10 @@ val tracking : unit -> bool
 
 val set_clock : (unit -> float) -> unit
 (** Inject the clock {!time} reads, in seconds.  Defaults to [Sys.time]
-    (CPU seconds); binaries that link unix should inject
-    [Unix.gettimeofday].  Not synchronised: set it at startup, before any
-    domains are spawned. *)
+    (CPU seconds); binaries should inject a monotonic clock
+    (CLOCK_MONOTONIC), not [Unix.gettimeofday], whose steps make a
+    duration negative (dropped by {!record}) or huge.  Not synchronised:
+    set it at startup, before any domains are spawned. *)
 
 val now : unit -> float
 

@@ -312,6 +312,78 @@ let test_fw_work_counters_golden () =
       | _ -> ());
   Alcotest.(check bool) "work_counters is a view over registry series" true !found
 
+(* Work is tallied in the summary's scratch and reaches the registry once
+   per entry point.  After every live entry point the rendered fw_*
+   counters of the summary must equal work_counters, which also counts
+   tallies still pending in the scratch: a difference is a count that
+   entry point left unflushed. *)
+let test_fw_flush_discipline () =
+  (* [fw_<name>_total{instance="fw<i>"} <v>] lines of the newest summary *)
+  let rendered () =
+    let parse line =
+      try
+        Scanf.sscanf line "fw_%[a-z_]{instance=\"fw%d\"} %d%!" (fun name i v ->
+            if String.ends_with ~suffix:"_total" name then
+              Some (i, String.sub name 0 (String.length name - 6), v)
+            else None)
+      with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+    in
+    let rows =
+      List.filter_map parse (String.split_on_char '\n' (Sh_obs.Obs.render Sh_obs.Obs.Prom))
+    in
+    let newest = List.fold_left (fun m (i, _, _) -> max m i) (-1) rows in
+    List.sort compare
+      (List.filter_map (fun (i, name, v) -> if i = newest then Some (name, v) else None) rows)
+  in
+  let expected c =
+    List.sort compare
+      [
+        ("herror_evals", c.FW.herror_evaluations); ("cold_evals", c.FW.cold_evaluations);
+        ("warm_evals", c.FW.warm_evaluations); ("intervals_built", c.FW.intervals_built);
+        ("refreshes", c.FW.refreshes); ("cold_refreshes", c.FW.cold_refreshes);
+        ("warm_refreshes", c.FW.warm_refreshes); ("search_steps", c.FW.search_steps);
+        ("scan_steps", c.FW.scan_steps); ("scan_candidates", c.FW.scan_candidates);
+        ("hint_hits", c.FW.hint_hits); ("hint_misses", c.FW.hint_misses);
+        ("memo_probes", c.FW.memo_probes); ("memo_hits", c.FW.memo_hits);
+      ]
+  in
+  let check what fw =
+    Alcotest.(check (list (pair string int))) ("after " ^ what) (expected (FW.work_counters fw))
+      (rendered ())
+  in
+  let data =
+    Sh_gen.Source.take
+      (Sh_gen.Workloads.network (Sh_util.Rng.create ~seed:11) Sh_gen.Workloads.default_network)
+      80
+  in
+  let fw = FW.create ~window:48 ~buckets:5 ~epsilon:0.2 in
+  FW.push_slice fw data ~pos:0 ~len:60;
+  FW.refresh fw;
+  check "refresh" fw;
+  FW.push fw data.(60);
+  FW.refresh ~cold:true fw;
+  check "cold refresh" fw;
+  FW.push fw data.(61);
+  ignore (FW.herror fw ~k:3 ~x:20);
+  check "herror with a refresh" fw;
+  let before = (FW.work_counters fw).FW.herror_evaluations in
+  ignore (FW.herror fw ~k:4 ~x:30);
+  Alcotest.(check int) "a live read is one evaluation" (before + 1)
+    (FW.work_counters fw).FW.herror_evaluations;
+  check "herror" fw;
+  ignore (FW.current_error fw);
+  check "current_error" fw;
+  ignore (FW.current_histogram fw);
+  check "current_histogram" fw;
+  FW.push fw data.(62);
+  ignore (FW.view fw);
+  check "view" fw;
+  let buf = Buffer.create 256 in
+  FW.encode buf fw;
+  let restored = FW.decode (Sh_persist.Codec.of_string (Buffer.contents buf)) in
+  Alcotest.(check bool) "decode refreshed" true ((FW.work_counters restored).FW.refreshes = 1);
+  check "decode" restored
+
 (* Steady-state sliding must reuse the interval lists' backing arrays:
    after a warm-up long enough to reach peak capacity, further slides may
    not grow any Soa column in the process (the lists moved from boxed-entry
@@ -719,47 +791,71 @@ let test_fw_held_view_keeps_answers () =
     !held
 
 (* The HERROR memo table is one per domain, shared by every summary on
-   it.  Three summaries of different geometry (n, B, eps) push and refresh
-   in interleaved order, and between one summary's rebuild and the next
-   every HERROR[x, k], the current error and the histogram of another are
-   read live — each read claims the table from the summary that last
-   used it.  All must match memo-off twins bit for bit. *)
+   it.  Summaries of different geometry (n, B, eps) push and refresh in
+   interleaved order, and between one summary's rebuild and the next
+   every interval list, every HERROR[x, k], the current error and the
+   histogram of another are read live — each read claims the table from
+   the summary that last used it.  All must match memo-off twins bit for
+   bit.  The second ordering runs on a fresh domain, whose table grows at
+   claim time: a small window claims it, then a larger one, then the small
+   one again; the table keeps the largest geometry's size. *)
 let test_fw_shared_memo_arena () =
-  let geoms = [| (24, 4, 0.2); (40, 6, 0.5); (17, 3, 0.1) |] in
-  let mk memo (window, buckets, epsilon) =
-    let fw = FW.create ~window ~buckets ~epsilon in
-    FW.set_refresh_policy fw (Stream_histogram.Params.Every 3);
-    FW.set_memoisation fw memo;
-    fw
+  let interleave geoms ~steps =
+    let mk memo (window, buckets, epsilon) =
+      let fw = FW.create ~window ~buckets ~epsilon in
+      FW.set_refresh_policy fw (Stream_histogram.Params.Every 3);
+      FW.set_memoisation fw memo;
+      fw
+    in
+    let live = Array.map (mk true) geoms and twin = Array.map (mk false) geoms in
+    let count = Array.length geoms in
+    let bits = Int64.bits_of_float in
+    let compare_all step j =
+      let fw = live.(j) and tw = twin.(j) in
+      let what s = Printf.sprintf "step %d summary %d: %s" step j s in
+      let same s expect got = Alcotest.(check int64) (what s) (bits expect) (bits got) in
+      for k = 1 to FW.buckets fw - 1 do
+        let rows fw =
+          Array.to_list
+            (Array.map (fun (a, ha, b, hb) -> (a, bits ha, b, bits hb)) (FW.intervals fw ~k))
+        in
+        if rows tw <> rows fw then Alcotest.failf "%s" (what (Printf.sprintf "intervals k=%d" k))
+      done;
+      same "current_error" (FW.current_error tw) (FW.current_error fw);
+      for k = 1 to FW.buckets fw do
+        for x = 0 to FW.length fw do
+          same (Printf.sprintf "herror k=%d x=%d" k x) (FW.herror tw ~k ~x) (FW.herror fw ~k ~x)
+        done
+      done;
+      if FW.length fw > 0 then
+        Alcotest.(check (list int64)) (what "histogram")
+          (List.map bits (Array.to_list (H.to_series (FW.current_histogram tw))))
+          (List.map bits (Array.to_list (H.to_series (FW.current_histogram fw))))
+    in
+    for step = 0 to steps - 1 do
+      let i = step mod count in
+      let v = Float.of_int (((step * 37) + (i * 11)) mod 97) -. 40.0 in
+      FW.push live.(i) v;
+      FW.push twin.(i) v;
+      if step mod 2 = 0 then begin
+        FW.refresh live.(i);
+        FW.refresh twin.(i)
+      end;
+      compare_all step ((i + 1) mod count)
+    done
   in
-  let live = Array.map (mk true) geoms and twin = Array.map (mk false) geoms in
-  let bits = Int64.bits_of_float in
-  let compare_all step j =
-    let fw = live.(j) and tw = twin.(j) in
-    let what s = Printf.sprintf "step %d summary %d: %s" step j s in
-    let same s expect got = Alcotest.(check int64) (what s) (bits expect) (bits got) in
-    same "current_error" (FW.current_error tw) (FW.current_error fw);
-    for k = 1 to FW.buckets fw do
-      for x = 0 to FW.length fw do
-        same (Printf.sprintf "herror k=%d x=%d" k x) (FW.herror tw ~k ~x) (FW.herror fw ~k ~x)
-      done
-    done;
-    if FW.length fw > 0 then
-      Alcotest.(check (list int64)) (what "histogram")
-        (List.map bits (Array.to_list (H.to_series (FW.current_histogram tw))))
-        (List.map bits (Array.to_list (H.to_series (FW.current_histogram fw))))
+  interleave [| (24, 4, 0.2); (40, 6, 0.5); (17, 3, 0.1) |] ~steps:240;
+  let empty, grown =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let empty = FW.memo_arena_words () in
+           interleave [| (12, 3, 0.2); (80, 8, 0.25); (12, 3, 0.5) |] ~steps:180;
+           (empty, FW.memo_arena_words ())))
   in
-  for step = 0 to 239 do
-    let i = step mod 3 in
-    let v = Float.of_int (((step * 37) + (i * 11)) mod 97) -. 40.0 in
-    FW.push live.(i) v;
-    FW.push twin.(i) v;
-    if step mod 2 = 0 then begin
-      FW.refresh live.(i);
-      FW.refresh twin.(i)
-    end;
-    compare_all step ((i + 1) mod 3)
-  done;
+  let cells = (80 + 1) * (8 + 1) in
+  Alcotest.(check bool) "a fresh domain's table is empty" true (empty < 16);
+  Alcotest.(check bool) "the table holds the largest geometry claimed" true
+    (grown >= 2 * cells && grown < (2 * cells) + 16);
   (* A lone summary claims the table only from itself, so its memo
      outcomes are those of a summary that owns its table: these values
      were recorded when every summary had one (network seed 9, 400
@@ -1127,6 +1223,7 @@ let () =
           Alcotest.test_case "refresh idempotent" `Quick test_fw_refresh_idempotent;
           Alcotest.test_case "work counters" `Quick test_fw_work_counters;
           Alcotest.test_case "work counters golden" `Quick test_fw_work_counters_golden;
+          Alcotest.test_case "flush discipline" `Quick test_fw_flush_discipline;
           Alcotest.test_case "slide reuses memory" `Quick test_fw_slide_reuses_memory;
           Alcotest.test_case "push allocation budget" `Quick test_fw_push_alloc_budget;
           Alcotest.test_case "interval bound" `Quick test_fw_interval_count_bound;

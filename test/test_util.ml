@@ -4,7 +4,6 @@ module Metrics = Sh_util.Metrics
 module Heap = Sh_util.Heap
 module Vec = Sh_util.Vec
 module Soa = Sh_util.Soa
-module Intmemo = Sh_util.Intmemo
 
 (* ------------------------------------------------------------------ Rng *)
 
@@ -320,82 +319,6 @@ let soa_matches_reference =
            rows
            (List.init (Soa.length s) Fun.id))
 
-(* -------------------------------------------------------------- Intmemo *)
-
-let test_intmemo_basics () =
-  let m = Intmemo.create ~init_bits:2 () in
-  Alcotest.(check int) "capacity" 4 (Intmemo.capacity m);
-  Alcotest.(check int) "miss" (-1) (Intmemo.find_slot m 42);
-  Intmemo.add m 42 1.5;
-  let s = Intmemo.find_slot m 42 in
-  Alcotest.(check bool) "hit" true (s >= 0);
-  Alcotest.(check (float 0.0)) "value" 1.5 (Intmemo.get m s);
-  Intmemo.add m 42 2.5;
-  Alcotest.(check (float 0.0)) "overwrite" 2.5 (Intmemo.get m (Intmemo.find_slot m 42));
-  Alcotest.(check int) "live" 1 (Intmemo.live m)
-
-let test_intmemo_generation_clear () =
-  let m = Intmemo.create () in
-  for k = 0 to 99 do
-    Intmemo.add m k (Float.of_int k)
-  done;
-  Alcotest.(check int) "live before" 100 (Intmemo.live m);
-  let g = Intmemo.generation m in
-  Intmemo.next_generation m;
-  Alcotest.(check int) "generation bumped" (g + 1) (Intmemo.generation m);
-  Alcotest.(check int) "live reset" 0 (Intmemo.live m);
-  for k = 0 to 99 do
-    Alcotest.(check int) (Printf.sprintf "key %d invalidated" k) (-1) (Intmemo.find_slot m k)
-  done;
-  (* stale slots are reclaimable by the new generation *)
-  Intmemo.add m 7 9.0;
-  Alcotest.(check (float 0.0)) "reinsert after clear" 9.0
-    (Intmemo.get m (Intmemo.find_slot m 7))
-
-let test_intmemo_growth_rehash () =
-  let m = Intmemo.create ~init_bits:1 () in
-  let n = 500 in
-  for k = 0 to n - 1 do
-    Intmemo.add m (k * 7919) (Float.of_int k)
-  done;
-  Alcotest.(check int) "live" n (Intmemo.live m);
-  Alcotest.(check bool) "load stays under 50%" true (Intmemo.capacity m >= 2 * n);
-  for k = 0 to n - 1 do
-    let s = Intmemo.find_slot m (k * 7919) in
-    if s < 0 then Alcotest.failf "key %d lost in growth" k;
-    Alcotest.(check (float 0.0)) "value survives rehash" (Float.of_int k) (Intmemo.get m s)
-  done;
-  Alcotest.check_raises "bad bits" (Invalid_argument "Intmemo.create: bad init_bits")
-    (fun () -> ignore (Intmemo.create ~init_bits:0 ()))
-
-let test_intmemo_reserve_raw () =
-  let m = Intmemo.create () in
-  let s = Intmemo.reserve m 13 in
-  (Intmemo.vals m).(s) <- 3.25;
-  Alcotest.(check int) "reserve finds same slot" s (Intmemo.reserve m 13);
-  Alcotest.(check (float 0.0)) "raw store visible" 3.25 (Intmemo.get m (Intmemo.find_slot m 13));
-  Alcotest.(check int) "live counts reserve once" 1 (Intmemo.live m)
-
-let intmemo_matches_hashtbl =
-  Helpers.qcheck_case ~name:"intmemo equals Hashtbl within a generation"
-    QCheck2.Gen.(list (pair small_int (float_range (-100.0) 100.0)))
-    (fun ops ->
-      let m = Intmemo.create ~init_bits:1 () in
-      let h = Hashtbl.create 16 in
-      List.iter
-        (fun (k, v) ->
-          Intmemo.add m k v;
-          Hashtbl.replace h k v)
-        ops;
-      Hashtbl.fold
-        (fun k v ok ->
-          ok
-          &&
-          let s = Intmemo.find_slot m k in
-          s >= 0 && Intmemo.get m s = v)
-        h true
-      && Intmemo.live m = Hashtbl.length h)
-
 let () =
   Alcotest.run "sh_util"
     [
@@ -445,13 +368,5 @@ let () =
           Alcotest.test_case "allocation gauge" `Quick test_soa_allocation_gauge;
           Alcotest.test_case "copy" `Quick test_soa_copy;
           soa_matches_reference;
-        ] );
-      ( "intmemo",
-        [
-          Alcotest.test_case "basics" `Quick test_intmemo_basics;
-          Alcotest.test_case "generation clear" `Quick test_intmemo_generation_clear;
-          Alcotest.test_case "growth rehash" `Quick test_intmemo_growth_rehash;
-          Alcotest.test_case "reserve raw" `Quick test_intmemo_reserve_raw;
-          intmemo_matches_hashtbl;
         ] );
     ]
