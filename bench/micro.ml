@@ -665,16 +665,13 @@ let run_contention scale =
 
 module Pool = Sh_par.Domain_pool
 module SE = Sh_par.Shard_engine
-module Qop = Stream_histogram.Query_op
+module Traffic = Sh_serve.Traffic
 
 (* Pre-generated rounds of (key, value) arrivals, round-robin over shards,
    each shard's values drawn from its own split_ix-derived source — the
    same data for every pool size, so only wall-clock varies. *)
 let par_round_data ~shards ~batch ~rounds ~seed =
-  let root = Rng.create ~seed in
-  let sources =
-    Array.init shards (fun k -> Wk.network (Rng.split_ix root k) Wk.default_network)
-  in
+  let sources = Traffic.sources (Rng.create ~seed) ~shards in
   Array.init rounds (fun _ ->
       Array.init batch (fun i ->
           let k = i mod shards in
@@ -796,23 +793,9 @@ let run_read scale =
   (* one deterministic pool of mixed query batches, reused by every row *)
   let queries =
     let rng = Rng.create ~seed:43 in
+    let scope = Traffic.one_in_16_global ~shards in
     Array.init 16 (fun _ ->
-        Array.init qbatch (fun _ ->
-            let scope =
-              if Rng.int rng 16 = 0 then Qop.Global else Qop.Key (Rng.int rng shards)
-            in
-            let q =
-              match Rng.int rng 5 with
-              | 0 -> Qop.Current_error
-              | 1 -> Qop.Window_length
-              | 2 ->
-                Qop.Herror { k = 1 + Rng.int rng buckets; x = Rng.int rng (window + 1) }
-              | 3 ->
-                let lo = 1 + Rng.int rng window in
-                Qop.Range_sum { lo; hi = lo + Rng.int rng window }
-              | _ -> Qop.Point_estimate { index = 1 + Rng.int rng window }
-            in
-            (scope, q)))
+        Array.init qbatch (fun _ -> Traffic.random_query rng ~scope ~buckets ~window))
   in
   let host_cores = Domain.recommended_domain_count () in
   let measure ~domains =
@@ -1069,10 +1052,7 @@ module Gk = Sh_gk.Gk
    array, round-robin keys, values from per-shard split_ix sources —
    identical data for the wire path and the in-process baseline. *)
 let net_round_groups ~shards ~conns ~batch ~rounds ~seed =
-  let root = Rng.create ~seed in
-  let sources =
-    Array.init shards (fun k -> Wk.network (Rng.split_ix root k) Wk.default_network)
-  in
+  let sources = Traffic.sources (Rng.create ~seed) ~shards in
   Array.init rounds (fun _ ->
       Array.init conns (fun _ ->
           let per = max 1 (batch / shards) in

@@ -126,6 +126,9 @@ let connect_once ~timeout addr =
     raise e
 
 let connect ?(timeout = 30.) ?(retries = 0) ?(retry_delay = 0.2) addr =
+  (* [Unix.select] waits forever on a negative timeout *)
+  if not (Float.is_finite timeout && timeout > 0.) then
+    invalid_arg "Client.connect: timeout must be finite and > 0";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let rec go attempt =

@@ -26,7 +26,9 @@ val connect :
     (default 30 s) bounds every subsequent socket wait, not just the
     connect.  [retries] (default 0) extra attempts are made on refused /
     missing / reset peers, [retry_delay] (default 0.2 s) apart — the
-    reconnect story for a server that is restarting from a checkpoint. *)
+    reconnect story for a server that is restarting from a checkpoint.
+    Raises [Invalid_argument], before opening a socket, unless [timeout]
+    is finite and > 0. *)
 
 val send : t -> Wire.request -> unit
 (** Write one request frame (blocks until the kernel has all of it). *)

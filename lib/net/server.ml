@@ -117,6 +117,8 @@ let scopes_ok shards qs =
 
 let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
     ~backend ~listeners () =
+  if not (Float.is_finite config.idle_timeout && config.idle_timeout > 0.) then
+    invalid_arg "Server.run: idle_timeout must be finite and > 0";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let c_conns = Obs.counter "net.connections" in
@@ -374,8 +376,7 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
             cl.close_after_flush && not (Conn.pending_out cl.conn)
           in
           let idle_kill =
-            config.idle_timeout > 0.
-            && Conn.idle_for cl.conn > config.idle_timeout
+            Conn.idle_for cl.conn > config.idle_timeout
             && ((not cl.preamble_ok) || Conn.buffered cl.conn > 0)
           in
           if idle_kill && not gone then begin

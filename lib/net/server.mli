@@ -107,4 +107,6 @@ val run :
 (** Serve until a client sends [Shutdown] (the loop then drains and closes
     every connection), [stop ()] turns true, or [max_points] have been
     acked over the wire.  Closes the accepted connections but leaves the
-    listener fds to the caller.  [SIGPIPE] is ignored for the process. *)
+    listener fds to the caller.  [SIGPIPE] is ignored for the process.
+    Raises [Invalid_argument] unless [config.idle_timeout] is finite and
+    > 0. *)

@@ -1,0 +1,1 @@
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9

@@ -1,0 +1,46 @@
+(** The [shist serve] and [shist aggregate] runners.
+
+    [serve] sets up a {!Sh_par.Shard_engine} (fresh or restored from a
+    checkpoint) over a domain pool, then either generates its own
+    {!Traffic} in process or serves the wire protocol on [listen] until a
+    client sends shutdown.  Both modes end with one report on stdout:
+    [checkpoint:], [serve:], [pinned:], [queries:], the elapsed time and
+    throughput, and the latency quantiles.  The in-process mode adds its
+    per-key [key …:] lines and a [total:] line.
+
+    Run durations read {!Clock.now}; the latency trackers are switched on
+    and timed with the same clock. *)
+
+module Addr := Sh_net.Addr
+
+type config = {
+  shards : int;  (** keys of a fresh engine *)
+  domains : int;  (** pool size; 1 runs every shard inline *)
+  count : int;  (** in-process: points to generate *)
+  batch : int;  (** in-process: arrivals per ingest batch (>= 1) *)
+  window : int;
+  buckets : int;
+  epsilon : float;
+  policy : Stream_histogram.Params.refresh_policy;
+  dist : Traffic.dist;  (** in-process: the key chooser *)
+  seed : int;
+  checkpoint : string option;  (** written at the end of the run *)
+  checkpoint_every : int option;  (** also every k batches (ingest rounds when listening) *)
+  restore : string option;  (** start from this checkpoint; geometry flags are ignored *)
+  record : string option;  (** in-process: {!Recorder} output *)
+  record_every : int;  (** in-process: sample every k batches (>= 1) *)
+  latency_window : int;  (** latency quantiles over the last k batches; 0: all-time *)
+  query_mix : float;  (** in-process: reader-domain queries per ingested point *)
+  listen : Addr.t list;  (** non-empty: serve the wire protocol instead of generating *)
+  max_points : int option;  (** listening: stop after this many acked points *)
+  idle_timeout : float;  (** listening: the slow-loris reaper's limit, seconds *)
+}
+
+val serve : config -> unit
+(** Raises [Invalid_argument] on a bad [batch], [record_every],
+    [latency_window], [query_mix] or [checkpoint_every]. *)
+
+val aggregate :
+  leaves:Addr.t list -> listen:Addr.t list -> timeout:float -> idle_timeout:float -> unit
+(** Serve an {!Sh_agg.Aggregator} over [leaves] on [listen] until a client
+    sends shutdown, then print its report. *)

@@ -732,6 +732,39 @@ let test_serve_checkpoint_restart_reconnect () =
   Alcotest.(check int) "post-restore ingest acked" 3 n;
   Client.shutdown c
 
+(* ------------------------------------------------------ timeout guards *)
+
+(* [Unix.select] treats a negative timeout as an unbounded wait, so a bad
+   timeout must be refused where it enters, before any socket exists: the
+   address below names no socket, so reaching [connect] would raise
+   [Net_error] instead. *)
+let test_connect_rejects_bad_timeout () =
+  let addr =
+    Addr.Unix_sock (Filename.concat (Filename.get_temp_dir_name ()) "shist_no_such.sock")
+  in
+  List.iter
+    (fun timeout ->
+      match Client.connect ~timeout addr with
+      | c ->
+        Client.close c;
+        Alcotest.failf "timeout %g: connected" timeout
+      | exception Invalid_argument _ -> ()
+      | exception e ->
+        Alcotest.failf "timeout %g: %s, not Invalid_argument" timeout (Printexc.to_string e))
+    [ -1.; 0.; Float.nan; Float.infinity ]
+
+(* An idle timeout <= 0 used to switch the slow-loris reaper off. *)
+let test_run_rejects_bad_idle_timeout () =
+  Pool.with_pool ~domains:1 @@ fun pool ->
+  let backend = Server.engine (SE.create ~pool ~shards:1 ~window:8 ~buckets:2 ~epsilon:0.5) in
+  List.iter
+    (fun idle_timeout ->
+      let config = { Server.default_config with idle_timeout } in
+      match Server.run ~config ~stop:(fun () -> true) ~backend ~listeners:[] () with
+      | _ -> Alcotest.failf "idle_timeout %g accepted" idle_timeout
+      | exception Invalid_argument _ -> ())
+    [ 0.; -1.; Float.nan; Float.infinity ]
+
 (* The live-serve cases, aimed at one tier.  Only the checkpoint case
    differs: a leaf round-trips its state, a root refuses. *)
 let serve_cases tier =
@@ -757,6 +790,13 @@ let () =
   Alcotest.run "net"
     [
       ("addr", [ Alcotest.test_case "parse/print" `Quick test_addr_parse ]);
+      ( "args",
+        [
+          Alcotest.test_case "connect rejects a bad timeout" `Quick
+            test_connect_rejects_bad_timeout;
+          Alcotest.test_case "run rejects a bad idle timeout" `Quick
+            test_run_rejects_bad_idle_timeout;
+        ] );
       ( "wire",
         [
           Alcotest.test_case "request round trips" `Quick test_wire_request_round_trips;

@@ -1,0 +1,332 @@
+(* lib/serve: the serve runner, recorder and load generator, checked
+   against the engine's own oracles.  The traffic generator is pinned by
+   goldens; an in-process run's checkpoint must equal an engine fed the
+   same arrivals directly; a listening runner driven by the load
+   generator must answer bit-identically to an in-process engine; and
+   every recorder spot check must sit inside the paper's (1+ε) bound.
+
+   Pool sizes default to [1; 2]; set SH_TEST_DOMAINS (comma-separated)
+   to pick others. *)
+
+module Rng = Sh_util.Rng
+module Pool = Sh_par.Domain_pool
+module SE = Sh_par.Shard_engine
+module Qop = Stream_histogram.Query_op
+module Params = Stream_histogram.Params
+module Addr = Sh_net.Addr
+module Client = Sh_net.Client
+module Traffic = Sh_serve.Traffic
+module Runner = Sh_serve.Runner
+module Loadgen = Sh_serve.Loadgen
+
+let domain_counts =
+  match Sys.getenv_opt "SH_TEST_DOMAINS" with
+  | None | Some "" -> [ 1; 2 ]
+  | Some s -> List.filter_map int_of_string_opt (String.split_on_char ',' s)
+
+let with_temp name f =
+  let path = Filename.temp_file "shist_serve" name in
+  Unix.unlink path;
+  Fun.protect
+    ~finally:(fun () -> try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
+    (fun () -> f path)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* ----------------------------------------------------- traffic goldens
+
+   Captured from the generators [shist serve] and [shist loadgen] wrote
+   inline before they shared {!Traffic}: seed 7, 8 keys, window 64,
+   4 buckets, skew 1.1.  Each case checks the MD5 of all 64 rendered
+   draws and spells out the first three. *)
+
+let g_seed = 7
+let g_shards = 8
+let g_window = 64
+let g_buckets = 4
+
+let render_arrivals a =
+  String.concat "" (Array.to_list (Array.map (fun (k, v) -> Printf.sprintf "%d %h\n" k v) a))
+
+let render_queries a =
+  String.concat ""
+    (Array.to_list
+       (Array.map
+          (fun (s, q) ->
+            Printf.sprintf "%s %s\n"
+              (match s with Qop.Global -> "G" | Qop.Key k -> Printf.sprintf "K%d" k)
+              (Qop.to_string q))
+          a))
+
+let check_golden what rendered ~md5 ~first =
+  let head =
+    String.split_on_char '\n' rendered |> List.filteri (fun i _ -> i < List.length first)
+  in
+  Alcotest.(check (list string)) (what ^ ": first draws") first head;
+  Alcotest.(check string) (what ^ ": md5 of 64 draws") md5 (Digest.to_hex (Digest.string rendered))
+
+let test_traffic_arrivals () =
+  List.iter
+    (fun (dist, md5, first) ->
+      let t = Traffic.create (Rng.create ~seed:g_seed) ~shards:g_shards dist in
+      let a = Array.init 64 (fun _ -> Traffic.next t) in
+      check_golden (Traffic.dist_name dist) (render_arrivals a) ~md5 ~first)
+    [
+      ( Traffic.Uniform,
+        "fd637a157023769f46d4539bd30a900e",
+        [ "4 0x1.deap+11"; "5 0x1.0b4p+12"; "4 0x1.d86p+11" ] );
+      ( Traffic.Zipf 1.1,
+        "b6bc44b9fd957c65510c09e167546c36",
+        [ "0 0x1.e4p+11"; "1 0x1.003p+12"; "6 0x1.ff4p+11" ] );
+      ( Traffic.Round_robin,
+        "4bdcc327c117f64df3e3204de6af39ff",
+        [ "0 0x1.e4p+11"; "1 0x1.003p+12"; "2 0x1.077p+12" ] );
+    ]
+
+let test_traffic_queries () =
+  let queries rng scope =
+    Array.init 64 (fun _ ->
+        Traffic.random_query rng ~scope ~buckets:g_buckets ~window:g_window)
+  in
+  (* serve's reader domain: its own generator, one scope in 16 global *)
+  let root = Rng.create ~seed:g_seed in
+  check_golden "serve"
+    (render_queries
+       (queries (Rng.split_ix root (g_shards + 1)) (Traffic.one_in_16_global ~shards:g_shards)))
+    ~md5:"341318a6645b9d8d57a2f504e39d41de"
+    ~first:[ "K0 window_length"; "K6 range_sum[26,60]"; "K0 range_sum[34,56]" ];
+  (* loadgen: the key chooser's generator, a --global-mix fraction *)
+  List.iter
+    (fun (mix, md5, first) ->
+      let t = Traffic.create (Rng.create ~seed:g_seed) ~shards:g_shards Traffic.Uniform in
+      check_golden
+        (Printf.sprintf "loadgen --global-mix %g" mix)
+        (render_queries
+           (queries (Traffic.key_rng t) (Traffic.global_fraction ~shards:g_shards mix)))
+        ~md5 ~first)
+    [
+      ( 0.0,
+        "27d20e5d5e164318e4bb1e28c33b86bd",
+        [ "K4 point_estimate[37]"; "K5 current_error"; "K0 point_estimate[12]" ] );
+      ( 0.25,
+        "8c1659a56fd8f0f91d4efc78e6b98cb6",
+        [ "G point_estimate[37]"; "K6 point_estimate[53]"; "K1 current_error" ] );
+    ]
+
+(* ------------------------------------------------------------- runner *)
+
+let base ~domains =
+  {
+    Runner.shards = 6;
+    domains;
+    count = 5000;
+    batch = 300;
+    window = 128;
+    buckets = 4;
+    epsilon = 0.2;
+    policy = Params.Every 64;
+    dist = Traffic.Zipf 1.2;
+    seed = 11;
+    checkpoint = None;
+    checkpoint_every = None;
+    restore = None;
+    record = None;
+    record_every = 1;
+    latency_window = 0;
+    query_mix = 0.0;
+    listen = [];
+    max_points = None;
+    idle_timeout = 30.0;
+  }
+
+(* The oracle: an engine fed [c]'s traffic directly, in [c.batch]-sized
+   ingests, optionally from a checkpoint. *)
+let oracle_ingest eng (c : Runner.config) =
+  let traffic = Traffic.create (Rng.create ~seed:c.seed) ~shards:(SE.shard_count eng) c.dist in
+  let remaining = ref c.count in
+  while !remaining > 0 do
+    let b = min c.batch !remaining in
+    SE.ingest eng (Array.init b (fun _ -> Traffic.next traffic));
+    remaining := !remaining - b
+  done
+
+let oracle_engine ~pool ?restore (c : Runner.config) =
+  let eng =
+    match restore with
+    | None ->
+      SE.create ~pool ~shards:c.shards ~window:c.window ~buckets:c.buckets ~epsilon:c.epsilon
+    | Some file -> SE.restore_from ~pool ~file
+  in
+  SE.set_refresh_policy eng c.policy;
+  oracle_ingest eng c;
+  eng
+
+let test_checkpoint_matches_engine () =
+  List.iter
+    (fun domains ->
+      with_temp ".ckpt" @@ fun run_ckpt ->
+      with_temp ".ckpt" @@ fun oracle_ckpt ->
+      with_temp ".ckpt" @@ fun resumed_ckpt ->
+      with_temp ".ckpt" @@ fun oracle_resumed ->
+      (* a checkpoint cadence and a reader domain must not change state *)
+      let c =
+        { (base ~domains) with
+          checkpoint = Some run_ckpt; checkpoint_every = Some 4; query_mix = 0.5 }
+      in
+      Runner.serve c;
+      Pool.with_pool ~domains (fun pool ->
+          let eng = oracle_engine ~pool c in
+          SE.refresh_all eng;
+          SE.checkpoint eng ~file:oracle_ckpt);
+      let what = Printf.sprintf "domains %d: checkpoint bytes" domains in
+      Alcotest.(check bool) what true (read_file run_ckpt = read_file oracle_ckpt);
+      (* resume from that checkpoint and ingest more *)
+      let r =
+        { c with restore = Some run_ckpt; checkpoint = Some resumed_ckpt; checkpoint_every = None;
+                 count = 1700; dist = Traffic.Round_robin; policy = Params.Eager }
+      in
+      Runner.serve r;
+      Pool.with_pool ~domains (fun pool ->
+          let eng = oracle_engine ~pool ~restore:oracle_ckpt r in
+          SE.refresh_all eng;
+          SE.checkpoint eng ~file:oracle_resumed);
+      Alcotest.(check bool) (what ^ " after --restore") true
+        (read_file resumed_ckpt = read_file oracle_resumed))
+    domain_counts
+
+(* Per-key answers an engine serves: window length, two range sums (one
+   clamped past the window) and the current error. *)
+let per_key_queries ~shards ~window =
+  Array.concat
+    (List.init shards (fun k ->
+         [|
+           (Qop.Key k, Qop.Window_length);
+           (Qop.Key k, Qop.Range_sum { lo = 1; hi = window });
+           (Qop.Key k, Qop.Range_sum { lo = 17; hi = window + 40 });
+           (Qop.Key k, Qop.Current_error);
+         |]))
+
+let test_listen_driven_by_loadgen () =
+  List.iter
+    (fun domains ->
+      with_temp ".sock" @@ fun path ->
+      let addr = Addr.Unix_sock path in
+      let c = { (base ~domains) with listen = [ addr ] } in
+      let server = Domain.spawn (fun () -> Runner.serve c) in
+      let load ~count ~query_mix ~global_mix ~shutdown =
+        Loadgen.run
+          { Loadgen.connect = addr; connections = 1; batch = c.batch; count; dist = c.dist;
+            seed = c.seed; query_mix; global_mix; shutdown; timeout = 10.0; retries = 50 }
+      in
+      let answers =
+        Fun.protect
+          ~finally:(fun () ->
+            (* stops the server even if a check below failed *)
+            (try
+               let cl = Client.connect ~timeout:10.0 addr in
+               Client.shutdown cl;
+               Client.close cl
+             with _ -> ());
+            Domain.join server)
+        @@ fun () ->
+        let client =
+          Domain.spawn (fun () ->
+              load ~count:c.count ~query_mix:0.0 ~global_mix:0.0 ~shutdown:false)
+        in
+        let o = Domain.join client in
+        Alcotest.(check int) "every point acked" c.count o.Loadgen.acked;
+        Alcotest.(check bool) "spot check" true o.Loadgen.spot_ok;
+        let cl = Client.connect ~timeout:10.0 addr in
+        let answers = Client.query cl (per_key_queries ~shards:c.shards ~window:c.window) in
+        Client.close cl;
+        (* mixed query traffic, then the loadgen's own shutdown *)
+        let o = load ~count:2000 ~query_mix:0.3 ~global_mix:0.25 ~shutdown:true in
+        Alcotest.(check int) "mixed run: every point acked" 2000 o.Loadgen.acked;
+        Alcotest.(check bool) "mixed run: spot check" true o.Loadgen.spot_ok;
+        answers
+      in
+      let expected =
+        Pool.with_pool ~domains:1 (fun pool ->
+            SE.query_many (oracle_engine ~pool c)
+              (per_key_queries ~shards:c.shards ~window:c.window))
+      in
+      Array.iteri
+        (fun i e ->
+          if Int64.bits_of_float e <> Int64.bits_of_float answers.(i) then
+            Alcotest.failf "domains %d, query %d (key %d): served %.17g, in-process %.17g" domains i
+              (i / 4) answers.(i) e)
+        expected)
+    domain_counts
+
+(* ----------------------------------------------------------- recorder *)
+
+(* The text of one JSON field of a recorder line: up to the next ',' or
+   '}' (every field the checks read is a scalar). *)
+let field line name =
+  let key = Printf.sprintf "\"%s\":" name in
+  let kl = String.length key in
+  let rec find i =
+    if i + kl > String.length line then Alcotest.failf "no field %s in %s" name line
+    else if String.sub line i kl = key then i + kl
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let rec stop j = if line.[j] = ',' || line.[j] = '}' then j else stop (j + 1) in
+  String.sub line start (stop start - start)
+
+(* The paper's promise, checked against state: each valid spot check
+   scores the engine's histogram of a key against the exact window it
+   summarises, next to the V-optimal optimum. *)
+let check_samples ~what ~epsilon ~samples path =
+  let lines = In_channel.with_open_text path In_channel.input_lines in
+  Alcotest.(check int) (what ^ ": samples") samples (List.length lines);
+  let valid =
+    List.filter
+      (fun line ->
+        bool_of_string (field line "spot_valid")
+        &&
+        let sse = float_of_string (field line "sse") in
+        let opt = float_of_string (field line "sse_opt") in
+        if not (opt <= sse && sse <= (1.0 +. epsilon) *. opt) then
+          Alcotest.failf "%s: sse %.9g outside [sse_opt, (1+%g) sse_opt] = [%.9g, %.9g]: %s" what
+            sse epsilon opt ((1.0 +. epsilon) *. opt) line;
+        true)
+      lines
+  in
+  if valid = [] then Alcotest.failf "%s: no valid spot check" what
+
+let test_recorder_within_bound () =
+  List.iter
+    (fun (epsilon, policy) ->
+      with_temp ".jsonl" @@ fun record ->
+      with_temp ".ckpt" @@ fun ckpt ->
+      with_temp ".jsonl" @@ fun record2 ->
+      let what = Printf.sprintf "eps %g, %s" epsilon (Params.policy_to_string policy) in
+      let c =
+        { (base ~domains:1) with epsilon; policy; record = Some record; checkpoint = Some ckpt;
+                                 record_every = 2 }
+      in
+      Runner.serve c;
+      (* 17 batches: one sample every 2, plus the final one *)
+      check_samples ~what ~epsilon ~samples:9 record;
+      (* restored: a key's spot check waits for its baseline to fill *)
+      Runner.serve
+        { c with restore = Some ckpt; checkpoint = None; record = Some record2; count = 3000 };
+      check_samples ~what:(what ^ ", restored") ~epsilon ~samples:6 record2)
+    [ (0.2, Params.Every 64); (0.05, Params.Eager); (0.5, Params.Lazy) ]
+
+let () =
+  Alcotest.run "serve"
+    [
+      ( "traffic",
+        [
+          Alcotest.test_case "arrivals golden" `Quick test_traffic_arrivals;
+          Alcotest.test_case "queries golden" `Quick test_traffic_queries;
+        ] );
+      ( "runner",
+        [
+          Alcotest.test_case "checkpoint equals engine" `Quick test_checkpoint_matches_engine;
+          Alcotest.test_case "listen + loadgen equal engine" `Quick test_listen_driven_by_loadgen;
+          Alcotest.test_case "record within (1+eps) bound" `Quick test_recorder_within_bound;
+        ] );
+    ]
