@@ -5,7 +5,7 @@
      dune exec bench/main.exe -- fig6a fig6c       # selected experiments
      dune exec bench/main.exe -- --scale small     # smoke-test sizes
      dune exec bench/main.exe -- --scale full all  # closest to paper sizes
-     dune exec bench/main.exe -- --json BENCH_fixed_window.json micro-fw
+     dune exec bench/main.exe -- --json BENCH_fixed_window.json micro-fw micro-obs
 
    Experiments (see DESIGN.md section 3 for the per-experiment index):
      fig6a fig6b fig6c fig6d      Figure 6 of the paper
@@ -33,7 +33,6 @@ let experiments : (string * (Bench_config.scale -> unit)) list =
     ("micro", Micro.run);
     ("micro-fw", Micro.run_fw);
     ("micro-obs", Micro.run_obs);
-    ("micro-contention", Micro.run_contention);
     ("micro-par", Micro.run_par);
     ("micro-read", Micro.run_read);
     ("micro-persist", Micro.run_persist);
@@ -87,7 +86,7 @@ let () =
   in
   Printf.printf "stream-histograms experiment harness (scale: %s)\n" scale_name;
   Printf.printf "reproducing: Guha & Koudas, ICDE 2002 (see DESIGN.md / EXPERIMENTS.md)\n";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sh_net.Clock.now () in
   List.iter
     (fun name ->
       match List.assoc_opt name experiments with
@@ -104,4 +103,4 @@ let () =
     Report.json_out ~path;
     Printf.printf "\nwrote machine-readable results to %s\n" path
   | None -> ());
-  Printf.printf "\ntotal elapsed: %s\n" (Report.fmt_time (Unix.gettimeofday () -. t0))
+  Printf.printf "\ntotal elapsed: %s\n" (Report.fmt_time (Sh_net.Clock.now () -. t0))

@@ -243,9 +243,9 @@ let fw_first_refresh ~keys ~reps ~cold =
           fw)
         data
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Sh_net.Clock.now () in
     Array.iter (fun fw -> FW.refresh ~cold fw) fws;
-    (Unix.gettimeofday () -. t0, fws)
+    (Sh_net.Clock.now () -. t0, fws)
   in
   let dt, fws = pass () in
   let dt = ref dt in
@@ -313,8 +313,8 @@ let memory_shapes =
   (* name, shards, window, buckets, epsilon, budget words/shard,
      budget memo-arena words *)
   [
-    ("wire-bound", 64, 512, 8, 0.5, 11_000, 9_500);
-    ("refresh-bound", 16, 1024, 8, 0.2, 27_000, 19_000);
+    ("wire-bound", 64, 512, 8, 0.5, 10_000, 9_500);
+    ("refresh-bound", 16, 1024, 8, 0.2, 26_500, 19_000);
   ]
 
 (* Words of one domain's HERROR memo table after a summary of this shape
@@ -567,93 +567,6 @@ let run_obs _scale =
     (Report.Jobj
        [ ("gk_inserts", Report.Jint gk_inserts); ("gk_words_per_insert", Report.Jfloat gk_words) ])
 
-(* ----------------------------- cross-domain metric-plane contention
-
-   The tentpole claim of the per-domain telemetry planes: N domains
-   incrementing the SAME counter should scale like N independent plain
-   stores, because each domain writes only its own padded row.  The
-   baseline is what the registry used to do — every domain hammering one
-   shared [Atomic.t] cell, serialising on its cache line.  Both variants
-   run the identical spawn/barrier/loop harness, so the measured gap is
-   cacheline traffic, not harness shape.  [obs.plane_collisions] must not
-   move: every bench domain gets a DLS slot. *)
-
-let contention_ns ~domains ~iters incr_fn =
-  let go = Atomic.make false in
-  let out = Array.make domains 0.0 in
-  let workers =
-    Array.init domains (fun d ->
-        Domain.spawn (fun () ->
-            while not (Atomic.get go) do
-              Domain.cpu_relax ()
-            done;
-            let t0 = Unix.gettimeofday () in
-            for _ = 1 to iters do
-              incr_fn ()
-            done;
-            out.(d) <- (Unix.gettimeofday () -. t0) /. Float.of_int iters *. 1e9))
-  in
-  Atomic.set go true;
-  Array.iter Domain.join workers;
-  Array.fold_left ( +. ) 0.0 out /. Float.of_int domains
-
-let run_contention scale =
-  Report.section "BENCH-MICRO-CONTENTION: shared atomic vs per-domain plane counter";
-  let iters =
-    match scale with
-    | Bench_config.Small -> 200_000
-    | Bench_config.Default | Bench_config.Full -> 1_000_000
-  in
-  let domain_counts = [ 1; 2; 4 ] in
-  let host_cores = Domain.recommended_domain_count () in
-  let plane_counter = Sh_obs.Obs.counter "bench.plane_contention" in
-  let collisions0 = Sh_obs.Obs.plane_collisions () in
-  (* warmup: touch both paths once so lazy row allocation is off-clock *)
-  ignore (contention_ns ~domains:1 ~iters:1000 (fun () -> Sh_obs.Metric.incr plane_counter));
-  let rows =
-    List.map
-      (fun d ->
-        let shared_cell = Atomic.make 0 in
-        let shared = contention_ns ~domains:d ~iters (fun () -> Atomic.incr shared_cell) in
-        let plane =
-          contention_ns ~domains:d ~iters (fun () -> Sh_obs.Metric.incr plane_counter)
-        in
-        (d, shared, plane))
-      domain_counts
-  in
-  let collisions = Sh_obs.Obs.plane_collisions () - collisions0 in
-  Report.note "%d increments per domain per variant; host cores: %d%s" iters host_cores
-    (if host_cores < List.fold_left max 1 domain_counts then
-       " — multi-domain rows oversubscribe and mostly measure scheduling"
-     else "");
-  Report.table
-    ~headers:[ "domains"; "shared atomic ns/incr"; "plane ns/incr"; "shared/plane" ]
-    (List.map
-       (fun (d, s, p) ->
-         [ string_of_int d; Printf.sprintf "%.2f" s; Printf.sprintf "%.2f" p;
-           Printf.sprintf "%.2fx" (s /. p) ])
-       rows);
-  Report.note "plane_collisions delta over the experiment: %d (must stay 0)" collisions;
-  Report.json_add "contention"
-    (Report.Jobj
-       [
-         ("iters_per_domain", Report.Jint iters);
-         ("host_cores", Report.Jint host_cores);
-         ("plane_collisions_delta", Report.Jint collisions);
-         ( "rows",
-           Report.Jlist
-             (List.map
-                (fun (d, s, p) ->
-                  Report.Jobj
-                    [
-                      ("domains", Report.Jint d);
-                      ("shared_atomic_ns_per_incr", Report.Jfloat s);
-                      ("plane_ns_per_incr", Report.Jfloat p);
-                      ("shared_over_plane", Report.Jfloat (s /. p));
-                    ])
-                rows) );
-       ])
-
 (* ------------------------------ parallel multi-stream ingest scaling
 
    Shard independence means the engine's answers cannot change with the
@@ -693,13 +606,13 @@ let run_par scale =
         (* steady state before the clock starts: windows full, lists warm *)
         SE.ingest eng prefill;
         SE.refresh_all eng;
-        let t0 = Unix.gettimeofday () in
+        let t0 = Sh_net.Clock.now () in
         Array.iter
           (fun b ->
             SE.ingest eng b;
             SE.refresh_all ~cold eng)
           round_data;
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt = Sh_net.Clock.now () -. t0 in
         Float.of_int (batch * rounds) /. dt)
   in
   (* one mode left — the JSON keeps the [modes] list shape so report
@@ -808,11 +721,11 @@ let run_read scale =
         let stop = Atomic.make false in
         let reader =
           Domain.spawn (fun () ->
-              let t0 = Unix.gettimeofday () in
+              let t0 = Sh_net.Clock.now () in
               for r = 0 to qrounds - 1 do
                 ignore (SE.query_many eng queries.(r mod Array.length queries))
               done;
-              let dt = Unix.gettimeofday () -. t0 in
+              let dt = Sh_net.Clock.now () -. t0 in
               Atomic.set stop true;
               Float.of_int (qrounds * qbatch) /. dt)
         in
@@ -820,13 +733,13 @@ let run_read scale =
            (publications keep landing every 64 points per shard) *)
         let ingested = ref 0 in
         let ri = ref 0 in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Sh_net.Clock.now () in
         while not (Atomic.get stop) do
           SE.ingest eng round_data.(!ri mod rounds);
           incr ri;
           ingested := !ingested + batch
         done;
-        let ingest_dt = Unix.gettimeofday () -. t0 in
+        let ingest_dt = Sh_net.Clock.now () -. t0 in
         let qps = Domain.join reader in
         let ingest_rate =
           if !ingested = 0 then 0.0 else Float.of_int !ingested /. Float.max ingest_dt 1e-9
@@ -942,11 +855,11 @@ let fw_of_frame image =
 let timed_ns ~reps f =
   ignore (f ());
   (* warmup *)
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sh_net.Clock.now () in
   for _ = 1 to reps do
     ignore (Sys.opaque_identity (f ()))
   done;
-  (Unix.gettimeofday () -. t0) /. Float.of_int reps *. 1e9
+  (Sh_net.Clock.now () -. t0) /. Float.of_int reps *. 1e9
 
 let run_persist scale =
   Report.section "BENCH-MICRO-PERSIST: snapshot/restore and checkpoint costs";
@@ -1097,12 +1010,12 @@ let run_net scale =
     let rtt = Gk.create ~epsilon:0.001 in
     let t_send = Array.make conns 0.0 in
     let acked = ref 0 in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Sh_net.Clock.now () in
     Array.iter
       (fun per_conn ->
         Array.iteri
           (fun i groups ->
-            t_send.(i) <- Unix.gettimeofday ();
+            t_send.(i) <- Sh_net.Clock.now ();
             Net_client.send cs.(i) (Wire.Ingest groups))
           per_conn;
         Array.iteri
@@ -1110,10 +1023,10 @@ let run_net scale =
             (match Net_client.recv cs.(i) with
             | Wire.Ack n -> acked := !acked + n
             | _ -> failwith "micro-net: unexpected response");
-            Gk.insert rtt (Unix.gettimeofday () -. t_send.(i)))
+            Gk.insert rtt (Sh_net.Clock.now () -. t_send.(i)))
           per_conn)
       data;
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Sh_net.Clock.now () -. t0 in
     let bytes =
       Array.fold_left
         (fun a c -> a + Net_client.bytes_in c + Net_client.bytes_out c)
@@ -1136,9 +1049,9 @@ let run_net scale =
     let data = net_round_groups ~shards ~conns:1 ~batch ~rounds ~seed:51 in
     Pool.with_pool ~domains:1 (fun pool ->
         let eng = fresh_engine pool in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Sh_net.Clock.now () in
         Array.iter (fun per_conn -> SE.ingest_groups eng per_conn.(0)) data;
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt = Sh_net.Clock.now () -. t0 in
         Float.of_int (SE.total_points eng) /. dt)
   in
   let baselines = List.map (fun b -> (b, measure_in_process ~batch:b)) batch_sizes in

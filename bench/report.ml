@@ -30,9 +30,9 @@ let table ~headers rows =
   print_newline ()
 
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sh_net.Clock.now () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Sh_net.Clock.now () -. t0)
 
 (* ------------------------------------------------ machine-readable output
 

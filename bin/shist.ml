@@ -516,7 +516,10 @@ let loadgen_cmd =
   let connections =
     Arg.(
       value & opt int 4
-      & info [ "c"; "connections" ] ~docv:"C" ~doc:"Concurrent connections (>= 1).")
+      & info [ "c"; "connections" ] ~docv:"C"
+          ~doc:"Concurrent connections (>= 1).  Per-key arrival order, and so every answer, \
+                is reproducible only at 1: the server coalesces the connections' requests \
+                in the order it reads them.")
   in
   let batch =
     Arg.(value & opt int 512 & info [ "batch" ] ~docv:"B" ~doc:"Points per ingest request.")

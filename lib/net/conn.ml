@@ -35,7 +35,7 @@ let create sock =
     out_off = 0;
     bytes_in = 0;
     bytes_out = 0;
-    last_activity = Unix.gettimeofday ();
+    last_activity = Clock.now ();
     closed = false;
   }
 
@@ -43,8 +43,8 @@ let fd t = t.sock
 let buffered t = t.in_len
 let bytes_in t = t.bytes_in
 let bytes_out t = t.bytes_out
-let touch t = t.last_activity <- Unix.gettimeofday ()
-let idle_for t = Unix.gettimeofday () -. t.last_activity
+let touch t = t.last_activity <- Clock.now ()
+let idle_for t = Clock.now () -. t.last_activity
 
 let closed t = t.closed
 

@@ -52,7 +52,9 @@ val touch : t -> unit
 (** Record activity now (see {!idle_for}). *)
 
 val idle_for : t -> float
-(** Seconds since the last {!touch} / successful read or write. *)
+(** Seconds since the last {!touch} / successful read or write, on the
+    monotonic {!Clock}, so a wall-clock step neither keeps a stalled
+    connection alive nor reaps a healthy one. *)
 
 val close : t -> unit
 (** Close the socket; idempotent. *)

@@ -1,22 +1,19 @@
 module Gk = Sh_gk.Gk
 
 (* Latency trackers: named duration series whose distribution is kept in
-   per-domain Greenwald-Khanna summaries — the repo's own streaming
-   order-statistics structure — and merged only at snapshot time via
-   [Gk.merged_quantile].  Recording is owner-only (a GK insert into this
-   domain's slot state, no shared line), so trackers follow the same plane
-   discipline as counters; the merged p50/p90/p99/p999 carry rank error of
-   order sum_i (eps * n_i) over the per-domain streams (Gk.merged_quantile
-   states the exact guarantee).
+   one Greenwald-Khanna summary per tracker — the repo's own streaming
+   order-statistics structure — behind the tracker's mutex.  Recording
+   and reading both take it, so an all-time percentile is one
+   [Gk.quantile] with GK's own bound: rank error at most eps * n.
 
    The optional "last k batches" window rides on a global epoch counter:
-   [advance] bumps it once per ingest batch, and each slot keeps a small
-   ring of per-epoch GK summaries, lazily rotated by the owner the next
-   time it records.  Windowed quantiles merge only the summaries whose
-   epoch stamp falls inside the last k epochs. *)
+   [advance] bumps it once per ingest batch, and the tracker keeps a small
+   ring of per-epoch GK summaries, rotated lazily by the next [record].
+   Windowed quantiles merge only the summaries whose epoch stamp falls
+   inside the last k epochs, with [Gk.merged_quantile]. *)
 
-type slot_state = {
-  mutable all : Gk.t;  (* all-time summary *)
+type state = {
+  all : Gk.t;  (* all-time summary *)
   mutable win : Gk.t array;  (* per-epoch ring, length = window k *)
   mutable win_epoch : int array;  (* epoch stamp per ring cell; -1 unused *)
   mutable lcount : int;
@@ -27,14 +24,11 @@ type t = {
   l_name : string;
   l_labels : Metric.labels;
   l_eps : float;
-  l_rows : slot_state Atomic.t array;
-  l_ov : slot_state;  (* slotless-domain fallback, under [ov_mutex] *)
+  l_mutex : Mutex.t;  (* guards [l_st] *)
+  l_st : state;
 }
 
 let default_epsilon = 0.001
-
-(* Serialises every tracker's slotless-domain fallback state. *)
-let ov_mutex = Mutex.create ()
 
 (* The switch is an [Atomic.t] so parallel shard domains (lib/par) read
    and toggle it without a data race; the disabled path of [record] and
@@ -52,9 +46,6 @@ let now () = !clock ()
 
 let epoch = Atomic.make 0
 let window_k = Atomic.make 0
-
-let no_state =
-  { all = Gk.create ~epsilon:0.5; win = [||]; win_epoch = [||]; lcount = 0; lsum = 0.0 }
 
 let make_state eps =
   let k = Atomic.get window_k in
@@ -86,8 +77,8 @@ let tracker ?(labels = []) ?(epsilon = default_epsilon) name =
           l_name = name;
           l_labels = labels;
           l_eps = epsilon;
-          l_rows = Metric.make_rows no_state;
-          l_ov = make_state epsilon;
+          l_mutex = Mutex.create ();
+          l_st = make_state epsilon;
         }
       in
       Hashtbl.replace table k t;
@@ -102,9 +93,9 @@ let epsilon t = t.l_eps
 
 (* ------------------------------------------------------------- recording *)
 
-(* Owner-only: adapt the window ring lazily when [set_window] changed the
-   width since this slot last recorded, rotate the current epoch's cell,
-   then insert. *)
+(* Under [l_mutex]: adapt the window ring lazily when [set_window] changed
+   the width since the last record, rotate the current epoch's cell, then
+   insert. *)
 let record_into t st v =
   Gk.insert st.all v;
   st.lcount <- st.lcount + 1;
@@ -128,25 +119,9 @@ let record_into t st v =
 
 let record t v =
   if Atomic.get tracking_cell && Float.is_finite v && v >= 0.0 then begin
-    let s = Plane.slot () in
-    if s >= 0 then begin
-      let st = Atomic.get (Array.unsafe_get t.l_rows s) in
-      let st =
-        if st != no_state then st
-        else begin
-          let st = make_state t.l_eps in
-          Atomic.set t.l_rows.(s) st;
-          st
-        end
-      in
-      record_into t st v
-    end
-    else begin
-      Mutex.lock ov_mutex;
-      record_into t t.l_ov v;
-      Mutex.unlock ov_mutex;
-      Atomic.incr Metric.plane_collisions_cell
-    end
+    Mutex.lock t.l_mutex;
+    record_into t t.l_st v;
+    Mutex.unlock t.l_mutex
   end
 
 let time t f =
@@ -172,42 +147,23 @@ let window () = Atomic.get window_k
 
 (* -------------------------------------------------------------- queries *)
 
-let states t =
-  let acc = ref [ t.l_ov ] in
-  for s = Plane.max_slots - 1 downto 0 do
-    let st = Atomic.get t.l_rows.(s) in
-    if st != no_state then acc := st :: !acc
-  done;
-  !acc
-
-let count t = List.fold_left (fun acc st -> acc + st.lcount) 0 (states t)
-let sum t = List.fold_left (fun acc st -> acc +. st.lsum) 0.0 (states t)
-
-let summaries t =
-  let k = Atomic.get window_k in
-  if k = 0 then List.filter_map (fun st -> if Gk.count st.all > 0 then Some st.all else None) (states t)
-  else begin
-    let e_now = Atomic.get epoch in
-    List.concat_map
-      (fun st ->
-        let acc = ref [] in
-        for idx = 0 to Array.length st.win - 1 do
-          if st.win_epoch.(idx) > e_now - k && Gk.count st.win.(idx) > 0 then
-            acc := st.win.(idx) :: !acc
-        done;
-        !acc)
-      (states t)
-  end
+let locked t f = Mutex.protect t.l_mutex (fun () -> f t.l_st)
+let count t = locked t (fun st -> st.lcount)
+let sum t = locked t (fun st -> st.lsum)
 
 let quantile t phi =
-  match summaries t with
-  | [] -> None
-  | gks -> (
-    (* An owner may rotate (reset) a window cell between [summaries] and
-       the merge; if that empties every summary, nothing is recorded in
-       the window.  An out-of-range phi still raises. *)
-    try Some (Gk.merged_quantile gks phi)
-    with Invalid_argument _ when phi >= 0.0 && phi <= 1.0 -> None)
+  locked t (fun st ->
+      let k = Atomic.get window_k in
+      if k = 0 then if Gk.count st.all = 0 then None else Some (Gk.quantile st.all phi)
+      else begin
+        let e_now = Atomic.get epoch in
+        let cells = ref [] in
+        for idx = 0 to Array.length st.win - 1 do
+          if st.win_epoch.(idx) > e_now - k && Gk.count st.win.(idx) > 0 then
+            cells := st.win.(idx) :: !cells
+        done;
+        match !cells with [] -> None | gks -> Some (Gk.merged_quantile gks phi)
+      end)
 
 let percentiles = [ 0.5; 0.9; 0.99; 0.999 ]
 
@@ -221,15 +177,15 @@ let snapshot () =
     all
 
 let reset () =
-  let reset_state t st =
-    st.all <- Gk.create ~epsilon:t.l_eps;
-    Array.iteri (fun i _ -> st.win.(i) <- Gk.create ~epsilon:t.l_eps) st.win;
+  let reset_state st =
+    Gk.reset st.all;
+    Array.iter Gk.reset st.win;
     Array.fill st.win_epoch 0 (Array.length st.win_epoch) (-1);
     st.lcount <- 0;
     st.lsum <- 0.0
   in
   Mutex.lock m;
-  Hashtbl.iter (fun _ t -> List.iter (reset_state t) (states t)) table;
+  Hashtbl.iter (fun _ t -> locked t reset_state) table;
   Mutex.unlock m;
   Atomic.set epoch 0
 

@@ -1,14 +1,14 @@
 (** Self-hosted latency quantiles: duration distributions tracked in
-    per-domain Greenwald-Khanna summaries ({!Sh_gk.Gk} — the same
-    structure the paper uses for streaming order statistics) and merged
-    only at snapshot time.
+    Greenwald-Khanna summaries ({!Sh_gk.Gk} — the same structure the
+    paper uses for streaming order statistics).
 
-    Recording follows the {!Plane} discipline: a GK insert into the
-    calling domain's own slot state, no shared-cacheline traffic; slotless
-    domains fall back to a mutex-guarded overflow state and bump the
-    [obs.plane_collisions] witness.  A merged quantile over the per-domain
-    streams carries rank error of order [sum_i (epsilon * n_i)] (see
-    {!Sh_gk.Gk.merged_quantile} for what holds exactly).
+    A tracker holds one all-time summary (plus the optional window ring,
+    count and sum) behind its own mutex; {!record} and every read take
+    it.  Reads are therefore exact at any moment, and an all-time
+    {!quantile} is one {!Sh_gk.Gk.quantile} with GK's own bound: the
+    answer's rank is within [epsilon * n] of the target.  Timed sections
+    are whole batches, tasks or queries, never single points, so the
+    mutex is taken a few times per batch at most.
 
     Trackers are the one duration mechanism in the telemetry subsystem.
     They have their own switch ({!set_tracking}, off by default): a GK
@@ -16,16 +16,11 @@
     gauges are always live.
 
     The optional sliding window ("last k batches") is driven by a global
-    epoch: callers bump it with {!advance} once per batch, and each slot
-    keeps a ring of per-epoch summaries rotated lazily by its owner.
-    Aggregate reads ({!quantile}, {!count}, {!sum}) are exact when
-    recording domains are quiescent, and memory-safe but possibly slightly
-    stale mid-flight — same contract as the metric snapshot readers.  For
-    {!quantile} mid-flight means: a summary caught mid-flush (see
-    {!Sh_gk.Gk.merged_quantile}) can make the answer miss its rank bound,
-    and a window cell its owner rotates during the read — the cell's
-    summary is reset in place — can contribute the new epoch's samples or
-    none at all. *)
+    epoch: callers bump it with {!advance} once per batch, and each
+    tracker keeps a ring of per-epoch summaries rotated lazily by its
+    next {!record}.  A windowed quantile merges the ring's in-window
+    summaries with {!Sh_gk.Gk.merged_quantile} and carries that
+    function's weaker guarantee. *)
 
 type t
 
@@ -40,8 +35,8 @@ val tracking : unit -> bool
 val set_clock : (unit -> float) -> unit
 (** Inject the clock {!time} reads, in seconds.  Defaults to [Sys.time]
     (CPU seconds); binaries should inject a monotonic clock
-    (CLOCK_MONOTONIC), not [Unix.gettimeofday], whose steps make a
-    duration negative (dropped by {!record}) or huge.  Not synchronised:
+    (CLOCK_MONOTONIC), not the wall clock, whose steps make a duration
+    negative (dropped by {!record}) or huge.  Not synchronised:
     set it at startup, before any domains are spawned. *)
 
 val now : unit -> float
@@ -72,7 +67,8 @@ val set_window : int -> unit
 (** Window width in epochs (batches).  [0] (the default) disables the
     window: quantiles answer over all recorded durations.  [k > 0] makes
     {!quantile} answer over the last [k] epochs only.  Takes effect
-    lazily per recording domain; raises [Invalid_argument] below 0. *)
+    lazily at each tracker's next {!record}; raises [Invalid_argument]
+    below 0. *)
 
 val window : unit -> int
 
@@ -87,9 +83,9 @@ val sum : t -> float
 (** All-time summed durations in seconds (the Prometheus [_sum]). *)
 
 val quantile : t -> float -> float option
-(** Merged quantile across the per-domain summaries — windowed when a
-    window is set, all-time otherwise.  [None] when nothing is recorded
-    (in the window). *)
+(** The all-time quantile, or the windowed one when a window is set.
+    [None] when nothing is recorded (in the window); raises
+    [Invalid_argument] when phi is outside [\[0, 1\]] and something is. *)
 
 val percentiles : float list
 (** The quantiles every sink exposes: 0.5, 0.9, 0.99, 0.999. *)

@@ -9,8 +9,6 @@ let now = Latency.now
 let counter = Registry.counter
 let gauge = Registry.gauge
 
-let plane_collisions () = Atomic.get Metric.plane_collisions_cell
-
 (* Per-structure instance names: "fw0", "fw1", ... per prefix, so every
    live structure exports its own label-distinguished series.  Mutexed so
    structures created from parallel domains never share a name. *)

@@ -3,15 +3,15 @@
     Instrumented structures register named series at creation time
     ({!counter} / {!gauge} are get-or-create; per-structure series add an
     [("instance", {!instance} prefix)] label) and then record through the
-    returned {!Metric} handles — a store into the calling domain's plane
-    row, with no name lookup.
+    returned {!Metric} handles — one atomic update, with no name
+    lookup.
 
     {b Overhead model.}  Counters and gauges are always live: they are the
     algorithms' own work accounting (e.g. [Fixed_window.work_counters]).
     A record is not free: under the dev profile's [-opaque] each
-    {!Metric.incr} / {!Metric.add} is a real cross-module call that finds
-    the domain's plane slot and row, about 10 ns against 0.6 ns for a
-    mutable int field (2-vCPU Xeon, best of 5 x 50M calls).  So a hot
+    {!Metric.incr} / {!Metric.add} is a real cross-module call and an
+    atomic [fetch_and_add], about 5 ns against 0.8 ns for a mutable int
+    field (2-vCPU Xeon, one domain, best of 5 x 50M calls).  So a hot
     kernel tallies in plain int fields of its own scratch and adds them to
     its counters once per entry point, as [Fixed_window] does per refresh
     and per live read; a scrape between calls then reads every count.
@@ -30,9 +30,9 @@ val latency_enabled : unit -> bool
 val set_clock : (unit -> float) -> unit
 (** {!Latency.set_clock}: the clock trackers time with, in seconds.
     Defaults to [Sys.time] (CPU seconds).  Binaries inject a monotonic
-    clock (CLOCK_MONOTONIC, e.g. [bechamel.monotonic_clock]'s, scaled to
-    seconds), never [Unix.gettimeofday]: a wall clock can step, and a
-    step makes a duration negative (dropped) or huge.  Tests inject a
+    clock (CLOCK_MONOTONIC, e.g. [Sh_net.Clock.now]), never the wall
+    clock: a wall clock can step, and a step makes a duration negative
+    (dropped) or huge.  Tests inject a
     fake. *)
 
 val now : unit -> float
@@ -45,13 +45,6 @@ val gauge : ?labels:Metric.labels -> string -> Metric.gauge
 val instance : string -> string
 (** Fresh instance name for a structure family: ["fw0"], ["fw1"], ... —
     used as the [("instance", _)] label value of per-structure series. *)
-
-val plane_collisions : unit -> int
-(** The [obs.plane_collisions] witness: recording operations that missed
-    the per-domain plane fast path because more than {!Plane.max_slots}
-    domains were alive.  Flat (zero) whenever the contention-free path is
-    actually in use — the analogue of the engine's [engine.lock_ops]
-    lock-freedom witness. *)
 
 (** {2 Exposition} *)
 

@@ -64,34 +64,14 @@ let counter ?(labels = []) name =
   get_or_register ~name ~labels
     ~found:(function Counter c -> c | _ -> type_clash name)
     ~make:(fun labels ->
-      (* The plane-collision witness counter reads the module-level cell
-         the metric overflow paths bump directly, so collisions that
-         happened before (or without) registration are never lost. *)
-      let ov =
-        if name = "obs.plane_collisions" then Metric.plane_collisions_cell else Atomic.make 0
-      in
-      let c =
-        {
-          Metric.c_name = name;
-          c_labels = labels;
-          c_rows = Metric.make_rows Metric.no_irow;
-          c_ov = ov;
-        }
-      in
+      let c = { Metric.c_name = name; c_labels = labels; c_cell = Atomic.make 0 } in
       (Counter c, c))
 
 let gauge ?(labels = []) name =
   get_or_register ~name ~labels
     ~found:(function Gauge g -> g | _ -> type_clash name)
     ~make:(fun labels ->
-      let g =
-        {
-          Metric.g_name = name;
-          g_labels = labels;
-          g_rows = Metric.make_rows Metric.no_frow;
-          g_base = Atomic.make 0.0;
-        }
-      in
+      let g = { Metric.g_name = name; g_labels = labels; g_cell = Atomic.make 0.0 } in
       (Gauge g, g))
 
 let find ?(labels = []) name =

@@ -60,9 +60,9 @@ type t = {
   c_published : M.counter;
   g_read_gen : M.gauge;
   (* --- latency trackers (gated by [Obs.set_latency_enabled]): apply and
-     sweep durations are recorded inside the pool tasks, so each owner
-     feeds its own domain's GK slot and the merged quantile sees the
-     cross-domain distribution. *)
+     sweep durations are recorded inside the pool tasks, one per owner
+     task; ingest batches and queries by the caller.  Never per point:
+     a tracker's mutex is taken a few times per batch at most. *)
   l_ingest : L.t;
   l_query : L.t;
 }

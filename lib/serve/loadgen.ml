@@ -2,6 +2,7 @@ module Rng = Sh_util.Rng
 module Gk = Sh_gk.Gk
 module Qop = Stream_histogram.Query_op
 module Addr = Sh_net.Addr
+module Clock = Sh_net.Clock
 module Client = Sh_net.Client
 module Wire = Sh_net.Wire
 

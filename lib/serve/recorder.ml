@@ -2,6 +2,7 @@ module SE = Sh_par.Shard_engine
 module FW = Stream_histogram.Fixed_window
 module EW = Stream_histogram.Exact_window
 module Lat = Sh_obs.Latency
+module Clock = Sh_net.Clock
 
 type t = {
   eng : SE.t;

@@ -7,6 +7,7 @@ module FW = Stream_histogram.Fixed_window
 module Params = Stream_histogram.Params
 module Qop = Stream_histogram.Query_op
 module Addr = Sh_net.Addr
+module Clock = Sh_net.Clock
 module Net_server = Sh_net.Server
 module Aggregator = Sh_agg.Aggregator
 

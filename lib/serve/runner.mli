@@ -8,8 +8,8 @@
     throughput, and the latency quantiles.  The in-process mode adds its
     per-key [key …:] lines and a [total:] line.
 
-    Run durations read {!Clock.now}; the latency trackers are switched on
-    and timed with the same clock. *)
+    Run durations read {!Sh_net.Clock.now}; the latency trackers are
+    switched on and timed with the same clock. *)
 
 module Addr := Sh_net.Addr
 

@@ -526,14 +526,14 @@ let test_serve_hot_key_no_stall tier =
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   let hot = [| (0, Array.init 2000 (fun i -> Float.of_int (i mod 97))) |] in
   let acked = ref 0 and pinging = ref 0.0 in
-  let r0 = Unix.gettimeofday () in
+  let r0 = Sh_net.Clock.now () in
   for _ = 1 to 20 do
     acked := !acked + Client.ingest c hot;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Sh_net.Clock.now () in
     Client.ping c;
-    pinging := !pinging +. (Unix.gettimeofday () -. t0)
+    pinging := !pinging +. (Sh_net.Clock.now () -. t0)
   done;
-  let rounds = Unix.gettimeofday () -. r0 in
+  let rounds = Sh_net.Clock.now () -. r0 in
   Alcotest.(check int) "every hot request acked" (20 * 2000) !acked;
   Alcotest.(check bool)
     (Printf.sprintf "20 pings took %.3f s (< 0.5 s)" !pinging)

@@ -270,7 +270,7 @@ let test_render_facade () =
   Alcotest.(check bool) "prometheus alias" true (Obs.format_of_string "prometheus" = Some Obs.Prom);
   Alcotest.(check bool) "unknown rejected" true (Obs.format_of_string "xml" = None)
 
-(* ------------------------------------------------- per-domain planes *)
+(* ------------------------------------------------- concurrent writers *)
 
 (* Domain counts default to {2, 4}; the CI multicore smoke overrides them
    via SH_TEST_DOMAINS (comma-separated), same contract as test_par. *)
@@ -303,7 +303,6 @@ let test_plane_no_lost_increments () =
       let c = Obs.counter "plane.c" in
       let g = Obs.gauge "plane.g" in
       let iters = 10_000 in
-      let collisions0 = Obs.plane_collisions () in
       hammer ~domains:d ~iters (fun _ _ ->
           M.incr c;
           M.gadd g 1.5);
@@ -313,10 +312,7 @@ let test_plane_no_lost_increments () =
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "gauge exact, %d domains" d)
         (1.5 *. Float.of_int (d * iters))
-        (M.gvalue g);
-      Alcotest.(check int)
-        (Printf.sprintf "collision witness flat, %d domains" d)
-        collisions0 (Obs.plane_collisions ()))
+        (M.gvalue g))
     domain_counts
 
 let test_plane_snapshot_reset_under_writers () =
@@ -417,20 +413,27 @@ let test_latency_merged_domains () =
     (fun d ->
       Obs.clear ();
       Obs.set_latency_enabled true;
-      let t = L.tracker ~epsilon:0.01 "lat.merged" in
+      let eps = 0.01 in
+      let t = L.tracker ~epsilon:eps "lat.merged" in
       let per = 2000 in
       (* domain j records the arithmetic slice j, j+d, j+2d, ... so the
          union across domains is exactly 0 .. d*per-1 *)
       hammer ~domains:d ~iters:per (fun j i -> L.record t (Float.of_int (j + (d * (i - 1)))));
       Alcotest.(check int) (Printf.sprintf "merged count, %d domains" d) (d * per) (L.count t);
-      match L.quantile t 0.5 with
-      | None -> Alcotest.fail "merged median present"
-      | Some v ->
-        let n = Float.of_int (d * per) in
-        Alcotest.(check bool)
-          (Printf.sprintf "merged median within summed rank error, %d domains (got %g)" d v)
-          true
-          (Float.abs (v -. (n /. 2.0)) <= 0.05 *. n))
+      let n = Float.of_int (d * per) in
+      (* Value v has rank v + 1, and GK answers target rank ceil(phi n)
+         within eps n: the tracker's one summary carries that bound. *)
+      List.iter
+        (fun phi ->
+          match L.quantile t phi with
+          | None -> Alcotest.fail "merged quantile present"
+          | Some v ->
+            let target = Float.max 1.0 (Float.ceil (phi *. n)) in
+            Alcotest.(check bool)
+              (Printf.sprintf "p%g within eps*n ranks, %d domains (got %g)" (phi *. 100.0) d v)
+              true
+              (Float.abs (v +. 1.0 -. target) <= eps *. n))
+        L.percentiles)
     domain_counts
 
 let test_latency_window () =
