@@ -1,25 +1,47 @@
 module Sliding_prefix = Sh_prefix.Sliding_prefix
 module Histogram = Sh_histogram.Histogram
-module Soa = Sh_util.Soa
 module Obs = Sh_obs.Obs
 module M = Sh_obs.Metric
 
-(* The level-k list covers [1 .. n] with intervals [a_idx .. b_idx] inside
-   which the (non-decreasing) function HERROR[., k] varies by at most a
-   (1 + delta) factor: herror values are stored at both ends, and
-   candidates are evaluated at right endpoints only (Section 4.2.1).
+(* The level-k list covers [1 .. n] with intervals [a .. b] inside which
+   the (non-decreasing) function HERROR[., k] varies by at most a
+   (1 + delta) factor, and candidates are evaluated at right endpoints
+   only (Section 4.2.1).  The intervals are contiguous — a_0 = 1 and
+   a_r = b_(r-1) + 1 — so a list stores two columns: the right endpoints
+   and HERROR[b, k] at each.  Rows live in flat int/float arrays, so a
+   refresh that clears and refills every list allocates nothing once the
+   arrays reach steady capacity. *)
+type level = {
+  mutable b : int array;    (* right endpoints, rows [0, len) *)
+  mutable hb : float array; (* HERROR[b, k] at each *)
+  mutable len : int;
+}
 
-   Lists are stored struct-of-arrays (Soa): column layout below.  Rows
-   live in flat int/float arrays, so a refresh that clears and refills
-   every list allocates nothing once the columns reach steady capacity —
-   the boxed-record representation this replaced allocated one record per
-   interval per rebuild. *)
-let col_a = 0 (* int col: a_idx    *)
-let col_b = 1 (* int col: b_idx    *)
-let col_ha = 0 (* float col: a_herror *)
-let col_hb = 1 (* float col: b_herror *)
+let new_level () = { b = [||]; hb = [||]; len = 0 }
 
-let new_list () = Soa.create ~fcols:2 ~icols:2 ()
+(* Left end of row [r]: the lists cover [1 .. n] contiguously. *)
+let[@inline] row_start b r = if r = 0 then 1 else Array.unsafe_get b (r - 1) + 1
+
+(* Backing-array growths of every level list in the process: steady-state
+   sliding reuses the arrays, which the regression tests pin. *)
+let growths = Atomic.make 0
+let list_growths () = Atomic.get growths
+
+let grown a ~len ~fill =
+  let g = Array.make (max 8 (2 * Array.length a)) fill in
+  Array.blit a 0 g 0 len;
+  Atomic.incr growths;
+  g
+
+(* Append a row to [q], growing either column when full, and return its
+   index; the caller writes both columns (a float argument would be boxed
+   at every call). *)
+let add_row q =
+  let r = q.len in
+  if r = Array.length q.b then q.b <- grown q.b ~len:r ~fill:0;
+  if r = Array.length q.hb then q.hb <- grown q.hb ~len:r ~fill:0.0;
+  q.len <- r + 1;
+  r
 
 type work_counters = {
   herror_evaluations : int;
@@ -141,9 +163,10 @@ let[@inline] sqerror_to_x sum sqsum ~base ~sx ~qx ~x b =
 
    Both ends of the scan are pruned by binary search instead of walking the
    list from entry 0: the covering entry is located directly on the sorted
-   b_idx column, and — seeding the running best with its proxy candidate —
-   entries whose SQERROR term alone already reaches that bound are skipped
-   (SQERROR(b+1, x) only shrinks along the list, so they form a prefix).
+   right-endpoint column, and — seeding the running best with its proxy
+   candidate — entries whose SQERROR term alone already reaches that bound
+   are skipped (SQERROR(b+1, x) only shrinks along the list, so they form
+   a prefix).
 
    [seed] (-1: none) names a row to evaluate before that search — the
    caller's guess at the argmin, typically the winner of the previous scan
@@ -156,12 +179,10 @@ let[@inline] sqerror_to_x sum sqsum ~base ~sx ~qx ~x b =
    [steps], evaluated candidates in [cands]. *)
 let scan sp lists s ~k ~x ~seed =
   let q = lists.(k - 2) in
-  let len = Soa.length q in
-  let a_idx = Soa.icol q col_a and b_idx = Soa.icol q col_b in
-  let b_her = Soa.fcol q col_hb in
+  let len = q.len and b_idx = q.b and b_her = q.hb in
   let fs = s.fs in
   let steps = ref 0 in
-  (* covering entry: first row with b_idx >= x *)
+  (* covering entry: first row with b >= x *)
   let lo = ref 0 and hi = ref len in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -171,7 +192,7 @@ let scan sp lists s ~k ~x ~seed =
   let cover = !lo in
   let best = ref infinity in
   let best_i = ref (x - 1) and best_row = ref (-1) in
-  if cover < len && Array.unsafe_get a_idx cover <= x - 1 then best := Array.unsafe_get b_her cover;
+  if cover < len && row_start b_idx cover <= x - 1 then best := Array.unsafe_get b_her cover;
   (* The x end of every candidate's SQERROR, hoisted out of both loops. *)
   let sum = Sliding_prefix.ring_sum sp and sqsum = Sliding_prefix.ring_sqsum sp in
   let base = Sliding_prefix.ring_base sp in
@@ -330,6 +351,17 @@ let histogram sp lists s ~b =
   in
   Histogram.make ~n (Array.mapi bucket_of ends)
 
+(* The level-k list as (a, HERROR[a, k], b, HERROR[b, k]) rows.  Left
+   ends are derived and HERROR[a, k] is not stored, so each row's is
+   evaluated again against the same lists: the value the rebuild computed,
+   bit for bit, since a scan's minimum does not depend on its seed. *)
+let interval_rows sp lists s memo ~stride ~k =
+  let q = lists.(k - 1) in
+  Array.init q.len (fun r ->
+      let a = row_start q.b r in
+      eval sp lists s memo ~stride ~k ~x:a;
+      (a, s.fs.(fs_eval), q.b.(r), q.hb.(r)))
+
 (* --- the per-domain memo arena ----------------------------------------- *)
 
 (* The HERROR memo caches [eval] results at (k, x) for one refresh
@@ -357,12 +389,13 @@ let fresh_stamp () = 1 + Atomic.fetch_and_add stamps 1
 type t = {
   params : Params.t;
   sp : Sliding_prefix.t;
-  (* Double buffer: [queues.(k-1)] holds the level-k list for the window as
-     of the last refresh; [prev_queues.(k-1)] the one before, kept so warm
-     rebuilds can seed boundary searches from the previous boundaries.  The
-     two arrays are swapped at every refresh instead of reallocating. *)
-  mutable queues : Soa.t array;
-  mutable prev_queues : Soa.t array;
+  (* [lists.(k-1)] holds the level-k list for the window as of the last
+     refresh.  Warm rebuilds seed their boundary searches from the previous
+     right endpoints only, so the one spare is a right-endpoint column per
+     level: [create_list] swaps it with the level's [b] before refilling,
+     and reads the previous boundaries from it while it builds. *)
+  lists : level array;
+  spare_b : int array array;
   (* HERROR memo (see [arena_key]): gallop/bisect searches never re-pay
      for a position another search of the same rebuild (or a query against
      the same window) already evaluated. *)
@@ -381,7 +414,7 @@ type t = {
   mutable dirty : bool;
   mutable policy : Params.refresh_policy;
   mutable slide : int; (* evictions since the last refresh: how far the
-                          prev_queues coordinates have shifted *)
+                          previous boundaries have shifted *)
   mutable pushes_since_refresh : int;
   (* Work accounting lives in per-instance registry counters (labelled
      instance="fw<i>") so the same tallies back work_counters and the
@@ -415,8 +448,8 @@ let mk ~params ~sp =
   {
     params;
     sp;
-    queues = Array.init (max 1 (buckets - 1)) (fun _ -> new_list ());
-    prev_queues = Array.init (max 1 (buckets - 1)) (fun _ -> new_list ());
+    lists = Array.init (max 1 (buckets - 1)) (fun _ -> new_level ());
+    spare_b = Array.make (max 1 (buckets - 1)) [||];
     memo_stride = buckets + 1;
     memo_on = true;
     stamp = fresh_stamp ();
@@ -506,7 +539,7 @@ let flush t =
 
 (* Approximate HERROR[x, k] for the current window, written to
    [t.scr.fs.(fs_eval)]. *)
-let eval_herror_into t ~k ~x = eval t.sp t.queues t.scr t.claimed ~stride:t.memo_stride ~k ~x
+let eval_herror_into t ~k ~x = eval t.sp t.lists t.scr t.claimed ~stride:t.memo_stride ~k ~x
 
 (* Point [claimed] at the calling domain's memo table ([on]) or at none,
    growing the table to this summary's geometry, and clearing it if
@@ -628,37 +661,34 @@ let find_boundary t ~k ~start ~hi ~hint =
 (* CreateList (Figure 5): cover [1 .. n] with maximal intervals whose
    HERROR[., k] spread stays within (1 + delta).  A warm rebuild seeds each
    boundary search from the previous refresh's boundary over the same
-   stream points (the prev_queues entry covering this interval's start,
-   shifted back by the window slide).  Where there is none — a fresh or
-   restored summary, or past the end of the previous list — it gallops
-   from [start] plus the width of the interval it just built instead of
-   bisecting [start, n].  The search result is independent of the seed, so
-   warm and cold rebuilds produce identical lists; a cold rebuild seeds
-   nothing. *)
+   stream points (the previous right endpoint covering this interval's
+   start, shifted back by the window slide).  Where there is none — a
+   fresh or restored summary, or past the end of the previous list — it
+   gallops from [start] plus the width of the interval it just built
+   instead of bisecting [start, n].  The search result is independent of
+   the seed, so warm and cold rebuilds produce identical lists; a cold
+   rebuild seeds nothing. *)
 let create_list t ~k ~warm =
-  let q = t.queues.(k - 1) in
-  Soa.clear q;
+  let q = t.lists.(k - 1) in
+  (* The last refresh's right endpoints become the hints; their spare
+     buffer the target of this rebuild. *)
+  let prev_b = q.b and plen = if warm then q.len else 0 in
+  q.b <- t.spare_b.(k - 1);
+  t.spare_b.(k - 1) <- prev_b;
+  q.len <- 0;
   let n = length t in
   let delta = t.params.Params.delta in
-  let prev = t.prev_queues.(k - 1) in
-  let plen = if warm then Soa.length prev else 0 in
-  let prev_b = Soa.icol prev col_b in
   let slide = t.slide in
   let pcur = ref 0 in
   let width = ref (-1) in (* c - start of the interval just built *)
-  (* Rows are written through the raw column arrays (re-fetched after each
-     add_row, which may grow them): Soa.set_f would box its float argument
-     at every cross-module call. *)
   let a = ref 1 in
   while !a <= n do
     let start = !a in
     if start = n then begin
       eval_herror_into t ~k ~x:start;
-      let r = Soa.add_row q in
-      (Soa.icol q col_a).(r) <- start;
-      (Soa.icol q col_b).(r) <- start;
-      (Soa.fcol q col_ha).(r) <- t.scr.fs.(fs_eval);
-      (Soa.fcol q col_hb).(r) <- t.scr.fs.(fs_eval);
+      let r = add_row q in
+      q.b.(r) <- start;
+      q.hb.(r) <- t.scr.fs.(fs_eval);
       t.scr.built <- t.scr.built + 1;
       a := n + 1
     end
@@ -679,11 +709,9 @@ let create_list t ~k ~warm =
       let hint = if hint = min_int && warm && !width >= 0 then start + !width else hint in
       find_boundary t ~k ~start ~hi:n ~hint;
       let c = t.bnd_c in
-      let r = Soa.add_row q in
-      (Soa.icol q col_a).(r) <- start;
-      (Soa.icol q col_b).(r) <- c;
-      (Soa.fcol q col_ha).(r) <- t.scr.fs.(fs_hstart);
-      (Soa.fcol q col_hb).(r) <- t.scr.fs.(fs_bnd);
+      let r = add_row q in
+      q.b.(r) <- c;
+      q.hb.(r) <- t.scr.fs.(fs_bnd);
       t.scr.built <- t.scr.built + 1;
       width := c - start;
       a := c + 1
@@ -691,11 +719,6 @@ let create_list t ~k ~warm =
   done
 
 let do_refresh t ~warm ~memo =
-  (* Swap buffers: the lists of the last refresh become the warm-start
-     hints, their buffers the target of this rebuild. *)
-  let tmp = t.queues in
-  t.queues <- t.prev_queues;
-  t.prev_queues <- tmp;
   (* A new stamp invalidates every HERROR cached for the old lists: the
      claim clears the domain's table in O(1). *)
   t.stamp <- fresh_stamp ();
@@ -811,7 +834,7 @@ let herror t ~k ~x =
 let current_histogram t =
   refresh t;
   if length t = 0 then invalid_arg "Fixed_window.current_histogram: empty window";
-  let h = histogram t.sp t.queues t.scr ~b:(buckets t) in
+  let h = histogram t.sp t.lists t.scr ~b:(buckets t) in
   flush t;
   h
 
@@ -840,30 +863,36 @@ let work_counters t =
 
 let interval_counts t =
   refresh t;
-  Array.map Soa.length t.queues
+  Array.map (fun q -> q.len) t.lists
 
+let check_level ~b ~k =
+  if k < 1 || k > b - 1 then invalid_arg "Fixed_window.intervals: k out of range"
+
+(* The scans run unseeded, so this read leaves the next rebuild's scan
+   seeds alone. *)
 let intervals t ~k =
-  if k < 1 || k > buckets t - 1 then invalid_arg "Fixed_window.intervals: k out of range";
+  check_level ~b:(buckets t) ~k;
   refresh t;
-  let q = t.queues.(k - 1) in
-  Array.init (Soa.length q) (fun i ->
-      ( Soa.get_i q ~col:col_a i,
-        Soa.get_f q ~col:col_ha i,
-        Soa.get_i q ~col:col_b i,
-        Soa.get_f q ~col:col_hb i ))
+  claim t ~on:t.memo_on;
+  t.scr.seeding <- false;
+  let rows = interval_rows t.sp t.lists t.scr t.claimed ~stride:t.memo_stride ~k in
+  t.scr.seeding <- true;
+  t.claimed <- None;
+  flush t;
+  rows
 
 (* --- published read views -------------------------------------------- *)
 
 (* A [View.t] is an immutable copy of everything a query needs — the
-   sliding prefix ring and the level lists, copied verbatim, plus
-   precomputed whole-window answers — cut from a refreshed summary by
-   {!view}.  Readers on other domains evaluate against the copy alone, with
-   the same kernel functions the live summary runs and a fresh scratch per
-   call: no telemetry stores, no shared scratch, no access to the live
-   [t].  Same kernel, same slots, same subtractions, so view answers are
-   bit-identical to querying the quiesced live summary at the same
-   generation by construction (and pinned by the snapshot-equivalence
-   property tests). *)
+   sliding prefix ring and the level lists' two columns trimmed to their
+   rows, copied verbatim, plus precomputed whole-window answers — cut from
+   a refreshed summary by {!view}.  Readers on other domains evaluate
+   against the copy alone, with the same kernel functions the live summary
+   runs and a fresh scratch per call: no telemetry stores, no shared
+   scratch, no access to the live [t].  Same kernel, same slots, same
+   subtractions, so view answers are bit-identical to querying the
+   quiesced live summary at the same generation by construction (and
+   pinned by the snapshot-equivalence property tests). *)
 module View = struct
   type t = {
     gen : int;  (* refresh generation the copy was cut at *)
@@ -871,7 +900,7 @@ module View = struct
     b : int;    (* buckets *)
     eps : float;
     sp : Sliding_prefix.t; (* frozen copy of the live ring *)
-    lists : Soa.t array;   (* frozen copies of the level lists *)
+    lists : level array;   (* trimmed copies of the level lists *)
     err : float;               (* HERROR[n, B] — the current_error answer *)
     hist : Histogram.t option; (* [None] iff the window is empty *)
   }
@@ -894,12 +923,17 @@ module View = struct
     let s = new_scratch ~levels:0 in
     eval v.sp v.lists s None ~stride:(v.b + 1) ~k ~x;
     s.fs.(fs_eval)
+
+  let intervals v ~k =
+    check_level ~b:v.b ~k;
+    interval_rows v.sp v.lists (new_scratch ~levels:0) None ~stride:(v.b + 1) ~k
 end
 
 let view t =
   refresh t;
   let sp = Sliding_prefix.copy t.sp in
-  let lists = Array.map Soa.copy t.queues in
+  let trimmed q = { b = Array.sub q.b 0 q.len; hb = Array.sub q.hb 0 q.len; len = q.len } in
+  let lists = Array.map trimmed t.lists in
   let n = length t and b = buckets t in
   let s = new_scratch ~levels:0 in
   eval sp lists s None ~stride:(b + 1) ~k:b ~x:n;
@@ -917,8 +951,8 @@ let summary_tag = Char.code 'F'
    sliding prefix sums (Theorem 1's point — the interval lists are a
    deterministic function of the window, so [decode] rebuilds them with
    one refresh and the restored summary is indistinguishable from one
-   that never stopped).  Derived scratch (queues, fs) and telemetry counters are
-   deliberately not persisted: counters restart at zero in the fresh
+   that never stopped).  Derived scratch (lists, fs) and telemetry counters
+   are deliberately not persisted: counters restart at zero in the fresh
    process, like every other series in the registry. *)
 let encode buf t =
   Codec.put_u8 buf summary_tag;

@@ -28,9 +28,10 @@
 
     Between consecutive arrivals the window shifts by at most one point, so
     the previous lists' interval boundaries are near-perfect predictors of
-    the new ones.  {!refresh} therefore keeps the last refresh's lists in a
-    double buffer and seeds each CreateList boundary search from the
-    corresponding previous boundary (shifted by the window slide), using a
+    the new ones.  {!refresh} therefore keeps, per level, a spare
+    right-endpoint column: a rebuild swaps it with the level's current one
+    and seeds each CreateList boundary search from the corresponding
+    previous right endpoint (shifted by the window slide), using a
     gallop-then-bisect search bracketed around the hint.  Because HERROR is
     non-decreasing in x, the search result is independent of the seed: warm
     and cold rebuilds produce identical lists, and [refresh ~cold:true]
@@ -45,12 +46,14 @@
 
     {2 Allocation-free kernel}
 
-    The hot path is (amortised) allocation-free: interval lists live in
-    struct-of-arrays stores ({!Sh_util.Soa}) rather than boxed-record
-    vectors, rebuild scratch (double buffers, float out-param slots) is
-    owned by [t] and reused across refreshes, and HERROR evaluations are
-    deduplicated through a memo table indexed directly by (x, k).  The
-    table is one per domain, not one per summary, sized
+    The hot path is (amortised) allocation-free: each interval list is two
+    flat columns — right endpoints and HERROR at each; left endpoints are
+    derived, a{_0} = 1 and a{_r} = b{_r-1} + 1 — rather than a boxed-record
+    vector, rebuild scratch (the spare right-endpoint columns, float
+    out-param slots) is owned by [t] and reused across refreshes, and
+    HERROR evaluations are deduplicated through a memo table indexed
+    directly by (x, k).  The table is one per domain, not one per summary,
+    sized
     (window + 1) * (buckets + 1) for the largest summary that has claimed
     it ({!memo_arena_words}): a rebuild takes a fresh owner stamp and
     claims its domain's table, clearing it in O(1) when another stamp
@@ -172,9 +175,9 @@ val herror : t -> k:int -> x:int -> float
 (** {2 Published read views}
 
     A {!View.t} is an immutable snapshot of a refreshed summary: a copy of
-    the sliding prefix ring and of the interval lists, and precomputed
-    whole-window answers, plus the {!generation} / {!points_seen} stamps
-    of the moment it was cut.  Views hold no reference to the live summary
+    the sliding prefix ring and of the interval lists' two columns trimmed
+    to their rows, and precomputed whole-window answers, plus the
+    {!generation} / {!points_seen} stamps of the moment it was cut.  Views hold no reference to the live summary
     and are never mutated, so they may be handed to other domains and read
     wait-free — the RCU payload of the sharded engine's query plane.
 
@@ -213,6 +216,12 @@ module View : sig
       domain ([1 <= k <= buckets], [0 <= x <= length]) and same answers as
       the live {!Fixed_window.herror} at the view's generation.  Each call
       runs the candidate scan: views carry no memo table. *)
+
+  val intervals : t -> k:int -> (int * float * int * float) array
+  (** The view's copy of the level-k list, as {!Fixed_window.intervals}
+      reports it (same rows and values at the view's generation; each
+      [a_herror] is one candidate scan).  Requires
+      [1 <= k <= buckets - 1]. *)
 end
 
 val view : t -> View.t
@@ -269,6 +278,11 @@ val slide_since_refresh : t -> int
 val needs_refresh : t -> bool
 (** Whether the interval lists are stale relative to the window. *)
 
+val list_growths : unit -> int
+(** Backing-array growths of interval-list columns across every summary
+    in the process.  Once a summary's lists reach steady capacity, sliding
+    and refreshing grow none (pinned by the regression tests). *)
+
 val interval_counts : t -> int array
 (** Number of intervals currently held per level k = 1 .. B-1; the paper
     bounds each by O((B / epsilon) log n).  Refreshes if needed. *)
@@ -276,7 +290,15 @@ val interval_counts : t -> int array
 val intervals : t -> k:int -> (int * float * int * float) array
 (** The level-k interval list as [(a_idx, a_herror, b_idx, b_herror)]
     tuples, oldest-first.  Requires [1 <= k <= buckets - 1].  Refreshes if
-    needed.  Validation hook for the warm-vs-cold equivalence tests. *)
+    needed.  Validation hook for the warm-vs-cold equivalence tests.
+
+    Lists store right endpoints and their HERROR only: [a_idx] is derived
+    (1 for the first row, the previous [b_idx + 1] after it), and
+    [a_herror] is evaluated again, bit-identical to HERROR\[a_idx, k\] as
+    the rebuild computed it.  Those evaluations count in
+    {!work_counters} like any live {!herror} read (and probe the memo
+    under {!set_memoisation}), but leave the next rebuild's scan seeds
+    untouched. *)
 
 (** {2 Persistence}
 

@@ -386,20 +386,21 @@ let test_fw_flush_discipline () =
 
 (* Steady-state sliding must reuse the interval lists' backing arrays:
    after a warm-up long enough to reach peak capacity, further slides may
-   not grow any Soa column in the process (the lists moved from boxed-entry
-   Vecs to struct-of-arrays stores; Soa.allocations is the growth gauge). *)
+   not grow any list column in the process (FW.list_growths counts every
+   growth).  The warm-up must grow some, or the check says nothing. *)
 let test_fw_slide_reuses_memory () =
-  let soa_allocs () = Sh_obs.Metric.gvalue Sh_util.Soa.allocations in
+  let before_warmup = FW.list_growths () in
   let fw = FW.create ~window:64 ~buckets:4 ~epsilon:0.2 in
   for i = 1 to 256 do
     FW.push_and_refresh fw (Float.of_int ((i * 37) mod 101))
   done;
-  let before = soa_allocs () in
+  let before = FW.list_growths () in
+  Alcotest.(check bool) "the warm-up grows the lists" true (before > before_warmup);
   for i = 257 to 512 do
     FW.push_and_refresh fw (Float.of_int ((i * 37) mod 101))
   done;
-  Alcotest.(check (float 0.0)) "no Soa growth across 256 steady-state slides" before
-    (soa_allocs ())
+  Alcotest.(check int) "no list growth across 256 steady-state slides" before
+    (FW.list_growths ())
 
 (* The full arena claim: once warm, a push + warm refresh allocates ~zero
    minor-heap words.  The budget is pinned generously above the measured
@@ -958,6 +959,101 @@ let test_fw_golden_answers () =
     done
   done
 
+(* Interval lists recorded when every list stored all four columns
+   (a_idx, a_herror, b_idx, b_herror): digests of every level's rows, as
+   [FW.intervals] reports them in hex, after a window's first refresh (one
+   full-window slice) and after each [Every 16] warm refresh that follows.
+   Lists keep only the right-end columns, so these pin the derived left
+   ends and the re-evaluated a_herror to the values once stored. *)
+let test_fw_intervals_golden () =
+  let module Wk = Sh_gen.Workloads in
+  let module Source = Sh_gen.Source in
+  let hex = Printf.sprintf "%h" in
+  let digest rows_of buckets =
+    let buf = Buffer.create 4096 in
+    for k = 1 to buckets - 1 do
+      Array.iter
+        (fun (a, ha, b, hb) ->
+          Buffer.add_string buf (Printf.sprintf "%d,%s,%d,%s;" a (hex ha) b (hex hb)))
+        (rows_of ~k);
+      Buffer.add_char buf '|'
+    done;
+    Digest.to_hex (Digest.string (Buffer.contents buf))
+  in
+  let check ~seed ~window ~buckets expected =
+    let len = window + (16 * (List.length expected - 1)) in
+    let data = Source.take (Wk.network (Sh_util.Rng.create ~seed) Wk.default_network) len in
+    let fw = FW.create ~window ~buckets ~epsilon:0.2 in
+    FW.set_refresh_policy fw (Stream_histogram.Params.Every 16);
+    List.iteri
+      (fun s dig ->
+        let pos, len = if s = 0 then (0, window) else (window + ((s - 1) * 16), 16) in
+        FW.push_slice fw data ~pos ~len;
+        let what side = Printf.sprintf "n=%d refresh %d: %s intervals" window s side in
+        let v = FW.view fw in
+        Alcotest.(check string) (what "live") dig (digest (FW.intervals fw) buckets);
+        Alcotest.(check string) (what "view") dig (digest (FW.View.intervals v) buckets))
+      expected
+  in
+  check ~seed:14 ~window:32 ~buckets:4
+    [ "b79dee0e63362d1c3334d25e2cd09ed8"; "7676b2ca34961ac7900e60964c79d87b";
+      "fb25765b938d751b10a88c49ddfd04db"; "659a54ecfbc890df104f1eddd162fe50" ];
+  check ~seed:21 ~window:256 ~buckets:8
+    [ "311b8d830277897c4b5ce687b75330b3"; "1f86f1b12a8e20618352bf53707568e3";
+      "21c8961fb5cf31857307fbfae8aba7e3"; "685e514032c68efafcec10bec70de0c0";
+      "22cab101333a2101bae1d7a323a6111a" ]
+
+(* The list invariants the two-column storage relies on, on live
+   summaries and on views, after warm and cold refreshes of random
+   windows: every level's right endpoints rise strictly and end at n, the
+   reported left ends are a_0 = 1 and a_r = b_(r-1) + 1, and both reported
+   HERROR columns equal HERROR at those positions, bit for bit. *)
+let prop_fw_list_invariants =
+  Helpers.qcheck_case ~count:40 ~name:"interval lists: contiguous cover, stored herror exact"
+    QCheck2.Gen.(
+      let* seed = int_range 0 10_000 in
+      let* workload = gen_twin_workload in
+      let* window = int_range 1 48 in
+      let* b = int_range 2 8 in
+      let* eps = oneofl [ 0.01; 0.1; 0.5; 1.0 ] in
+      let* len = int_range 0 (3 * window) in
+      let* slice = int_range 1 9 in
+      let* cold = bool in
+      let* memo = bool in
+      return (seed, workload, window, b, eps, len, slice, cold, memo))
+    (fun (seed, workload, window, b, eps, len, slice, cold, memo) ->
+      let data = twin_data ~seed workload len in
+      let fw = FW.create ~window ~buckets:b ~epsilon:eps in
+      FW.set_memoisation fw memo;
+      let bits = Int64.bits_of_float in
+      (* a_0 = 1, a_r = b_(r-1) + 1 and a_r <= b_r: the right ends rise
+         strictly; the last one is n when the next left end is n + 1 *)
+      let valid ~n rows ~herror =
+        let ok = ref true and next_a = ref 1 in
+        Array.iter
+          (fun (a, ha, b, hb) ->
+            if a <> !next_a || b < a then ok := false;
+            if bits ha <> bits (herror ~x:a) || bits hb <> bits (herror ~x:b) then ok := false;
+            next_a := b + 1)
+          rows;
+        !ok && !next_a = n + 1
+      in
+      let ok = ref true in
+      let pos = ref 0 in
+      while !pos <= len do
+        let take = min slice (len - !pos) in
+        FW.push_slice fw data ~pos:!pos ~len:take;
+        pos := !pos + max take 1;
+        FW.refresh ~cold fw;
+        let v = FW.view fw in
+        let n = FW.length fw in
+        for k = 1 to b - 1 do
+          if not (valid ~n (FW.intervals fw ~k) ~herror:(FW.herror fw ~k)) then ok := false;
+          if not (valid ~n (FW.View.intervals v ~k) ~herror:(FW.View.herror v ~k)) then ok := false
+        done
+      done;
+      !ok)
+
 (* Answers recorded before the CreateList searches were seeded, for a
    window's first refresh (one full-window [push_slice], no previous lists)
    and the [Every 16] warm refreshes after it.  Each digest covers every
@@ -1231,6 +1327,8 @@ let () =
           Alcotest.test_case "memo table shared per domain" `Quick test_fw_shared_memo_arena;
           Alcotest.test_case "golden answers" `Quick test_fw_golden_answers;
           Alcotest.test_case "first refresh golden" `Quick test_fw_first_refresh_golden;
+          Alcotest.test_case "intervals golden" `Quick test_fw_intervals_golden;
+          prop_fw_list_invariants;
           prop_fw_guarantee;
           prop_fw_guarantee_while_sliding;
           prop_fw_herror_brackets_exact;

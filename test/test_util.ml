@@ -3,7 +3,6 @@ module Stats = Sh_util.Stats
 module Metrics = Sh_util.Metrics
 module Heap = Sh_util.Heap
 module Vec = Sh_util.Vec
-module Soa = Sh_util.Soa
 
 (* ------------------------------------------------------------------ Rng *)
 
@@ -230,95 +229,6 @@ let test_vec_allocation_gauge () =
   done;
   Alcotest.(check (float 0.0)) "clear + refill reuses capacity" (before +. 5.0) (allocs ())
 
-(* ------------------------------------------------------------------ Soa *)
-
-let test_soa_basics () =
-  let s = Soa.create ~fcols:2 ~icols:2 () in
-  Alcotest.(check bool) "empty" true (Soa.is_empty s);
-  Alcotest.(check int) "float cols" 2 (Soa.float_cols s);
-  Alcotest.(check int) "int cols" 2 (Soa.int_cols s);
-  for i = 0 to 99 do
-    let r = Soa.add_row s in
-    Alcotest.(check int) "row index" i r;
-    Soa.set_i s ~col:0 r (i * 3);
-    Soa.set_i s ~col:1 r (i * 5);
-    Soa.set_f s ~col:0 r (Float.of_int (i * 7));
-    Soa.set_f s ~col:1 r (Float.of_int (i * 11))
-  done;
-  Alcotest.(check int) "length" 100 (Soa.length s);
-  (* column integrity: growth must preserve every column in lockstep *)
-  for i = 0 to 99 do
-    Alcotest.(check int) "icol 0" (i * 3) (Soa.get_i s ~col:0 i);
-    Alcotest.(check int) "icol 1" (i * 5) (Soa.get_i s ~col:1 i);
-    Alcotest.(check (float 0.0)) "fcol 0" (Float.of_int (i * 7)) (Soa.get_f s ~col:0 i);
-    Alcotest.(check (float 0.0)) "fcol 1" (Float.of_int (i * 11)) (Soa.get_f s ~col:1 i)
-  done;
-  Alcotest.(check bool) "capacity >= length" true (Soa.capacity s >= 100);
-  Soa.clear s;
-  Alcotest.(check bool) "cleared" true (Soa.is_empty s);
-  Alcotest.check_raises "get oob" (Invalid_argument "Soa: row out of bounds") (fun () ->
-      ignore (Soa.get_i s ~col:0 0));
-  Alcotest.check_raises "no columns" (Invalid_argument "Soa.create: need at least one column")
-    (fun () -> ignore (Soa.create ~fcols:0 ~icols:0 ()))
-
-let test_soa_allocation_gauge () =
-  let allocs () = Sh_obs.Metric.gvalue Soa.allocations in
-  let s = Soa.create ~fcols:1 ~icols:1 () in
-  let before = allocs () in
-  for i = 1 to 100 do
-    let r = Soa.add_row s in
-    Soa.set_i s ~col:0 r i;
-    Soa.set_f s ~col:0 r (Float.of_int i)
-  done;
-  (* capacities 8, 16, 32, 64, 128 *)
-  Alcotest.(check (float 0.0)) "growths counted" (before +. 5.0) (allocs ());
-  Soa.clear s;
-  for _ = 1 to 100 do
-    ignore (Soa.add_row s)
-  done;
-  Alcotest.(check (float 0.0)) "clear + refill reuses capacity" (before +. 5.0) (allocs ())
-
-let test_soa_copy () =
-  let s = Soa.create ~fcols:1 ~icols:1 () in
-  for i = 0 to 9 do
-    let r = Soa.add_row s in
-    Soa.set_i s ~col:0 r i;
-    Soa.set_f s ~col:0 r (Float.of_int i *. 0.5)
-  done;
-  let c = Soa.copy s in
-  Alcotest.(check int) "rows copied" 10 (Soa.length c);
-  Alcotest.(check int) "capacity trimmed" 10 (Soa.capacity c);
-  (* writes to the source, including a growth, never reach the copy *)
-  Soa.set_i s ~col:0 3 (-1);
-  Soa.clear s;
-  for _ = 1 to 40 do
-    let r = Soa.add_row s in
-    Soa.set_i s ~col:0 r 99;
-    Soa.set_f s ~col:0 r 99.0
-  done;
-  for i = 0 to 9 do
-    Alcotest.(check int) "int cell kept" i (Soa.get_i c ~col:0 i);
-    Alcotest.(check (float 0.0)) "float cell kept" (Float.of_int i *. 0.5)
-      (Soa.get_f c ~col:0 i)
-  done
-
-let soa_matches_reference =
-  Helpers.qcheck_case ~name:"soa columns equal reference arrays"
-    QCheck2.Gen.(list (pair int (float_range (-1000.0) 1000.0)))
-    (fun rows ->
-      let s = Soa.create ~fcols:1 ~icols:1 () in
-      List.iter
-        (fun (i, f) ->
-          let r = Soa.add_row s in
-          Soa.set_i s ~col:0 r i;
-          Soa.set_f s ~col:0 r f)
-        rows;
-      Soa.length s = List.length rows
-      && List.for_all2
-           (fun (i, f) r -> Soa.get_i s ~col:0 r = i && Soa.get_f s ~col:0 r = f)
-           rows
-           (List.init (Soa.length s) Fun.id))
-
 let () =
   Alcotest.run "sh_util"
     [
@@ -361,12 +271,5 @@ let () =
           Alcotest.test_case "basics" `Quick test_vec_basics;
           Alcotest.test_case "allocation gauge" `Quick test_vec_allocation_gauge;
           vec_matches_list;
-        ] );
-      ( "soa",
-        [
-          Alcotest.test_case "basics" `Quick test_soa_basics;
-          Alcotest.test_case "allocation gauge" `Quick test_soa_allocation_gauge;
-          Alcotest.test_case "copy" `Quick test_soa_copy;
-          soa_matches_reference;
         ] );
     ]
