@@ -702,12 +702,12 @@ let run_par scale =
 
 (* -------------------------------------- reads concurrent with ingest
 
-   The wait-free read plane's headline number: query throughput from a
-   dedicated reader domain while the engine ingests continuously.
-   Queries answer from the epoch-published snapshots and never touch a
-   lock — engine.query_lock_ops, reported per row, stays zero and is
-   asserted by CI.  Like run_par, speedups need real cores; host_cores
-   is in the JSON so single-core runs are legible. *)
+   The read plane's headline number: query throughput from a dedicated
+   reader domain while the engine ingests continuously.  Queries answer
+   from the published snapshots, whose loads never wait for ingest.
+   Latency tracking is off here, so no query takes the tracker's mutex.
+   Like run_par, speedups need real cores; host_cores is in the JSON so
+   single-core runs are legible. *)
 let run_read scale =
   Report.section "BENCH-MICRO-READ: snapshot queries concurrent with ingest";
   let shards, window, buckets, epsilon, batch, qbatch, qrounds, domain_counts =
@@ -732,7 +732,6 @@ let run_read scale =
         SE.set_refresh_policy eng (Stream_histogram.Params.Every 64);
         SE.ingest eng prefill;
         SE.refresh_all eng;
-        let qlock0 = SE.query_lock_ops eng in
         let stop = Atomic.make false in
         let reader =
           Domain.spawn (fun () ->
@@ -759,7 +758,7 @@ let run_read scale =
         let ingest_rate =
           if !ingested = 0 then 0.0 else Float.of_int !ingested /. Float.max ingest_dt 1e-9
         in
-        (qps, ingest_rate, SE.query_lock_ops eng - qlock0))
+        (qps, ingest_rate))
   in
   let mode_rows =
     [ ("pinned", List.map (fun d -> (d, measure ~domains:d)) domain_counts) ]
@@ -773,14 +772,13 @@ let run_read scale =
        " — reader + pool oversubscribe this host; qps ratios are not meaningful"
      else "");
   Report.table
-    ~headers:[ "mode"; "domains"; "queries/s"; "ns/query"; "ingest pts/s"; "query lock ops" ]
+    ~headers:[ "mode"; "domains"; "queries/s"; "ns/query"; "ingest pts/s" ]
     (List.concat_map
        (fun (mode, rows) ->
          List.map
-           (fun (d, (qps, ips, qlocks)) ->
+           (fun (d, (qps, ips)) ->
              [ mode; string_of_int d; Printf.sprintf "%.0f" qps;
-               Printf.sprintf "%.0f" (1e9 /. qps); Printf.sprintf "%.0f" ips;
-               string_of_int qlocks ])
+               Printf.sprintf "%.0f" (1e9 /. qps); Printf.sprintf "%.0f" ips ])
            rows)
        mode_rows);
   Report.json_add "micro_read"
@@ -804,14 +802,13 @@ let run_read scale =
                       ( "scaling",
                         Report.Jlist
                           (List.map
-                             (fun (d, (qps, ips, qlocks)) ->
+                             (fun (d, (qps, ips)) ->
                                Report.Jobj
                                  [
                                    ("domains", Report.Jint d);
                                    ("queries_per_sec", Report.Jfloat qps);
                                    ("ns_per_query", Report.Jfloat (1e9 /. qps));
                                    ("ingest_points_per_sec", Report.Jfloat ips);
-                                   ("query_lock_ops", Report.Jint qlocks);
                                  ])
                              rows) );
                     ])

@@ -55,27 +55,16 @@ let file_arg p =
 (* ---------------------------------------------------- telemetry args *)
 
 let metrics_arg =
-  let fmt_conv =
-    let parse s =
-      match O.format_of_string s with
-      | Some f -> Ok f
-      | None -> Error (`Msg (Printf.sprintf "bad metrics format %S (text | json | prom)" s))
-    in
-    Arg.conv (parse, fun ppf f -> Format.pp_print_string ppf (O.format_to_string f))
-  in
   Arg.(
-    value
-    & opt (some fmt_conv) None
-    & info [ "metrics" ] ~docv:"FMT"
-        ~doc:
-          "Dump the metric registry on exit: $(b,text) aligned dump, $(b,json) JSON lines (one \
-           series per line), $(b,prom) Prometheus text exposition.")
+    value & flag
+    & info [ "metrics" ]
+        ~doc:"Print the metric registry and latency trackers on exit, as Prometheus text.")
 
 (* Dump the registry to stdout after the command's own output, even when
    [f] raises.  Counters and gauges are always live, so there is nothing
    to switch on first. *)
 let with_metrics metrics f =
-  let finish () = match metrics with None -> () | Some fmt -> print_string (O.render fmt) in
+  let finish () = if metrics then print_string (O.render ()) in
   Fun.protect ~finally:finish f
 
 let policy_conv =
@@ -438,21 +427,13 @@ let serve_cmd =
              $(b,--record-every) batches — items ingested, ns/point, an exact-oracle SSE spot \
              check on a rotating key, the major heap's size in words (column \
              $(i,resident_words): free space included, so neither RSS nor live data), \
-             steal/lock counters and the latency quantiles.")
+             the refresh-steal count and the latency quantiles.")
   in
   let record_every =
     Arg.(
       value & opt int 1
       & info [ "record-every" ] ~docv:"K"
           ~doc:"Sample cadence in batches for $(b,--record) (K >= 1).")
-  in
-  let latency_window =
-    Arg.(
-      value & opt int 0
-      & info [ "latency-window" ] ~docv:"K"
-          ~doc:
-            "Answer latency quantiles over the last K batches only (0, the default, means \
-             all-time).")
   in
   let query_mix =
     Arg.(
@@ -461,9 +442,9 @@ let serve_cmd =
           ~doc:
             "Run estimation queries concurrent with ingest from a dedicated reader domain, \
              pacing towards $(docv) queries per ingested point (0, the default, disables \
-             query traffic).  Queries answer from the wait-free published snapshots — zero \
-             mutex acquisitions, witnessed by the end-of-run $(b,query_lock_ops=0) — and the \
-             report counts queries served, throughput and snapshot generation lag.")
+             query traffic).  Queries answer from the published snapshots, whose loads never \
+             wait for ingest, and the report counts queries served, throughput and snapshot \
+             generation lag.")
   in
   let listen =
     Arg.(
@@ -486,12 +467,12 @@ let serve_cmd =
           ~doc:"With $(b,--listen): stop serving after $(docv) points have been ingested.")
   in
   let run shards domains count batch window buckets epsilon policy dist seed metrics checkpoint
-      checkpoint_every restore record record_every latency_window query_mix listen max_points
+      checkpoint_every restore record record_every query_mix listen max_points
       idle_timeout =
     with_metrics metrics @@ fun () ->
     Runner.serve
       { Runner.shards; domains; count; batch; window; buckets; epsilon; policy; dist; seed;
-        checkpoint; checkpoint_every; restore; record; record_every; latency_window; query_mix;
+        checkpoint; checkpoint_every; restore; record; record_every; query_mix;
         listen; max_points; idle_timeout }
   in
   Cmd.v
@@ -500,7 +481,7 @@ let serve_cmd =
     Term.(
       const run $ shards $ domains $ count $ batch $ window $ buckets_arg $ epsilon_arg $ policy
       $ dist_arg $ seed_arg $ metrics_arg $ checkpoint_file $ checkpoint_every
-      $ restore_file $ record_file $ record_every $ latency_window $ query_mix
+      $ restore_file $ record_file $ record_every $ query_mix
       $ listen $ max_points $ idle_timeout_arg)
 
 (* ---------------------------------------------------------- loadgen *)

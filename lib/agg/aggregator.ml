@@ -286,8 +286,6 @@ let stats t =
         batches = 0;
         queries = 0;
         backpressure_waits = 0;
-        lock_ops = 0;
-        query_lock_ops = 0;
         snapshots_published = 0;
       }
   in
@@ -302,8 +300,6 @@ let stats t =
             Wire.total_points = !acc.Wire.total_points + s.Wire.total_points;
             batches = !acc.Wire.batches + s.Wire.batches;
             queries = !acc.Wire.queries + s.Wire.queries;
-            lock_ops = !acc.Wire.lock_ops + s.Wire.lock_ops;
-            query_lock_ops = !acc.Wire.query_lock_ops + s.Wire.query_lock_ops;
             snapshots_published =
               !acc.Wire.snapshots_published + s.Wire.snapshots_published;
           }

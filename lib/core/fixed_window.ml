@@ -418,7 +418,7 @@ type t = {
   mutable pushes_since_refresh : int;
   (* Work accounting lives in per-instance registry counters (labelled
      instance="fw<i>") so the same tallies back work_counters and the
-     exposition sinks.  The handles are registered once at creation and
+     exposition.  The handles are registered once at creation and
      fed from the scratch tallies by [flush], once per entry point (see
      Sh_obs.Obs on the overhead model). *)
   c_evals : M.counter;

@@ -183,94 +183,3 @@ let rank_bounds t x =
     incr i
   done;
   (!lo, !hi)
-
-let iter_values t f =
-  flush t;
-  for i = 0 to t.len - 1 do
-    f t.v.(i)
-  done
-
-(* One summary's state as a reader captured it: copies of the live tuple
-   rows, and of the buffer as its own exact sub-stream (sorted, g = 1,
-   delta = 0).  Lengths are clamped to the arrays actually read, so an
-   owner that grows or flushes meanwhile can make the copy stale or
-   inconsistent but never out of bounds. *)
-type part = { pv : float array; pg : int array; pd : int array }
-
-let capture t =
-  let v = t.v and g = t.g and d = t.d and buf = t.buf in
-  let len = min t.len (min (Array.length v) (min (Array.length g) (Array.length d))) in
-  let blen = min t.blen (Array.length buf) in
-  let b = Array.sub buf 0 blen in
-  Array.sort Float.compare b;
-  [
-    { pv = Array.sub v 0 len; pg = Array.sub g 0 len; pd = Array.sub d 0 len };
-    { pv = b; pg = Array.make blen 1; pd = Array.make blen 0 };
-  ]
-
-(* Combined quantile over several summaries without building a merged
-   structure: every stored or buffered value is a candidate, its rank
-   enclosure in the union stream is the sum of the per-part enclosures
-   (ranks are additive over disjoint streams, and each buffer is a
-   disjoint exact sub-stream of its summary), and we return the candidate
-   whose enclosure midpoint sits closest to the target rank.  Each
-   summary's enclosure is at most 2 eps_i n_i wide and each buffer's is
-   exact, so the true rank lies within sum_i (eps_i * n_i) of the chosen
-   midpoint; the midpoint itself can miss the target by a step between
-   candidates (see the .mli).
-
-   Read-only: owner state is copied up front and never flushed, so owner
-   domains may keep inserting concurrently (see the .mli on what such a
-   racing read can return).  The stream size is the sum of the copied g
-   values, which equals the summaries' [count] when their owners are
-   quiescent. *)
-let merged_quantile summaries phi =
-  if phi < 0.0 || phi > 1.0 then invalid_arg "Gk.merged_quantile: phi out of [0, 1]";
-  let parts =
-    summaries |> List.concat_map capture
-    |> List.filter (fun p -> Array.length p.pv > 0)
-    |> Array.of_list
-  in
-  let total = Array.fold_left (fun acc p -> Array.fold_left ( + ) acc p.pg) 0 parts in
-  if total = 0 then invalid_arg "Gk.merged_quantile: empty summaries";
-  let target = Float.of_int (max 1 (int_of_float (ceil (phi *. Float.of_int total)))) in
-  (* Candidates ascending; one monotone pointer per part keeps the whole
-     scan O(candidates * parts + total tuples) instead of re-walking every
-     part per candidate. *)
-  let candidates =
-    let c = Array.concat (Array.to_list (Array.map (fun p -> p.pv) parts)) in
-    Array.sort Float.compare c;
-    c
-  in
-  let np = Array.length parts in
-  let ptr = Array.make np 0
-  and rmin = Array.make np 0
-  and lo = Array.make np 0
-  and hi = Array.make np 0 in
-  let best_v = ref candidates.(0) and best_gap = ref infinity in
-  Array.iter
-    (fun v ->
-      for j = 0 to np - 1 do
-        let p = parts.(j) in
-        let len = Array.length p.pv in
-        while ptr.(j) < len && p.pv.(ptr.(j)) <= v do
-          let i = ptr.(j) in
-          rmin.(j) <- rmin.(j) + p.pg.(i);
-          lo.(j) <- rmin.(j);
-          hi.(j) <- rmin.(j) + p.pd.(i);
-          ptr.(j) <- i + 1
-        done
-      done;
-      let slo = ref 0 and shi = ref 0 in
-      for j = 0 to np - 1 do
-        slo := !slo + lo.(j);
-        shi := !shi + hi.(j)
-      done;
-      let mid = (Float.of_int !slo +. Float.of_int !shi) /. 2.0 in
-      let gap = Float.abs (mid -. target) in
-      if gap < !best_gap then begin
-        best_gap := gap;
-        best_v := v
-      end)
-    candidates;
-  !best_v

@@ -13,11 +13,10 @@
     an insert allocates nothing once the columns have grown (by doubling)
     to the summary's size.
 
-    Ownership: {!insert}, {!reset}, {!quantile}, {!rank_bounds} and
-    {!iter_values} may mutate the summary (the last three flush the
-    buffer first), so they belong to one owner at a time.
-    {!merged_quantile} only reads: it may run on another domain while the
-    owner inserts. *)
+    Ownership: every operation may mutate the summary ({!quantile} and
+    {!rank_bounds} flush the buffer first), so a summary belongs to one
+    owner at a time; a summary shared across domains needs the caller's
+    lock, as the latency trackers hold theirs. *)
 
 type t
 
@@ -47,31 +46,3 @@ val quantile : t -> float -> float
 val rank_bounds : t -> float -> int * int
 (** [rank_bounds t v] is a (min, max) enclosure of the rank of [v] among
     the inserted values, derived from the summary. *)
-
-val iter_values : t -> (float -> unit) -> unit
-(** Stored tuple values in non-decreasing order — the candidate set for
-    cross-summary quantile queries. *)
-
-val merged_quantile : t list -> float -> float
-(** [merged_quantile ts phi] answers a quantile over the union of the
-    streams behind [ts] without structurally merging them: rank enclosures
-    are summed per stored value (ranks are additive over disjoint streams)
-    and the candidate with the closest enclosure midpoint wins.  Each
-    summary's unflushed buffer counts as an exact sub-stream (every value
-    a tuple with g = 1, delta = 0), so nothing is flushed and no summary
-    is written.  The true rank lies within [sum_i (epsilon_i * n_i)] of the
-    chosen candidate's enclosure midpoint, but that midpoint can itself
-    miss the target rank (the midpoints move in steps of up to a tuple's
-    g + delta), so unlike {!quantile} the total rank error is not bounded
-    by [sum_i (epsilon_i * n_i)]: random streams of distinct values show
-    up to about 1.75 times that.  Raises [Invalid_argument] when all
-    summaries are empty or phi is out of range.
-
-    Racing an owner's {!insert} is memory-safe but may be stale or
-    inconsistent mid-flight: each summary's columns and buffer are copied
-    without synchronisation, so a copy taken during a flush can miss,
-    repeat or misorder values and sum the wrong g.  The answer is then a
-    finite value read from the summary's arrays (a stored, buffered or
-    stale cell) with no rank guarantee, and if the copy holds no values
-    the call raises as for empty summaries.  Once the owners are
-    quiescent the answer carries the guarantee again. *)

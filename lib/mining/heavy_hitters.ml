@@ -13,7 +13,7 @@ type t = {
   counters : (float, int ref) Hashtbl.t;
   (* Work accounting in per-instance registry series (hh.*{instance=...}),
      replacing the private total field: the stream length is now the
-     hh.observations counter, shared with the exposition sinks. *)
+     hh.observations counter, shared with the exposition. *)
   c_observations : M.counter;
   c_adds : M.counter;
   c_rounds : M.counter;

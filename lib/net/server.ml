@@ -47,8 +47,6 @@ let engine eng =
           batches = SE.batches eng;
           queries = SE.queries eng;
           backpressure_waits = 0;
-          lock_ops = SE.lock_ops eng;
-          query_lock_ops = SE.query_lock_ops eng;
           snapshots_published = SE.snapshots_published eng;
         });
     checkpoint = Some (fun file -> SE.checkpoint eng ~file);
@@ -255,7 +253,7 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
             send cl (Wire.Answers_partial { answers; leaves_missing })
           end
         | Op_stats -> send cl (Wire.Stats_reply (backend.stats ()))
-        | Op_metrics -> send cl (Wire.Metrics_reply (Obs.render Obs.Prom))
+        | Op_metrics -> send cl (Wire.Metrics_reply (Obs.render ()))
         | Op_checkpoint -> (
           match write_checkpoint () with
           | Ok file -> send cl (Wire.Checkpointed file)

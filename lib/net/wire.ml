@@ -3,7 +3,7 @@ module Frame = Sh_persist.Frame
 module Q = Stream_histogram.Query_op
 
 let magic = "SHNW"
-let protocol_version = 3
+let protocol_version = 4
 let preamble_len = 5
 
 let preamble =
@@ -43,8 +43,6 @@ type stats = {
   batches : int;
   queries : int;
   backpressure_waits : int;
-  lock_ops : int;
-  query_lock_ops : int;
   snapshots_published : int;
 }
 
@@ -141,8 +139,6 @@ let encode_response resp =
     Codec.put_varint buf s.batches;
     Codec.put_varint buf s.queries;
     Codec.put_varint buf s.backpressure_waits;
-    Codec.put_varint buf s.lock_ops;
-    Codec.put_varint buf s.query_lock_ops;
     Codec.put_varint buf s.snapshots_published
   | Metrics_reply text ->
     Codec.put_u8 buf tag_metrics_reply;
@@ -216,8 +212,6 @@ let decode_response r =
       let batches = Codec.get_varint r in
       let queries = Codec.get_varint r in
       let backpressure_waits = Codec.get_varint r in
-      let lock_ops = Codec.get_varint r in
-      let query_lock_ops = Codec.get_varint r in
       let snapshots_published = Codec.get_varint r in
       Stats_reply
         {
@@ -228,8 +222,6 @@ let decode_response r =
           batches;
           queries;
           backpressure_waits;
-          lock_ops;
-          query_lock_ops;
           snapshots_published;
         }
     end

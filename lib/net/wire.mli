@@ -13,7 +13,9 @@
     ({!Stream_histogram.Query_op.scope}) and partial answers — the
     aggregation-plane vocabulary.  Version 3 drops v2's [Snapshot]
     request and reply: an aggregator answers [Global] from its leaves'
-    per-key answers and never needs a leaf's engine state.
+    per-key answers and never needs a leaf's engine state.  Version 4
+    drops [lock_ops] and [query_lock_ops] from {!stats}: no engine
+    counted either since the last lock left the engine.
 
     Every decoding failure raises {!Sh_persist.Codec.Corrupt} (or
     [Version_mismatch] for a foreign preamble) — the typed errors the
@@ -71,8 +73,6 @@ type stats = {
       (** Always [0]: the engine applies every batch whole, so there is
           nothing to count.  Kept so the stats format, and older peers,
           decode unchanged. *)
-  lock_ops : int;
-  query_lock_ops : int;
   snapshots_published : int;
 }
 

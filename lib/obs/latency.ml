@@ -3,29 +3,16 @@ module Gk = Sh_gk.Gk
 (* Latency trackers: named duration series whose distribution is kept in
    one Greenwald-Khanna summary per tracker — the repo's own streaming
    order-statistics structure — behind the tracker's mutex.  Recording
-   and reading both take it, so an all-time percentile is one
-   [Gk.quantile] with GK's own bound: rank error at most eps * n.
-
-   The optional "last k batches" window rides on a global epoch counter:
-   [advance] bumps it once per ingest batch, and the tracker keeps a small
-   ring of per-epoch GK summaries, rotated lazily by the next [record].
-   Windowed quantiles merge only the summaries whose epoch stamp falls
-   inside the last k epochs, with [Gk.merged_quantile]. *)
-
-type state = {
-  all : Gk.t;  (* all-time summary *)
-  mutable win : Gk.t array;  (* per-epoch ring, length = window k *)
-  mutable win_epoch : int array;  (* epoch stamp per ring cell; -1 unused *)
-  mutable lcount : int;
-  mutable lsum : float;
-}
+   and reading both take it, so a percentile is one [Gk.quantile] with
+   GK's own bound: rank error at most eps * n. *)
 
 type t = {
   l_name : string;
   l_labels : Metric.labels;
-  l_eps : float;
-  l_mutex : Mutex.t;  (* guards [l_st] *)
-  l_st : state;
+  l_mutex : Mutex.t;  (* guards the three fields below *)
+  l_gk : Gk.t;
+  mutable l_count : int;
+  mutable l_sum : float;
 }
 
 let default_epsilon = 0.001
@@ -43,19 +30,6 @@ let tracking () = Atomic.get tracking_cell
 let clock : (unit -> float) ref = ref Sys.time
 let set_clock f = clock := f
 let now () = !clock ()
-
-let epoch = Atomic.make 0
-let window_k = Atomic.make 0
-
-let make_state eps =
-  let k = Atomic.get window_k in
-  {
-    all = Gk.create ~epsilon:eps;
-    win = Array.init k (fun _ -> Gk.create ~epsilon:eps);
-    win_epoch = Array.make k (-1);
-    lcount = 0;
-    lsum = 0.0;
-  }
 
 (* ------------------------------------------------------- tracker registry *)
 
@@ -76,9 +50,10 @@ let tracker ?(labels = []) ?(epsilon = default_epsilon) name =
         {
           l_name = name;
           l_labels = labels;
-          l_eps = epsilon;
           l_mutex = Mutex.create ();
-          l_st = make_state epsilon;
+          l_gk = Gk.create ~epsilon;
+          l_count = 0;
+          l_sum = 0.0;
         }
       in
       Hashtbl.replace table k t;
@@ -89,38 +64,16 @@ let tracker ?(labels = []) ?(epsilon = default_epsilon) name =
 
 let name t = t.l_name
 let labels t = t.l_labels
-let epsilon t = t.l_eps
+let epsilon t = Gk.epsilon t.l_gk
 
 (* ------------------------------------------------------------- recording *)
-
-(* Under [l_mutex]: adapt the window ring lazily when [set_window] changed
-   the width since the last record, rotate the current epoch's cell, then
-   insert. *)
-let record_into t st v =
-  Gk.insert st.all v;
-  st.lcount <- st.lcount + 1;
-  st.lsum <- st.lsum +. v;
-  let k = Atomic.get window_k in
-  if k > 0 then begin
-    if Array.length st.win <> k then begin
-      st.win <- Array.init k (fun _ -> Gk.create ~epsilon:t.l_eps);
-      st.win_epoch <- Array.make k (-1)
-    end;
-    let e = Atomic.get epoch in
-    let idx = e mod k in
-    if st.win_epoch.(idx) <> e then begin
-      (* Rotation reuses the cell's summary: once per batch, a fresh GK
-         would allocate its insert buffer again. *)
-      Gk.reset st.win.(idx);
-      st.win_epoch.(idx) <- e
-    end;
-    Gk.insert st.win.(idx) v
-  end
 
 let record t v =
   if Atomic.get tracking_cell && Float.is_finite v && v >= 0.0 then begin
     Mutex.lock t.l_mutex;
-    record_into t t.l_st v;
+    Gk.insert t.l_gk v;
+    t.l_count <- t.l_count + 1;
+    t.l_sum <- t.l_sum +. v;
     Mutex.unlock t.l_mutex
   end
 
@@ -137,33 +90,14 @@ let time t f =
       raise e
   end
 
-let advance () = if Atomic.get tracking_cell then Atomic.incr epoch
-
-let set_window k =
-  if k < 0 then invalid_arg "Obs.Latency: window must be >= 0";
-  Atomic.set window_k k
-
-let window () = Atomic.get window_k
-
 (* -------------------------------------------------------------- queries *)
 
-let locked t f = Mutex.protect t.l_mutex (fun () -> f t.l_st)
-let count t = locked t (fun st -> st.lcount)
-let sum t = locked t (fun st -> st.lsum)
+let locked t f = Mutex.protect t.l_mutex (fun () -> f t)
+let count t = locked t (fun t -> t.l_count)
+let sum t = locked t (fun t -> t.l_sum)
 
 let quantile t phi =
-  locked t (fun st ->
-      let k = Atomic.get window_k in
-      if k = 0 then if Gk.count st.all = 0 then None else Some (Gk.quantile st.all phi)
-      else begin
-        let e_now = Atomic.get epoch in
-        let cells = ref [] in
-        for idx = 0 to Array.length st.win - 1 do
-          if st.win_epoch.(idx) > e_now - k && Gk.count st.win.(idx) > 0 then
-            cells := st.win.(idx) :: !cells
-        done;
-        match !cells with [] -> None | gks -> Some (Gk.merged_quantile gks phi)
-      end)
+  locked t (fun t -> if t.l_count = 0 then None else Some (Gk.quantile t.l_gk phi))
 
 let percentiles = [ 0.5; 0.9; 0.99; 0.999 ]
 
@@ -177,20 +111,16 @@ let snapshot () =
     all
 
 let reset () =
-  let reset_state st =
-    Gk.reset st.all;
-    Array.iter Gk.reset st.win;
-    Array.fill st.win_epoch 0 (Array.length st.win_epoch) (-1);
-    st.lcount <- 0;
-    st.lsum <- 0.0
+  let reset_state t =
+    Gk.reset t.l_gk;
+    t.l_count <- 0;
+    t.l_sum <- 0.0
   in
   Mutex.lock m;
   Hashtbl.iter (fun _ t -> locked t reset_state) table;
-  Mutex.unlock m;
-  Atomic.set epoch 0
+  Mutex.unlock m
 
 let clear () =
   Mutex.lock m;
   Hashtbl.reset table;
-  Mutex.unlock m;
-  Atomic.set epoch 0
+  Mutex.unlock m

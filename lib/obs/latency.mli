@@ -2,25 +2,18 @@
     Greenwald-Khanna summaries ({!Sh_gk.Gk} — the same structure the
     paper uses for streaming order statistics).
 
-    A tracker holds one all-time summary (plus the optional window ring,
-    count and sum) behind its own mutex; {!record} and every read take
-    it.  Reads are therefore exact at any moment, and an all-time
-    {!quantile} is one {!Sh_gk.Gk.quantile} with GK's own bound: the
-    answer's rank is within [epsilon * n] of the target.  Timed sections
+    A tracker holds one all-time summary, count and sum behind its own
+    mutex; {!record} and every read take it.  Reads are therefore exact
+    at any moment, and a {!quantile} is one {!Sh_gk.Gk.quantile} with
+    GK's own bound: the answer's rank is within [epsilon * n] of the
+    target.  Timed sections
     are whole batches, tasks or queries, never single points, so the
     mutex is taken a few times per batch at most.
 
     Trackers are the one duration mechanism in the telemetry subsystem.
     They have their own switch ({!set_tracking}, off by default): a GK
     insert per timed section is cheap but not free, while counters and
-    gauges are always live.
-
-    The optional sliding window ("last k batches") is driven by a global
-    epoch: callers bump it with {!advance} once per batch, and each
-    tracker keeps a ring of per-epoch summaries rotated lazily by its
-    next {!record}.  A windowed quantile merges the ring's in-window
-    summaries with {!Sh_gk.Gk.merged_quantile} and carries that
-    function's weaker guarantee. *)
+    gauges are always live. *)
 
 type t
 
@@ -46,7 +39,7 @@ val now : unit -> float
 val tracker : ?labels:Metric.labels -> ?epsilon:float -> string -> t
 (** Get-or-create by (name, canonically sorted labels), keyed the way
     {!Registry} keys metric series.  [epsilon] (default 0.001) bounds the
-    per-summary rank error; the first registration's epsilon wins.
+    summary's rank error; the first registration's epsilon wins.
     Raises [Invalid_argument] when the name is malformed (the
     {!Registry.validate_name} rule) or epsilon is outside (0, 1). *)
 
@@ -59,19 +52,6 @@ val time : t -> (unit -> 'a) -> 'a
     One boolean load when disabled; exceptions propagate after the
     duration is recorded. *)
 
-val advance : unit -> unit
-(** Advance the global window epoch — call once per ingest batch.  No-op
-    while latency tracking is disabled. *)
-
-val set_window : int -> unit
-(** Window width in epochs (batches).  [0] (the default) disables the
-    window: quantiles answer over all recorded durations.  [k > 0] makes
-    {!quantile} answer over the last [k] epochs only.  Takes effect
-    lazily at each tracker's next {!record}; raises [Invalid_argument]
-    below 0. *)
-
-val window : unit -> int
-
 val name : t -> string
 val labels : t -> Metric.labels
 val epsilon : t -> float
@@ -83,19 +63,18 @@ val sum : t -> float
 (** All-time summed durations in seconds (the Prometheus [_sum]). *)
 
 val quantile : t -> float -> float option
-(** The all-time quantile, or the windowed one when a window is set.
-    [None] when nothing is recorded (in the window); raises
+(** The all-time quantile.  [None] when nothing is recorded; raises
     [Invalid_argument] when phi is outside [\[0, 1\]] and something is. *)
 
 val percentiles : float list
-(** The quantiles every sink exposes: 0.5, 0.9, 0.99, 0.999. *)
+(** The quantiles the exposition and the run reports show: 0.5, 0.9, 0.99,
+    0.999. *)
 
 val snapshot : unit -> t list
-(** All trackers sorted by (name, labels) — the order sinks render. *)
+(** All trackers sorted by (name, labels) — the order they render in. *)
 
 val reset : unit -> unit
-(** Forget all recorded durations and rewind the epoch; registrations
-    survive. *)
+(** Forget all recorded durations; registrations survive. *)
 
 val clear : unit -> unit
 (** Drop all tracker registrations (handles held by callers keep

@@ -30,22 +30,9 @@ let instance prefix =
   Mutex.unlock instance_m;
   prefix ^ string_of_int id
 
-type format = Text | Json | Prom
-
-let format_of_string = function
-  | "text" -> Some Text
-  | "json" -> Some Json
-  | "prom" | "prometheus" -> Some Prom
-  | _ -> None
-
-let format_to_string = function Text -> "text" | Json -> "json" | Prom -> "prom"
-
-let render fmt =
+let render () =
   let buf = Buffer.create 4096 in
-  (match fmt with
-  | Text -> Sink.text buf
-  | Json -> Sink.json_lines buf
-  | Prom -> Sink.prometheus buf);
+  Sink.prometheus buf;
   Buffer.contents buf
 
 let reset () =

@@ -48,16 +48,10 @@ val instance : string -> string
 
 (** {2 Exposition} *)
 
-type format = Text | Json | Prom
-
-val format_of_string : string -> format option
-(** ["text"], ["json"], ["prom"] (or ["prometheus"]). *)
-
-val format_to_string : format -> string
-
-val render : format -> string
-(** Render the current registry contents and latency trackers in the
-    given format. *)
+val render : unit -> string
+(** The current registry contents and latency trackers as Prometheus
+    text ({!Sink.prometheus}): the [Metrics] reply and the [--metrics]
+    dump. *)
 
 (** {2 Lifecycle} *)
 

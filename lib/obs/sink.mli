@@ -1,25 +1,15 @@
-(** Exposition sinks: render the current registry contents (counters and
-    gauges) and the latency trackers into a caller-supplied [Buffer.t].
+(** Exposition: render the current registry contents (counters and
+    gauges) and the latency trackers into a caller-supplied [Buffer.t]
+    as Prometheus text.
 
-    All sinks render series in {!Registry.snapshot} order followed by
+    Series render in {!Registry.snapshot} order followed by
     {!Latency.snapshot} order, so two dumps of the same state are
     byte-identical and diffs across runs line up.
 
-    Zero-sample latency trackers (nothing recorded, or every sample aged
-    out of the batch window) render with quantiles {e absent} in every
-    format — no [p..=] fields in {!text}, an empty [quantiles] object in
-    {!json_lines}, no [{quantile="..."}] samples in {!prometheus} — while
-    [count] and [sum] are always emitted.  Never [0], [NaN] or an
-    exception: {!Latency.quantile}'s [None] is the only empty signal the
-    sinks consume. *)
-
-val text : Buffer.t -> unit
-(** Aligned human-readable dump: counters, gauges, latency quantiles. *)
-
-val json_lines : Buffer.t -> unit
-(** One JSON object per line per series.  Counters/gauges carry [value];
-    latency trackers carry [type:"summary"] with [count], [sum] and a
-    [quantiles] object keyed by phi. *)
+    A latency tracker with nothing recorded renders with its quantile
+    samples {e absent} — no [{quantile="..."}] samples — while [_count]
+    and [_sum] are always emitted.  Never [0], [NaN] or an exception:
+    {!Latency.quantile}'s [None] is the only empty signal consumed. *)
 
 val prometheus : Buffer.t -> unit
 (** Prometheus text exposition format.  Dots in registry names become

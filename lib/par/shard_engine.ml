@@ -7,9 +7,7 @@ module L = Sh_obs.Latency
 (* One shard = one independent fixed-window summary, under static
    ownership: each owner (a slot of the domain pool) exclusively applies
    a contiguous slice of shards, and nothing on the per-point path locks
-   or CASes.  (The historical [Locked] mutex-per-shard mode is retired;
-   the [lock_ops] / [query_lock_ops] counters remain as flat-zero
-   witnesses that nothing reintroduced a lock.) *)
+   or CASes. *)
 
 (* The read-plane atomics are spread out by this stride so neighbouring
    shards — which may belong to different owners — never share a cache
@@ -53,10 +51,8 @@ type t = {
   c_points : M.counter;
   c_batches : M.counter;
   c_refreshes : M.counter;
-  c_lock_ops : M.counter;
   c_steals : M.counter;
   c_queries : M.counter;
-  c_query_lock_ops : M.counter;
   c_published : M.counter;
   g_read_gen : M.gauge;
   (* --- latency trackers (gated by [Obs.set_latency_enabled]): apply and
@@ -72,10 +68,8 @@ type t = {
 let build ~pool shard_arr =
   let shards = Array.length shard_arr in
   let labels = [ ("instance", Obs.instance "se") ] in
-  let c_lock_ops = Obs.counter ~labels "engine.lock_ops" in
   let c_steals = Obs.counter ~labels "engine.refresh_steals" in
   let c_queries = Obs.counter ~labels "engine.queries" in
-  let c_query_lock_ops = Obs.counter ~labels "engine.query_lock_ops" in
   let c_published = Obs.counter ~labels "engine.snapshots_published" in
   let g_read_gen = Obs.gauge ~labels "engine.read_gen" in
   let l_ingest = L.tracker ~labels "latency.ingest_batch" in
@@ -187,10 +181,8 @@ let build ~pool shard_arr =
     c_points = Obs.counter ~labels "engine.points";
     c_batches = Obs.counter ~labels "engine.batches";
     c_refreshes = Obs.counter ~labels "engine.refresh_sweeps";
-    c_lock_ops;
     c_steals;
     c_queries;
-    c_query_lock_ops;
     c_published;
     g_read_gen;
     l_ingest;
@@ -248,11 +240,7 @@ let route t ~count ~scatter =
     ignore (Domain_pool.run t.pool t.apply_tasks);
     M.add t.c_points nb;
     M.incr t.c_batches;
-    if lat then begin
-      L.record t.l_ingest (Obs.now () -. t0);
-      (* One window epoch per batch: "last k batches" latency windows. *)
-      L.advance ()
-    end
+    if lat then L.record t.l_ingest (Obs.now () -. t0)
   end
 
 let ingest t batch =
@@ -335,7 +323,9 @@ let publication_lag t ~key =
 (* Estimation queries feed the "latency.query" tracker; the timers are
    hand-rolled like the task timers so the disabled path costs one boolean
    load and no closure beyond the continuation.  Every query answers from
-   the published view — wait-free, no lock, no live-shard access. *)
+   the published view: the view load takes no lock and never touches the
+   live shard; with tracking on, the timer's [L.record] takes the
+   tracker's mutex once per call. *)
 let view_query t key f =
   let lat = Obs.latency_enabled () in
   let t0 = if lat then Obs.now () else 0.0 in
@@ -399,10 +389,8 @@ let query_global t q =
 
 let total_points t = M.value t.c_points
 let batches t = M.value t.c_batches
-let lock_ops t = M.value t.c_lock_ops
 let refresh_steals t = M.value t.c_steals
 let queries t = M.value t.c_queries
-let query_lock_ops t = M.value t.c_query_lock_ops
 let snapshots_published t = M.value t.c_published
 
 let fold t ~init ~f =

@@ -16,10 +16,6 @@
     claims its own slice through an atomic cursor, then steals from
     slower owners, so a Zipf-hot slice cannot serialise the sweep.
 
-    (The historical [Locked] mutex-per-shard mode is retired; the
-    [engine.lock_ops] / [engine.query_lock_ops] counters remain and stay
-    exactly flat — the lock-freedom witnesses the tests and CI pin.)
-
     Results are bit-identical to driving one sequential
     {!Stream_histogram.Fixed_window.t} per key with the same per-key
     subsequences (property-tested for domain counts 1, 2 and 4): shard
@@ -86,11 +82,16 @@ val refresh_all : ?cold:bool -> t -> unit
     boundary).
 
     {!current_error}, {!current_histogram}, {!herror}, {!length},
-    {!query_many} and {!query_global} answer from the published view:
-    wait-free loads that never take a lock ([engine.query_lock_ops] stays
-    exactly flat — the read-side lock-freedom witness), never touch the
-    live summary, and are therefore safe from any domain concurrent with
-    an in-flight {!ingest} / {!refresh_all}.  The price is bounded
+    {!query_many} and {!query_global} answer from the published view.
+    The view load is one atomic read: it takes no lock, never touches
+    the live summary, and never waits for an in-flight {!ingest} /
+    {!refresh_all}, so these calls are safe from any domain and complete
+    while the owner holds a shard (tested: a reader's {!query_many} on a
+    key finishes while {!with_key} on that key is blocked).  While
+    latency tracking is on ({!Sh_obs.Obs.set_latency_enabled}), each of
+    these calls except {!length} also takes the ["latency.query"]
+    tracker's mutex once, to record its duration; readers contend only
+    with each other there, never with ingest.  The price is bounded
     staleness: answers reflect the shard as of its last publication
     point, i.e. at most one refresh cadence behind the live summary
     ([Lazy] defers publication to the next {!refresh_all} — call it
@@ -162,9 +163,10 @@ val query_global : t -> Stream_histogram.Query_op.t -> float
     — {!Stream_histogram.Query_op.scope}'s [Global] contract, with its
     fixed float association.  The root aggregator folds its leaves'
     per-key answers the same way, which is how its [Global] answers are
-    proved bit-identical to this single-process oracle.  Wait-free
-    (published views only — call {!refresh_all} first for current
-    answers). *)
+    proved bit-identical to this single-process oracle.  Reads published
+    views only, with wait-free loads (call {!refresh_all} first for
+    current answers); see the contract above for the latency tracker's
+    mutex. *)
 
 val with_key :
   t -> key:int -> f:(Stream_histogram.Fixed_window.t -> 'a) -> 'a
@@ -184,11 +186,6 @@ val total_points : t -> int
 
 val batches : t -> int
 
-val lock_ops : t -> int
-(** Mutex acquisitions this engine has performed (["engine.lock_ops"]).
-    Always [0] since the [Locked] mode's retirement — kept as the
-    steady-state lock-freedom witness (CI greps it). *)
-
 val refresh_steals : t -> int
 (** Shards refreshed by a non-owner during {!refresh_all} work-stealing
     sweeps (["engine.refresh_steals"]). *)
@@ -196,11 +193,6 @@ val refresh_steals : t -> int
 val queries : t -> int
 (** Estimation queries answered (["engine.queries"]): single-query calls
     plus one per {!query_many} element. *)
-
-val query_lock_ops : t -> int
-(** Mutex acquisitions performed by the query plane
-    (["engine.query_lock_ops"]).  Always [0] — the read-side wait-freedom
-    witness, pinned even under a mixed ingest+query run. *)
 
 val snapshots_published : t -> int
 (** Read views published since creation (["engine.snapshots_published"]),

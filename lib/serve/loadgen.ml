@@ -182,8 +182,7 @@ let run c =
   Printf.printf "spot queries: %s (%d key(s), window lengths within [0, %d])\n"
     (if spot_ok then "ok" else "FAILED")
     spot_keys window;
-  Printf.printf "server: %d total points, query_lock_ops=%d\n" st1.Wire.total_points
-    st1.Wire.query_lock_ops;
+  Printf.printf "server: %d total points\n" st1.Wire.total_points;
   { acked = !acked; spot_ok }
 
 let peek ~timeout ~retries addr =

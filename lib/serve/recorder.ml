@@ -60,9 +60,9 @@ let sample t =
   Printf.bprintf buf
     "{\"batches\":%d,\"items\":%d,\"ns_per_point\":%.6g,\"spot_key\":%d,\"spot_n\":%d,\
      \"spot_valid\":%b,\"sse\":%.9g,\"sse_opt\":%.9g,\"resident_words\":%d,\
-     \"refresh_steals\":%d,\"lock_ops\":%d,\"latency\":{"
+     \"refresh_steals\":%d,\"latency\":{"
     (SE.batches eng) pts ns_per_point spot_key spot_n spot_valid sse sse_opt heap_words
-    (SE.refresh_steals eng) (SE.lock_ops eng);
+    (SE.refresh_steals eng);
   List.filter (fun l -> Lat.count l > 0) (Lat.snapshot ())
   |> List.iteri (fun i l ->
          if i > 0 then Buffer.add_char buf ',';

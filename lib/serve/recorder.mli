@@ -13,8 +13,8 @@
     A sample's columns: [batches], [items], [ns_per_point] since the
     previous sample, [spot_key], [spot_n], [spot_valid], [sse], [sse_opt],
     [resident_words] (the major heap's size, free space included),
-    [refresh_steals], [lock_ops] and the non-empty latency trackers'
-    quantiles in seconds.  All but [ns_per_point], [resident_words] and
+    [refresh_steals] and the non-empty latency trackers' quantiles in
+    seconds.  All but [ns_per_point], [resident_words] and
     [latency] are deterministic for a fixed command line. *)
 
 type t

@@ -27,7 +27,6 @@ type config = {
   restore : string option;
   record : string option;
   record_every : int;
-  latency_window : int;
   query_mix : float;
   listen : Addr.t list;
   max_points : int option;
@@ -70,11 +69,10 @@ let serve_wire ~config ?max_points ~backend addrs =
   (rep, elapsed)
 
 (* The end-of-run report of both serve modes: the checkpoint and [serve:]
-   lines, the lock-freedom witnesses, query and ingest throughput (plus
-   the reader's lag histogram when one ran), and the latency quantiles.
+   lines, the refresh-steal count, query and ingest throughput (plus the
+   reader's lag histogram when one ran), and the latency quantiles.
    [batch] is the in-process batch size; with no query traffic the
-   queries line still prints, with the lock-op witness, which must be 0
-   even for an ingest-only run. *)
+   queries line still prints. *)
 let report c eng ~checkpoints ~batch ~served ~query_elapsed ~lag ~points ~elapsed =
   (match c.checkpoint with
   | Some file when checkpoints > 0 ->
@@ -84,11 +82,9 @@ let report c eng ~checkpoints ~batch ~served ~query_elapsed ~lag ~points ~elapse
     (SE.total_points eng) (SE.batches eng)
     (match batch with Some b -> Printf.sprintf " of <=%d" b | None -> "")
     (SE.shard_count eng) c.domains (Params.policy_to_string c.policy);
-  Printf.printf "pinned: %d refresh steal(s), %d lock op(s)\n" (SE.refresh_steals eng)
-    (SE.lock_ops eng);
-  Printf.printf "queries: %d served, %.0f queries/s, query_lock_ops=%d\n" served
-    (Float.of_int served /. Float.max query_elapsed 1e-9)
-    (SE.query_lock_ops eng);
+  Printf.printf "pinned: %d refresh steal(s)\n" (SE.refresh_steals eng);
+  Printf.printf "queries: %d served, %.0f queries/s\n" served
+    (Float.of_int served /. Float.max query_elapsed 1e-9);
   Option.iter
     (fun lag ->
       Printf.printf "query lag histogram: lag0=%d lag1=%d lag2plus=%d\n" lag.(0) lag.(1)
@@ -99,9 +95,7 @@ let report c eng ~checkpoints ~batch ~served ~query_elapsed ~lag ~points ~elapse
   match List.filter (fun t -> Lat.count t > 0) (Lat.snapshot ()) with
   | [] -> ()
   | lats ->
-    Printf.printf "latency quantiles%s (ms):\n"
-      (if c.latency_window > 0 then Printf.sprintf ", last %d batches" c.latency_window
-       else "");
+    print_endline "latency quantiles (ms):";
     List.iter
       (fun t ->
         Printf.printf "  %-22s count=%-8d" (Lat.name t) (Lat.count t);
@@ -116,11 +110,10 @@ let report c eng ~checkpoints ~batch ~served ~query_elapsed ~lag ~points ~elapse
 
 (* A reader domain outside the ingest pool fires batched estimation
    queries while the stream is live, pacing towards [query_mix] queries
-   per ingested point.  Every answer comes off the wait-free published
-   snapshots — zero mutex acquisitions, which the report proves via
-   engine.query_lock_ops — and the reader also samples the snapshot
-   generation lag of random shards into a tiny histogram (the staleness
-   contract, observed).  Returns the queries served and that histogram. *)
+   per ingested point.  Every answer comes off the published snapshots,
+   whose loads never wait for ingest, and the reader also samples the
+   snapshot generation lag of random shards into a tiny histogram (the
+   staleness contract, observed).  Returns the queries served and that histogram. *)
 let reader eng ~rng ~query_mix ~window ~buckets ~stop () =
   let shards = SE.shard_count eng in
   let scope = Traffic.one_in_16_global ~shards in
@@ -210,7 +203,6 @@ let serve_generate c eng =
 let serve c =
   if c.batch < 1 then invalid_arg "serve: --batch must be >= 1";
   if c.record_every < 1 then invalid_arg "serve: --record-every must be >= 1";
-  if c.latency_window < 0 then invalid_arg "serve: --latency-window must be >= 0";
   if c.query_mix < 0.0 || not (Float.is_finite c.query_mix) then
     invalid_arg "serve: --query-mix must be a finite ratio >= 0";
   (match c.checkpoint_every with
@@ -222,7 +214,6 @@ let serve c =
      report depends on it. *)
   O.set_latency_enabled true;
   O.set_clock Clock.now;
-  Lat.set_window c.latency_window;
   let host_cores = Domain.recommended_domain_count () in
   if c.domains > host_cores then
     Printf.eprintf

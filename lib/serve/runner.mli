@@ -29,7 +29,6 @@ type config = {
   restore : string option;  (** start from this checkpoint; geometry flags are ignored *)
   record : string option;  (** in-process: {!Recorder} output *)
   record_every : int;  (** in-process: sample every k batches (>= 1) *)
-  latency_window : int;  (** latency quantiles over the last k batches; 0: all-time *)
   query_mix : float;  (** in-process: reader-domain queries per ingested point *)
   listen : Addr.t list;  (** non-empty: serve the wire protocol instead of generating *)
   max_points : int option;  (** listening: stop after this many acked points *)
@@ -38,7 +37,7 @@ type config = {
 
 val serve : config -> unit
 (** Raises [Invalid_argument] on a bad [batch], [record_every],
-    [latency_window], [query_mix] or [checkpoint_every]. *)
+    [query_mix] or [checkpoint_every]. *)
 
 val aggregate :
   leaves:Addr.t list -> listen:Addr.t list -> timeout:float -> idle_timeout:float -> unit

@@ -329,7 +329,7 @@ let test_fw_flush_discipline () =
       with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
     in
     let rows =
-      List.filter_map parse (String.split_on_char '\n' (Sh_obs.Obs.render Sh_obs.Obs.Prom))
+      List.filter_map parse (String.split_on_char '\n' (Sh_obs.Obs.render ()))
     in
     let newest = List.fold_left (fun m (i, _, _) -> max m i) (-1) rows in
     List.sort compare

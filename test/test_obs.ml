@@ -10,12 +10,10 @@ module L = Sh_obs.Latency
 let clean f () =
   Obs.clear ();
   Obs.set_latency_enabled false;
-  L.set_window 0;
   Obs.set_clock Sys.time;
   Fun.protect ~finally:(fun () ->
       Obs.clear ();
       Obs.set_latency_enabled false;
-      L.set_window 0;
       Obs.set_clock Sys.time)
     f
 
@@ -23,103 +21,6 @@ let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
-
-(* Minimal JSON syntax checker for the json-lines sinks (the toolchain has
-   no JSON library; this accepts exactly the RFC 8259 grammar). *)
-let json_valid s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail () = raise Exit in
-  let peek () = if !pos < n then s.[!pos] else '\255' in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with ' ' | '\t' | '\n' | '\r' -> advance (); skip_ws () | _ -> ()
-  in
-  let expect c = if peek () = c then advance () else fail () in
-  let lit w = String.iter (fun c -> if peek () = c then advance () else fail ()) w in
-  let str () =
-    expect '"';
-    let rec go () =
-      if !pos >= n then fail ();
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        if !pos >= n then fail ();
-        advance ();
-        go ()
-      | _ -> advance (); go ()
-    in
-    go ()
-  in
-  let digits () =
-    let d = ref 0 in
-    while (match peek () with '0' .. '9' -> true | _ -> false) do
-      advance ();
-      incr d
-    done;
-    if !d = 0 then fail ()
-  in
-  let number () =
-    if peek () = '-' then advance ();
-    digits ();
-    if peek () = '.' then begin advance (); digits () end;
-    match peek () with
-    | 'e' | 'E' ->
-      advance ();
-      (match peek () with '+' | '-' -> advance () | _ -> ());
-      digits ()
-    | _ -> ()
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' -> obj ()
-    | '[' -> arr ()
-    | '"' -> str ()
-    | 't' -> lit "true"
-    | 'f' -> lit "false"
-    | 'n' -> lit "null"
-    | '-' | '0' .. '9' -> number ()
-    | _ -> fail ()
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = '}' then advance ()
-    else begin
-      let rec fields () =
-        skip_ws ();
-        str ();
-        skip_ws ();
-        expect ':';
-        value ();
-        skip_ws ();
-        match peek () with ',' -> advance (); fields () | '}' -> advance () | _ -> fail ()
-      in
-      fields ()
-    end
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = ']' then advance ()
-    else begin
-      let rec items () =
-        value ();
-        skip_ws ();
-        match peek () with ',' -> advance (); items () | ']' -> advance () | _ -> fail ()
-      in
-      items ()
-    end
-  in
-  match
-    value ();
-    skip_ws ();
-    !pos = n
-  with
-  | b -> b
-  | exception Exit -> false
-
-let lines s = List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
 
 (* ------------------------------------------------------------- metrics *)
 
@@ -224,28 +125,62 @@ let populate () =
   M.set g 4.0;
   M.add c 7
 
-let test_text_sink () =
-  populate ();
-  let buf = Buffer.create 256 in
-  Sink.text buf;
-  let out = Buffer.contents buf in
-  Alcotest.(check bool) "counter line" true
-    (contains out "fw.herror_evals{instance=\"fw0\"}");
-  Alcotest.(check bool) "value" true (contains out "130");
-  Alcotest.(check bool) "gauge line" true (contains out "vec.allocations")
+let golden_state () =
+  let hostile = "a\\b\"c\nd" in
+  M.add (Obs.counter ~labels:[ ("instance", "fw0") ] "fw.herror_evals") 130;
+  M.incr (Obs.counter ~labels:[ ("instance", "fw1") ] "fw.herror_evals");
+  M.add (Obs.counter "engine.points") 4096;
+  M.add (Obs.counter "net.frames_total") 7;
+  M.add (Obs.counter ~labels:[ ("path", hostile) ] "esc.counter") 3;
+  M.set (Obs.gauge "engine.read_gen") 17.0;
+  M.set (Obs.gauge ~labels:[ ("instance", "se0") ] "engine.lag") 0.1;
+  M.set (Obs.gauge "vec.ceiling") infinity;
+  Obs.set_latency_enabled true;
+  let t = L.tracker ~labels:[ ("instance", "se0") ] "latency.query" in
+  for i = 0 to 99 do
+    L.record t (Float.of_int (((i * 37) mod 100) + 1) /. 1024.0)
+  done;
+  (* 2,000 durations at eps = 0.01: the summary flushes and compresses *)
+  let big = L.tracker ~epsilon:0.01 "latency.ingest_batch" in
+  for i = 0 to 1999 do
+    L.record big (Float.of_int (((i * 7919) mod 2000) + 1) /. 4096.0)
+  done;
+  ignore (L.tracker ~labels:[ ("instance", "se0") ] "latency.idle")
 
-let test_json_lines_sink () =
-  populate ();
-  let buf = Buffer.create 256 in
-  Sink.json_lines buf;
-  let out = Buffer.contents buf in
-  let ls = lines out in
-  Alcotest.(check bool) "several series" true (List.length ls = 2);
-  List.iter
-    (fun l -> Alcotest.(check bool) (Printf.sprintf "valid JSON: %s" l) true (json_valid l))
-    ls;
-  Alcotest.(check bool) "counter series present" true
-    (List.exists (fun l -> contains l "\"fw.herror_evals\"" && contains l "130") ls)
+let prom_golden =
+  {golden|# TYPE engine_lag gauge
+engine_lag{instance="se0"} 0.10000000000000001
+# TYPE engine_points_total counter
+engine_points_total 4096
+# TYPE engine_read_gen gauge
+engine_read_gen 17
+# TYPE esc_counter_total counter
+esc_counter_total{path="a\\b\"c\nd"} 3
+# TYPE fw_herror_evals_total counter
+fw_herror_evals_total{instance="fw0"} 130
+fw_herror_evals_total{instance="fw1"} 1
+# TYPE net_frames_total counter
+net_frames_total 7
+# TYPE vec_ceiling gauge
+vec_ceiling +Inf
+# TYPE latency_idle summary
+latency_idle_sum{instance="se0"} 0
+latency_idle_count{instance="se0"} 0
+# TYPE latency_ingest_batch summary
+latency_ingest_batch{quantile="0.5"} 0.2451171875
+latency_ingest_batch{quantile="0.9"} 0.44287109375
+latency_ingest_batch{quantile="0.99"} 0.48828125
+latency_ingest_batch{quantile="0.999"} 0.48828125
+latency_ingest_batch_sum 488.525390625
+latency_ingest_batch_count 2000
+# TYPE latency_query summary
+latency_query{instance="se0",quantile="0.5"} 0.048828125
+latency_query{instance="se0",quantile="0.9"} 0.087890625
+latency_query{instance="se0",quantile="0.99"} 0.0966796875
+latency_query{instance="se0",quantile="0.999"} 0.09765625
+latency_query_sum{instance="se0"} 4.931640625
+latency_query_count{instance="se0"} 100
+|golden}
 
 let test_prometheus_sink () =
   populate ();
@@ -258,17 +193,15 @@ let test_prometheus_sink () =
     (contains out "fw_herror_evals_total{instance=\"fw0\"} 130");
   Alcotest.(check bool) "gauge sample" true (contains out "\nvec_allocations 4");
   Alcotest.(check string) "prom_name sanitisation" "fw_herror_evals"
-    (Sink.prom_name "fw.herror_evals")
-
-let test_render_facade () =
-  populate ();
-  List.iter
-    (fun (s, fmt) ->
-      Alcotest.(check bool) (s ^ " round-trips") true (Obs.format_of_string s = Some fmt);
-      Alcotest.(check bool) (s ^ " renders") true (String.length (Obs.render fmt) > 0))
-    [ ("text", Obs.Text); ("json", Obs.Json); ("prom", Obs.Prom) ];
-  Alcotest.(check bool) "prometheus alias" true (Obs.format_of_string "prometheus" = Some Obs.Prom);
-  Alcotest.(check bool) "unknown rejected" true (Obs.format_of_string "xml" = None)
+    (Sink.prom_name "fw.herror_evals");
+  (* The whole exposition of a scripted state, byte for byte, against a
+     golden recorded before the text and JSON sinks were deleted: series
+     order, one TYPE line per family, the _total suffix, label escaping,
+     +Inf, quantile samples from a compressed summary, and an empty
+     tracker's absent quantiles. *)
+  Obs.clear ();
+  golden_state ();
+  Alcotest.(check string) "whole exposition matches the golden" prom_golden (Obs.render ())
 
 (* ------------------------------------------------- concurrent writers *)
 
@@ -332,10 +265,7 @@ let test_plane_snapshot_reset_under_writers () =
          tear: every read is a sane non-negative total *)
       for _ = 1 to 50 do
         Alcotest.(check bool) "mid-flight value sane" true (M.value c >= 0);
-        Alcotest.(check bool) "text renders mid-flight" true
-          (String.length (Obs.render Obs.Text) > 0);
-        Alcotest.(check bool) "prom renders mid-flight" true
-          (String.length (Obs.render Obs.Prom) > 0)
+        Alcotest.(check bool) "renders mid-flight" true (String.length (Obs.render ()) > 0)
       done;
       Obs.reset ();
       Alcotest.(check bool) "readable after racy reset" true (M.value c >= 0);
@@ -352,15 +282,11 @@ let test_prom_label_escaping () =
   let hostile = "a\\b\"c\nd" in
   let c = Obs.counter ~labels:[ ("path", hostile) ] "esc.counter" in
   M.add c 3;
-  let prom = Obs.render Obs.Prom in
+  let prom = Obs.render () in
   Alcotest.(check bool) "backslash, quote and newline escaped" true
     (contains prom "path=\"a\\\\b\\\"c\\nd\"");
   Alcotest.(check bool) "no raw newline survives inside a label value" false
-    (contains prom "c\nd");
-  let json = Obs.render Obs.Json in
-  List.iter
-    (fun l -> Alcotest.(check bool) "json line valid with hostile label" true (json_valid l))
-    (lines json)
+    (contains prom "c\nd")
 
 (* ------------------------------------------------- latency quantiles *)
 
@@ -436,96 +362,50 @@ let test_latency_merged_domains () =
         L.percentiles)
     domain_counts
 
-let test_latency_window () =
-  Obs.set_latency_enabled true;
-  let t = L.tracker "lat.win" in
-  L.set_window 2;
-  L.record t 1.0;
-  L.advance ();
-  L.record t 2.0;
-  L.advance ();
-  L.record t 3.0;
-  (* window of 2 epochs = the current one and its predecessor: {2, 3} *)
-  (match L.quantile t 0.999 with
-  | Some v -> Alcotest.(check (float 1e-9)) "windowed p999" 3.0 v
-  | None -> Alcotest.fail "windowed p999 present");
-  (match L.quantile t 0.5 with
-  | Some v -> Alcotest.(check bool) "window excludes the old epoch" true (v >= 2.0)
-  | None -> Alcotest.fail "windowed median present");
-  Alcotest.(check int) "count stays all-time" 3 (L.count t);
-  L.set_window 0;
-  (match L.quantile t 0.001 with
-  | Some v -> Alcotest.(check bool) "all-time sees the old epoch" true (v <= 1.0)
-  | None -> Alcotest.fail "all-time quantile present");
-  Alcotest.check_raises "window validated"
-    (Invalid_argument "Obs.Latency: window must be >= 0") (fun () -> L.set_window (-1))
-
 let test_latency_sinks () =
   Obs.set_latency_enabled true;
   let t = L.tracker "lat.sink" in
   for i = 1 to 100 do
     L.record t (Float.of_int i /. 100.0)
   done;
-  let text = Obs.render Obs.Text in
-  Alcotest.(check bool) "text has p50" true (contains text "p50=");
-  Alcotest.(check bool) "text has p999" true (contains text "p999=");
-  let prom = Obs.render Obs.Prom in
+  let prom = Obs.render () in
   Alcotest.(check bool) "prom summary type" true (contains prom "# TYPE lat_sink summary");
   Alcotest.(check bool) "prom quantile sample" true (contains prom "lat_sink{quantile=\"0.5\"}");
-  Alcotest.(check bool) "prom count" true (contains prom "lat_sink_count 100");
-  let json = Obs.render Obs.Json in
-  List.iter
-    (fun l -> Alcotest.(check bool) "json line valid" true (json_valid l))
-    (lines json);
-  Alcotest.(check bool) "json summary line" true (contains json "\"type\":\"summary\"")
+  Alcotest.(check bool) "prom p999 sample" true (contains prom "lat_sink{quantile=\"0.999\"}");
+  Alcotest.(check bool) "prom count" true (contains prom "lat_sink_count 100")
 
 (* Zero-sample reads: a tracker with no recorded durations — fresh, or
-   with every sample aged out of the batch window — answers [None] from
-   [quantile] and renders with quantiles {e absent} (not 0, not NaN) in
-   all three sinks, while count and sum stay present.  This is the layer
-   that keeps the raising [Gk.quantile]/[Gk.merged_quantile] contract
-   away from exposition: a query-latency tracker that has seen no
-   traffic yet must never take a sink down. *)
+   reset after recording — answers [None] from [quantile] and renders
+   with quantile samples {e absent} (not 0, not NaN), while count and
+   sum stay present.  This is the layer that keeps the raising
+   [Gk.quantile] contract away from exposition: a query-latency tracker
+   that has seen no traffic yet must never take the exposition down. *)
 let test_latency_zero_sample_sinks () =
   Obs.set_latency_enabled true;
   let t = L.tracker "lat.empty" in
   Alcotest.(check int) "fresh count" 0 (L.count t);
   Alcotest.(check bool) "fresh quantile is None" true (L.quantile t 0.5 = None);
   let check_rendering tag =
-    let text = Obs.render Obs.Text in
-    Alcotest.(check bool) (tag ^ ": text line present") true (contains text "lat.empty");
-    Alcotest.(check bool) (tag ^ ": text has no quantiles") false (contains text "p50=");
-    let json = Obs.render Obs.Json in
-    let l = List.find (fun l -> contains l "\"lat.empty\"") (lines json) in
-    Alcotest.(check bool) (tag ^ ": json line valid") true (json_valid l);
-    Alcotest.(check bool) (tag ^ ": json quantiles empty object") true
-      (contains l "\"quantiles\":{}");
-    let prom = Obs.render Obs.Prom in
+    let prom = Obs.render () in
     Alcotest.(check bool) (tag ^ ": prom type line") true
       (contains prom "# TYPE lat_empty summary");
-    Alcotest.(check bool) (tag ^ ": prom count present") true (contains prom "lat_empty_count");
-    Alcotest.(check bool) (tag ^ ": prom sum present") true (contains prom "lat_empty_sum");
+    Alcotest.(check bool) (tag ^ ": prom count present") true (contains prom "lat_empty_count 0");
+    Alcotest.(check bool) (tag ^ ": prom sum present") true (contains prom "lat_empty_sum 0");
     Alcotest.(check bool) (tag ^ ": prom has no quantile sample") false
       (contains prom "lat_empty{quantile")
   in
   check_rendering "fresh";
-  (* samples that aged out of the batch window: all-time count/sum stay,
-     windowed quantiles go absent again — same rendering as fresh *)
-  L.set_window 1;
   L.record t 0.5;
   (match L.quantile t 0.5 with
-  | Some v -> Alcotest.(check (float 1e-9)) "in-window quantile" 0.5 v
-  | None -> Alcotest.fail "in-window quantile present");
-  L.advance ();
-  L.advance ();
-  Alcotest.(check int) "all-time count survives the window" 1 (L.count t);
-  Alcotest.(check bool) "aged-out quantile is None" true (L.quantile t 0.5 = None);
-  check_rendering "aged-out";
-  L.set_window 0;
+  | Some v -> Alcotest.(check (float 1e-9)) "recorded quantile" 0.5 v
+  | None -> Alcotest.fail "recorded quantile present");
+  Obs.reset ();
+  Alcotest.(check bool) "reset quantile is None" true (L.quantile t 0.5 = None);
+  check_rendering "reset";
   (* the strict contract the None guard wraps *)
-  Alcotest.check_raises "empty merged summary raises underneath"
-    (Invalid_argument "Gk.merged_quantile: empty summaries") (fun () ->
-      ignore (Sh_gk.Gk.merged_quantile [] 0.5))
+  Alcotest.check_raises "empty summary raises underneath"
+    (Invalid_argument "Gk.quantile: empty summary") (fun () ->
+      ignore (Sh_gk.Gk.quantile (Sh_gk.Gk.create ~epsilon:0.01) 0.5))
 
 let test_latency_time_and_reset () =
   Obs.set_latency_enabled true;
@@ -565,10 +445,7 @@ let () =
         ] );
       ( "sink",
         [
-          Alcotest.test_case "text" `Quick (clean test_text_sink);
-          Alcotest.test_case "json lines" `Quick (clean test_json_lines_sink);
           Alcotest.test_case "prometheus" `Quick (clean test_prometheus_sink);
-          Alcotest.test_case "render facade" `Quick (clean test_render_facade);
           Alcotest.test_case "prom label escaping" `Quick (clean test_prom_label_escaping);
         ] );
       ( "plane",
@@ -581,7 +458,6 @@ let () =
         [
           Alcotest.test_case "basic quantiles" `Quick (clean test_latency_basic);
           Alcotest.test_case "merged across domains" `Quick (clean test_latency_merged_domains);
-          Alcotest.test_case "batch window" `Quick (clean test_latency_window);
           Alcotest.test_case "time and reset" `Quick (clean test_latency_time_and_reset);
           Alcotest.test_case "sinks" `Quick (clean test_latency_sinks);
           Alcotest.test_case "zero-sample sinks" `Quick (clean test_latency_zero_sample_sinks);

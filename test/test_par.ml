@@ -301,41 +301,57 @@ let test_engine_refresh_all_and_counters () =
             (SE.current_error eng ~key:k))
         errs)
 
-(* ------------------------------------ lock-freedom and skewed batches *)
+(* ------------------------------- reads beside the owner, skewed batches *)
 
-(* The acceptance gate of the lock-free rework, kept as a flat-zero
-   witness now that the Locked comparison mode is retired: the engine
-   performs zero mutex lock/unlock operations over its whole lifetime,
-   across ingest, refresh sweeps and queries. *)
-let test_pinned_zero_lock_ops () =
+(* Reads never wait for the owner: a reader domain's [query_many] on key
+   k completes while the caller is blocked inside [SE.with_key ~key:k],
+   and answers as before.  Latency tracking is on, so the tracker's mutex
+   is on the read path too.  The callback waits at most 5 s for the
+   reader's flag: a read that needed the shard fails the test instead of
+   hanging it. *)
+let test_reads_beside_held_key () =
+  let qs =
+    [| (Qop.Key 1, Qop.Current_error); (Qop.Key 1, Qop.Herror { k = 2; x = 9 });
+       (Qop.Key 1, Qop.Range_sum { lo = 1; hi = 32 }); (Qop.Global, Qop.Window_length) |]
+  in
+  Obs.set_latency_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_latency_enabled false) @@ fun () ->
   List.iter
     (fun domains ->
       Pool.with_pool ~domains (fun pool ->
           let eng = SE.create ~pool ~shards:4 ~window:32 ~buckets:2 ~epsilon:0.3 in
           SE.ingest eng (Array.init 64 (fun i -> (i mod 4, Float.of_int i)));
           SE.refresh_all eng;
-          for b = 1 to 5 do
-            SE.ingest eng (Array.init 64 (fun i -> (i mod 4, Float.of_int (b * i))))
-          done;
-          SE.refresh_all eng;
-          for k = 0 to 3 do
-            ignore (SE.current_error eng ~key:k);
-            ignore (SE.herror eng ~key:k ~k:2 ~x:16)
-          done;
-          ignore
-            (SE.query_many eng
-               (Array.init 8 (fun i ->
-                    ( Qop.Key (i mod 4),
-                      if i < 4 then Qop.Current_error else Qop.Herror { k = 2; x = 9 } ))));
-          ignore (SE.query_global eng Qop.Window_length);
-          Alcotest.(check int)
-            (Printf.sprintf "zero lock ops over the lifetime, %d domains" domains)
-            0 (SE.lock_ops eng);
-          (* the wait-freedom witness: snapshot-backed queries never touch
-             a mutex *)
-          Alcotest.(check int)
-            (Printf.sprintf "zero query lock ops, %d domains" domains)
-            0 (SE.query_lock_ops eng)))
+          let before = SE.query_many eng qs in
+          let held = Atomic.make false and answered = Atomic.make false in
+          let reader =
+            Domain.spawn (fun () ->
+                while not (Atomic.get held) do
+                  Domain.cpu_relax ()
+                done;
+                let a = SE.query_many eng qs in
+                Atomic.set answered true;
+                a)
+          in
+          let completed =
+            SE.with_key eng ~key:1 ~f:(fun _ ->
+                Atomic.set held true;
+                let deadline = Sh_net.Clock.now () +. 5.0 in
+                while (not (Atomic.get answered)) && Sh_net.Clock.now () < deadline do
+                  Domain.cpu_relax ()
+                done;
+                Atomic.get answered)
+          in
+          if not completed then
+            Alcotest.failf "%d domains: query_many on key 1 did not complete in 5 s while \
+                            with_key held it" domains;
+          let during = Domain.join reader in
+          Array.iteri
+            (fun i b ->
+              if Int64.bits_of_float b <> Int64.bits_of_float during.(i) then
+                Alcotest.failf "%d domains, query %d: %.17g before, %.17g beside the owner"
+                  domains i b during.(i))
+            before))
     domain_counts
 
 (* One key far hotter than the rest, more than a thousand points of it
@@ -747,8 +763,7 @@ let test_query_many_clamping () =
       Alcotest.(check (float 0.0)) "global length sums both shards" 16.0 out.(9);
       (* a batched call counts each element once; the three single-query
          entries used above (histogram, error, herror) add three more *)
-      Alcotest.(check int) "query counter" (10 + 3) (SE.queries eng);
-      Alcotest.(check int) "no query lock ops" 0 (SE.query_lock_ops eng))
+      Alcotest.(check int) "query counter" (10 + 3) (SE.queries eng))
 
 (* ------------------------------------------- telemetry under parallelism *)
 
@@ -819,7 +834,8 @@ let () =
             test_push_many_every_k_bookkeeping;
           Alcotest.test_case "validation" `Quick test_engine_validation;
           Alcotest.test_case "refresh_all + counters" `Quick test_engine_refresh_all_and_counters;
-          Alcotest.test_case "Pinned performs zero lock ops" `Quick test_pinned_zero_lock_ops;
+          Alcotest.test_case "reads complete while with_key holds the key" `Quick
+            test_reads_beside_held_key;
           Alcotest.test_case "backpressure drops nothing" `Quick
             test_backpressure_no_point_dropped;
           prop_ingest_groups_equals_ingest;

@@ -7,15 +7,32 @@ let true_rank data v = Array.fold_left (fun acc x -> if x <= v then acc + 1 else
 
 let count_eq data v = Array.fold_left (fun acc x -> if x = v then acc + 1 else acc) 0 data
 
-(* v's rank interval must intersect [target - allow, target + allow]
-   (plus one for rounding): since values can repeat, accept if the rank
-   of v is within the allowance of the target, widened by v's
-   multiplicity. *)
+(* GK's guarantee with repeated values: v occupies the ranks
+   #{x < v} + 1 .. #{x <= v}, and that interval must come within
+   allow + 1 (one for rounding) of the target rank ceil(phi n).  The
+   interval is exact, not widened by v's multiplicity, so a stream of a
+   few repeated values is checked as tightly as one of distinct values. *)
 let rank_ok data ~allow ~phi v =
   let n = Array.length data in
   let target = Float.of_int (max 1 (int_of_float (ceil (phi *. Float.of_int n)))) in
-  let r = Float.of_int (true_rank data v) in
-  Float.abs (r -. target) <= allow +. 1.0 +. Float.of_int (count_eq data v)
+  let below = ref 0 and upto = ref 0 in
+  Array.iter
+    (fun x ->
+      if x < v then incr below;
+      if x <= v then incr upto)
+    data;
+  Float.of_int (!below + 1) -. (allow +. 1.0) <= target
+  && target <= Float.of_int !upto +. allow +. 1.0
+
+(* A stream over [distinct] values skewed towards the smallest: each
+   draw is value index floor(distinct * u^3) for a uniform u, so the low
+   values repeat heavily. *)
+let skewed rng ~distinct n =
+  Array.init n (fun _ ->
+      let u = Rng.float rng 1.0 in
+      1.5 *. Float.of_int (int_of_float (Float.of_int distinct *. u *. u *. u)))
+
+let skewed_distincts = [ 1; 2; 3; 8; 50 ]
 
 let phis = [ 0.0; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ]
 
@@ -51,13 +68,21 @@ let test_gk_reverse_stream () =
   let data = Array.init 5000 (fun i -> Float.of_int (5000 - i)) in
   Alcotest.(check bool) "guarantee on reverse-sorted data" true (check_rank_guarantee ~eps:0.02 data)
 
+(* One stream in six is wide (values 0 .. 10,000); the rest are skewed
+   over 1 to 50 distinct values, where every answer is a heavily
+   repeated value. *)
 let prop_gk_rank_guarantee =
-  Helpers.qcheck_case ~count:25 ~name:"GK epsilon-rank guarantee on random streams"
+  Helpers.qcheck_case ~count:50 ~name:"GK epsilon-rank guarantee on random streams"
     QCheck2.Gen.(
       let* n = int_range 50 2000 in
-      let* ints = array_size (return n) (int_range 0 10_000) in
-      let* eps = oneofl [ 0.01; 0.05; 0.1 ] in
-      return (Array.map Float.of_int ints, eps))
+      let* distinct = oneofl (0 :: skewed_distincts) in
+      let* eps = oneofl [ 0.001; 0.01; 0.05; 0.1; 0.2 ] in
+      let* data =
+        if distinct = 0 then
+          map (Array.map Float.of_int) (array_size (return n) (int_range 0 10_000))
+        else map (fun seed -> skewed (Rng.create ~seed) ~distinct n) int
+      in
+      return (data, eps))
     (fun (data, eps) -> check_rank_guarantee ~eps data)
 
 let test_gk_space_sublinear () =
@@ -81,65 +106,40 @@ let test_gk_rank_bounds () =
   Alcotest.(check bool) "bounds order" true (lo <= hi);
   Alcotest.(check bool) "enclose true rank 51" true (lo <= 51 + 10 && hi >= 51 - 10)
 
-(* Queries flush the insert buffer: asked at points that fall mid-buffer
-   (37 is coprime to the 25-slot buffer), every answer must still hold the
-   epsilon n guarantee over the prefix inserted so far. *)
-let test_gk_interleaved_queries () =
-  let eps = 0.02 in
-  let rng = Rng.create ~seed:77 in
-  let data = Array.init 5000 (fun _ -> Float.of_int (Rng.int rng 10_000)) in
+(* Queries flush the insert buffer: asked at points that fall mid-buffer,
+   every answer must still hold the epsilon n guarantee over the prefix
+   inserted so far.  One wide stream at eps = 0.02 is queried every 37
+   inserts (coprime to its 25-slot buffer); skewed streams of 1 to 50
+   distinct values, at eps from 0.001 to 0.2, every 97. *)
+let check_interleaved ~eps ~every data =
   let g = Gk.create ~epsilon:eps in
   Array.iteri
     (fun i v ->
       Gk.insert g v;
-      if (i + 1) mod 37 = 0 then begin
+      if (i + 1) mod every = 0 then begin
         let prefix = Array.sub data 0 (i + 1) in
         let allow = eps *. Float.of_int (i + 1) in
         List.iter
           (fun phi ->
             let q = Gk.quantile g phi in
             if not (rank_ok prefix ~allow ~phi q) then
-              Alcotest.failf "n=%d phi=%g: answer %g outside the rank bound" (i + 1) phi q)
+              Alcotest.failf "eps=%g n=%d phi=%g: answer %g outside the rank bound" eps (i + 1)
+                phi q)
           phis
       end)
     data;
-  Alcotest.(check int) "count" 5000 (Gk.count g)
+  Alcotest.(check int) "count" (Array.length data) (Gk.count g)
 
-(* Merged quantiles read each summary's unflushed buffer as an exact
-   sub-stream and never flush it.  Counts are chosen off the buffer size
-   (50 slots at eps = 0.01); the last summary holds only buffered values. *)
-let test_gk_merged_unflushed () =
-  let eps = 0.01 in
-  let rng = Rng.create ~seed:78 in
-  let streams =
-    List.map (fun n -> Array.init n (fun _ -> Rng.float rng 1000.0)) [ 1237; 503; 49 ]
-  in
-  let gks =
-    List.map
-      (fun data ->
-        let g = Gk.create ~epsilon:eps in
-        Array.iter (Gk.insert g) data;
-        g)
-      streams
-  in
-  let all = Array.concat streams in
-  (* the nearest-midpoint rule can miss eps N by a candidate step; 2 eps N
-     covers it *)
-  let allow = 2.0 *. eps *. Float.of_int (Array.length all) in
-  let sizes = List.map Gk.size gks in
+let test_gk_interleaved_queries () =
+  let rng = Rng.create ~seed:77 in
+  check_interleaved ~eps:0.02 ~every:37
+    (Array.init 5000 (fun _ -> Float.of_int (Rng.int rng 10_000)));
   List.iter
-    (fun phi ->
-      let q = Gk.merged_quantile gks phi in
-      if not (rank_ok all ~allow ~phi q) then
-        Alcotest.failf "phi=%g: merged answer %g outside the rank bound" phi q)
-    phis;
-  Alcotest.(check (list int)) "no summary flushed by the reads" sizes (List.map Gk.size gks);
-  (* the buffer-only summary alone answers exactly *)
-  let last = List.nth gks 2 and data = List.nth streams 2 in
-  let sorted = Array.copy data in
-  Array.sort Float.compare sorted;
-  Helpers.check_close "buffered min exact" sorted.(0) (Gk.merged_quantile [ last ] 0.0);
-  Helpers.check_close "buffered max exact" sorted.(48) (Gk.merged_quantile [ last ] 1.0)
+    (fun distinct ->
+      List.iter
+        (fun eps -> check_interleaved ~eps ~every:97 (skewed rng ~distinct 5000))
+        [ 0.001; 0.01; 0.05; 0.2 ])
+    skewed_distincts
 
 let test_gk_reset () =
   let rng = Rng.create ~seed:79 in
@@ -303,7 +303,6 @@ let () =
           Alcotest.test_case "rank bounds" `Quick test_gk_rank_bounds;
           prop_gk_rank_guarantee;
           Alcotest.test_case "queries interleaved mid-buffer" `Quick test_gk_interleaved_queries;
-          Alcotest.test_case "merged over unflushed buffers" `Quick test_gk_merged_unflushed;
           Alcotest.test_case "reset equals fresh" `Quick test_gk_reset;
           Alcotest.test_case "insert allocation" `Quick test_gk_insert_alloc;
         ] );

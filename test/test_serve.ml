@@ -132,7 +132,6 @@ let base ~domains =
     restore = None;
     record = None;
     record_every = 1;
-    latency_window = 0;
     query_mix = 0.0;
     listen = [];
     max_points = None;
