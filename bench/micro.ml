@@ -314,8 +314,8 @@ let memory_shapes =
   (* name, shards, window, buckets, epsilon, budget words/shard,
      budget view words/shard, budget memo-arena words *)
   [
-    ("wire-bound", 64, 512, 8, 0.5, 6_100, 2_800, 9_400);
-    ("refresh-bound", 16, 1024, 8, 0.2, 15_400, 6_200, 18_800);
+    ("wire-bound", 64, 512, 8, 0.5, 6_000, 2_800, 9_400);
+    ("refresh-bound", 16, 1024, 8, 0.2, 15_200, 6_200, 18_800);
   ]
 
 (* Words of one domain's HERROR memo table after a summary of this shape
@@ -423,8 +423,8 @@ let run_fw scale =
       [ "warm"; Report.fmt_g warm_words; Report.fmt_g budget_words_per_push ];
       [ "cold"; Report.fmt_g cold_words; "-" ];
     ];
-  (* snapshot the registry before the memory engines register their
-     series: it reports the experiments above *)
+  (* snapshot the registry before the memory engines add their work to
+     the families: it reports the experiments above *)
   let registry = Report.registry_json () in
   let memory =
     List.map

@@ -153,14 +153,7 @@ let json_out ~path =
 let registry_json () =
   let module M = Sh_obs.Metric in
   let module R = Sh_obs.Registry in
-  let series m value_fields =
-    let labels = R.metric_labels m in
-    Jobj
-      (("name", Jstring (R.metric_name m))
-       :: (if labels = [] then []
-           else [ ("labels", Jobj (List.map (fun (k, v) -> (k, Jstring v)) labels)) ])
-      @ value_fields)
-  in
+  let series m value_fields = Jobj (("name", Jstring (R.metric_name m)) :: value_fields) in
   Jlist
     (List.map
        (fun m ->

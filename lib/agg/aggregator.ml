@@ -9,6 +9,10 @@ module M = Sh_obs.Metric
 
 exception Merge_incompatible of string
 
+let c_fanouts = Obs.counter "agg.fanouts"
+let c_leaf_failures = Obs.counter "agg.leaf_failures"
+let c_partial = Obs.counter "agg.partial_replies"
+
 let merge_incompatiblef fmt =
   Printf.ksprintf (fun s -> raise (Merge_incompatible s)) fmt
 
@@ -32,9 +36,6 @@ type t = {
   window : int;
   buckets : int;
   timeout : float;
-  c_fanouts : M.counter;
-  c_leaf_failures : M.counter;
-  c_partial : M.counter;
 }
 
 let total_shards t = t.total_shards
@@ -78,22 +79,18 @@ let create ?(timeout = 5.0) addrs =
          probed)
   in
   let _, _, s0 = List.hd probed in
-  let labels = [ ("instance", Obs.instance "agg") ] in
   {
     leaves;
     total_shards = !offset;
     window = s0.Wire.window;
     buckets = s0.Wire.buckets;
     timeout;
-    c_fanouts = Obs.counter ~labels "agg.fanouts";
-    c_leaf_failures = Obs.counter ~labels "agg.leaf_failures";
-    c_partial = Obs.counter ~labels "agg.partial_replies";
   }
 
-let mark_down t l =
+let mark_down l =
   (match l.client with Some c -> Client.close c | None -> ());
   l.client <- None;
-  M.incr t.c_leaf_failures
+  M.incr c_leaf_failures
 
 let close t =
   Array.iter
@@ -151,7 +148,7 @@ let with_leaf t l f =
   with
   | v -> Some v
   | exception e when leaf_failure e ->
-    mark_down t l;
+    mark_down l;
     None
 
 let check_key t k =
@@ -187,7 +184,7 @@ type leaf_reply =
    Elements whose leaf is down answer 0.0 (a [Global] drops that leaf's
    terms) and the leaf counts once toward [leaves_missing]. *)
 let query t qs =
-  M.incr t.c_fanouts;
+  M.incr c_fanouts;
   let answers = Array.make (Array.length qs) 0.0 in
   let keyed = Array.make (Array.length t.leaves) [] in
   let globals = ref [] in
@@ -217,7 +214,7 @@ let query t qs =
             Array.iteri (fun j (i, _) -> answers.(i) <- out.(j)) keyed;
             Answered { globals_at = Array.length keyed; out }
           | Some _ ->
-            mark_down t l;
+            mark_down l;
             Missing
           | None -> Missing)
       t.leaves
@@ -243,7 +240,7 @@ let query t qs =
       (fun n r -> match r with Missing -> n + 1 | Idle | Answered _ -> n)
       0 replies
   in
-  if lm > 0 then M.incr t.c_partial;
+  if lm > 0 then M.incr c_partial;
   (answers, lm)
 
 (* Split an ingest batch across the owning leaves (rebasing keys) and
@@ -251,7 +248,7 @@ let query t qs =
    many leaves were unreachable — their sub-batches are dropped, which
    the partial ack surfaces to the producer. *)
 let ingest t groups =
-  M.incr t.c_fanouts;
+  M.incr c_fanouts;
   Array.iter (fun (k, _) -> check_key t k) groups;
   let per_leaf = Array.make (Array.length t.leaves) [] in
   Array.iter

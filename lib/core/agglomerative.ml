@@ -3,6 +3,11 @@ module Vec = Sh_util.Vec
 module Obs = Sh_obs.Obs
 module M = Sh_obs.Metric
 
+let c_pushes = Obs.counter "ag.pushes"
+let c_cand = Obs.counter "ag.candidate_evals"
+let c_built = Obs.counter "ag.intervals_built"
+let c_extended = Obs.counter "ag.intervals_extended"
+
 (* One interval of a level-k queue.  The right endpoint [idx] slides
    forward while HERROR[idx, k] stays within (1 + delta) of the value at
    the interval start; the running prefix sums are stored at the endpoint
@@ -24,10 +29,6 @@ type t = {
   mutable sum : float;
   mutable sqsum : float;
   mutable last_error : float; (* HERROR[n, B] from the latest push *)
-  c_pushes : M.counter;
-  c_cand : M.counter;
-  c_built : M.counter;
-  c_extended : M.counter;
 }
 
 let create ~buckets ~epsilon =
@@ -36,8 +37,6 @@ let create ~buckets ~epsilon =
       ~delta:(epsilon /. (2.0 *. Float.of_int buckets))
   in
   let buckets = params.Params.buckets in
-  let labels = [ ("instance", Obs.instance "ag") ] in
-  let c name = Obs.counter ~labels name in
   {
     params;
     queues = Array.init (max 0 (buckets - 1)) (fun _ -> Vec.create ());
@@ -46,10 +45,6 @@ let create ~buckets ~epsilon =
     sum = 0.0;
     sqsum = 0.0;
     last_error = 0.0;
-    c_pushes = c "ag.pushes";
-    c_cand = c "ag.candidate_evals";
-    c_built = c "ag.intervals_built";
-    c_extended = c "ag.intervals_extended";
   }
 
 let buckets t = t.params.Params.buckets
@@ -66,7 +61,7 @@ let sqerror_from e ~idx ~sum ~sqsum =
 
 let push t v =
   if not (Float.is_finite v) then invalid_arg "Agglomerative.push: non-finite value";
-  M.incr t.c_pushes;
+  M.incr c_pushes;
   t.n <- t.n + 1;
   t.sum <- t.sum +. v;
   t.sqsum <- t.sqsum +. (v *. v);
@@ -88,7 +83,7 @@ let push t v =
       let continue = ref true in
       while !continue && !i < len do
         let e = Vec.get q !i in
-        M.incr t.c_cand;
+        M.incr c_cand;
         if e.herror >= !best then continue := false
         else begin
           if e.idx <= n - 1 then begin
@@ -107,7 +102,7 @@ let push t v =
   for k = 1 to b - 1 do
     let q = t.queues.(k - 1) in
     let fresh () =
-      M.incr t.c_built;
+      M.incr c_built;
       Vec.push q
         {
           idx = n;
@@ -122,7 +117,7 @@ let push t v =
       let last = Vec.last q in
       if t.herr.(k) > (1.0 +. delta) *. last.a_herror then fresh ()
       else begin
-        M.incr t.c_extended;
+        M.incr c_extended;
         last.idx <- n;
         last.sum <- t.sum;
         last.sqsum <- t.sqsum;

@@ -3,6 +3,9 @@ module P = Sh_prefix.Prefix_sums
 module Obs = Sh_obs.Obs
 module M = Sh_obs.Metric
 
+let c_pushes = Obs.counter "ew.pushes"
+let c_rebuilds = Obs.counter "ew.rebuilds"
+
 type t = {
   ring : RB.t;
   buckets : int;
@@ -15,22 +18,17 @@ type t = {
      each new length allocates one last time. *)
   vopt : Sh_histogram.Vopt.scratch;
   mutable prefix_cache : P.t option;
-  c_pushes : M.counter;
-  c_rebuilds : M.counter;
 }
 
 let create ~window ~buckets =
   if buckets < 1 then invalid_arg "Exact_window.create: buckets must be >= 1";
   let ring = RB.create ~capacity:window in
-  let labels = [ ("instance", Obs.instance "ew") ] in
   {
     ring;
     buckets;
     scratch = Array.make (RB.capacity ring) 0.0;
     vopt = Sh_histogram.Vopt.scratch ();
     prefix_cache = None;
-    c_pushes = Obs.counter ~labels "ew.pushes";
-    c_rebuilds = Obs.counter ~labels "ew.rebuilds";
   }
 
 let window t = RB.capacity t.ring
@@ -39,7 +37,7 @@ let length t = RB.length t.ring
 
 let push t v =
   if not (Float.is_finite v) then invalid_arg "Exact_window.push: non-finite value";
-  M.incr t.c_pushes;
+  M.incr c_pushes;
   RB.push t.ring v
 
 (* The exact baseline recomputes prefix sums of the whole window per
@@ -48,7 +46,7 @@ let push t v =
 let prefix t =
   let n = RB.length t.ring in
   if n = 0 then invalid_arg "Exact_window.current_histogram: empty window";
-  M.incr t.c_rebuilds;
+  M.incr c_rebuilds;
   RB.blit_to t.ring t.scratch;
   match t.prefix_cache with
   | Some p when P.length p = n ->

@@ -406,7 +406,6 @@ type t = {
                                     point that evaluates runs, else None *)
   scr : scratch; (* kernel out-params and unflushed work tallies *)
   mutable bnd_c : int;       (* find_boundary boundary out-param  *)
-  mutable gauge_len : int;   (* last length stored in g_length    *)
   mutable gen : int;  (* refresh generation: bumped once per rebuild, the
                          epoch stamp of the published read views *)
   mutable seen : int; (* points pushed since creation (monotone watermark;
@@ -416,35 +415,46 @@ type t = {
   mutable slide : int; (* evictions since the last refresh: how far the
                           previous boundaries have shifted *)
   mutable pushes_since_refresh : int;
-  (* Work accounting lives in per-instance registry counters (labelled
-     instance="fw<i>") so the same tallies back work_counters and the
-     exposition.  The handles are registered once at creation and
-     fed from the scratch tallies by [flush], once per entry point (see
-     Sh_obs.Obs on the overhead model). *)
-  c_evals : M.counter;
-  c_cold_evals : M.counter;
-  c_warm_evals : M.counter;
-  c_built : M.counter;
-  c_refreshes : M.counter;
-  c_cold_refreshes : M.counter;
-  c_warm_refreshes : M.counter;
-  c_steps : M.counter;
-  c_scan_steps : M.counter;
-  c_scan_cands : M.counter;
-  c_hits : M.counter;
-  c_misses : M.counter;
-  c_memo_probes : M.counter;
-  c_memo_hits : M.counter;
-  g_length : M.gauge;
+  work : int array; (* this summary's work totals, by w_* slot *)
 }
+
+(* Work accounting.  Slot i of a summary's [work] (which [work_counters]
+   reads) and family i of [families] (every summary's work summed across
+   the process) count the same thing; [add] moves one delta into both
+   (see Sh_obs.Obs on the overhead model). *)
+let w_evals = 0
+let w_cold_evals = 1
+let w_warm_evals = 2
+let w_built = 3
+let w_refreshes = 4
+let w_cold_refreshes = 5
+let w_warm_refreshes = 6
+let w_steps = 7
+let w_scan_steps = 8
+let w_scan_cands = 9
+let w_hits = 10
+let w_misses = 11
+let w_memo_probes = 12
+let w_memo_hits = 13
+
+let families =
+  Array.map Obs.counter
+    [| "fw.herror_evals"; "fw.cold_evals"; "fw.warm_evals"; "fw.intervals_built";
+       "fw.refreshes"; "fw.cold_refreshes"; "fw.warm_refreshes"; "fw.search_steps";
+       "fw.scan_steps"; "fw.scan_candidates"; "fw.hint_hits"; "fw.hint_misses";
+       "fw.memo_probes"; "fw.memo_hits" |]
+
+let add t slot n =
+  if n > 0 then begin
+    t.work.(slot) <- t.work.(slot) + n;
+    M.add families.(slot) n
+  end
 
 (* Shared constructor: everything but [params] and the prefix-sum state is
    derived or starts empty, which is also why [decode] below can rebuild a
    full summary from just those two (plus a refresh). *)
 let mk ~params ~sp =
   let buckets = params.Params.buckets in
-  let labels = [ ("instance", Obs.instance "fw") ] in
-  let c name = Obs.counter ~labels name in
   {
     params;
     sp;
@@ -456,28 +466,13 @@ let mk ~params ~sp =
     claimed = None;
     scr = new_scratch ~levels:(buckets + 1);
     bnd_c = 0;
-    gauge_len = -1;
     gen = 0;
     seen = 0;
     dirty = true;
     policy = params.Params.policy;
     slide = 0;
     pushes_since_refresh = 0;
-    c_evals = c "fw.herror_evals";
-    c_cold_evals = c "fw.cold_evals";
-    c_warm_evals = c "fw.warm_evals";
-    c_built = c "fw.intervals_built";
-    c_refreshes = c "fw.refreshes";
-    c_cold_refreshes = c "fw.cold_refreshes";
-    c_warm_refreshes = c "fw.warm_refreshes";
-    c_steps = c "fw.search_steps";
-    c_scan_steps = c "fw.scan_steps";
-    c_scan_cands = c "fw.scan_candidates";
-    c_hits = c "fw.hint_hits";
-    c_misses = c "fw.hint_misses";
-    c_memo_probes = c "fw.memo_probes";
-    c_memo_hits = c "fw.memo_hits";
-    g_length = Obs.gauge ~labels "fw.window_length";
+    work = Array.make (Array.length families) 0;
   }
 
 let create_with_delta ~window ~buckets ~epsilon ~delta =
@@ -507,26 +502,26 @@ let set_refresh_policy t policy =
   (* Reuse the Params validation (rejects [Every k] with k < 1). *)
   t.policy <- (Params.with_policy t.params policy).Params.policy
 
-(* Add the scratch's work tallies to the registry counters and zero them.
-   Every entry point that evaluates ends with it, so a scrape between
-   calls reads every count.  Boundary-search probes and scan steps both
-   land in fw.search_steps (the legacy total), scan steps also in
+(* Add the scratch's work tallies to the summary's totals and to the
+   fw.* families, and zero them.  Every entry point that evaluates ends
+   with it, so between calls work_counters and a scrape read every
+   count.  Boundary-search probes and scan steps both land in
+   fw.search_steps (the legacy total), scan steps also in
    fw.scan_steps, so rebuild-probe work and scan-internal work can be told
    apart (see work_counters).  fw.herror_evals counts logical evaluations
    requested, memo hits included; fw.memo_probes / fw.memo_hits record the
    dedup separately. *)
 let flush t =
   let s = t.scr in
-  let tally c n = if n > 0 then M.add c n in
-  tally t.c_evals s.evals;
-  tally t.c_steps (s.search + s.steps);
-  tally t.c_scan_steps s.steps;
-  tally t.c_scan_cands s.cands;
-  tally t.c_memo_probes s.probes;
-  tally t.c_memo_hits s.hits;
-  tally t.c_hits s.hint_hits;
-  tally t.c_misses s.hint_misses;
-  tally t.c_built s.built;
+  add t w_evals s.evals;
+  add t w_steps (s.search + s.steps);
+  add t w_scan_steps s.steps;
+  add t w_scan_cands s.cands;
+  add t w_memo_probes s.probes;
+  add t w_memo_hits s.hits;
+  add t w_hits s.hint_hits;
+  add t w_misses s.hint_misses;
+  add t w_built s.built;
   s.evals <- 0;
   s.steps <- 0;
   s.cands <- 0;
@@ -732,14 +727,14 @@ let do_refresh t ~warm ~memo =
     done;
   t.scr.seeding <- true;
   t.claimed <- None;
-  M.add (if warm then t.c_warm_evals else t.c_cold_evals) t.scr.evals;
+  add t (if warm then w_warm_evals else w_cold_evals) t.scr.evals;
   flush t;
   t.dirty <- false;
   t.slide <- 0;
   t.pushes_since_refresh <- 0;
   t.gen <- t.gen + 1;
-  M.incr t.c_refreshes;
-  if warm then M.incr t.c_warm_refreshes else M.incr t.c_cold_refreshes
+  add t w_refreshes 1;
+  add t (if warm then w_warm_refreshes else w_cold_refreshes) 1
 
 let refresh ?(cold = false) ?memo t =
   if t.dirty then do_refresh t ~warm:(not cold) ~memo:(Option.value memo ~default:t.memo_on)
@@ -753,14 +748,6 @@ let[@inline] append t v =
    appended, then the refresh-policy dispatch. *)
 let after_append t len =
   t.seen <- t.seen + len;
-  let n = Sliding_prefix.length t.sp in
-  if n <> t.gauge_len then begin
-    (* Gauge stores box their float; once the window is full the length is
-       constant, so skipping the redundant store keeps steady-state push
-       allocation at zero. *)
-    t.gauge_len <- n;
-    M.set t.g_length (Float.of_int n)
-  end;
   t.dirty <- true;
   t.pushes_since_refresh <- t.pushes_since_refresh + len;
   match t.policy with
@@ -838,27 +825,28 @@ let current_histogram t =
   flush t;
   h
 
-(* The registry counters plus any tallies still in the scratch.  Every
+(* The summary's totals plus any tallies still in the scratch.  Every
    entry point flushes before it returns, so between calls the scratch is
-   empty and this reads exactly what a metrics scrape reads — the flush
-   discipline test compares the two. *)
+   empty and the fw.* families have grown by exactly these totals since
+   the summary was created — the flush discipline test compares the
+   two. *)
 let work_counters t =
-  let s = t.scr in
+  let s = t.scr and w = t.work in
   {
-    herror_evaluations = M.value t.c_evals + s.evals;
-    cold_evaluations = M.value t.c_cold_evals;
-    warm_evaluations = M.value t.c_warm_evals;
-    intervals_built = M.value t.c_built + s.built;
-    refreshes = M.value t.c_refreshes;
-    cold_refreshes = M.value t.c_cold_refreshes;
-    warm_refreshes = M.value t.c_warm_refreshes;
-    search_steps = M.value t.c_steps + s.search + s.steps;
-    scan_steps = M.value t.c_scan_steps + s.steps;
-    scan_candidates = M.value t.c_scan_cands + s.cands;
-    hint_hits = M.value t.c_hits + s.hint_hits;
-    hint_misses = M.value t.c_misses + s.hint_misses;
-    memo_probes = M.value t.c_memo_probes + s.probes;
-    memo_hits = M.value t.c_memo_hits + s.hits;
+    herror_evaluations = w.(w_evals) + s.evals;
+    cold_evaluations = w.(w_cold_evals);
+    warm_evaluations = w.(w_warm_evals);
+    intervals_built = w.(w_built) + s.built;
+    refreshes = w.(w_refreshes);
+    cold_refreshes = w.(w_cold_refreshes);
+    warm_refreshes = w.(w_warm_refreshes);
+    search_steps = w.(w_steps) + s.search + s.steps;
+    scan_steps = w.(w_scan_steps) + s.steps;
+    scan_candidates = w.(w_scan_cands) + s.cands;
+    hint_hits = w.(w_hits) + s.hint_hits;
+    hint_misses = w.(w_misses) + s.hint_misses;
+    memo_probes = w.(w_memo_probes) + s.probes;
+    memo_hits = w.(w_memo_hits) + s.hits;
   }
 
 let interval_counts t =

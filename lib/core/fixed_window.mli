@@ -66,9 +66,11 @@
     probe sequence is identical to the pre-memo kernel, which the golden
     step-count tests rely on.
 
-    Work counters are tallied in the summary's scratch and added to the
-    registry once at the end of every entry point that evaluates, so
-    {!work_counters} and a metrics scrape between calls see every count. *)
+    Work counters are tallied in the summary's scratch and moved to the
+    summary's own totals once at the end of every entry point that
+    evaluates; the same deltas go to the process-wide [fw.*] metric
+    families, so {!work_counters} and a metrics scrape between calls see
+    every count. *)
 
 type t
 
@@ -254,12 +256,13 @@ type work_counters = {
 }
 
 val work_counters : t -> work_counters
-(** Cumulative work counters, used by the complexity benchmarks to check
-    the per-point cost grows polylogarithmically in the window length and
-    by the regression tests pinning the warm-start speedup.  The same
-    counts are registry series ([fw.herror_evals{instance="fw<i>"}], ...),
-    updated once at the end of each call that evaluates HERROR, so a
-    metrics scrape between calls reads exactly these values. *)
+(** This summary's cumulative work counters, used by the complexity
+    benchmarks to check the per-point cost grows polylogarithmically in
+    the window length and by the regression tests pinning the warm-start
+    speedup.  The summary owns them: {!Sh_obs.Obs.reset} does not change
+    them.  Each call that evaluates HERROR ends by adding its counts to
+    the process-wide families ([fw.herror_evals], ...), so between calls
+    every family has grown by exactly these values since {!create}. *)
 
 val memo_arena_words : unit -> int
 (** Words reachable from the calling domain's HERROR memo table: about

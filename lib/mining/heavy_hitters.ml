@@ -1,6 +1,3 @@
-module Obs = Sh_obs.Obs
-module M = Sh_obs.Metric
-
 type work_counters = {
   observations : int;
   adds : int;
@@ -11,45 +8,41 @@ type work_counters = {
 type t = {
   capacity : int;
   counters : (float, int ref) Hashtbl.t;
-  (* Work accounting in per-instance registry series (hh.*{instance=...}),
-     replacing the private total field: the stream length is now the
-     hh.observations counter, shared with the exposition. *)
-  c_observations : M.counter;
-  c_adds : M.counter;
-  c_rounds : M.counter;
-  c_evictions : M.counter;
+  (* work accounting; [observations] is also the stream length *)
+  mutable observations : int;
+  mutable adds : int;
+  mutable rounds : int;
+  mutable evictions : int;
 }
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Heavy_hitters.create: capacity must be >= 1";
-  let labels = [ ("instance", Obs.instance "hh") ] in
-  let c name = Obs.counter ~labels name in
   {
     capacity;
     counters = Hashtbl.create (2 * capacity);
-    c_observations = c "hh.observations";
-    c_adds = c "hh.adds";
-    c_rounds = c "hh.decrement_rounds";
-    c_evictions = c "hh.evictions";
+    observations = 0;
+    adds = 0;
+    rounds = 0;
+    evictions = 0;
   }
 
 (* Misra-Gries decrement step: when a new value needs a slot and all
    [capacity] slots are taken, decrement every counter and evict zeros. *)
 let make_room t =
-  M.incr t.c_rounds;
+  t.rounds <- t.rounds + 1;
   let victims = ref [] in
   Hashtbl.iter
     (fun v c ->
       decr c;
       if !c <= 0 then victims := v :: !victims)
     t.counters;
-  M.add t.c_evictions (List.length !victims);
+  t.evictions <- t.evictions + List.length !victims;
   List.iter (Hashtbl.remove t.counters) !victims
 
 let add ?(count = 1) t v =
   if count < 1 then invalid_arg "Heavy_hitters.add: count must be >= 1";
-  M.incr t.c_adds;
-  M.add t.c_observations count;
+  t.adds <- t.adds + 1;
+  t.observations <- t.observations + count;
   match Hashtbl.find_opt t.counters v with
   | Some c -> c := !c + count
   | None ->
@@ -71,7 +64,7 @@ let add ?(count = 1) t v =
       done
     end
 
-let total t = M.value t.c_observations
+let total t = t.observations
 
 let estimate t v = match Hashtbl.find_opt t.counters v with Some c -> !c | None -> 0
 
@@ -85,8 +78,8 @@ let heavy_hitters t ~threshold =
 
 let work_counters t =
   {
-    observations = M.value t.c_observations;
-    adds = M.value t.c_adds;
-    decrement_rounds = M.value t.c_rounds;
-    evictions = M.value t.c_evictions;
+    observations = t.observations;
+    adds = t.adds;
+    decrement_rounds = t.rounds;
+    evictions = t.evictions;
   }

@@ -41,7 +41,7 @@ type work_counters = {
 }
 
 val work_counters : t -> work_counters
-(** Cumulative per-instance work accounting, backed by the shared
-    {!Sh_obs} registry (series [hh.*{instance="hh<i>"}]) rather than
-    private fields — the same accessor shape as
-    [Fixed_window.work_counters]. *)
+(** Cumulative work accounting of this summary, in its own fields — the
+    same accessor shape as [Fixed_window.work_counters].  No metric
+    series backs it, so {!Sh_obs.Obs.reset} leaves it (and {!total})
+    unchanged. *)

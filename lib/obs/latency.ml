@@ -8,7 +8,6 @@ module Gk = Sh_gk.Gk
 
 type t = {
   l_name : string;
-  l_labels : Metric.labels;
   l_mutex : Mutex.t;  (* guards the three fields below *)
   l_gk : Gk.t;
   mutable l_count : int;
@@ -36,34 +35,30 @@ let now () = !clock ()
 let table : (string, t) Hashtbl.t = Hashtbl.create 16
 let m = Mutex.create ()
 
-let tracker ?(labels = []) ?(epsilon = default_epsilon) name =
+let tracker ?(epsilon = default_epsilon) name =
   Registry.validate_name name;
   if epsilon <= 0.0 || epsilon >= 1.0 then invalid_arg "Obs.Latency: epsilon must be in (0, 1)";
-  let labels = Registry.canonical labels in
-  let k = Registry.key name labels in
   Mutex.lock m;
   let t =
-    match Hashtbl.find_opt table k with
+    match Hashtbl.find_opt table name with
     | Some t -> t
     | None ->
       let t =
         {
           l_name = name;
-          l_labels = labels;
           l_mutex = Mutex.create ();
           l_gk = Gk.create ~epsilon;
           l_count = 0;
           l_sum = 0.0;
         }
       in
-      Hashtbl.replace table k t;
+      Hashtbl.replace table name t;
       t
   in
   Mutex.unlock m;
   t
 
 let name t = t.l_name
-let labels t = t.l_labels
 let epsilon t = Gk.epsilon t.l_gk
 
 (* ------------------------------------------------------------- recording *)
@@ -105,10 +100,7 @@ let snapshot () =
   Mutex.lock m;
   let all = Hashtbl.fold (fun _ t acc -> t :: acc) table [] in
   Mutex.unlock m;
-  List.sort
-    (fun a b ->
-      match compare a.l_name b.l_name with 0 -> compare a.l_labels b.l_labels | c -> c)
-    all
+  List.sort (fun a b -> compare a.l_name b.l_name) all
 
 let reset () =
   let reset_state t =

@@ -36,9 +36,9 @@ val now : unit -> float
 
 (** {2 Trackers} *)
 
-val tracker : ?labels:Metric.labels -> ?epsilon:float -> string -> t
-(** Get-or-create by (name, canonically sorted labels), keyed the way
-    {!Registry} keys metric series.  [epsilon] (default 0.001) bounds the
+val tracker : ?epsilon:float -> string -> t
+(** Get-or-create by name, like a {!Registry} series: one tracker per
+    name, process-wide.  [epsilon] (default 0.001) bounds the
     summary's rank error; the first registration's epsilon wins.
     Raises [Invalid_argument] when the name is malformed (the
     {!Registry.validate_name} rule) or epsilon is outside (0, 1). *)
@@ -53,7 +53,6 @@ val time : t -> (unit -> 'a) -> 'a
     duration is recorded. *)
 
 val name : t -> string
-val labels : t -> Metric.labels
 val epsilon : t -> float
 
 val count : t -> int
@@ -71,7 +70,7 @@ val percentiles : float list
     0.999. *)
 
 val snapshot : unit -> t list
-(** All trackers sorted by (name, labels) — the order they render in. *)
+(** All trackers sorted by name — the order they render in. *)
 
 val reset : unit -> unit
 (** Forget all recorded durations; registrations survive. *)

@@ -1,5 +1,3 @@
-type labels = (string * string) list
-
 (* A counter is one shared [int Atomic.t] and a gauge one [float Atomic.t].
    Hot kernels tally in plain fields of their own scratch and flush here
    once per entry point, so no serving path writes a metric per point and
@@ -7,13 +5,11 @@ type labels = (string * string) list
 
 type counter = {
   c_name : string;
-  c_labels : labels;
   c_cell : int Atomic.t;
 }
 
 type gauge = {
   g_name : string;
-  g_labels : labels;
   g_cell : float Atomic.t;
 }
 

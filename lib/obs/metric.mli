@@ -1,31 +1,28 @@
 (** Metric primitives: named counters and gauges, one atomic cell each.
 
-    Values are created through {!Registry} (get-or-create by name and
-    label set).  A counter is an [int Atomic.t] bumped with
-    [fetch_and_add]; a gauge is a [float Atomic.t] that [set] overwrites
-    and [gadd] updates with a compare-and-set loop.  Every read is exact:
-    no write is ever lost, from any number of domains.
+    Values are created through {!Registry} (get-or-create by name).  A
+    counter is an [int Atomic.t] bumped with [fetch_and_add]; a gauge is
+    a [float Atomic.t] that [set] overwrites and [gadd] updates with a
+    compare-and-set loop.  Every read is exact: no write is ever lost,
+    from any number of domains.
 
     One shared cell is enough because no hot path records per point: a
     kernel tallies in plain int fields of its own scratch and adds them
     here once per entry point (see [Fixed_window]'s flush).
 
-    Counters and gauges have no on/off switch: they double as the
-    algorithms' work-accounting state, which must always count.
-    Durations are not metrics; they live in {!Latency} trackers. *)
-
-type labels = (string * string) list
-(** Label pairs, canonically sorted by {!Registry} on registration. *)
+    Counters and gauges have no on/off switch, so a series counts from
+    process start.  They are process-wide sums for the exposition; a
+    structure that reports its own work keeps the counts in its own
+    fields, which {!Registry.reset} never touches.  Durations are not
+    metrics; they live in {!Latency} trackers. *)
 
 type counter = {
   c_name : string;
-  c_labels : labels;
   c_cell : int Atomic.t;
 }
 
 type gauge = {
   g_name : string;
-  g_labels : labels;
   g_cell : float Atomic.t;
 }
 

@@ -1,13 +1,20 @@
 (** Telemetry facade: metric registry, latency switch, exposition.
 
-    Instrumented structures register named series at creation time
-    ({!counter} / {!gauge} are get-or-create; per-structure series add an
-    [("instance", {!instance} prefix)] label) and then record through the
-    returned {!Metric} handles — one atomic update, with no name
-    lookup.
+    Instrumented modules register one series per metric family at module
+    initialisation ({!counter} / {!gauge} are get-or-create) and then
+    record through the returned {!Metric} handles — one atomic update,
+    with no name lookup.  A family is a process-wide total: a structure
+    never registers series of its own, so the exposition's size does not
+    grow with the number of structures (keys, shards, leaves) a process
+    creates.
 
-    {b Overhead model.}  Counters and gauges are always live: they are the
-    algorithms' own work accounting (e.g. [Fixed_window.work_counters]).
+    {b Who owns a count.}  A structure whose API reports its own work
+    ([Fixed_window.work_counters], [Heavy_hitters.work_counters],
+    [Shard_engine.total_points], the engine's checkpoint totals) keeps
+    those counts in its own fields and adds the same deltas to the
+    families; the registry only sums them across the process.
+
+    {b Overhead model.}  Counters and gauges are always live.
     A record is not free: under the dev profile's [-opaque] each
     {!Metric.incr} / {!Metric.add} is a real cross-module call and an
     atomic [fetch_and_add], about 5 ns against 0.8 ns for a mutable int
@@ -39,12 +46,8 @@ val now : unit -> float
 
 (** {2 Registration} *)
 
-val counter : ?labels:Metric.labels -> string -> Metric.counter
-val gauge : ?labels:Metric.labels -> string -> Metric.gauge
-
-val instance : string -> string
-(** Fresh instance name for a structure family: ["fw0"], ["fw1"], ... —
-    used as the [("instance", _)] label value of per-structure series. *)
+val counter : string -> Metric.counter
+val gauge : string -> Metric.gauge
 
 (** {2 Exposition} *)
 
@@ -57,10 +60,11 @@ val render : unit -> string
 
 val reset : unit -> unit
 (** Zero all metric values and recorded durations; registrations and the
-    handles held by live structures survive.  Also zeroes work-accounting
-    counters such as [Fixed_window.work_counters]. *)
+    handles modules hold survive.  Structure state is untouched: answers,
+    checkpoints and per-structure counts such as
+    [Fixed_window.work_counters] or [Shard_engine.total_points] read the
+    same before and after. *)
 
 val clear : unit -> unit
-(** Drop all metric and tracker registrations and the instance-name
-    sequences.  Handles held by live structures keep counting but are no
-    longer exported; for test isolation. *)
+(** Drop all metric and tracker registrations.  Handles modules hold
+    keep counting but are no longer exported; for test isolation. *)

@@ -17,26 +17,6 @@ let prom_name name =
       | _ -> '_')
     name
 
-let prom_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let prom_labels = function
-  | [] -> ""
-  | labels ->
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" (prom_name k) (prom_escape v)) labels)
-    ^ "}"
-
 let prom_float f =
   if f = infinity then "+Inf"
   else if f = neg_infinity then "-Inf"
@@ -49,8 +29,9 @@ let ends_with ~suffix s =
 
 let prometheus buf =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  (* snapshot order groups series of a family together, so a TYPE header
-     is emitted exactly once per family *)
+  (* two names can render as one family ("x" and "x_total", "a.b" and
+     "a_b"); snapshot order puts them next to each other, so the TYPE
+     header is still emitted once *)
   let last_type_line = ref "" in
   let type_line family kind =
     let l = Printf.sprintf "# TYPE %s %s" family kind in
@@ -67,27 +48,23 @@ let prometheus buf =
           if ends_with ~suffix:"_total" n then n else n ^ "_total"
         in
         type_line family "counter";
-        line "%s%s %d" family (prom_labels c.Metric.c_labels) (Metric.value c)
+        line "%s %d" family (Metric.value c)
       | Registry.Gauge g ->
         let family = prom_name g.Metric.g_name in
         type_line family "gauge";
-        line "%s%s %s" family (prom_labels g.Metric.g_labels) (prom_float (Metric.gvalue g)))
+        line "%s %s" family (prom_float (Metric.gvalue g)))
     (Registry.snapshot ());
   List.iter
     (fun tr ->
       let family = prom_name (Latency.name tr) in
-      let labels = Latency.labels tr in
       type_line family "summary";
       if Latency.count tr > 0 then
         List.iter
           (fun phi ->
             match Latency.quantile tr phi with
-            | Some v ->
-              line "%s%s %s" family
-                (prom_labels (labels @ [ ("quantile", Printf.sprintf "%g" phi) ]))
-                (prom_float v)
+            | Some v -> line "%s{quantile=\"%g\"} %s" family phi (prom_float v)
             | None -> ())
           Latency.percentiles;
-      line "%s_sum%s %s" family (prom_labels labels) (prom_float (Latency.sum tr));
-      line "%s_count%s %d" family (prom_labels labels) (Latency.count tr))
+      line "%s_sum %s" family (prom_float (Latency.sum tr));
+      line "%s_count %d" family (Latency.count tr))
     (Latency.snapshot ())

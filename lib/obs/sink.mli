@@ -15,11 +15,13 @@ val prometheus : Buffer.t -> unit
 (** Prometheus text exposition format.  Dots in registry names become
     underscores, counter families get a [_total] suffix, and latency
     trackers emit [summary] families: one [{quantile="..."}] sample per
-    exposed percentile plus [_sum]/[_count]. *)
+    exposed percentile plus [_sum]/[_count].  Every series is one
+    process-wide family, so [quantile] is the only label ever
+    rendered. *)
 
 val prom_name : string -> string
 (** The name sanitisation used by {!prometheus} (dots to underscores). *)
 
 val phi_label : float -> string
-(** Conventional percentile label: [0.5 -> "p50"], [0.99 -> "p99"],
+(** Conventional percentile name: [0.5 -> "p50"], [0.99 -> "p99"],
     [0.999 -> "p999"]. *)

@@ -14,6 +14,30 @@ module L = Sh_obs.Latency
    line.  8 words = 64 bytes on every 64-bit target. *)
 let pad_stride = 8
 
+(* The engine.* families and the engine's latency trackers: process-wide
+   sums over every engine.  An engine's own totals live in its atomics
+   below; [tally] moves the same delta into both. *)
+let c_points = Obs.counter "engine.points"
+let c_batches = Obs.counter "engine.batches"
+let c_refreshes = Obs.counter "engine.refresh_sweeps"
+let c_steals = Obs.counter "engine.refresh_steals"
+let c_queries = Obs.counter "engine.queries"
+let c_published = Obs.counter "engine.snapshots_published"
+let g_read_gen = Obs.gauge "engine.read_gen"
+
+(* Latency trackers (gated by [Obs.set_latency_enabled]): apply and sweep
+   durations are recorded inside the pool tasks, one per owner task;
+   ingest batches and queries by the caller.  Never per point: a
+   tracker's mutex is taken a few times per batch at most. *)
+let l_ingest = L.tracker "latency.ingest_batch"
+let l_apply = L.tracker "latency.shard_apply"
+let l_sweep = L.tracker "latency.refresh_sweep"
+let l_query = L.tracker "latency.query"
+
+let tally a c n =
+  ignore (Atomic.fetch_and_add a n);
+  M.add c n
+
 type t = {
   pool : Domain_pool.t;
   shards : FW.t array;
@@ -48,34 +72,23 @@ type t = {
      summary or the owner's cache lines. *)
   views : FW.View.t Atomic.t array;
   publish : int -> unit; (* owner-side: republish shard k if stale *)
-  c_points : M.counter;
-  c_batches : M.counter;
-  c_refreshes : M.counter;
-  c_steals : M.counter;
-  c_queries : M.counter;
-  c_published : M.counter;
-  g_read_gen : M.gauge;
-  (* --- latency trackers (gated by [Obs.set_latency_enabled]): apply and
-     sweep durations are recorded inside the pool tasks, one per owner
-     task; ingest batches and queries by the caller.  Never per point:
-     a tracker's mutex is taken a few times per batch at most. *)
-  l_ingest : L.t;
-  l_query : L.t;
+  (* --- this engine's totals: what [total_points] & co. and the
+     checkpoint's meta frame read.  Atomic because pool tasks (steals,
+     publications) and reader domains (queries) add to them, and a
+     reader domain may read [total_points] mid-ingest. *)
+  points : int Atomic.t;
+  batches : int Atomic.t;
+  refreshes : int Atomic.t;
+  steals : int Atomic.t;
+  queries : int Atomic.t;
+  published : int Atomic.t;
 }
 
 (* Wire an engine around an existing shard array — shared by [create]
    (fresh summaries) and [restore_from] (decoded ones). *)
 let build ~pool shard_arr =
   let shards = Array.length shard_arr in
-  let labels = [ ("instance", Obs.instance "se") ] in
-  let c_steals = Obs.counter ~labels "engine.refresh_steals" in
-  let c_queries = Obs.counter ~labels "engine.queries" in
-  let c_published = Obs.counter ~labels "engine.snapshots_published" in
-  let g_read_gen = Obs.gauge ~labels "engine.read_gen" in
-  let l_ingest = L.tracker ~labels "latency.ingest_batch" in
-  let l_apply = L.tracker ~labels "latency.shard_apply" in
-  let l_sweep = L.tracker ~labels "latency.refresh_sweep" in
-  let l_query = L.tracker ~labels "latency.query" in
+  let steals = Atomic.make 0 and published = Atomic.make 0 in
   (* Read-plane slots.  Every shard starts with a real view (capturing
      refreshes, which is a no-op on decoded shards and trivial on empty
      fresh ones), so readers never see a sentinel.  The throwaway spacer
@@ -87,7 +100,7 @@ let build ~pool shard_arr =
         ignore (Sys.opaque_identity (Array.make pad_stride 0));
         Atomic.make (FW.view shard_arr.(k)))
   in
-  M.add c_published shards;
+  tally published c_published shards;
   M.set g_read_gen
     (Float.of_int (FW.View.generation (Atomic.get views.(shards - 1))));
   (* Republish shard k's view if its live generation moved past the
@@ -104,7 +117,7 @@ let build ~pool shard_arr =
     then begin
       let v = FW.view fw in
       Atomic.set views.(k) v;
-      M.incr c_published;
+      tally published c_published 1;
       M.set g_read_gen (Float.of_int (FW.View.generation v))
     end
   in
@@ -158,7 +171,7 @@ let build ~pool shard_arr =
         let o' = (o + d) mod owners in
         let k = ref (claim o') in
         while !k >= 0 do
-          M.incr c_steals;
+          tally steals c_steals 1;
           refresh !k;
           k := claim o'
         done
@@ -178,21 +191,16 @@ let build ~pool shard_arr =
     cold_sweep = Array.init owners (sweep_task ~cold:true);
     views;
     publish;
-    c_points = Obs.counter ~labels "engine.points";
-    c_batches = Obs.counter ~labels "engine.batches";
-    c_refreshes = Obs.counter ~labels "engine.refresh_sweeps";
-    c_steals;
-    c_queries;
-    c_published;
-    g_read_gen;
-    l_ingest;
-    l_query;
+    points = Atomic.make 0;
+    batches = Atomic.make 0;
+    refreshes = Atomic.make 0;
+    steals;
+    queries = Atomic.make 0;
+    published;
   }
 
 let create ~pool ~shards ~window ~buckets ~epsilon =
   if shards < 1 then invalid_arg "Shard_engine.create: shards must be >= 1";
-  (* sequential creation: instance-name allocation stays deterministic
-     (fw0, fw1, ... in key order) regardless of the pool size *)
   build ~pool (Array.init shards (fun _ -> FW.create ~window ~buckets ~epsilon))
 
 let shard_count t = Array.length t.shards
@@ -238,9 +246,9 @@ let route t ~count ~scatter =
     if Array.length !(t.buf) < nb then t.buf := Array.make nb 0.0;
     scatter !(t.buf) off;
     ignore (Domain_pool.run t.pool t.apply_tasks);
-    M.add t.c_points nb;
-    M.incr t.c_batches;
-    if lat then L.record t.l_ingest (Obs.now () -. t0)
+    tally t.points c_points nb;
+    tally t.batches c_batches 1;
+    if lat then L.record l_ingest (Obs.now () -. t0)
   end
 
 let ingest t batch =
@@ -289,7 +297,7 @@ let ingest_groups t groups =
 let refresh_all ?(cold = false) t =
   Array.iteri (fun o c -> Atomic.set c t.slice_lo.(o)) t.cursors;
   ignore (Domain_pool.run t.pool (if cold then t.cold_sweep else t.warm_sweep));
-  M.incr t.c_refreshes
+  tally t.refreshes c_refreshes 1
 
 let pool t = t.pool
 
@@ -330,21 +338,21 @@ let view_query t key f =
   let lat = Obs.latency_enabled () in
   let t0 = if lat then Obs.now () else 0.0 in
   let v = f (view t ~key) in
-  if lat then L.record t.l_query (Obs.now () -. t0);
+  if lat then L.record l_query (Obs.now () -. t0);
   v
 
 let length t ~key = FW.View.length (view t ~key)
 
 let current_error t ~key =
-  M.incr t.c_queries;
+  tally t.queries c_queries 1;
   view_query t key FW.View.current_error
 
 let current_histogram t ~key =
-  M.incr t.c_queries;
+  tally t.queries c_queries 1;
   view_query t key FW.View.current_histogram
 
 let herror t ~key ~k ~x =
-  M.incr t.c_queries;
+  tally t.queries c_queries 1;
   view_query t key (fun v -> FW.View.herror v ~k ~x)
 
 let with_key t ~key ~f = with_shard t key f
@@ -375,23 +383,23 @@ let query_many t qs =
           Q.eval_view (Atomic.get t.views.(key)) q
         | Q.Global -> eval_global t q))
     qs;
-  M.add t.c_queries (Array.length qs);
-  if lat then L.record t.l_query (Obs.now () -. t0);
+  tally t.queries c_queries (Array.length qs);
+  if lat then L.record l_query (Obs.now () -. t0);
   out
 
 let query_global t q =
   let lat = Obs.latency_enabled () in
   let t0 = if lat then Obs.now () else 0.0 in
   let v = eval_global t q in
-  M.incr t.c_queries;
-  if lat then L.record t.l_query (Obs.now () -. t0);
+  tally t.queries c_queries 1;
+  if lat then L.record l_query (Obs.now () -. t0);
   v
 
-let total_points t = M.value t.c_points
-let batches t = M.value t.c_batches
-let refresh_steals t = M.value t.c_steals
-let queries t = M.value t.c_queries
-let snapshots_published t = M.value t.c_published
+let total_points t = Atomic.get t.points
+let batches t = Atomic.get t.batches
+let refresh_steals t = Atomic.get t.steals
+let queries t = Atomic.get t.queries
+let snapshots_published t = Atomic.get t.published
 
 let fold t ~init ~f =
   let acc = ref init in
@@ -416,9 +424,9 @@ let encode_frames t =
   let meta = Buffer.create 32 in
   Codec.put_u8 meta engine_tag;
   Codec.put_varint meta (Array.length t.shards);
-  Codec.put_varint meta (M.value t.c_points);
-  Codec.put_varint meta (M.value t.c_batches);
-  Codec.put_varint meta (M.value t.c_refreshes);
+  Codec.put_varint meta (Atomic.get t.points);
+  Codec.put_varint meta (Atomic.get t.batches);
+  Codec.put_varint meta (Atomic.get t.refreshes);
   let shard_frames =
     Array.to_list
       (Array.mapi
@@ -448,8 +456,8 @@ let decode_shards r =
   Codec.expect_end meta ~what:"engine meta frame";
   if shards < 1 then
     Codec.corruptf "Shard_engine: shard count %d < 1" shards;
-  (* Sequential decode in key order: deterministic instance names, and
-     each shard's first refresh happens inside FW.decode. *)
+  (* Sequential decode in key order; each shard's first refresh happens
+     inside FW.decode. *)
   let shard_arr =
     Array.init shards (fun _ ->
         let fr = Frame.read_frame r in
@@ -480,8 +488,8 @@ let restore_from ~pool ~file =
   let r = Codec.of_string (P.read_file file) in
   let shard_arr, points, batches, refreshes = decode_shards r in
   let t = build ~pool shard_arr in
-  M.add t.c_points points;
-  M.add t.c_batches batches;
-  M.add t.c_refreshes refreshes;
+  tally t.points c_points points;
+  tally t.batches c_batches batches;
+  tally t.refreshes c_refreshes refreshes;
   M.incr P.c_restores;
   t

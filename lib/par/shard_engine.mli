@@ -126,7 +126,7 @@ val view : t -> key:int -> Stream_histogram.Fixed_window.View.t
 
 val read_gen : t -> key:int -> int
 (** Generation stamp of the published view (also the ["engine.read_gen"]
-    gauge, which tracks the most recent publication engine-wide). *)
+    gauge, which tracks the most recent publication in the process). *)
 
 val generation_lag : t -> key:int -> int
 (** Live refresh generation minus published view generation: [0] whenever
@@ -179,10 +179,16 @@ val fold : t -> init:'a -> f:('a -> int -> Stream_histogram.Fixed_window.t -> 'a
 (** Fold over live shards in key order (see the live-shard contract
     above).  [f] must not call back into the engine. *)
 
-(** {2 Introspection} *)
+(** {2 Introspection}
+
+    The engine owns these counts (atomics in the engine, which the
+    checkpoint's meta frame reads), so {!Sh_obs.Obs.reset} changes none
+    of them.  Every increment also goes to the process-wide [engine.*]
+    family named below, a sum over every engine in the process. *)
 
 val total_points : t -> int
-(** Points ingested since creation (also the ["engine.points"] series). *)
+(** Points ingested since creation, restored totals included
+    (["engine.points"]). *)
 
 val batches : t -> int
 

@@ -242,8 +242,12 @@ let serve c =
     let rep, elapsed =
       serve_wire ~config ?max_points:c.max_points ~backend:(Net_server.engine eng) c.listen
     in
-    report c eng ~checkpoints:rep.checkpoints_written ~batch:None ~served:rep.queries_served
-      ~query_elapsed:elapsed ~lag:None ~points:rep.points ~elapsed
+    (* the final checkpoint: the state the clients left, exactly as a
+       Checkpoint request would have written it *)
+    Option.iter (fun file -> SE.checkpoint eng ~file) c.checkpoint;
+    let final = if c.checkpoint = None then 0 else 1 in
+    report c eng ~checkpoints:(rep.checkpoints_written + final) ~batch:None
+      ~served:rep.queries_served ~query_elapsed:elapsed ~lag:None ~points:rep.points ~elapsed
   end
 
 let aggregate ~leaves ~listen ~timeout ~idle_timeout =

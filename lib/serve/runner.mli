@@ -24,7 +24,8 @@ type config = {
   policy : Stream_histogram.Params.refresh_policy;
   dist : Traffic.dist;  (** in-process: the key chooser *)
   seed : int;
-  checkpoint : string option;  (** written at the end of the run *)
+  checkpoint : string option;
+      (** written at the end of the run (in-process mode refreshes every shard first) *)
   checkpoint_every : int option;  (** also every k batches (ingest rounds when listening) *)
   restore : string option;  (** start from this checkpoint; geometry flags are ignored *)
   record : string option;  (** in-process: {!Recorder} output *)

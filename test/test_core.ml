@@ -221,10 +221,10 @@ let test_fw_work_counters () =
     (after.FW.herror_evaluations > before.FW.herror_evaluations);
   Alcotest.(check bool) "refreshes counted" true (after.FW.refreshes >= 64)
 
-(* Golden regression for the registry migration and the SoA/memo rewrite:
-   work_counters moved from private mutable int fields to Sh_obs
-   registry-backed series, and these exact values were captured on the
-   pre-migration implementation (network workload seed 5, 300 arrivals).
+(* Golden regression for the registry migrations and the SoA/memo
+   rewrite: work_counters moved from private mutable int fields to Sh_obs
+   registry-backed series and later back to the summary's own fields, and
+   these exact values were captured on the pre-migration implementation (network workload seed 5, 300 arrivals).
    The memo-off runs must reproduce them bit-for-bit — the SoA kernel with
    memoisation disabled executes the exact legacy probe sequence.  Any
    drift means the rewrite changed what gets counted or probed, not just
@@ -248,6 +248,8 @@ let test_fw_work_counters_golden () =
     in
     Alcotest.(check (list int)) tag expected got
   in
+  let family_evals () = Sh_obs.Metric.value (Sh_obs.Obs.counter "fw.herror_evals") in
+  let evals_before = family_evals () in
   let warm = FW.create ~window ~buckets ~epsilon in
   FW.set_memoisation warm false;
   Array.iter (FW.push_and_refresh warm) data;
@@ -255,6 +257,9 @@ let test_fw_work_counters_golden () =
   check_side "warm counters match pre-migration golden run"
     [ 415066; 0; 415059; 174716; 300; 0; 300; 4183590; 170797; 2902 ]
     (FW.work_counters warm);
+  (* the process-wide family grew by exactly the warm summary's total *)
+  Alcotest.(check int) "fw.herror_evals grew by work_counters" 415066
+    (family_evals () - evals_before);
   let cold = FW.create ~window ~buckets ~epsilon in
   FW.set_memoisation cold false;
   Array.iter (fun v -> FW.push cold v; FW.refresh ~cold:true cold) data;
@@ -300,40 +305,31 @@ let test_fw_work_counters_golden () =
   Alcotest.(check bool) "scan steps are a subset of search steps" true
     (cm.FW.scan_steps <= cm.FW.search_steps && cm.FW.scan_steps > 0);
   Alcotest.(check bool) "memo-off run records no memo probes" true
-    (cw.FW.memo_probes = 0 && cw.FW.memo_hits = 0);
-  (* the same numbers must be visible through the shared registry: some
-     fw.herror_evals series carries exactly the warm instance's total *)
-  let found = ref false in
-  Sh_obs.Registry.iter (fun m ->
-      match m with
-      | Sh_obs.Registry.Counter c
-        when c.Sh_obs.Metric.c_name = "fw.herror_evals" && Sh_obs.Metric.value c = 415066 ->
-        found := true
-      | _ -> ());
-  Alcotest.(check bool) "work_counters is a view over registry series" true !found
+    (cw.FW.memo_probes = 0 && cw.FW.memo_hits = 0)
 
-(* Work is tallied in the summary's scratch and reaches the registry once
-   per entry point.  After every live entry point the rendered fw_*
-   counters of the summary must equal work_counters, which also counts
+(* Work is tallied in the summary's scratch and reaches the summary's
+   totals and the process-wide fw.* families once per entry point.  After
+   every live entry point, each rendered fw_* family must have grown since
+   the summary was created by exactly its work_counters, which also count
    tallies still pending in the scratch: a difference is a count that
    entry point left unflushed. *)
 let test_fw_flush_discipline () =
-  (* [fw_<name>_total{instance="fw<i>"} <v>] lines of the newest summary *)
+  (* [fw_<name>_total <v>] lines of the exposition *)
   let rendered () =
     let parse line =
       try
-        Scanf.sscanf line "fw_%[a-z_]{instance=\"fw%d\"} %d%!" (fun name i v ->
+        Scanf.sscanf line "fw_%[a-z_] %d%!" (fun name v ->
             if String.ends_with ~suffix:"_total" name then
-              Some (i, String.sub name 0 (String.length name - 6), v)
+              Some (String.sub name 0 (String.length name - 6), v)
             else None)
       with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
     in
-    let rows =
-      List.filter_map parse (String.split_on_char '\n' (Sh_obs.Obs.render ()))
-    in
-    let newest = List.fold_left (fun m (i, _, _) -> max m i) (-1) rows in
     List.sort compare
-      (List.filter_map (fun (i, name, v) -> if i = newest then Some (name, v) else None) rows)
+      (List.filter_map parse (String.split_on_char '\n' (Sh_obs.Obs.render ())))
+  in
+  let since base =
+    List.map (fun (name, v) -> (name, v - Option.value ~default:0 (List.assoc_opt name base)))
+      (rendered ())
   in
   let expected c =
     List.sort compare
@@ -347,42 +343,44 @@ let test_fw_flush_discipline () =
         ("memo_probes", c.FW.memo_probes); ("memo_hits", c.FW.memo_hits);
       ]
   in
-  let check what fw =
+  let check what ~base fw =
     Alcotest.(check (list (pair string int))) ("after " ^ what) (expected (FW.work_counters fw))
-      (rendered ())
+      (since base)
   in
   let data =
     Sh_gen.Source.take
       (Sh_gen.Workloads.network (Sh_util.Rng.create ~seed:11) Sh_gen.Workloads.default_network)
       80
   in
+  let base = rendered () in
   let fw = FW.create ~window:48 ~buckets:5 ~epsilon:0.2 in
   FW.push_slice fw data ~pos:0 ~len:60;
   FW.refresh fw;
-  check "refresh" fw;
+  check "refresh" ~base fw;
   FW.push fw data.(60);
   FW.refresh ~cold:true fw;
-  check "cold refresh" fw;
+  check "cold refresh" ~base fw;
   FW.push fw data.(61);
   ignore (FW.herror fw ~k:3 ~x:20);
-  check "herror with a refresh" fw;
+  check "herror with a refresh" ~base fw;
   let before = (FW.work_counters fw).FW.herror_evaluations in
   ignore (FW.herror fw ~k:4 ~x:30);
   Alcotest.(check int) "a live read is one evaluation" (before + 1)
     (FW.work_counters fw).FW.herror_evaluations;
-  check "herror" fw;
+  check "herror" ~base fw;
   ignore (FW.current_error fw);
-  check "current_error" fw;
+  check "current_error" ~base fw;
   ignore (FW.current_histogram fw);
-  check "current_histogram" fw;
+  check "current_histogram" ~base fw;
   FW.push fw data.(62);
   ignore (FW.view fw);
-  check "view" fw;
+  check "view" ~base fw;
   let buf = Buffer.create 256 in
   FW.encode buf fw;
+  let base = rendered () in
   let restored = FW.decode (Sh_persist.Codec.of_string (Buffer.contents buf)) in
   Alcotest.(check bool) "decode refreshed" true ((FW.work_counters restored).FW.refreshes = 1);
-  check "decode" restored
+  check "decode" ~base restored
 
 (* Steady-state sliding must reuse the interval lists' backing arrays:
    after a warm-up long enough to reach peak capacity, further slides may

@@ -188,16 +188,9 @@ let test_hh_work_counters () =
   Alcotest.(check int) "adds" 3 c.HH.adds;
   Alcotest.(check int) "decrement rounds" 1 c.HH.decrement_rounds;
   Alcotest.(check int) "evictions" 2 c.HH.evictions;
-  (* the counters are registry series, like Fixed_window's *)
-  let found = ref false in
-  Sh_obs.Registry.iter (fun m ->
-      match m with
-      | Sh_obs.Registry.Counter cc
-        when cc.Sh_obs.Metric.c_name = "hh.observations"
-             && Sh_obs.Metric.value cc = c.HH.observations ->
-        found := true
-      | _ -> ());
-  Alcotest.(check bool) "observations visible in registry" true !found
+  (* the summary owns its counts: a telemetry reset leaves them *)
+  Sh_obs.Obs.reset ();
+  Alcotest.(check bool) "counters survive Obs.reset" true (c = HH.work_counters h)
 
 let prop_hh_underestimates =
   Helpers.qcheck_case ~count:50 ~name:"MG estimates never exceed true counts"

@@ -55,13 +55,9 @@ let test_registry_get_or_create () =
   let a = Obs.counter "t.c" in
   let b = Obs.counter "t.c" in
   Alcotest.(check bool) "same handle" true (a == b);
-  (* label order never distinguishes series *)
-  let l1 = Obs.counter ~labels:[ ("z", "1"); ("a", "2") ] "t.l" in
-  let l2 = Obs.counter ~labels:[ ("a", "2"); ("z", "1") ] "t.l" in
-  Alcotest.(check bool) "labels canonically sorted" true (l1 == l2);
-  let other = Obs.counter ~labels:[ ("a", "3"); ("z", "1") ] "t.l" in
-  Alcotest.(check bool) "different label value, different series" true (not (l1 == other));
-  Alcotest.(check int) "three series" 3 (R.series_count ())
+  let other = Obs.counter "t.d" in
+  Alcotest.(check bool) "different name, different series" true (not (a == other));
+  Alcotest.(check int) "one series per name" 2 (R.series_count ())
 
 let test_registry_validation () =
   ignore (Obs.counter "t.c");
@@ -77,19 +73,10 @@ let test_registry_validation () =
 
 let test_registry_snapshot_sorted () =
   ignore (Obs.counter "t.b");
+  ignore (Obs.gauge "t.c");
   ignore (Obs.counter "t.a");
-  ignore (Obs.counter ~labels:[ ("instance", "x1") ] "t.a");
-  ignore (Obs.counter ~labels:[ ("instance", "x0") ] "t.a");
   let names = List.map R.metric_name (R.snapshot ()) in
-  Alcotest.(check (list string)) "sorted by name then labels"
-    [ "t.a"; "t.a"; "t.a"; "t.b" ] names;
-  match R.snapshot () with
-  | _unlabelled :: second :: third :: _ ->
-    Alcotest.(check (list (pair string string))) "label order within a name"
-      [ ("instance", "x0") ] (R.metric_labels second);
-    Alcotest.(check (list (pair string string))) "x1 after x0"
-      [ ("instance", "x1") ] (R.metric_labels third)
-  | _ -> Alcotest.fail "expected four series"
+  Alcotest.(check (list string)) "sorted by name" [ "t.a"; "t.b"; "t.c" ] names
 
 let test_registry_reset_and_clear () =
   let c = Obs.counter "t.c" in
@@ -109,34 +96,27 @@ let test_registry_reset_and_clear () =
   Alcotest.(check int) "detached handle still counts" 2 (M.value c);
   Alcotest.(check bool) "re-registration is a fresh series" true (not (Obs.counter "t.c" == c))
 
-let test_instance_names () =
-  Alcotest.(check string) "first" "t0" (Obs.instance "t");
-  Alcotest.(check string) "second" "t1" (Obs.instance "t");
-  Alcotest.(check string) "per-prefix sequence" "u0" (Obs.instance "u");
-  Obs.clear ();
-  Alcotest.(check string) "clear resets sequences" "t0" (Obs.instance "t")
-
 (* --------------------------------------------------------------- sinks *)
 
 let populate () =
-  let c = Obs.counter ~labels:[ ("instance", "fw0") ] "fw.herror_evals" in
+  let c = Obs.counter "fw.herror_evals" in
   M.add c 123;
   let g = Obs.gauge "vec.allocations" in
   M.set g 4.0;
   M.add c 7
 
+(* Two writers of one family land in its one series: the exposition is a
+   process-wide sum. *)
 let golden_state () =
-  let hostile = "a\\b\"c\nd" in
-  M.add (Obs.counter ~labels:[ ("instance", "fw0") ] "fw.herror_evals") 130;
-  M.incr (Obs.counter ~labels:[ ("instance", "fw1") ] "fw.herror_evals");
+  M.add (Obs.counter "fw.herror_evals") 130;
+  M.incr (Obs.counter "fw.herror_evals");
   M.add (Obs.counter "engine.points") 4096;
   M.add (Obs.counter "net.frames_total") 7;
-  M.add (Obs.counter ~labels:[ ("path", hostile) ] "esc.counter") 3;
   M.set (Obs.gauge "engine.read_gen") 17.0;
-  M.set (Obs.gauge ~labels:[ ("instance", "se0") ] "engine.lag") 0.1;
+  M.set (Obs.gauge "engine.lag") 0.1;
   M.set (Obs.gauge "vec.ceiling") infinity;
   Obs.set_latency_enabled true;
-  let t = L.tracker ~labels:[ ("instance", "se0") ] "latency.query" in
+  let t = L.tracker "latency.query" in
   for i = 0 to 99 do
     L.record t (Float.of_int (((i * 37) mod 100) + 1) /. 1024.0)
   done;
@@ -145,27 +125,24 @@ let golden_state () =
   for i = 0 to 1999 do
     L.record big (Float.of_int (((i * 7919) mod 2000) + 1) /. 4096.0)
   done;
-  ignore (L.tracker ~labels:[ ("instance", "se0") ] "latency.idle")
+  ignore (L.tracker "latency.idle")
 
 let prom_golden =
   {golden|# TYPE engine_lag gauge
-engine_lag{instance="se0"} 0.10000000000000001
+engine_lag 0.10000000000000001
 # TYPE engine_points_total counter
 engine_points_total 4096
 # TYPE engine_read_gen gauge
 engine_read_gen 17
-# TYPE esc_counter_total counter
-esc_counter_total{path="a\\b\"c\nd"} 3
 # TYPE fw_herror_evals_total counter
-fw_herror_evals_total{instance="fw0"} 130
-fw_herror_evals_total{instance="fw1"} 1
+fw_herror_evals_total 131
 # TYPE net_frames_total counter
 net_frames_total 7
 # TYPE vec_ceiling gauge
 vec_ceiling +Inf
 # TYPE latency_idle summary
-latency_idle_sum{instance="se0"} 0
-latency_idle_count{instance="se0"} 0
+latency_idle_sum 0
+latency_idle_count 0
 # TYPE latency_ingest_batch summary
 latency_ingest_batch{quantile="0.5"} 0.2451171875
 latency_ingest_batch{quantile="0.9"} 0.44287109375
@@ -174,12 +151,12 @@ latency_ingest_batch{quantile="0.999"} 0.48828125
 latency_ingest_batch_sum 488.525390625
 latency_ingest_batch_count 2000
 # TYPE latency_query summary
-latency_query{instance="se0",quantile="0.5"} 0.048828125
-latency_query{instance="se0",quantile="0.9"} 0.087890625
-latency_query{instance="se0",quantile="0.99"} 0.0966796875
-latency_query{instance="se0",quantile="0.999"} 0.09765625
-latency_query_sum{instance="se0"} 4.931640625
-latency_query_count{instance="se0"} 100
+latency_query{quantile="0.5"} 0.048828125
+latency_query{quantile="0.9"} 0.087890625
+latency_query{quantile="0.99"} 0.0966796875
+latency_query{quantile="0.999"} 0.09765625
+latency_query_sum 4.931640625
+latency_query_count 100
 |golden}
 
 let test_prometheus_sink () =
@@ -189,16 +166,15 @@ let test_prometheus_sink () =
   let out = Buffer.contents buf in
   Alcotest.(check bool) "counter family typed" true
     (contains out "# TYPE fw_herror_evals_total counter");
-  Alcotest.(check bool) "counter sample with labels" true
-    (contains out "fw_herror_evals_total{instance=\"fw0\"} 130");
+  Alcotest.(check bool) "counter sample" true (contains out "\nfw_herror_evals_total 130\n");
   Alcotest.(check bool) "gauge sample" true (contains out "\nvec_allocations 4");
   Alcotest.(check string) "prom_name sanitisation" "fw_herror_evals"
     (Sink.prom_name "fw.herror_evals");
   (* The whole exposition of a scripted state, byte for byte, against a
-     golden recorded before the text and JSON sinks were deleted: series
-     order, one TYPE line per family, the _total suffix, label escaping,
-     +Inf, quantile samples from a compressed summary, and an empty
-     tracker's absent quantiles. *)
+     golden recorded when series lost their instance labels: series
+     order, one TYPE line per family, the _total suffix, +Inf, quantile
+     samples from a compressed summary, and an empty tracker's absent
+     quantiles. *)
   Obs.clear ();
   golden_state ();
   Alcotest.(check string) "whole exposition matches the golden" prom_golden (Obs.render ())
@@ -276,18 +252,6 @@ let test_plane_snapshot_reset_under_writers () =
       Alcotest.(check int) (Printf.sprintf "reset to zero, %d domains" d) 0 (M.value c))
     domain_counts
 
-(* ------------------------------------------------- label escaping *)
-
-let test_prom_label_escaping () =
-  let hostile = "a\\b\"c\nd" in
-  let c = Obs.counter ~labels:[ ("path", hostile) ] "esc.counter" in
-  M.add c 3;
-  let prom = Obs.render () in
-  Alcotest.(check bool) "backslash, quote and newline escaped" true
-    (contains prom "path=\"a\\\\b\\\"c\\nd\"");
-  Alcotest.(check bool) "no raw newline survives inside a label value" false
-    (contains prom "c\nd")
-
 (* ------------------------------------------------- latency quantiles *)
 
 let test_latency_basic () =
@@ -328,11 +292,10 @@ let test_latency_name_validation () =
   Alcotest.check_raises "empty" (Invalid_argument "Obs: empty metric name") (fun () ->
       ignore (L.tracker ""));
   Alcotest.(check int) "nothing registered" 0 (List.length (L.snapshot ()));
-  let a = L.tracker ~labels:[ ("z", "1"); ("a", "2") ] "lat.ok" in
-  let b = L.tracker ~labels:[ ("a", "2"); ("z", "1") ] "lat.ok" in
-  Alcotest.(check bool) "labels canonically sorted" true (a == b);
-  Alcotest.(check bool) "different labels, different tracker" true
-    (not (a == L.tracker ~labels:[ ("a", "3") ] "lat.ok"))
+  let a = L.tracker "lat.ok" in
+  Alcotest.(check bool) "one tracker per name" true (a == L.tracker "lat.ok");
+  Alcotest.(check bool) "different name, different tracker" true
+    (not (a == L.tracker "lat.ok2"))
 
 let test_latency_merged_domains () =
   List.iter
@@ -441,12 +404,10 @@ let () =
           Alcotest.test_case "validation" `Quick (clean test_registry_validation);
           Alcotest.test_case "snapshot sorted" `Quick (clean test_registry_snapshot_sorted);
           Alcotest.test_case "reset and clear" `Quick (clean test_registry_reset_and_clear);
-          Alcotest.test_case "instance names" `Quick (clean test_instance_names);
         ] );
       ( "sink",
         [
           Alcotest.test_case "prometheus" `Quick (clean test_prometheus_sink);
-          Alcotest.test_case "prom label escaping" `Quick (clean test_prom_label_escaping);
         ] );
       ( "plane",
         [

@@ -765,6 +765,70 @@ let test_query_many_clamping () =
          entries used above (histogram, error, herror) add three more *)
       Alcotest.(check int) "query counter" (10 + 3) (SE.queries eng))
 
+(* ------------------------------------------ state is not telemetry *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Structures own their counts: [Obs.reset] zeroes the process-wide
+   families but leaves every engine total, every summary's work counters
+   and every checkpoint byte as it was. *)
+let test_obs_reset_leaves_state () =
+  let path = Filename.temp_file "shist_par" ".ckpt" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) @@ fun () ->
+  Pool.with_pool ~domains:2 (fun pool ->
+      let eng = SE.create ~pool ~shards:4 ~window:32 ~buckets:3 ~epsilon:0.2 in
+      SE.set_refresh_policy eng (Params.Every 8);
+      for b = 0 to 4 do
+        SE.ingest eng
+          (Array.init 20 (fun i -> ((i + b) mod 4, Float.of_int ((((b * 20) + i) * 37) mod 101))))
+      done;
+      SE.refresh_all eng;
+      ignore (SE.query_many eng [| (Qop.Global, Qop.Current_error) |]);
+      let counters () = SE.fold eng ~init:[] ~f:(fun acc _ fw -> FW.work_counters fw :: acc) in
+      let state () =
+        SE.checkpoint eng ~file:path;
+        ( (SE.total_points eng, SE.batches eng, SE.queries eng, SE.snapshots_published eng),
+          counters (),
+          read_file path )
+      in
+      let ((points, _, _, _) as totals), work, bytes = state () in
+      Alcotest.(check int) "points ingested" 100 points;
+      let hh = Sh_mining.Heavy_hitters.create ~capacity:2 in
+      List.iter (Sh_mining.Heavy_hitters.add hh) [ 1.0; 2.0; 3.0; 1.0 ];
+      let hh_work = Sh_mining.Heavy_hitters.work_counters hh in
+      Obs.reset ();
+      Alcotest.(check int) "the family was zeroed" 0 (M.value (Obs.counter "engine.points"));
+      let totals', work', bytes' = state () in
+      Alcotest.(check bool) "engine totals unchanged" true (totals = totals');
+      Alcotest.(check bool) "work_counters unchanged" true (work = work');
+      Alcotest.(check bool) "checkpoint bytes unchanged" true (String.equal bytes bytes');
+      Alcotest.(check bool) "heavy-hitter counters unchanged" true
+        (hh_work = Sh_mining.Heavy_hitters.work_counters hh);
+      Alcotest.(check int) "heavy-hitter total unchanged" 4 (Sh_mining.Heavy_hitters.total hh))
+
+(* The registry holds one series per family and one tracker per name, so
+   creating more structures (of every kind that counts work) adds
+   nothing to the exposition. *)
+let test_series_count_independent_of_structures () =
+  Pool.with_pool ~domains:1 (fun pool ->
+      let first = SE.create ~pool ~shards:2 ~window:8 ~buckets:2 ~epsilon:0.5 in
+      SE.ingest first [| (0, 1.0); (1, 2.0) |];
+      let series = Sh_obs.Registry.series_count () in
+      let trackers = List.length (Sh_obs.Latency.snapshot ()) in
+      for i = 1 to 1000 do
+        let fw = FW.create ~window:8 ~buckets:2 ~epsilon:0.5 in
+        FW.push_many fw [| Float.of_int i; 2.0; 3.0 |];
+        FW.refresh fw;
+        let ew = Stream_histogram.Exact_window.create ~window:8 ~buckets:2 in
+        Stream_histogram.Exact_window.push ew (Float.of_int i)
+      done;
+      let second = SE.create ~pool ~shards:3 ~window:8 ~buckets:2 ~epsilon:0.5 in
+      SE.ingest second [| (2, 1.0) |];
+      SE.refresh_all second;
+      Alcotest.(check int) "registry series unchanged" series (Sh_obs.Registry.series_count ());
+      Alcotest.(check int) "latency trackers unchanged" trackers
+        (List.length (Sh_obs.Latency.snapshot ())))
+
 (* ------------------------------------------- telemetry under parallelism *)
 
 let test_counter_no_lost_increments () =
@@ -849,6 +913,12 @@ let () =
           prop_snapshot_equals_quiesced_live;
           prop_view_never_stale;
           Alcotest.test_case "query_many clamping + counters" `Quick test_query_many_clamping;
+        ] );
+      ( "state_vs_metrics",
+        [
+          Alcotest.test_case "Obs.reset leaves engine state" `Quick test_obs_reset_leaves_state;
+          Alcotest.test_case "series count independent of structures" `Quick
+            test_series_count_independent_of_structures;
         ] );
       ( "obs_domain_safety",
         [

@@ -257,6 +257,63 @@ let test_listen_driven_by_loadgen () =
         expected)
     domain_counts
 
+(* [--checkpoint F] on a listening runner with no cadence: the client's
+   Shutdown ends the run, and the runner writes F then — the bytes of an
+   in-process engine fed the same stream, and a restore from F answers
+   like that engine. *)
+let test_listen_final_checkpoint () =
+  List.iter
+    (fun domains ->
+      with_temp ".sock" @@ fun path ->
+      with_temp ".ckpt" @@ fun ckpt ->
+      with_temp ".ckpt" @@ fun oracle_ckpt ->
+      let addr = Addr.Unix_sock path in
+      let c = { (base ~domains) with listen = [ addr ]; checkpoint = Some ckpt } in
+      let server = Domain.spawn (fun () -> Runner.serve c) in
+      let o =
+        Fun.protect
+          ~finally:(fun () ->
+            (* stops the server if the load generator failed before its Shutdown *)
+            (try
+               let cl = Client.connect ~timeout:10.0 addr in
+               Client.shutdown cl;
+               Client.close cl
+             with _ -> ());
+            Domain.join server)
+        @@ fun () ->
+        Loadgen.run
+          { Loadgen.connect = addr; connections = 1; batch = c.batch; count = c.count;
+            dist = c.dist; seed = c.seed; query_mix = 0.0; global_mix = 0.0; shutdown = true;
+            timeout = 10.0; retries = 50 }
+      in
+      Alcotest.(check int) "every point acked" c.count o.Loadgen.acked;
+      let what = Printf.sprintf "domains %d: final checkpoint" domains in
+      Alcotest.(check bool) (what ^ " written") true (Sys.file_exists ckpt);
+      let queries = per_key_queries ~shards:c.shards ~window:c.window in
+      let expected =
+        Pool.with_pool ~domains (fun pool ->
+            let eng = oracle_engine ~pool c in
+            SE.checkpoint eng ~file:oracle_ckpt;
+            (* a restore refreshes every shard, so compare refreshed answers *)
+            SE.refresh_all eng;
+            SE.query_many eng queries)
+      in
+      Alcotest.(check bool) (what ^ " bytes") true (read_file ckpt = read_file oracle_ckpt);
+      let restored_points, answers =
+        Pool.with_pool ~domains (fun pool ->
+            let eng = SE.restore_from ~pool ~file:ckpt in
+            SE.refresh_all eng;
+            (SE.total_points eng, SE.query_many eng queries))
+      in
+      Alcotest.(check int) (what ^ ": restored points") c.count restored_points;
+      Array.iteri
+        (fun i e ->
+          if Int64.bits_of_float e <> Int64.bits_of_float answers.(i) then
+            Alcotest.failf "%s, query %d (key %d): restored %.17g, in-process %.17g" what i (i / 4)
+              answers.(i) e)
+        expected)
+    domain_counts
+
 (* ----------------------------------------------------------- recorder *)
 
 (* The text of one JSON field of a recorder line: up to the next ',' or
@@ -326,6 +383,7 @@ let () =
         [
           Alcotest.test_case "checkpoint equals engine" `Quick test_checkpoint_matches_engine;
           Alcotest.test_case "listen + loadgen equal engine" `Quick test_listen_driven_by_loadgen;
+          Alcotest.test_case "listen writes a final checkpoint" `Quick test_listen_final_checkpoint;
           Alcotest.test_case "record within (1+eps) bound" `Quick test_recorder_within_bound;
         ] );
     ]
