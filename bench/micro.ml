@@ -15,6 +15,8 @@ module V = Sh_histogram.Vopt
 module FW = Stream_histogram.Fixed_window
 module AG = Stream_histogram.Agglomerative
 module Syn = Sh_wavelet.Synopsis
+module Pool = Sh_par.Domain_pool
+module SE = Sh_par.Shard_engine
 
 let network ~seed ~len = Source.take (Wk.network (Rng.create ~seed) Wk.default_network) len
 
@@ -310,12 +312,26 @@ let fw_alloc_stats ~pushes ~cold =
    scratch such as the HERROR memo table belongs to no shard and is not
    counted there; [memo_arena_words] measures it separately, gated the
    same way. *)
+type shape = {
+  name : string;
+  shards : int;
+  window : int;
+  buckets : int;
+  epsilon : float;
+  budget_words : int;        (* engine words/shard *)
+  budget_view_words : int;   (* published-view words/shard *)
+  budget_arena_words : int;  (* memo-arena words/domain *)
+  budget_publish_words : int; (* words per publishing ingest_groups call *)
+}
+
 let memory_shapes =
-  (* name, shards, window, buckets, epsilon, budget words/shard,
-     budget view words/shard, budget memo-arena words *)
   [
-    ("wire-bound", 64, 512, 8, 0.5, 6_000, 2_800, 9_400);
-    ("refresh-bound", 16, 1024, 8, 0.2, 15_200, 6_200, 18_800);
+    { name = "wire-bound"; shards = 64; window = 512; buckets = 8; epsilon = 0.5;
+      budget_words = 6_020; budget_view_words = 2_800; budget_arena_words = 9_400;
+      budget_publish_words = 165 };
+    { name = "refresh-bound"; shards = 16; window = 1024; buckets = 8; epsilon = 0.2;
+      budget_words = 15_350; budget_view_words = 6_200; budget_arena_words = 18_800;
+      budget_publish_words = 165 };
   ]
 
 (* Words of one domain's HERROR memo table after a summary of this shape
@@ -329,28 +345,66 @@ let memo_arena_words ~window ~buckets ~epsilon =
          FW.refresh fw;
          FW.memo_arena_words ()))
 
+(* An engine of this shape whose every shard's window is full and has had
+   its first refresh, on a one-domain pool. *)
+let filled_engine pool ~shards ~window ~buckets ~epsilon =
+  let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon in
+  let data = Array.init shards (fun k -> network ~seed:(60 + k) ~len:window) in
+  (* batches of 64 points per shard: the ingest buffer holds one batch *)
+  let per = 64 in
+  for r = 0 to (window / per) - 1 do
+    SE.ingest eng
+      (Array.init (shards * per) (fun i ->
+           let k = i mod shards in
+           (k, data.(k).((r * per) + (i / shards)))))
+  done;
+  SE.refresh_all eng;
+  eng
+
 (* Engine words per shard, and the words of one shard's published view
    (the mean over shards). *)
 let engine_words_per_shard ~shards ~window ~buckets ~epsilon =
-  let module Pool = Sh_par.Domain_pool in
-  let module SE = Sh_par.Shard_engine in
   Pool.with_pool ~domains:1 (fun pool ->
-      let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon in
-      let data = Array.init shards (fun k -> network ~seed:(60 + k) ~len:window) in
-      (* batches of 64 points per shard: the ingest buffer holds one batch *)
-      let per = 64 in
-      for r = 0 to (window / per) - 1 do
-        SE.ingest eng
-          (Array.init (shards * per) (fun i ->
-               let k = i mod shards in
-               (k, data.(k).((r * per) + (i / shards)))))
-      done;
-      SE.refresh_all eng;
+      let eng = filled_engine pool ~shards ~window ~buckets ~epsilon in
       let views = ref 0 in
       for key = 0 to shards - 1 do
         views := !views + Obj.reachable_words (Obj.repr (SE.view eng ~key))
       done;
       (Obj.reachable_words (Obj.repr eng) / shards, !views / shards))
+
+(* Steady-state words allocated per publishing [ingest_groups] call: under
+   [Eager] every call below (one 16-point group for one key, keys in
+   turn) refreshes its shard and publishes one view.  Counted as minor +
+   major - promoted words from [Gc.counters], with latency tracking off.
+   OCaml 5.1's [Gc.counters] adds minor words only at a minor collection,
+   so one is forced at each end of the measured calls.  A recycled view
+   grows a column whenever it takes a list longer than any it held
+   before, which keeps happening for a while after the windows fill, so
+   the warm-up runs 64 calls per shard first.  Deterministic for a fixed
+   shape. *)
+let publish_words_per_call ~shards ~window ~buckets ~epsilon =
+  Pool.with_pool ~domains:1 (fun pool ->
+      let eng = filled_engine pool ~shards ~window ~buckets ~epsilon in
+      SE.set_refresh_policy eng Stream_histogram.Params.Eager;
+      let warm = 64 * shards and calls = 8 * shards in
+      let data = network ~seed:61 ~len:(16 * (warm + calls)) in
+      let batches =
+        Array.init (warm + calls) (fun i -> [| (i mod shards, Array.sub data (16 * i) 16) |])
+      in
+      let was = Sh_obs.Obs.latency_enabled () in
+      Sh_obs.Obs.set_latency_enabled false;
+      for i = 0 to warm - 1 do
+        SE.ingest_groups eng batches.(i)
+      done;
+      Gc.minor ();
+      let minor0, promoted0, major0 = Gc.counters () in
+      for i = warm to warm + calls - 1 do
+        SE.ingest_groups eng batches.(i)
+      done;
+      Gc.minor ();
+      let minor1, promoted1, major1 = Gc.counters () in
+      Sh_obs.Obs.set_latency_enabled was;
+      (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)) /. Float.of_int calls)
 
 let run_fw scale =
   Report.section "BENCH-MICRO-FW: cold vs warm fixed-window refresh";
@@ -428,26 +482,26 @@ let run_fw scale =
   let registry = Report.registry_json () in
   let memory =
     List.map
-      (fun (name, shards, window, buckets, epsilon, budget, view_budget, arena_budget) ->
+      (fun ({ shards; window; buckets; epsilon; _ } as shape) ->
         let words, view_words = engine_words_per_shard ~shards ~window ~buckets ~epsilon in
-        ( name, shards, window, buckets, epsilon, (budget, words), (view_budget, view_words),
-          (arena_budget, memo_arena_words ~window ~buckets ~epsilon) ))
+        ( shape, words, view_words, memo_arena_words ~window ~buckets ~epsilon,
+          publish_words_per_call ~shards ~window ~buckets ~epsilon ))
       memory_shapes
   in
   Report.note
     "engine and published-view words/shard after every shard's first refresh; memo-arena \
-     words per domain:";
+     words per domain; steady-state words per publishing ingest_groups call:";
   Report.table
     ~headers:
       [ "shape"; "S"; "n"; "B"; "eps"; "words/shard"; "budget"; "view words"; "budget";
-        "arena words"; "budget" ]
+        "arena words"; "budget"; "words/publish"; "budget" ]
     (List.map
-       (fun (name, shards, window, buckets, epsilon, (budget, words), (vbudget, vwords),
-             (abudget, arena)) ->
-         [ name; string_of_int shards; string_of_int window; string_of_int buckets;
-           Report.fmt_g epsilon; string_of_int words; string_of_int budget;
-           string_of_int vwords; string_of_int vbudget; string_of_int arena;
-           string_of_int abudget ])
+       (fun (sh, words, vwords, arena, pwords) ->
+         [ sh.name; string_of_int sh.shards; string_of_int sh.window; string_of_int sh.buckets;
+           Report.fmt_g sh.epsilon; string_of_int words; string_of_int sh.budget_words;
+           string_of_int vwords; string_of_int sh.budget_view_words; string_of_int arena;
+           string_of_int sh.budget_arena_words; Printf.sprintf "%.1f" pwords;
+           string_of_int sh.budget_publish_words ])
        memory);
   let bench_json =
     Report.Jlist
@@ -521,21 +575,22 @@ let run_fw scale =
          ( "memory",
            Report.Jobj
              (List.map
-                (fun (name, shards, window, buckets, epsilon, (budget, words), (vbudget, vwords),
-                     (abudget, arena)) ->
-                  ( name,
+                (fun (sh, words, vwords, arena, pwords) ->
+                  ( sh.name,
                     Report.Jobj
                       [
-                        ("shards", Report.Jint shards);
-                        ("window", Report.Jint window);
-                        ("buckets", Report.Jint buckets);
-                        ("epsilon", Report.Jfloat epsilon);
-                        ("budget_words_per_shard", Report.Jint budget);
+                        ("shards", Report.Jint sh.shards);
+                        ("window", Report.Jint sh.window);
+                        ("buckets", Report.Jint sh.buckets);
+                        ("epsilon", Report.Jfloat sh.epsilon);
+                        ("budget_words_per_shard", Report.Jint sh.budget_words);
                         ("words_per_shard", Report.Jint words);
-                        ("budget_view_words_per_shard", Report.Jint vbudget);
+                        ("budget_view_words_per_shard", Report.Jint sh.budget_view_words);
                         ("view_words_per_shard", Report.Jint vwords);
-                        ("budget_memo_arena_words", Report.Jint abudget);
+                        ("budget_memo_arena_words", Report.Jint sh.budget_arena_words);
                         ("memo_arena_words", Report.Jint arena);
+                        ("budget_words_per_publish", Report.Jint sh.budget_publish_words);
+                        ("words_per_publish", Report.Jfloat pwords);
                       ] ))
                 memory) );
          ( "alloc",
@@ -591,8 +646,6 @@ let run_obs _scale =
    the host's recommended domain count so runs from single-core containers
    are legible (there, extra domains only add synchronisation cost). *)
 
-module Pool = Sh_par.Domain_pool
-module SE = Sh_par.Shard_engine
 module Traffic = Sh_serve.Traffic
 
 (* Pre-generated rounds of (key, value) arrivals, round-robin over shards,

@@ -317,39 +317,47 @@ let eval sp lists s memo ~stride ~k ~x =
         fs.(fs_eval) <- v
       end
 
+let no_bucket = { Histogram.lo = 0; hi = 0; value = 0.0 }
+
 (* The B-bucket histogram of a non-empty window: recover right endpoints
    top-down — split off the last bucket at each level with the scan's
-   argmin, then recurse on the remaining prefix with one fewer bucket.
-   Every argmin scan counts one [evals].  Bucket values are exact range
-   means. *)
+   argmin, then go on with the remaining prefix and one fewer bucket.
+   Once one bucket is left it takes the whole prefix; once the prefix has
+   no more points than buckets, its points become singleton buckets at
+   zero error.  Every argmin scan counts one [evals].  Bucket values are
+   exact range means. *)
 let histogram sp lists s ~b =
   let n = Sliding_prefix.length sp in
-  let rec boundaries x k acc =
-    if x <= 0 then acc
-    else if k <= 1 || x <= k then begin
-      (* Either a single remaining bucket, or x points fit in x singleton
-         buckets at zero error. *)
-      if k <= 1 then x :: acc
-      else begin
-        let acc = ref acc in
-        for i = x downto 1 do
-          acc := i :: !acc
-        done;
-        !acc
-      end
+  (* Right endpoints, last bucket first, filled from the back: each step
+     uses one slot and one bucket, so the singletons fit in the rest. *)
+  let ends = Array.make b 0 in
+  let first = ref b in
+  let x = ref n and k = ref b in
+  while !x > 0 do
+    if !k <= 1 || !x <= !k then begin
+      let last = if !k <= 1 then 1 else !x in
+      for i = 0 to last - 1 do
+        decr first;
+        ends.(!first) <- !x - i
+      done;
+      x := 0
     end
     else begin
-      scan sp lists s ~k ~x ~seed:(-1);
+      scan sp lists s ~k:!k ~x:!x ~seed:(-1);
       s.evals <- s.evals + 1;
-      boundaries s.best_i (k - 1) (x :: acc)
+      decr first;
+      ends.(!first) <- !x;
+      x := s.best_i;
+      decr k
     end
-  in
-  let ends = Array.of_list (boundaries n b []) in
-  let bucket_of i hi =
-    let lo = if i = 0 then 1 else ends.(i - 1) + 1 in
-    { Histogram.lo; hi; value = Sliding_prefix.range_mean sp ~lo ~hi }
-  in
-  Histogram.make ~n (Array.mapi bucket_of ends)
+  done;
+  let buckets = Array.make (b - !first) no_bucket in
+  for i = 0 to Array.length buckets - 1 do
+    let hi = ends.(!first + i) in
+    let lo = if i = 0 then 1 else ends.(!first + i - 1) + 1 in
+    buckets.(i) <- { Histogram.lo; hi; value = Sliding_prefix.range_mean sp ~lo ~hi }
+  done;
+  Histogram.make ~n buckets
 
 (* The level-k list as (a, HERROR[a, k], b, HERROR[b, k]) rows.  Left
    ends are derived and HERROR[a, k] is not stored, so each row's is
@@ -739,11 +747,6 @@ let do_refresh t ~warm ~memo =
 let refresh ?(cold = false) ?memo t =
   if t.dirty then do_refresh t ~warm:(not cold) ~memo:(Option.value memo ~default:t.memo_on)
 
-(* One arrival into the sliding prefix; [slide] counts every eviction. *)
-let[@inline] append t v =
-  if Sliding_prefix.length t.sp = Sliding_prefix.capacity t.sp then t.slide <- t.slide + 1;
-  Sliding_prefix.push t.sp v
-
 (* Bookkeeping shared by [push] and the batch path once [len] points are
    appended, then the refresh-policy dispatch. *)
 let after_append t len =
@@ -757,7 +760,9 @@ let after_append t len =
 
 let push t v =
   if not (Float.is_finite v) then invalid_arg "Fixed_window.push: non-finite value";
-  append t v;
+  (* [slide] counts every eviction *)
+  if Sliding_prefix.length t.sp = Sliding_prefix.capacity t.sp then t.slide <- t.slide + 1;
+  Sliding_prefix.push t.sp v;
   after_append t 1
 
 (* Batch fast path: append the whole batch to the sliding prefix first,
@@ -779,9 +784,10 @@ let push_slice_named t vs ~pos ~len ~name =
       if not (Float.is_finite vs.(i)) then
         invalid_arg ("Fixed_window." ^ name ^ ": non-finite value")
     done;
-    for i = pos to pos + len - 1 do
-      append t vs.(i)
-    done;
+    (* every point past the free slots evicts one, as in [push] *)
+    let free = Sliding_prefix.capacity t.sp - Sliding_prefix.length t.sp in
+    t.slide <- t.slide + max 0 (len - free);
+    Sliding_prefix.push_slice t.sp vs ~pos ~len;
     after_append t len
   end
 
@@ -871,26 +877,35 @@ let intervals t ~k =
 
 (* --- published read views -------------------------------------------- *)
 
-(* A [View.t] is an immutable copy of everything a query needs — the
-   sliding prefix ring and the level lists' two columns trimmed to their
-   rows, copied verbatim, plus precomputed whole-window answers — cut from
-   a refreshed summary by {!view}.  Readers on other domains evaluate
-   against the copy alone, with the same kernel functions the live summary
-   runs and a fresh scratch per call: no telemetry stores, no shared
-   scratch, no access to the live [t].  Same kernel, same slots, same
-   subtractions, so view answers are bit-identical to querying the
-   quiesced live summary at the same generation by construction (and
-   pinned by the snapshot-equivalence property tests). *)
+(* Views evaluate with their domain's scratch: a domain runs one
+   evaluation at a time, a view scratch takes no seeds, and nothing
+   flushes its tallies. *)
+let view_scratch_key = Domain.DLS.new_key (fun () -> new_scratch ~levels:0)
+let view_scratch () = Domain.DLS.get view_scratch_key
+
+(* A [View.t] is a copy of everything a query needs — the sliding prefix
+   ring and the level lists' two columns, copied verbatim, plus
+   precomputed whole-window answers — filled from a refreshed summary by
+   {!view_into}.  Readers on other domains evaluate against the copy
+   alone, with the same kernel functions the live summary runs and their
+   domain's view scratch: no telemetry stores, no scratch shared across
+   domains, no access to the live [t].  Same kernel, same slots, same subtractions, so view
+   answers are bit-identical to querying the quiesced live summary at the
+   same generation by construction (and pinned by the
+   snapshot-equivalence property tests).  The fields are mutable only so
+   that a publisher can refill a view nobody reads any more; the kernel
+   reads each column up to its level's [len], so columns longer than
+   their rows are harmless. *)
 module View = struct
   type t = {
-    gen : int;  (* refresh generation the copy was cut at *)
-    seen : int; (* source points_seen when cut — the freshness watermark *)
-    b : int;    (* buckets *)
-    eps : float;
-    sp : Sliding_prefix.t; (* frozen copy of the live ring *)
-    lists : level array;   (* trimmed copies of the level lists *)
-    err : float;               (* HERROR[n, B] — the current_error answer *)
-    hist : Histogram.t option; (* [None] iff the window is empty *)
+    mutable gen : int;  (* refresh generation the copy was cut at *)
+    mutable seen : int; (* source points_seen when cut — the freshness watermark *)
+    mutable b : int;    (* buckets *)
+    mutable eps : float;
+    mutable sp : Sliding_prefix.t; (* copy of the live ring *)
+    mutable lists : level array;   (* copies of the level lists *)
+    mutable err : float;               (* HERROR[n, B] — the current_error answer *)
+    mutable hist : Histogram.t option; (* [None] iff the window is empty *)
   }
 
   let generation v = v.gen
@@ -908,26 +923,51 @@ module View = struct
 
   let herror v ~k ~x =
     check_herror ~b:v.b ~n:(length v) ~k ~x;
-    let s = new_scratch ~levels:0 in
+    let s = view_scratch () in
     eval v.sp v.lists s None ~stride:(v.b + 1) ~k ~x;
     s.fs.(fs_eval)
 
   let intervals v ~k =
     check_level ~b:v.b ~k;
-    interval_rows v.sp v.lists (new_scratch ~levels:0) None ~stride:(v.b + 1) ~k
+    interval_rows v.sp v.lists (view_scratch ()) None ~stride:(v.b + 1) ~k
 end
 
-let view t =
+(* Copy [q]'s rows into [dst], growing a column only when it is too short,
+   and then to exactly the rows needed: a recycled view holds no slack. *)
+let copy_level q dst =
+  if Array.length dst.b < q.len then dst.b <- Array.make q.len 0;
+  if Array.length dst.hb < q.len then dst.hb <- Array.make q.len 0.0;
+  Array.blit q.b 0 dst.b 0 q.len;
+  Array.blit q.hb 0 dst.hb 0 q.len;
+  dst.len <- q.len
+
+let view_into t (v : View.t) =
   refresh t;
-  let sp = Sliding_prefix.copy t.sp in
-  let trimmed q = { b = Array.sub q.b 0 q.len; hb = Array.sub q.hb 0 q.len; len = q.len } in
-  let lists = Array.map trimmed t.lists in
+  if Sliding_prefix.capacity v.sp <> window t then
+    v.sp <- Sliding_prefix.create ~capacity:(window t);
+  Sliding_prefix.blit_into ~src:t.sp ~dst:v.sp;
+  if Array.length v.lists <> Array.length t.lists then
+    v.lists <- Array.map (fun _ -> new_level ()) t.lists;
+  Array.iteri (fun i q -> copy_level q v.lists.(i)) t.lists;
   let n = length t and b = buckets t in
-  let s = new_scratch ~levels:0 in
-  eval sp lists s None ~stride:(b + 1) ~k:b ~x:n;
-  let err = s.fs.(fs_eval) in
-  let hist = if n = 0 then None else Some (histogram sp lists s ~b) in
-  { View.gen = t.gen; seen = t.seen; b; eps = epsilon t; sp; lists; err; hist }
+  let s = view_scratch () in
+  eval v.sp v.lists s None ~stride:(b + 1) ~k:b ~x:n;
+  v.gen <- t.gen;
+  v.seen <- t.seen;
+  v.b <- b;
+  v.eps <- epsilon t;
+  v.err <- s.fs.(fs_eval);
+  (* Always a fresh histogram: [current_histogram] hands it to callers,
+     who may keep it after the view is refilled. *)
+  v.hist <- (if n = 0 then None else Some (histogram v.sp v.lists s ~b))
+
+let view t =
+  let v =
+    { View.gen = 0; seen = 0; b = 0; eps = 0.0;
+      sp = Sliding_prefix.create ~capacity:(window t); lists = [||]; err = 0.0; hist = None }
+  in
+  view_into t v;
+  v
 
 (* --- persistence ---------------------------------------------------- *)
 

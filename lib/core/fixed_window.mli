@@ -176,12 +176,21 @@ val herror : t -> k:int -> x:int -> float
 
 (** {2 Published read views}
 
-    A {!View.t} is an immutable snapshot of a refreshed summary: a copy of
-    the sliding prefix ring and of the interval lists' two columns trimmed
-    to their rows, and precomputed whole-window answers, plus the
-    {!generation} / {!points_seen} stamps of the moment it was cut.  Views hold no reference to the live summary
-    and are never mutated, so they may be handed to other domains and read
-    wait-free — the RCU payload of the sharded engine's query plane.
+    A {!View.t} is a snapshot of a refreshed summary: a copy of the
+    sliding prefix ring and of the interval lists' two columns, and
+    precomputed whole-window answers, plus the {!generation} /
+    {!points_seen} stamps of the moment it was filled.  Views hold no
+    reference to the live summary, so they may be handed to other domains
+    and read without locks — the RCU payload of the sharded engine's query
+    plane.
+
+    A view is immutable while it is published or held: {!view} returns a
+    view nobody else refills, and only {!view_into} writes one.
+    {!view_into} is the publisher's primitive: it refills a view that has
+    left publication and that no reader holds any more, so steady-state
+    publication copies state without allocating a new view.  Making sure
+    no reader holds the view is the publisher's job (the sharded engine
+    pins views while it evaluates them).
 
     A view is evaluated by the same HERROR kernel as the live summary, over
     verbatim copies of the same state, so every view answer is
@@ -227,11 +236,21 @@ module View : sig
 end
 
 val view : t -> View.t
-(** Cut a view of the current window, refreshing first if stale (so the
-    view is always at the latest generation).  O(window + B log...) copy
-    and precompute work, paid by the maintainer — the FEH trade: a little
-    more at update time for O(1)-ish reads.  The caller owns publication;
-    the summary keeps no reference to the view. *)
+(** A new view of the current window, refreshing first if stale (so the
+    view is always at the latest generation): an empty view filled by
+    {!view_into}.  O(window + B log...) copy and precompute work, paid by
+    the maintainer — the FEH trade: a little more at update time for
+    O(1)-ish reads.  The caller owns publication; the summary keeps no
+    reference to the view. *)
+
+val view_into : t -> View.t -> unit
+(** Refill an existing view in place with what {!view} would return now:
+    blit the prefix ring and each level's two columns, recompute
+    {!View.current_error}, and attach a freshly built histogram (a
+    histogram taken from the view earlier stays valid).  A column grows,
+    to exactly the rows needed, only when it is too short; with equal
+    geometry nothing else is allocated.  Refreshes first if stale.  The
+    caller must guarantee that no other domain reads the view meanwhile. *)
 
 (** {2 Introspection} *)
 

@@ -38,6 +38,14 @@ let tally a c n =
   ignore (Atomic.fetch_and_add a n);
   M.add c n
 
+(* A published view and the number of readers evaluating it.  A reader
+   pins the cell in its slot before reading the view (see [pin]); the
+   publisher refills only a cell that has left its slot and that it then
+   sees unpinned, so no reader ever reads a view being refilled. *)
+type cell = { view : FW.View.t; pins : int Atomic.t }
+
+let cell view = { view; pins = Atomic.make 0 }
+
 type t = {
   pool : Domain_pool.t;
   shards : FW.t array;
@@ -65,13 +73,14 @@ type t = {
   warm_sweep : (unit -> unit) array;
   cold_sweep : (unit -> unit) array;
   (* --- RCU read plane: one padded atomic slot per shard holding the
-     immutable view published at that shard's last refresh.  The slot's
-     owner (apply/sweep task) republishes whenever the live generation has
-     advanced past the published one; readers [Atomic.get] the pointer and
-     evaluate against the copy — wait-free, never touching the live
-     summary or the owner's cache lines. *)
-  views : FW.View.t Atomic.t array;
-  publish : int -> unit; (* owner-side: republish shard k if stale *)
+     view published at that shard's last refresh.  The shard's publisher
+     (the apply/sweep task that refreshed it) republishes whenever the
+     live generation has advanced past the published one, refilling its
+     spare view rather than allocating one; readers pin the cell in the
+     slot and evaluate against the copy — lock-free, never touching the
+     live summary or the owner's cache lines. *)
+  views : cell Atomic.t array;
+  publish : int -> int -> unit; (* [publish o k]: owner o republishes shard k if stale *)
   (* --- this engine's totals: what [total_points] & co. and the
      checkpoint's meta frame read.  Atomic because pool tasks (steals,
      publications) and reader domains (queries) add to them, and a
@@ -98,31 +107,45 @@ let build ~pool shard_arr =
   let views =
     Array.init shards (fun k ->
         ignore (Sys.opaque_identity (Array.make pad_stride 0));
-        Atomic.make (FW.view shard_arr.(k)))
+        Atomic.make (cell (FW.view shard_arr.(k))))
   in
   tally published c_published shards;
   M.set g_read_gen
-    (Float.of_int (FW.View.generation (Atomic.get views.(shards - 1))));
-  (* Republish shard k's view if its live generation moved past the
-     published one.  Only called with exclusive access to the shard (its
-     owner), which makes the needs_refresh/generation reads stable; the
-     publication points are refresh completions — an apply that left the
-     shard dirty under a [Lazy] / mid-cadence [Every k] policy publishes
-     nothing. *)
-  let publish k =
+    (Float.of_int (FW.View.generation (Atomic.get views.(shards - 1)).view));
+  (* contiguous slices, remainder spread over the first owners *)
+  let owners = max 1 (min (Domain_pool.domains pool) shards) in
+  (* One spare cell per owner: the cell its last publication retired. *)
+  let spares = Array.make owners None in
+  (* Owner o republishes shard k's view if its live generation moved past
+     the published one.  Only called with exclusive access to the shard
+     (the task running as owner o, stealing or not), which makes the
+     needs_refresh/generation reads stable; the publication points are
+     refresh completions — an apply that left the shard dirty under a
+     [Lazy] / mid-cadence [Every k] policy publishes nothing.
+
+     The new view is o's spare, refilled, if it is unpinned, else a
+     fresh one; the cell it replaces becomes o's next spare.  The spare
+     is in no slot, so once it is seen unpinned no reader is reading it,
+     and a reader still on its way sees its slot moved and retries (see
+     [pin]). *)
+  let publish o k =
     let fw = shard_arr.(k) in
     if
       (not (FW.needs_refresh fw))
-      && FW.generation fw <> FW.View.generation (Atomic.get views.(k))
+      && FW.generation fw <> FW.View.generation (Atomic.get views.(k)).view
     then begin
-      let v = FW.view fw in
-      Atomic.set views.(k) v;
+      let c =
+        match spares.(o) with
+        | Some spare when Atomic.get spare.pins = 0 ->
+          FW.view_into fw spare.view;
+          spare
+        | _ -> cell (FW.view fw)
+      in
+      spares.(o) <- Some (Atomic.exchange views.(k) c);
       tally published c_published 1;
-      M.set g_read_gen (Float.of_int (FW.View.generation v))
+      M.set g_read_gen (Float.of_int (FW.View.generation c.view))
     end
   in
-  (* contiguous slices, remainder spread over the first owners *)
-  let owners = max 1 (min (Domain_pool.domains pool) shards) in
   let slice_lo = Array.init owners (fun o -> o * shards / owners) in
   let slice_hi = Array.init owners (fun o -> (o + 1) * shards / owners) in
   let cnt = Array.make shards 0 in
@@ -141,7 +164,7 @@ let build ~pool shard_arr =
       for k = slice_lo.(o) to slice_hi.(o) - 1 do
         if cnt.(k) > 0 then begin
           FW.push_slice shard_arr.(k) buf ~pos:off.(k) ~len:cnt.(k);
-          publish k
+          publish o k
         end
       done;
       if lat then L.record l_apply (Obs.now () -. t0)
@@ -157,7 +180,7 @@ let build ~pool shard_arr =
   let sweep_task ~cold o =
     let refresh k =
       FW.refresh ~cold shard_arr.(k);
-      publish k
+      publish o k
     in
     fun () ->
       let lat = Obs.latency_enabled () in
@@ -212,11 +235,12 @@ let check_key t key =
 (* Run [f] on the live shard.  Exclusivity comes from the call-site
    discipline (live-shard access does not overlap an in-flight [ingest] /
    [refresh_all] call; see the .mli).  [f] may have refreshed the shard,
-   so the view is republished before returning. *)
+   so the view is republished before returning, as owner 0: no task is
+   running to use its spare. *)
 let with_shard t key f =
   check_key t key;
   let v = f t.shards.(key) in
-  t.publish key;
+  t.publish 0 key;
   v
 
 (* The one ingest routine, shared by [ingest] and [ingest_groups]: a
@@ -278,8 +302,11 @@ let ingest_groups t groups =
       Array.fold_left
         (fun nb (k, vs) ->
           check_key t k;
-          if not (Array.for_all Float.is_finite vs) then
-            invalid_arg "Shard_engine.ingest_groups: non-finite value";
+          (* a loop, not [Array.for_all]: a closure call boxes each value *)
+          for i = 0 to Array.length vs - 1 do
+            if not (Float.is_finite vs.(i)) then
+              invalid_arg "Shard_engine.ingest_groups: non-finite value"
+          done;
           cnt.(k) <- cnt.(k) + Array.length vs;
           nb + Array.length vs)
         0 groups)
@@ -303,57 +330,84 @@ let pool t = t.pool
 
 (* --- the read plane --------------------------------------------------- *)
 
-let view t ~key =
-  check_key t key;
-  Atomic.get t.views.(key)
+(* Pin the cell in [slot]: count ourselves in, then check that the slot
+   still holds it.  If it moved, the cell may already be a publisher's
+   spare: count ourselves out and retry.  Lock-free — a retry means the
+   key was republished in between. *)
+let rec pin slot =
+  let c = Atomic.get slot in
+  Atomic.incr c.pins;
+  if Atomic.get slot == c then c
+  else begin
+    Atomic.decr c.pins;
+    pin slot
+  end
 
-let read_gen t ~key = FW.View.generation (view t ~key)
+let slot t key =
+  check_key t key;
+  t.views.(key)
+
+(* One evaluation, [f view a], against a pinned view ([a] spares the
+   callers a closure per query). *)
+let with_pinned slot f a =
+  let c = pin slot in
+  match f c.view a with
+  | v ->
+    Atomic.decr c.pins;
+    v
+  | exception e ->
+    Atomic.decr c.pins;
+    raise e
+
+let with_view t ~key ~f = with_pinned (slot t key) (fun v () -> f v) ()
+
+(* Pinned for good: the view handed out is never refilled. *)
+let view t ~key = (pin (slot t key)).view
+
+let read_gen t ~key = with_pinned (slot t key) (fun v () -> FW.View.generation v) ()
 
 (* Lag introspection reads the live generation / watermark fields without
-   the shard's ownership token: plain mutable int reads, racy against the
-   owner mid-flight but memory-safe (immediate ints cannot tear), and
-   exact whenever the engine is between calls.  Telemetry-grade. *)
+   the shard's ownership token, and the published view's without a pin:
+   plain mutable int reads, racy against the owner mid-flight (a view
+   being refilled may show another key's stamps) but memory-safe
+   (immediate ints cannot tear), and exact whenever the engine is between
+   calls.  Telemetry-grade. *)
 let generation_lag t ~key =
-  check_key t key;
-  let lag =
-    FW.generation t.shards.(key) - FW.View.generation (Atomic.get t.views.(key))
-  in
+  let published = Atomic.get (slot t key) in
+  let lag = FW.generation t.shards.(key) - FW.View.generation published.view in
   if lag < 0 then 0 else lag
 
 let publication_lag t ~key =
-  check_key t key;
-  let lag =
-    FW.points_seen t.shards.(key)
-    - FW.View.points_seen (Atomic.get t.views.(key))
-  in
+  let published = Atomic.get (slot t key) in
+  let lag = FW.points_seen t.shards.(key) - FW.View.points_seen published.view in
   if lag < 0 then 0 else lag
 
 (* Estimation queries feed the "latency.query" tracker; the timers are
    hand-rolled like the task timers so the disabled path costs one boolean
    load and no closure beyond the continuation.  Every query answers from
-   the published view: the view load takes no lock and never touches the
-   live shard; with tracking on, the timer's [L.record] takes the
-   tracker's mutex once per call. *)
+   the published view, pinned for the evaluation: the pin takes no lock
+   and never touches the live shard; with tracking on, the timer's
+   [L.record] takes the tracker's mutex once per call. *)
 let view_query t key f =
   let lat = Obs.latency_enabled () in
   let t0 = if lat then Obs.now () else 0.0 in
-  let v = f (view t ~key) in
+  let v = with_pinned (slot t key) f () in
   if lat then L.record l_query (Obs.now () -. t0);
   v
 
-let length t ~key = FW.View.length (view t ~key)
+let length t ~key = with_pinned (slot t key) (fun v () -> FW.View.length v) ()
 
 let current_error t ~key =
   tally t.queries c_queries 1;
-  view_query t key FW.View.current_error
+  view_query t key (fun v () -> FW.View.current_error v)
 
 let current_histogram t ~key =
   tally t.queries c_queries 1;
-  view_query t key FW.View.current_histogram
+  view_query t key (fun v () -> FW.View.current_histogram v)
 
 let herror t ~key ~k ~x =
   tally t.queries c_queries 1;
-  view_query t key (fun v -> FW.View.herror v ~k ~x)
+  view_query t key (fun v () -> FW.View.herror v ~k ~x)
 
 let with_key t ~key ~f = with_shard t key f
 
@@ -366,7 +420,7 @@ let with_key t ~key ~f = with_shard t key f
 let eval_global t q =
   let acc = ref 0.0 in
   for key = 0 to Array.length t.shards - 1 do
-    acc := !acc +. Q.eval_view (Atomic.get t.views.(key)) q
+    acc := !acc +. with_pinned t.views.(key) Q.eval_view q
   done;
   !acc
 
@@ -378,9 +432,7 @@ let query_many t qs =
     (fun i (scope, q) ->
       out.(i) <-
         (match scope with
-        | Q.Key key ->
-          check_key t key;
-          Q.eval_view (Atomic.get t.views.(key)) q
+        | Q.Key key -> with_pinned (slot t key) Q.eval_view q
         | Q.Global -> eval_global t q))
     qs;
   tally t.queries c_queries (Array.length qs);

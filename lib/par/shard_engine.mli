@@ -74,18 +74,34 @@ val refresh_all : ?cold:bool -> t -> unit
 (** {2 Per-key queries — the concurrency contract}
 
     Every shard carries, next to its live summary, a {e published read
-    view} ({!Stream_histogram.Fixed_window.View}): an immutable snapshot
-    behind a padded atomic pointer, republished by the shard's owner at
-    every publication point.  Publication points are refresh completions —
-    a {!refresh_all} sweep, or an arrival-driven rebuild inside {!ingest}
-    ([Eager] every batch, [Every k] whenever a batch crosses the cadence
-    boundary).
+    view} ({!Stream_histogram.Fixed_window.View}): a snapshot behind a
+    padded atomic pointer, republished by the shard's publisher (the task
+    that refreshed it) at every publication point.  Publication points
+    are refresh completions — a {!refresh_all} sweep, or an
+    arrival-driven rebuild inside {!ingest} ([Eager] every batch,
+    [Every k] whenever a batch crosses the cadence boundary).
+
+    Publication recycles views.  Each owner keeps one spare view; to
+    publish, it refills the spare with
+    {!Stream_histogram.Fixed_window.view_into} and swaps it into the slot
+    with one [Atomic.exchange], and the view it replaces becomes its next
+    spare.  A reader pins a view for the duration of one evaluation: it
+    counts itself in on the view's pin count, loads the slot again, and
+    retries if the slot has moved.  The publisher refills a spare only
+    when it sees it unpinned; a spare still pinned is left to the GC and
+    a fresh view is allocated instead.  Since a view is refilled only
+    after it has left its slot and was seen unpinned, and read only while
+    pinned after it was seen in its slot, and every step is a
+    sequentially consistent [Atomic] operation, no reader sees a
+    half-written view.  Answers are those of immutable snapshots.
 
     {!current_error}, {!current_histogram}, {!herror}, {!length},
     {!query_many} and {!query_global} answer from the published view.
-    The view load is one atomic read: it takes no lock, never touches
-    the live summary, and never waits for an in-flight {!ingest} /
-    {!refresh_all}, so these calls are safe from any domain and complete
+    A read is pin + load + evaluate + unpin: it takes no lock, never
+    touches the live summary, and never waits for an in-flight
+    {!ingest} / {!refresh_all}.  It is lock-free rather than wait-free:
+    it retries only when the same key is republished between its load and
+    its check.  So these calls are safe from any domain and complete
     while the owner holds a shard (tested: a reader's {!query_many} on a
     key finishes while {!with_key} on that key is blocked).  While
     latency tracking is on ({!Sh_obs.Obs.set_latency_enabled}), each of
@@ -119,20 +135,32 @@ val current_error : t -> key:int -> float
 val current_histogram : t -> key:int -> Sh_histogram.Histogram.t
 val herror : t -> key:int -> k:int -> x:int -> float
 
+val with_view : t -> key:int -> f:(Stream_histogram.Fixed_window.View.t -> 'a) -> 'a
+(** [f] applied to the shard's currently published view, pinned while [f]
+    runs: the view stays bit-identical until [f] returns (or raises),
+    whatever is published meanwhile, and may be recycled afterwards, so
+    [f] must not keep it.  A stable snapshot across several estimates. *)
+
 val view : t -> key:int -> Stream_histogram.Fixed_window.View.t
-(** The shard's currently published view — one wait-free atomic load.
-    The natural input for {!Sh_query.Estimator}-style read-side consumers
-    that want a stable snapshot across several estimates. *)
+(** The shard's currently published view, pinned for good: it is never
+    refilled, so it stays bit-identical however many publications follow
+    (the engine allocates a fresh view in its place once it is retired).
+    For consumers that keep the view, such as
+    {!Sh_query.Estimator}-style read-side code; {!with_view} pins only
+    for the duration of a callback. *)
 
 val read_gen : t -> key:int -> int
-(** Generation stamp of the published view (also the ["engine.read_gen"]
-    gauge, which tracks the most recent publication in the process). *)
+(** Generation stamp of the published view, read under a pin (also the
+    ["engine.read_gen"] gauge, which tracks the most recent publication
+    in the process).  Publications of one key are ordered, so the value
+    never decreases. *)
 
 val generation_lag : t -> key:int -> int
 (** Live refresh generation minus published view generation: [0] whenever
     the shard is clean and published, transiently [1] inside an engine
-    call.  Reads the live stamp without the ownership token — racy but
-    memory-safe mid-flight; telemetry-grade. *)
+    call.  Reads the live stamp without the ownership token and the
+    published one without a pin — racy mid-flight (a view being refilled
+    may show another key's stamp) but memory-safe; telemetry-grade. *)
 
 val publication_lag : t -> key:int -> int
 (** Points pushed into the live shard since its published view was cut —
@@ -150,8 +178,8 @@ val query_many :
   (Stream_histogram.Query_op.scope * Stream_histogram.Query_op.t) array ->
   float array
 (** Answer a batch of scoped queries, one float per element.  A
-    [Key key] element is a wait-free view load + one
-    {!Stream_histogram.Query_op.eval_view}, memo-free (an [Herror]
+    [Key key] element is one pinned view read (see the contract above) +
+    one {!Stream_histogram.Query_op.eval_view}, memo-free (an [Herror]
     element runs its candidate scan every time); raises
     [Invalid_argument] on an out-of-range key.  A [Global] element is
     answered inline as {!query_global}.  Counted in ["engine.queries"]
@@ -164,8 +192,8 @@ val query_global : t -> Stream_histogram.Query_op.t -> float
     fixed float association.  The root aggregator folds its leaves'
     per-key answers the same way, which is how its [Global] answers are
     proved bit-identical to this single-process oracle.  Reads published
-    views only, with wait-free loads (call {!refresh_all} first for
-    current answers); see the contract above for the latency tracker's
+    views only, each pinned for its evaluation (call {!refresh_all} first
+    for current answers); see the contract above for the latency tracker's
     mutex. *)
 
 val with_key :

@@ -1,6 +1,6 @@
 type t = {
   cap : int;
-  rebase_every : int;
+  mutable rebase_every : int;
   sum : float array;    (* ring of cap+1 cumulative sums from a past origin *)
   sqsum : float array;
   mutable pos : int;    (* ring slot of the most recent cumulative value *)
@@ -55,7 +55,7 @@ let rebase t =
   done;
   t.since_rebase <- 0
 
-let push t v =
+let[@inline] push t v =
   let prev = t.pos in
   t.pos <- (t.pos + 1) mod (t.cap + 1);
   t.sum.(t.pos) <- t.sum.(prev) +. v;
@@ -63,6 +63,13 @@ let push t v =
   if t.count < t.cap then t.count <- t.count + 1;
   t.since_rebase <- t.since_rebase + 1;
   if t.since_rebase >= t.rebase_every then rebase t
+
+(* The loop stays in this module, so no value is boxed crossing into
+   [push]. *)
+let push_slice t vs ~pos ~len =
+  for i = pos to pos + len - 1 do
+    push t vs.(i)
+  done
 
 let[@inline] check t ~lo ~hi =
   if lo < 1 || hi > t.count then invalid_arg "Sliding_prefix: range out of bounds"
@@ -98,10 +105,17 @@ let[@inline] sqerror t ~lo ~hi =
     if d > 0.0 then d else 0.0
   end
 
-(* Frozen copy for the published read views: the same ring slots and
-   cursor, so every range query subtracts the same two stored values as
-   the source did when the copy was cut. *)
-let copy t = { t with sum = Array.copy t.sum; sqsum = Array.copy t.sqsum }
+(* Refill [dst] with [src]'s state for the published read views: the
+   same ring slots and cursor, so every range query subtracts the same
+   two stored values as the source did when the blit was made. *)
+let blit_into ~src ~dst =
+  if dst.cap <> src.cap then invalid_arg "Sliding_prefix.blit_into: capacities differ";
+  Array.blit src.sum 0 dst.sum 0 (src.cap + 1);
+  Array.blit src.sqsum 0 dst.sqsum 0 (src.cap + 1);
+  dst.rebase_every <- src.rebase_every;
+  dst.pos <- src.pos;
+  dst.count <- src.count;
+  dst.since_rebase <- src.since_rebase
 
 (* Raw ring reads for the fixed-window candidate scan (see the .mli):
    the arrays themselves and the unwrapped slot of window index 0, so the

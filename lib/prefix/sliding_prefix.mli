@@ -33,6 +33,11 @@ val push : t -> float -> unit
 (** Append the next stream value; evicts the oldest once full.  Amortised
     O(1), worst case O(capacity) on rebase ticks. *)
 
+val push_slice : t -> float array -> pos:int -> len:int -> unit
+(** [push] of [vs.(pos)] .. [vs.(pos + len - 1)] in order, allocating
+    nothing (a [push] called from another module boxes its float).  The
+    slice must lie inside [vs]. *)
+
 val range_sum : t -> lo:int -> hi:int -> float
 (** Sum of window points [lo .. hi] inclusive; empty ranges sum to [0.].
     Requires [1 <= lo] and [hi <= length t] when non-empty. *)
@@ -44,10 +49,12 @@ val sqerror : t -> lo:int -> hi:int -> float
 
 val range_mean : t -> lo:int -> hi:int -> float
 
-val copy : t -> t
-(** An independent copy: the same ring slots and cursor, so every query on
-    the copy returns exactly what the source returned when it was copied,
-    bit for bit, whatever the source ingests afterwards.  O(capacity). *)
+val blit_into : src:t -> dst:t -> unit
+(** Overwrite [dst] with [src]'s state: the same ring slots, cursor and
+    rebase period, so every query on [dst] returns exactly what [src]
+    returned at the blit, bit for bit, whatever [src] ingests afterwards.
+    Allocates nothing; O(capacity).  Raises [Invalid_argument] unless both
+    have the same capacity. *)
 
 (** {2 Raw ring access}
 

@@ -737,6 +737,32 @@ let test_best_split_counted () =
    cleared and rebuilt) must not change a single bit of its answers.  The
    reference is a view cut from a twin summary that stopped at the same
    point and never ran again. *)
+(* Every answer of [view] equals [fresh]'s, bit for bit. *)
+let same_view what (view : FW.View.t) (fresh : FW.View.t) =
+  let bits f = Int64.bits_of_float f in
+  let check_int name a b = Alcotest.(check int) (what ^ ": " ^ name) a b in
+  let check_bits name a b = Alcotest.(check int64) (what ^ ": " ^ name) (bits a) (bits b) in
+  check_int "generation" (FW.View.generation fresh) (FW.View.generation view);
+  check_int "points seen" (FW.View.points_seen fresh) (FW.View.points_seen view);
+  check_int "buckets" (FW.View.buckets fresh) (FW.View.buckets view);
+  check_bits "epsilon" (FW.View.epsilon fresh) (FW.View.epsilon view);
+  let n = FW.View.length fresh in
+  check_int "length" n (FW.View.length view);
+  check_bits "current_error" (FW.View.current_error fresh) (FW.View.current_error view);
+  (match (FW.View.histogram fresh, FW.View.histogram view) with
+   | None, None -> ()
+   | Some f, Some h ->
+     Alcotest.(check (list int64)) (what ^ ": histogram")
+       (List.map bits (Array.to_list (H.to_series f)))
+       (List.map bits (Array.to_list (H.to_series h)))
+   | _ -> Alcotest.fail (what ^ ": histogram presence differs"));
+  for k = 1 to FW.View.buckets fresh do
+    for x = 0 to n do
+      check_bits (Printf.sprintf "herror k=%d x=%d" k x) (FW.View.herror fresh ~k ~x)
+        (FW.View.herror view ~k ~x)
+    done
+  done
+
 let test_fw_held_view_keeps_answers () =
   let window = 24 and buckets = 4 in
   let data = Array.init 200 (fun i -> Float.of_int ((i * 37) mod 101) -. 50.0) in
@@ -744,29 +770,6 @@ let test_fw_held_view_keeps_answers () =
     let fw = FW.create ~window ~buckets ~epsilon:0.2 in
     FW.set_refresh_policy fw (Stream_histogram.Params.Every 5);
     fw
-  in
-  let bits f = Int64.bits_of_float f in
-  let same_view what (held : FW.View.t) (fresh : FW.View.t) =
-    let check_int name a b = Alcotest.(check int) (what ^ ": " ^ name) a b in
-    let check_bits name a b = Alcotest.(check int64) (what ^ ": " ^ name) (bits a) (bits b) in
-    check_int "generation" (FW.View.generation fresh) (FW.View.generation held);
-    check_int "points seen" (FW.View.points_seen fresh) (FW.View.points_seen held);
-    let n = FW.View.length fresh in
-    check_int "length" n (FW.View.length held);
-    check_bits "current_error" (FW.View.current_error fresh) (FW.View.current_error held);
-    (match (FW.View.histogram fresh, FW.View.histogram held) with
-     | None, None -> ()
-     | Some f, Some h ->
-       Alcotest.(check (list int64)) (what ^ ": histogram")
-         (List.map bits (Array.to_list (H.to_series f)))
-         (List.map bits (Array.to_list (H.to_series h)))
-     | _ -> Alcotest.fail (what ^ ": histogram presence differs"));
-    for k = 1 to buckets do
-      for x = 0 to n do
-        check_bits (Printf.sprintf "herror k=%d x=%d" k x) (FW.View.herror fresh ~k ~x)
-          (FW.View.herror held ~k ~x)
-      done
-    done
   in
   let cuts = [ 3; 24; 61; 130 ] in
   (* the same pushes and view cuts (a cut refreshes) up to point [upto] *)
@@ -788,6 +791,32 @@ let test_fw_held_view_keeps_answers () =
       drive twin ~upto:cut ~on_cut:(fun _ _ -> ());
       same_view (Printf.sprintf "cut at %d" cut) view (FW.view twin))
     !held
+
+(* [view_into] refills one view in place with exactly what [view] cuts:
+   the same view is refilled from summaries of two geometries in turn
+   (window, buckets and epsilon differ, so the ring and the level lists
+   are replaced or grown), from empty windows through full ones.  A
+   histogram taken from the view before a refill keeps its buckets. *)
+let test_fw_view_into_refills () =
+  let data = Array.init 300 (fun i -> Float.of_int ((i * 53) mod 97) -. 40.0) in
+  let small = FW.create ~window:16 ~buckets:3 ~epsilon:0.3 in
+  let large = FW.create ~window:48 ~buckets:5 ~epsilon:0.1 in
+  let v = FW.view small in
+  let series h = Array.map Int64.bits_of_float (H.to_series h) in
+  for i = 0 to Array.length data - 1 do
+    FW.push small data.(i);
+    FW.push large data.(Array.length data - 1 - i);
+    if i mod 7 = 0 then begin
+      let src = if i mod 14 = 0 then large else small in
+      let held = Option.map (fun h -> (h, series h)) (FW.View.histogram v) in
+      FW.view_into src v;
+      same_view (Printf.sprintf "refill at %d" i) v (FW.view src);
+      Option.iter
+        (fun (h, before) ->
+          Alcotest.(check bool) "held histogram unchanged" true (before = series h))
+        held
+    end
+  done
 
 (* The HERROR memo table is one per domain, shared by every summary on
    it.  Summaries of different geometry (n, B, eps) push and refresh in
@@ -1322,6 +1351,7 @@ let () =
           Alcotest.test_case "push allocation budget" `Quick test_fw_push_alloc_budget;
           Alcotest.test_case "interval bound" `Quick test_fw_interval_count_bound;
           Alcotest.test_case "held view keeps its answers" `Quick test_fw_held_view_keeps_answers;
+          Alcotest.test_case "view_into refills like view" `Quick test_fw_view_into_refills;
           Alcotest.test_case "memo table shared per domain" `Quick test_fw_shared_memo_arena;
           Alcotest.test_case "golden answers" `Quick test_fw_golden_answers;
           Alcotest.test_case "first refresh golden" `Quick test_fw_first_refresh_golden;

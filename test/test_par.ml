@@ -765,6 +765,177 @@ let test_query_many_clamping () =
          entries used above (histogram, error, herror) add three more *)
       Alcotest.(check int) "query counter" (10 + 3) (SE.queries eng))
 
+(* ------------------------------------------------ recycled views *)
+
+(* Everything a reader can observe of a view, as bits: generation,
+   watermark, current error, histogram and every HERROR[x, k]. *)
+let view_bits v =
+  let bits = Int64.bits_of_float in
+  let n = FW.View.length v and b = FW.View.buckets v in
+  ( (FW.View.generation v, FW.View.points_seen v, n),
+    bits (FW.View.current_error v),
+    Option.map (fun h -> Array.map bits (H.to_series h)) (FW.View.histogram v),
+    List.init b (fun i -> List.init (n + 1) (fun x -> bits (FW.View.herror v ~k:(i + 1) ~x))) )
+
+(* Publication refills retired views, so a view a reader still holds must
+   never be refilled.  One domain, one owner: every publication of any
+   key goes through the owner's one spare, so without the pin check the
+   second publication of the held key would refill the held view.  Held
+   through [with_view], key 1 is republished twice; taken by [view]
+   (pinned for good), three times. *)
+let test_held_views_stay_put () =
+  Pool.with_pool ~domains:1 (fun pool ->
+      let shards = 3 and window = 32 in
+      let eng = SE.create ~pool ~shards ~window ~buckets:3 ~epsilon:0.2 in
+      SE.set_refresh_policy eng Params.Eager;
+      let next = ref 0 in
+      let batch key len =
+        Array.init len (fun _ ->
+            incr next;
+            (key, Float.of_int ((!next * 37) mod 101)))
+      in
+      (* fill every window, so recycled views carry full-length state *)
+      for key = 0 to shards - 1 do
+        SE.ingest eng (batch key window)
+      done;
+      (* republish [key] [times] times, with other keys published between *)
+      let republish key times =
+        let g = SE.read_gen eng ~key in
+        for _ = 1 to times do
+          SE.ingest eng (batch ((key + 1) mod shards) 5);
+          SE.ingest eng (batch key 7);
+          SE.ingest eng (batch ((key + 2) mod shards) 3)
+        done;
+        Alcotest.(check int) "republished" (g + times) (SE.read_gen eng ~key)
+      in
+      SE.with_view eng ~key:1 ~f:(fun v ->
+          let before = view_bits v in
+          republish 1 2;
+          Alcotest.(check bool) "a view held through with_view is unchanged" true
+            (before = view_bits v));
+      let v = SE.view eng ~key:1 in
+      let before = view_bits v in
+      republish 1 3;
+      Alcotest.(check bool) "a view taken by view is unchanged" true (before = view_bits v);
+      (* and the engine still answers from its latest publication *)
+      let live = SE.with_key eng ~key:1 ~f:FW.current_error in
+      Alcotest.(check int64) "latest answers" (Int64.bits_of_float live)
+        (Int64.bits_of_float (SE.current_error eng ~key:1)))
+
+(* A reader domain loops [query_many] while the producer ingests.  Each
+   answer is kept with the generations it was read between: the published
+   generation before and after the call.  Publications of one key are
+   ordered, so the view read had a generation in that range, and the
+   answer must equal the answer of a sequential Fixed_window fed the same
+   per-key subsequence at one of those generations.  Each element of a
+   batch pins its view on its own, so each is checked on its own.  The
+   reader also reads through [with_view], which stamps a whole set of
+   answers with the generation of the one view they came from.  A view
+   refilled while a reader still reads it would give answers that match
+   no generation. *)
+let test_concurrent_reads_match_oracle () =
+  let shards = 2 and window = 128 and buckets = 4 and epsilon = 0.2 in
+  let policy = Params.Every 4 and nbatches = 600 in
+  let batches =
+    Array.init nbatches (fun b ->
+        Array.init 10 (fun i ->
+            ((b + (i * i)) mod shards, Float.of_int ((((b * 10) + i) * 53) mod 97))))
+  in
+  let ops key =
+    [| (Qop.Key key, Qop.Current_error);
+       (Qop.Key key, Qop.Window_length);
+       (Qop.Key key, Qop.Herror { k = 2; x = window / 2 });
+       (Qop.Key key, Qop.Range_sum { lo = 3; hi = window - 4 });
+       (Qop.Key key, Qop.Point_estimate { index = 5 }) |]
+  in
+  let bits = Array.map Int64.bits_of_float in
+  (* oracle: answers per (key, generation), from a sequential summary
+     driven like a shard, one push_many per batch *)
+  let oracle = Hashtbl.create 256 in
+  for key = 0 to shards - 1 do
+    let fw = FW.create ~window ~buckets ~epsilon in
+    FW.set_refresh_policy fw policy;
+    let record () =
+      let v = FW.view fw in
+      Hashtbl.replace oracle (key, FW.generation fw)
+        (bits (Array.map (fun (_, q) -> Qop.eval_view v q) (ops key)))
+    in
+    record ();
+    Array.iter
+      (fun b ->
+        let g = FW.generation fw in
+        FW.push_many fw
+          (Array.of_list (List.filter_map (fun (k, v) -> if k = key then Some v else None)
+                            (Array.to_list b)));
+        if FW.generation fw <> g then record ())
+      batches
+  done;
+  let matches key g a = Hashtbl.find_opt oracle (key, g) = Some (bits a) in
+  let element_matches key g i a =
+    match Hashtbl.find_opt oracle (key, g) with
+    | Some e -> e.(i) = Int64.bits_of_float a
+    | None -> false
+  in
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon in
+          SE.set_refresh_policy eng policy;
+          let started = Atomic.make false and stop = Atomic.make false in
+          let reader =
+            Domain.spawn (fun () ->
+                let kept = ref [] and stamped = ref [] in
+                let rec loop () =
+                  let last = Atomic.get stop in
+                  for key = 0 to shards - 1 do
+                    let g0 = SE.read_gen eng ~key in
+                    let a = SE.query_many eng (ops key) in
+                    let g1 = SE.read_gen eng ~key in
+                    kept := (key, g0, g1, a) :: !kept;
+                    stamped :=
+                      SE.with_view eng ~key ~f:(fun v ->
+                          (key, FW.View.generation v,
+                           Array.map (fun (_, q) -> Qop.eval_view v q) (ops key)))
+                      :: !stamped
+                  done;
+                  Atomic.set started true;
+                  if not last then loop ()
+                in
+                loop ();
+                (!kept, !stamped))
+          in
+          while not (Atomic.get started) do
+            Domain.cpu_relax ()
+          done;
+          Array.iter (SE.ingest eng) batches;
+          Atomic.set stop true;
+          let kept, stamped = Domain.join reader in
+          List.iter
+            (fun (key, g0, g1, a) ->
+              Array.iteri
+                (fun i a ->
+                  let gens = List.init (g1 - g0 + 1) (( + ) g0) in
+                  if not (List.exists (fun g -> element_matches key g i a) gens) then
+                    Alcotest.failf "%d domains: key %d, element %d, read between generations \
+                                    %d and %d matches the sequential oracle at none"
+                      domains key i g0 g1)
+                a)
+            kept;
+          List.iter
+            (fun (key, g, a) ->
+              if not (matches key g a) then
+                Alcotest.failf "%d domains: key %d read through with_view at generation %d \
+                                differs from the sequential oracle" domains key g)
+            stamped;
+          (* the reader's last round ran after the final batch *)
+          Alcotest.(check bool)
+            (Printf.sprintf "%d domains: reads reached the final generations" domains)
+            true
+            (List.for_all
+               (fun key -> List.exists (fun (k, g, _) -> k = key && g = SE.read_gen eng ~key) stamped)
+               (List.init shards Fun.id))))
+    [ 1; 2 ]
+
 (* ------------------------------------------ state is not telemetry *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -913,6 +1084,10 @@ let () =
           prop_snapshot_equals_quiesced_live;
           prop_view_never_stale;
           Alcotest.test_case "query_many clamping + counters" `Quick test_query_many_clamping;
+          Alcotest.test_case "held views stay put across publications" `Quick
+            test_held_views_stay_put;
+          Alcotest.test_case "concurrent reads == sequential oracle" `Quick
+            test_concurrent_reads_match_oracle;
         ] );
       ( "state_vs_metrics",
         [

@@ -128,6 +128,45 @@ let prop_sliding_matches_naive =
         stream;
       !ok)
 
+(* [blit_into] makes an exact copy whatever the source does next, and
+   [push_slice] is [push] of each value in turn: both compared bit for bit
+   against a structure fed point by point, across rebase ticks. *)
+let test_sliding_blit_and_push_slice () =
+  let cap = 5 in
+  let values = Array.init 40 (fun i -> Float.of_int ((i * 29) mod 31) -. 7.5) in
+  let one = SP.create ~capacity:cap and sliced = SP.create ~capacity:cap in
+  let copy = SP.create ~capacity:cap in
+  let answers sp =
+    let n = SP.length sp in
+    List.concat_map
+      (fun lo ->
+        List.concat_map
+          (fun hi ->
+            List.map Int64.bits_of_float
+              [ SP.range_sum sp ~lo ~hi; SP.range_sqsum sp ~lo ~hi; SP.sqerror sp ~lo ~hi ])
+          (List.init (n - lo + 1) (( + ) lo)))
+      (List.init n (( + ) 1))
+  in
+  let pos = ref 0 in
+  List.iter
+    (fun len ->
+      for i = !pos to !pos + len - 1 do
+        SP.push one values.(i)
+      done;
+      SP.push_slice sliced values ~pos:!pos ~len;
+      pos := !pos + len;
+      Alcotest.(check (list int64)) (Printf.sprintf "push_slice after %d points" !pos)
+        (answers one) (answers sliced);
+      SP.blit_into ~src:one ~dst:copy;
+      let at_blit = answers one in
+      SP.push one 1000.0;
+      Alcotest.(check (list int64)) "blit copy unmoved by later pushes" at_blit (answers copy);
+      SP.blit_into ~src:sliced ~dst:one)
+    [ 0; 1; 3; 7; 2; 11; 5; 9 ];
+  Alcotest.check_raises "capacities must match"
+    (Invalid_argument "Sliding_prefix.blit_into: capacities differ") (fun () ->
+      SP.blit_into ~src:one ~dst:(SP.create ~capacity:(cap + 1)))
+
 let test_sliding_rebase_precision () =
   (* Large cumulative totals must not corrupt small window sums after many
      pushes: the periodic rebase keeps magnitudes bounded. *)
@@ -196,6 +235,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_sliding_basic;
           Alcotest.test_case "bounds" `Quick test_sliding_bounds;
           Alcotest.test_case "rebase precision" `Quick test_sliding_rebase_precision;
+          Alcotest.test_case "blit_into and push_slice" `Quick test_sliding_blit_and_push_slice;
           Alcotest.test_case "drift regression" `Quick test_sliding_drift_regression;
           prop_sliding_matches_naive;
         ] );
