@@ -77,22 +77,11 @@ let streaming_wavelet_push =
   Test.make ~name:"streaming_wavelet.push c=32"
     (Staged.stage (fun () -> Sh_wavelet.Streaming.push sw (next ())))
 
-let mrl_insert =
-  let m = Sh_quantile.Mrl.create ~buffer_size:256 in
-  let next = feeder (network ~seed:11 ~len:8192) in
-  Test.make ~name:"mrl.insert k=256" (Staged.stage (fun () -> Sh_quantile.Mrl.insert m (next ())))
-
 let heavy_hitters_add =
   let h = Sh_mining.Heavy_hitters.create ~capacity:64 in
   let next = feeder (network ~seed:12 ~len:8192) in
   Test.make ~name:"heavy_hitters.add k=64"
     (Staged.stage (fun () -> Sh_mining.Heavy_hitters.add h (next ())))
-
-let mhist_build =
-  let rng = Rng.create ~seed:13 in
-  let cells = Array.init 32 (fun _ -> Array.init 32 (fun _ -> Float.of_int (Rng.int rng 100))) in
-  Test.make ~name:"mhist.build 32x32 B=16"
-    (Staged.stage (fun () -> ignore (Sh_multidim.Mhist.build cells ~buckets:16)))
 
 let dct_build =
   let data = network ~seed:14 ~len:512 in
@@ -328,10 +317,10 @@ let memory_shapes =
   [
     { name = "wire-bound"; shards = 64; window = 512; buckets = 8; epsilon = 0.5;
       budget_words = 6_020; budget_view_words = 2_800; budget_arena_words = 9_400;
-      budget_publish_words = 165 };
+      budget_publish_words = 129 };
     { name = "refresh-bound"; shards = 16; window = 1024; buckets = 8; epsilon = 0.2;
       budget_words = 15_350; budget_view_words = 6_200; budget_arena_words = 18_800;
-      budget_publish_words = 165 };
+      budget_publish_words = 129 };
   ]
 
 (* Words of one domain's HERROR memo table after a summary of this shape
@@ -884,7 +873,7 @@ let run scale =
     fw_tests
     @ [ fw_push_only; ag_push; sliding_push; gk_insert ]
     @ [ vopt_build ~n:512 ~buckets:16; wavelet_build ~n:4096 ~coeffs:32 ]
-    @ [ streaming_wavelet_push; mrl_insert; heavy_hitters_add; mhist_build; dct_build ]
+    @ [ streaming_wavelet_push; heavy_hitters_add; dct_build ]
     @ query_ops
   in
   run_group ~quota tests

@@ -2,48 +2,70 @@
    toolchain has no domainslib).
 
    [create ~domains:n] spawns n - 1 worker domains; the caller is the
-   n-th worker.  Tasks live in one shared FIFO guarded by a mutex and a
-   condition.  Submitters always help: [await] drains the queue while its
-   promise is pending, so a pool of 1 domain degenerates to plain inline
-   execution (no workers, no context switches) and a task submitted from
-   inside a task cannot deadlock the pool.  Results and exceptions travel
-   through promises; [run] re-raises the first failure after the whole
-   batch has settled, so shared state is never abandoned mid-batch. *)
+   n-th worker.  One FIFO of batches, one mutex and two conditions serve
+   the whole pool: a [run] enqueues its batch once, and each task is
+   claimed by index under the mutex.  A batch counts its unsettled tasks
+   down; the task that settles it last broadcasts [settled].  The caller
+   of [run] helps drain the queue until its batch settles, so a pool of 1
+   domain degenerates to plain inline execution (no workers, no context
+   switches) and a [run] from inside a task cannot deadlock the pool.
+   [run] re-raises the first failure after the whole batch has settled,
+   so shared state is never abandoned mid-batch. *)
 
-type task = unit -> unit
+type 'a batch = {
+  thunks : (unit -> 'a) array;
+  mutable next : int; (* first unclaimed task *)
+  mutable pending : int; (* tasks not yet settled *)
+  mutable results : 'a array; (* [||] until the first task returns *)
+  mutable failure : (int * exn) option; (* the lowest-index failure *)
+}
+
+(* The queue holds batches of any result type. *)
+type job = Job : 'a batch -> job [@@unboxed]
 
 type t = {
   domains : int;
-  q : task Queue.t;
-  m : Mutex.t;
+  q : job Queue.t; (* batches with unclaimed tasks, oldest first *)
+  m : Mutex.t; (* guards [q], [stopping] and every queued batch's fields *)
   work : Condition.t; (* signalled on enqueue and on shutdown *)
+  settled : Condition.t; (* broadcast when a batch's last task settles *)
   mutable stopping : bool;
   mutable workers : unit Domain.t list;
   c_tasks : Sh_obs.Metric.counter;
 }
 
-type 'a state = Pending | Done of 'a | Failed of exn
-
-type 'a promise = { pm : Mutex.t; pc : Condition.t; mutable state : 'a state }
-
 let domains t = t.domains
 
-let worker_loop pool =
-  let rec loop () =
+(* Called and returns with [m] held, the queue non-empty: claim the next
+   task of the oldest batch, run it without the lock, record its outcome
+   and count its batch down. *)
+let run_next pool =
+  let (Job b) = Queue.peek pool.q in
+  let i = b.next in
+  let n = Array.length b.thunks in
+  b.next <- i + 1;
+  if b.next = n then ignore (Queue.pop pool.q);
+  Mutex.unlock pool.m;
+  (match b.thunks.(i) () with
+  | v ->
     Mutex.lock pool.m;
-    while Queue.is_empty pool.q && not pool.stopping do
-      Condition.wait pool.work pool.m
-    done;
-    match Queue.take_opt pool.q with
-    | Some task ->
-      Mutex.unlock pool.m;
-      task ();
-      loop ()
-    | None ->
-      (* stopping and drained *)
-      Mutex.unlock pool.m
-  in
-  loop ()
+    if Array.length b.results = 0 then b.results <- Array.make n v;
+    b.results.(i) <- v
+  | exception e ->
+    Mutex.lock pool.m;
+    (match b.failure with
+    | Some (j, _) when j < i -> ()
+    | _ -> b.failure <- Some (i, e)));
+  Sh_obs.Metric.incr pool.c_tasks;
+  b.pending <- b.pending - 1;
+  if b.pending = 0 then Condition.broadcast pool.settled
+
+let worker_loop pool =
+  Mutex.lock pool.m;
+  while not (Queue.is_empty pool.q && pool.stopping) do
+    if Queue.is_empty pool.q then Condition.wait pool.work pool.m else run_next pool
+  done;
+  Mutex.unlock pool.m
 
 let create ~domains =
   if domains < 1 then invalid_arg "Domain_pool.create: domains must be >= 1";
@@ -53,6 +75,7 @@ let create ~domains =
       q = Queue.create ();
       m = Mutex.create ();
       work = Condition.create ();
+      settled = Condition.create ();
       stopping = false;
       workers = [];
       c_tasks = Sh_obs.Obs.counter "pool.tasks";
@@ -61,110 +84,31 @@ let create ~domains =
   pool.workers <- List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop pool));
   pool
 
-let enqueue pool task =
+let run pool thunks =
+  let n = Array.length thunks in
+  let b = { thunks; next = 0; pending = n; results = [||]; failure = None } in
   Mutex.lock pool.m;
   if pool.stopping then begin
     Mutex.unlock pool.m;
     invalid_arg "Domain_pool: pool is shut down"
   end;
-  Queue.push task pool.q;
-  Condition.signal pool.work;
-  Mutex.unlock pool.m
-
-let async pool f =
-  let p = { pm = Mutex.create (); pc = Condition.create (); state = Pending } in
-  enqueue pool (fun () ->
-      let result = try Done (f ()) with e -> Failed e in
-      Sh_obs.Metric.incr pool.c_tasks;
-      Mutex.lock p.pm;
-      p.state <- result;
-      Condition.broadcast p.pc;
-      Mutex.unlock p.pm);
-  p
-
-(* Steal one task from the pool queue, if any. *)
-let try_help pool =
-  Mutex.lock pool.m;
-  let task = Queue.take_opt pool.q in
+  if n > 0 then begin
+    Queue.push (Job b) pool.q;
+    (* one wake-up per task the caller does not claim itself *)
+    for _ = 2 to n do
+      Condition.signal pool.work
+    done
+  end;
+  (* Help with any queued task (FIFO, so this batch's own come first
+     unless older ones wait); with the queue empty, the rest of the batch
+     is running elsewhere. *)
+  while b.pending > 0 do
+    if Queue.is_empty pool.q then Condition.wait pool.settled pool.m else run_next pool
+  done;
   Mutex.unlock pool.m;
-  match task with
-  | Some task ->
-    task ();
-    true
-  | None -> false
-
-let peek p =
-  Mutex.lock p.pm;
-  let s = p.state in
-  Mutex.unlock p.pm;
-  s
-
-let await pool p =
-  (* Help run queued tasks while the promise is pending: guarantees
-     progress with zero workers (domains = 1) and keeps the caller busy
-     instead of blocked while workers finish the tail of a batch. *)
-  let rec drive () =
-    match peek p with
-    | Done v -> v
-    | Failed e -> raise e
-    | Pending ->
-      if try_help pool then drive ()
-      else begin
-        (* queue empty: the task is running on a worker (or is this very
-           promise being resolved) — block until resolved *)
-        Mutex.lock p.pm;
-        while p.state = Pending do
-          Condition.wait p.pc p.pm
-        done;
-        Mutex.unlock p.pm;
-        drive ()
-      end
-  in
-  drive ()
-
-let run pool thunks =
-  let promises = Array.map (fun f -> async pool f) thunks in
-  (* Settle every promise before surfacing a failure: a partial batch must
-     not leave tasks mutating shared state after run returns. *)
-  let first_error = ref None in
-  let results =
-    Array.map
-      (fun p ->
-        match await pool p with
-        | v -> Some v
-        | exception e ->
-          if !first_error = None then first_error := Some e;
-          None)
-      promises
-  in
-  match !first_error with
-  | Some e -> raise e
-  | None -> Array.map Option.get results
-
-let parallel_for ?chunk pool ~start ~finish body =
-  if finish >= start then begin
-    let n = finish - start + 1 in
-    let chunk =
-      match chunk with
-      | Some c ->
-        if c < 1 then invalid_arg "Domain_pool.parallel_for: chunk must be >= 1";
-        c
-      | None ->
-        (* ~4 chunks per domain: enough slack for dynamic load balance,
-           few enough that per-task overhead stays negligible *)
-        max 1 ((n + (4 * pool.domains) - 1) / (4 * pool.domains))
-    in
-    let nchunks = (n + chunk - 1) / chunk in
-    ignore
-      (run pool
-         (Array.init nchunks (fun ci ->
-              fun () ->
-               let lo = start + (ci * chunk) in
-               let hi = min finish (lo + chunk - 1) in
-               for i = lo to hi do
-                 body i
-               done)))
-  end
+  match b.failure with
+  | Some (_, e) -> raise e
+  | None -> b.results
 
 let shutdown pool =
   Mutex.lock pool.m;

@@ -3,21 +3,18 @@
     Built on stdlib [Domain] / [Mutex] / [Condition] only (no domainslib
     in the toolchain).  A pool of [domains] workers shares one task FIFO:
     [create ~domains:n] spawns [n - 1] domains and the submitting caller
-    is the n-th worker — {!await} and {!run} help drain the queue while
-    they wait, so a pool with [domains = 1] runs every task inline on the
-    caller (the sequential baseline of the scaling benchmarks costs no
-    threading overhead), and nested submissions cannot deadlock.
+    is the n-th worker — {!run} helps drain the queue while it waits, so
+    a pool with [domains = 1] runs every task inline on the caller (the
+    sequential baseline of the scaling benchmarks costs no threading
+    overhead), and a [run] from inside a task cannot deadlock.
 
     Ownership discipline: the pool synchronises task hand-off (a task
-    observes everything written before its submission, and the awaiter
-    observes everything the task wrote), but tasks that touch shared
-    mutable structures must partition them or lock — see
+    observes everything written before its submission, and the caller of
+    {!run} observes everything the tasks wrote), but tasks that touch
+    shared mutable structures must partition them or lock — see
     {!Shard_engine} for the per-shard pattern. *)
 
 type t
-
-type 'a promise
-(** A single submitted task's pending result. *)
 
 val create : domains:int -> t
 (** A pool of [domains] total workers ([>= 1]), spawning [domains - 1]
@@ -25,26 +22,12 @@ val create : domains:int -> t
 
 val domains : t -> int
 
-val async : t -> (unit -> 'a) -> 'a promise
-(** Submit one task.  Raises [Invalid_argument] if the pool was shut
-    down.  The task runs on any pool domain (or on a caller inside
-    {!await} / {!run}). *)
-
-val await : t -> 'a promise -> 'a
-(** Block until the task settles, helping run queued tasks meanwhile.
-    Re-raises the task's exception if it failed. *)
-
 val run : t -> (unit -> 'a) array -> 'a array
-(** Submit a batch and await all results, in order.  Every task settles
-    before [run] returns even on failure; the first exception (in array
-    order) is then re-raised. *)
-
-val parallel_for : ?chunk:int -> t -> start:int -> finish:int -> (int -> unit) -> unit
-(** [parallel_for pool ~start ~finish body] runs [body i] for every
-    [i] in [start .. finish] (inclusive; empty when [finish < start])
-    across the pool, in chunks of [chunk] (default: about 4 chunks per
-    domain).  Iterations must be independent.  Raises the first failing
-    iteration's exception after the loop settles. *)
+(** Submit a batch and wait for all results, in order.  The tasks run on
+    any pool domain, or on the caller, which helps run queued tasks while
+    it waits.  Every task settles before [run] returns even on failure;
+    the first exception (in array order) is then re-raised.  Raises
+    [Invalid_argument] if the pool was shut down. *)
 
 val shutdown : t -> unit
 (** Drain remaining tasks, stop and join the worker domains.  Idempotent;

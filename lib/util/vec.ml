@@ -1,11 +1,5 @@
 type 'a t = { mutable data : 'a array; mutable len : int }
 
-(* Backing-array growths across every Vec in the process: steady-state
-   streaming (interval lists cleared and refilled per refresh) must not
-   move this gauge — the window-slide memory-reuse regression test pins
-   that. *)
-let allocations = Sh_obs.Obs.gauge "vec.allocations"
-
 let create () = { data = [||]; len = 0 }
 let length t = t.len
 let is_empty t = t.len = 0
@@ -15,8 +9,7 @@ let push t x =
     let ncap = max 8 (2 * Array.length t.data) in
     let ndata = Array.make ncap x in
     Array.blit t.data 0 ndata 0 t.len;
-    t.data <- ndata;
-    Sh_obs.Metric.gincr allocations
+    t.data <- ndata
   end;
   t.data.(t.len) <- x;
   t.len <- t.len + 1
@@ -25,36 +18,11 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Vec.get: index out of bounds";
   t.data.(i)
 
-let set t i x =
-  if i < 0 || i >= t.len then invalid_arg "Vec.set: index out of bounds";
-  t.data.(i) <- x
-
 let last t =
   if t.len = 0 then invalid_arg "Vec.last: empty";
   t.data.(t.len - 1)
-
-let clear t = t.len <- 0
-
-let binary_search ?(lo = 0) ?(hi = -1) t ~f =
-  let hi = if hi < 0 then t.len else hi in
-  if lo < 0 || hi > t.len || lo > hi then invalid_arg "Vec.binary_search: bad range";
-  let lo = ref lo and hi = ref hi in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if f t.data.(mid) then hi := mid else lo := mid + 1
-  done;
-  !lo
 
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.data.(i)
   done
-
-let fold f init t =
-  let acc = ref init in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
-
-let to_array t = Array.init t.len (fun i -> t.data.(i))

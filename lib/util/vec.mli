@@ -12,26 +12,7 @@ val push : 'a t -> 'a -> unit
 val get : 'a t -> int -> 'a
 (** 0-based.  Raises [Invalid_argument] when out of bounds. *)
 
-val set : 'a t -> int -> 'a -> unit
-
 val last : 'a t -> 'a
 (** Raises [Invalid_argument] when empty. *)
 
-val clear : 'a t -> unit
-(** Drop all elements (keeps capacity). *)
-
-val binary_search : ?lo:int -> ?hi:int -> 'a t -> f:('a -> bool) -> int
-(** Partition point: the smallest index [i] in [\[lo, hi)] (default the whole
-    vector) with [f (get t i)] true, or [hi] when no element satisfies [f].
-    Requires [f] to be monotone along the vector — false on a (possibly
-    empty) prefix, true from some index on.  Raises [Invalid_argument] on a
-    bad range. *)
-
 val iter : ('a -> unit) -> 'a t -> unit
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-val to_array : 'a t -> 'a array
-
-val allocations : Sh_obs.Metric.gauge
-(** Process-wide count of backing-array growths, exported as the
-    ["vec.allocations"] gauge: steady-state streaming (clear-and-refill
-    per refresh) must not move it. *)

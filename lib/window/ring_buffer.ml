@@ -4,14 +4,9 @@ type t = {
   mutable count : int;
 }
 
-(* Ring buffers allocate exactly once, at creation; sliding never
-   reallocates.  The gauge makes that visible next to vec.allocations and
-   is pinned by a reuse regression test. *)
-let allocations = Sh_obs.Obs.gauge "ring_buffer.allocations"
-
+(* The one allocation: sliding never reallocates. *)
 let create ~capacity =
   if capacity < 1 then invalid_arg "Ring_buffer.create: capacity must be >= 1";
-  Sh_obs.Metric.gincr allocations;
   { data = Array.make capacity 0.0; head = 0; count = 0 }
 
 let capacity t = Array.length t.data

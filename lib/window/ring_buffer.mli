@@ -38,8 +38,3 @@ val iteri : t -> (int -> float -> unit) -> unit
 (** [iteri t f] applies [f i v] for every window index i oldest-first. *)
 
 val clear : t -> unit
-
-val allocations : Sh_obs.Metric.gauge
-(** Process-wide count of ring creations, exported as the
-    ["ring_buffer.allocations"] gauge; rings never reallocate after
-    [create], so slides leave it unchanged. *)

@@ -1,5 +1,4 @@
 module CD = Sh_mining.Change_detector
-module KM = Sh_mining.Stream_kmeans
 module HH = Sh_mining.Heavy_hitters
 module Rng = Sh_util.Rng
 
@@ -49,82 +48,6 @@ let test_cd_last_distance_tracks () =
   done;
   Alcotest.(check bool) "distance grew across the shift" true (CD.last_distance cd > 10.0);
   Alcotest.(check int) "points counted" 288 (CD.points_seen cd)
-
-(* --------------------------------------------------------- stream k-means *)
-
-(* Three well-separated Gaussian blobs in 2D. *)
-let blob_stream ~seed ~n =
-  let rng = Rng.create ~seed in
-  let centres = [| (0.0, 0.0); (100.0, 0.0); (0.0, 100.0) |] in
-  Array.init n (fun i ->
-      let cx, cy = centres.(i mod 3) in
-      [| cx +. Rng.gaussian rng ~mean:0.0 ~stddev:3.0; cy +. Rng.gaussian rng ~mean:0.0 ~stddev:3.0 |])
-
-let test_kmeans_offline_blobs () =
-  let points = blob_stream ~seed:3 ~n:600 in
-  let centres = KM.kmeans (Rng.create ~seed:4) ~k:3 points in
-  Alcotest.(check int) "three centres" 3 (Array.length centres);
-  (* every centre should sit near one blob centre *)
-  Array.iter
-    (fun (c, w) ->
-      let near (x, y) = Float.abs (c.(0) -. x) < 10.0 && Float.abs (c.(1) -. y) < 10.0 in
-      Alcotest.(check bool) "centre near a blob" true
-        (near (0.0, 0.0) || near (100.0, 0.0) || near (0.0, 100.0));
-      Alcotest.(check bool) "weight positive" true (w > 0.0))
-    centres
-
-let test_stream_kmeans_matches_batch_quality () =
-  let points = blob_stream ~seed:5 ~n:3000 in
-  let stream = KM.create (Rng.create ~seed:6) ~k:3 ~dim:2 ~chunk_size:200 in
-  Array.iter (KM.add stream) points;
-  let stream_cost = KM.cost stream points in
-  (* batch baseline on the full data *)
-  let batch = KM.kmeans (Rng.create ~seed:7) ~k:3 points in
-  let batch_centres = Array.map fst batch in
-  let batch_cost =
-    Array.fold_left
-      (fun acc p ->
-        let best = ref infinity in
-        Array.iter
-          (fun c ->
-            let d =
-              ((p.(0) -. c.(0)) *. (p.(0) -. c.(0))) +. ((p.(1) -. c.(1)) *. (p.(1) -. c.(1)))
-            in
-            if d < !best then best := d)
-          batch_centres;
-        acc +. !best)
-      0.0 points
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "stream cost %.0f within 2x of batch %.0f" stream_cost batch_cost)
-    true
-    (stream_cost <= (2.0 *. batch_cost) +. 1e-6)
-
-let test_stream_kmeans_assign () =
-  let stream = KM.create (Rng.create ~seed:8) ~k:3 ~dim:2 ~chunk_size:100 in
-  Array.iter (KM.add stream) (blob_stream ~seed:9 ~n:900);
-  (* points from the same blob must map to the same cluster *)
-  let a1 = KM.assign stream [| 0.0; 1.0 |] and a2 = KM.assign stream [| 2.0; -1.0 |] in
-  let b1 = KM.assign stream [| 99.0; 1.0 |] in
-  Alcotest.(check int) "same blob, same cluster" a1 a2;
-  Alcotest.(check bool) "different blobs differ" true (a1 <> b1)
-
-let test_stream_kmeans_bounded_memory () =
-  let stream = KM.create (Rng.create ~seed:10) ~k:4 ~dim:2 ~chunk_size:64 in
-  Array.iter (KM.add stream) (blob_stream ~seed:11 ~n:20_000);
-  Alcotest.(check bool) "centroids capped at k" true (Array.length (KM.centroids stream) <= 4);
-  Alcotest.(check int) "points counted" 20_000 (KM.points_seen stream)
-
-let test_stream_kmeans_validation () =
-  Alcotest.check_raises "chunk < k"
-    (Invalid_argument "Stream_kmeans.create: chunk_size must be >= k") (fun () ->
-      ignore (KM.create (Rng.create ~seed:1) ~k:5 ~dim:2 ~chunk_size:3));
-  let s = KM.create (Rng.create ~seed:1) ~k:2 ~dim:2 ~chunk_size:10 in
-  Alcotest.check_raises "dim mismatch" (Invalid_argument "Stream_kmeans.add: dimension mismatch")
-    (fun () -> KM.add s [| 1.0 |]);
-  Alcotest.check_raises "assign before data"
-    (Invalid_argument "Stream_kmeans.assign: no points seen") (fun () ->
-      ignore (KM.assign s [| 0.0; 0.0 |]))
 
 (* ---------------------------------------------------------- heavy hitters *)
 
@@ -218,14 +141,6 @@ let () =
           Alcotest.test_case "detects shift" `Quick test_cd_detects_level_shift;
           Alcotest.test_case "validation" `Quick test_cd_validation;
           Alcotest.test_case "distance tracking" `Quick test_cd_last_distance_tracks;
-        ] );
-      ( "stream_kmeans",
-        [
-          Alcotest.test_case "offline blobs" `Quick test_kmeans_offline_blobs;
-          Alcotest.test_case "stream vs batch" `Quick test_stream_kmeans_matches_batch_quality;
-          Alcotest.test_case "assign" `Quick test_stream_kmeans_assign;
-          Alcotest.test_case "bounded memory" `Quick test_stream_kmeans_bounded_memory;
-          Alcotest.test_case "validation" `Quick test_stream_kmeans_validation;
         ] );
       ( "heavy_hitters",
         [

@@ -40,11 +40,23 @@ let test_pool_run_results_in_order () =
             results))
     domain_counts
 
-let test_pool_async_await () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      let p = Pool.async pool (fun () -> 6 * 7) in
-      Alcotest.(check int) "await" 42 (Pool.await pool p);
-      Alcotest.(check int) "await is idempotent" 42 (Pool.await pool p))
+(* A task that runs a batch on its own pool: the inner [run] helps drain
+   the queue instead of waiting for a worker, so it cannot deadlock even
+   when every domain is inside an outer task. *)
+let test_pool_nested_run () =
+  List.iter
+    (fun d ->
+      Pool.with_pool ~domains:d (fun pool ->
+          let outer =
+            Pool.run pool
+              (Array.init (2 * d) (fun i ->
+                   fun () -> Pool.run pool (Array.init 9 (fun j -> fun () -> (10 * i) + j))))
+          in
+          Alcotest.(check (array (array int)))
+            (Printf.sprintf "inner results in order, %d domains" d)
+            (Array.init (2 * d) (fun i -> Array.init 9 (fun j -> (10 * i) + j)))
+            outer))
+    domain_counts
 
 let test_pool_exception_propagates () =
   List.iter
@@ -66,31 +78,13 @@ let test_pool_exception_propagates () =
             7 (Atomic.get hit)))
     domain_counts
 
-let test_pool_parallel_for () =
-  List.iter
-    (fun d ->
-      Pool.with_pool ~domains:d (fun pool ->
-          let n = 1000 in
-          let marks = Array.make n 0 in
-          Pool.parallel_for pool ~start:0 ~finish:(n - 1) (fun i ->
-              marks.(i) <- marks.(i) + 1);
-          Alcotest.(check (array int))
-            (Printf.sprintf "each index exactly once, %d domains" d)
-            (Array.make n 1) marks;
-          (* empty and singleton ranges *)
-          Pool.parallel_for pool ~start:5 ~finish:4 (fun _ -> Alcotest.fail "empty range ran");
-          let one = ref 0 in
-          Pool.parallel_for pool ~start:9 ~finish:9 (fun i -> one := i);
-          Alcotest.(check int) "singleton range" 9 !one))
-    domain_counts
-
 let test_pool_shutdown_rejects () =
   let pool = Pool.create ~domains:2 in
   Pool.shutdown pool;
   Pool.shutdown pool;
   (* idempotent *)
   Alcotest.check_raises "submit after shutdown" (Invalid_argument "Domain_pool: pool is shut down")
-    (fun () -> ignore (Pool.async pool (fun () -> ())))
+    (fun () -> ignore (Pool.run pool [| (fun () -> ()) |]))
 
 (* ------------------------------------------------- split_ix determinism *)
 
@@ -1055,9 +1049,8 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_pool_validation;
           Alcotest.test_case "run keeps order" `Quick test_pool_run_results_in_order;
-          Alcotest.test_case "async/await" `Quick test_pool_async_await;
+          Alcotest.test_case "nested run keeps order" `Quick test_pool_nested_run;
           Alcotest.test_case "exceptions propagate" `Quick test_pool_exception_propagates;
-          Alcotest.test_case "parallel_for covers range" `Quick test_pool_parallel_for;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown_rejects;
         ] );
       ("rng", [ Alcotest.test_case "split_ix deterministic" `Quick test_split_ix_deterministic ]);

@@ -2,11 +2,6 @@ module Gk = Sh_gk.Gk
 module Reservoir = Sh_quantile.Reservoir
 module Rng = Sh_util.Rng
 
-(* True rank of the answer among the data (count of values <= answer). *)
-let true_rank data v = Array.fold_left (fun acc x -> if x <= v then acc + 1 else acc) 0 data
-
-let count_eq data v = Array.fold_left (fun acc x -> if x = v then acc + 1 else acc) 0 data
-
 (* GK's guarantee with repeated values: v occupies the ranks
    #{x < v} + 1 .. #{x <= v}, and that interval must come within
    allow + 1 (one for rounding) of the target rank ceil(phi n).  The
@@ -173,76 +168,6 @@ let test_gk_insert_alloc () =
   let per_insert = (Gc.minor_words () -. w0) /. 100_000.0 in
   if per_insert > 0.1 then Alcotest.failf "%.3f minor words per insert (> 0.1)" per_insert
 
-(* ------------------------------------------------------------------ MRL *)
-
-module Mrl = Sh_quantile.Mrl
-
-let test_mrl_exact_small () =
-  let m = Mrl.create ~buffer_size:16 in
-  List.iter (Mrl.insert m) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  Alcotest.(check int) "count" 5 (Mrl.count m);
-  Helpers.check_close "median exact while unbuffered" 3.0 (Mrl.quantile m 0.5);
-  Helpers.check_close "min" 1.0 (Mrl.quantile m 0.0);
-  Helpers.check_close "max" 5.0 (Mrl.quantile m 1.0)
-
-let mrl_rank_check ~data ~buffer_size =
-  let m = Mrl.create ~buffer_size in
-  Array.iter (Mrl.insert m) data;
-  let n = Array.length data in
-  List.for_all
-    (fun phi ->
-      let v = Mrl.quantile m phi in
-      let target = Float.of_int (max 1 (int_of_float (ceil (phi *. Float.of_int n)))) in
-      let r = Float.of_int (true_rank data v) in
-      (* allow the structure's own error bound, pending-buffer slack, and
-         value multiplicity *)
-      Float.abs (r -. target)
-      <= Float.of_int (Mrl.rank_error_bound m + buffer_size + count_eq data v + 1))
-    [ 0.0; 0.1; 0.5; 0.9; 1.0 ]
-
-let test_mrl_rank_bound_random () =
-  let rng = Rng.create ~seed:41 in
-  let data = Array.init 20_000 (fun _ -> Rng.float rng 1e6) in
-  Alcotest.(check bool) "rank error within bound" true (mrl_rank_check ~data ~buffer_size:256)
-
-let test_mrl_rank_bound_sorted () =
-  let data = Array.init 10_000 Float.of_int in
-  Alcotest.(check bool) "sorted stream" true (mrl_rank_check ~data ~buffer_size:128)
-
-let test_mrl_space_sublinear () =
-  let m = Mrl.create ~buffer_size:128 in
-  let rng = Rng.create ~seed:42 in
-  for _ = 1 to 100_000 do
-    Mrl.insert m (Rng.float rng 1.0)
-  done;
-  (* ~ buffer_size x log2(n / buffer_size) *)
-  Alcotest.(check bool)
-    (Printf.sprintf "size %d well below n" (Mrl.size m))
-    true
-    (Mrl.size m <= 128 * 16)
-
-let test_mrl_validation () =
-  Alcotest.check_raises "buffer size" (Invalid_argument "Mrl.create: buffer_size must be >= 2")
-    (fun () -> ignore (Mrl.create ~buffer_size:1));
-  let m = Mrl.create ~buffer_size:4 in
-  Alcotest.check_raises "empty" (Invalid_argument "Mrl.quantile: empty summary") (fun () ->
-      ignore (Mrl.quantile m 0.5));
-  Alcotest.check_raises "nan" (Invalid_argument "Mrl.insert: non-finite value") (fun () ->
-      Mrl.insert m Float.nan)
-
-let prop_mrl_monotone_in_phi =
-  Helpers.qcheck_case ~count:30 ~name:"MRL quantiles are monotone in phi"
-    QCheck2.Gen.(
-      let* n = int_range 10 2000 in
-      let* ints = array_size (return n) (int_range 0 1000) in
-      return (Array.map Float.of_int ints))
-    (fun data ->
-      let m = Mrl.create ~buffer_size:32 in
-      Array.iter (Mrl.insert m) data;
-      let qs = List.map (Mrl.quantile m) [ 0.0; 0.25; 0.5; 0.75; 1.0 ] in
-      let rec mono = function a :: b :: rest -> a <= b && mono (b :: rest) | _ -> true in
-      mono qs)
-
 (* ------------------------------------------------------------ Reservoir *)
 
 let test_reservoir_small_stream () =
@@ -305,15 +230,6 @@ let () =
           Alcotest.test_case "queries interleaved mid-buffer" `Quick test_gk_interleaved_queries;
           Alcotest.test_case "reset equals fresh" `Quick test_gk_reset;
           Alcotest.test_case "insert allocation" `Quick test_gk_insert_alloc;
-        ] );
-      ( "mrl",
-        [
-          Alcotest.test_case "exact small" `Quick test_mrl_exact_small;
-          Alcotest.test_case "rank bound random" `Quick test_mrl_rank_bound_random;
-          Alcotest.test_case "rank bound sorted" `Quick test_mrl_rank_bound_sorted;
-          Alcotest.test_case "space sublinear" `Quick test_mrl_space_sublinear;
-          Alcotest.test_case "validation" `Quick test_mrl_validation;
-          prop_mrl_monotone_in_phi;
         ] );
       ( "reservoir",
         [

@@ -211,141 +211,6 @@ let test_knn_validation () =
   Alcotest.check_raises "bad k" (Invalid_argument "Similarity.knn_search: k must be >= 1")
     (fun () -> ignore (Sim.knn_search apca ~query:(Array.make 64 0.0) ~k:0))
 
-(* ---------------------------------------------------------------- Kdtree *)
-
-module Kd = Sh_timeseries.Kdtree
-module PaaIdx = Sh_timeseries.Paa_index
-
-let gen_points =
-  QCheck2.Gen.(
-    let* n = int_range 1 120 in
-    let* dim = int_range 1 5 in
-    let* flat = array_size (return (n * dim)) (int_range (-50) 50) in
-    return (Array.init n (fun i -> Array.init dim (fun d -> Float.of_int flat.((i * dim) + d)))))
-
-let brute_nearest points q =
-  let best = ref (-1) and best_d = ref infinity in
-  Array.iteri
-    (fun i p ->
-      let d = Seg.euclidean q p in
-      if d < !best_d then begin
-        best_d := d;
-        best := i
-      end)
-    points;
-  (!best, !best_d)
-
-let prop_kdtree_nearest_matches_brute =
-  Helpers.qcheck_case ~count:60 ~name:"kd-tree nearest equals brute force" gen_points
-    (fun points ->
-      let tree = Kd.build points in
-      let rng = Rng.create ~seed:3 in
-      let dim = Array.length points.(0) in
-      List.for_all
-        (fun _ ->
-          let q = Array.init dim (fun _ -> Rng.uniform rng ~lo:(-60.0) ~hi:60.0) in
-          let _, d_tree = Kd.nearest tree q in
-          let _, d_brute = brute_nearest points q in
-          Helpers.close ~eps:1e-9 d_tree d_brute)
-        [ (); (); () ])
-
-let prop_kdtree_within_matches_brute =
-  Helpers.qcheck_case ~count:60 ~name:"kd-tree range equals brute force" gen_points
-    (fun points ->
-      let tree = Kd.build points in
-      let q = points.(0) in
-      List.for_all
-        (fun radius ->
-          let got = Kd.within tree q ~radius in
-          let expect =
-            List.filter
-              (fun i -> Seg.euclidean q points.(i) <= radius)
-              (List.init (Array.length points) Fun.id)
-          in
-          got = expect)
-        [ 0.0; 5.0; 25.0; 1000.0 ])
-
-let prop_kdtree_knn_sorted_and_exact =
-  Helpers.qcheck_case ~count:40 ~name:"kd-tree k-NN distances match brute force" gen_points
-    (fun points ->
-      let tree = Kd.build points in
-      let q = Array.map (fun v -> v +. 0.5) points.(Array.length points - 1) in
-      let k = min 5 (Array.length points) in
-      let got = List.map snd (Kd.k_nearest tree q ~k) in
-      let brute =
-        let ds = Array.map (Seg.euclidean q) points in
-        Array.sort compare ds;
-        Array.to_list (Array.sub ds 0 k)
-      in
-      List.for_all2 (fun a b -> Helpers.close ~eps:1e-9 a b) got brute)
-
-let test_kdtree_validation () =
-  Alcotest.check_raises "empty" (Invalid_argument "Kdtree.build: empty point set") (fun () ->
-      ignore (Kd.build [||]));
-  Alcotest.check_raises "ragged" (Invalid_argument "Kdtree.build: ragged point set") (fun () ->
-      ignore (Kd.build [| [| 1.0 |]; [| 1.0; 2.0 |] |]));
-  let tree = Kd.build [| [| 0.0; 0.0 |] |] in
-  Alcotest.check_raises "query dim" (Invalid_argument "Kdtree: query dimension mismatch")
-    (fun () -> ignore (Kd.nearest tree [| 0.0 |]))
-
-(* -------------------------------------------------------------- Paa_index *)
-
-let test_paa_index_feature_lower_bound () =
-  let rng = Rng.create ~seed:91 in
-  let series = W.step_family rng ~count:30 ~len:64 ~shapes:6 ~steps:10 ~noise:4.0 in
-  let idx = PaaIdx.build ~segments:8 series in
-  (* feature distance lower-bounds true distance for every pair *)
-  let f = Array.map (PaaIdx.features idx) series in
-  Array.iteri
-    (fun i a ->
-      Array.iteri
-        (fun j b ->
-          if i < j then
-            Alcotest.(check bool) "LB in feature space" true
-              (Seg.euclidean f.(i) f.(j) <= Seg.euclidean a b +. 1e-6))
-        series)
-    series
-
-let test_paa_index_range_matches_linear () =
-  let rng = Rng.create ~seed:92 in
-  let series = W.step_family rng ~count:50 ~len:64 ~shapes:10 ~steps:8 ~noise:5.0 in
-  let idx = PaaIdx.build ~segments:8 series in
-  let query = series.(3) in
-  List.iter
-    (fun radius ->
-      let got, stats = PaaIdx.range_search idx ~query ~radius in
-      let expect = brute_force_range series query radius in
-      Alcotest.(check (list int)) "indexed = brute force" expect got;
-      Alcotest.(check bool) "accounting" true
-        (stats.Sim.candidates >= stats.Sim.true_matches))
-    [ 1.0; 40.0; 120.0; 1e6 ]
-
-let test_paa_index_knn_matches_brute () =
-  let rng = Rng.create ~seed:93 in
-  let series = W.step_family rng ~count:60 ~len:64 ~shapes:12 ~steps:8 ~noise:5.0 in
-  let idx = PaaIdx.build ~segments:8 series in
-  let query = series.(10) in
-  let got, stats = PaaIdx.knn_search idx ~query ~k:5 in
-  let brute =
-    let ds = Array.mapi (fun i s -> (i, Seg.euclidean query s)) series in
-    Array.sort (fun (_, a) (_, b) -> compare a b) ds;
-    Array.to_list (Array.sub ds 0 5)
-  in
-  List.iteri
-    (fun j (i, d) ->
-      let bi, bd = List.nth brute j in
-      Helpers.check_close "distance" bd d;
-      Alcotest.(check int) "index" bi i)
-    got;
-  Alcotest.(check bool) "some pruning happened" true (stats.Sim.candidates < 60)
-
-let test_paa_index_validation () =
-  Alcotest.check_raises "empty" (Invalid_argument "Paa_index.build: empty collection")
-    (fun () -> ignore (PaaIdx.build ~segments:4 [||]));
-  let idx = PaaIdx.build ~segments:4 [| Array.make 16 0.0 |] in
-  Alcotest.check_raises "query len" (Invalid_argument "Paa_index.features: query length mismatch")
-    (fun () -> ignore (PaaIdx.range_search idx ~query:(Array.make 8 0.0) ~radius:1.0))
-
 let () =
   Alcotest.run "sh_timeseries"
     [
@@ -375,19 +240,5 @@ let () =
           Alcotest.test_case "sliding windows" `Quick test_sliding_windows;
           Alcotest.test_case "subsequence collection" `Quick test_subsequence_collection;
           Alcotest.test_case "knn validation" `Quick test_knn_validation;
-        ] );
-      ( "kdtree",
-        [
-          Alcotest.test_case "validation" `Quick test_kdtree_validation;
-          prop_kdtree_nearest_matches_brute;
-          prop_kdtree_within_matches_brute;
-          prop_kdtree_knn_sorted_and_exact;
-        ] );
-      ( "paa_index",
-        [
-          Alcotest.test_case "feature lower bound" `Quick test_paa_index_feature_lower_bound;
-          Alcotest.test_case "range matches linear" `Quick test_paa_index_range_matches_linear;
-          Alcotest.test_case "knn matches brute" `Quick test_paa_index_knn_matches_brute;
-          Alcotest.test_case "validation" `Quick test_paa_index_validation;
         ] );
     ]

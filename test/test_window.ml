@@ -64,20 +64,6 @@ let test_create_validation () =
     (Invalid_argument "Ring_buffer.create: capacity must be >= 1") (fun () ->
       ignore (RB.create ~capacity:0))
 
-let test_allocation_gauge () =
-  let allocs () = Sh_obs.Metric.gvalue RB.allocations in
-  let before = allocs () in
-  let b = RB.create ~capacity:16 in
-  Alcotest.(check (float 0.0)) "one allocation at create" (before +. 1.0) (allocs ());
-  (* sliding, wrapping, and clearing never reallocate *)
-  for i = 1 to 200 do
-    RB.push b (Float.of_int i)
-  done;
-  RB.clear b;
-  for i = 1 to 50 do
-    RB.push b (Float.of_int i)
-  done;
-  Alcotest.(check (float 0.0)) "slides reuse the buffer" (before +. 1.0) (allocs ())
 
 (* Reference model: the last [cap] pushed values. *)
 let prop_matches_model =
@@ -113,7 +99,6 @@ let () =
           Alcotest.test_case "bounds" `Quick test_bounds;
           Alcotest.test_case "clear" `Quick test_clear;
           Alcotest.test_case "create validation" `Quick test_create_validation;
-          Alcotest.test_case "allocation gauge" `Quick test_allocation_gauge;
           prop_matches_model;
         ] );
     ]
