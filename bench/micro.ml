@@ -1013,6 +1013,7 @@ module Net_addr = Sh_net.Addr
 module Net_server = Sh_net.Server
 module Net_client = Sh_net.Client
 module Wire = Sh_net.Wire
+module Qop = Stream_histogram.Query_op
 module Gk = Sh_gk.Gk
 
 (* Pre-grouped rounds: every (connection, round) gets its own groups
@@ -1030,6 +1031,130 @@ let net_round_groups ~shards ~conns ~batch ~rounds ~seed =
                 (k, Array.init len (fun _ -> sources.(k) ())))
           in
           groups))
+
+(* ------------------------------------------- serve-path allocation gate
+
+   Words the serving domain allocates per point, on [wire-bound]'s shape
+   (bench/e2e/spec.ml: 64 keys, window 512, B = 8, eps = 0.5, every:4096,
+   16-point requests from two connections 8 deep, one request in 64 a
+   query batch, every second one [Global]).  [Server.run ~max_points]
+   runs on its own domain, its engine's windows filled in process first;
+   one client domain pipelines a fixed seeded stream.  Counted on the
+   serving domain only: [Gc.minor_words] (exact, per domain) plus words
+   allocated directly in the major heap (major minus promoted, from
+   [Gc.counters]), with latency tracking on as [shist serve] runs it.
+   The stream is fixed, but how requests fall into serve-loop rounds
+   depends on read timing, so the count varies a little from run to run;
+   CI gates it at 1.25x the committed budget. *)
+
+let wire_bound = (64, 512, 8, 0.5, 4096, 16)
+
+(* above every count measured on a 2-vCPU host: 4.3-6.2 at small scale
+   and 5.1-6.1 at default scale, the most where rounds were smallest
+   (18-24 points per round); the parent's serve loop allocated 36-38 *)
+let budget_server_words_per_point = 6.5
+
+let serve_words_per_point ~points =
+  let shards, window, buckets, epsilon, every, batch = wire_bound in
+  let depth = 8 and conns = 2 and query_every = 64 in
+  let sock = Filename.temp_file "shist-bench-words" ".sock" in
+  Unix.unlink sock;
+  let addr = Net_addr.Unix_sock sock in
+  let listener = Net_server.listen addr in
+  let was = Sh_obs.Obs.latency_enabled () in
+  Sh_obs.Obs.set_latency_enabled true;
+  let srv =
+    Domain.spawn (fun () ->
+        Pool.with_pool ~domains:1 (fun pool ->
+            let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon in
+            SE.set_refresh_policy eng (Stream_histogram.Params.Every every);
+            let sources = Traffic.sources (Rng.create ~seed:71) ~shards in
+            SE.ingest_groups eng
+              (Array.init shards (fun k -> (k, Array.init window (fun _ -> sources.(k) ()))));
+            Gc.minor ();
+            let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+            let rep =
+              Net_server.run ~max_points:points ~backend:(Net_server.engine eng)
+                ~listeners:[ listener ] ()
+            in
+            let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+            (rep, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))))
+  in
+  (* the client: [conns] connections, each [depth] requests deep, until
+     [points] points are sent; keys uniform, values per-key network
+     streams, queries as bench/e2e/load.ml draws them *)
+  let rng = Rng.create ~seed:72 in
+  let sources = Traffic.sources (Rng.create ~seed:73) ~shards in
+  let cnt = Array.make shards 0 and order = Array.make shards 0 in
+  let request () =
+    let distinct = ref 0 in
+    Array.fill cnt 0 shards 0;
+    for _ = 1 to batch do
+      let k = Rng.int rng shards in
+      if cnt.(k) = 0 then begin
+        order.(!distinct) <- k;
+        incr distinct
+      end;
+      cnt.(k) <- cnt.(k) + 1
+    done;
+    Array.init !distinct (fun i ->
+        let k = order.(i) in
+        (k, Array.init cnt.(k) (fun _ -> sources.(k) ())))
+  in
+  let op i =
+    match i mod 4 with
+    | 0 -> Qop.Current_error
+    | 1 -> Qop.Herror { k = 1 + Rng.int rng buckets; x = Rng.int rng (window + 1) }
+    | 2 ->
+      let lo = 1 + Rng.int rng window in
+      Qop.Range_sum { lo; hi = lo + Rng.int rng (window - lo + 1) }
+    | _ -> Qop.Point_estimate { index = 1 + Rng.int rng window }
+  in
+  let batches = ref 0 in
+  let query () =
+    incr batches;
+    if !batches mod 2 = 0 then Array.init 4 (fun i -> (Qop.Global, op i))
+    else Array.init 64 (fun i -> (Qop.Key (Rng.int rng shards), op i))
+  in
+  let cs = Array.init conns (fun _ -> Net_client.connect ~timeout:60. ~retries:50 addr) in
+  let sent = ref 0 and requests = ref 0 in
+  let outstanding = Array.make conns 0 in
+  let send c =
+    incr requests;
+    if !requests mod query_every = 0 then Net_client.send cs.(c) (Wire.Query (query ()))
+    else begin
+      sent := !sent + batch;
+      Net_client.send cs.(c) (Wire.Ingest (request ()))
+    end;
+    outstanding.(c) <- outstanding.(c) + 1
+  in
+  (* the last request goes alone, once every other one is answered: the
+     loop stops in the round that acks it, with nothing left unanswered *)
+  let more () = !sent < points - batch in
+  for c = 0 to conns - 1 do
+    for _ = 1 to depth do
+      if more () then send c
+    done
+  done;
+  while Array.exists (fun n -> n > 0) outstanding do
+    for c = 0 to conns - 1 do
+      if outstanding.(c) > 0 then begin
+        (match Net_client.recv cs.(c) with
+        | Wire.Ack _ | Wire.Answers _ -> ()
+        | _ -> failwith "micro-net: unexpected response");
+        outstanding.(c) <- outstanding.(c) - 1;
+        if more () then send c
+      end
+    done
+  done;
+  ignore (Net_client.ingest cs.(0) (request ()) : int);
+  Array.iter Net_client.close cs;
+  let rep, words = Domain.join srv in
+  Sh_obs.Obs.set_latency_enabled was;
+  Unix.close listener;
+  (try Unix.unlink sock with Unix.Unix_error _ | Sys_error _ -> ());
+  assert (rep.Net_server.points = !sent + batch);
+  (words /. Float.of_int rep.Net_server.points, rep.Net_server.ingest_rounds)
 
 let run_net scale =
   Report.section "BENCH-MICRO-NET: loopback wire ingest vs in-process ingest_groups";
@@ -1108,6 +1233,10 @@ let run_net scale =
         let dt = Sh_net.Clock.now () -. t0 in
         Float.of_int (SE.total_points eng) /. dt)
   in
+  let words_points =
+    match scale with Bench_config.Small -> 131_072 | Bench_config.Default | Bench_config.Full -> 524_288
+  in
+  let server_words, words_rounds = serve_words_per_point ~points:words_points in
   let baselines = List.map (fun b -> (b, measure_in_process ~batch:b)) batch_sizes in
   let sweep =
     List.concat_map
@@ -1149,9 +1278,30 @@ let run_net scale =
   in
   Report.note "headline: loopback/in-process ratio %.2fx at batch >= 512 (target >= 0.5x)"
     headline;
+  (let ws, ww, wb, we, wk, wbatch = wire_bound in
+   Report.note
+     "net.server_words_per_point: %.2f words allocated per point on the serving domain \
+      (budget %.1f; wire-bound shape S=%d n=%d B=%d eps=%g every:%d, %d-point requests, \
+      %d points in %d rounds)"
+     server_words budget_server_words_per_point ws ww wb we wk wbatch words_points words_rounds);
   Report.json_add "net"
     (Report.Jobj
        [
+         ( "server_words",
+           let ws, ww, wb, we, wk, wbatch = wire_bound in
+           Report.Jobj
+             [
+               ("shards", Report.Jint ws);
+               ("window", Report.Jint ww);
+               ("buckets", Report.Jint wb);
+               ("epsilon", Report.Jfloat we);
+               ("every", Report.Jint wk);
+               ("batch", Report.Jint wbatch);
+               ("points", Report.Jint words_points);
+               ("ingest_rounds", Report.Jint words_rounds);
+               ("words_per_point", Report.Jfloat server_words);
+               ("budget_words_per_point", Report.Jfloat budget_server_words_per_point);
+             ] );
          ("shards", Report.Jint shards);
          ("window", Report.Jint window);
          ("buckets", Report.Jint buckets);

@@ -134,10 +134,20 @@ let host_json ~scale =
       in
       Fun.protect ~finally:(fun () -> close_in ic) find
   in
+  (* the checkout's commit, "-dirty" when the working tree differs from it *)
+  let commit =
+    match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+    | exception Unix.Unix_error _ -> "unknown"
+    | ic ->
+      let line = try String.trim (input_line ic) with End_of_file -> "" in
+      ignore (Unix.close_process_in ic);
+      if line = "" then "unknown" else line
+  in
   Jobj
     [
       ("cpu_model", Jstring cpu_model);
       ("cores", Jint (Domain.recommended_domain_count ()));
+      ("commit", Jstring commit);
       ("os", Jstring Sys.os_type);
       ("ocaml", Jstring Sys.ocaml_version);
       ("scale", Jstring scale);

@@ -304,12 +304,36 @@ let stats t =
     t.leaves;
   (!acc, !missing)
 
-(* The root as a backend of the one serve loop: each ingest request is
-   forwarded on its own, so a down leaf shortens only that request's ack. *)
+(* Rows [lo, lo + n) of a serve-loop batch, cut back into runs of one key
+   each: a request's groups, with adjacent groups of one key merged and
+   empty groups dropped, which changes no leaf's arrival order. *)
+let runs (b : Wire.Batch.t) lo n =
+  let out = ref [] and hi = ref (lo + n) in
+  while !hi > lo do
+    let k = b.keys.(!hi - 1) in
+    let start = ref (!hi - 1) in
+    while !start > lo && b.keys.(!start - 1) = k do
+      decr start
+    done;
+    out := (k, Array.sub b.values !start (!hi - !start)) :: !out;
+    hi := !start
+  done;
+  Array.of_list !out
+
+(* The root as a backend of the one serve loop: each ingest request of the
+   round's batch is split per leaf and forwarded on its own, so a down
+   leaf shortens only that request's ack. *)
 let backend t =
   {
     Server.shards = t.total_shards;
-    ingest = Array.map (fun gs -> fst (ingest t gs));
+    ingest =
+      (fun b ->
+        let lo = ref 0 in
+        Array.init b.requests (fun j ->
+            let n = b.counts.(j) in
+            let acked = fst (ingest t (runs b !lo n)) in
+            lo := !lo + n;
+            acked));
     query = query t;
     stats = (fun () -> fst (stats t));
     checkpoint = None;

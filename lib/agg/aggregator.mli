@@ -99,9 +99,11 @@ val close : t -> unit
     timeout. *)
 
 val backend : t -> Sh_net.Server.backend
-(** The root's serve-loop backend.  Each ingest request of a round is
-    forwarded on its own through {!ingest}, so a down leaf shortens only
-    the acks of the requests that touched it; queries answer through
+(** The root's serve-loop backend.  Each ingest request of a round's
+    batch is cut back into runs of one key and forwarded on its own
+    through {!ingest}, so a down leaf shortens only the acks of the
+    requests that touched it (a request with no points is acked [0]
+    without a leaf round trip); queries answer through
     {!query}, so a degraded batch is sent as
     {!Sh_net.Wire.response.Answers_partial}; [Stats] answers {!stats}.
     [Checkpoint] is refused with an [Error_reply] (the root holds no

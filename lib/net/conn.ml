@@ -1,4 +1,3 @@
-module Codec = Sh_persist.Codec
 module Frame = Sh_persist.Frame
 
 let chunk = 64 * 1024
@@ -8,12 +7,9 @@ type t = {
   mutable inbuf : bytes;
   mutable in_start : int; (* first live byte *)
   mutable in_len : int; (* live bytes from in_start *)
-  mutable content_gen : int; (* bumped when buffer bytes move or grow *)
-  mutable cache : string; (* snapshot of the live region, for scanning *)
-  mutable cache_gen : int; (* content_gen the snapshot was taken at *)
-  mutable cache_start : int; (* in_start the snapshot was taken at *)
-  outq : string Queue.t;
-  mutable out_off : int; (* bytes of the queue head already written *)
+  mutable outbuf : bytes;
+  mutable out_start : int; (* first unwritten byte *)
+  mutable out_len : int; (* unwritten bytes from out_start *)
   mutable bytes_in : int;
   mutable bytes_out : int;
   mutable last_activity : float;
@@ -27,12 +23,9 @@ let create sock =
     inbuf = Bytes.create chunk;
     in_start = 0;
     in_len = 0;
-    content_gen = 0;
-    cache = "";
-    cache_gen = -1;
-    cache_start = 0;
-    outq = Queue.create ();
-    out_off = 0;
+    outbuf = Bytes.create chunk;
+    out_start = 0;
+    out_len = 0;
     bytes_in = 0;
     bytes_out = 0;
     last_activity = Clock.now ();
@@ -54,20 +47,29 @@ let close t =
     (try Unix.close t.sock with Unix.Unix_error _ -> ())
   end
 
-(* Make room for at least [n] more input bytes: slide the live region to
-   the front, doubling the buffer if it is simply too small. *)
+(* Room for [n] more bytes after the live region [start, start + len) of
+   [buf]: slide the region to the front, or move it into a buffer of
+   twice the size if it is simply too small.  Returns the buffer to use;
+   the region now starts at 0. *)
+let make_room buf ~start ~len n =
+  let cap = Bytes.length buf in
+  if start + len + n <= cap then buf
+  else if len + n > cap then begin
+    let b = Bytes.create (max (cap * 2) (len + n)) in
+    Bytes.blit buf start b 0 len;
+    b
+  end
+  else begin
+    Bytes.blit buf start buf 0 len;
+    buf
+  end
+
+(* Moves (and may replace) the input bytes, so it runs only in [read_into]:
+   a payload reader from [next_frame] stays valid until then. *)
 let reserve t n =
-  let cap = Bytes.length t.inbuf in
-  if t.in_start + t.in_len + n > cap then begin
-    if t.in_len + n > cap then begin
-      let cap' = max (cap * 2) (t.in_len + n) in
-      let b = Bytes.create cap' in
-      Bytes.blit t.inbuf t.in_start b 0 t.in_len;
-      t.inbuf <- b
-    end
-    else Bytes.blit t.inbuf t.in_start t.inbuf 0 t.in_len;
-    t.in_start <- 0;
-    t.content_gen <- t.content_gen + 1
+  if t.in_start + t.in_len + n > Bytes.length t.inbuf then begin
+    t.inbuf <- make_room t.inbuf ~start:t.in_start ~len:t.in_len n;
+    t.in_start <- 0
   end
 
 let read_into t =
@@ -78,7 +80,6 @@ let read_into t =
     | 0 -> `Eof
     | n ->
       t.in_len <- t.in_len + n;
-      t.content_gen <- t.content_gen + 1;
       t.bytes_in <- t.bytes_in + n;
       touch t;
       `Data n
@@ -87,72 +88,69 @@ let read_into t =
     | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> `Eof
   end
 
-(* The live region as [(snapshot, offset)]: the snapshot string holds the
-   region as of the last content change, and consuming frames only moves
-   the offset, so draining a buffer of many frames copies its bytes once,
-   not once per frame. *)
-let live t =
-  if t.cache_gen <> t.content_gen then begin
-    t.cache <- Bytes.sub_string t.inbuf t.in_start t.in_len;
-    t.cache_gen <- t.content_gen;
-    t.cache_start <- t.in_start
-  end;
-  (t.cache, t.in_start - t.cache_start)
-
 let consume t n =
   if n < 0 || n > t.in_len then invalid_arg "Conn.consume";
   t.in_start <- t.in_start + n;
   t.in_len <- t.in_len - n;
-  if t.in_len = 0 then begin
-    (* Restart at the buffer front; the stale snapshot mapping is fine
-       because [live] is never consulted on an empty buffer, and the next
-       read bumps [content_gen]. *)
-    t.in_start <- 0;
-    t.content_gen <- t.content_gen + 1
-  end
+  if t.in_len = 0 then t.in_start <- 0
 
 let peek t n =
   if t.in_len < n then None
   else Some (Bytes.sub_string t.inbuf t.in_start n)
 
-let next_frame ?max_len t =
+let next_frame ~max_len t =
   if t.in_len = 0 then None
-  else begin
-    let s, pos = live t in
-    match Frame.scan_frame ?max_len s ~pos ~len:t.in_len with
+  else
+    match Frame.scan_bytes ~max_len t.inbuf ~pos:t.in_start ~len:t.in_len with
     | Frame.Incomplete -> None
     | Frame.Frame { payload; consumed } ->
-      (* The payload reader aliases the immutable snapshot string, so it
-         stays valid after the bytes are consumed here. *)
+      (* Consuming moves only the offsets: the payload's bytes stay put
+         until the next [read_into]. *)
       consume t consumed;
       Some payload
+
+(* Room for [n] more output bytes, sliding or growing as the input side
+   does. *)
+let reserve_out t n =
+  if t.out_start + t.out_len + n > Bytes.length t.outbuf then begin
+    t.outbuf <- make_room t.outbuf ~start:t.out_start ~len:t.out_len n;
+    t.out_start <- 0
   end
 
-let send t frame =
-  if not t.closed then Queue.push frame t.outq
+let send t s =
+  if not t.closed then begin
+    let n = String.length s in
+    reserve_out t n;
+    Bytes.blit_string s 0 t.outbuf (t.out_start + t.out_len) n;
+    t.out_len <- t.out_len + n
+  end
 
-let pending_out t = not (Queue.is_empty t.outq)
+let send_frame t payload =
+  if not t.closed then begin
+    reserve_out t (Frame.framed_size (Buffer.length payload));
+    let stop = Frame.blit_frame payload t.outbuf (t.out_start + t.out_len) in
+    t.out_len <- stop - t.out_start
+  end
 
-let rec flush t =
+let pending_out t = t.out_len > 0
+
+let flush t =
   if t.closed then `Closed
+  else if t.out_len = 0 then `Flushed
   else
-    match Queue.peek_opt t.outq with
-    | None -> `Flushed
-    | Some s -> (
-      let len = String.length s - t.out_off in
-      match Unix.write_substring t.sock s t.out_off len with
-      | n ->
-        t.bytes_out <- t.bytes_out + n;
-        touch t;
-        if n = len then begin
-          ignore (Queue.pop t.outq);
-          t.out_off <- 0;
-          flush t
-        end
-        else begin
-          t.out_off <- t.out_off + n;
-          `Blocked
-        end
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-        `Blocked
-      | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> `Closed)
+    (* [Unix.write] keeps writing until the socket would block, so one
+       call drains whatever the socket accepts. *)
+    match Unix.write t.sock t.outbuf t.out_start t.out_len with
+    | n ->
+      t.bytes_out <- t.bytes_out + n;
+      touch t;
+      t.out_start <- t.out_start + n;
+      t.out_len <- t.out_len - n;
+      if t.out_len = 0 then begin
+        t.out_start <- 0;
+        `Flushed
+      end
+      else `Blocked
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
+      `Blocked
+    | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> `Closed

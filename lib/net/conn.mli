@@ -2,11 +2,15 @@
     socket, with incremental frame extraction on the read side.
 
     The read path accumulates whatever [read] returns and hands out complete
-    frames via {!next_frame} ({!Sh_persist.Frame.scan_frame} under the hood),
-    so a frame split across any number of TCP segments — or trickled in a
-    byte at a time by a slow-loris client — is reassembled without blocking
-    the serve loop.  The write path queues whole encoded frames and drains
-    them as the socket accepts bytes; {!flush} never blocks. *)
+    frames via {!next_frame}, scanned in place in the input buffer
+    ({!Sh_persist.Frame.scan_bytes}): no copy of the buffered bytes is
+    ever made.  A frame split across any number of TCP segments — or
+    trickled in a byte at a time by a slow-loris client — is reassembled
+    without blocking the serve loop.  The write path frames responses
+    straight into one output buffer and drains it with one [write] per
+    {!flush}, as far as the socket accepts; {!flush} never blocks.  Both
+    buffers start at 64 KiB, slide their live bytes to the front when they
+    run out of room and double when that is not enough; neither shrinks. *)
 
 type t
 
@@ -30,20 +34,29 @@ val peek : t -> int -> string option
 val consume : t -> int -> unit
 (** Drop the first [n] buffered bytes (e.g. a validated preamble). *)
 
-val next_frame : ?max_len:int -> t -> Sh_persist.Codec.reader option
+val next_frame : max_len:int -> t -> Sh_persist.Codec.reader option
 (** Extract the next complete frame, consuming its bytes. [None] when the
     buffer holds only a partial frame.  Raises {!Sh_persist.Codec.Corrupt}
     on a CRC mismatch, malformed length or a payload longer than
-    [max_len]. *)
+    [max_len].
+
+    The payload reader reads the input buffer itself, and the next
+    {!read_into} may move or overwrite those bytes: decode the payload
+    before reading again, and keep nothing that aliases it. *)
 
 val send : t -> string -> unit
-(** Queue an encoded frame (or preamble) for writing. *)
+(** Queue raw bytes (the preamble, or an encoded frame) for writing. *)
+
+val send_frame : t -> Buffer.t -> unit
+(** Queue the frame wrapping the buffer's contents (a message payload),
+    framed and CRC'd straight into the output buffer. *)
 
 val pending_out : t -> bool
 
 val flush : t -> [ `Flushed | `Blocked | `Closed ]
-(** Write queued bytes until done or the socket blocks. [`Closed] when the
-    peer is gone ([EPIPE]/[ECONNRESET]). *)
+(** One [write] of everything queued: [`Flushed] if the socket took it
+    all, [`Blocked] if it took part or none.  [`Closed] when the peer is
+    gone ([EPIPE]/[ECONNRESET]). *)
 
 val bytes_in : t -> int
 val bytes_out : t -> int

@@ -17,7 +17,7 @@ let read_watermark = 1 lsl 20
 
 type backend = {
   shards : int;
-  ingest : (int * float array) array array -> int array;
+  ingest : Wire.Batch.t -> int array;
   query : (Q.scope * Q.t) array -> float array * int;
   stats : unit -> Wire.stats;
   checkpoint : (string -> unit) option;
@@ -33,9 +33,9 @@ let engine eng =
   {
     shards;
     ingest =
-      (fun reqs ->
-        SE.ingest_groups eng (Array.concat (Array.to_list reqs));
-        Array.map Wire.points_in_groups reqs);
+      (fun b ->
+        SE.ingest_columns eng ~keys:b.Wire.Batch.keys ~values:b.values ~len:b.points;
+        Array.sub b.counts 0 b.requests);
     query = (fun qs -> (SE.query_many eng qs, 0));
     stats =
       (fun () ->
@@ -84,9 +84,10 @@ let listen addr =
 
 (* One decoded request, tagged for in-order response generation.  Ingest
    requests are pulled out for cross-connection coalescing; [Op_bad] is a
-   semantic rejection that keeps the connection open. *)
+   rejection: semantic (the connection stays open) or, after a protocol
+   error, the connection's last reply. *)
 type op =
-  | Op_ingest of int (* this request's index in the round's ingest batch *)
+  | Op_ingest of int (* this request's index in the round's batch *)
   | Op_query of (Q.scope * Q.t) array
   | Op_stats
   | Op_metrics
@@ -104,8 +105,6 @@ type client = {
       (* the last decode left only an incomplete frame, whose declared
          length passed the [Wire.max_frame_payload] check *)
 }
-
-let keys_ok shards arr = Array.for_all (fun (k, _) -> k >= 0 && k < shards) arr
 
 let scopes_ok shards qs =
   Array.for_all
@@ -153,15 +152,22 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
       incr r_checkpoints;
       Ok file
   in
+  (* Responses are encoded into one scratch payload buffer and framed
+     straight into the connection's output buffer. *)
+  let payload = Buffer.create 256 in
   let send cl resp =
-    Conn.send cl.conn (Wire.encode_response resp);
+    Buffer.clear payload;
+    Wire.add_response payload resp;
+    Conn.send_frame cl.conn payload;
     incr r_frames_out;
     M.incr c_frames_out
   in
+  (* The error reply is the connection's last op, so it follows the
+     replies to the requests decoded before the bad frame. *)
   let protocol_error cl msg =
     incr r_proto_errors;
     M.incr c_proto_errors;
-    send cl (Wire.Error_reply msg);
+    cl.ops <- Op_bad msg :: cl.ops;
     cl.close_after_flush <- true
   in
   let accept_all lfd =
@@ -186,11 +192,14 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
         continue := false
     done
   in
+  (* The round's ingest requests, decoded in place into columns. *)
+  let batch = Wire.Batch.create () in
   (* Decode the complete frames [cl] has buffered into [cl.ops], stopping
      once the iteration's coalescing [budget] (in points) is spent.
-     Accumulates ingest requests into [reqs] in arrival order (reversed,
-     [nreqs] long); returns the points taken from the budget. *)
-  let decode_client cl ~budget reqs nreqs =
+     Appends ingest requests to [batch] in arrival order; returns the
+     points taken from the budget.  Each payload is decoded before the
+     next read, which may move the bytes it reads. *)
+  let decode_client cl ~budget =
     let budget_left = ref budget in
     (try
        if not cl.preamble_ok then begin
@@ -212,22 +221,22 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
              cl.partial_head <- false;
              incr r_frames_in;
              M.incr c_frames_in;
-             match Wire.decode_request payload with
-             | Wire.Ingest gs ->
-               if keys_ok shards gs then begin
-                 budget_left := !budget_left - Wire.points_in_groups gs;
-                 cl.ops <- Op_ingest !nreqs :: cl.ops;
-                 reqs := gs :: !reqs;
-                 incr nreqs
-               end
-               else cl.ops <- bad_key :: cl.ops
-             | Wire.Query qs ->
+             match Wire.decode_request_into batch ~shards payload with
+             | Wire.Ingested ->
+               let i = batch.requests - 1 in
+               budget_left := !budget_left - batch.counts.(i);
+               cl.ops <- Op_ingest i :: cl.ops
+             | Wire.Bad_key -> cl.ops <- bad_key :: cl.ops
+             | Wire.Request (Wire.Query qs) ->
                cl.ops <- (if scopes_ok shards qs then Op_query qs else bad_key) :: cl.ops
-             | Wire.Stats -> cl.ops <- Op_stats :: cl.ops
-             | Wire.Metrics -> cl.ops <- Op_metrics :: cl.ops
-             | Wire.Checkpoint -> cl.ops <- Op_checkpoint :: cl.ops
-             | Wire.Ping -> cl.ops <- Op_ping :: cl.ops
-             | Wire.Shutdown -> cl.ops <- Op_shutdown :: cl.ops)
+             | Wire.Request Wire.Stats -> cl.ops <- Op_stats :: cl.ops
+             | Wire.Request Wire.Metrics -> cl.ops <- Op_metrics :: cl.ops
+             | Wire.Request Wire.Checkpoint -> cl.ops <- Op_checkpoint :: cl.ops
+             | Wire.Request Wire.Ping -> cl.ops <- Op_ping :: cl.ops
+             | Wire.Request Wire.Shutdown -> cl.ops <- Op_shutdown :: cl.ops
+             | Wire.Request (Wire.Ingest _) ->
+               (* decode_request_into appends ingest rows to the batch *)
+               assert false)
          done
        end
      with
@@ -238,33 +247,34 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
            expected));
     budget - !budget_left
   in
-  let respond cl acks =
-    List.iter
-      (fun opn ->
-        match opn with
-        | Op_ingest i -> send cl (Wire.Ack acks.(i))
-        | Op_query qs ->
-          let answers, leaves_missing = backend.query qs in
-          r_queries := !r_queries + Array.length qs;
-          M.add c_queries (Array.length qs);
-          if leaves_missing = 0 then send cl (Wire.Answers answers)
-          else begin
-            incr r_partial;
-            send cl (Wire.Answers_partial { answers; leaves_missing })
-          end
-        | Op_stats -> send cl (Wire.Stats_reply (backend.stats ()))
-        | Op_metrics -> send cl (Wire.Metrics_reply (Obs.render ()))
-        | Op_checkpoint -> (
-          match write_checkpoint () with
-          | Ok file -> send cl (Wire.Checkpointed file)
-          | Error msg -> send cl (Wire.Error_reply msg))
-        | Op_ping -> send cl Wire.Pong
-        | Op_shutdown ->
-          finishing := true;
-          send cl Wire.Shutting_down
-        | Op_bad msg -> send cl (Wire.Error_reply msg))
-      (List.rev cl.ops);
-    cl.ops <- []
+  let reply cl acks = function
+    | Op_ingest i -> send cl (Wire.Ack acks.(i))
+    | Op_query qs ->
+      let answers, leaves_missing = backend.query qs in
+      r_queries := !r_queries + Array.length qs;
+      M.add c_queries (Array.length qs);
+      if leaves_missing = 0 then send cl (Wire.Answers answers)
+      else begin
+        incr r_partial;
+        send cl (Wire.Answers_partial { answers; leaves_missing })
+      end
+    | Op_stats -> send cl (Wire.Stats_reply (backend.stats ()))
+    | Op_metrics -> send cl (Wire.Metrics_reply (Obs.render ()))
+    | Op_checkpoint -> (
+      match write_checkpoint () with
+      | Ok file -> send cl (Wire.Checkpointed file)
+      | Error msg -> send cl (Wire.Error_reply msg))
+    | Op_ping -> send cl Wire.Pong
+    | Op_shutdown ->
+      finishing := true;
+      send cl Wire.Shutting_down
+    | Op_bad msg -> send cl (Wire.Error_reply msg)
+  in
+  let rec reply_all cl acks = function
+    | [] -> ()
+    | op :: rest ->
+      reply cl acks op;
+      reply_all cl acks rest
   in
   (* A connection stops being read once [read_watermark] bytes are
      buffered — unless the last decode found them all to be one incomplete
@@ -278,121 +288,121 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
   let points_done () =
     match max_points with None -> false | Some n -> !r_points >= n
   in
+  (* The loop's steps, as closures made once, and list walks that build
+     no list ([reply_all], [reap_all]): rounds are small (about 25
+     points at wire-bound), so a few words per round are a word per
+     point.  An iteration allocates little beyond its requests,
+     [select]'s lists and its replies. *)
+  let add_read_fd fds cl =
+    if cl.close_after_flush || Conn.closed cl.conn || not (wants_input cl) then fds
+    else Conn.fd cl.conn :: fds
+  in
+  let add_write_fd fds cl =
+    if Conn.pending_out cl.conn && not (Conn.closed cl.conn) then Conn.fd cl.conn :: fds
+    else fds
+  in
+  let rec read_from fd = function
+    | [] -> ()
+    | cl :: rest ->
+      if Conn.closed cl.conn || Conn.fd cl.conn != fd then read_from fd rest
+      else begin
+        match Conn.read_into cl.conn with
+        | `Data n ->
+          cl.partial_head <- false;
+          r_bytes_in := !r_bytes_in + n;
+          M.add c_bytes_in n
+        | `Again -> ()
+        | `Eof -> Conn.close cl.conn
+      end
+  in
+  let on_readable fd =
+    if List.memq fd listeners then accept_all fd else read_from fd !clients
+  in
+  let budget = ref max_coalesce_points in
+  let decode cl =
+    if !budget > 0 && not (cl.close_after_flush || Conn.closed cl.conn) then
+      budget := !budget - decode_client cl ~budget:!budget
+  in
+  let acks = ref [||] in
+  let respond cl =
+    if cl.ops <> [] && not (Conn.closed cl.conn) then begin
+      reply_all cl !acks (List.rev cl.ops);
+      cl.ops <- []
+    end
+  in
+  let flush cl =
+    if Conn.pending_out cl.conn && not (Conn.closed cl.conn) then begin
+      let before = Conn.bytes_out cl.conn in
+      (match Conn.flush cl.conn with
+      | `Flushed | `Blocked -> ()
+      | `Closed -> Conn.close cl.conn);
+      let n = Conn.bytes_out cl.conn - before in
+      r_bytes_out := !r_bytes_out + n;
+      M.add c_bytes_out n
+    end
+  in
+  (* Close [cl] if it is done with; true if it was. *)
+  let reap cl =
+    let gone = Conn.closed cl.conn in
+    let flushed_goodbye = cl.close_after_flush && not (Conn.pending_out cl.conn) in
+    let idle_kill =
+      ((not cl.preamble_ok) || Conn.buffered cl.conn > 0)
+      && Conn.idle_for cl.conn > config.idle_timeout
+    in
+    if idle_kill && not gone then begin
+      incr r_idle_closes;
+      M.incr c_idle_closes
+    end;
+    if gone || flushed_goodbye || idle_kill then begin
+      Conn.close cl.conn;
+      true
+    end
+    else false
+  in
+  (* The live clients, sharing the old list's cells when none is reaped. *)
+  let rec reap_all = function
+    | [] -> []
+    | cl :: rest as l ->
+      let rest' = reap_all rest in
+      if reap cl then rest' else if rest' == rest then l else cl :: rest'
+  in
+  let drained cl = not (Conn.pending_out cl.conn) in
   let running = ref true in
   while !running do
     (* -- build fd sets ------------------------------------------------ *)
     let read_fds =
-      if !finishing then []
-      else
-        List.filter_map
-          (fun cl ->
-            if cl.close_after_flush || Conn.closed cl.conn || not (wants_input cl)
-            then None
-            else Some (Conn.fd cl.conn))
-          !clients
+      if !finishing then [] else List.fold_left add_read_fd listeners !clients
     in
-    let read_fds =
-      if !finishing then read_fds else List.rev_append listeners read_fds
-    in
-    let write_fds =
-      List.filter_map
-        (fun cl ->
-          if Conn.pending_out cl.conn && not (Conn.closed cl.conn) then
-            Some (Conn.fd cl.conn)
-          else None)
-        !clients
-    in
+    let write_fds = List.fold_left add_write_fd [] !clients in
     let readable, _writable, _ =
       try Unix.select read_fds write_fds [] 0.05
       with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
     in
     (* -- accept + read ------------------------------------------------ *)
-    List.iter
-      (fun fd ->
-        if List.memq fd listeners then accept_all fd
-        else
-          match
-            List.find_opt
-              (fun cl -> (not (Conn.closed cl.conn)) && Conn.fd cl.conn == fd)
-              !clients
-          with
-          | None -> ()
-          | Some cl -> (
-            match Conn.read_into cl.conn with
-            | `Data n ->
-              cl.partial_head <- false;
-              r_bytes_in := !r_bytes_in + n;
-              M.add c_bytes_in n
-            | `Again -> ()
-            | `Eof -> Conn.close cl.conn))
-      readable;
+    List.iter on_readable readable;
     (* -- decode + coalesce + apply ------------------------------------ *)
-    let reqs = ref [] and nreqs = ref 0 in
-    let budget = ref max_coalesce_points in
-    List.iter
-      (fun cl ->
-        if !budget > 0 && not (cl.close_after_flush || Conn.closed cl.conn)
-        then budget := !budget - decode_client cl ~budget:!budget reqs nreqs)
-      !clients;
-    let acks =
-      match !reqs with
-      | [] -> [||]
-      | rs ->
-        let acks = backend.ingest (Array.of_list (List.rev rs)) in
-        let pts = Array.fold_left ( + ) 0 acks in
-        incr r_rounds;
-        r_points := !r_points + pts;
-        M.add c_points pts;
-        (match config.checkpoint_every with
-        | Some k when !r_rounds mod k = 0 -> ignore (write_checkpoint ())
-        | _ -> ());
-        acks
-    in
+    Wire.Batch.clear batch;
+    budget := max_coalesce_points;
+    List.iter decode !clients;
+    acks := [||];
+    if batch.requests > 0 then begin
+      acks := backend.ingest batch;
+      let pts = Array.fold_left ( + ) 0 !acks in
+      incr r_rounds;
+      r_points := !r_points + pts;
+      M.add c_points pts;
+      match config.checkpoint_every with
+      | Some k when !r_rounds mod k = 0 -> ignore (write_checkpoint ())
+      | _ -> ()
+    end;
     (* -- respond in per-connection request order ---------------------- *)
-    List.iter
-      (fun cl ->
-        if cl.ops <> [] && not (Conn.closed cl.conn) then respond cl acks)
-      !clients;
+    List.iter respond !clients;
     (* -- flush + reap ------------------------------------------------- *)
-    List.iter
-      (fun cl ->
-        if Conn.pending_out cl.conn && not (Conn.closed cl.conn) then begin
-          let before = Conn.bytes_out cl.conn in
-          (match Conn.flush cl.conn with
-          | `Flushed | `Blocked -> ()
-          | `Closed -> Conn.close cl.conn);
-          let n = Conn.bytes_out cl.conn - before in
-          r_bytes_out := !r_bytes_out + n;
-          M.add c_bytes_out n
-        end)
-      !clients;
-    clients :=
-      List.filter
-        (fun cl ->
-          let gone = Conn.closed cl.conn in
-          let flushed_goodbye =
-            cl.close_after_flush && not (Conn.pending_out cl.conn)
-          in
-          let idle_kill =
-            Conn.idle_for cl.conn > config.idle_timeout
-            && ((not cl.preamble_ok) || Conn.buffered cl.conn > 0)
-          in
-          if idle_kill && not gone then begin
-            incr r_idle_closes;
-            M.incr c_idle_closes
-          end;
-          if gone || flushed_goodbye || idle_kill then begin
-            Conn.close cl.conn;
-            false
-          end
-          else true)
-        !clients;
+    List.iter flush !clients;
+    clients := reap_all !clients;
     (* -- termination -------------------------------------------------- *)
     if stop () || points_done () then running := false
-    else if
-      !finishing
-      && List.for_all (fun cl -> not (Conn.pending_out cl.conn)) !clients
-    then running := false
+    else if !finishing && List.for_all drained !clients then running := false
   done;
   List.iter (fun cl -> Conn.close cl.conn) !clients;
   {

@@ -10,12 +10,17 @@
     model the engine demands: ingest is single-producer, so the loop {e is}
     the producer, and the wire protocol's batching becomes the backend's
     batching.  Each iteration drains every readable socket, decodes the
-    complete frames each connection has buffered, hands {e all}
+    complete frames each connection has buffered — in place in the
+    connection's input buffer, every ingest request's points appended to
+    one reusable column batch ({!Wire.Batch}) — hands {e all}
     connections' ingest requests to one [backend.ingest] call (capped at
-    {!max_coalesce_points} per iteration), and only then queues each
-    connection's responses in its request order.  An [Ack] is therefore a
-    durability-in-window statement: the points it covers are in the
-    backend before the ack bytes exist.
+    {!max_coalesce_points} per iteration), and only then encodes each
+    connection's responses, in its request order, straight into its
+    output buffer, which one [write] per iteration drains.  An [Ack] is
+    therefore a durability-in-window statement: the points it covers are
+    in the backend before the ack bytes exist.  Once the batch's columns
+    have grown to the largest round, nothing on the ingest path is
+    allocated per point.
 
     Backpressure is propagated, not absorbed: an iteration applies at
     most {!max_coalesce_points} (frames past that budget wait in their
@@ -31,8 +36,10 @@
     64 KiB read.
 
     Malformed input (bad magic, foreign version, CRC mismatch, oversized
-    length prefix, trailing bytes) earns the connection a final
-    [Error_reply] and a close; a connection that trickles a partial frame
+    length prefix, non-finite value, trailing bytes) earns the connection
+    a final [Error_reply] and a close: the reply follows the replies to
+    every request decoded before the bad frame, and a half-decoded
+    ingest request's points are dropped from the batch; a connection that trickles a partial frame
     and then stalls is reaped after [idle_timeout].  Either way the loop
     and the other connections are unaffected.  A semantically bad request
     (a key outside [\[0, backend.shards)], a [Checkpoint] the backend
@@ -59,9 +66,12 @@ val read_watermark : int
 
 type backend = {
   shards : int;  (** keys are [\[0, shards)]; others are refused *)
-  ingest : (int * float array) array array -> int array;
-      (** Called once per iteration with every decoded ingest request's
-          groups, in arrival order; returns each request's ack. *)
+  ingest : Wire.Batch.t -> int array;
+      (** Called once per iteration that decoded an ingest request, with
+          the round's batch: every such request's rows, in arrival order
+          across connections.  Returns each request's ack.  The batch is
+          reused by the next iteration, so the backend keeps nothing
+          that aliases it. *)
   query : (Q.scope * Q.t) array -> float array * int;
       (** Positional answers and the number of leaves that could not
           contribute: [0] sends [Answers], more sends [Answers_partial]. *)
@@ -72,10 +82,11 @@ type backend = {
 }
 
 val engine : SE.t -> backend
-(** The leaf: the round's requests are concatenated into one
-    {!SE.ingest_groups} call (so ingest order matches arrival order),
-    each is acked with its point count, and queries answer through
-    {!SE.query_many}.  Its [Stats] report [backpressure_waits = 0]. *)
+(** The leaf: the round's batch goes to the engine in one
+    {!SE.ingest_columns} call (so ingest order matches arrival order),
+    each request is acked with its point count, and queries answer
+    through {!SE.query_many}.  Its [Stats] report
+    [backpressure_waits = 0]. *)
 
 type report = {
   connections : int;  (** accepted over the run *)

@@ -117,9 +117,8 @@ let encode_request req =
   | Shutdown -> Codec.put_u8 buf tag_shutdown);
   frame_of buf
 
-let encode_response resp =
-  let buf = Buffer.create 64 in
-  (match resp with
+let add_response buf resp =
+  match resp with
   | Ack n ->
     Codec.put_u8 buf tag_ack;
     Codec.put_varint buf n
@@ -150,49 +149,170 @@ let encode_response resp =
   | Shutting_down -> Codec.put_u8 buf tag_shutting_down
   | Error_reply msg ->
     Codec.put_u8 buf tag_error;
-    Codec.put_string buf msg);
+    Codec.put_string buf msg
+
+let encode_response resp =
+  let buf = Buffer.create 64 in
+  add_response buf resp;
   frame_of buf
+
+(* --- ingest batches ---------------------------------------------------- *)
+
+module Batch = struct
+  type t = {
+    mutable keys : int array;
+    mutable values : float array;
+    mutable points : int;
+    mutable counts : int array;
+    mutable requests : int;
+  }
+
+  let create () = { keys = [||]; values = [||]; points = 0; counts = [||]; requests = 0 }
+
+  let clear b =
+    b.points <- 0;
+    b.requests <- 0
+
+  (* Room for [n] more rows: the columns double, so a batch reused round
+     after round stops allocating once it has held its largest round. *)
+  let reserve b n =
+    let need = b.points + n in
+    let cap = Array.length b.values in
+    if need > cap then begin
+      let cap = max need (2 * cap) in
+      let keys = Array.make cap 0 and values = Array.make cap 0.0 in
+      Array.blit b.keys 0 keys 0 b.points;
+      Array.blit b.values 0 values 0 b.points;
+      b.keys <- keys;
+      b.values <- values
+    end
+
+  (* Close the request whose rows start at row [start]. *)
+  let close_request b start =
+    if b.requests = Array.length b.counts then begin
+      let counts = Array.make (max 8 (2 * b.requests)) 0 in
+      Array.blit b.counts 0 counts 0 b.requests;
+      b.counts <- counts
+    end;
+    b.counts.(b.requests) <- b.points - start;
+    b.requests <- b.requests + 1
+end
 
 (* --- decode --------------------------------------------------------- *)
 
-let get_groups r =
-  let n = Codec.get_varint r in
-  (* each group needs at least a key byte and a length byte *)
-  if n > Codec.remaining r / 2 then
-    Codec.corruptf "ingest group count %d exceeds %d remaining byte(s)" n
-      (Codec.remaining r);
-  Array.init n (fun _ ->
+(* The load behind [Bytes.get_int64_le] (bounds-checked), called directly
+   so that the decode loop keeps each value unboxed. *)
+external get_int64_ne : bytes -> int -> int64 = "%caml_bytes_get64"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let get_float_le src pos =
+  let bits = get_int64_ne src pos in
+  Int64.float_of_bits (if Sys.big_endian then swap64 bits else bits)
+  [@@inline]
+
+(* The one ingest validator.  Appends the payload's rows (the request tag
+   already read) to [b] as one request and checks, in order: the group
+   count and every run length against the bytes left, every value
+   finite, no trailing bytes.  Any failure rolls the request's rows back
+   and raises {!Codec.Corrupt}.  A key outside [\[0, shards)] is a
+   semantic rejection instead: the payload is still checked whole, then
+   the rows are rolled back and the result is [false].  [on_group] sees
+   each run's key and length once its rows are in. *)
+let get_ingest ?(on_group = fun _ _ -> ()) b ~shards r =
+  let start = b.Batch.points in
+  match
+    let n = Codec.get_varint r in
+    (* each group needs at least a key byte and a length byte *)
+    if n > Codec.remaining r / 2 then
+      Codec.corruptf "ingest group count %d exceeds %d remaining byte(s)" n
+        (Codec.remaining r);
+    let in_range = ref true in
+    for _ = 1 to n do
       let k = Codec.get_varint r in
-      let vs = Codec.get_float_array r in
-      for i = 0 to Array.length vs - 1 do
-        if not (Float.is_finite vs.(i)) then
-          Codec.corruptf "non-finite value in ingest frame (key %d)" k
+      let len = Codec.get_varint r in
+      if len > Codec.remaining r / 8 then
+        Codec.corruptf "float array length %d exceeds %d remaining byte(s)" len
+          (Codec.remaining r);
+      if k >= shards then in_range := false;
+      let src = Codec.src r and pos = Codec.pos r in
+      Codec.skip r (8 * len);
+      Batch.reserve b len;
+      let row = b.Batch.points in
+      let keys = b.Batch.keys and values = b.Batch.values in
+      for i = 0 to len - 1 do
+        let v = get_float_le src (pos + (8 * i)) in
+        if not (Float.is_finite v) then
+          Codec.corruptf "non-finite value in ingest frame (key %d)" k;
+        keys.(row + i) <- k;
+        values.(row + i) <- v
       done;
-      (k, vs))
+      b.Batch.points <- row + len;
+      on_group k len
+    done;
+    Codec.expect_end r ~what:"request";
+    !in_range
+  with
+  | true ->
+    Batch.close_request b start;
+    true
+  | false ->
+    b.Batch.points <- start;
+    false
+  | exception e ->
+    b.Batch.points <- start;
+    raise e
+
+(* [decode_request]'s ingest arm: the same validator over a private batch,
+   each run copied out as its rows land. *)
+let get_groups r =
+  let b = Batch.create () in
+  (* sized once: the payload cannot hold more points than this *)
+  Batch.reserve b (Codec.remaining r / 8);
+  let groups = ref [] in
+  let on_group k len =
+    groups := (k, Array.sub b.Batch.values (b.Batch.points - len) len) :: !groups
+  in
+  ignore (get_ingest ~on_group b ~shards:max_int r : bool);
+  Array.of_list (List.rev !groups)
+
+(* Every request but [Ingest], its tag already read. *)
+let get_request t r =
+  if t = tag_query then begin
+    let n = Codec.get_varint r in
+    if n > Codec.remaining r / 2 then
+      Codec.corruptf "query count %d exceeds %d remaining byte(s)" n
+        (Codec.remaining r);
+    Query
+      (Array.init n (fun _ ->
+           let scope = Q.get_scope r in
+           (scope, Q.get r)))
+  end
+  else if t = tag_stats then Stats
+  else if t = tag_metrics then Metrics
+  else if t = tag_checkpoint then Checkpoint
+  else if t = tag_ping then Ping
+  else if t = tag_shutdown then Shutdown
+  else Codec.corruptf "bad request tag %d" t
 
 let decode_request r =
   let t = Codec.get_u8 r in
-  let req =
-    if t = tag_ingest then Ingest (get_groups r)
-    else if t = tag_query then begin
-      let n = Codec.get_varint r in
-      if n > Codec.remaining r / 2 then
-        Codec.corruptf "query count %d exceeds %d remaining byte(s)" n
-          (Codec.remaining r);
-      Query
-        (Array.init n (fun _ ->
-             let scope = Q.get_scope r in
-             (scope, Q.get r)))
-    end
-    else if t = tag_stats then Stats
-    else if t = tag_metrics then Metrics
-    else if t = tag_checkpoint then Checkpoint
-    else if t = tag_ping then Ping
-    else if t = tag_shutdown then Shutdown
-    else Codec.corruptf "bad request tag %d" t
-  in
-  Codec.expect_end r ~what:"request";
-  req
+  if t = tag_ingest then Ingest (get_groups r)
+  else begin
+    let req = get_request t r in
+    Codec.expect_end r ~what:"request";
+    req
+  end
+
+type decoded = Ingested | Bad_key | Request of request
+
+let decode_request_into b ~shards r =
+  let t = Codec.get_u8 r in
+  if t = tag_ingest then if get_ingest b ~shards r then Ingested else Bad_key
+  else begin
+    let req = get_request t r in
+    Codec.expect_end r ~what:"request";
+    Request req
+  end
 
 let decode_response r =
   let t = Codec.get_u8 r in

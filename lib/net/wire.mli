@@ -94,6 +94,29 @@ type response =
 
 val points_in_groups : (int * float array) array -> int
 
+(** {2 Ingest batches}
+
+    The serve loop decodes every ingest request of a round straight into
+    one reusable column batch: row [i] is the point [values.(i)] for key
+    [keys.(i)], in arrival order, and request [j] owns the next
+    [counts.(j)] rows.  Nothing per point is allocated once the columns
+    have grown to the largest round. *)
+
+module Batch : sig
+  type t = private {
+    mutable keys : int array;  (** rows [\[0, points)] are live *)
+    mutable values : float array;
+    mutable points : int;
+    mutable counts : int array;  (** rows per request; [\[0, requests)] live *)
+    mutable requests : int;
+  }
+
+  val create : unit -> t
+
+  val clear : t -> unit
+  (** Empty the batch, keeping its columns for the next round. *)
+end
+
 (** {2 Codec}
 
     [encode_*] return one complete wire frame (ready to write to the
@@ -102,5 +125,29 @@ val points_in_groups : (int * float array) array -> int
 
 val encode_request : request -> string
 val decode_request : Sh_persist.Codec.reader -> request
+(** An [Ingest] payload goes through the same validator as
+    {!decode_request_into}'s: group count and run lengths bounded by the
+    bytes left, every value finite, no trailing bytes. *)
+
+type decoded =
+  | Ingested  (** an ingest request, appended to the batch as its last request *)
+  | Bad_key
+      (** an ingest request naming a key outside [\[0, shards)]: well
+          formed, but nothing was appended *)
+  | Request of request  (** any other request (never [Ingest]) *)
+
+val decode_request_into :
+  Batch.t -> shards:int -> Sh_persist.Codec.reader -> decoded
+(** {!decode_request}, with an ingest request's rows appended to the batch
+    instead of returned.  A payload that fails validation raises
+    {!Sh_persist.Codec.Corrupt} with its rows already rolled back, so the
+    batch holds exactly the requests decoded before it. *)
+
 val encode_response : response -> string
+
+val add_response : Buffer.t -> response -> unit
+(** Append the response's payload (no framing) — what {!encode_response}
+    frames; the serve loop frames it in place
+    ({!Sh_persist.Frame.blit_frame}). *)
+
 val decode_response : Sh_persist.Codec.reader -> response

@@ -243,15 +243,16 @@ let with_shard t key f =
   t.publish 0 key;
   v
 
-(* The one ingest routine, shared by [ingest] and [ingest_groups]: a
-   stable counting sort of the batch by key, then one apply task per
-   owner.  [count] validates the whole batch (raising before anything is
-   ingested) while adding each key's points to the zeroed [t.cnt], and
-   returns the batch size; [scatter] writes the values into [t.buf]
-   walking the batch backwards, moving [t.off.(k)] down from the end of
-   key k's run to its start — so every shard's run is contiguous, in
-   arrival order, and gets exactly one [push_slice]: the per-batch
-   refresh amortisation of the sequential path carries over unchanged.
+(* The one ingest routine, shared by [ingest], [ingest_groups] and
+   [ingest_columns]: a stable counting sort of the batch by key, then one
+   apply task per owner.  [count] validates the whole batch (raising
+   before anything is ingested) while adding each key's points to the
+   zeroed [t.cnt], and returns the batch size; [scatter] writes the
+   values into [t.buf] walking the batch backwards, moving [t.off.(k)]
+   down from the end of key k's run to its start — so every shard's run
+   is contiguous, in arrival order, and gets exactly one [push_slice]:
+   the per-batch refresh amortisation of the sequential path carries
+   over unchanged.
    [t.cnt], [t.off] and [t.buf] make the engine single-producer:
    concurrent ingest calls on one engine would race on them. *)
 let route t ~count ~scatter =
@@ -262,11 +263,10 @@ let route t ~count ~scatter =
   let nb = count cnt in
   if nb > 0 then begin
     let ends = ref 0 in
-    Array.iteri
-      (fun k c ->
-        ends := !ends + c;
-        off.(k) <- !ends)
-      cnt;
+    for k = 0 to Array.length cnt - 1 do
+      ends := !ends + cnt.(k);
+      off.(k) <- !ends
+    done;
     if Array.length !(t.buf) < nb then t.buf := Array.make nb 0.0;
     scatter !(t.buf) off;
     ignore (Domain_pool.run t.pool t.apply_tasks);
@@ -316,6 +316,29 @@ let ingest_groups t groups =
         let n = Array.length vs in
         off.(k) <- off.(k) - n;
         Array.blit vs 0 buf off.(k) n
+      done)
+
+(* Column ingest: row i is the point [values.(i)] for key [keys.(i)] —
+   the serve loop's decoded round — scattered point by point, with no
+   per-point pairs or per-run arrays in between. *)
+let ingest_columns t ~keys ~values ~len =
+  if len < 0 || len > Array.length keys || len > Array.length values then
+    invalid_arg "Shard_engine.ingest_columns: len out of range";
+  route t
+    ~count:(fun cnt ->
+      for i = 0 to len - 1 do
+        let k = keys.(i) in
+        check_key t k;
+        if not (Float.is_finite values.(i)) then
+          invalid_arg "Shard_engine.ingest_columns: non-finite value";
+        cnt.(k) <- cnt.(k) + 1
+      done;
+      len)
+    ~scatter:(fun buf off ->
+      for i = len - 1 downto 0 do
+        let k = keys.(i) in
+        off.(k) <- off.(k) - 1;
+        buf.(off.(k)) <- values.(i)
       done)
 
 (* Rebuild every stale shard's interval lists across the pool: the batched

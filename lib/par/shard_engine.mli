@@ -65,6 +65,15 @@ val ingest_groups : t -> (int * float array) array -> unit
     of the flattened pairs (same single-producer contract, same
     validation, same per-batch refresh cadence). *)
 
+val ingest_columns :
+  t -> keys:int array -> values:float array -> len:int -> unit
+(** {!ingest} for a batch held as columns: row [i < len] is the point
+    [values.(i)] for key [keys.(i)], in arrival order — the shape the
+    serve loop decodes a round of ingest requests into.  Observationally
+    identical to {!ingest} of the rows as pairs (same contract, same
+    validation, same per-batch refresh cadence); nothing is allocated per
+    point.  Raises [Invalid_argument] if [len] exceeds either column. *)
+
 val refresh_all : ?cold:bool -> t -> unit
 (** Rebuild every stale shard's interval lists across the pool — the
     batched counterpart of {!Stream_histogram.Fixed_window.refresh};

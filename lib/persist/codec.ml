@@ -32,15 +32,19 @@ let put_float_array buf a =
 
 (* --- readers ------------------------------------------------------- *)
 
-type reader = { src : string; mutable pos : int; limit : int }
+type reader = { src : bytes; mutable pos : int; limit : int }
 
+let of_bytes src ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length src then
+    invalid_arg "Codec.of_bytes: bad range";
+  { src; pos; limit = pos + len }
+
+(* Readers never write, so a string can be read in place. *)
 let of_string ?(pos = 0) ?len src =
-  let limit =
-    match len with None -> String.length src | Some l -> pos + l
-  in
-  if pos < 0 || pos > limit || limit > String.length src then
+  let len = match len with None -> String.length src - pos | Some l -> l in
+  if pos < 0 || len < 0 || pos + len > String.length src then
     invalid_arg "Codec.of_string: bad range";
-  { src; pos; limit }
+  of_bytes (Bytes.unsafe_of_string src) ~pos ~len
 
 let src r = r.src
 let pos r = r.pos
@@ -52,6 +56,10 @@ let need r n what =
     corruptf "truncated input: needed %d byte(s) for %s, %d left" n what
       (r.limit - r.pos)
 
+let skip r n =
+  need r n "skipped bytes";
+  r.pos <- r.pos + n
+
 let sub_reader r n =
   need r n "sub-frame";
   let s = { src = r.src; pos = r.pos; limit = r.pos + n } in
@@ -60,29 +68,31 @@ let sub_reader r n =
 
 let get_u8 r =
   need r 1 "u8";
-  let c = Char.code (String.unsafe_get r.src r.pos) in
+  let c = Char.code (Bytes.unsafe_get r.src r.pos) in
   r.pos <- r.pos + 1;
   c
 
 let get_u32 r =
   need r 4 "u32";
-  let v = Int32.to_int (String.get_int32_le r.src r.pos) land 0xFFFFFFFF in
+  let v = Int32.to_int (Bytes.get_int32_le r.src r.pos) land 0xFFFFFFFF in
   r.pos <- r.pos + 4;
   v
 
 let get_varint r =
   (* Shifts 0,7,...,56 cover the 62-bit non-negative int range; a
      continuation past shift 56, or a decoded value with the sign bit set,
-     cannot come from [put_varint]. *)
-  let rec go acc shift =
-    if shift > 56 then corruptf "varint too long";
+     cannot come from [put_varint].  A loop over refs, not a local
+     recursive function, so a call allocates nothing. *)
+  let acc = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
+    if !shift > 56 then corruptf "varint too long";
     let b = get_u8 r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b < 0x80 then acc else go acc (shift + 7)
-  in
-  let v = go 0 0 in
-  if v < 0 then corruptf "varint overflow";
-  v
+    acc := !acc lor ((b land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    more := b >= 0x80
+  done;
+  if !acc < 0 then corruptf "varint overflow";
+  !acc
 
 let get_bool r =
   match get_u8 r with
@@ -92,13 +102,13 @@ let get_bool r =
 
 let get_float r =
   need r 8 "float";
-  let v = Int64.float_of_bits (String.get_int64_le r.src r.pos) in
+  let v = Int64.float_of_bits (Bytes.get_int64_le r.src r.pos) in
   r.pos <- r.pos + 8;
   v
 
 let get_raw r n =
   need r n "raw bytes";
-  let s = String.sub r.src r.pos n in
+  let s = Bytes.sub_string r.src r.pos n in
   r.pos <- r.pos + n;
   s
 

@@ -1,7 +1,7 @@
 (** Primitive binary codec for snapshot payloads.
 
     Writers append to a [Buffer.t]; readers consume a bounded slice of a
-    string.  Integers use unsigned LEB128 varints (1 byte for values below
+    buffer.  Integers use unsigned LEB128 varints (1 byte for values below
     128 — the common case for lengths, counts, and policy tags), floats
     are IEEE 754 binary64 little-endian via [Int64.bits_of_float], so the
     round trip is bit-identical including subnormals and signed zeros.
@@ -46,20 +46,34 @@ val put_float_array : Buffer.t -> float array -> unit
 (** {1 Readers} *)
 
 type reader
-(** A cursor over a bounded byte range of an immutable string. *)
+(** A cursor over a bounded byte range of a byte buffer.  A reader never
+    writes, and it does not copy: it sees the buffer as it is when each
+    byte is read, so its owner must not write the range while the reader
+    is in use. *)
+
+val of_bytes : bytes -> pos:int -> len:int -> reader
+(** Reader over [b.[pos .. pos+len)].  Raises [Invalid_argument] if the
+    range is out of bounds. *)
 
 val of_string : ?pos:int -> ?len:int -> string -> reader
-(** Reader over [s.[pos .. pos+len)]; defaults cover the whole string.
-    Raises [Invalid_argument] if the range is out of bounds. *)
+(** Reader over [s.[pos .. pos+len)], read in place; defaults cover the
+    whole string.  Raises [Invalid_argument] if the range is out of
+    bounds. *)
 
-val src : reader -> string
-(** The underlying string (shared, not copied). *)
+val src : reader -> bytes
+(** The underlying buffer (shared, not copied; never to be written
+    through). *)
 
 val pos : reader -> int
 (** Current absolute offset into {!src}. *)
 
 val remaining : reader -> int
 val at_end : reader -> bool
+
+val skip : reader -> int -> unit
+(** [skip r n] advances past the next [n] bytes, which the caller reads
+    itself from {!src} at the old {!pos}.  Raises {!Corrupt} if fewer
+    than [n] bytes remain. *)
 
 val sub_reader : reader -> int -> reader
 (** [sub_reader r n] carves the next [n] bytes into their own bounded

@@ -11,15 +11,19 @@ let table =
          done;
          !c))
 
-let sub s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
+let sub_bytes b ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Crc32.sub: range out of bounds";
   let t = Lazy.force table in
   let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    c := Array.unsafe_get t ((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
+    c := Array.unsafe_get t ((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xff)
          lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
+
+(* Reading a string through [Bytes.unsafe_of_string] is safe: nothing
+   here writes. *)
+let sub s ~pos ~len = sub_bytes (Bytes.unsafe_of_string s) ~pos ~len
 
 let string s = sub s ~pos:0 ~len:(String.length s)

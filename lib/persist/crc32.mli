@@ -7,5 +7,9 @@ val sub : string -> pos:int -> len:int -> int
     made, so frame verification can run directly against a file image.
     Raises [Invalid_argument] if the range is out of bounds. *)
 
+val sub_bytes : bytes -> pos:int -> len:int -> int
+(** {!sub} over a byte buffer, for frames checked or written in place
+    (a connection's input and output buffers). *)
+
 val string : string -> int
 (** CRC-32 of a whole string. *)

@@ -38,7 +38,7 @@ let read_frame r =
   let start = Codec.pos r in
   let payload = Codec.sub_reader r len in
   let stored = Codec.get_u32 r in
-  let actual = Crc32.sub (Codec.src r) ~pos:start ~len in
+  let actual = Crc32.sub_bytes (Codec.src r) ~pos:start ~len in
   if stored <> actual then
     Codec.corruptf "frame CRC mismatch: stored %08x, computed %08x" stored
       actual;
@@ -55,43 +55,74 @@ type scan =
 (* Streaming transports receive frames in arbitrary chunks, so truncation
    is the steady state, not corruption: only structurally impossible input
    (overlong varint, oversized declared length, CRC mismatch) raises;
-   anything that a few more bytes could complete returns [Incomplete]. *)
-let scan_frame ?(max_len = max_int) s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
+   anything that a few more bytes could complete returns [Incomplete].
+   The length prefix is read with a loop over refs, so a scan allocates
+   only its result. *)
+let scan_bytes ~max_len b ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Frame.scan_frame: bad range";
   let limit = pos + len in
-  (* the length-prefix varint, byte by byte: [None] = ran out of input *)
-  let rec varint acc shift i =
-    if shift > 56 then Codec.corruptf "varint too long";
-    if i >= limit then None
-    else begin
-      let b = Char.code (String.unsafe_get s i) in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b < 0x80 then begin
-        if acc < 0 then Codec.corruptf "varint overflow";
-        Some (acc, i + 1)
-      end
-      else varint acc (shift + 7) (i + 1)
+  (* the length-prefix varint, byte by byte; [body] stays -1 if the input
+     ran out first *)
+  let plen = ref 0 and shift = ref 0 and i = ref pos and body = ref (-1) in
+  while !body < 0 && !i < limit do
+    if !shift > 56 then Codec.corruptf "varint too long";
+    let c = Char.code (Bytes.unsafe_get b !i) in
+    plen := !plen lor ((c land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    incr i;
+    if c < 0x80 then begin
+      if !plen < 0 then Codec.corruptf "varint overflow";
+      body := !i
     end
-  in
-  match varint 0 0 pos with
-  | None -> Incomplete
-  | Some (plen, body) ->
+  done;
+  (* an overlong prefix is corrupt even when it is cut short *)
+  if !body < 0 && !shift > 56 then Codec.corruptf "varint too long";
+  if !body < 0 then Incomplete
+  else begin
+    let plen = !plen and body = !body in
     if plen > max_len then
       Codec.corruptf "frame payload length %d exceeds the %d-byte limit" plen
         max_len;
     if limit - body < plen + 4 then Incomplete
     else begin
       let stored =
-        Int32.to_int (String.get_int32_le s (body + plen)) land 0xFFFFFFFF
+        Int32.to_int (Bytes.get_int32_le b (body + plen)) land 0xFFFFFFFF
       in
-      let actual = Crc32.sub s ~pos:body ~len:plen in
+      let actual = Crc32.sub_bytes b ~pos:body ~len:plen in
       if stored <> actual then
         Codec.corruptf "frame CRC mismatch: stored %08x, computed %08x" stored
           actual;
       Frame
         {
-          payload = Codec.of_string ~pos:body ~len:plen s;
+          payload = Codec.of_bytes b ~pos:body ~len:plen;
           consumed = body + plen + 4 - pos;
         }
     end
+  end
+
+let scan_frame ?(max_len = max_int) s ~pos ~len =
+  scan_bytes ~max_len (Bytes.unsafe_of_string s) ~pos ~len
+
+(* --- in-place encode ------------------------------------------------ *)
+
+let varint_size n =
+  let rec go n k = if n < 0x80 then k else go (n lsr 7) (k + 1) in
+  go n 1
+
+let framed_size plen = varint_size plen + plen + 4
+
+let blit_frame payload dst pos =
+  let plen = Buffer.length payload in
+  let p = ref pos and n = ref plen in
+  while !n >= 0x80 do
+    Bytes.unsafe_set dst !p (Char.unsafe_chr (0x80 lor (!n land 0x7f)));
+    n := !n lsr 7;
+    incr p
+  done;
+  Bytes.set dst !p (Char.unsafe_chr !n);
+  let body = !p + 1 in
+  Buffer.blit payload 0 dst body plen;
+  let crc = Crc32.sub_bytes dst ~pos:body ~len:plen in
+  Bytes.set_int32_le dst (body + plen) (Int32.of_int crc);
+  body + plen + 4

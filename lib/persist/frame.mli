@@ -63,3 +63,22 @@ val scan_frame : ?max_len:int -> string -> pos:int -> len:int -> scan
     unbounded), a CRC mismatch — and returns {!Incomplete} on mere
     truncation.  Raises [Invalid_argument] if the range is out of
     bounds. *)
+
+val scan_bytes : max_len:int -> bytes -> pos:int -> len:int -> scan
+(** {!scan_frame} over a byte buffer, in place (the length limit is
+    required here, so a scan allocates nothing but its result): the payload reader reads
+    the buffer itself, so it is valid only until the buffer's owner next
+    writes that range.  A connection's input buffer is scanned this way,
+    with no copy of the bytes it holds. *)
+
+(** {2 In-place encode} *)
+
+val framed_size : int -> int
+(** Bytes a frame of a [plen]-byte payload takes on the wire. *)
+
+val blit_frame : Buffer.t -> bytes -> int -> int
+(** [blit_frame payload dst pos] writes the frame wrapping [payload]'s
+    contents into [dst] at [pos] — the same bytes {!add_frame} appends —
+    and returns the offset just past it.  The caller provides
+    [framed_size (Buffer.length payload)] bytes of room; nothing is
+    allocated. *)

@@ -1,53 +1,5 @@
-module CD = Sh_mining.Change_detector
 module HH = Sh_mining.Heavy_hitters
 module Rng = Sh_util.Rng
-
-(* -------------------------------------------------------- change detector *)
-
-let test_cd_stable_on_stationary () =
-  let cd = CD.create ~window:128 ~buckets:8 ~epsilon:0.2 ~threshold:30.0 () in
-  let rng = Rng.create ~seed:1 in
-  let drifted = ref false in
-  for _ = 1 to 2000 do
-    match CD.push cd (100.0 +. Rng.gaussian rng ~mean:0.0 ~stddev:5.0) with
-    | CD.Stable -> ()
-    | CD.Drift _ -> drifted := true
-  done;
-  Alcotest.(check bool) "no drift on stationary stream" false !drifted
-
-let test_cd_detects_level_shift () =
-  let cd = CD.create ~window:128 ~buckets:8 ~epsilon:0.2 ~threshold:30.0 () in
-  let rng = Rng.create ~seed:2 in
-  let first_alert = ref None in
-  for t = 1 to 3000 do
-    let base = if t <= 1500 then 100.0 else 400.0 in
-    (match CD.push cd (base +. Rng.gaussian rng ~mean:0.0 ~stddev:5.0) with
-    | CD.Stable -> ()
-    | CD.Drift _ -> if !first_alert = None then first_alert := Some t)
-  done;
-  match !first_alert with
-  | None -> Alcotest.fail "level shift missed"
-  | Some t ->
-    Alcotest.(check bool)
-      (Printf.sprintf "alert at t=%d shortly after the shift" t)
-      true
-      (t > 1500 && t < 1500 + 300)
-
-let test_cd_validation () =
-  Alcotest.check_raises "bad threshold"
-    (Invalid_argument "Change_detector.create: threshold must be > 0") (fun () ->
-      ignore (CD.create ~window:16 ~buckets:2 ~epsilon:0.1 ~threshold:0.0 ()))
-
-let test_cd_last_distance_tracks () =
-  let cd = CD.create ~window:64 ~buckets:4 ~epsilon:0.2 ~threshold:1e9 ~check_every:16 () in
-  Helpers.check_close "initial distance" 0.0 (CD.last_distance cd);
-  (* stop while the recent window is post-shift and the reference window
-     still straddles it, so the evaluated distance is large *)
-  for t = 1 to 288 do
-    ignore (CD.push cd (if t <= 200 then 0.0 else 100.0))
-  done;
-  Alcotest.(check bool) "distance grew across the shift" true (CD.last_distance cd > 10.0);
-  Alcotest.(check int) "points counted" 288 (CD.points_seen cd)
 
 (* ---------------------------------------------------------- heavy hitters *)
 
@@ -135,13 +87,6 @@ let prop_hh_underestimates =
 let () =
   Alcotest.run "sh_mining"
     [
-      ( "change_detector",
-        [
-          Alcotest.test_case "stable" `Quick test_cd_stable_on_stationary;
-          Alcotest.test_case "detects shift" `Quick test_cd_detects_level_shift;
-          Alcotest.test_case "validation" `Quick test_cd_validation;
-          Alcotest.test_case "distance tracking" `Quick test_cd_last_distance_tracks;
-        ] );
       ( "heavy_hitters",
         [
           Alcotest.test_case "exact small" `Quick test_hh_exact_when_small;

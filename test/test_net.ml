@@ -137,6 +137,63 @@ let test_wire_rejects_garbage () =
   expect_corrupt "oversized group count" (fun () ->
       Wire.decode_request (scan_payload (Frame.frame_string (Buffer.contents buf))))
 
+(* The serve loop's decoder: a rejected ingest payload leaves the batch
+   exactly as it was, whether it fails late (a non-finite value in its
+   second group, trailing bytes) or names a key out of range. *)
+let test_wire_batch_rollback () =
+  let b = Wire.Batch.create () in
+  let into frame = Wire.decode_request_into b ~shards:8 (scan_payload frame) in
+  (match into (Wire.encode_request (Wire.Ingest [| (3, [| 1.0; 2.0 |]) |])) with
+  | Wire.Ingested -> ()
+  | _ -> Alcotest.fail "good ingest not appended");
+  let state () = (b.Wire.Batch.points, b.requests, Array.sub b.keys 0 b.points, Array.sub b.values 0 b.points) in
+  let before = state () in
+  (match into (Wire.encode_request (Wire.Ingest [| (1, [| 5.0 |]); (8, [| 6.0 |]) |])) with
+  | Wire.Bad_key -> ()
+  | _ -> Alcotest.fail "out-of-range key not reported");
+  Alcotest.(check bool) "bad key appends nothing" true (state () = before);
+  let buf = Buffer.create 32 in
+  Codec.put_u8 buf 0x01;
+  Codec.put_varint buf 2;
+  Codec.put_varint buf 1;
+  Codec.put_float_array buf [| 7.0; 8.0 |];
+  Codec.put_varint buf 2;
+  Codec.put_float_array buf [| Float.infinity |];
+  expect_corrupt "non-finite in the second group" (fun () ->
+      into (Frame.frame_string (Buffer.contents buf)));
+  Alcotest.(check bool) "corrupt payload rolled back" true (state () = before);
+  let good = Wire.encode_request (Wire.Ingest [| (1, [| 9.0 |]) |]) in
+  let payload = scan_payload good in
+  let trailing = Codec.get_raw payload (Codec.remaining payload) ^ "\x00" in
+  expect_corrupt "trailing bytes" (fun () -> into (Frame.frame_string trailing));
+  Alcotest.(check bool) "trailing bytes rolled back" true (state () = before);
+  match into (Wire.encode_request Wire.Ping) with
+  | Wire.Request Wire.Ping -> Alcotest.(check bool) "ping leaves the batch" true (state () = before)
+  | _ -> Alcotest.fail "ping not decoded"
+
+(* The serve loop's decoder and [decode_request] share one validator: the
+   rows appended are the request's groups, flattened in order. *)
+let prop_wire_batch_matches_groups =
+  Helpers.qcheck_case ~count:120 ~name:"wire: batch rows are the decoded groups"
+    QCheck2.Gen.(
+      small_list
+        (pair (int_range 0 63)
+           (array_size (int_range 0 20) (map Float.of_int (int_range (-1000) 1000)))))
+    (fun groups ->
+      let groups = Array.of_list groups in
+      let frame = Wire.encode_request (Wire.Ingest groups) in
+      let b = Wire.Batch.create () in
+      ignore (Wire.decode_request_into b ~shards:64 (scan_payload (Wire.encode_request (Wire.Ingest [| (5, [| 0.5 |]) |]))));
+      let decoded = Wire.decode_request_into b ~shards:64 (scan_payload frame) in
+      let rows = Array.concat (Array.to_list (Array.map (fun (k, vs) -> Array.map (fun v -> (k, v)) vs) groups)) in
+      decoded = Wire.Ingested
+      && Wire.decode_request (scan_payload frame) = Wire.Ingest groups
+      && b.requests = 2
+      && b.counts.(1) = Array.length rows
+      && b.points = 1 + Array.length rows
+      && Array.for_all Fun.id
+           (Array.mapi (fun i (k, v) -> b.keys.(1 + i) = k && Int64.equal (Int64.bits_of_float b.values.(1 + i)) (Int64.bits_of_float v)) rows))
+
 let test_preamble () =
   Wire.check_preamble Wire.preamble;
   expect_corrupt "bad magic" (fun () -> Wire.check_preamble "XXNW\x01");
@@ -304,18 +361,23 @@ type tier = Leaf | Root
    leaf.  Listeners are bound before the domains spawn, so clients can
    connect immediately (the backlog holds them until the loop's first
    iteration). *)
-let with_server ?(tier = Leaf) ?config ?(policy = Params.Eager) ~shards ~window ~buckets
-    ~epsilon addr f =
+let with_server ?(tier = Leaf) ?config ?(policy = Params.Eager) ?leaf_checkpoint ~shards
+    ~window ~buckets ~epsilon addr f =
   let stop = Atomic.make false in
   let serve ?config backend listener =
     Server.run ?config ~stop:(fun () -> Atomic.get stop) ~backend ~listeners:[ listener ] ()
   in
+  (* [leaf_checkpoint]: once its loop stops, the leaf writes its engine's
+     checkpoint there, so a case can compare served state with an oracle
+     at either tier *)
   let spawn_leaf ?config listener =
     Domain.spawn (fun () ->
         Pool.with_pool ~domains:1 (fun pool ->
             let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon in
             SE.set_refresh_policy eng policy;
-            serve ?config (Server.engine eng) listener))
+            let report = serve ?config (Server.engine eng) listener in
+            Option.iter (fun file -> SE.checkpoint eng ~file) leaf_checkpoint;
+            report))
   in
   let listener = Server.listen addr in
   let servers, cleanup =
@@ -382,6 +444,167 @@ let read_exact fd n =
     | got -> off := !off + got
   done;
   Bytes.to_string b
+
+(* Every complete response frame in [s], in order. *)
+let responses_of s =
+  let rec go pos acc =
+    match Frame.scan_frame s ~pos ~len:(String.length s - pos) with
+    | Frame.Frame { payload; consumed } -> go (pos + consumed) (Wire.decode_response payload :: acc)
+    | Frame.Incomplete -> List.rev acc
+  in
+  go 0 []
+
+(* The first [n] responses on a raw connection (its preamble already read). *)
+let read_responses fd n =
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec go () =
+    let rs = responses_of (Buffer.contents buf) in
+    if List.length rs >= n then rs
+    else
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> Alcotest.failf "EOF after %d of %d responses" (List.length rs) n
+      | got ->
+        Buffer.add_subbytes buf chunk 0 got;
+        go ()
+  in
+  go ()
+
+let reply_name = function
+  | Wire.Ack n -> Printf.sprintf "Ack %d" n
+  | Wire.Error_reply _ -> "Error_reply"
+  | Wire.Pong -> "Pong"
+  | _ -> "another reply"
+
+let check_replies what expected got =
+  Alcotest.(check (list string)) what expected (List.map reply_name got)
+
+(* A raw connection that has read the server's preamble and sent its own
+   together with [frames], in one write. *)
+let raw_session addr frames =
+  let fd = raw_connect addr in
+  ignore (read_exact fd Wire.preamble_len : string);
+  write_string fd (String.concat "" (Wire.preamble :: frames));
+  fd
+
+(* Feed [reqs] to [eng] in exactly [calls] ingest calls.  Under [Eager]
+   every shard's frame in a checkpoint is the same for any split that
+   keeps each key's arrival order; only the meta frame's batch count
+   depends on the number of calls, which is how many serve-loop rounds
+   (or, behind a root, forwarded requests) the server took. *)
+let feed_in_calls eng reqs ~calls =
+  let n = List.length reqs in
+  if calls < 1 || calls > n then
+    Alcotest.failf "the server applied %d accepted requests in %d batches" n calls;
+  List.iteri (fun i gs -> if i < calls - 1 then SE.ingest_groups eng gs) reqs;
+  SE.ingest_groups eng (Array.concat (List.filteri (fun i _ -> i >= calls - 1) reqs))
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Run [f addr] against a server whose leaf checkpoints on exit, then check
+   that checkpoint byte for byte against an in-process engine fed [accepted]
+   (in each key's arrival order) in as many calls as the served engine
+   counted batches. *)
+let check_served_state tier ~accepted f =
+  let shards, window, buckets, epsilon = geometry in
+  let served = Filename.temp_file "shist_net_served" ".ckpt" in
+  let expect = Filename.temp_file "shist_net_oracle" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ served; expect ])
+  @@ fun () ->
+  let batches =
+    with_temp_sock @@ fun addr ->
+    with_server ~tier ~leaf_checkpoint:served ~shards ~window ~buckets ~epsilon addr
+    @@ fun () ->
+    f addr;
+    let c = Client.connect ~timeout:5. addr in
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () -> (Client.stats c).Wire.batches
+  in
+  Pool.with_pool ~domains:1 @@ fun pool ->
+  let oracle = SE.create ~pool ~shards ~window ~buckets ~epsilon in
+  SE.set_refresh_policy oracle Params.Eager;
+  feed_in_calls oracle accepted ~calls:batches;
+  SE.checkpoint oracle ~file:expect;
+  Alcotest.(check bool) "checkpoint bytes equal the oracle's" true
+    (String.equal (read_file served) (read_file expect))
+
+let ingest_frame groups = Wire.encode_request (Wire.Ingest groups)
+
+(* Conn 1 owns keys 0-3, conn 2 keys 4-7, so every key's arrival order is
+   fixed however the server forms its rounds. *)
+let req_a = [| (0, [| 1.0; 2.0; 3.0 |]); (1, [| 4.0 |]) |]
+let req_c = [| (1, [| 5.0; 6.0 |]); (3, [| 7.0 |]); (0, [| 8.0 |]) |]
+let req_d = [| (4, [| 9.0; 10.0 |]); (7, [| 11.0 |]) |]
+
+let points gs = Wire.points_in_groups gs
+
+(* An error reply is a connection's last: it follows the replies to every
+   request decoded before the bad frame, in the same round. *)
+let test_serve_error_after_earlier_replies tier =
+  let shards, window, buckets, epsilon = geometry in
+  with_temp_sock @@ fun addr ->
+  with_server ~tier ~shards ~window ~buckets ~epsilon addr @@ fun () ->
+  let ping = Bytes.of_string (Wire.encode_request Wire.Ping) in
+  let last = Bytes.length ping - 1 in
+  Bytes.set ping last (Char.chr (Char.code (Bytes.get ping last) lxor 0xFF));
+  let fd = raw_session addr [ ingest_frame [| (0, [| 1.0; 2.0 |]) |]; Bytes.to_string ping ] in
+  let tail = read_to_eof fd in
+  Unix.close fd;
+  check_replies "replies in decode order" [ "Ack 2"; "Error_reply" ] (responses_of tail)
+
+(* One write carries a good request, a bad-key request and another good
+   one, while a second connection sends its own: the replies come back in
+   request order, and the served state is exactly the accepted requests. *)
+let test_serve_same_round_state tier =
+  check_served_state tier ~accepted:[ req_a; req_c; req_d ] @@ fun addr ->
+  let shards, _, _, _ = geometry in
+  let c2 = raw_connect addr in
+  ignore (read_exact c2 Wire.preamble_len : string);
+  let c1 =
+    raw_session addr
+      [ ingest_frame req_a; ingest_frame [| (2, [| 1.0 |]); (shards, [| 1.0 |]) |]; ingest_frame req_c ]
+  in
+  write_string c2 (Wire.preamble ^ ingest_frame req_d);
+  check_replies "conn 1" [ Printf.sprintf "Ack %d" (points req_a); "Error_reply";
+                           Printf.sprintf "Ack %d" (points req_c) ] (read_responses c1 3);
+  check_replies "conn 2" [ Printf.sprintf "Ack %d" (points req_d) ] (read_responses c2 1);
+  Unix.close c1;
+  Unix.close c2
+
+(* A frame that is corrupt past its first group: the rows decoded before
+   the damage are rolled back, the earlier request of the same write is
+   applied and acked, and the error is the connection's last reply. *)
+let test_serve_corrupt_rolls_back tier =
+  check_served_state tier ~accepted:[ req_a; req_d ] @@ fun addr ->
+  let payload = Buffer.create 64 in
+  Codec.put_u8 payload 0x01;
+  Codec.put_varint payload 2;
+  Codec.put_varint payload 2;
+  Codec.put_float_array payload [| 1.0; 2.0; 3.0 |];
+  Codec.put_varint payload 3;
+  Codec.put_float_array payload [| 4.0; Float.nan |];
+  let c1 = raw_session addr [ ingest_frame req_a; Frame.frame_string (Buffer.contents payload) ] in
+  let c2 = raw_session addr [ ingest_frame req_d ] in
+  let tail = read_to_eof c1 in
+  check_replies "conn 1" [ Printf.sprintf "Ack %d" (points req_a); "Error_reply" ]
+    (responses_of tail);
+  check_replies "conn 2" [ Printf.sprintf "Ack %d" (points req_d) ] (read_responses c2 1);
+  Unix.close c1;
+  Unix.close c2
+
+(* A frame larger than a connection's 64 KiB input buffer arrives behind a
+   small one in the same write, so it straddles the buffer's doubling: it
+   decodes to exactly the points sent. *)
+let test_serve_frame_across_buffer_growth tier =
+  let big = [| (2, Array.init 10_000 (fun i -> Float.of_int (i mod 101))) |] in
+  check_served_state tier ~accepted:[ req_a; big; req_c; req_d ] @@ fun addr ->
+  let c1 = raw_session addr [ ingest_frame req_a; ingest_frame big; ingest_frame req_c ] in
+  let c2 = raw_session addr [ ingest_frame req_d ] in
+  check_replies "conn 1"
+    (List.map (fun gs -> Printf.sprintf "Ack %d" (points gs)) [ req_a; big; req_c ])
+    (read_responses c1 3);
+  check_replies "conn 2" [ Printf.sprintf "Ack %d" (points req_d) ] (read_responses c2 1);
+  Unix.close c1;
+  Unix.close c2
 
 let test_serve_equivalence tier =
   let shards, window, buckets, epsilon = geometry in
@@ -774,6 +997,10 @@ let serve_cases tier =
     case "malformed inputs rejected" test_serve_malformed_inputs;
     case "slow loris reaped" test_serve_slow_loris_reaped;
     case "frame above read watermark acked" test_serve_frame_above_read_watermark;
+    case "error reply follows earlier replies" test_serve_error_after_earlier_replies;
+    case "one round: reply order and state" test_serve_same_round_state;
+    case "corrupt frame rolls back its rows" test_serve_corrupt_rolls_back;
+    case "frame across input buffer growth" test_serve_frame_across_buffer_growth;
     (match tier with
     | Leaf ->
       Alcotest.test_case "checkpoint, restart, reconnect" `Quick
@@ -800,7 +1027,9 @@ let () =
           Alcotest.test_case "response round trips" `Quick test_wire_response_round_trips;
           Alcotest.test_case "rejects garbage" `Quick test_wire_rejects_garbage;
           Alcotest.test_case "preamble" `Quick test_preamble;
+          Alcotest.test_case "batch decode rolls back rejects" `Quick test_wire_batch_rollback;
           prop_wire_ingest_round_trip;
+          prop_wire_batch_matches_groups;
           prop_wire_query_round_trip;
         ] );
       ( "scan",

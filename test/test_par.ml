@@ -259,7 +259,13 @@ let test_engine_validation () =
       Alcotest.check_raises "key out of range"
         (Invalid_argument "Shard_engine: key 4 out of range [0, 4)") (fun () ->
           SE.ingest eng [| (4, 1.0) |]);
-      (* the rejected batch must not have ingested its valid prefix *)
+      Alcotest.check_raises "column key out of range"
+        (Invalid_argument "Shard_engine: key 4 out of range [0, 4)") (fun () ->
+          SE.ingest_columns eng ~keys:[| 0; 4 |] ~values:[| 1.0; 2.0 |] ~len:2);
+      Alcotest.check_raises "column length"
+        (Invalid_argument "Shard_engine.ingest_columns: len out of range") (fun () ->
+          SE.ingest_columns eng ~keys:[| 0 |] ~values:[| 1.0; 2.0 |] ~len:2);
+      (* the rejected batches must not have ingested their valid prefixes *)
       Alcotest.(check int) "nothing ingested" 0 (SE.total_points eng);
       Alcotest.(check int) "shard untouched" 0 (SE.length eng ~key:0))
 
@@ -422,7 +428,11 @@ let test_backpressure_no_point_dropped () =
                     [ 1; FW.length fw / 2; FW.length fw ])
                 refs))
         [ ("ingest", fun eng -> SE.ingest eng pairs);
-          ("ingest_groups", fun eng -> SE.ingest_groups eng groups) ])
+          ("ingest_groups", fun eng -> SE.ingest_groups eng groups);
+          ( "ingest_columns",
+            fun eng ->
+              SE.ingest_columns eng ~keys:(Array.map fst pairs) ~values:(Array.map snd pairs)
+                ~len:(Array.length pairs) ) ])
     domain_counts
 
 (* The .mli's promise for [ingest_groups]: the same engine state as

@@ -172,6 +172,27 @@ let test_frame_round_trip () =
     payloads;
   Alcotest.(check bool) "no frame left" false (Frame.has_frame r)
 
+(* The in-place writer the serve loop frames replies with writes exactly
+   [add_frame]'s bytes, at every length-prefix width, at an offset, and
+   [scan_bytes] reads them back. *)
+let test_frame_blit_matches_add () =
+  List.iter
+    (fun n ->
+      let payload = Buffer.create n in
+      Buffer.add_string payload (String.init n (fun i -> Char.chr (i land 0xff)));
+      let expect = Frame.frame_string (Buffer.contents payload) in
+      let size = Frame.framed_size n in
+      Alcotest.(check int) (Printf.sprintf "framed size of %d" n) (String.length expect) size;
+      let dst = Bytes.make (size + 3) '#' in
+      Alcotest.(check int) "end offset" (3 + size) (Frame.blit_frame payload dst 3);
+      Alcotest.(check string) (Printf.sprintf "frame of %d bytes" n) expect (Bytes.sub_string dst 3 size);
+      match Frame.scan_bytes ~max_len:n dst ~pos:3 ~len:size with
+      | Frame.Frame { payload = r; consumed } ->
+        Alcotest.(check int) "consumed" size consumed;
+        Alcotest.(check string) "payload" (Buffer.contents payload) (Codec.get_raw r n)
+      | Frame.Incomplete -> Alcotest.fail "scan_bytes: Incomplete")
+    [ 0; 1; 127; 128; 300; 16_383; 16_384; 70_000 ]
+
 let test_frame_damage_detected () =
   let img = Frame.frame_string "payload bytes here" in
   (* flip one payload byte: CRC must catch it *)
@@ -545,6 +566,7 @@ let () =
           Alcotest.test_case "version mismatch" `Quick test_header_version_mismatch;
           Alcotest.test_case "frame round trip" `Quick test_frame_round_trip;
           Alcotest.test_case "damage detected" `Quick test_frame_damage_detected;
+          Alcotest.test_case "in-place frame writer" `Quick test_frame_blit_matches_add;
         ] );
       ( "round_trip",
         [

@@ -1,5 +1,4 @@
 module Gk = Sh_gk.Gk
-module Reservoir = Sh_quantile.Reservoir
 module Rng = Sh_util.Rng
 
 (* GK's guarantee with repeated values: v occupies the ranks
@@ -79,6 +78,37 @@ let prop_gk_rank_guarantee =
       in
       return (data, eps))
     (fun (data, eps) -> check_rank_guarantee ~eps data)
+
+(* rank_bounds x = (lo, hi) reads lo off the last tuple whose value is
+   <= x, so lo never exceeds #{y <= x}; the next tuple's value is > x, so
+   #{y <= x} stays below its rmax, which the invariant g + delta <=
+   2 eps n keeps within 2 eps n of lo.  Probes run below, inside and above
+   the stream, on the same wide and skewed streams as the rank property. *)
+let check_rank_bounds ~eps data =
+  let g = Gk.create ~epsilon:eps in
+  Array.iter (Gk.insert g) data;
+  let slack = int_of_float (2.0 *. eps *. Float.of_int (Array.length data)) + 1 in
+  let probes = Array.append [| -1.0; 1e9 |] (Array.sub data 0 (min 64 (Array.length data))) in
+  Array.for_all
+    (fun x ->
+      let lo, hi = Gk.rank_bounds g x in
+      let r = Array.fold_left (fun acc y -> if y <= x then acc + 1 else acc) 0 data in
+      lo <= hi && lo <= r && r <= lo + slack)
+    probes
+
+let prop_gk_rank_bounds =
+  Helpers.qcheck_case ~count:50 ~name:"rank bounds within 2 eps n on random streams"
+    QCheck2.Gen.(
+      let* n = int_range 50 2000 in
+      let* distinct = oneofl (0 :: skewed_distincts) in
+      let* eps = oneofl [ 0.001; 0.01; 0.05; 0.1; 0.2 ] in
+      let* data =
+        if distinct = 0 then
+          map (Array.map Float.of_int) (array_size (return n) (int_range 0 10_000))
+        else map (fun seed -> skewed (Rng.create ~seed) ~distinct n) int
+      in
+      return (data, eps))
+    (fun (data, eps) -> check_rank_bounds ~eps data)
 
 let test_gk_space_sublinear () =
   let g = Gk.create ~epsilon:0.01 in
@@ -168,53 +198,6 @@ let test_gk_insert_alloc () =
   let per_insert = (Gc.minor_words () -. w0) /. 100_000.0 in
   if per_insert > 0.1 then Alcotest.failf "%.3f minor words per insert (> 0.1)" per_insert
 
-(* ------------------------------------------------------------ Reservoir *)
-
-let test_reservoir_small_stream () =
-  let r = Reservoir.create (Rng.create ~seed:1) ~size:10 in
-  List.iter (Reservoir.add r) [ 1.0; 2.0; 3.0 ];
-  Alcotest.(check int) "seen" 3 (Reservoir.seen r);
-  Alcotest.(check int) "sample size" 3 (Array.length (Reservoir.sample r));
-  Helpers.check_close "mean exact when sample = stream" 2.0 (Reservoir.mean r);
-  Helpers.check_close "sum estimate exact" 6.0 (Reservoir.sum_estimate r)
-
-let test_reservoir_fixed_size () =
-  let r = Reservoir.create (Rng.create ~seed:2) ~size:50 in
-  for i = 1 to 10_000 do
-    Reservoir.add r (Float.of_int i)
-  done;
-  Alcotest.(check int) "sample capped" 50 (Array.length (Reservoir.sample r))
-
-let test_reservoir_unbiased_mean () =
-  (* Average the estimator over many independent reservoirs. *)
-  let trials = 300 in
-  let acc = ref 0.0 in
-  for t = 1 to trials do
-    let r = Reservoir.create (Rng.create ~seed:t) ~size:32 in
-    for i = 1 to 1000 do
-      Reservoir.add r (Float.of_int (i mod 100))
-    done;
-    acc := !acc +. Reservoir.mean r
-  done;
-  let avg = !acc /. Float.of_int trials in
-  (* true mean of (i mod 100) over 1..1000 is 49.5 *)
-  Alcotest.(check bool) "unbiased within noise" true (Float.abs (avg -. 49.5) < 2.0)
-
-let test_reservoir_membership () =
-  let r = Reservoir.create (Rng.create ~seed:3) ~size:5 in
-  for i = 1 to 1000 do
-    Reservoir.add r (Float.of_int i)
-  done;
-  Alcotest.(check bool) "samples come from the stream" true
-    (Array.for_all (fun v -> v >= 1.0 && v <= 1000.0 && Float.is_integer v) (Reservoir.sample r))
-
-let test_reservoir_validation () =
-  Alcotest.check_raises "bad size" (Invalid_argument "Reservoir.create: size must be >= 1")
-    (fun () -> ignore (Reservoir.create (Rng.create ~seed:1) ~size:0));
-  let r = Reservoir.create (Rng.create ~seed:1) ~size:3 in
-  Alcotest.check_raises "empty quantile" (Invalid_argument "Reservoir.quantile: empty reservoir")
-    (fun () -> ignore (Reservoir.quantile r 0.5))
-
 let () =
   Alcotest.run "sh_quantile"
     [
@@ -231,12 +214,5 @@ let () =
           Alcotest.test_case "reset equals fresh" `Quick test_gk_reset;
           Alcotest.test_case "insert allocation" `Quick test_gk_insert_alloc;
         ] );
-      ( "reservoir",
-        [
-          Alcotest.test_case "small stream" `Quick test_reservoir_small_stream;
-          Alcotest.test_case "fixed size" `Quick test_reservoir_fixed_size;
-          Alcotest.test_case "unbiased mean" `Quick test_reservoir_unbiased_mean;
-          Alcotest.test_case "membership" `Quick test_reservoir_membership;
-          Alcotest.test_case "validation" `Quick test_reservoir_validation;
-        ] );
+      ("gk_bounds", [ prop_gk_rank_bounds ]);
     ]
