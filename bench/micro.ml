@@ -311,16 +311,22 @@ type shape = {
   budget_view_words : int;   (* published-view words/shard *)
   budget_arena_words : int;  (* memo-arena words/domain *)
   budget_publish_words : int; (* words per publishing ingest_groups call *)
+  every : int;               (* sustained publication: refresh cadence, *)
+  per_call : int;            (* single-point groups per ingest_groups call *)
+  budget_growths : int;      (* view columns reallocated over the run *)
+  budget_sustained_view_words : int; (* published-view words/shard after it *)
 }
 
 let memory_shapes =
   [
     { name = "wire-bound"; shards = 64; window = 512; buckets = 8; epsilon = 0.5;
       budget_words = 6_020; budget_view_words = 2_800; budget_arena_words = 9_400;
-      budget_publish_words = 129 };
+      budget_publish_words = 129; every = 64; per_call = 16; budget_growths = 5_380;
+      budget_sustained_view_words = 3_310 };
     { name = "refresh-bound"; shards = 16; window = 1024; buckets = 8; epsilon = 0.2;
       budget_words = 15_350; budget_view_words = 6_200; budget_arena_words = 18_800;
-      budget_publish_words = 129 };
+      budget_publish_words = 129; every = 16; per_call = 32; budget_growths = 3_000;
+      budget_sustained_view_words = 7_430 };
   ]
 
 (* Words of one domain's HERROR memo table after a summary of this shape
@@ -350,16 +356,58 @@ let filled_engine pool ~shards ~window ~buckets ~epsilon =
   SE.refresh_all eng;
   eng
 
-(* Engine words per shard, and the words of one shard's published view
-   (the mean over shards). *)
+(* Words of one shard's published view, the mean over shards; each view
+   is pinned only while it is measured. *)
+let view_words_per_shard eng =
+  let shards = SE.shard_count eng in
+  let views = ref 0 in
+  for key = 0 to shards - 1 do
+    views := !views + SE.with_view eng ~key ~f:(fun v -> Obj.reachable_words (Obj.repr v))
+  done;
+  !views / shards
+
+(* Engine words per shard, and the words of one shard's published view. *)
 let engine_words_per_shard ~shards ~window ~buckets ~epsilon =
   Pool.with_pool ~domains:1 (fun pool ->
       let eng = filled_engine pool ~shards ~window ~buckets ~epsilon in
-      let views = ref 0 in
-      for key = 0 to shards - 1 do
-        views := !views + Obj.reachable_words (Obj.repr (SE.view eng ~key))
+      let views = view_words_per_shard eng in
+      (Obj.reachable_words (Obj.repr eng) / shards, views))
+
+type sustained = {
+  publications : int;
+  view_growths : int; (* view columns reallocated *)
+  view_words : int;   (* published-view words/shard at the end *)
+  words : int;        (* engine words/shard at the end *)
+}
+
+let sustained_points = 80_000
+
+(* Sustained publication: an engine of this shape driven from empty under
+   [Every every] by [sustained_points] uniform-key arrivals, [per_call]
+   single-point groups per [ingest_groups] call, on a one-domain pool
+   (one owner, so one spare view that rotates over every shard, as in
+   the e2e server).  Counts the publications, the view columns they
+   reallocated ([FW.view_column_growths]), and the view and engine words
+   per shard after the run.  Deterministic for a fixed shape. *)
+let sustained_publication { shards; window; buckets; epsilon; every; per_call; _ } =
+  Pool.with_pool ~domains:1 (fun pool ->
+      let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon in
+      SE.set_refresh_policy eng (Stream_histogram.Params.Every every);
+      let traffic = Sh_serve.Traffic.create (Rng.create ~seed:62) ~shards Uniform in
+      let published0 = SE.snapshots_published eng in
+      let growths0 = FW.view_column_growths () in
+      let groups = Array.make per_call (0, [||]) in
+      for _ = 1 to sustained_points / per_call do
+        for i = 0 to per_call - 1 do
+          let key, x = Sh_serve.Traffic.next traffic in
+          groups.(i) <- (key, [| x |])
+        done;
+        SE.ingest_groups eng groups
       done;
-      (Obj.reachable_words (Obj.repr eng) / shards, !views / shards))
+      { publications = SE.snapshots_published eng - published0;
+        view_growths = FW.view_column_growths () - growths0;
+        view_words = view_words_per_shard eng;
+        words = Obj.reachable_words (Obj.repr eng) / shards })
 
 (* Steady-state words allocated per publishing [ingest_groups] call: under
    [Eager] every call below (one 16-point group for one key, keys in
@@ -367,10 +415,10 @@ let engine_words_per_shard ~shards ~window ~buckets ~epsilon =
    major - promoted words from [Gc.counters], with latency tracking off.
    OCaml 5.1's [Gc.counters] adds minor words only at a minor collection,
    so one is forced at each end of the measured calls.  A recycled view
-   grows a column whenever it takes a list longer than any it held
-   before, which keeps happening for a while after the windows fill, so
-   the warm-up runs 64 calls per shard first.  Deterministic for a fixed
-   shape. *)
+   grows a column, by at least a quarter, whenever it takes a list longer
+   than its column; that still happens now and then after the windows
+   fill, so the warm-up runs 64 calls per shard first.  Deterministic for
+   a fixed shape. *)
 let publish_words_per_call ~shards ~window ~buckets ~epsilon =
   Pool.with_pool ~domains:1 (fun pool ->
       let eng = filled_engine pool ~shards ~window ~buckets ~epsilon in
@@ -474,7 +522,8 @@ let run_fw scale =
       (fun ({ shards; window; buckets; epsilon; _ } as shape) ->
         let words, view_words = engine_words_per_shard ~shards ~window ~buckets ~epsilon in
         ( shape, words, view_words, memo_arena_words ~window ~buckets ~epsilon,
-          publish_words_per_call ~shards ~window ~buckets ~epsilon ))
+          publish_words_per_call ~shards ~window ~buckets ~epsilon,
+          sustained_publication shape ))
       memory_shapes
   in
   Report.note
@@ -485,12 +534,27 @@ let run_fw scale =
       [ "shape"; "S"; "n"; "B"; "eps"; "words/shard"; "budget"; "view words"; "budget";
         "arena words"; "budget"; "words/publish"; "budget" ]
     (List.map
-       (fun (sh, words, vwords, arena, pwords) ->
+       (fun (sh, words, vwords, arena, pwords, _) ->
          [ sh.name; string_of_int sh.shards; string_of_int sh.window; string_of_int sh.buckets;
            Report.fmt_g sh.epsilon; string_of_int words; string_of_int sh.budget_words;
            string_of_int vwords; string_of_int sh.budget_view_words; string_of_int arena;
            string_of_int sh.budget_arena_words; Printf.sprintf "%.1f" pwords;
            string_of_int sh.budget_publish_words ])
+       memory);
+  Report.note
+    "sustained publication from empty over %d uniform-key points (single-point groups, one \
+     domain): view columns reallocated, and view and engine words/shard after the run:"
+    sustained_points;
+  Report.table
+    ~headers:
+      [ "shape"; "refresh"; "groups/call"; "publications"; "column growths"; "budget";
+        "view words"; "budget"; "words/shard" ]
+    (List.map
+       (fun (sh, _, _, _, _, sus) ->
+         [ sh.name; Printf.sprintf "every:%d" sh.every; string_of_int sh.per_call;
+           string_of_int sus.publications; string_of_int sus.view_growths;
+           string_of_int sh.budget_growths; string_of_int sus.view_words;
+           string_of_int sh.budget_sustained_view_words; string_of_int sus.words ])
        memory);
   let bench_json =
     Report.Jlist
@@ -564,7 +628,7 @@ let run_fw scale =
          ( "memory",
            Report.Jobj
              (List.map
-                (fun (sh, words, vwords, arena, pwords) ->
+                (fun (sh, words, vwords, arena, pwords, sus) ->
                   ( sh.name,
                     Report.Jobj
                       [
@@ -580,6 +644,20 @@ let run_fw scale =
                         ("memo_arena_words", Report.Jint arena);
                         ("budget_words_per_publish", Report.Jint sh.budget_publish_words);
                         ("words_per_publish", Report.Jfloat pwords);
+                        ( "sustained",
+                          Report.Jobj
+                            [
+                              ("every", Report.Jint sh.every);
+                              ("groups_per_call", Report.Jint sh.per_call);
+                              ("points", Report.Jint sustained_points);
+                              ("publications", Report.Jint sus.publications);
+                              ("budget_view_column_growths", Report.Jint sh.budget_growths);
+                              ("view_column_growths", Report.Jint sus.view_growths);
+                              ( "budget_view_words_per_shard",
+                                Report.Jint sh.budget_sustained_view_words );
+                              ("view_words_per_shard", Report.Jint sus.view_words);
+                              ("words_per_shard", Report.Jint sus.words);
+                            ] );
                       ] ))
                 memory) );
          ( "alloc",

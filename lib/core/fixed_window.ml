@@ -932,14 +932,29 @@ module View = struct
     interval_rows v.sp v.lists (view_scratch ()) None ~stride:(v.b + 1) ~k
 end
 
-(* Copy [q]'s rows into [dst], growing a column only when it is too short,
-   and then to exactly the rows needed: a recycled view holds no slack. *)
+(* Reallocations of view columns across every view in the process. *)
+let view_growths = Atomic.make 0
+let view_column_growths () = Atomic.get view_growths
+
+(* Copy [q]'s rows into [dst], growing its columns only when they are too
+   short, and then by at least a quarter of their old length: a spare view
+   rotates over shards whose lists differ in length, and exact growth
+   would reallocate whenever it takes a list longer than any it held.  Columns
+   grown from empty — every column of a fresh {!view} — are exactly
+   sized.  A view's two columns are only ever grown here, together, so
+   they have the same length.  The growth is written out inline: a
+   helper closure would allocate per call. *)
 let copy_level q dst =
-  if Array.length dst.b < q.len then dst.b <- Array.make q.len 0;
-  if Array.length dst.hb < q.len then dst.hb <- Array.make q.len 0.0;
-  Array.blit q.b 0 dst.b 0 q.len;
-  Array.blit q.hb 0 dst.hb 0 q.len;
-  dst.len <- q.len
+  let rows = q.len and old = Array.length dst.b in
+  if old < rows then begin
+    let cap = max rows (old + (old / 4)) in
+    dst.b <- Array.make cap 0;
+    dst.hb <- Array.make cap 0.0;
+    ignore (Atomic.fetch_and_add view_growths 2)
+  end;
+  Array.blit q.b 0 dst.b 0 rows;
+  Array.blit q.hb 0 dst.hb 0 rows;
+  dst.len <- rows
 
 let view_into t (v : View.t) =
   refresh t;

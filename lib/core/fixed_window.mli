@@ -247,9 +247,12 @@ val view_into : t -> View.t -> unit
 (** Refill an existing view in place with what {!view} would return now:
     blit the prefix ring and each level's two columns, recompute
     {!View.current_error}, and attach a freshly built histogram (a
-    histogram taken from the view earlier stays valid).  A column grows,
-    to exactly the rows needed, only when it is too short; with equal
-    geometry nothing else is allocated.  Refreshes first if stale.  The
+    histogram taken from the view earlier stays valid).  A column grows
+    only when it is too short, to the larger of the rows needed and its
+    old length plus a quarter, so a view refilled from sources of varying
+    list lengths reallocates a logarithmic number of times (a fresh
+    {!view}'s columns are exactly sized); with equal geometry nothing else
+    is allocated.  Refreshes first if stale.  The
     caller must guarantee that no other domain reads the view meanwhile. *)
 
 (** {2 Introspection} *)
@@ -304,6 +307,11 @@ val list_growths : unit -> int
 (** Backing-array growths of interval-list columns across every summary
     in the process.  Once a summary's lists reach steady capacity, sliding
     and refreshing grow none (pinned by the regression tests). *)
+
+val view_column_growths : unit -> int
+(** Reallocations of view columns ({!view} and {!view_into}) across every
+    view in the process, one per column grown, a fresh view's first fill
+    included. *)
 
 val interval_counts : t -> int array
 (** Number of intervals currently held per level k = 1 .. B-1; the paper

@@ -818,6 +818,49 @@ let test_fw_view_into_refills () =
     end
   done
 
+(* A spare view that rotates over sources of different list lengths grows
+   its columns geometrically: one view is refilled every 16 pushes while
+   two refresh-bound-geometry summaries (n = 1024, B = 8, eps = 0.2) on
+   different streams fill from empty to full, the source alternating so
+   that the rows asked of each column go up and down.  Every refill equals
+   a fresh view bit for bit, and the refills reallocate the columns at
+   most 2 + log_1.25 (most rows the column took) times each, summed over
+   the columns (growing to exactly the rows needed reallocates 580 times
+   here, and fails this). *)
+let test_fw_view_columns_grow_geometrically () =
+  let window = 1024 and buckets = 8 and epsilon = 0.2 in
+  let stream seed =
+    Sh_gen.Source.take
+      (Sh_gen.Workloads.network (Sh_util.Rng.create ~seed) Sh_gen.Workloads.default_network)
+      window
+  in
+  let xs = stream 21 and ys = stream 22 in
+  let a = FW.create ~window ~buckets ~epsilon and b = FW.create ~window ~buckets ~epsilon in
+  let v = FW.view a in
+  let most = Array.make (buckets - 1) 0 in
+  let growths = ref 0 in
+  for i = 0 to window - 1 do
+    FW.push a xs.(i);
+    FW.push b ys.(i);
+    if i mod 16 = 15 then begin
+      let src = if i mod 32 = 15 then a else b in
+      let before = FW.view_column_growths () in
+      FW.view_into src v;
+      growths := !growths + FW.view_column_growths () - before;
+      Array.iteri (fun k rows -> most.(k) <- max most.(k) rows) (FW.interval_counts src);
+      same_view (Printf.sprintf "refill at %d" i) v (FW.view src)
+    end
+  done;
+  let bound =
+    Array.fold_left
+      (fun acc rows -> acc +. (2.0 *. (2.0 +. (log (Float.of_int rows) /. log 1.25))))
+      0.0 most
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d column growths within %.0f" !growths bound)
+    true
+    (Float.of_int !growths <= bound)
+
 (* The HERROR memo table is one per domain, shared by every summary on
    it.  Summaries of different geometry (n, B, eps) push and refresh in
    interleaved order, and between one summary's rebuild and the next
@@ -1352,6 +1395,8 @@ let () =
           Alcotest.test_case "interval bound" `Quick test_fw_interval_count_bound;
           Alcotest.test_case "held view keeps its answers" `Quick test_fw_held_view_keeps_answers;
           Alcotest.test_case "view_into refills like view" `Quick test_fw_view_into_refills;
+          Alcotest.test_case "view columns grow geometrically" `Quick
+            test_fw_view_columns_grow_geometrically;
           Alcotest.test_case "memo table shared per domain" `Quick test_fw_shared_memo_arena;
           Alcotest.test_case "golden answers" `Quick test_fw_golden_answers;
           Alcotest.test_case "first refresh golden" `Quick test_fw_first_refresh_golden;
