@@ -295,12 +295,14 @@ let fw_alloc_stats ~pushes ~cold =
    Words reachable from a Shard_engine (live summaries, published views,
    the ingest buffer, telemetry handles, the pool) divided by its shard count,
    once every shard's window is full and has had its first refresh, and
-   the words of the published views alone.  Deterministic counts at fixed
-   shapes — the two e2e workloads' engines — so CI gates each at its
-   committed budget (set about 2% above the measured count).  Per-domain
-   scratch such as the HERROR memo table belongs to no shard and is not
-   counted there; [memo_arena_words] measures it separately, gated the
-   same way. *)
+   the words the published views add to their summaries.  Deterministic
+   counts at fixed shapes — the two e2e workloads' engines — so CI gates
+   each at its committed budget (set about 2% above the measured count).  Per-domain
+   state — the HERROR memo table and the pool of released list sets —
+   belongs to no shard and is not counted there; [memo_arena_words] and
+   the sustained row's pool words measure it separately, gated the same
+   way.  Each engine runs on a fresh domain, so what earlier experiments
+   left in the main domain's pool cannot change its counts. *)
 type shape = {
   name : string;
   shards : int;
@@ -308,37 +310,42 @@ type shape = {
   buckets : int;
   epsilon : float;
   budget_words : int;        (* engine words/shard *)
-  budget_view_words : int;   (* published-view words/shard *)
+  budget_view_words : int;   (* words/shard a published view adds *)
   budget_arena_words : int;  (* memo-arena words/domain *)
   budget_publish_words : int; (* words per publishing ingest_groups call *)
   every : int;               (* sustained publication: refresh cadence, *)
   per_call : int;            (* single-point groups per ingest_groups call *)
-  budget_growths : int;      (* view columns reallocated over the run *)
-  budget_sustained_view_words : int; (* published-view words/shard after it *)
+  budget_allocs : int;       (* list sets allocated as targets over the run *)
+  budget_pool_words : int;   (* the domain's set pool after it *)
+  budget_sustained_words : int;      (* engine words/shard after it *)
+  budget_sustained_view_words : int; (* words/shard a view adds after it *)
 }
 
 let memory_shapes =
   [
     { name = "wire-bound"; shards = 64; window = 512; buckets = 8; epsilon = 0.5;
-      budget_words = 6_020; budget_view_words = 2_800; budget_arena_words = 9_400;
-      budget_publish_words = 129; every = 64; per_call = 16; budget_growths = 5_380;
-      budget_sustained_view_words = 3_310 };
+      budget_words = 4_320; budget_view_words = 1_130; budget_arena_words = 9_400;
+      budget_publish_words = 115; every = 64; per_call = 16; budget_allocs = 2;
+      budget_pool_words = 2_940; budget_sustained_words = 4_980;
+      budget_sustained_view_words = 1_130 };
     { name = "refresh-bound"; shards = 16; window = 1024; buckets = 8; epsilon = 0.2;
-      budget_words = 15_350; budget_view_words = 6_200; budget_arena_words = 18_800;
-      budget_publish_words = 129; every = 16; per_call = 32; budget_growths = 3_000;
-      budget_sustained_view_words = 7_430 };
+      budget_words = 11_280; budget_view_words = 2_175; budget_arena_words = 18_800;
+      budget_publish_words = 115; every = 16; per_call = 32; budget_allocs = 2;
+      budget_pool_words = 7_380; budget_sustained_words = 12_330;
+      budget_sustained_view_words = 2_175 };
   ]
+
+let on_fresh_domain f = Domain.join (Domain.spawn f)
 
 (* Words of one domain's HERROR memo table after a summary of this shape
    fills its window and refreshes: a fresh domain, so the table is sized
    for this shape alone — about 2 * (window + 1) * (buckets + 1). *)
 let memo_arena_words ~window ~buckets ~epsilon =
-  Domain.join
-    (Domain.spawn (fun () ->
-         let fw = FW.create ~window ~buckets ~epsilon in
-         FW.push_slice fw (network ~seed:60 ~len:window) ~pos:0 ~len:window;
-         FW.refresh fw;
-         FW.memo_arena_words ()))
+  on_fresh_domain (fun () ->
+      let fw = FW.create ~window ~buckets ~epsilon in
+      FW.push_slice fw (network ~seed:60 ~len:window) ~pos:0 ~len:window;
+      FW.refresh fw;
+      FW.memo_arena_words ())
 
 (* An engine of this shape whose every shard's window is full and has had
    its first refresh, on a one-domain pool. *)
@@ -356,18 +363,26 @@ let filled_engine pool ~shards ~window ~buckets ~epsilon =
   SE.refresh_all eng;
   eng
 
-(* Words of one shard's published view, the mean over shards; each view
-   is pinned only while it is measured. *)
+(* Words of one shard's published view that its live summary does not
+   hold, the mean over shards: the prefix-ring copy, the histogram and the
+   stamps.  The view shares the summary's interval lists, which count
+   once, with the summary.  Each view is pinned only while it is
+   measured; the pair's own block is 3 words. *)
 let view_words_per_shard eng =
   let shards = SE.shard_count eng in
+  let words x = Obj.reachable_words (Obj.repr x) in
   let views = ref 0 in
   for key = 0 to shards - 1 do
-    views := !views + SE.with_view eng ~key ~f:(fun v -> Obj.reachable_words (Obj.repr v))
+    views :=
+      !views
+      + SE.with_key eng ~key ~f:(fun fw ->
+            SE.with_view eng ~key ~f:(fun v -> words (v, fw) - words fw - 3))
   done;
   !views / shards
 
-(* Engine words per shard, and the words of one shard's published view. *)
+(* Engine words per shard, and the words one shard's published view adds. *)
 let engine_words_per_shard ~shards ~window ~buckets ~epsilon =
+  on_fresh_domain @@ fun () ->
   Pool.with_pool ~domains:1 (fun pool ->
       let eng = filled_engine pool ~shards ~window ~buckets ~epsilon in
       let views = view_words_per_shard eng in
@@ -375,8 +390,9 @@ let engine_words_per_shard ~shards ~window ~buckets ~epsilon =
 
 type sustained = {
   publications : int;
-  view_growths : int; (* view columns reallocated *)
-  view_words : int;   (* published-view words/shard at the end *)
+  allocs : int;       (* list sets allocated as refresh targets *)
+  pool_words : int;   (* the domain's set pool at the end *)
+  view_words : int;   (* words/shard a published view adds, at the end *)
   words : int;        (* engine words/shard at the end *)
 }
 
@@ -386,16 +402,19 @@ let sustained_points = 80_000
    [Every every] by [sustained_points] uniform-key arrivals, [per_call]
    single-point groups per [ingest_groups] call, on a one-domain pool
    (one owner, so one spare view that rotates over every shard, as in
-   the e2e server).  Counts the publications, the view columns they
-   reallocated ([FW.view_column_growths]), and the view and engine words
-   per shard after the run.  Deterministic for a fixed shape. *)
+   the e2e server), on a fresh domain.  Counts the publications, the list
+   sets allocated as refresh targets because the domain's pool had none
+   ([FW.target_allocations]; the engine's own first sets are not
+   targets), and the pool's words, and the view and engine words per
+   shard after the run.  Deterministic for a fixed shape. *)
 let sustained_publication { shards; window; buckets; epsilon; every; per_call; _ } =
+  on_fresh_domain @@ fun () ->
   Pool.with_pool ~domains:1 (fun pool ->
       let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon in
       SE.set_refresh_policy eng (Stream_histogram.Params.Every every);
       let traffic = Sh_serve.Traffic.create (Rng.create ~seed:62) ~shards Uniform in
       let published0 = SE.snapshots_published eng in
-      let growths0 = FW.view_column_growths () in
+      let allocs0 = FW.target_allocations () in
       let groups = Array.make per_call (0, [||]) in
       for _ = 1 to sustained_points / per_call do
         for i = 0 to per_call - 1 do
@@ -405,7 +424,8 @@ let sustained_publication { shards; window; buckets; epsilon; every; per_call; _
         SE.ingest_groups eng groups
       done;
       { publications = SE.snapshots_published eng - published0;
-        view_growths = FW.view_column_growths () - growths0;
+        allocs = FW.target_allocations () - allocs0;
+        pool_words = FW.pool_words ();
         view_words = view_words_per_shard eng;
         words = Obj.reachable_words (Obj.repr eng) / shards })
 
@@ -414,12 +434,13 @@ let sustained_publication { shards; window; buckets; epsilon; every; per_call; _
    turn) refreshes its shard and publishes one view.  Counted as minor +
    major - promoted words from [Gc.counters], with latency tracking off.
    OCaml 5.1's [Gc.counters] adds minor words only at a minor collection,
-   so one is forced at each end of the measured calls.  A recycled view
-   grows a column, by at least a quarter, whenever it takes a list longer
-   than its column; that still happens now and then after the windows
-   fill, so the warm-up runs 64 calls per shard first.  Deterministic for
-   a fixed shape. *)
+   so one is forced at each end of the measured calls.  The list sets
+   that rotate through the domain's pool grow a column whenever one takes
+   a list longer than its column; that still happens now and then after
+   the windows fill, so the warm-up runs 64 calls per shard first.
+   Deterministic for a fixed shape. *)
 let publish_words_per_call ~shards ~window ~buckets ~epsilon =
+  on_fresh_domain @@ fun () ->
   Pool.with_pool ~domains:1 (fun pool ->
       let eng = filled_engine pool ~shards ~window ~buckets ~epsilon in
       SE.set_refresh_policy eng Stream_histogram.Params.Eager;
@@ -527,8 +548,9 @@ let run_fw scale =
       memory_shapes
   in
   Report.note
-    "engine and published-view words/shard after every shard's first refresh; memo-arena \
-     words per domain; steady-state words per publishing ingest_groups call:";
+    "engine words/shard and the words/shard published views add to their summaries, after \
+     every shard's first refresh; memo-arena words per domain; steady-state words per \
+     publishing ingest_groups call:";
   Report.table
     ~headers:
       [ "shape"; "S"; "n"; "B"; "eps"; "words/shard"; "budget"; "view words"; "budget";
@@ -543,18 +565,21 @@ let run_fw scale =
        memory);
   Report.note
     "sustained publication from empty over %d uniform-key points (single-point groups, one \
-     domain): view columns reallocated, and view and engine words/shard after the run:"
+     domain): list sets allocated as refresh targets, the domain's set-pool words, and the \
+     views' added and the engine's words/shard after the run:"
     sustained_points;
   Report.table
     ~headers:
-      [ "shape"; "refresh"; "groups/call"; "publications"; "column growths"; "budget";
-        "view words"; "budget"; "words/shard" ]
+      [ "shape"; "refresh"; "groups/call"; "publications"; "target allocs"; "budget";
+        "pool words"; "budget"; "view words"; "budget"; "words/shard"; "budget" ]
     (List.map
        (fun (sh, _, _, _, _, sus) ->
          [ sh.name; Printf.sprintf "every:%d" sh.every; string_of_int sh.per_call;
-           string_of_int sus.publications; string_of_int sus.view_growths;
-           string_of_int sh.budget_growths; string_of_int sus.view_words;
-           string_of_int sh.budget_sustained_view_words; string_of_int sus.words ])
+           string_of_int sus.publications; string_of_int sus.allocs;
+           string_of_int sh.budget_allocs; string_of_int sus.pool_words;
+           string_of_int sh.budget_pool_words; string_of_int sus.view_words;
+           string_of_int sh.budget_sustained_view_words; string_of_int sus.words;
+           string_of_int sh.budget_sustained_words ])
        memory);
   let bench_json =
     Report.Jlist
@@ -651,11 +676,14 @@ let run_fw scale =
                               ("groups_per_call", Report.Jint sh.per_call);
                               ("points", Report.Jint sustained_points);
                               ("publications", Report.Jint sus.publications);
-                              ("budget_view_column_growths", Report.Jint sh.budget_growths);
-                              ("view_column_growths", Report.Jint sus.view_growths);
+                              ("budget_target_allocations", Report.Jint sh.budget_allocs);
+                              ("target_allocations", Report.Jint sus.allocs);
+                              ("budget_pool_words", Report.Jint sh.budget_pool_words);
+                              ("pool_words", Report.Jint sus.pool_words);
                               ( "budget_view_words_per_shard",
                                 Report.Jint sh.budget_sustained_view_words );
                               ("view_words_per_shard", Report.Jint sus.view_words);
+                              ("budget_words_per_shard", Report.Jint sh.budget_sustained_words);
                               ("words_per_shard", Report.Jint sus.words);
                             ] );
                       ] ))

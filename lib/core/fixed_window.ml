@@ -10,7 +10,8 @@ module M = Sh_obs.Metric
    a_r = b_(r-1) + 1 — so a list stores two columns: the right endpoints
    and HERROR[b, k] at each.  Rows live in flat int/float arrays, so a
    refresh that clears and refills every list allocates nothing once the
-   arrays reach steady capacity. *)
+   arrays of the sets it recycles (see [list_set]) reach steady
+   capacity. *)
 type level = {
   mutable b : int array;    (* right endpoints, rows [0, len) *)
   mutable hb : float array; (* HERROR[b, k] at each *)
@@ -65,8 +66,8 @@ type work_counters = {
 (* The paper's evaluation kernel, defined once: [scan] (the candidate
    scan), [eval] (HERROR[x, k]) and [histogram] (the boundary recursion).
    Each reads a sliding prefix and the level lists it is handed — the live
-   summary passes its own, a published {!View.t} its frozen copies — and
-   writes its results into a [scratch].  The kernel touches no telemetry:
+   summary passes its current set, a published {!View.t} its ring copy and
+   the set it was lent — and writes its results into a [scratch].  The kernel touches no telemetry:
    it tallies its work (evaluations, scan steps and candidates, memo
    probes and hits) in the scratch's int fields, and the live summary adds
    the tallies to its registry counters once per entry point ([flush]).
@@ -394,16 +395,84 @@ let memo_arena_words () = Obj.reachable_words (Obj.repr (Domain.DLS.get arena_ke
 let stamps = Atomic.make 0
 let fresh_stamp () = 1 + Atomic.fetch_and_add stamps 1
 
+(* --- list sets and the per-domain set pool ------------------------------- *)
+
+(* A summary's interval lists, one level per k = 1 .. B-1, as one set that
+   the summary and the views it publishes share.  A set is written only
+   while it is a refresh's build target, and a target is reachable from no
+   view: a refresh builds into a set taken from its domain's pool (or a
+   fresh one), then swaps it in as the summary's current set.  [holders]
+   counts who holds the set — the summary while it is current, plus every
+   view it is lent to — and whoever lets go last (a refresh swapping it
+   out, or a view being refilled) puts it in its own domain's pool.  So a
+   set comes back for rewriting only once no summary and no view can read
+   it, whichever order they let go in. *)
+type list_set = {
+  levels : level array;
+  holders : int Atomic.t;
+}
+
+(* A fresh view's set before its first fill, and the pool's empty slots:
+   never released, never built into. *)
+let unlent = { levels = [||]; holders = Atomic.make 1 }
+
+(* The pool: up to [pool_cap] released sets, most recent last.  Sets of
+   any geometry share it; a refresh takes the most recent one with its
+   level count, and a release into a full pool drops the oldest, so a
+   geometry no longer refreshed on the domain ages out. *)
+type set_pool = { sets : list_set array; mutable count : int }
+
+let pool_cap = 4
+let pool_key = Domain.DLS.new_key (fun () -> { sets = Array.make pool_cap unlent; count = 0 })
+let pool_words () = Obj.reachable_words (Obj.repr (Domain.DLS.get pool_key))
+
+(* Build targets allocated because no pooled set fitted, process-wide. *)
+let set_allocs = Atomic.make 0
+let target_allocations () = Atomic.get set_allocs
+
+let new_set levels = { levels = Array.init levels (fun _ -> new_level ()); holders = Atomic.make 1 }
+
+(* A build target with [levels] levels, held once (by the refresh that is
+   about to make it current). *)
+let acquire ~levels =
+  let p = Domain.DLS.get pool_key in
+  let i = ref (p.count - 1) in
+  while !i >= 0 && Array.length p.sets.(!i).levels <> levels do
+    decr i
+  done;
+  if !i < 0 then begin
+    Atomic.incr set_allocs;
+    new_set levels
+  end
+  else begin
+    let s = p.sets.(!i) in
+    Array.blit p.sets (!i + 1) p.sets !i (p.count - 1 - !i);
+    p.count <- p.count - 1;
+    p.sets.(p.count) <- unlent;
+    Atomic.set s.holders 1;
+    s
+  end
+
+(* Let go of [s]; the last holder to let go pools it. *)
+let release s =
+  if Atomic.fetch_and_add s.holders (-1) = 1 then begin
+    let p = Domain.DLS.get pool_key in
+    if p.count = pool_cap then begin
+      Array.blit p.sets 1 p.sets 0 (pool_cap - 1);
+      p.count <- pool_cap - 1
+    end;
+    p.sets.(p.count) <- s;
+    p.count <- p.count + 1
+  end
+
 type t = {
   params : Params.t;
   sp : Sliding_prefix.t;
-  (* [lists.(k-1)] holds the level-k list for the window as of the last
-     refresh.  Warm rebuilds seed their boundary searches from the previous
-     right endpoints only, so the one spare is a right-endpoint column per
-     level: [create_list] swaps it with the level's [b] before refilling,
-     and reads the previous boundaries from it while it builds. *)
-  lists : level array;
-  spare_b : int array array;
+  (* [set.levels.(k-1)] holds the level-k list for the window as of the
+     last refresh (see [list_set]): read-only from the moment a refresh
+     swaps it in.  Warm rebuilds seed their boundary searches from its
+     right endpoints while they build the next set. *)
+  mutable set : list_set;
   (* HERROR memo (see [arena_key]): gallop/bisect searches never re-pay
      for a position another search of the same rebuild (or a query against
      the same window) already evaluated. *)
@@ -466,8 +535,7 @@ let mk ~params ~sp =
   {
     params;
     sp;
-    lists = Array.init (max 1 (buckets - 1)) (fun _ -> new_level ());
-    spare_b = Array.make (max 1 (buckets - 1)) [||];
+    set = new_set (max 1 (buckets - 1));
     memo_stride = buckets + 1;
     memo_on = true;
     stamp = fresh_stamp ();
@@ -542,7 +610,7 @@ let flush t =
 
 (* Approximate HERROR[x, k] for the current window, written to
    [t.scr.fs.(fs_eval)]. *)
-let eval_herror_into t ~k ~x = eval t.sp t.lists t.scr t.claimed ~stride:t.memo_stride ~k ~x
+let eval_herror_into t ~k ~x = eval t.sp t.set.levels t.scr t.claimed ~stride:t.memo_stride ~k ~x
 
 (* Point [claimed] at the calling domain's memo table ([on]) or at none,
    growing the table to this summary's geometry, and clearing it if
@@ -670,14 +738,13 @@ let find_boundary t ~k ~start ~hi ~hint =
    gallops from [start] plus the width of the interval it just built
    instead of bisecting [start, n].  The search result is independent of
    the seed, so warm and cold rebuilds produce identical lists; a cold
-   rebuild seeds nothing. *)
-let create_list t ~k ~warm =
-  let q = t.lists.(k - 1) in
-  (* The last refresh's right endpoints become the hints; their spare
-     buffer the target of this rebuild. *)
-  let prev_b = q.b and plen = if warm then q.len else 0 in
-  q.b <- t.spare_b.(k - 1);
-  t.spare_b.(k - 1) <- prev_b;
+   rebuild seeds nothing.  The list is built into [t.set], the build
+   target, whose lower levels the scans read; [prev] is the last refresh's
+   set, whose right endpoints are the hints. *)
+let create_list t ~prev ~k ~warm =
+  let q = t.set.levels.(k - 1) in
+  let p = prev.levels.(k - 1) in
+  let prev_b = p.b and plen = if warm then p.len else 0 in
   q.len <- 0;
   let n = length t in
   let delta = t.params.Params.delta in
@@ -729,10 +796,16 @@ let do_refresh t ~warm ~memo =
   (* A cold rebuild is the unassisted reference: no scan seeds either. *)
   t.scr.seeding <- warm;
   let b = buckets t in
-  if length t > 0 then
+  if length t > 0 && b > 1 then begin
+    (* Build into a target no view can reach, current from the start (the
+       scans read its lower levels), then let go of the old set. *)
+    let prev = t.set in
+    t.set <- acquire ~levels:(Array.length prev.levels);
     for k = 1 to b - 1 do
-      create_list t ~k ~warm
+      create_list t ~prev ~k ~warm
     done;
+    release prev
+  end;
   t.scr.seeding <- true;
   t.claimed <- None;
   add t (if warm then w_warm_evals else w_cold_evals) t.scr.evals;
@@ -827,7 +900,7 @@ let herror t ~k ~x =
 let current_histogram t =
   refresh t;
   if length t = 0 then invalid_arg "Fixed_window.current_histogram: empty window";
-  let h = histogram t.sp t.lists t.scr ~b:(buckets t) in
+  let h = histogram t.sp t.set.levels t.scr ~b:(buckets t) in
   flush t;
   h
 
@@ -857,7 +930,7 @@ let work_counters t =
 
 let interval_counts t =
   refresh t;
-  Array.map (fun q -> q.len) t.lists
+  Array.map (fun q -> q.len) t.set.levels
 
 let check_level ~b ~k =
   if k < 1 || k > b - 1 then invalid_arg "Fixed_window.intervals: k out of range"
@@ -869,7 +942,7 @@ let intervals t ~k =
   refresh t;
   claim t ~on:t.memo_on;
   t.scr.seeding <- false;
-  let rows = interval_rows t.sp t.lists t.scr t.claimed ~stride:t.memo_stride ~k in
+  let rows = interval_rows t.sp t.set.levels t.scr t.claimed ~stride:t.memo_stride ~k in
   t.scr.seeding <- true;
   t.claimed <- None;
   flush t;
@@ -883,27 +956,26 @@ let intervals t ~k =
 let view_scratch_key = Domain.DLS.new_key (fun () -> new_scratch ~levels:0)
 let view_scratch () = Domain.DLS.get view_scratch_key
 
-(* A [View.t] is a copy of everything a query needs — the sliding prefix
-   ring and the level lists' two columns, copied verbatim, plus
-   precomputed whole-window answers — filled from a refreshed summary by
-   {!view_into}.  Readers on other domains evaluate against the copy
-   alone, with the same kernel functions the live summary runs and their
-   domain's view scratch: no telemetry stores, no scratch shared across
-   domains, no access to the live [t].  Same kernel, same slots, same subtractions, so view
-   answers are bit-identical to querying the quiesced live summary at the
-   same generation by construction (and pinned by the
-   snapshot-equivalence property tests).  The fields are mutable only so
-   that a publisher can refill a view nobody reads any more; the kernel
-   reads each column up to its level's [len], so columns longer than
-   their rows are harmless. *)
+(* A [View.t] is everything a query needs — a verbatim copy of the
+   sliding prefix ring, the summary's current list set (lent, not copied:
+   see [list_set]), and precomputed whole-window answers — filled from a
+   refreshed summary by {!view_into}.  Readers on other domains evaluate
+   against the view alone, with the same kernel functions the live summary
+   runs and their domain's view scratch: no telemetry stores, no scratch
+   shared across domains, no access to the live [t].  The lent set is
+   never written while the view holds it, so view answers are
+   bit-identical to querying the quiesced live summary at the same
+   generation by construction (and pinned by the snapshot-equivalence
+   property tests).  The fields are mutable only so that a publisher can
+   refill a view nobody reads any more. *)
 module View = struct
   type t = {
-    mutable gen : int;  (* refresh generation the copy was cut at *)
-    mutable seen : int; (* source points_seen when cut — the freshness watermark *)
+    mutable gen : int;  (* refresh generation at the fill *)
+    mutable seen : int; (* source points_seen at the fill — the freshness watermark *)
     mutable b : int;    (* buckets *)
     mutable eps : float;
     mutable sp : Sliding_prefix.t; (* copy of the live ring *)
-    mutable lists : level array;   (* copies of the level lists *)
+    mutable set : list_set;        (* the source's lists, lent *)
     mutable err : float;               (* HERROR[n, B] — the current_error answer *)
     mutable hist : Histogram.t option; (* [None] iff the window is empty *)
   }
@@ -924,49 +996,30 @@ module View = struct
   let herror v ~k ~x =
     check_herror ~b:v.b ~n:(length v) ~k ~x;
     let s = view_scratch () in
-    eval v.sp v.lists s None ~stride:(v.b + 1) ~k ~x;
+    eval v.sp v.set.levels s None ~stride:(v.b + 1) ~k ~x;
     s.fs.(fs_eval)
 
   let intervals v ~k =
     check_level ~b:v.b ~k;
-    interval_rows v.sp v.lists (view_scratch ()) None ~stride:(v.b + 1) ~k
+    interval_rows v.sp v.set.levels (view_scratch ()) None ~stride:(v.b + 1) ~k
 end
-
-(* Reallocations of view columns across every view in the process. *)
-let view_growths = Atomic.make 0
-let view_column_growths () = Atomic.get view_growths
-
-(* Copy [q]'s rows into [dst], growing its columns only when they are too
-   short, and then by at least a quarter of their old length: a spare view
-   rotates over shards whose lists differ in length, and exact growth
-   would reallocate whenever it takes a list longer than any it held.  Columns
-   grown from empty — every column of a fresh {!view} — are exactly
-   sized.  A view's two columns are only ever grown here, together, so
-   they have the same length.  The growth is written out inline: a
-   helper closure would allocate per call. *)
-let copy_level q dst =
-  let rows = q.len and old = Array.length dst.b in
-  if old < rows then begin
-    let cap = max rows (old + (old / 4)) in
-    dst.b <- Array.make cap 0;
-    dst.hb <- Array.make cap 0.0;
-    ignore (Atomic.fetch_and_add view_growths 2)
-  end;
-  Array.blit q.b 0 dst.b 0 rows;
-  Array.blit q.hb 0 dst.hb 0 rows;
-  dst.len <- rows
 
 let view_into t (v : View.t) =
   refresh t;
   if Sliding_prefix.capacity v.sp <> window t then
     v.sp <- Sliding_prefix.create ~capacity:(window t);
   Sliding_prefix.blit_into ~src:t.sp ~dst:v.sp;
-  if Array.length v.lists <> Array.length t.lists then
-    v.lists <- Array.map (fun _ -> new_level ()) t.lists;
-  Array.iteri (fun i q -> copy_level q v.lists.(i)) t.lists;
+  (* Take a hold on the current set before letting go of the old one, so
+     a refill from the same set never sees it unheld. *)
+  let held = v.set and cur = t.set in
+  if held != cur then begin
+    Atomic.incr cur.holders;
+    v.set <- cur;
+    if held != unlent then release held
+  end;
   let n = length t and b = buckets t in
   let s = view_scratch () in
-  eval v.sp v.lists s None ~stride:(b + 1) ~k:b ~x:n;
+  eval v.sp cur.levels s None ~stride:(b + 1) ~k:b ~x:n;
   v.gen <- t.gen;
   v.seen <- t.seen;
   v.b <- b;
@@ -974,12 +1027,12 @@ let view_into t (v : View.t) =
   v.err <- s.fs.(fs_eval);
   (* Always a fresh histogram: [current_histogram] hands it to callers,
      who may keep it after the view is refilled. *)
-  v.hist <- (if n = 0 then None else Some (histogram v.sp v.lists s ~b))
+  v.hist <- (if n = 0 then None else Some (histogram v.sp cur.levels s ~b))
 
 let view t =
   let v =
     { View.gen = 0; seen = 0; b = 0; eps = 0.0;
-      sp = Sliding_prefix.create ~capacity:(window t); lists = [||]; err = 0.0; hist = None }
+      sp = Sliding_prefix.create ~capacity:(window t); set = unlent; err = 0.0; hist = None }
   in
   view_into t v;
   v

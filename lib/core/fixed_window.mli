@@ -28,10 +28,10 @@
 
     Between consecutive arrivals the window shifts by at most one point, so
     the previous lists' interval boundaries are near-perfect predictors of
-    the new ones.  {!refresh} therefore keeps, per level, a spare
-    right-endpoint column: a rebuild swaps it with the level's current one
-    and seeds each CreateList boundary search from the corresponding
-    previous right endpoint (shifted by the window slide), using a
+    the new ones.  {!refresh} therefore builds every level into a fresh
+    target list set (see the ownership rule below) and seeds each
+    CreateList boundary search from the corresponding right endpoint of
+    the current set (shifted by the window slide), using a
     gallop-then-bisect search bracketed around the hint.  Because HERROR is
     non-decreasing in x, the search result is independent of the seed: warm
     and cold rebuilds produce identical lists, and [refresh ~cold:true]
@@ -49,8 +49,9 @@
     The hot path is (amortised) allocation-free: each interval list is two
     flat columns — right endpoints and HERROR at each; left endpoints are
     derived, a{_0} = 1 and a{_r} = b{_r-1} + 1 — rather than a boxed-record
-    vector, rebuild scratch (the spare right-endpoint columns, float
-    out-param slots) is owned by [t] and reused across refreshes, and
+    vector, rebuild targets are list sets recycled through a small
+    per-domain pool, float out-param slots are owned by [t] and reused
+    across refreshes, and
     HERROR evaluations are deduplicated through a memo table indexed
     directly by (x, k).  The table is one per domain, not one per summary,
     sized
@@ -177,23 +178,34 @@ val herror : t -> k:int -> x:int -> float
 (** {2 Published read views}
 
     A {!View.t} is a snapshot of a refreshed summary: a copy of the
-    sliding prefix ring and of the interval lists' two columns, and
-    precomputed whole-window answers, plus the {!generation} /
-    {!points_seen} stamps of the moment it was filled.  Views hold no
-    reference to the live summary, so they may be handed to other domains
-    and read without locks — the RCU payload of the sharded engine's query
-    plane.
+    sliding prefix ring, the summary's current interval lists, shared
+    read-only rather than copied, and precomputed whole-window answers,
+    plus the {!generation} / {!points_seen} stamps of the moment it was
+    filled.  Views hold no reference to the live summary itself and
+    nothing it writes, so they may be handed to other domains and read
+    without locks — the RCU payload of the sharded engine's query plane.
+
+    {b Ownership.}  A summary's lists are one set, written only while a
+    refresh builds it.  A refresh builds into a target set that no view
+    can reach — one its domain's pool returns, or a fresh one
+    ({!target_allocations}) — and then swaps it in as the current set.
+    {!view} and {!view_into} lend the current set to the view.  A set has
+    up to two kinds of holder: the summary, until a refresh swaps the set
+    out, and each view it is lent to, until that view is refilled.  Only
+    when the last holder lets go does the set go back to the pool of the
+    domain that let go, to be rebuilt by a later refresh there.  A view
+    that is never refilled keeps its set for good.
 
     A view is immutable while it is published or held: {!view} returns a
     view nobody else refills, and only {!view_into} writes one.
     {!view_into} is the publisher's primitive: it refills a view that has
     left publication and that no reader holds any more, so steady-state
-    publication copies state without allocating a new view.  Making sure
+    publication copies the ring without allocating a new view.  Making sure
     no reader holds the view is the publisher's job (the sharded engine
     pins views while it evaluates them).
 
     A view is evaluated by the same HERROR kernel as the live summary, over
-    verbatim copies of the same state, so every view answer is
+    a verbatim copy of the ring and the same lists, so every view answer is
     bit-identical to the corresponding live query against the (quiesced)
     summary at the same generation.  Views never touch telemetry: reads
     cost no counter stores. *)
@@ -229,7 +241,7 @@ module View : sig
       runs the candidate scan: views carry no memo table. *)
 
   val intervals : t -> k:int -> (int * float * int * float) array
-  (** The view's copy of the level-k list, as {!Fixed_window.intervals}
+  (** The view's level-k list, as {!Fixed_window.intervals}
       reports it (same rows and values at the view's generation; each
       [a_herror] is one candidate scan).  Requires
       [1 <= k <= buckets - 1]. *)
@@ -238,22 +250,20 @@ end
 val view : t -> View.t
 (** A new view of the current window, refreshing first if stale (so the
     view is always at the latest generation): an empty view filled by
-    {!view_into}.  O(window + B log...) copy and precompute work, paid by
-    the maintainer — the FEH trade: a little more at update time for
-    O(1)-ish reads.  The caller owns publication; the summary keeps no
-    reference to the view. *)
+    {!view_into}.  O(window) ring copy and O(B log ...) precompute work,
+    paid by the maintainer — the FEH trade: a little more at update time
+    for O(1)-ish reads; the lists are lent, not copied.  The caller owns
+    publication; the summary keeps no reference to the view. *)
 
 val view_into : t -> View.t -> unit
 (** Refill an existing view in place with what {!view} would return now:
-    blit the prefix ring and each level's two columns, recompute
-    {!View.current_error}, and attach a freshly built histogram (a
-    histogram taken from the view earlier stays valid).  A column grows
-    only when it is too short, to the larger of the rows needed and its
-    old length plus a quarter, so a view refilled from sources of varying
-    list lengths reallocates a logarithmic number of times (a fresh
-    {!view}'s columns are exactly sized); with equal geometry nothing else
-    is allocated.  Refreshes first if stale.  The
-    caller must guarantee that no other domain reads the view meanwhile. *)
+    blit the prefix ring, lend the summary's current list set to the view
+    and let go of the set the view held (see the ownership rule above),
+    recompute {!View.current_error}, and attach a freshly built histogram
+    (a histogram taken from the view earlier stays valid).  With equal
+    window capacity nothing else is allocated.  Refreshes first if stale.
+    The caller must guarantee that no other domain reads the view
+    meanwhile. *)
 
 (** {2 Introspection} *)
 
@@ -304,14 +314,19 @@ val needs_refresh : t -> bool
 (** Whether the interval lists are stale relative to the window. *)
 
 val list_growths : unit -> int
-(** Backing-array growths of interval-list columns across every summary
-    in the process.  Once a summary's lists reach steady capacity, sliding
-    and refreshing grow none (pinned by the regression tests). *)
+(** Backing-array growths of interval-list columns across every list set
+    in the process, pooled ones included.  Once the sets a domain recycles
+    reach steady capacity, sliding and refreshing grow none (pinned by the
+    regression tests). *)
 
-val view_column_growths : unit -> int
-(** Reallocations of view columns ({!view} and {!view_into}) across every
-    view in the process, one per column grown, a fresh view's first fill
-    included. *)
+val target_allocations : unit -> int
+(** List sets allocated as refresh targets because the calling domain's
+    pool held none of the right level count, across the process. *)
+
+val pool_words : unit -> int
+(** Words reachable from the calling domain's pool of released list sets
+    (at most a few sets, a few words when empty).  Like the memo table,
+    the pool is per-domain state, reachable from no summary or engine. *)
 
 val interval_counts : t -> int array
 (** Number of intervals currently held per level k = 1 .. B-1; the paper

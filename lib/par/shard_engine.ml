@@ -77,8 +77,9 @@ type t = {
      (the apply/sweep task that refreshed it) republishes whenever the
      live generation has advanced past the published one, refilling its
      spare view rather than allocating one; readers pin the cell in the
-     slot and evaluate against the copy — lock-free, never touching the
-     live summary or the owner's cache lines. *)
+     slot and evaluate against the view (a ring copy and the shard's
+     lists, lent read-only) — lock-free, never touching what the owner
+     writes. *)
   views : cell Atomic.t array;
   publish : int -> int -> unit; (* [publish o k]: owner o republishes shard k if stale *)
   (* --- this engine's totals: what [total_points] & co. and the
@@ -409,7 +410,7 @@ let publication_lag t ~key =
    hand-rolled like the task timers so the disabled path costs one boolean
    load and no closure beyond the continuation.  Every query answers from
    the published view, pinned for the evaluation: the pin takes no lock
-   and never touches the live shard; with tracking on, the timer's
+   and never touches what the live shard writes; with tracking on, the timer's
    [L.record] takes the tracker's mutex once per call. *)
 let view_query t key f =
   let lat = Obs.latency_enabled () in

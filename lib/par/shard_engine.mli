@@ -102,12 +102,16 @@ val refresh_all : ?cold:bool -> t -> unit
     after it has left its slot and was seen unpinned, and read only while
     pinned after it was seen in its slot, and every step is a
     sequentially consistent [Atomic] operation, no reader sees a
-    half-written view.  Answers are those of immutable snapshots.
+    half-written view.  A view shares its shard's interval lists rather
+    than copying them; refilling the spare lets go of the lists it held,
+    which return to the publisher domain's pool only once the shard's
+    summary has let go of them too.  Answers are those of immutable
+    snapshots.
 
     {!current_error}, {!current_histogram}, {!herror}, {!length},
     {!query_many} and {!query_global} answer from the published view.
     A read is pin + load + evaluate + unpin: it takes no lock, never
-    touches the live summary, and never waits for an in-flight
+    touches what the live summary writes, and never waits for an in-flight
     {!ingest} / {!refresh_all}.  It is lock-free rather than wait-free:
     it retries only when the same key is republished between its load and
     its check.  So these calls are safe from any domain and complete

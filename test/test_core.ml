@@ -385,20 +385,31 @@ let test_fw_flush_discipline () =
 (* Steady-state sliding must reuse the interval lists' backing arrays:
    after a warm-up long enough to reach peak capacity, further slides may
    not grow any list column in the process (FW.list_growths counts every
-   growth).  The warm-up must grow some, or the check says nothing. *)
+   growth, pooled sets' included).  The warm-up must grow some, or the
+   check says nothing.  First one summary alone, whose refreshes swap its
+   current set with the one it left in its domain's pool; then two, on
+   different streams, whose refreshes alternate on one domain, so the
+   sets each one builds into come from the other's releases too.  The
+   warm-up outlasts both streams' periods (101 and 97) three times over,
+   so every set in the rotation has held every window of both. *)
 let test_fw_slide_reuses_memory () =
-  let before_warmup = FW.list_growths () in
-  let fw = FW.create ~window:64 ~buckets:4 ~epsilon:0.2 in
-  for i = 1 to 256 do
-    FW.push_and_refresh fw (Float.of_int ((i * 37) mod 101))
-  done;
-  let before = FW.list_growths () in
-  Alcotest.(check bool) "the warm-up grows the lists" true (before > before_warmup);
-  for i = 257 to 512 do
-    FW.push_and_refresh fw (Float.of_int ((i * 37) mod 101))
-  done;
-  Alcotest.(check int) "no list growth across 256 steady-state slides" before
-    (FW.list_growths ())
+  let steady what fws =
+    let value j i = Float.of_int ((i * (37 + (16 * j))) mod (101 - (4 * j))) in
+    let before_warmup = FW.list_growths () in
+    for i = 1 to 640 do
+      List.iteri (fun j fw -> FW.push_and_refresh fw (value j i)) fws
+    done;
+    let before = FW.list_growths () in
+    Alcotest.(check bool) (what ^ ": the warm-up grows the lists") true (before > before_warmup);
+    for i = 641 to 896 do
+      List.iteri (fun j fw -> FW.push_and_refresh fw (value j i)) fws
+    done;
+    Alcotest.(check int) (what ^ ": no list growth across 256 steady-state slides") before
+      (FW.list_growths ())
+  in
+  let mk () = FW.create ~window:64 ~buckets:4 ~epsilon:0.2 in
+  steady "one summary" [ mk () ];
+  steady "two summaries" [ mk (); mk () ]
 
 (* The full arena claim: once warm, a push + warm refresh allocates ~zero
    minor-heap words.  The budget is pinned generously above the measured
@@ -732,37 +743,83 @@ let test_best_split_counted () =
   let after = (FW.work_counters fw).FW.herror_evaluations in
   Alcotest.(check bool) "best_split evaluations counted" true (after > before)
 
-(* A published view is a frozen copy: holding one while its source keeps
-   ingesting (the ring wraps and rebases, the double-buffered lists are
-   cleared and rebuilt) must not change a single bit of its answers.  The
-   reference is a view cut from a twin summary that stopped at the same
-   point and never ran again. *)
-(* Every answer of [view] equals [fresh]'s, bit for bit. *)
-let same_view what (view : FW.View.t) (fresh : FW.View.t) =
-  let bits f = Int64.bits_of_float f in
-  let check_int name a b = Alcotest.(check int) (what ^ ": " ^ name) a b in
-  let check_bits name a b = Alcotest.(check int64) (what ^ ": " ^ name) (bits a) (bits b) in
-  check_int "generation" (FW.View.generation fresh) (FW.View.generation view);
-  check_int "points seen" (FW.View.points_seen fresh) (FW.View.points_seen view);
-  check_int "buckets" (FW.View.buckets fresh) (FW.View.buckets view);
-  check_bits "epsilon" (FW.View.epsilon fresh) (FW.View.epsilon view);
-  let n = FW.View.length fresh in
-  check_int "length" n (FW.View.length view);
-  check_bits "current_error" (FW.View.current_error fresh) (FW.View.current_error view);
-  (match (FW.View.histogram fresh, FW.View.histogram view) with
-   | None, None -> ()
-   | Some f, Some h ->
-     Alcotest.(check (list int64)) (what ^ ": histogram")
-       (List.map bits (Array.to_list (H.to_series f)))
-       (List.map bits (Array.to_list (H.to_series h)))
-   | _ -> Alcotest.fail (what ^ ": histogram presence differs"));
-  for k = 1 to FW.View.buckets fresh do
-    for x = 0 to n do
-      check_bits (Printf.sprintf "herror k=%d x=%d" k x) (FW.View.herror fresh ~k ~x)
-        (FW.View.herror view ~k ~x)
-    done
-  done
+(* Everything a query can read off a view or a quiesced live summary. *)
+type answers = {
+  gen : int;
+  seen : int;
+  b : int;
+  eps : float;
+  n : int;
+  err : float;
+  hist : H.t option;
+  herror : k:int -> x:int -> float;
+}
 
+let of_view v =
+  { gen = FW.View.generation v; seen = FW.View.points_seen v; b = FW.View.buckets v;
+    eps = FW.View.epsilon v; n = FW.View.length v; err = FW.View.current_error v;
+    hist = FW.View.histogram v; herror = FW.View.herror v }
+
+let of_live fw =
+  let err = FW.current_error fw in
+  { gen = FW.generation fw; seen = FW.points_seen fw; b = FW.buckets fw; eps = FW.epsilon fw;
+    n = FW.length fw; err;
+    hist = (if FW.length fw = 0 then None else Some (FW.current_histogram fw));
+    herror = FW.herror fw }
+
+(* The first answer in which [got] differs from [expect], bit for bit:
+   the stamps, the precomputed answers, then HERROR[x, k] at every k and
+   x, stopping at the first differing cell. *)
+let first_difference expect got =
+  let bits = Int64.bits_of_float in
+  let ints name a b = if a <> b then Some (Printf.sprintf "%s %d, not %d" name b a) else None in
+  let floats name a b =
+    if bits a <> bits b then Some (Printf.sprintf "%s %h, not %h" name b a) else None
+  in
+  let series h = Array.map bits (H.to_series h) in
+  let cells () =
+    let found = ref None and k = ref 1 in
+    while !found = None && !k <= expect.b do
+      let x = ref 0 in
+      while !found = None && !x <= expect.n do
+        found :=
+          floats (Printf.sprintf "herror k=%d x=%d" !k !x) (expect.herror ~k:!k ~x:!x)
+            (got.herror ~k:!k ~x:!x);
+        incr x
+      done;
+      incr k
+    done;
+    !found
+  in
+  List.find_map
+    (fun check -> check ())
+    [ (fun () -> ints "generation" expect.gen got.gen);
+      (fun () -> ints "points seen" expect.seen got.seen);
+      (fun () -> ints "buckets" expect.b got.b);
+      (fun () -> floats "epsilon" expect.eps got.eps);
+      (fun () -> ints "length" expect.n got.n);
+      (fun () -> floats "current_error" expect.err got.err);
+      (fun () ->
+        match (expect.hist, got.hist) with
+        | None, None -> None
+        | Some e, Some g -> if series e = series g then None else Some "histogram"
+        | _ -> Some "histogram presence");
+      cells ]
+
+(* One check: every answer of [got] equals [expect]'s, bit for bit; a
+   failure names the first that differs. *)
+let same_answers what expect got =
+  Alcotest.(check (option string)) (what ^ ": first differing answer") None
+    (first_difference expect got)
+
+let same_view what (view : FW.View.t) (fresh : FW.View.t) =
+  same_answers what (of_view fresh) (of_view view)
+
+(* A published view is a frozen snapshot: holding one while its source
+   keeps ingesting (the ring wraps and rebases, refreshes build new list
+   sets) must not change a single bit of its answers.  The reference is a
+   view cut from a twin summary that stopped at the same point and never
+   ran again. *)
 let test_fw_held_view_keeps_answers () =
   let window = 24 and buckets = 4 in
   let data = Array.init 200 (fun i -> Float.of_int ((i * 37) mod 101) -. 50.0) in
@@ -818,48 +875,68 @@ let test_fw_view_into_refills () =
     end
   done
 
-(* A spare view that rotates over sources of different list lengths grows
-   its columns geometrically: one view is refilled every 16 pushes while
-   two refresh-bound-geometry summaries (n = 1024, B = 8, eps = 0.2) on
-   different streams fill from empty to full, the source alternating so
-   that the rows asked of each column go up and down.  Every refill equals
-   a fresh view bit for bit, and the refills reallocate the columns at
-   most 2 + log_1.25 (most rows the column took) times each, summed over
-   the columns (growing to exactly the rows needed reallocates 580 times
-   here, and fails this). *)
-let test_fw_view_columns_grow_geometrically () =
-  let window = 1024 and buckets = 8 and epsilon = 0.2 in
+(* [a] with every HERROR cell read once, now: a record of what it
+   answered, immune to later changes in what it was read from. *)
+let frozen a =
+  let cells = Array.init a.b (fun k -> Array.init (a.n + 1) (fun x -> a.herror ~k:(k + 1) ~x)) in
+  { a with herror = (fun ~k ~x -> cells.(k - 1).(x)) }
+
+(* A view holds the list set it was lent until it is refilled: its source
+   refreshing twice between publications (the first refresh lets go of
+   the set, the second takes a target from the same domain's pool) must
+   leave every answer of the view bit-identical to what it answered when
+   it was cut.  Pooling a set while a view still holds it hands it to the
+   second refresh, which overwrites it, and fails this. *)
+let test_fw_held_view_survives_refreshes () =
+  let window = 64 and buckets = 5 and epsilon = 0.2 in
+  let data = Array.init 400 (fun i -> Float.of_int ((i * 53) mod 97) -. 40.0) in
+  let fw = FW.create ~window ~buckets ~epsilon in
+  Array.iteri
+    (fun i x ->
+      FW.push fw x;
+      if i mod 40 = 39 then begin
+        let held = FW.view fw in
+        let expect = frozen (of_view held) in
+        for j = 1 to 2 do
+          FW.push fw data.((i + (j * 11)) mod Array.length data);
+          FW.refresh fw
+        done;
+        same_answers (Printf.sprintf "held at %d" i) expect (of_view held)
+      end)
+    data
+
+(* Refilling a view lets go of the set it held, but its source still holds
+   that set: one view is filled from summary [a], then refilled from [b]
+   (on another stream, same level count), and [b] refreshes once more on
+   the same domain before [a]'s answers are read.  [a], never refreshed in
+   between, must answer bit for bit like an untouched twin that no view
+   ever held.  Pooling a set when a view alone lets go of it hands [a]'s
+   live lists to [b]'s refresh, and fails this.  The windows fill from
+   empty, so the sets' list lengths go up and down between the two. *)
+let test_fw_refill_keeps_source_lists () =
+  let window = 256 and buckets = 8 and epsilon = 0.2 in
   let stream seed =
     Sh_gen.Source.take
       (Sh_gen.Workloads.network (Sh_util.Rng.create ~seed) Sh_gen.Workloads.default_network)
-      window
+      (2 * window)
   in
   let xs = stream 21 and ys = stream 22 in
   let a = FW.create ~window ~buckets ~epsilon and b = FW.create ~window ~buckets ~epsilon in
-  let v = FW.view a in
-  let most = Array.make (buckets - 1) 0 in
-  let growths = ref 0 in
-  for i = 0 to window - 1 do
+  let twin = FW.create ~window ~buckets ~epsilon in
+  let v = FW.view b in
+  for i = 0 to (2 * window) - 1 do
     FW.push a xs.(i);
+    FW.push twin xs.(i);
     FW.push b ys.(i);
-    if i mod 16 = 15 then begin
-      let src = if i mod 32 = 15 then a else b in
-      let before = FW.view_column_growths () in
-      FW.view_into src v;
-      growths := !growths + FW.view_column_growths () - before;
-      Array.iteri (fun k rows -> most.(k) <- max most.(k) rows) (FW.interval_counts src);
-      same_view (Printf.sprintf "refill at %d" i) v (FW.view src)
+    if i mod 32 = 31 then begin
+      FW.view_into a v;
+      same_answers (Printf.sprintf "view of a at %d" i) (of_live twin) (of_view v);
+      FW.view_into b v;
+      FW.push b ys.((i * 7) mod (2 * window));
+      FW.refresh b;
+      same_answers (Printf.sprintf "a after refill at %d" i) (of_live twin) (of_live a)
     end
-  done;
-  let bound =
-    Array.fold_left
-      (fun acc rows -> acc +. (2.0 *. (2.0 +. (log (Float.of_int rows) /. log 1.25))))
-      0.0 most
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "%d column growths within %.0f" !growths bound)
-    true
-    (Float.of_int !growths <= bound)
+  done
 
 (* The HERROR memo table is one per domain, shared by every summary on
    it.  Summaries of different geometry (n, B, eps) push and refresh in
@@ -884,7 +961,6 @@ let test_fw_shared_memo_arena () =
     let compare_all step j =
       let fw = live.(j) and tw = twin.(j) in
       let what s = Printf.sprintf "step %d summary %d: %s" step j s in
-      let same s expect got = Alcotest.(check int64) (what s) (bits expect) (bits got) in
       for k = 1 to FW.buckets fw - 1 do
         let rows fw =
           Array.to_list
@@ -892,16 +968,7 @@ let test_fw_shared_memo_arena () =
         in
         if rows tw <> rows fw then Alcotest.failf "%s" (what (Printf.sprintf "intervals k=%d" k))
       done;
-      same "current_error" (FW.current_error tw) (FW.current_error fw);
-      for k = 1 to FW.buckets fw do
-        for x = 0 to FW.length fw do
-          same (Printf.sprintf "herror k=%d x=%d" k x) (FW.herror tw ~k ~x) (FW.herror fw ~k ~x)
-        done
-      done;
-      if FW.length fw > 0 then
-        Alcotest.(check (list int64)) (what "histogram")
-          (List.map bits (Array.to_list (H.to_series (FW.current_histogram tw))))
-          (List.map bits (Array.to_list (H.to_series (FW.current_histogram fw))))
+      same_answers (what "answers") (of_live tw) (of_live fw)
     in
     for step = 0 to steps - 1 do
       let i = step mod count in
@@ -1395,8 +1462,10 @@ let () =
           Alcotest.test_case "interval bound" `Quick test_fw_interval_count_bound;
           Alcotest.test_case "held view keeps its answers" `Quick test_fw_held_view_keeps_answers;
           Alcotest.test_case "view_into refills like view" `Quick test_fw_view_into_refills;
-          Alcotest.test_case "view columns grow geometrically" `Quick
-            test_fw_view_columns_grow_geometrically;
+          Alcotest.test_case "held view survives two refreshes" `Quick
+            test_fw_held_view_survives_refreshes;
+          Alcotest.test_case "refilled view keeps source lists" `Quick
+            test_fw_refill_keeps_source_lists;
           Alcotest.test_case "memo table shared per domain" `Quick test_fw_shared_memo_arena;
           Alcotest.test_case "golden answers" `Quick test_fw_golden_answers;
           Alcotest.test_case "first refresh golden" `Quick test_fw_first_refresh_golden;
