@@ -1,6 +1,5 @@
-(* Extension benchmarks (beyond the paper's own tables): a shoot-out of
-   every sequence synopsis in the repository at equal space, and a
-   selectivity-estimation comparison for the value-domain histograms. *)
+(* Extension benchmark (beyond the paper's own tables): a shoot-out of
+   every sequence synopsis in the repository at equal space. *)
 
 module Rng = Sh_util.Rng
 module Source = Sh_gen.Source
@@ -11,11 +10,9 @@ module Heur = Sh_histogram.Heuristics
 module AG = Stream_histogram.Agglomerative
 module Syn = Sh_wavelet.Synopsis
 module SW = Sh_wavelet.Streaming
-module Dct = Sh_wavelet.Dct
 module E = Sh_query.Estimator
 module Q = Sh_query.Workload
 module Ev = Sh_query.Evaluate
-module VH = Sh_selectivity.Value_histogram
 
 let synopses scale =
   let n, buckets, queries =
@@ -35,7 +32,7 @@ let synopses scale =
     ]
   in
   let method_names =
-    [ "vopt"; "agglomerative"; "greedy"; "equiwidth"; "haar"; "streaming-haar"; "dct" ]
+    [ "vopt"; "agglomerative"; "greedy"; "equiwidth"; "haar"; "streaming-haar" ]
   in
   let run data name =
     let p = P.make data in
@@ -53,14 +50,6 @@ let synopses scale =
         let sw = SW.create ~budget:buckets in
         Array.iter (SW.push sw) data;
         E.of_streaming_wavelet sw
-      | "dct" ->
-        let d = Dct.build data ~coeffs:buckets in
-        {
-          E.name = "dct";
-          n = Dct.length d;
-          point = Dct.point_estimate d;
-          range_sum = Dct.range_sum_estimate d;
-        }
       | _ -> assert false
     in
     let truth = E.exact p in
@@ -73,60 +62,3 @@ let synopses scale =
       workloads
   in
   Report.table ~headers:("workload" :: method_names) rows
-
-let selectivity scale =
-  let n, buckets, queries =
-    match scale with
-    | Bench_config.Small -> (20_000, 20, 50)
-    | Bench_config.Default -> (100_000, 25, 100)
-    | Bench_config.Full -> (500_000, 32, 200)
-  in
-  Report.section "EXT-SELECTIVITY: value-domain histograms on a skewed column";
-  Report.note "%d tuples, Zipf(1.1) over 10k values, B=%d; avg |selectivity error| over %d random range predicates"
-    n buckets queries;
-  let rng = Rng.create ~seed:81 in
-  let column = Array.init n (fun _ -> Float.of_int (Rng.zipf rng ~n:10_000 ~skew:1.1)) in
-  let truth lo hi =
-    let c = Array.fold_left (fun a v -> if v >= lo && v <= hi then a + 1 else a) 0 column in
-    Float.of_int c /. Float.of_int n
-  in
-  let qrng = Rng.create ~seed:82 in
-  let predicates =
-    Array.init queries (fun _ ->
-        (* skew the predicate starts like the data so hot ranges get hit *)
-        let lo = Float.of_int (Rng.zipf qrng ~n:10_000 ~skew:1.1) in
-        let hi = lo +. Float.of_int (Rng.int qrng 500) in
-        (lo, hi))
-  in
-  let g = Sh_gk.Gk.create ~epsilon:0.005 in
-  Array.iter (Sh_gk.Gk.insert g) column;
-  let methods =
-    [
-      ("equi-width", VH.selectivity_range (VH.equi_width column ~buckets));
-      ("equi-depth", VH.selectivity_range (VH.equi_depth column ~buckets));
-      ("equi-depth-GK (1-pass)", VH.selectivity_range (VH.equi_depth_of_gk g ~buckets));
-      ("v-optimal", VH.selectivity_range (VH.v_optimal column ~buckets ~domain_bins:(16 * buckets)));
-      ( "wavelet [MVW]",
-        Sh_selectivity.Wavelet_histogram.selectivity_range
-          (Sh_selectivity.Wavelet_histogram.build column ~coeffs:buckets
-             ~domain_bins:(16 * buckets)) );
-    ]
-  in
-  let rows =
-    List.map
-      (fun (name, sel) ->
-        let err = ref 0.0 and worst = ref 0.0 in
-        Array.iter
-          (fun (lo, hi) ->
-            let e = Float.abs (sel ~lo ~hi -. truth lo hi) in
-            err := !err +. e;
-            worst := Float.max !worst e)
-          predicates;
-        [
-          name;
-          Printf.sprintf "%.5f" (!err /. Float.of_int queries);
-          Printf.sprintf "%.5f" !worst;
-        ])
-      methods
-  in
-  Report.table ~headers:[ "method"; "avg |sel error|"; "worst |sel error|" ] rows

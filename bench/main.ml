@@ -29,7 +29,6 @@ let experiments : (string * (Bench_config.scale -> unit)) list =
     ("ablate-rebase", Ablations.rebase);
     ("ablate-wavelet", Ablations.wavelet);
     ("ext-synopses", Extensions.synopses);
-    ("ext-selectivity", Extensions.selectivity);
     ("micro", Micro.run);
     ("micro-fw", Micro.run_fw);
     ("micro-obs", Micro.run_obs);

@@ -77,17 +77,6 @@ let streaming_wavelet_push =
   Test.make ~name:"streaming_wavelet.push c=32"
     (Staged.stage (fun () -> Sh_wavelet.Streaming.push sw (next ())))
 
-let heavy_hitters_add =
-  let h = Sh_mining.Heavy_hitters.create ~capacity:64 in
-  let next = feeder (network ~seed:12 ~len:8192) in
-  Test.make ~name:"heavy_hitters.add k=64"
-    (Staged.stage (fun () -> Sh_mining.Heavy_hitters.add h (next ())))
-
-let dct_build =
-  let data = network ~seed:14 ~len:512 in
-  Test.make ~name:"dct.build n=512 c=32"
-    (Staged.stage (fun () -> ignore (Sh_wavelet.Dct.build data ~coeffs:32)))
-
 let query_ops =
   let data = network ~seed:8 ~len:4096 in
   let h = V.build data ~buckets:32 in
@@ -979,7 +968,7 @@ let run scale =
     fw_tests
     @ [ fw_push_only; ag_push; sliding_push; gk_insert ]
     @ [ vopt_build ~n:512 ~buckets:16; wavelet_build ~n:4096 ~coeffs:32 ]
-    @ [ streaming_wavelet_push; heavy_hitters_add; dct_build ]
+    @ [ streaming_wavelet_push ]
     @ query_ops
   in
   run_group ~quota tests

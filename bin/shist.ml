@@ -6,8 +6,6 @@
      stream       simulate fixed-window maintenance over a stream
      query        answer range-sum queries approximately and report error
      quantiles    one-pass GK quantile summary of a data file
-     selectivity  value-histogram selectivity estimates
-     heavy        Misra-Gries heavy hitters
      serve        multi-stream sharded ingest across a domain pool
                   (--listen serves the engine over the wire protocol)
      loadgen      drive a serve --listen endpoint over the wire
@@ -279,70 +277,6 @@ let query_cmd =
     (Cmd.info "query" ~doc:"Compare synopses on random range-sum queries over a data file")
     Term.(
       const run $ file_arg 0 $ buckets_arg $ epsilon_arg $ queries $ seed_arg $ metrics_arg)
-
-(* ------------------------------------------------------ selectivity *)
-
-let selectivity_cmd =
-  let preds =
-    Arg.(
-      value
-      & opt (list (pair ~sep:':' float float)) [ (0.0, 100.0) ]
-      & info [ "p"; "predicates" ] ~docv:"LO:HI,..."
-          ~doc:"Comma-separated value ranges to estimate selectivity for.")
-  in
-  let run file buckets preds metrics =
-    with_metrics metrics @@ fun () ->
-    let data = Source.of_file file in
-    let n = Array.length data in
-    let module VH = Sh_selectivity.Value_histogram in
-    let truth lo hi =
-      let c = Array.fold_left (fun a v -> if v >= lo && v <= hi then a + 1 else a) 0 data in
-      Float.of_int c /. Float.of_int n
-    in
-    let methods =
-      [
-        ("equi-width", VH.equi_width data ~buckets);
-        ("equi-depth", VH.equi_depth data ~buckets);
-        ("v-optimal", VH.v_optimal data ~buckets ~domain_bins:(8 * buckets));
-      ]
-    in
-    List.iter
-      (fun (lo, hi) ->
-        Printf.printf "v IN [%g, %g]: true %.4f" lo hi (truth lo hi);
-        List.iter
-          (fun (name, h) -> Printf.printf "  %s %.4f" name (VH.selectivity_range h ~lo ~hi))
-          methods;
-        print_newline ())
-      preds
-  in
-  Cmd.v
-    (Cmd.info "selectivity" ~doc:"Value-histogram selectivity estimates over a data file")
-    Term.(const run $ file_arg 0 $ buckets_arg $ preds $ metrics_arg)
-
-(* ------------------------------------------------------------ heavy *)
-
-let heavy_cmd =
-  let capacity =
-    Arg.(value & opt int 20 & info [ "k"; "capacity" ] ~docv:"K" ~doc:"Counters to keep.")
-  in
-  let threshold =
-    Arg.(value & opt float 0.01 & info [ "t"; "threshold" ] ~docv:"F" ~doc:"Frequency threshold.")
-  in
-  let run file capacity threshold metrics =
-    with_metrics metrics @@ fun () ->
-    let data = Source.of_file file in
-    let h = Sh_mining.Heavy_hitters.create ~capacity in
-    Array.iter (Sh_mining.Heavy_hitters.add h) data;
-    Printf.printf "n=%d, values at frequency >= %g:\n" (Sh_mining.Heavy_hitters.total h) threshold;
-    List.iter
-      (fun (v, c) ->
-        Printf.printf "  %10g  count >= %d (%.2f%%)\n" v c
-          (100.0 *. Float.of_int c /. Float.of_int (Sh_mining.Heavy_hitters.total h)))
-      (Sh_mining.Heavy_hitters.heavy_hitters h ~threshold)
-  in
-  Cmd.v
-    (Cmd.info "heavy" ~doc:"Misra-Gries heavy hitters of a data file")
-    Term.(const run $ file_arg 0 $ capacity $ threshold $ metrics_arg)
 
 (* ------------------------------------------------------------ serve *)
 
@@ -623,4 +557,4 @@ let quantiles_cmd =
 let () =
   let doc = "streaming histogram toolkit (Guha & Koudas, ICDE 2002 reproduction)" in
   let info = Cmd.info "shist" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info [ generate_cmd; build_cmd; stream_cmd; query_cmd; quantiles_cmd; selectivity_cmd; heavy_cmd; serve_cmd; loadgen_cmd; aggregate_cmd; peek_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ generate_cmd; build_cmd; stream_cmd; query_cmd; quantiles_cmd; serve_cmd; loadgen_cmd; aggregate_cmd; peek_cmd ]))

@@ -43,8 +43,6 @@ let leaf_count t = Array.length t.leaves
 let window t = t.window
 let buckets t = t.buckets
 
-let leaf_addrs t = Array.map (fun l -> l.addr) t.leaves
-
 let create ?(timeout = 5.0) addrs =
   if addrs = [] then invalid_arg "Aggregator.create: no leaves";
   let probed =

@@ -18,15 +18,16 @@
     replies from [0.0]: leaves in ascending offset order, each leaf's
     keys ascending.  That is the association
     {!Stream_histogram.Query_op.scope} fixes and the single-process
-    engine's [query_global] uses, so a complete answer is bit-identical to
-    a one-process oracle fed the same per-key streams.  A [Global] costs
-    each leaf 8 bytes per key on the wire and no root-side state.
+    engine's [query_many] uses for a [Global] element, so a complete
+    answer is bit-identical to a one-process oracle fed the same per-key
+    streams.  A [Global] costs each leaf 8 bytes per key on the wire and
+    no root-side state.
 
     Staleness: a [Global] answer reflects the leaves' {e published views},
-    the same contract as [Key] queries and as single-process
-    [query_global].  Points a leaf has acked but not yet published (under
-    a deferred refresh policy) are not in the answer until that leaf's
-    next publication.
+    the same contract as [Key] queries and as a single-process [Global]
+    element.  Points a leaf has acked but not yet published (under a
+    deferred refresh policy) are not in the answer until that leaf's next
+    publication.
 
     {2 Layout}
 
@@ -65,7 +66,6 @@ val total_shards : t -> int
 val leaf_count : t -> int
 val window : t -> int
 val buckets : t -> int
-val leaf_addrs : t -> Sh_net.Addr.t array
 
 val query :
   t ->

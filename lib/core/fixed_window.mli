@@ -152,7 +152,8 @@ val set_memoisation : t -> bool -> unit
     results are bit-identical either way. *)
 
 val memoisation : t -> bool
-(** Current {!set_memoisation} setting. *)
+(** Current {!set_memoisation} setting.  The only view of the flag a
+    checkpoint carries: test_persist's restore checks compare it. *)
 
 val push_and_refresh : t -> float -> unit
 (** [push] then [refresh]: the paper's per-point maintenance. *)
@@ -308,7 +309,8 @@ val pending_pushes : t -> int
 
 val slide_since_refresh : t -> int
 (** Evictions since the last refresh: how far the previous lists'
-    coordinates have shifted (the warm-start hint offset). *)
+    coordinates have shifted (the warm-start hint offset).  Introspection
+    for test_par's "push_many Every-k bookkeeping". *)
 
 val needs_refresh : t -> bool
 (** Whether the interval lists are stale relative to the window. *)
@@ -316,8 +318,8 @@ val needs_refresh : t -> bool
 val list_growths : unit -> int
 (** Backing-array growths of interval-list columns across every list set
     in the process, pooled ones included.  Once the sets a domain recycles
-    reach steady capacity, sliding and refreshing grow none (pinned by the
-    regression tests). *)
+    reach steady capacity, sliding and refreshing grow none (pinned by
+    test_core's "slide reuses memory"). *)
 
 val target_allocations : unit -> int
 (** List sets allocated as refresh targets because the calling domain's

@@ -172,14 +172,3 @@ let quantile t phi =
     incr i
   done;
   !best
-
-let rank_bounds t x =
-  flush t;
-  let rmin = ref 0 and lo = ref 0 and hi = ref 0 and i = ref 0 in
-  while !i < t.len && t.v.(!i) <= x do
-    rmin := !rmin + t.g.(!i);
-    lo := !rmin;
-    hi := !rmin + t.d.(!i);
-    incr i
-  done;
-  (!lo, !hi)

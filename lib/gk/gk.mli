@@ -13,8 +13,8 @@
     an insert allocates nothing once the columns have grown (by doubling)
     to the summary's size.
 
-    Ownership: every operation may mutate the summary ({!quantile} and
-    {!rank_bounds} flush the buffer first), so a summary belongs to one
+    Ownership: every operation may mutate the summary ({!quantile}
+    flushes the buffer first), so a summary belongs to one
     owner at a time; a summary shared across domains needs the caller's
     lock, as the latency trackers hold theirs. *)
 
@@ -42,7 +42,3 @@ val insert : t -> float -> unit
 val quantile : t -> float -> float
 (** [quantile t phi] for phi in [\[0, 1\]].  Raises [Invalid_argument] when
     empty or phi out of range. *)
-
-val rank_bounds : t -> float -> int * int
-(** [rank_bounds t v] is a (min, max) enclosure of the rank of [v] among
-    the inserted values, derived from the summary. *)

@@ -14,7 +14,7 @@
     connection's input buffer, every ingest request's points appended to
     one reusable column batch ({!Wire.Batch}) — hands {e all}
     connections' ingest requests to one [backend.ingest] call (capped at
-    {!max_coalesce_points} per iteration), and only then encodes each
+    65536 points per iteration), and only then encodes each
     connection's responses, in its request order, straight into its
     output buffer, which one [write] per iteration drains.  An [Ack] is
     therefore a durability-in-window statement: the points it covers are
@@ -23,7 +23,7 @@
     allocated per point.
 
     Backpressure is propagated, not absorbed: an iteration applies at
-    most {!max_coalesce_points} (frames past that budget wait in their
+    most 65536 points (frames past that budget wait in their
     connection's buffer for the next iteration), and any connection
     holding more than {!read_watermark} undecoded bytes is excluded from
     the read set until it drains — kernel socket buffers fill and the TCP
@@ -57,12 +57,11 @@ type config = {
 val default_config : config
 (** 30 s idle timeout, no checkpoint. *)
 
-val max_coalesce_points : int
-(** Per-iteration ingest coalescing cap, in points (65536). *)
-
 val read_watermark : int
 (** Undecoded bytes buffered per connection before it stops being read,
-    unless they are one incomplete frame (1 MiB; see above). *)
+    unless they are one incomplete frame (1 MiB; see above).  Exported
+    for test_net's "frame above read watermark acked", which builds a
+    frame just past it. *)
 
 type backend = {
   shards : int;  (** keys are [\[0, shards)]; others are refused *)

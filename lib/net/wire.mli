@@ -8,7 +8,7 @@
     socket decoder.  Each frame wraps exactly one message: a one-byte tag
     followed by {!Sh_persist.Codec} primitives.  See DESIGN.md section 15
     for the grammar and the version-bump policy (shared with the snapshot
-    codec: any layout change bumps {!protocol_version}, peers reject
+    codec: any layout change bumps the preamble's version byte, peers reject
     foreign versions with a typed error).  Version 2 added scoped queries
     ({!Stream_histogram.Query_op.scope}) and partial answers — the
     aggregation-plane vocabulary.  Version 3 drops v2's [Snapshot]
@@ -26,8 +26,6 @@ module Q := Stream_histogram.Query_op
 
 val magic : string
 (** ["SHNW"] — stream-histogram network wire. *)
-
-val protocol_version : int
 
 val preamble : string
 (** The 5 bytes each side must send first. *)

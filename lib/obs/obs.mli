@@ -9,8 +9,8 @@
     creates.
 
     {b Who owns a count.}  A structure whose API reports its own work
-    ([Fixed_window.work_counters], [Heavy_hitters.work_counters],
-    [Shard_engine.total_points], the engine's checkpoint totals) keeps
+    ([Fixed_window.work_counters], [Shard_engine.total_points], the
+    engine's checkpoint totals) keeps
     those counts in its own fields and adds the same deltas to the
     families; the registry only sums them across the process.
 

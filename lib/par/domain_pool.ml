@@ -31,7 +31,6 @@ type t = {
   settled : Condition.t; (* broadcast when a batch's last task settles *)
   mutable stopping : bool;
   mutable workers : unit Domain.t list;
-  c_tasks : Sh_obs.Metric.counter;
 }
 
 let domains t = t.domains
@@ -56,7 +55,6 @@ let run_next pool =
     (match b.failure with
     | Some (j, _) when j < i -> ()
     | _ -> b.failure <- Some (i, e)));
-  Sh_obs.Metric.incr pool.c_tasks;
   b.pending <- b.pending - 1;
   if b.pending = 0 then Condition.broadcast pool.settled
 
@@ -78,7 +76,6 @@ let create ~domains =
       settled = Condition.create ();
       stopping = false;
       workers = [];
-      c_tasks = Sh_obs.Obs.counter "pool.tasks";
     }
   in
   pool.workers <- List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop pool));

@@ -388,8 +388,6 @@ let with_view t ~key ~f = with_pinned (slot t key) (fun v () -> f v) ()
 (* Pinned for good: the view handed out is never refilled. *)
 let view t ~key = (pin (slot t key)).view
 
-let read_gen t ~key = with_pinned (slot t key) (fun v () -> FW.View.generation v) ()
-
 (* Lag introspection reads the live generation / watermark fields without
    the shard's ownership token, and the published view's without a pin:
    plain mutable int reads, racy against the owner mid-flight (a view
@@ -462,14 +460,6 @@ let query_many t qs =
   tally t.queries c_queries (Array.length qs);
   if lat then L.record l_query (Obs.now () -. t0);
   out
-
-let query_global t q =
-  let lat = Obs.latency_enabled () in
-  let t0 = if lat then Obs.now () else 0.0 in
-  let v = eval_global t q in
-  tally t.queries c_queries 1;
-  if lat then L.record l_query (Obs.now () -. t0);
-  v
 
 let total_points t = Atomic.get t.points
 let batches t = Atomic.get t.batches

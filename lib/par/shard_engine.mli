@@ -108,8 +108,8 @@ val refresh_all : ?cold:bool -> t -> unit
     summary has let go of them too.  Answers are those of immutable
     snapshots.
 
-    {!current_error}, {!current_histogram}, {!herror}, {!length},
-    {!query_many} and {!query_global} answer from the published view.
+    {!current_error}, {!current_histogram}, {!herror}, {!length} and
+    {!query_many} answer from the published view.
     A read is pin + load + evaluate + unpin: it takes no lock, never
     touches what the live summary writes, and never waits for an in-flight
     {!ingest} / {!refresh_all}.  It is lock-free rather than wait-free:
@@ -158,15 +158,8 @@ val view : t -> key:int -> Stream_histogram.Fixed_window.View.t
 (** The shard's currently published view, pinned for good: it is never
     refilled, so it stays bit-identical however many publications follow
     (the engine allocates a fresh view in its place once it is retired).
-    For consumers that keep the view, such as
-    {!Sh_query.Estimator}-style read-side code; {!with_view} pins only
-    for the duration of a callback. *)
-
-val read_gen : t -> key:int -> int
-(** Generation stamp of the published view, read under a pin (also the
-    ["engine.read_gen"] gauge, which tracks the most recent publication
-    in the process).  Publications of one key are ordered, so the value
-    never decreases. *)
+    For consumers that keep the view, such as [bench/e2e]'s tracer;
+    {!with_view} pins only for the duration of a callback. *)
 
 val generation_lag : t -> key:int -> int
 (** Live refresh generation minus published view generation: [0] whenever
@@ -178,7 +171,9 @@ val generation_lag : t -> key:int -> int
 val publication_lag : t -> key:int -> int
 (** Points pushed into the live shard since its published view was cut —
     the staleness bound in points.  Same read discipline as
-    {!generation_lag}. *)
+    {!generation_lag}.  Read today only by test_par's publication
+    properties; kept for ROADMAP item 5's "how stale are reads?"
+    telemetry, which will export it. *)
 
 (** {2 Batched queries}
 
@@ -195,19 +190,14 @@ val query_many :
     one {!Stream_histogram.Query_op.eval_view}, memo-free (an [Herror]
     element runs its candidate scan every time); raises
     [Invalid_argument] on an out-of-range key.  A [Global] element is
-    answered inline as {!query_global}.  Counted in ["engine.queries"]
-    per element and timed as one ["latency.query"] observation. *)
-
-val query_global : t -> Stream_histogram.Query_op.t -> float
-(** Answer one query over {e every} key: the fold of the per-key view
+    answered inline over {e every} key: the fold of the per-key view
     answers in ascending key order, accumulated left-to-right from [0.0]
     — {!Stream_histogram.Query_op.scope}'s [Global] contract, with its
     fixed float association.  The root aggregator folds its leaves'
     per-key answers the same way, which is how its [Global] answers are
-    proved bit-identical to this single-process oracle.  Reads published
-    views only, each pinned for its evaluation (call {!refresh_all} first
-    for current answers); see the contract above for the latency tracker's
-    mutex. *)
+    proved bit-identical to this single-process oracle.  Counted in
+    ["engine.queries"] per element and timed as one ["latency.query"]
+    observation. *)
 
 val with_key :
   t -> key:int -> f:(Stream_histogram.Fixed_window.t -> 'a) -> 'a

@@ -37,14 +37,18 @@ val arm : injection -> unit
 (** Arm an injection for the next atomic write (replacing any armed one). *)
 
 val disarm : unit -> unit
-(** Clear the armed injection, if any. *)
+(** Clear the armed injection, if any.  The fault harness's reset
+    (test_persist's "disarm"); ROADMAP items 4(c) and 19 reuse it. *)
 
 val armed : unit -> injection option
-(** Peek at the armed injection without consuming it. *)
+(** Peek at the armed injection without consuming it.  The only view of
+    the slot: test_persist's fault matrices check with it that a write
+    consumed its injection (items 4(c) and 19 extend them). *)
 
 val take : unit -> injection option
 (** Consume the armed injection: returns it, disarms, and counts it as
     fired.  Used by the writer; injections are one-shot. *)
 
 val fired_count : unit -> int
-(** How many injections have fired since the program started. *)
+(** How many injections have fired since the program started.  Read by
+    test_persist's "crash matrix"; items 4(c) and 19 reuse it. *)

@@ -40,11 +40,6 @@ let of_series ?(name = "series") series =
   let prefix = Prefix_sums.make series in
   { (exact prefix) with name }
 
-let of_fw_view ?(name = "fw-view") v =
-  match Stream_histogram.Fixed_window.View.histogram v with
-  | None -> invalid_arg "Estimator.of_fw_view: empty window view"
-  | Some h -> of_histogram ~name h
-
 let of_streaming_wavelet ?(name = "streaming-wavelet") s =
   {
     name;

@@ -24,11 +24,3 @@ val of_series : ?name:string -> float array -> t
 
 val of_streaming_wavelet : ?name:string -> Sh_wavelet.Streaming.t -> t
 (** Estimator over an incrementally maintained wavelet synopsis. *)
-
-val of_fw_view : ?name:string -> Stream_histogram.Fixed_window.View.t -> t
-(** Estimator over a published fixed-window read view (the wait-free
-    query plane of {!Sh_par.Shard_engine}): answers come from the view's
-    precomputed histogram, so they are stable for the lifetime of the
-    estimator even while ingest continues on the live summary.  Indices
-    are window-relative (1 = oldest point in the captured window).
-    Raises [Invalid_argument] on an empty-window view. *)

@@ -63,7 +63,7 @@ let test_global_is_key_fold () =
     (fun q ->
       let per_key = SE.query_many eng (Array.init shards (fun k -> (Qop.Key k, q))) in
       check_bits (Qop.to_string q)
-        (SE.query_global eng q)
+        (SE.query_many eng [| (Qop.Global, q) |]).(0)
         (Array.fold_left ( +. ) 0.0 per_key))
     global_queries
 

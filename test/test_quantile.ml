@@ -79,37 +79,6 @@ let prop_gk_rank_guarantee =
       return (data, eps))
     (fun (data, eps) -> check_rank_guarantee ~eps data)
 
-(* rank_bounds x = (lo, hi) reads lo off the last tuple whose value is
-   <= x, so lo never exceeds #{y <= x}; the next tuple's value is > x, so
-   #{y <= x} stays below its rmax, which the invariant g + delta <=
-   2 eps n keeps within 2 eps n of lo.  Probes run below, inside and above
-   the stream, on the same wide and skewed streams as the rank property. *)
-let check_rank_bounds ~eps data =
-  let g = Gk.create ~epsilon:eps in
-  Array.iter (Gk.insert g) data;
-  let slack = int_of_float (2.0 *. eps *. Float.of_int (Array.length data)) + 1 in
-  let probes = Array.append [| -1.0; 1e9 |] (Array.sub data 0 (min 64 (Array.length data))) in
-  Array.for_all
-    (fun x ->
-      let lo, hi = Gk.rank_bounds g x in
-      let r = Array.fold_left (fun acc y -> if y <= x then acc + 1 else acc) 0 data in
-      lo <= hi && lo <= r && r <= lo + slack)
-    probes
-
-let prop_gk_rank_bounds =
-  Helpers.qcheck_case ~count:50 ~name:"rank bounds within 2 eps n on random streams"
-    QCheck2.Gen.(
-      let* n = int_range 50 2000 in
-      let* distinct = oneofl (0 :: skewed_distincts) in
-      let* eps = oneofl [ 0.001; 0.01; 0.05; 0.1; 0.2 ] in
-      let* data =
-        if distinct = 0 then
-          map (Array.map Float.of_int) (array_size (return n) (int_range 0 10_000))
-        else map (fun seed -> skewed (Rng.create ~seed) ~distinct n) int
-      in
-      return (data, eps))
-    (fun (data, eps) -> check_rank_bounds ~eps data)
-
 let test_gk_space_sublinear () =
   let g = Gk.create ~epsilon:0.01 in
   let rng = Rng.create ~seed:21 in
@@ -123,13 +92,6 @@ let test_gk_space_sublinear () =
     (Printf.sprintf "summary size %d stays far below n" (Gk.size g))
     true
     (Gk.size g < bound)
-
-let test_gk_rank_bounds () =
-  let g = Gk.create ~epsilon:0.1 in
-  Array.iter (Gk.insert g) (Array.init 100 Float.of_int);
-  let lo, hi = Gk.rank_bounds g 50.0 in
-  Alcotest.(check bool) "bounds order" true (lo <= hi);
-  Alcotest.(check bool) "enclose true rank 51" true (lo <= 51 + 10 && hi >= 51 - 10)
 
 (* Queries flush the insert buffer: asked at points that fall mid-buffer,
    every answer must still hold the epsilon n guarantee over the prefix
@@ -208,11 +170,9 @@ let () =
           Alcotest.test_case "sorted stream" `Quick test_gk_sorted_stream;
           Alcotest.test_case "reverse stream" `Quick test_gk_reverse_stream;
           Alcotest.test_case "space sublinear" `Quick test_gk_space_sublinear;
-          Alcotest.test_case "rank bounds" `Quick test_gk_rank_bounds;
           prop_gk_rank_guarantee;
           Alcotest.test_case "queries interleaved mid-buffer" `Quick test_gk_interleaved_queries;
           Alcotest.test_case "reset equals fresh" `Quick test_gk_reset;
           Alcotest.test_case "insert allocation" `Quick test_gk_insert_alloc;
         ] );
-      ("gk_bounds", [ prop_gk_rank_bounds ]);
     ]

@@ -172,99 +172,6 @@ let test_synopsis_validation () =
   Alcotest.check_raises "point oob" (Invalid_argument "Synopsis.point_estimate: index out of range")
     (fun () -> ignore (Syn.point_estimate s 3))
 
-(* ------------------------------------------------------------------ DCT *)
-
-module Dct = Sh_wavelet.Dct
-
-let gen_any_data =
-  QCheck2.Gen.(
-    let* n = int_range 1 48 in
-    let* ints = array_size (return n) (int_range (-100) 100) in
-    return (Array.map Float.of_int ints))
-
-let prop_dct_roundtrip =
-  Helpers.qcheck_case ~name:"DCT inverse . transform = id" gen_any_data (fun data ->
-      let back = Dct.inverse (Dct.transform data) in
-      Array.for_all2 (fun a b -> Helpers.close ~eps:1e-8 a b) data back)
-
-let prop_dct_parseval =
-  Helpers.qcheck_case ~name:"DCT preserves L2 norm" gen_any_data (fun data ->
-      let norm xs = Array.fold_left (fun a x -> a +. (x *. x)) 0.0 xs in
-      Helpers.close ~eps:1e-8 (norm data) (norm (Dct.transform data)))
-
-let test_dct_basis_orthonormal () =
-  let n = 12 in
-  for a = 0 to n - 1 do
-    for b = a to n - 1 do
-      let dot = ref 0.0 in
-      for pos = 0 to n - 1 do
-        dot := !dot +. (Dct.basis_value ~n ~coeff:a ~pos *. Dct.basis_value ~n ~coeff:b ~pos)
-      done;
-      Helpers.check_close ~eps:1e-9 (Printf.sprintf "dot(%d,%d)" a b)
-        (if a = b then 1.0 else 0.0)
-        !dot
-    done
-  done
-
-let prop_dct_basis_prefix_sum =
-  Helpers.qcheck_case ~name:"DCT basis_prefix_sum equals naive partial sums"
-    QCheck2.Gen.(int_range 1 24)
-    (fun n ->
-      let ok = ref true in
-      for k = 0 to n - 1 do
-        for p = 0 to n do
-          let naive = ref 0.0 in
-          for pos = 0 to p - 1 do
-            naive := !naive +. Dct.basis_value ~n ~coeff:k ~pos
-          done;
-          if not (Helpers.close ~eps:1e-8 !naive (Dct.basis_prefix_sum ~n ~coeff:k ~prefix:p))
-          then ok := false
-        done
-      done;
-      !ok)
-
-let test_dct_synopsis_exact_full_budget () =
-  let data = [| 4.0; -2.0; 7.0; 0.0; 1.0 |] in
-  let s = Dct.build data ~coeffs:5 in
-  Array.iteri
-    (fun i v -> Helpers.check_close ~eps:1e-8 "point" v (Dct.point_estimate s (i + 1)))
-    data;
-  Helpers.check_close ~eps:1e-6 "sse" 0.0 (Dct.sse_against s data)
-
-let prop_dct_range_sum_consistent =
-  Helpers.qcheck_case ~count:60 ~name:"DCT range_sum equals sum over to_series"
-    QCheck2.Gen.(
-      let* data = gen_any_data in
-      let* budget = int_range 1 8 in
-      return (data, budget))
-    (fun (data, budget) ->
-      let s = Dct.build data ~coeffs:budget in
-      let series = Dct.to_series s in
-      let n = Array.length data in
-      let ok = ref true in
-      for lo = 1 to n do
-        for hi = lo to n do
-          if
-            not
-              (Helpers.close ~eps:1e-6
-                 (Dct.range_sum_estimate s ~lo ~hi)
-                 (Helpers.naive_range_sum series lo hi))
-          then ok := false
-        done
-      done;
-      !ok)
-
-let test_dct_smooth_data_compresses () =
-  (* a slow cosine concentrates its energy in few DCT coefficients (the
-     half-sample phase offset of DCT-II spreads a little energy, so the
-     criterion is relative) *)
-  let n = 128 in
-  let data = Array.init n (fun i -> 100.0 *. cos (2.0 *. Float.pi *. Float.of_int i /. Float.of_int n)) in
-  let energy = Array.fold_left (fun a x -> a +. (x *. x)) 0.0 data in
-  let s = Dct.build data ~coeffs:8 in
-  Alcotest.(check bool) "under 1% residual energy with 8 coeffs" true
-    (Dct.sse_against s data < 0.01 *. energy)
-
 (* ------------------------------------------------------------ Streaming *)
 
 module Str = Sh_wavelet.Streaming
@@ -371,16 +278,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_synopsis_validation;
           prop_synopsis_range_sum_consistent;
           prop_topk_is_l2_optimal_selection;
-        ] );
-      ( "dct",
-        [
-          Alcotest.test_case "basis orthonormal" `Quick test_dct_basis_orthonormal;
-          Alcotest.test_case "full budget exact" `Quick test_dct_synopsis_exact_full_budget;
-          Alcotest.test_case "smooth compresses" `Quick test_dct_smooth_data_compresses;
-          prop_dct_roundtrip;
-          prop_dct_parseval;
-          prop_dct_basis_prefix_sum;
-          prop_dct_range_sum_consistent;
         ] );
       ( "streaming",
         [
