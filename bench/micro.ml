@@ -524,7 +524,7 @@ let run_fw scale =
       [ "warm"; Report.fmt_g warm_words; Report.fmt_g budget_words_per_push ];
       [ "cold"; Report.fmt_g cold_words; "-" ];
     ];
-  (* snapshot the registry before the memory engines add their work to
+  (* snapshot the exposition before the memory engines add their work to
      the families: it reports the experiments above *)
   let registry = Report.registry_json () in
   let memory =
@@ -692,11 +692,11 @@ let run_fw scale =
 
 (* ------------------------------------------- latency-tracker allocation
 
-   Counters and gauges are single-word stores with no switch; the one
+   Counters are single-word stores with no switch; the one
    telemetry cost left to budget is a latency tracker's GK insert. *)
 
 (* Steady-state minor words per insert into a latency-tracker GK, at the
-   trackers' default epsilon (0.001): warm the summary up, then insert
+   trackers' epsilon (0.001): warm the summary up, then insert
    pre-boxed values from a list so the loop itself allocates nothing. *)
 let gk_epsilon = 0.001
 

@@ -158,18 +158,20 @@ let json_out ~path =
   output_string oc (json_to_string (Jobj (List.rev !json_acc)));
   close_out oc
 
-(* Snapshot of the telemetry registry in the accumulator's json type, so
+(* Snapshot of the exposed telemetry in the accumulator's json type, so
    BENCH_*.json carries the work counters behind each timing row. *)
 let registry_json () =
-  let module M = Sh_obs.Metric in
   let module R = Sh_obs.Registry in
-  let series m value_fields = Jobj (("name", Jstring (R.metric_name m)) :: value_fields) in
   Jlist
     (List.map
-       (fun m ->
-         match m with
-         | R.Counter c -> series m [ ("type", Jstring "counter"); ("value", Jint (M.value c)) ]
-         | R.Gauge g -> series m [ ("type", Jstring "gauge"); ("value", Jfloat (M.gvalue g)) ])
+       (fun h ->
+         Jobj
+           (("name", Jstring (R.name h))
+           ::
+           (match h with
+           | R.Counter c -> [ ("type", Jstring "counter"); ("value", Jint (Sh_obs.Metric.value c)) ]
+           | R.Tracker t -> [ ("type", Jstring "summary"); ("count", Jint (Sh_obs.Latency.count t)) ]
+           )))
        (R.snapshot ()))
 
 let fmt_time seconds =

@@ -56,11 +56,11 @@ let metrics_arg =
   Arg.(
     value & flag
     & info [ "metrics" ]
-        ~doc:"Print the metric registry and latency trackers on exit, as Prometheus text.")
+        ~doc:"Print the exposed counters and latency trackers on exit, as Prometheus text.")
 
-(* Dump the registry to stdout after the command's own output, even when
-   [f] raises.  Counters and gauges are always live, so there is nothing
-   to switch on first. *)
+(* Dump the exposition to stdout after the command's own output, even when
+   [f] raises.  Counters are always live, so there is nothing to switch
+   on first. *)
 let with_metrics metrics f =
   let finish () = if metrics then print_string (O.render ()) in
   Fun.protect ~finally:finish f

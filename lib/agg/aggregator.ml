@@ -9,9 +9,9 @@ module M = Sh_obs.Metric
 
 exception Merge_incompatible of string
 
-let c_fanouts = Obs.counter "agg.fanouts"
-let c_leaf_failures = Obs.counter "agg.leaf_failures"
-let c_partial = Obs.counter "agg.partial_replies"
+let c_fanouts = M.counter "agg.fanouts"
+let c_leaf_failures = M.counter "agg.leaf_failures"
+let c_partial = M.counter "agg.partial_replies"
 
 let merge_incompatiblef fmt =
   Printf.ksprintf (fun s -> raise (Merge_incompatible s)) fmt
@@ -45,6 +45,7 @@ let buckets t = t.buckets
 
 let create ?(timeout = 5.0) addrs =
   if addrs = [] then invalid_arg "Aggregator.create: no leaves";
+  Obs.(expose [ Counter c_fanouts; Counter c_leaf_failures; Counter c_partial ]);
   let probed =
     List.map
       (fun addr ->

@@ -60,7 +60,8 @@ val create : ?timeout:float -> Sh_net.Addr.t list -> t
     [Stats] and fix the key-space layout.  Raises {!Merge_incompatible}
     if the leaves disagree on [(window, buckets)],
     {!Sh_net.Client.Net_error} if a leaf is unreachable.  [timeout]
-    (default 5 s) bounds every later leaf touch. *)
+    (default 5 s) bounds every later leaf touch.  Exposes the three
+    [agg.*] families. *)
 
 val total_shards : t -> int
 val leaf_count : t -> int

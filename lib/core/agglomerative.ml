@@ -1,12 +1,5 @@
 module Histogram = Sh_histogram.Histogram
 module Vec = Sh_util.Vec
-module Obs = Sh_obs.Obs
-module M = Sh_obs.Metric
-
-let c_pushes = Obs.counter "ag.pushes"
-let c_cand = Obs.counter "ag.candidate_evals"
-let c_built = Obs.counter "ag.intervals_built"
-let c_extended = Obs.counter "ag.intervals_extended"
 
 (* One interval of a level-k queue.  The right endpoint [idx] slides
    forward while HERROR[idx, k] stays within (1 + delta) of the value at
@@ -61,7 +54,6 @@ let sqerror_from e ~idx ~sum ~sqsum =
 
 let push t v =
   if not (Float.is_finite v) then invalid_arg "Agglomerative.push: non-finite value";
-  M.incr c_pushes;
   t.n <- t.n + 1;
   t.sum <- t.sum +. v;
   t.sqsum <- t.sqsum +. (v *. v);
@@ -83,7 +75,6 @@ let push t v =
       let continue = ref true in
       while !continue && !i < len do
         let e = Vec.get q !i in
-        M.incr c_cand;
         if e.herror >= !best then continue := false
         else begin
           if e.idx <= n - 1 then begin
@@ -102,7 +93,6 @@ let push t v =
   for k = 1 to b - 1 do
     let q = t.queues.(k - 1) in
     let fresh () =
-      M.incr c_built;
       Vec.push q
         {
           idx = n;
@@ -117,7 +107,6 @@ let push t v =
       let last = Vec.last q in
       if t.herr.(k) > (1.0 +. delta) *. last.a_herror then fresh ()
       else begin
-        M.incr c_extended;
         last.idx <- n;
         last.sum <- t.sum;
         last.sqsum <- t.sqsum;

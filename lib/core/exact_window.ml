@@ -1,10 +1,5 @@
 module RB = Sh_window.Ring_buffer
 module P = Sh_prefix.Prefix_sums
-module Obs = Sh_obs.Obs
-module M = Sh_obs.Metric
-
-let c_pushes = Obs.counter "ew.pushes"
-let c_rebuilds = Obs.counter "ew.rebuilds"
 
 type t = {
   ring : RB.t;
@@ -37,16 +32,13 @@ let length t = RB.length t.ring
 
 let push t v =
   if not (Float.is_finite v) then invalid_arg "Exact_window.push: non-finite value";
-  M.incr c_pushes;
   RB.push t.ring v
 
 (* The exact baseline recomputes prefix sums of the whole window per
-   query — the O(n) cost the streaming algorithm avoids; ew.rebuilds
-   counts how often it is paid. *)
+   query — the O(n) cost the streaming algorithm avoids. *)
 let prefix t =
   let n = RB.length t.ring in
   if n = 0 then invalid_arg "Exact_window.current_histogram: empty window";
-  M.incr c_rebuilds;
   RB.blit_to t.ring t.scratch;
   match t.prefix_cache with
   | Some p when P.length p = n ->

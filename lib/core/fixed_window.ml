@@ -70,8 +70,8 @@ type work_counters = {
    the set it was lent — and writes its results into a [scratch].  The kernel touches no telemetry:
    it tallies its work (evaluations, scan steps and candidates, memo
    probes and hits) in the scratch's int fields, and the live summary adds
-   the tallies to its registry counters once per entry point ([flush]).
-   Under the dev profile's -opaque every registry store is a real
+   the tallies to its counters once per entry point ([flush]).
+   Under the dev profile's -opaque every counter add is a real
    cross-module call, too dear to pay per evaluation. *)
 
 (* Slots of the scratch float column: unboxed out-params for the hot
@@ -94,7 +94,7 @@ type scratch = {
      a scratch made with [~levels:0] never seeds. *)
   seeds : int array;
   mutable seeding : bool;
-  (* Work tallies not yet flushed to the registry.  The kernel writes the
+  (* Work tallies not yet flushed to the counters.  The kernel writes the
      first five; the live boundary search and CreateList the rest. *)
   mutable evals : int;  (* eval calls and histogram argmin scans *)
   mutable steps : int;  (* scan binary-search steps *)
@@ -515,11 +515,14 @@ let w_memo_probes = 12
 let w_memo_hits = 13
 
 let families =
-  Array.map Obs.counter
+  Array.map M.counter
     [| "fw.herror_evals"; "fw.cold_evals"; "fw.warm_evals"; "fw.intervals_built";
        "fw.refreshes"; "fw.cold_refreshes"; "fw.warm_refreshes"; "fw.search_steps";
        "fw.scan_steps"; "fw.scan_candidates"; "fw.hint_hits"; "fw.hint_misses";
        "fw.memo_probes"; "fw.memo_hits" |]
+
+(* Every summary is built by [mk], which exposes the families. *)
+let exposed = Array.to_list (Array.map (fun c -> Obs.Counter c) families)
 
 let add t slot n =
   if n > 0 then begin
@@ -531,6 +534,7 @@ let add t slot n =
    derived or starts empty, which is also why [decode] below can rebuild a
    full summary from just those two (plus a refresh). *)
 let mk ~params ~sp =
+  Obs.expose exposed;
   let buckets = params.Params.buckets in
   {
     params;
@@ -1049,7 +1053,7 @@ let summary_tag = Char.code 'F'
    one refresh and the restored summary is indistinguishable from one
    that never stopped).  Derived scratch (lists, fs) and telemetry counters
    are deliberately not persisted: counters restart at zero in the fresh
-   process, like every other series in the registry. *)
+   process, like every other counter. *)
 let encode buf t =
   Codec.put_u8 buf summary_tag;
   Codec.put_float buf t.params.Params.epsilon;

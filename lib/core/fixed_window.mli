@@ -295,7 +295,9 @@ val work_counters : t -> work_counters
     speedup.  The summary owns them: {!Sh_obs.Obs.reset} does not change
     them.  Each call that evaluates HERROR ends by adding its counts to
     the process-wide families ([fw.herror_evals], ...), so between calls
-    every family has grown by exactly these values since {!create}. *)
+    every family has grown by exactly these values since {!create}.
+    Building a summary ({!create}, {!decode}) exposes the 14 [fw.*]
+    families. *)
 
 val memo_arena_words : unit -> int
 (** Words reachable from the calling domain's HERROR memo table: about

@@ -106,6 +106,24 @@ type client = {
          length passed the [Wire.max_frame_payload] check *)
 }
 
+(* The net.* families: process-wide sums over every [run], which exposes
+   them. *)
+let c_conns = M.counter "net.connections"
+let c_frames_in = M.counter "net.frames_in"
+let c_frames_out = M.counter "net.frames_out"
+let c_bytes_in = M.counter "net.bytes_in"
+let c_bytes_out = M.counter "net.bytes_out"
+let c_points = M.counter "net.points"
+let c_queries = M.counter "net.queries"
+let c_proto_errors = M.counter "net.protocol_errors"
+let c_idle_closes = M.counter "net.idle_closes"
+
+let exposed =
+  List.map
+    (fun c -> Obs.Counter c)
+    [ c_conns; c_frames_in; c_frames_out; c_bytes_in; c_bytes_out; c_points; c_queries;
+      c_proto_errors; c_idle_closes ]
+
 let scopes_ok shards qs =
   Array.for_all
     (fun (scope, _) ->
@@ -118,15 +136,7 @@ let run ?(config = default_config) ?(stop = fun () -> false) ?max_points
     invalid_arg "Server.run: idle_timeout must be finite and > 0";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let c_conns = Obs.counter "net.connections" in
-  let c_frames_in = Obs.counter "net.frames_in" in
-  let c_frames_out = Obs.counter "net.frames_out" in
-  let c_bytes_in = Obs.counter "net.bytes_in" in
-  let c_bytes_out = Obs.counter "net.bytes_out" in
-  let c_points = Obs.counter "net.points" in
-  let c_queries = Obs.counter "net.queries" in
-  let c_proto_errors = Obs.counter "net.protocol_errors" in
-  let c_idle_closes = Obs.counter "net.idle_closes" in
+  Obs.expose exposed;
   let shards = backend.shards in
   let bad_key = Op_bad (Printf.sprintf "key out of range [0, %d)" shards) in
   let r_connections = ref 0 in

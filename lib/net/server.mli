@@ -119,4 +119,5 @@ val run :
     acked over the wire.  Closes the accepted connections but leaves the
     listener fds to the caller.  [SIGPIPE] is ignored for the process.
     Raises [Invalid_argument] unless [config.idle_timeout] is finite and
-    > 0. *)
+    > 0.  Exposes the nine [net.*] families, process-wide sums over every
+    loop. *)

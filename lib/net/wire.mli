@@ -55,7 +55,7 @@ type request =
           contract; a [Global] scope folds over every key behind the
           answering peer). *)
   | Stats  (** Engine geometry + cumulative counters. *)
-  | Metrics  (** Prometheus text exposition of the metric registry. *)
+  | Metrics  (** Prometheus text exposition of the process's exposed families. *)
   | Checkpoint  (** Write the server's configured checkpoint file now. *)
   | Ping
   | Shutdown  (** Ask the server to flush, close and exit its serve loop. *)

@@ -14,7 +14,7 @@ type t = {
   mutable l_sum : float;
 }
 
-let default_epsilon = 0.001
+let epsilon = 0.001
 
 (* The switch is an [Atomic.t] so parallel shard domains (lib/par) read
    and toggle it without a data race; the disabled path of [record] and
@@ -30,36 +30,17 @@ let clock : (unit -> float) ref = ref Sys.time
 let set_clock f = clock := f
 let now () = !clock ()
 
-(* ------------------------------------------------------- tracker registry *)
-
-let table : (string, t) Hashtbl.t = Hashtbl.create 16
-let m = Mutex.create ()
-
-let tracker ?(epsilon = default_epsilon) name =
-  Registry.validate_name name;
-  if epsilon <= 0.0 || epsilon >= 1.0 then invalid_arg "Obs.Latency: epsilon must be in (0, 1)";
-  Mutex.lock m;
-  let t =
-    match Hashtbl.find_opt table name with
-    | Some t -> t
-    | None ->
-      let t =
-        {
-          l_name = name;
-          l_mutex = Mutex.create ();
-          l_gk = Gk.create ~epsilon;
-          l_count = 0;
-          l_sum = 0.0;
-        }
-      in
-      Hashtbl.replace table name t;
-      t
-  in
-  Mutex.unlock m;
-  t
+let tracker name =
+  Metric.validate_name name;
+  {
+    l_name = name;
+    l_mutex = Mutex.create ();
+    l_gk = Gk.create ~epsilon;
+    l_count = 0;
+    l_sum = 0.0;
+  }
 
 let name t = t.l_name
-let epsilon t = Gk.epsilon t.l_gk
 
 (* ------------------------------------------------------------- recording *)
 
@@ -96,23 +77,8 @@ let quantile t phi =
 
 let percentiles = [ 0.5; 0.9; 0.99; 0.999 ]
 
-let snapshot () =
-  Mutex.lock m;
-  let all = Hashtbl.fold (fun _ t acc -> t :: acc) table [] in
-  Mutex.unlock m;
-  List.sort (fun a b -> compare a.l_name b.l_name) all
-
-let reset () =
-  let reset_state t =
-    Gk.reset t.l_gk;
-    t.l_count <- 0;
-    t.l_sum <- 0.0
-  in
-  Mutex.lock m;
-  Hashtbl.iter (fun _ t -> locked t reset_state) table;
-  Mutex.unlock m
-
-let clear () =
-  Mutex.lock m;
-  Hashtbl.reset table;
-  Mutex.unlock m
+let reset t =
+  locked t (fun t ->
+      Gk.reset t.l_gk;
+      t.l_count <- 0;
+      t.l_sum <- 0.0)

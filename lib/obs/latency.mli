@@ -5,15 +5,16 @@
     A tracker holds one all-time summary, count and sum behind its own
     mutex; {!record} and every read take it.  Reads are therefore exact
     at any moment, and a {!quantile} is one {!Sh_gk.Gk.quantile} with
-    GK's own bound: the answer's rank is within [epsilon * n] of the
-    target.  Timed sections
+    GK's own bound: the answer's rank is within [0.001 * n] of the
+    target (every tracker's epsilon is 0.001).  Timed sections
     are whole batches, tasks or queries, never single points, so the
     mutex is taken a few times per batch at most.
 
     Trackers are the one duration mechanism in the telemetry subsystem.
-    They have their own switch ({!set_tracking}, off by default): a GK
-    insert per timed section is cheap but not free, while counters and
-    gauges are always live. *)
+    Like counters they are built free-standing and exported once handed
+    to {!Registry.expose}.  They have their own switch ({!set_tracking},
+    off by default): a GK insert per timed section is cheap but not
+    free, while counters are always live. *)
 
 type t
 
@@ -36,12 +37,11 @@ val now : unit -> float
 
 (** {2 Trackers} *)
 
-val tracker : ?epsilon:float -> string -> t
-(** Get-or-create by name, like a {!Registry} series: one tracker per
-    name, process-wide.  [epsilon] (default 0.001) bounds the
-    summary's rank error; the first registration's epsilon wins.
-    Raises [Invalid_argument] when the name is malformed (the
-    {!Registry.validate_name} rule) or epsilon is outside (0, 1). *)
+val tracker : string -> t
+(** A fresh, empty tracker.  Raises [Invalid_argument] when the name is
+    malformed (the {!Metric.validate_name} rule).  Two calls make two
+    trackers: a module builds each of its trackers once, at module
+    level. *)
 
 val record : t -> float -> unit
 (** Record one duration in seconds.  No-op while latency tracking is
@@ -53,7 +53,6 @@ val time : t -> (unit -> 'a) -> 'a
     duration is recorded. *)
 
 val name : t -> string
-val epsilon : t -> float
 
 val count : t -> int
 (** All-time recorded durations (the Prometheus [_count]). *)
@@ -69,12 +68,5 @@ val percentiles : float list
 (** The quantiles the exposition and the run reports show: 0.5, 0.9, 0.99,
     0.999. *)
 
-val snapshot : unit -> t list
-(** All trackers sorted by name — the order they render in. *)
-
-val reset : unit -> unit
-(** Forget all recorded durations; registrations survive. *)
-
-val clear : unit -> unit
-(** Drop all tracker registrations (handles held by callers keep
-    recording but are no longer exported); for test isolation. *)
+val reset : t -> unit
+(** Forget every recorded duration; used by {!Registry.reset}. *)

@@ -1,19 +1,30 @@
-(* A counter is one shared [int Atomic.t] and a gauge one [float Atomic.t].
-   Hot kernels tally in plain fields of their own scratch and flush here
-   once per entry point, so no serving path writes a metric per point and
-   one cell per series is enough. *)
+(* A counter is one shared [int Atomic.t].  Hot kernels tally in plain
+   fields of their own scratch and flush here once per entry point, so no
+   serving path writes a metric per point and one cell per series is
+   enough. *)
 
 type counter = {
   c_name : string;
   c_cell : int Atomic.t;
 }
 
-type gauge = {
-  g_name : string;
-  g_cell : float Atomic.t;
-}
+let validate_name name =
+  if String.length name = 0 then invalid_arg "Obs: empty metric name";
+  String.iter
+    (fun c ->
+      match c with
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' -> ()
+      | _ -> invalid_arg (Printf.sprintf "Obs: bad metric name %S (use [a-zA-Z0-9_.])" name))
+    name;
+  match name.[0] with
+  | '0' .. '9' | '.' -> invalid_arg (Printf.sprintf "Obs: metric name %S must start with a letter" name)
+  | _ -> ()
 
-(* -------------------------------------------------------------- counters *)
+let counter name =
+  validate_name name;
+  { c_name = name; c_cell = Atomic.make 0 }
+
+let name c = c.c_name
 
 let add c n =
   if n < 0 then invalid_arg "Obs: counters are monotone, negative increment";
@@ -21,16 +32,4 @@ let add c n =
 
 let incr c = add c 1
 let value c = Atomic.get c.c_cell
-let reset_counter c = Atomic.set c.c_cell 0
-
-(* ---------------------------------------------------------------- gauges *)
-
-(* CAS retry: adds from several domains are all reflected. *)
-let rec gadd g v =
-  let cur = Atomic.get g.g_cell in
-  if not (Atomic.compare_and_set g.g_cell cur (cur +. v)) then gadd g v
-
-let gincr g = gadd g 1.0
-let gvalue g = Atomic.get g.g_cell
-let set g v = Atomic.set g.g_cell v
-let reset_gauge g = Atomic.set g.g_cell 0.0
+let reset c = Atomic.set c.c_cell 0

@@ -6,18 +6,14 @@ let latency_enabled = Latency.tracking
 let set_clock = Latency.set_clock
 let now = Latency.now
 
-let counter = Registry.counter
-let gauge = Registry.gauge
+type handle = Registry.handle = Counter of Metric.counter | Tracker of Latency.t
+
+let expose = Registry.expose
 
 let render () =
   let buf = Buffer.create 4096 in
   Sink.prometheus buf;
   Buffer.contents buf
 
-let reset () =
-  Registry.reset ();
-  Latency.reset ()
-
-let clear () =
-  Registry.clear ();
-  Latency.clear ()
+let reset = Registry.reset
+let clear = Registry.clear

@@ -1,20 +1,23 @@
-(** Telemetry facade: metric registry, latency switch, exposition.
+(** Telemetry facade: latency switch, exposure, exposition.
 
-    Instrumented modules register one series per metric family at module
-    initialisation ({!counter} / {!gauge} are get-or-create) and then
-    record through the returned {!Metric} handles — one atomic update,
-    with no name lookup.  A family is a process-wide total: a structure
-    never registers series of its own, so the exposition's size does not
-    grow with the number of structures (keys, shards, leaves) a process
+    A module builds its handles once, free-standing and at module level
+    ({!Metric.counter}, {!Latency.tracker}), and records through them
+    directly — one atomic update, with no name lookup.  The structure
+    that moves a family exposes its handles ({!expose}) when it is built,
+    so a process exports only the families its own structures move: a
+    root aggregator shows no summary counters, and an offline run no
+    network ones.  A family is a process-wide total: a structure never
+    builds handles of its own, so the exposition's size does not grow
+    with the number of structures (keys, shards, leaves) a process
     creates.
 
     {b Who owns a count.}  A structure whose API reports its own work
     ([Fixed_window.work_counters], [Shard_engine.total_points], the
     engine's checkpoint totals) keeps
     those counts in its own fields and adds the same deltas to the
-    families; the registry only sums them across the process.
+    families; the exposition only sums them across the process.
 
-    {b Overhead model.}  Counters and gauges are always live.
+    {b Overhead model.}  Counters are always live.
     A record is not free: under the dev profile's [-opaque] each
     {!Metric.incr} / {!Metric.add} is a real cross-module call and an
     atomic [fetch_and_add], about 5 ns against 0.8 ns for a mutable int
@@ -44,27 +47,30 @@ val set_clock : (unit -> float) -> unit
 
 val now : unit -> float
 
-(** {2 Registration} *)
+(** {2 Exposure} *)
 
-val counter : string -> Metric.counter
-val gauge : string -> Metric.gauge
+type handle = Registry.handle = Counter of Metric.counter | Tracker of Latency.t
+
+val expose : handle list -> unit
+(** {!Registry.expose}: export the handles, idempotently.  Call it where
+    the family's structure is built, never per point or per
+    publication. *)
 
 (** {2 Exposition} *)
 
 val render : unit -> string
-(** The current registry contents and latency trackers as Prometheus
-    text ({!Sink.prometheus}): the [Metrics] reply and the [--metrics]
-    dump. *)
+(** The exposed handles as Prometheus text ({!Sink.prometheus}): the
+    [Metrics] reply and the [--metrics] dump. *)
 
 (** {2 Lifecycle} *)
 
 val reset : unit -> unit
-(** Zero all metric values and recorded durations; registrations and the
-    handles modules hold survive.  Structure state is untouched: answers,
-    checkpoints and per-structure counts such as
+(** Zero all exposed counters and recorded durations; the exposure table
+    and the handles modules hold survive.  Structure state is untouched:
+    answers, checkpoints and per-structure counts such as
     [Fixed_window.work_counters] or [Shard_engine.total_points] read the
     same before and after. *)
 
 val clear : unit -> unit
-(** Drop all metric and tracker registrations.  Handles modules hold
-    keep counting but are no longer exported; for test isolation. *)
+(** Empty the exposure table.  Handles keep counting and reappear when a
+    structure exposes them again; for test isolation. *)

@@ -1,40 +1,40 @@
-(** Global metric registry: get-or-create of named metric series.
+(** The exposition table: the counters and latency trackers a process
+    exports, one per Prometheus family.
 
-    A series is identified by its metric name alone: one series per
-    family, a process-wide total.  Instrumented modules register their
-    families once, at module initialisation (or server start), and then
-    record through the returned handles directly ({!Metric}), keeping
-    the hot paths O(1) with no lookups.  The series count is therefore
-    fixed by the code linked into the process, never by how many
-    structures it creates. *)
+    Handles are built free-standing ({!Metric.counter},
+    {!Latency.tracker}) and held at module level, so the hot paths record
+    through them with no lookup.  A structure hands its module's handles
+    to {!expose} when it is built (or, for a family only one operation
+    moves, when that operation runs), so a process exports exactly the
+    families its own structures can move.  The series count is fixed by
+    the modules whose structures a process builds, never by how many of
+    them it builds. *)
 
-type metric = Counter of Metric.counter | Gauge of Metric.gauge
+type handle = Counter of Metric.counter | Tracker of Latency.t
 
-val counter : string -> Metric.counter
-(** Get-or-create.  Raises [Invalid_argument] when the name is malformed
-    (allowed: [[a-zA-Z0-9_.]], starting with a letter) or the series
-    exists with a different type. *)
+val name : handle -> string
 
-val gauge : string -> Metric.gauge
+val family : handle -> string
+(** The Prometheus family the handle renders as: dots become underscores,
+    and a counter's family ends in [_total] (added unless the name
+    already ends so). *)
 
-val validate_name : string -> unit
-(** Raises [Invalid_argument] unless the name is non-empty, uses only
-    [[a-zA-Z0-9_.]] and starts with a letter or [_].  {!Latency.tracker}
-    applies the same rule. *)
+val expose : handle list -> unit
+(** Add each handle to the table.  Idempotent: exposing a handle again
+    is a no-op.  Raises [Invalid_argument] when the handle's family is
+    already taken by a different handle ([a.b] and [a_b], [x] and
+    [x_total]), since the two would render as one series name. *)
 
-val snapshot : unit -> metric list
-(** All series sorted by name — the stable order the exposition uses.
-    The returned metrics are live handles, not copies. *)
-
-val metric_name : metric -> string
-
-val series_count : unit -> int
+val snapshot : unit -> handle list
+(** The exposed handles sorted by family — the order the exposition
+    uses.  The handles are live, not copies. *)
 
 val reset : unit -> unit
-(** Zero every value; registrations (and the handles modules hold)
-    survive.  Structure state is never a registry value, so a reset
-    changes no answer, checkpoint or [work_counters] reading. *)
+(** Zero every exposed counter and forget every exposed tracker's
+    durations; the table is kept.  Structure state is never a handle's
+    value, so a reset changes no answer, checkpoint or [work_counters]
+    reading. *)
 
 val clear : unit -> unit
-(** Drop all registrations.  Handles already held by modules keep
-    counting but are no longer exported; intended for test isolation. *)
+(** Empty the table.  Handles keep counting and are exported again the
+    next time a structure exposes them; for test isolation. *)

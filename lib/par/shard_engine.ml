@@ -17,13 +17,12 @@ let pad_stride = 8
 (* The engine.* families and the engine's latency trackers: process-wide
    sums over every engine.  An engine's own totals live in its atomics
    below; [tally] moves the same delta into both. *)
-let c_points = Obs.counter "engine.points"
-let c_batches = Obs.counter "engine.batches"
-let c_refreshes = Obs.counter "engine.refresh_sweeps"
-let c_steals = Obs.counter "engine.refresh_steals"
-let c_queries = Obs.counter "engine.queries"
-let c_published = Obs.counter "engine.snapshots_published"
-let g_read_gen = Obs.gauge "engine.read_gen"
+let c_points = M.counter "engine.points"
+let c_batches = M.counter "engine.batches"
+let c_refreshes = M.counter "engine.refresh_sweeps"
+let c_steals = M.counter "engine.refresh_steals"
+let c_queries = M.counter "engine.queries"
+let c_published = M.counter "engine.snapshots_published"
 
 (* Latency trackers (gated by [Obs.set_latency_enabled]): apply and sweep
    durations are recorded inside the pool tasks, one per owner task;
@@ -33,6 +32,15 @@ let l_ingest = L.tracker "latency.ingest_batch"
 let l_apply = L.tracker "latency.shard_apply"
 let l_sweep = L.tracker "latency.refresh_sweep"
 let l_query = L.tracker "latency.query"
+
+(* Every engine moves the first list, so [build] exposes it; only
+   [refresh_all] sweeps, so it exposes the second. *)
+let built =
+  Obs.
+    [ Counter c_points; Counter c_batches; Counter c_queries; Counter c_published;
+      Tracker l_ingest; Tracker l_apply; Tracker l_query ]
+
+let swept = Obs.[ Counter c_refreshes; Counter c_steals; Tracker l_sweep ]
 
 let tally a c n =
   ignore (Atomic.fetch_and_add a n);
@@ -97,6 +105,7 @@ type t = {
 (* Wire an engine around an existing shard array — shared by [create]
    (fresh summaries) and [restore_from] (decoded ones). *)
 let build ~pool shard_arr =
+  Obs.expose built;
   let shards = Array.length shard_arr in
   let steals = Atomic.make 0 and published = Atomic.make 0 in
   (* Read-plane slots.  Every shard starts with a real view (capturing
@@ -111,8 +120,6 @@ let build ~pool shard_arr =
         Atomic.make (cell (FW.view shard_arr.(k))))
   in
   tally published c_published shards;
-  M.set g_read_gen
-    (Float.of_int (FW.View.generation (Atomic.get views.(shards - 1)).view));
   (* contiguous slices, remainder spread over the first owners *)
   let owners = max 1 (min (Domain_pool.domains pool) shards) in
   (* One spare cell per owner: the cell its last publication retired. *)
@@ -143,8 +150,7 @@ let build ~pool shard_arr =
         | _ -> cell (FW.view fw)
       in
       spares.(o) <- Some (Atomic.exchange views.(k) c);
-      tally published c_published 1;
-      M.set g_read_gen (Float.of_int (FW.View.generation c.view))
+      tally published c_published 1
     end
   in
   let slice_lo = Array.init owners (fun o -> o * shards / owners) in
@@ -346,6 +352,7 @@ let ingest_columns t ~keys ~values ~len =
    refresh, as a work-stealing sweep so skewed per-shard costs cannot
    serialise on one owner. *)
 let refresh_all ?(cold = false) t =
+  Obs.expose swept;
   Array.iteri (fun o c -> Atomic.set c t.slice_lo.(o)) t.cursors;
   ignore (Domain_pool.run t.pool (if cold then t.cold_sweep else t.warm_sweep));
   tally t.refreshes c_refreshes 1
@@ -506,8 +513,7 @@ let encode_frames t =
 
 let checkpoint t ~file =
   let header, frames = encode_frames t in
-  P.write_file_atomic ~path:file ~header ~frames;
-  M.incr P.c_snapshots
+  P.write_file_atomic ~path:file ~header ~frames
 
 let decode_shards r =
   Frame.read_header r;
@@ -556,6 +562,7 @@ let restore_from ~pool ~file =
   let t = build ~pool shard_arr in
   tally t.points c_points points;
   tally t.batches c_batches batches;
+  (* the restored sweep total moves the sweep family outside refresh_all *)
+  Obs.expose [ Obs.Counter c_refreshes ];
   tally t.refreshes c_refreshes refreshes;
-  M.incr P.c_restores;
   t

@@ -215,7 +215,12 @@ val fold : t -> init:'a -> f:('a -> int -> Stream_histogram.Fixed_window.t -> 'a
     The engine owns these counts (atomics in the engine, which the
     checkpoint's meta frame reads), so {!Sh_obs.Obs.reset} changes none
     of them.  Every increment also goes to the process-wide [engine.*]
-    family named below, a sum over every engine in the process. *)
+    family named below, a sum over every engine in the process.
+    {!create} and {!restore_from} expose [engine.points], [batches],
+    [queries] and [snapshots_published] with the [latency.ingest_batch],
+    [shard_apply] and [query] trackers; {!refresh_all}, the one sweep
+    path, exposes [engine.refresh_sweeps], [refresh_steals] and
+    [latency.refresh_sweep] (see {!Sh_obs.Obs.expose}). *)
 
 val total_points : t -> int
 (** Points ingested since creation, restored totals included

@@ -5,13 +5,19 @@ exception Corrupt = Codec.Corrupt
 exception Version_mismatch = Codec.Version_mismatch
 
 let format_version = Frame.format_version
-let c_snapshots = Obs.counter "persist.snapshots"
-let c_restores = Obs.counter "persist.restores"
-let c_corrupt_rejections = Obs.counter "persist.corrupt_rejections"
-let c_bytes_written = Obs.counter "persist.bytes_written"
-let c_bytes_read = Obs.counter "persist.bytes_read"
-let c_files_written = Obs.counter "persist.files_written"
-let c_faults_injected = Obs.counter "persist.faults_injected"
+let c_restores = M.counter "persist.restores"
+let c_corrupt_rejections = M.counter "persist.corrupt_rejections"
+let c_bytes_written = M.counter "persist.bytes_written"
+let c_bytes_read = M.counter "persist.bytes_read"
+let c_files_written = M.counter "persist.files_written"
+
+(* Each entry point exposes all five, so a process that has written,
+   read or restored a snapshot shows the whole persist.* set. *)
+let expose () =
+  Obs.(
+    expose
+      [ Counter c_restores; Counter c_corrupt_rejections; Counter c_bytes_written;
+        Counter c_bytes_read; Counter c_files_written ])
 
 let write_whole path s =
   let oc = open_out_bin path in
@@ -19,6 +25,7 @@ let write_whole path s =
   close_out oc
 
 let write_file_atomic ~path ~header ~frames:frame_list =
+  expose ();
   let tmp = path ^ ".tmp" in
   let image () = String.concat "" (header :: frame_list) in
   let publish img =
@@ -30,7 +37,6 @@ let write_file_atomic ~path ~header ~frames:frame_list =
   match Fault.take () with
   | None -> publish (image ())
   | Some inj ->
-    M.incr c_faults_injected;
     (match inj with
      | Fault.Truncate_at k ->
        let img = image () in
@@ -71,6 +77,7 @@ let write_file_atomic ~path ~header ~frames:frame_list =
                (List.length frame_list))))
 
 let read_file path =
+  expose ();
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
@@ -81,7 +88,11 @@ let read_file path =
        s)
 
 let rejecting f =
-  try f () with
-  | (Corrupt _ | Version_mismatch _) as e ->
+  expose ();
+  match f () with
+  | v ->
+    M.incr c_restores;
+    v
+  | exception ((Corrupt _ | Version_mismatch _) as e) ->
     M.incr c_corrupt_rejections;
     raise e

@@ -1,5 +1,5 @@
 (** Durable snapshot I/O: atomic file publication, typed failure modes,
-    and the [persist.*] telemetry series.
+    and the [persist.*] telemetry families.
 
     A snapshot file is always published with write-to-temp + atomic
     rename ([path ^ ".tmp"], then [Sys.rename]), so readers observe either
@@ -33,34 +33,15 @@ val read_file : string -> string
 (** Read a whole snapshot file into memory.  Raises [Sys_error] if the
     file cannot be opened or read. *)
 
-(** {2 Telemetry}
-
-    Registered eagerly under [persist.*]; the checkpoint/restore call
-    sites ([Shard_engine.checkpoint], [Shard_engine.restore_from]) bump
-    the operation counters, file I/O here accounts bytes. *)
-
-val c_snapshots : Sh_obs.Metric.counter
-(** [persist.snapshots] — engine checkpoint operations. *)
-
-val c_restores : Sh_obs.Metric.counter
-(** [persist.restores] — successful restore operations. *)
-
-val c_corrupt_rejections : Sh_obs.Metric.counter
-(** [persist.corrupt_rejections] — restores rejected with {!Corrupt} or
-    {!Version_mismatch}. *)
-
-val c_bytes_written : Sh_obs.Metric.counter
-(** [persist.bytes_written] — bytes handed to {!write_file_atomic}. *)
-
-val c_bytes_read : Sh_obs.Metric.counter
-(** [persist.bytes_read] — bytes loaded by {!read_file}. *)
-
-val c_files_written : Sh_obs.Metric.counter
-(** [persist.files_written] — successful atomic publications. *)
-
-val c_faults_injected : Sh_obs.Metric.counter
-(** [persist.faults_injected] — {!Fault} injections consumed. *)
-
 val rejecting : (unit -> 'a) -> 'a
-(** Run a restore thunk, counting {!Corrupt}/{!Version_mismatch} into
-    [persist.corrupt_rejections] before re-raising. *)
+(** Run a restore thunk.  A thunk that returns counts into
+    [persist.restores]; one that raises {!Corrupt} or {!Version_mismatch}
+    counts into [persist.corrupt_rejections] before the exception is
+    re-raised.
+
+    {b Telemetry.}  {!write_file_atomic}, {!read_file} and {!rejecting}
+    each expose the five [persist.*] families: those two plus
+    [persist.bytes_written] (bytes of each published image),
+    [persist.files_written] (successful atomic publications) and
+    [persist.bytes_read] (bytes {!read_file} loaded).  Injections are
+    counted by {!Fault.fired_count}. *)

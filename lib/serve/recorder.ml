@@ -63,7 +63,8 @@ let sample t =
      \"refresh_steals\":%d,\"latency\":{"
     (SE.batches eng) pts ns_per_point spot_key spot_n spot_valid sse sse_opt heap_words
     (SE.refresh_steals eng);
-  List.filter (fun l -> Lat.count l > 0) (Lat.snapshot ())
+  Sh_obs.Registry.snapshot ()
+  |> List.filter_map (function Sh_obs.Obs.Tracker l when Lat.count l > 0 -> Some l | _ -> None)
   |> List.iteri (fun i l ->
          if i > 0 then Buffer.add_char buf ',';
          Printf.bprintf buf "\"%s\":{\"count\":%d" (Lat.name l) (Lat.count l);

@@ -92,7 +92,11 @@ let report c eng ~checkpoints ~batch ~served ~query_elapsed ~lag ~points ~elapse
     lag;
   Printf.printf "elapsed %.3fs  throughput %.0f points/s\n" elapsed
     (Float.of_int points /. Float.max elapsed 1e-9);
-  match List.filter (fun t -> Lat.count t > 0) (Lat.snapshot ()) with
+  match
+    List.filter_map
+      (function O.Tracker t when Lat.count t > 0 -> Some t | _ -> None)
+      (Sh_obs.Registry.snapshot ())
+  with
   | [] -> ()
   | lats ->
     print_endline "latency quantiles (ms):";

@@ -52,3 +52,25 @@ let brute_force_optimal_error data buckets =
   !best
 
 let rng ~seed = Sh_util.Rng.create ~seed
+
+(* Read the exposition the way a scraper does: the families its TYPE
+   lines name, and the sample of one counter family (0 while it is not
+   exposed). *)
+let exposition () = String.split_on_char '\n' (Sh_obs.Obs.render ())
+
+let exposed_families () =
+  List.filter_map
+    (fun l ->
+      match String.split_on_char ' ' l with
+      | [ "#"; "TYPE"; family; _ ] -> Some family
+      | _ -> None)
+    (exposition ())
+
+let exposed_count family =
+  List.find_map
+    (fun l ->
+      match String.split_on_char ' ' l with
+      | [ f; v ] when f = family -> int_of_string_opt v
+      | _ -> None)
+    (exposition ())
+  |> Option.value ~default:0

@@ -248,7 +248,7 @@ let test_fw_work_counters_golden () =
     in
     Alcotest.(check (list int)) tag expected got
   in
-  let family_evals () = Sh_obs.Metric.value (Sh_obs.Obs.counter "fw.herror_evals") in
+  let family_evals () = Helpers.exposed_count "fw_herror_evals_total" in
   let evals_before = family_evals () in
   let warm = FW.create ~window ~buckets ~epsilon in
   FW.set_memoisation warm false;

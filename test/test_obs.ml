@@ -25,7 +25,7 @@ let contains hay needle =
 (* ------------------------------------------------------------- metrics *)
 
 let test_counter_monotone () =
-  let c = Obs.counter "t.count" in
+  let c = M.counter "t.count" in
   Alcotest.(check int) "starts at zero" 0 (M.value c);
   M.incr c;
   M.add c 4;
@@ -36,117 +36,124 @@ let test_counter_monotone () =
     (Invalid_argument "Obs: counters are monotone, negative increment") (fun () -> M.add c (-1))
 
 let test_counter_always_live () =
-  (* counters back work_counters: they count with no switch turned on *)
+  (* counters back work_counters: they count with no switch turned on,
+     exposed or not *)
   Alcotest.(check bool) "latency tracking off" false (Obs.latency_enabled ());
-  let c = Obs.counter "t.live" in
+  let c = M.counter "t.live" in
   M.incr c;
   Alcotest.(check int) "counted while disabled" 1 (M.value c)
 
-let test_gauge_ops () =
-  let g = Obs.gauge "t.gauge" in
-  M.set g 2.5;
-  M.gadd g 1.0;
-  M.gincr g;
-  Alcotest.(check (float 1e-9)) "set/gadd/gincr" 4.5 (M.gvalue g)
-
 (* ------------------------------------------------------------ registry *)
 
-let test_registry_get_or_create () =
-  let a = Obs.counter "t.c" in
-  let b = Obs.counter "t.c" in
-  Alcotest.(check bool) "same handle" true (a == b);
-  let other = Obs.counter "t.d" in
-  Alcotest.(check bool) "different name, different series" true (not (a == other));
-  Alcotest.(check int) "one series per name" 2 (R.series_count ())
+let names () = List.map R.name (R.snapshot ())
+
+let test_registry_expose_idempotent () =
+  let a = M.counter "t.c" in
+  Obs.expose [ Obs.Counter a ];
+  Obs.expose [ Obs.Counter a; Obs.Counter a ];
+  Alcotest.(check (list string)) "one entry per handle" [ "t.c" ] (names ());
+  let other = M.counter "t.d" in
+  Alcotest.(check bool) "another call, another handle" true (not (a == other));
+  Obs.expose [ Obs.Counter other ];
+  Alcotest.(check (list string)) "both exposed" [ "t.c"; "t.d" ] (names ())
 
 let test_registry_validation () =
-  ignore (Obs.counter "t.c");
-  Alcotest.check_raises "type clash"
-    (Invalid_argument "Obs: metric \"t.c\" already registered with a different type") (fun () ->
-      ignore (Obs.gauge "t.c"));
   Alcotest.check_raises "bad name"
     (Invalid_argument "Obs: metric name \"9bad\" must start with a letter") (fun () ->
-      ignore (Obs.counter "9bad"));
+      ignore (M.counter "9bad"));
   Alcotest.check_raises "bad char"
     (Invalid_argument "Obs: bad metric name \"a b\" (use [a-zA-Z0-9_.])") (fun () ->
-      ignore (Obs.counter "a b"))
+      ignore (M.counter "a b"));
+  (* Two handles whose names render as one Prometheus family would put two
+     samples under one series name: the second is refused. *)
+  let clash first second family =
+    Obs.expose [ first ];
+    Alcotest.check_raises
+      (Printf.sprintf "%s vs %s" (R.name first) (R.name second))
+      (Invalid_argument
+         (Printf.sprintf "Obs: %S renders as family %s, already exposed by %S" (R.name second)
+            family (R.name first)))
+      (fun () -> Obs.expose [ second ])
+  in
+  clash (Obs.Counter (M.counter "t.c")) (Obs.Counter (M.counter "t.c")) "t_c_total";
+  clash (Obs.Counter (M.counter "a.b")) (Obs.Counter (M.counter "a_b")) "a_b_total";
+  clash (Obs.Counter (M.counter "x")) (Obs.Counter (M.counter "x_total")) "x_total";
+  clash (Obs.Counter (M.counter "y")) (Obs.Tracker (L.tracker "y_total")) "y_total";
+  clash (Obs.Tracker (L.tracker "l.q")) (Obs.Tracker (L.tracker "l_q")) "l_q";
+  Alcotest.(check (list string)) "only the first of each pair exposed"
+    [ "a.b"; "l.q"; "t.c"; "x"; "y" ] (names ());
+  Alcotest.(check int) "one TYPE line per family" 5
+    (List.length
+       (List.filter
+          (fun l -> String.starts_with ~prefix:"# TYPE" l)
+          (String.split_on_char '\n' (Obs.render ()))))
 
 let test_registry_snapshot_sorted () =
-  ignore (Obs.counter "t.b");
-  ignore (Obs.gauge "t.c");
-  ignore (Obs.counter "t.a");
-  let names = List.map R.metric_name (R.snapshot ()) in
-  Alcotest.(check (list string)) "sorted by name" [ "t.a"; "t.b"; "t.c" ] names
+  Obs.expose
+    [ Obs.Counter (M.counter "t.b"); Obs.Tracker (L.tracker "t.c"); Obs.Counter (M.counter "t.a") ];
+  Alcotest.(check (list string)) "counters and trackers in one family order"
+    [ "t.a"; "t.b"; "t.c" ] (names ())
 
 let test_registry_reset_and_clear () =
-  let c = Obs.counter "t.c" in
-  let g = Obs.gauge "t.g" in
+  Obs.set_latency_enabled true;
+  let c = M.counter "t.c" and t = L.tracker "t.lat" in
+  Obs.expose [ Obs.Counter c; Obs.Tracker t ];
   M.add c 7;
-  M.set g 3.0;
+  L.record t 0.5;
   Obs.reset ();
   Alcotest.(check int) "counter zeroed" 0 (M.value c);
-  Alcotest.(check (float 0.0)) "gauge zeroed" 0.0 (M.gvalue g);
-  Alcotest.(check int) "registrations survive reset" 2 (R.series_count ());
-  Alcotest.(check bool) "reset returns the same handle" true (Obs.counter "t.c" == c);
+  Alcotest.(check int) "tracker emptied" 0 (L.count t);
+  Alcotest.(check (list string)) "exposure survives reset" [ "t.c"; "t.lat" ] (names ());
   M.incr c;
   Obs.clear ();
-  Alcotest.(check int) "clear drops registrations" 0 (R.series_count ());
-  (* the old handle keeps counting but is detached from the registry *)
+  Alcotest.(check (list string)) "clear empties the table" [] (names ());
+  (* the handle keeps counting while unexposed, and comes back whole *)
   M.incr c;
-  Alcotest.(check int) "detached handle still counts" 2 (M.value c);
-  Alcotest.(check bool) "re-registration is a fresh series" true (not (Obs.counter "t.c" == c))
+  Alcotest.(check int) "unexposed handle still counts" 2 (M.value c);
+  Obs.expose [ Obs.Counter c ];
+  Alcotest.(check bool) "re-exposed with its count" true
+    (contains (Obs.render ()) "\nt_c_total 2\n")
 
 (* --------------------------------------------------------------- sinks *)
-
-let populate () =
-  let c = Obs.counter "fw.herror_evals" in
-  M.add c 123;
-  let g = Obs.gauge "vec.allocations" in
-  M.set g 4.0;
-  M.add c 7
 
 (* Two writers of one family land in its one series: the exposition is a
    process-wide sum. *)
 let golden_state () =
-  M.add (Obs.counter "fw.herror_evals") 130;
-  M.incr (Obs.counter "fw.herror_evals");
-  M.add (Obs.counter "engine.points") 4096;
-  M.add (Obs.counter "net.frames_total") 7;
-  M.set (Obs.gauge "engine.read_gen") 17.0;
-  M.set (Obs.gauge "engine.lag") 0.1;
-  M.set (Obs.gauge "vec.ceiling") infinity;
-  Obs.set_latency_enabled true;
+  let evals = M.counter "fw.herror_evals" in
+  let points = M.counter "engine.points" in
+  let frames = M.counter "net.frames_total" in
   let t = L.tracker "latency.query" in
+  let big = L.tracker "latency.ingest_batch" in
+  Obs.expose
+    Obs.[ Counter evals; Counter points; Counter frames; Tracker t; Tracker big;
+          Tracker (L.tracker "latency.idle") ];
+  (* a second exposer of the same handles changes nothing *)
+  Obs.expose Obs.[ Counter evals; Tracker t ];
+  M.add evals 130;
+  M.incr evals;
+  M.add points 4096;
+  M.add frames 7;
+  Obs.set_latency_enabled true;
   for i = 0 to 99 do
     L.record t (Float.of_int (((i * 37) mod 100) + 1) /. 1024.0)
   done;
-  (* 2,000 durations at eps = 0.01: the summary flushes and compresses *)
-  let big = L.tracker ~epsilon:0.01 "latency.ingest_batch" in
+  (* 2,000 durations: the summary flushes its buffer and compresses *)
   for i = 0 to 1999 do
     L.record big (Float.of_int (((i * 7919) mod 2000) + 1) /. 4096.0)
-  done;
-  ignore (L.tracker "latency.idle")
+  done
 
 let prom_golden =
-  {golden|# TYPE engine_lag gauge
-engine_lag 0.10000000000000001
-# TYPE engine_points_total counter
+  {golden|# TYPE engine_points_total counter
 engine_points_total 4096
-# TYPE engine_read_gen gauge
-engine_read_gen 17
 # TYPE fw_herror_evals_total counter
 fw_herror_evals_total 131
-# TYPE net_frames_total counter
-net_frames_total 7
-# TYPE vec_ceiling gauge
-vec_ceiling +Inf
 # TYPE latency_idle summary
 latency_idle_sum 0
 latency_idle_count 0
 # TYPE latency_ingest_batch summary
-latency_ingest_batch{quantile="0.5"} 0.2451171875
-latency_ingest_batch{quantile="0.9"} 0.44287109375
-latency_ingest_batch{quantile="0.99"} 0.48828125
+latency_ingest_batch{quantile="0.5"} 0.244140625
+latency_ingest_batch{quantile="0.9"} 0.439697265625
+latency_ingest_batch{quantile="0.99"} 0.48388671875
 latency_ingest_batch{quantile="0.999"} 0.48828125
 latency_ingest_batch_sum 488.525390625
 latency_ingest_batch_count 2000
@@ -157,24 +164,26 @@ latency_query{quantile="0.99"} 0.0966796875
 latency_query{quantile="0.999"} 0.09765625
 latency_query_sum 4.931640625
 latency_query_count 100
+# TYPE net_frames_total counter
+net_frames_total 7
 |golden}
 
 let test_prometheus_sink () =
-  populate ();
+  let c = M.counter "fw.herror_evals" in
+  Obs.expose [ Obs.Counter c ];
+  M.add c 130;
   let buf = Buffer.create 256 in
   Sink.prometheus buf;
   let out = Buffer.contents buf in
   Alcotest.(check bool) "counter family typed" true
     (contains out "# TYPE fw_herror_evals_total counter");
   Alcotest.(check bool) "counter sample" true (contains out "\nfw_herror_evals_total 130\n");
-  Alcotest.(check bool) "gauge sample" true (contains out "\nvec_allocations 4");
-  Alcotest.(check string) "prom_name sanitisation" "fw_herror_evals"
-    (Sink.prom_name "fw.herror_evals");
+  Alcotest.(check string) "family sanitisation" "fw_herror_evals_total" (R.family (Obs.Counter c));
   (* The whole exposition of a scripted state, byte for byte, against a
-     golden recorded when series lost their instance labels: series
-     order, one TYPE line per family, the _total suffix, +Inf, quantile
-     samples from a compressed summary, and an empty tracker's absent
-     quantiles. *)
+     golden last recorded when trackers took one fixed epsilon and sorted
+     among the counters: family order, one TYPE line per family, the
+     _total suffix, quantile samples from a compressed summary, and an
+     empty tracker's absent quantiles. *)
   Obs.clear ();
   golden_state ();
   Alcotest.(check string) "whole exposition matches the golden" prom_golden (Obs.render ())
@@ -208,27 +217,20 @@ let hammer ~domains ~iters f =
 let test_plane_no_lost_increments () =
   List.iter
     (fun d ->
-      Obs.clear ();
-      let c = Obs.counter "plane.c" in
-      let g = Obs.gauge "plane.g" in
+      let c = M.counter "plane.c" in
       let iters = 10_000 in
-      hammer ~domains:d ~iters (fun _ _ ->
-          M.incr c;
-          M.gadd g 1.5);
+      hammer ~domains:d ~iters (fun _ _ -> M.incr c);
       Alcotest.(check int)
         (Printf.sprintf "counter exact, %d domains" d)
-        (d * iters) (M.value c);
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "gauge exact, %d domains" d)
-        (1.5 *. Float.of_int (d * iters))
-        (M.gvalue g))
+        (d * iters) (M.value c))
     domain_counts
 
 let test_plane_snapshot_reset_under_writers () =
   List.iter
     (fun d ->
       Obs.clear ();
-      let c = Obs.counter "plane.live" in
+      let c = M.counter "plane.live" in
+      Obs.expose [ Obs.Counter c ];
       let stop = Atomic.make false in
       let workers =
         Array.init d (fun _ ->
@@ -256,7 +258,7 @@ let test_plane_snapshot_reset_under_writers () =
 
 let test_latency_basic () =
   Obs.set_latency_enabled true;
-  let t = L.tracker ~epsilon:0.01 "lat.basic" in
+  let t = L.tracker "lat.basic" in
   for i = 1 to 1000 do
     L.record t (Float.of_int i)
   done;
@@ -274,14 +276,11 @@ let test_latency_basic () =
   Alcotest.(check int) "junk durations ignored" 1000 (L.count t);
   Obs.set_latency_enabled false;
   L.record t 5.0;
-  Alcotest.(check int) "disabled record is a no-op" 1000 (L.count t);
-  Alcotest.check_raises "epsilon validated"
-    (Invalid_argument "Obs.Latency: epsilon must be in (0, 1)") (fun () ->
-      ignore (L.tracker ~epsilon:0.0 "lat.bad"))
+  Alcotest.(check int) "disabled record is a no-op" 1000 (L.count t)
 
-(* Trackers share the registry's name rule and key: a name a counter
-   would reject is rejected here too, rather than exported under a
-   silently rewritten Prometheus family. *)
+(* Trackers share the counters' name rule and the one exposure table: a
+   name a counter would reject is rejected here too, rather than exported
+   under a silently rewritten Prometheus family. *)
 let test_latency_name_validation () =
   Alcotest.check_raises "bad char"
     (Invalid_argument "Obs: bad metric name \"a b\" (use [a-zA-Z0-9_.])") (fun () ->
@@ -291,19 +290,20 @@ let test_latency_name_validation () =
       ignore (L.tracker "9lat"));
   Alcotest.check_raises "empty" (Invalid_argument "Obs: empty metric name") (fun () ->
       ignore (L.tracker ""));
-  Alcotest.(check int) "nothing registered" 0 (List.length (L.snapshot ()));
+  Alcotest.(check int) "nothing exposed" 0 (List.length (R.snapshot ()));
   let a = L.tracker "lat.ok" in
-  Alcotest.(check bool) "one tracker per name" true (a == L.tracker "lat.ok");
-  Alcotest.(check bool) "different name, different tracker" true
-    (not (a == L.tracker "lat.ok2"))
+  Alcotest.(check bool) "another call, another tracker" true (not (a == L.tracker "lat.ok"));
+  Obs.expose [ Obs.Tracker a; Obs.Tracker a ];
+  Alcotest.(check int) "one entry per tracker" 1 (List.length (R.snapshot ()))
 
 let test_latency_merged_domains () =
   List.iter
     (fun d ->
       Obs.clear ();
       Obs.set_latency_enabled true;
-      let eps = 0.01 in
-      let t = L.tracker ~epsilon:eps "lat.merged" in
+      (* every tracker's epsilon *)
+      let eps = 0.001 in
+      let t = L.tracker "lat.merged" in
       let per = 2000 in
       (* domain j records the arithmetic slice j, j+d, j+2d, ... so the
          union across domains is exactly 0 .. d*per-1 *)
@@ -328,6 +328,7 @@ let test_latency_merged_domains () =
 let test_latency_sinks () =
   Obs.set_latency_enabled true;
   let t = L.tracker "lat.sink" in
+  Obs.expose [ Obs.Tracker t ];
   for i = 1 to 100 do
     L.record t (Float.of_int i /. 100.0)
   done;
@@ -346,6 +347,7 @@ let test_latency_sinks () =
 let test_latency_zero_sample_sinks () =
   Obs.set_latency_enabled true;
   let t = L.tracker "lat.empty" in
+  Obs.expose [ Obs.Tracker t ];
   Alcotest.(check int) "fresh count" 0 (L.count t);
   Alcotest.(check bool) "fresh quantile is None" true (L.quantile t 0.5 = None);
   let check_rendering tag =
@@ -375,6 +377,7 @@ let test_latency_time_and_reset () =
   let now = ref 10.0 in
   Obs.set_clock (fun () -> !now);
   let t = L.tracker "lat.time" in
+  Obs.expose [ Obs.Tracker t ];
   let v =
     L.time t (fun () ->
         now := !now +. 0.25;
@@ -387,7 +390,8 @@ let test_latency_time_and_reset () =
   Alcotest.(check int) "recorded on exception" 2 (L.count t);
   Obs.reset ();
   Alcotest.(check int) "reset forgets durations" 0 (L.count t);
-  Alcotest.(check bool) "registration survives reset" true (L.tracker "lat.time" == t)
+  Alcotest.(check bool) "exposure survives reset" true
+    (List.exists (function Obs.Tracker t' -> t' == t | _ -> false) (R.snapshot ()))
 
 let () =
   Alcotest.run "sh_obs"
@@ -396,11 +400,10 @@ let () =
         [
           Alcotest.test_case "counter monotone" `Quick (clean test_counter_monotone);
           Alcotest.test_case "counter always live" `Quick (clean test_counter_always_live);
-          Alcotest.test_case "gauge ops" `Quick (clean test_gauge_ops);
         ] );
       ( "registry",
         [
-          Alcotest.test_case "get-or-create" `Quick (clean test_registry_get_or_create);
+          Alcotest.test_case "expose idempotent" `Quick (clean test_registry_expose_idempotent);
           Alcotest.test_case "validation" `Quick (clean test_registry_validation);
           Alcotest.test_case "snapshot sorted" `Quick (clean test_registry_snapshot_sorted);
           Alcotest.test_case "reset and clear" `Quick (clean test_registry_reset_and_clear);

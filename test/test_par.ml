@@ -971,21 +971,21 @@ let test_obs_reset_leaves_state () =
       let ((points, _, _, _) as totals), work, bytes = state () in
       Alcotest.(check int) "points ingested" 100 points;
       Obs.reset ();
-      Alcotest.(check int) "the family was zeroed" 0 (M.value (Obs.counter "engine.points"));
+      Alcotest.(check int) "the family was zeroed" 0 (Helpers.exposed_count "engine_points_total");
       let totals', work', bytes' = state () in
       Alcotest.(check bool) "engine totals unchanged" true (totals = totals');
       Alcotest.(check bool) "work_counters unchanged" true (work = work');
       Alcotest.(check bool) "checkpoint bytes unchanged" true (String.equal bytes bytes'))
 
-(* The registry holds one series per family and one tracker per name, so
-   creating more structures (of every kind that counts work) adds
-   nothing to the exposition. *)
+(* The exposition holds one entry per family, so once every operation
+   that exposes a family has run, creating more structures (of every
+   kind that counts work) adds nothing to it. *)
 let test_series_count_independent_of_structures () =
   Pool.with_pool ~domains:1 (fun pool ->
       let first = SE.create ~pool ~shards:2 ~window:8 ~buckets:2 ~epsilon:0.5 in
       SE.ingest first [| (0, 1.0); (1, 2.0) |];
-      let series = Sh_obs.Registry.series_count () in
-      let trackers = List.length (Sh_obs.Latency.snapshot ()) in
+      SE.refresh_all first;
+      let families = Helpers.exposed_families () in
       for i = 1 to 1000 do
         let fw = FW.create ~window:8 ~buckets:2 ~epsilon:0.5 in
         FW.push_many fw [| Float.of_int i; 2.0; 3.0 |];
@@ -996,14 +996,13 @@ let test_series_count_independent_of_structures () =
       let second = SE.create ~pool ~shards:3 ~window:8 ~buckets:2 ~epsilon:0.5 in
       SE.ingest second [| (2, 1.0) |];
       SE.refresh_all second;
-      Alcotest.(check int) "registry series unchanged" series (Sh_obs.Registry.series_count ());
-      Alcotest.(check int) "latency trackers unchanged" trackers
-        (List.length (Sh_obs.Latency.snapshot ())))
+      Alcotest.(check (list string)) "exposed families unchanged" families
+        (Helpers.exposed_families ()))
 
 (* ------------------------------------------- telemetry under parallelism *)
 
 let test_counter_no_lost_increments () =
-  let c = Obs.counter "par.stress.counter" in
+  let c = M.counter "par.stress.counter" in
   let before = M.value c in
   let per_domain = 50_000 and nd = 4 in
   let ds =
@@ -1017,36 +1016,24 @@ let test_counter_no_lost_increments () =
   Alcotest.(check int) "no increments lost across 4 domains" (before + (nd * per_domain))
     (M.value c)
 
-let test_gauge_no_lost_adds () =
-  let g = Obs.gauge "par.stress.gauge" in
-  let before = M.gvalue g in
-  let per_domain = 20_000 and nd = 4 in
-  let ds =
-    List.init nd (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to per_domain do
-              M.gadd g 1.0
-            done))
-  in
-  List.iter Domain.join ds;
-  Alcotest.(check (float 0.0)) "no gauge adds lost across 4 domains"
-    (before +. Float.of_int (nd * per_domain))
-    (M.gvalue g)
-
-let test_registry_get_or_create_race () =
+(* Structures built on several domains at once expose the same handle:
+   the table keeps it once, and its one series carries every increment. *)
+let test_registry_expose_race () =
+  let c = M.counter "par.stress.race" in
   let per_domain = 1_000 and nd = 4 in
   let ds =
     List.init nd (fun _ ->
         Domain.spawn (fun () ->
-            (* get-or-create from every domain: all must agree on one series *)
-            let c = Obs.counter "par.stress.race" in
             for _ = 1 to per_domain do
+              Obs.expose [ Obs.Counter c ];
               M.incr c
             done))
   in
   List.iter Domain.join ds;
+  Alcotest.(check (list string)) "one family" [ "par_stress_race_total" ]
+    (List.filter (String.equal "par_stress_race_total") (Helpers.exposed_families ()));
   Alcotest.(check int) "one series, all increments" (nd * per_domain)
-    (M.value (Obs.counter "par.stress.race"))
+    (Helpers.exposed_count "par_stress_race_total")
 
 let () =
   Alcotest.run "sh_par"
@@ -1097,7 +1084,6 @@ let () =
       ( "obs_domain_safety",
         [
           Alcotest.test_case "counter stress" `Quick test_counter_no_lost_increments;
-          Alcotest.test_case "gauge stress" `Quick test_gauge_no_lost_adds;
-          Alcotest.test_case "registry race" `Quick test_registry_get_or_create_race;
+          Alcotest.test_case "registry race" `Quick test_registry_expose_race;
         ] );
     ]

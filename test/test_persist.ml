@@ -14,7 +14,6 @@ module Params = Stream_histogram.Params
 module Pool = Sh_par.Domain_pool
 module SE = Sh_par.Shard_engine
 module H = Sh_histogram.Histogram
-module M = Sh_obs.Metric
 
 let domain_counts =
   match Sys.getenv_opt "SH_TEST_DOMAINS" with
@@ -504,14 +503,14 @@ let test_fault_mangling_matrix () =
         (* mangling injections return normally: the damage is the published
            image, and it must surface at restore time *)
         SE.checkpoint eng ~file;
-        let rej_before = M.value P.c_corrupt_rejections in
+        let rej_before = Helpers.exposed_count "persist_corrupt_rejections_total" in
         expect_rejected
           (Printf.sprintf "restore of file truncated at %d" k)
           (fun () -> SE.restore_from ~pool ~file);
         Alcotest.(check bool)
           (Printf.sprintf "rejection counted (truncate %d)" k)
           true
-          (M.value P.c_corrupt_rejections > rej_before)
+          (Helpers.exposed_count "persist_corrupt_rejections_total" > rej_before)
       end)
     cuts;
   (* bit flips: magic, version, frame length, payload, trailing CRC *)

@@ -314,6 +314,132 @@ let test_listen_final_checkpoint () =
         expected)
     domain_counts
 
+(* -------------------------------------------------------- exposition
+
+   Each role exports exactly the families its own structures move.  The
+   roles share this process, so the exposure table is emptied before each
+   starts; the leaves start before the root's clear, and nothing a leaf
+   does after its start exposes a family. *)
+
+let net_families =
+  [ "net_bytes_in_total"; "net_bytes_out_total"; "net_connections_total";
+    "net_frames_in_total"; "net_frames_out_total"; "net_idle_closes_total";
+    "net_points_total"; "net_protocol_errors_total"; "net_queries_total" ]
+
+let leaf_families =
+  net_families
+  @ [ "engine_batches_total"; "engine_points_total"; "engine_queries_total";
+      "engine_snapshots_published_total" ]
+  @ List.map
+      (fun f -> "fw_" ^ f ^ "_total")
+      [ "cold_evals"; "cold_refreshes"; "herror_evals"; "hint_hits"; "hint_misses";
+        "intervals_built"; "memo_hits"; "memo_probes"; "refreshes"; "scan_candidates";
+        "scan_steps"; "search_steps"; "warm_evals"; "warm_refreshes" ]
+  @ [ "latency_ingest_batch"; "latency_query"; "latency_shard_apply" ]
+
+let persist_families =
+  [ "persist_bytes_read_total"; "persist_bytes_written_total";
+    "persist_corrupt_rejections_total"; "persist_files_written_total";
+    "persist_restores_total" ]
+
+let root_families =
+  net_families @ [ "agg_fanouts_total"; "agg_leaf_failures_total"; "agg_partial_replies_total" ]
+
+(* Families that stay at 0 through a healthy run, and why. *)
+let still_reasons =
+  [ ("net_protocol_errors_total", "no client sends a bad frame");
+    ("net_idle_closes_total", "no client idles past the reaper's limit");
+    ("agg_leaf_failures_total", "no leaf fails");
+    ("agg_partial_replies_total", "no leaf is down, so no reply is partial");
+    ("persist_corrupt_rejections_total", "no damaged checkpoint is restored");
+    ("persist_restores_total", "a leaf restores only when it starts");
+    ("persist_bytes_read_total", "a leaf reads a checkpoint only to restore it");
+    ("fw_cold_evals_total", "only ~cold:true oracle rebuilds move it");
+    ("fw_cold_refreshes_total", "only ~cold:true oracle rebuilds move it") ]
+
+(* A Metrics reply's families, each with whether it moved: a counter's
+   sample or a summary's _count above 0. *)
+let reply_families text =
+  let lines = String.split_on_char '\n' text in
+  let sample name =
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ n; v ] when n = name -> float_of_string_opt v
+        | _ -> None)
+      lines
+  in
+  List.filter_map
+    (fun l ->
+      match String.split_on_char ' ' l with
+      | [ "#"; "TYPE"; family; kind ] ->
+        let moved = sample (if kind = "summary" then family ^ "_count" else family) in
+        Some (family, Option.value ~default:0.0 moved > 0.0)
+      | _ -> None)
+    lines
+
+let check_role ~what ~expected addr =
+  let cl = Client.connect ~timeout:10.0 addr in
+  let fams = reply_families (Client.metrics cl) in
+  Client.close cl;
+  Alcotest.(check (list string)) (what ^ ": exposed families")
+    (List.sort String.compare expected) (List.map fst fams);
+  List.iter
+    (fun (family, moved) ->
+      if not (moved || List.mem_assoc family still_reasons) then
+        Alcotest.failf "%s: %s is exposed but never moved" what family)
+    fams
+
+let test_role_expositions () =
+  with_temp ".sock" @@ fun leaf1 ->
+  with_temp ".sock" @@ fun leaf2 ->
+  with_temp ".sock" @@ fun root ->
+  with_temp ".ckpt" @@ fun ckpt ->
+  let leaf1 = Addr.Unix_sock leaf1 and leaf2 = Addr.Unix_sock leaf2 in
+  let root = Addr.Unix_sock root in
+  let load ?(shutdown = false) ~count ~global_mix addr =
+    ignore
+      (Loadgen.run
+         { Loadgen.connect = addr; connections = 1; batch = 50; count; dist = Traffic.Uniform;
+           seed = 3; query_mix = 0.1; global_mix; shutdown; timeout = 10.0; retries = 50 }
+        : Loadgen.outcome)
+  in
+  let stop addr =
+    try
+      let cl = Client.connect ~timeout:10.0 addr in
+      Client.shutdown cl;
+      Client.close cl
+    with _ -> ()
+  in
+  Sh_obs.Obs.clear ();
+  let leaf addr checkpoint =
+    let c = { (base ~domains:1) with shards = 4; listen = [ addr ]; checkpoint } in
+    Domain.spawn (fun () -> Runner.serve c)
+  in
+  let leaves = [ leaf leaf1 (Some ckpt); leaf leaf2 None ] in
+  Fun.protect
+    ~finally:(fun () ->
+      stop leaf1;
+      stop leaf2;
+      List.iter Domain.join leaves)
+  @@ fun () ->
+  load ~count:1000 ~global_mix:0.0 leaf1;
+  load ~count:1000 ~global_mix:0.0 leaf2;
+  check_role ~what:"leaf" ~expected:leaf_families leaf1;
+  let cl = Client.connect ~timeout:10.0 leaf1 in
+  ignore (Client.checkpoint cl : string);
+  Client.close cl;
+  check_role ~what:"leaf after a checkpoint" ~expected:(leaf_families @ persist_families) leaf1;
+  Sh_obs.Obs.clear ();
+  let agg =
+    Domain.spawn (fun () ->
+        Runner.aggregate ~leaves:[ leaf1; leaf2 ] ~listen:[ root ] ~timeout:10.0
+          ~idle_timeout:30.0)
+  in
+  Fun.protect ~finally:(fun () -> stop root; Domain.join agg) @@ fun () ->
+  load ~count:1000 ~global_mix:0.25 root;
+  check_role ~what:"root" ~expected:root_families root
+
 (* ----------------------------------------------------------- recorder *)
 
 (* The text of one JSON field of a recorder line: up to the next ',' or
@@ -386,4 +512,6 @@ let () =
           Alcotest.test_case "listen writes a final checkpoint" `Quick test_listen_final_checkpoint;
           Alcotest.test_case "record within (1+eps) bound" `Quick test_recorder_within_bound;
         ] );
+      ( "exposition",
+        [ Alcotest.test_case "each role exposes what it moves" `Quick test_role_expositions ] );
     ]
