@@ -308,20 +308,21 @@ type shape = {
   budget_pool_words : int;   (* the domain's set pool after it *)
   budget_sustained_words : int;      (* engine words/shard after it *)
   budget_sustained_view_words : int; (* words/shard a view adds after it *)
+  budget_promoted : float;   (* words promoted per publication over it *)
 }
 
 let memory_shapes =
   [
     { name = "wire-bound"; shards = 64; window = 512; buckets = 8; epsilon = 0.5;
-      budget_words = 4_320; budget_view_words = 1_130; budget_arena_words = 9_400;
-      budget_publish_words = 115; every = 64; per_call = 16; budget_allocs = 2;
-      budget_pool_words = 2_940; budget_sustained_words = 4_980;
-      budget_sustained_view_words = 1_130 };
+      budget_words = 4_280; budget_view_words = 1_090; budget_arena_words = 9_400;
+      budget_publish_words = 32; every = 64; per_call = 16; budget_allocs = 2;
+      budget_pool_words = 2_940; budget_sustained_words = 4_940;
+      budget_sustained_view_words = 1_090; budget_promoted = 68.5 };
     { name = "refresh-bound"; shards = 16; window = 1024; buckets = 8; epsilon = 0.2;
-      budget_words = 11_280; budget_view_words = 2_175; budget_arena_words = 18_800;
-      budget_publish_words = 115; every = 16; per_call = 32; budget_allocs = 2;
-      budget_pool_words = 7_380; budget_sustained_words = 12_330;
-      budget_sustained_view_words = 2_175 };
+      budget_words = 11_240; budget_view_words = 2_135; budget_arena_words = 18_800;
+      budget_publish_words = 32; every = 16; per_call = 32; budget_allocs = 2;
+      budget_pool_words = 7_380; budget_sustained_words = 12_290;
+      budget_sustained_view_words = 2_135; budget_promoted = 11.2 };
   ]
 
 let on_fresh_domain f = Domain.join (Domain.spawn f)
@@ -383,6 +384,8 @@ type sustained = {
   pool_words : int;   (* the domain's set pool at the end *)
   view_words : int;   (* words/shard a published view adds, at the end *)
   words : int;        (* engine words/shard at the end *)
+  promoted : float;   (* words promoted per publication over the run *)
+  minors : int;       (* minor collections over the run *)
 }
 
 let sustained_points = 80_000
@@ -395,7 +398,14 @@ let sustained_points = 80_000
    sets allocated as refresh targets because the domain's pool had none
    ([FW.target_allocations]; the engine's own first sets are not
    targets), and the pool's words, and the view and engine words per
-   shard after the run.  Deterministic for a fixed shape. *)
+   shard after the run.  Also the words promoted per publication: the
+   [Gc.counters] promoted words between forced minor collections at each
+   end, over the publications.  Whatever a publication allocates that
+   outlives a minor collection is promoted, so this is the count behind
+   a serving process's heap growth.  The run spans some 50 minor
+   collections, so where their boundaries fall moves the mean by little,
+   and with one domain allocating, the same run gives the same count.
+   Deterministic for a fixed shape. *)
 let sustained_publication { shards; window; buckets; epsilon; every; per_call; _ } =
   on_fresh_domain @@ fun () ->
   Pool.with_pool ~domains:1 (fun pool ->
@@ -405,6 +415,9 @@ let sustained_publication { shards; window; buckets; epsilon; every; per_call; _
       let published0 = SE.snapshots_published eng in
       let allocs0 = FW.target_allocations () in
       let groups = Array.make per_call (0, [||]) in
+      Gc.minor ();
+      let _, promoted0, _ = Gc.counters () in
+      let minors0 = (Gc.quick_stat ()).Gc.minor_collections in
       for _ = 1 to sustained_points / per_call do
         for i = 0 to per_call - 1 do
           let key, x = Sh_serve.Traffic.next traffic in
@@ -412,11 +425,17 @@ let sustained_publication { shards; window; buckets; epsilon; every; per_call; _
         done;
         SE.ingest_groups eng groups
       done;
-      { publications = SE.snapshots_published eng - published0;
+      Gc.minor ();
+      let _, promoted1, _ = Gc.counters () in
+      let minors = (Gc.quick_stat ()).Gc.minor_collections - minors0 in
+      let publications = SE.snapshots_published eng - published0 in
+      { publications;
         allocs = FW.target_allocations () - allocs0;
         pool_words = FW.pool_words ();
         view_words = view_words_per_shard eng;
-        words = Obj.reachable_words (Obj.repr eng) / shards })
+        words = Obj.reachable_words (Obj.repr eng) / shards;
+        promoted = (promoted1 -. promoted0) /. Float.of_int publications;
+        minors })
 
 (* Steady-state words allocated per publishing [ingest_groups] call: under
    [Eager] every call below (one 16-point group for one key, keys in
@@ -554,13 +573,15 @@ let run_fw scale =
        memory);
   Report.note
     "sustained publication from empty over %d uniform-key points (single-point groups, one \
-     domain): list sets allocated as refresh targets, the domain's set-pool words, and the \
-     views' added and the engine's words/shard after the run:"
+     domain): list sets allocated as refresh targets, the domain's set-pool words, the \
+     views' added and the engine's words/shard after the run, and words promoted per \
+     publication over it:"
     sustained_points;
   Report.table
     ~headers:
       [ "shape"; "refresh"; "groups/call"; "publications"; "target allocs"; "budget";
-        "pool words"; "budget"; "view words"; "budget"; "words/shard"; "budget" ]
+        "pool words"; "budget"; "view words"; "budget"; "words/shard"; "budget";
+        "minor GCs"; "promoted/pub"; "budget" ]
     (List.map
        (fun (sh, _, _, _, _, sus) ->
          [ sh.name; Printf.sprintf "every:%d" sh.every; string_of_int sh.per_call;
@@ -568,7 +589,8 @@ let run_fw scale =
            string_of_int sh.budget_allocs; string_of_int sus.pool_words;
            string_of_int sh.budget_pool_words; string_of_int sus.view_words;
            string_of_int sh.budget_sustained_view_words; string_of_int sus.words;
-           string_of_int sh.budget_sustained_words ])
+           string_of_int sh.budget_sustained_words; string_of_int sus.minors;
+           Printf.sprintf "%.2f" sus.promoted; Report.fmt_g sh.budget_promoted ])
        memory);
   let bench_json =
     Report.Jlist
@@ -674,6 +696,10 @@ let run_fw scale =
                               ("view_words_per_shard", Report.Jint sus.view_words);
                               ("budget_words_per_shard", Report.Jint sh.budget_sustained_words);
                               ("words_per_shard", Report.Jint sus.words);
+                              ("minor_collections", Report.Jint sus.minors);
+                              ( "budget_promoted_words_per_publication",
+                                Report.Jfloat sh.budget_promoted );
+                              ("promoted_words_per_publication", Report.Jfloat sus.promoted);
                             ] );
                       ] ))
                 memory) );

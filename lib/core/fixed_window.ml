@@ -318,20 +318,20 @@ let eval sp lists s memo ~stride ~k ~x =
         fs.(fs_eval) <- v
       end
 
-let no_bucket = { Histogram.lo = 0; hi = 0; value = 0.0 }
-
-(* The B-bucket histogram of a non-empty window: recover right endpoints
+(* The B-bucket histogram of a non-empty window, written into rows
+   [0, count) of [ends] (right ends) and [means] (bucket means), which
+   need room for [b] rows; returns [count].  Right ends are recovered
    top-down — split off the last bucket at each level with the scan's
    argmin, then go on with the remaining prefix and one fewer bucket.
    Once one bucket is left it takes the whole prefix; once the prefix has
    no more points than buckets, its points become singleton buckets at
    zero error.  Every argmin scan counts one [evals].  Bucket values are
-   exact range means. *)
-let histogram sp lists s ~b =
+   exact range means.  Allocates nothing. *)
+let histogram sp lists s ~b ~ends ~means =
   let n = Sliding_prefix.length sp in
-  (* Right endpoints, last bucket first, filled from the back: each step
-     uses one slot and one bucket, so the singletons fit in the rest. *)
-  let ends = Array.make b 0 in
+  (* Right endpoints, last bucket first, filled from the back of [0, b):
+     each step uses one slot and one bucket, so the singletons fit in the
+     rest. *)
   let first = ref b in
   let x = ref n and k = ref b in
   while !x > 0 do
@@ -352,13 +352,18 @@ let histogram sp lists s ~b =
       decr k
     end
   done;
-  let buckets = Array.make (b - !first) no_bucket in
-  for i = 0 to Array.length buckets - 1 do
-    let hi = ends.(!first + i) in
-    let lo = if i = 0 then 1 else ends.(!first + i - 1) + 1 in
-    buckets.(i) <- { Histogram.lo; hi; value = Sliding_prefix.range_mean sp ~lo ~hi }
+  let count = b - !first in
+  Array.blit ends !first ends 0 count;
+  (* Sliding_prefix.range_mean's operations in its order, off the ring as
+     in [sqerror_to_x]: the same bits without a boxed float per bucket. *)
+  let sum = Sliding_prefix.ring_sum sp and base = Sliding_prefix.ring_base sp in
+  for i = 0 to count - 1 do
+    let lo = row_start ends i and hi = ends.(i) in
+    means.(i) <-
+      (sum.(ring_slot sum ~base hi) -. sum.(ring_slot sum ~base (lo - 1)))
+      /. Float.of_int (hi - lo + 1)
   done;
-  Histogram.make ~n buckets
+  count
 
 (* The level-k list as (a, HERROR[a, k], b, HERROR[b, k]) rows.  Left
    ends are derived and HERROR[a, k] is not stored, so each row's is
@@ -904,9 +909,11 @@ let herror t ~k ~x =
 let current_histogram t =
   refresh t;
   if length t = 0 then invalid_arg "Fixed_window.current_histogram: empty window";
-  let h = histogram t.sp t.set.levels t.scr ~b:(buckets t) in
+  let b = buckets t in
+  let ends = Array.make b 0 and means = Array.make b 0.0 in
+  let count = histogram t.sp t.set.levels t.scr ~b ~ends ~means in
   flush t;
-  h
+  Histogram.of_columns ~n:(length t) ~his:ends ~values:means ~count
 
 (* The summary's totals plus any tallies still in the scratch.  Every
    entry point flushes before it returns, so between calls the scratch is
@@ -962,7 +969,8 @@ let view_scratch () = Domain.DLS.get view_scratch_key
 
 (* A [View.t] is everything a query needs — a verbatim copy of the
    sliding prefix ring, the summary's current list set (lent, not copied:
-   see [list_set]), and precomputed whole-window answers — filled from a
+   see [list_set]), and precomputed whole-window answers, the histogram
+   among them, in storage the view owns — filled from a
    refreshed summary by {!view_into}.  Readers on other domains evaluate
    against the view alone, with the same kernel functions the live summary
    runs and their domain's view scratch: no telemetry stores, no scratch
@@ -980,8 +988,15 @@ module View = struct
     mutable eps : float;
     mutable sp : Sliding_prefix.t; (* copy of the live ring *)
     mutable set : list_set;        (* the source's lists, lent *)
-    mutable err : float;               (* HERROR[n, B] — the current_error answer *)
-    mutable hist : Histogram.t option; (* [None] iff the window is empty *)
+    mutable err : float;           (* HERROR[n, B] — the current_error answer *)
+    (* The window's histogram, refilled in place: right ends and bucket
+       means in rows [0, nb), [nb = 0] iff the window is empty.  The
+       columns grow only when the bucket count does.  Estimates read them
+       through Histogram's column kernel; a caller keeping the histogram
+       gets a copy. *)
+    mutable ends : int array;
+    mutable means : float array;
+    mutable nb : int;
   }
 
   let generation v = v.gen
@@ -990,12 +1005,20 @@ module View = struct
   let buckets v = v.b
   let epsilon v = v.eps
   let current_error v = v.err
-  let histogram v = v.hist
 
   let current_histogram v =
-    match v.hist with
-    | Some h -> h
-    | None -> invalid_arg "Fixed_window.current_histogram: empty window"
+    if v.nb = 0 then invalid_arg "Fixed_window.View.current_histogram: empty window";
+    Histogram.of_columns ~n:(length v) ~his:v.ends ~values:v.means ~count:v.nb
+
+  let point_estimate v i =
+    if i < 1 || i > length v then
+      invalid_arg "Fixed_window.View.point_estimate: index out of range";
+    Histogram.point_in ~his:v.ends ~values:v.means ~count:v.nb i
+
+  let range_sum_estimate v ~lo ~hi =
+    if lo <= hi && (lo < 1 || hi > length v) then
+      invalid_arg "Fixed_window.View.range_sum_estimate: range out of bounds";
+    Histogram.range_sum_in ~his:v.ends ~values:v.means ~count:v.nb ~lo ~hi
 
   let herror v ~k ~x =
     check_herror ~b:v.b ~n:(length v) ~k ~x;
@@ -1029,14 +1052,20 @@ let view_into t (v : View.t) =
   v.b <- b;
   v.eps <- epsilon t;
   v.err <- s.fs.(fs_eval);
-  (* Always a fresh histogram: [current_histogram] hands it to callers,
-     who may keep it after the view is refilled. *)
-  v.hist <- (if n = 0 then None else Some (histogram v.sp cur.levels s ~b))
+  if n = 0 then v.nb <- 0
+  else begin
+    if Array.length v.ends < b then begin
+      v.ends <- Array.make b 0;
+      v.means <- Array.make b 0.0
+    end;
+    v.nb <- histogram v.sp cur.levels s ~b ~ends:v.ends ~means:v.means
+  end
 
 let view t =
   let v =
     { View.gen = 0; seen = 0; b = 0; eps = 0.0;
-      sp = Sliding_prefix.create ~capacity:(window t); set = unlent; err = 0.0; hist = None }
+      sp = Sliding_prefix.create ~capacity:(window t); set = unlent; err = 0.0;
+      ends = [||]; means = [||]; nb = 0 }
   in
   view_into t v;
   v

@@ -201,7 +201,8 @@ val herror : t -> k:int -> x:int -> float
     view nobody else refills, and only {!view_into} writes one.
     {!view_into} is the publisher's primitive: it refills a view that has
     left publication and that no reader holds any more, so steady-state
-    publication copies the ring without allocating a new view.  Making sure
+    publication copies the ring and recomputes the histogram into the
+    view's own storage without allocating a new view or histogram.  Making sure
     no reader holds the view is the publisher's job (the sharded engine
     pins views while it evaluates them).
 
@@ -229,11 +230,20 @@ module View : sig
   (** Precomputed at capture: O(1). *)
 
   val current_histogram : t -> Sh_histogram.Histogram.t
-  (** Precomputed at capture: O(1).  Raises [Invalid_argument] on an
-      empty window, like the live query. *)
+  (** A copy of the histogram computed at the fill: O(B), and it never
+      changes, whatever refills the view afterwards.  Raises
+      [Invalid_argument] on an empty window, like the live query. *)
 
-  val histogram : t -> Sh_histogram.Histogram.t option
-  (** {!current_histogram} without the exception: [None] iff empty. *)
+  val point_estimate : t -> int -> float
+  (** {!Sh_histogram.Histogram.point_estimate} of index [i] on the
+      histogram computed at the fill, read from the view's own storage
+      without copying it: valid only while the view is held (a refill
+      rewrites that storage).  Requires [1 <= i <= length]. *)
+
+  val range_sum_estimate : t -> lo:int -> hi:int -> float
+  (** {!Sh_histogram.Histogram.range_sum_estimate} on the view's
+      histogram, read in place like {!point_estimate}: 0 when [lo > hi],
+      else requires [1 <= lo] and [hi <= length]. *)
 
   val herror : t -> k:int -> x:int -> float
   (** Approximate HERROR\[x, k\] evaluated against the view's arrays; same
@@ -260,9 +270,11 @@ val view_into : t -> View.t -> unit
 (** Refill an existing view in place with what {!view} would return now:
     blit the prefix ring, lend the summary's current list set to the view
     and let go of the set the view held (see the ownership rule above),
-    recompute {!View.current_error}, and attach a freshly built histogram
-    (a histogram taken from the view earlier stays valid).  With equal
-    window capacity nothing else is allocated.  Refreshes first if stale.
+    and recompute {!View.current_error} and the histogram into the view's
+    storage, which grows only when the bucket count does.  A histogram
+    taken earlier with {!View.current_histogram} is a copy and stays as
+    it was.  With equal window capacity and bucket count nothing is
+    allocated.  Refreshes first if stale.
     The caller must guarantee that no other domain reads the view
     meanwhile. *)
 

@@ -1,4 +1,3 @@
-module Histogram = Sh_histogram.Histogram
 module Codec = Sh_persist.Codec
 
 type t =
@@ -24,16 +23,6 @@ let clamp_herror ~b ~n ~k ~x =
   let x = if x < 0 then 0 else if x > n then n else x in
   (k, x)
 
-let eval_hist h ~n q =
-  match q with
-  | Range_sum { lo; hi } ->
-    let lo = if lo < 1 then 1 else lo in
-    let hi = if hi > n then n else hi in
-    if lo > hi then 0.0 else Histogram.range_sum_estimate h ~lo ~hi
-  | Point_estimate { index } ->
-    if index < 1 || index > n then 0.0 else Histogram.point_estimate h index
-  | Current_error | Window_length | Herror _ -> assert false
-
 let eval_view v q =
   let module V = Fixed_window.View in
   match q with
@@ -42,10 +31,12 @@ let eval_view v q =
   | Herror { k; x } ->
     let k, x = clamp_herror ~b:(V.buckets v) ~n:(V.length v) ~k ~x in
     V.herror v ~k ~x
-  | (Range_sum _ | Point_estimate _) as q -> (
-    match V.histogram v with
-    | None -> 0.0
-    | Some h -> eval_hist h ~n:(V.length v) q)
+  | Range_sum { lo; hi } ->
+    let lo = if lo < 1 then 1 else lo in
+    let hi = if hi > V.length v then V.length v else hi in
+    if lo > hi then 0.0 else V.range_sum_estimate v ~lo ~hi
+  | Point_estimate { index } ->
+    if index < 1 || index > V.length v then 0.0 else V.point_estimate v index
 
 (* --- wire / snapshot encoding ---------------------------------------- *)
 

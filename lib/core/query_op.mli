@@ -41,7 +41,9 @@ val to_string : t -> string
 val eval_view : Fixed_window.View.t -> t -> float
 (** Answer one query against a published fixed-window view under the
     clamping contract above.  [Herror] runs the view's candidate scan
-    (see {!Fixed_window.View.herror}). *)
+    (see {!Fixed_window.View.herror}); [Range_sum] and [Point_estimate]
+    read the view's histogram in place, so the view must be held while
+    this runs (the sharded engine pins it). *)
 
 (** {2 Codec}
 

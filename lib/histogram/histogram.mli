@@ -14,13 +14,23 @@ type bucket = {
 }
 
 type t = private {
-  n : int;                (** length of the approximated sequence *)
-  buckets : bucket array; (** contiguous, sorted, covering [1..n] *)
+  n : int;              (** length of the approximated sequence *)
+  his : int array;      (** bucket right ends, increasing, the last [n];
+                            bucket [i] starts at 1 or at [his.(i-1) + 1] *)
+  values : float array; (** one representative per bucket *)
 }
+(** Columns, not bucket records: {!point_estimate} and
+    {!range_sum_estimate} run the column kernel below, which storage that
+    is refilled in place (a published fixed-window view's) runs too. *)
 
 val make : n:int -> bucket array -> t
 (** Validates that buckets are non-empty, contiguous and cover [\[1, n\]].
     Raises [Invalid_argument] otherwise. *)
+
+val of_columns : n:int -> his:int array -> values:float array -> count:int -> t
+(** The histogram of the first [count] rows of the columns, copied: the
+    columns may be overwritten afterwards.  Raises [Invalid_argument]
+    unless the rows are non-empty contiguous buckets covering [\[1, n\]]. *)
 
 val of_boundaries : Sh_prefix.Prefix_sums.t -> boundaries:int array -> t
 (** [of_boundaries prefix ~boundaries] builds the histogram whose bucket
@@ -28,6 +38,9 @@ val of_boundaries : Sh_prefix.Prefix_sums.t -> boundaries:int array -> t
     sequence length); bucket values are the exact range means. *)
 
 val bucket_count : t -> int
+
+val buckets : t -> bucket array
+(** The buckets as fresh records, in order. *)
 
 val find_bucket : t -> int -> bucket
 (** Bucket containing index [i], by binary search in O(log B). *)
@@ -50,3 +63,19 @@ val sse_against : t -> Sh_prefix.Prefix_sums.t -> float
     E_X(H_B) of the paper, computed in O(B) from prefix sums. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 The estimate kernel over bucket columns}
+
+    What {!point_estimate} and {!range_sum_estimate} evaluate, over rows
+    [\[0, count)] of a right-end column and a value column laid out as in
+    {!t} (the columns may be longer).  For callers that keep a histogram
+    in storage of their own; they check arguments themselves. *)
+
+val point_in : his:int array -> values:float array -> count:int -> int -> float
+(** Value of the bucket covering index [i].  Requires
+    [1 <= i <= his.(count - 1)]. *)
+
+val range_sum_in :
+  his:int array -> values:float array -> count:int -> lo:int -> hi:int -> float
+(** The {!range_sum_estimate} of [\[lo, hi\]]: 0 when [lo > hi], else
+    requires [1 <= lo] and [hi <= his.(count - 1)]. *)

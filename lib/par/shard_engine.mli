@@ -146,6 +146,10 @@ val length : t -> key:int -> int
 
 val current_error : t -> key:int -> float
 val current_histogram : t -> key:int -> Sh_histogram.Histogram.t
+(** A copy of the published view's histogram
+    ({!Stream_histogram.Fixed_window.View.current_histogram}): the view
+    is refilled in place once it is retired, the copy never changes. *)
+
 val herror : t -> key:int -> k:int -> x:int -> float
 
 val with_view : t -> key:int -> f:(Stream_histogram.Fixed_window.View.t -> 'a) -> 'a

@@ -18,7 +18,7 @@ let make ~n segments =
 
 let of_histogram h =
   make ~n:h.Histogram.n
-    (Array.map (fun b -> { hi = b.Histogram.hi; value = b.Histogram.value }) h.Histogram.buckets)
+    (Array.map (fun b -> { hi = b.Histogram.hi; value = b.Histogram.value }) (Histogram.buckets h))
 
 let of_means data ~boundaries =
   let prefix = Prefix_sums.make data in

@@ -67,7 +67,10 @@ let test_fw_validation () =
   let fw = FW.create ~window:4 ~buckets:2 ~epsilon:0.1 in
   Alcotest.check_raises "empty histogram"
     (Invalid_argument "Fixed_window.current_histogram: empty window") (fun () ->
-      ignore (FW.current_histogram fw))
+      ignore (FW.current_histogram fw));
+  Alcotest.check_raises "empty view histogram"
+    (Invalid_argument "Fixed_window.View.current_histogram: empty window") (fun () ->
+      ignore (FW.View.current_histogram (FW.view fw)))
 
 let test_fw_partial_window () =
   (* Queries must work before the window fills. *)
@@ -752,19 +755,39 @@ type answers = {
   n : int;
   err : float;
   hist : H.t option;
+  (* the histogram's point estimate at every index, then its range sums
+     over every prefix [1, x] and every suffix [x, n] *)
+  estimates : float array;
   herror : k:int -> x:int -> float;
 }
 
+let estimates ~n ~point ~range_sum =
+  Array.concat
+    [ Array.init n (fun i -> point (i + 1));
+      Array.init n (fun i -> range_sum ~lo:1 ~hi:(i + 1));
+      Array.init n (fun i -> range_sum ~lo:(i + 1) ~hi:n) ]
+
+(* The view's estimates are read from its own storage, not from the
+   [current_histogram] copy. *)
 let of_view v =
+  let n = FW.View.length v in
   { gen = FW.View.generation v; seen = FW.View.points_seen v; b = FW.View.buckets v;
-    eps = FW.View.epsilon v; n = FW.View.length v; err = FW.View.current_error v;
-    hist = FW.View.histogram v; herror = FW.View.herror v }
+    eps = FW.View.epsilon v; n; err = FW.View.current_error v;
+    hist = (if n = 0 then None else Some (FW.View.current_histogram v));
+    estimates =
+      estimates ~n ~point:(FW.View.point_estimate v) ~range_sum:(FW.View.range_sum_estimate v);
+    herror = FW.View.herror v }
 
 let of_live fw =
   let err = FW.current_error fw in
+  let n = FW.length fw in
+  let hist = if n = 0 then None else Some (FW.current_histogram fw) in
   { gen = FW.generation fw; seen = FW.points_seen fw; b = FW.buckets fw; eps = FW.epsilon fw;
-    n = FW.length fw; err;
-    hist = (if FW.length fw = 0 then None else Some (FW.current_histogram fw));
+    n; err; hist;
+    estimates =
+      (match hist with
+      | None -> [||]
+      | Some h -> estimates ~n ~point:(H.point_estimate h) ~range_sum:(H.range_sum_estimate h));
     herror = FW.herror fw }
 
 (* The first answer in which [got] differs from [expect], bit for bit:
@@ -804,6 +827,9 @@ let first_difference expect got =
         | None, None -> None
         | Some e, Some g -> if series e = series g then None else Some "histogram"
         | _ -> Some "histogram presence");
+      (fun () ->
+        if Array.map bits expect.estimates = Array.map bits got.estimates then None
+        else Some "histogram estimates");
       cells ]
 
 (* One check: every answer of [got] equals [expect]'s, bit for bit; a
@@ -851,29 +877,39 @@ let test_fw_held_view_keeps_answers () =
 
 (* [view_into] refills one view in place with exactly what [view] cuts:
    the same view is refilled from summaries of two geometries in turn
-   (window, buckets and epsilon differ, so the ring and the level lists
-   are replaced or grown), from empty windows through full ones.  A
-   histogram taken from the view before a refill keeps its buckets. *)
+   (window, buckets and epsilon differ, so the ring, the level lists and
+   the histogram's storage are replaced or grown), from empty windows
+   through full ones; [same_view] reads the refilled histogram in place
+   as well as through a copy.  Every histogram [current_histogram] took
+   from the view stays bit-identical across all later refills, those
+   from the summary with more buckets included: it is a copy, not the
+   storage a refill rewrites. *)
 let test_fw_view_into_refills () =
   let data = Array.init 300 (fun i -> Float.of_int ((i * 53) mod 97) -. 40.0) in
   let small = FW.create ~window:16 ~buckets:3 ~epsilon:0.3 in
   let large = FW.create ~window:48 ~buckets:5 ~epsilon:0.1 in
   let v = FW.view small in
   let series h = Array.map Int64.bits_of_float (H.to_series h) in
+  let held = ref [] in
   for i = 0 to Array.length data - 1 do
     FW.push small data.(i);
     FW.push large data.(Array.length data - 1 - i);
     if i mod 7 = 0 then begin
       let src = if i mod 14 = 0 then large else small in
-      let held = Option.map (fun h -> (h, series h)) (FW.View.histogram v) in
+      if FW.View.length v > 0 then begin
+        let h = FW.View.current_histogram v in
+        held := (h, series h) :: !held
+      end;
       FW.view_into src v;
       same_view (Printf.sprintf "refill at %d" i) v (FW.view src);
-      Option.iter
-        (fun (h, before) ->
-          Alcotest.(check bool) "held histogram unchanged" true (before = series h))
-        held
+      List.iteri
+        (fun age (h, before) ->
+          if before <> series h then
+            Alcotest.failf "refill at %d: the copy taken %d refills ago changed" i (age + 1))
+        !held
     end
-  done
+  done;
+  Alcotest.(check bool) "copies held across refills" true (List.length !held > 30)
 
 (* [a] with every HERROR cell read once, now: a record of what it
    answered, immune to later changes in what it was read from. *)
@@ -1080,7 +1116,7 @@ let test_fw_golden_answers () =
     Alcotest.(check (list (triple int int string)))
       (side ^ ": histogram buckets")
       (List.map (fun (lo, hi, v) -> (lo, hi, hex v)) hist)
-      (Array.to_list (Array.map (fun b -> (b.H.lo, b.H.hi, hex b.H.value)) h.H.buckets))
+      (Array.to_list (Array.map (fun b -> (b.H.lo, b.H.hi, hex b.H.value)) (H.buckets h)))
   in
   Alcotest.(check int) "window full" window (FW.length fw);
   Alcotest.(check string) "live: current_error" (hex err) (hex (FW.current_error fw));
@@ -1211,7 +1247,7 @@ let test_fw_first_refresh_golden () =
     done;
     Array.iter
       (fun bk -> Buffer.add_string buf (Printf.sprintf "%d,%d,%s;" bk.H.lo bk.H.hi (hex bk.H.value)))
-      hist.H.buckets;
+      (H.buckets hist);
     Digest.to_hex (Digest.string (Buffer.contents buf))
   in
   let check name data expected =

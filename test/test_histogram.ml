@@ -171,7 +171,7 @@ let test_equi_width_exact_counts () =
   let h = Heur.equi_width p ~buckets:5 in
   Alcotest.(check int) "buckets" 5 (H.bucket_count h);
   Array.iter (fun b -> Alcotest.(check int) "width 2" 2 (b.H.hi - b.H.lo + 1))
-    (h : H.t).H.buckets
+    (H.buckets h)
 
 let test_max_diff_places_boundary_at_jump () =
   let data = [| 1.0; 1.0; 1.0; 50.0; 50.0; 50.0 |] in

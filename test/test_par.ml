@@ -774,13 +774,15 @@ let test_query_many_clamping () =
 (* ------------------------------------------------ recycled views *)
 
 (* Everything a reader can observe of a view, as bits: generation,
-   watermark, current error, histogram and every HERROR[x, k]. *)
+   watermark, current error, histogram (a copy, and every point estimate
+   read in place) and every HERROR[x, k]. *)
 let view_bits v =
   let bits = Int64.bits_of_float in
   let n = FW.View.length v and b = FW.View.buckets v in
   ( (FW.View.generation v, FW.View.points_seen v, n),
     bits (FW.View.current_error v),
-    Option.map (fun h -> Array.map bits (H.to_series h)) (FW.View.histogram v),
+    (if n = 0 then None else Some (Array.map bits (H.to_series (FW.View.current_histogram v)))),
+    List.init n (fun i -> bits (FW.View.point_estimate v (i + 1))),
     List.init b (fun i -> List.init (n + 1) (fun x -> bits (FW.View.herror v ~k:(i + 1) ~x))) )
 
 (* Publication refills retired views, so a view a reader still holds must
@@ -827,6 +829,57 @@ let test_held_views_stay_put () =
       let live = SE.with_key eng ~key:1 ~f:FW.current_error in
       Alcotest.(check int64) "latest answers" (Int64.bits_of_float live)
         (Int64.bits_of_float (SE.current_error eng ~key:1)))
+
+(* Publication recomputes a retired view's histogram into the view's own
+   storage.  So [SE.current_histogram] must hand out a copy: one taken
+   before any number of later republications of its key stays
+   bit-identical.  And a reader holding a view through [with_view] reads
+   [Range_sum] and [Point_estimate] in place: on a refilled view they
+   must answer what a fresh [FW.view] of the shard answers at the same
+   generation, over every range and index, clamped ones included.  One
+   domain, one owner, [Eager]: every publication refills the owner's one
+   spare, so the views read here are refilled ones. *)
+let test_refilled_view_reads () =
+  Pool.with_pool ~domains:1 (fun pool ->
+      let shards = 3 and window = 24 in
+      let eng = SE.create ~pool ~shards ~window ~buckets:4 ~epsilon:0.2 in
+      SE.set_refresh_policy eng Params.Eager;
+      let next = ref 0 in
+      let batch key len =
+        Array.init len (fun _ ->
+            incr next;
+            (key, Float.of_int ((!next * 53) mod 97) -. 40.0))
+      in
+      let ops n =
+        Array.concat
+          [ Array.init (n + 4) (fun i -> Qop.Point_estimate { index = i - 1 });
+            Array.concat
+              (List.init (n + 3) (fun lo ->
+                   Array.init (n + 4 - lo) (fun d -> Qop.Range_sum { lo = lo - 1; hi = lo - 2 + d })))
+          ]
+      in
+      let answers v = Array.map (fun q -> Int64.bits_of_float (Qop.eval_view v q)) (ops window) in
+      let series h = Array.map Int64.bits_of_float (H.to_series h) in
+      let seen = ref [] and refilled = ref 0 and held = ref [] in
+      for round = 0 to 59 do
+        let key = round mod shards in
+        SE.ingest eng (batch key (1 + (round mod 7)));
+        let fresh = SE.with_key eng ~key ~f:FW.view in
+        SE.with_view eng ~key ~f:(fun v ->
+            Alcotest.(check int) "same generation" (FW.View.generation fresh) (FW.View.generation v);
+            if List.memq v !seen then incr refilled else seen := v :: !seen;
+            if answers v <> answers fresh then
+              Alcotest.failf "round %d key %d: in-place estimates differ from a fresh view's"
+                round key);
+        let h = SE.current_histogram eng ~key:0 in
+        held := (h, series h) :: !held;
+        List.iteri
+          (fun age (h, before) ->
+            if before <> series h then
+              Alcotest.failf "round %d: the histogram copy taken %d rounds ago changed" round age)
+          !held
+      done;
+      Alcotest.(check bool) "reads of refilled views" true (!refilled > 40))
 
 (* A reader domain loops [query_many] while the producer ingests.  Each
    answer is kept with the generations it was read between: the published
@@ -1072,6 +1125,8 @@ let () =
           Alcotest.test_case "query_many clamping + counters" `Quick test_query_many_clamping;
           Alcotest.test_case "held views stay put across publications" `Quick
             test_held_views_stay_put;
+          Alcotest.test_case "refilled views: pinned reads, copied histograms" `Quick
+            test_refilled_view_reads;
           Alcotest.test_case "concurrent reads == sequential oracle" `Quick
             test_concurrent_reads_match_oracle;
         ] );
