@@ -345,10 +345,7 @@ let filled_engine pool ~shards ~window ~buckets ~epsilon =
   (* batches of 64 points per shard: the ingest buffer holds one batch *)
   let per = 64 in
   for r = 0 to (window / per) - 1 do
-    SE.ingest eng
-      (Array.init (shards * per) (fun i ->
-           let k = i mod shards in
-           (k, data.(k).((r * per) + (i / shards)))))
+    SE.ingest_groups eng (Array.init shards (fun k -> (k, Array.sub data.(k) (r * per) per)))
   done;
   SE.refresh_all eng;
   eng
@@ -758,15 +755,18 @@ let run_obs _scale =
 
 module Traffic = Sh_serve.Traffic
 
-(* Pre-generated rounds of (key, value) arrivals, round-robin over shards,
-   each shard's values drawn from its own split_ix-derived source — the
-   same data for every pool size, so only wall-clock varies. *)
+(* Pre-generated rounds of arrivals as (keys, values) columns,
+   round-robin over shards, each shard's values drawn from its own
+   split_ix-derived source — the same data for every pool size, so only
+   wall-clock varies. *)
 let par_round_data ~shards ~batch ~rounds ~seed =
   let sources = Traffic.sources (Rng.create ~seed) ~shards in
   Array.init rounds (fun _ ->
-      Array.init batch (fun i ->
-          let k = i mod shards in
-          (k, sources.(k) ())))
+      let keys = Array.init batch (fun i -> i mod shards) in
+      (keys, Array.map (fun k -> sources.(k) ()) keys))
+
+let ingest_round eng (keys, values) =
+  SE.ingest_columns eng ~keys ~values ~len:(Array.length keys)
 
 let run_par scale =
   Report.section "BENCH-PARALLEL: sharded multi-stream ingest across a domain pool";
@@ -782,12 +782,12 @@ let run_par scale =
     Pool.with_pool ~domains (fun pool ->
         let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon in
         (* steady state before the clock starts: windows full, lists warm *)
-        SE.ingest eng prefill;
+        ingest_round eng prefill;
         SE.refresh_all eng;
         let t0 = Sh_net.Clock.now () in
         Array.iter
           (fun b ->
-            SE.ingest eng b;
+            ingest_round eng b;
             SE.refresh_all ~cold eng)
           round_data;
         let dt = Sh_net.Clock.now () -. t0 in
@@ -893,7 +893,7 @@ let run_read scale =
     Pool.with_pool ~domains (fun pool ->
         let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon in
         SE.set_refresh_policy eng (Stream_histogram.Params.Every 64);
-        SE.ingest eng prefill;
+        ingest_round eng prefill;
         SE.refresh_all eng;
         let stop = Atomic.make false in
         let reader =
@@ -912,7 +912,7 @@ let run_read scale =
         let ri = ref 0 in
         let t0 = Sh_net.Clock.now () in
         while not (Atomic.get stop) do
-          SE.ingest eng round_data.(!ri mod rounds);
+          ingest_round eng round_data.(!ri mod rounds);
           incr ri;
           ingested := !ingested + batch
         done;
@@ -1064,7 +1064,7 @@ let run_persist scale =
         Pool.with_pool ~domains:1 @@ fun pool ->
         let window = List.hd (List.rev fw_windows) in
         let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon in
-        SE.ingest eng (par_round_data ~shards ~batch:(shards * window) ~rounds:1 ~seed:22).(0);
+        ingest_round eng (par_round_data ~shards ~batch:(shards * window) ~rounds:1 ~seed:22).(0);
         SE.refresh_all eng;
         let ck_ns = timed_ns ~reps:(max 5 (reps / 5)) (fun () -> SE.checkpoint eng ~file:ck_file) in
         let rs_ns =

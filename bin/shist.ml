@@ -322,7 +322,9 @@ let serve_cmd =
       value
       & opt policy_conv (Stream_histogram.Params.Every 256)
       & info [ "refresh" ] ~docv:"POLICY"
-          ~doc:"Per-shard rebuild policy: eager | lazy | every:K (K >= 1).")
+          ~doc:
+            "Per-shard rebuild policy: eager | lazy | every:K (K >= 1).  Refused with \
+             $(b,--listen) when lazy: nothing would publish a view for clients to read.")
   in
 
   let checkpoint_file =
@@ -361,7 +363,8 @@ let serve_cmd =
              $(b,--record-every) batches — items ingested, ns/point, an exact-oracle SSE spot \
              check on a rotating key, the major heap's size in words (column \
              $(i,resident_words): free space included, so neither RSS nor live data), \
-             the refresh-steal count and the latency quantiles.")
+             the refresh-steal count and the latency quantiles.  In-process only: refused \
+             with $(b,--listen).")
   in
   let record_every =
     Arg.(
@@ -378,7 +381,8 @@ let serve_cmd =
              pacing towards $(docv) queries per ingested point (0, the default, disables \
              query traffic).  Queries answer from the published snapshots, whose loads never \
              wait for ingest, and the report counts queries served, throughput and snapshot \
-             generation lag.")
+             generation lag.  In-process only: a positive $(docv) is refused with \
+             $(b,--listen).")
   in
   let listen =
     Arg.(
@@ -389,8 +393,9 @@ let serve_cmd =
             "Serve the engine over the wire protocol instead of generating a local stream: \
              accept connections on $(docv) ($(b,unix:PATH), $(b,tcp:HOST:PORT), \
              $(b,HOST:PORT) or $(b,:PORT); repeatable).  Clients drive ingest and queries \
-             ($(b,shist loadgen)); the generation flags ($(b,-n), $(b,--batch), $(b,--dist), \
-             $(b,--query-mix), $(b,--record)) are ignored.  The run ends when a client sends \
+             ($(b,shist loadgen)); the generation flags ($(b,-n), $(b,--batch), $(b,--dist)) \
+             are ignored, and $(b,--query-mix), $(b,--record) and $(b,--refresh) lazy are \
+             refused.  The run ends when a client sends \
              shutdown or $(b,--max-points) points have arrived.")
   in
   let max_points =

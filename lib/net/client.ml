@@ -92,6 +92,9 @@ let write_all t s =
       off := !off + n;
       t.bytes_out <- t.bytes_out + n
     | exception Unix.Unix_error (EINTR, _, _) -> ()
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+      (* the socket's SO_SNDTIMEO expired with the peer not reading *)
+      net_errorf "timeout after %gs writing to the server" t.timeout
     | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
       net_errorf "connection reset by server"
   done
@@ -100,6 +103,7 @@ let connect_once ~timeout addr =
   let sock = Addr.socket_for addr in
   match
     Unix.connect sock (Addr.to_sockaddr addr);
+    Unix.setsockopt_float sock SO_SNDTIMEO timeout;
     sock
   with
   | sock ->

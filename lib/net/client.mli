@@ -23,15 +23,19 @@ val connect :
   Addr.t ->
   t
 (** Connect, send our preamble and validate the server's.  [timeout]
-    (default 30 s) bounds every subsequent socket wait, not just the
-    connect.  [retries] (default 0) extra attempts are made on refused /
-    missing / reset peers, [retry_delay] (default 0.2 s) apart — the
-    reconnect story for a server that is restarting from a checkpoint.
+    (default 30 s) bounds every subsequent socket wait, reads and writes
+    alike: a write to a peer that stops reading raises {!Net_error}
+    once the socket's send timeout expires without progress.  [retries]
+    (default 0) extra attempts are made on refused / missing / reset
+    peers, [retry_delay] (default 0.2 s) apart — the reconnect story for
+    a server that is restarting from a checkpoint.
     Raises [Invalid_argument], before opening a socket, unless [timeout]
     is finite and > 0. *)
 
 val send : t -> Wire.request -> unit
-(** Write one request frame (blocks until the kernel has all of it). *)
+(** Write one request frame: blocks until the kernel has all of it, and
+    raises {!Net_error} if a write makes no progress for [timeout]
+    seconds. *)
 
 val recv : t -> Wire.response
 (** Read the next response frame, blocking up to the connect [timeout]. *)

@@ -240,7 +240,7 @@ let check_key t key =
     invalid_arg (Printf.sprintf "Shard_engine: key %d out of range [0, %d)" key (Array.length t.shards))
 
 (* Run [f] on the live shard.  Exclusivity comes from the call-site
-   discipline (live-shard access does not overlap an in-flight [ingest] /
+   discipline (live-shard access does not overlap an in-flight ingest /
    [refresh_all] call; see the .mli).  [f] may have refreshed the shard,
    so the view is republished before returning, as owner 0: no task is
    running to use its spare. *)
@@ -250,7 +250,7 @@ let with_shard t key f =
   t.publish 0 key;
   v
 
-(* The one ingest routine, shared by [ingest], [ingest_groups] and
+(* The one ingest routine, shared by [ingest_groups] and
    [ingest_columns]: a stable counting sort of the batch by key, then one
    apply task per owner.  [count] validates the whole batch (raising
    before anything is ingested) while adding each key's points to the
@@ -281,24 +281,6 @@ let route t ~count ~scatter =
     tally t.batches c_batches 1;
     if lat then L.record l_ingest (Obs.now () -. t0)
   end
-
-let ingest t batch =
-  route t
-    ~count:(fun cnt ->
-      Array.iter
-        (fun (k, v) ->
-          check_key t k;
-          if not (Float.is_finite v) then
-            invalid_arg "Shard_engine.ingest: non-finite value";
-          cnt.(k) <- cnt.(k) + 1)
-        batch;
-      Array.length batch)
-    ~scatter:(fun buf off ->
-      for i = Array.length batch - 1 downto 0 do
-        let k, v = batch.(i) in
-        off.(k) <- off.(k) - 1;
-        buf.(off.(k)) <- v
-      done)
 
 (* Pre-grouped ingest: the batch arrives as (key, values) runs — the shape
    of a decoded network ingest frame — and each run is blitted whole,
@@ -411,33 +393,6 @@ let publication_lag t ~key =
   let lag = FW.points_seen t.shards.(key) - FW.View.points_seen published.view in
   if lag < 0 then 0 else lag
 
-(* Estimation queries feed the "latency.query" tracker; the timers are
-   hand-rolled like the task timers so the disabled path costs one boolean
-   load and no closure beyond the continuation.  Every query answers from
-   the published view, pinned for the evaluation: the pin takes no lock
-   and never touches what the live shard writes; with tracking on, the timer's
-   [L.record] takes the tracker's mutex once per call. *)
-let view_query t key f =
-  let lat = Obs.latency_enabled () in
-  let t0 = if lat then Obs.now () else 0.0 in
-  let v = with_pinned (slot t key) f () in
-  if lat then L.record l_query (Obs.now () -. t0);
-  v
-
-let length t ~key = with_pinned (slot t key) (fun v () -> FW.View.length v) ()
-
-let current_error t ~key =
-  tally t.queries c_queries 1;
-  view_query t key (fun v () -> FW.View.current_error v)
-
-let current_histogram t ~key =
-  tally t.queries c_queries 1;
-  view_query t key (fun v () -> FW.View.current_histogram v)
-
-let herror t ~key ~k ~x =
-  tally t.queries c_queries 1;
-  view_query t key (fun v () -> FW.View.herror v ~k ~x)
-
 let with_key t ~key ~f = with_shard t key f
 
 (* --- batched queries --------------------------------------------------- *)
@@ -453,6 +408,9 @@ let eval_global t q =
   done;
   !acc
 
+(* One "latency.query" observation per call, the timer hand-rolled like
+   the task timers so the disabled path costs one boolean load; with
+   tracking on, [L.record] takes the tracker's mutex once per call. *)
 let query_many t qs =
   let lat = Obs.latency_enabled () in
   let t0 = if lat then Obs.now () else 0.0 in

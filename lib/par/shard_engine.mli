@@ -16,6 +16,12 @@
     claims its own slice through an atomic cursor, then steals from
     slower owners, so a Zipf-hot slice cannot serialise the sweep.
 
+    A batch arrives as two columns ({!ingest_columns}, what the serve
+    loop decodes) or as key-grouped runs ({!ingest_groups}, a decoded
+    ingest frame).  Reads are batches of scoped queries ({!query_many},
+    the wire's query vocabulary) or a pinned published view
+    ({!with_view}, {!view}).
+
     Results are bit-identical to driving one sequential
     {!Stream_histogram.Fixed_window.t} per key with the same per-key
     subsequences (property-tested for domain counts 1, 2 and 4): shard
@@ -46,33 +52,30 @@ val shard_count : t -> int
 
 val pool : t -> Domain_pool.t
 
-val ingest : t -> (int * float) array -> unit
-(** Route one batch of [(key, value)] arrivals to their shards and apply
-    each shard's sub-batch as a single
-    {!Stream_histogram.Fixed_window.push_slice} in arrival order — so the
-    per-batch refresh amortisation of the sequential path carries over
-    unchanged.  Returns once every point of the batch is applied; no
-    value is ever left in flight between calls.  The engine is
-    single-producer: at most one [ingest] per engine at a time.  Raises [Invalid_argument] (before ingesting
-    anything) if any key is out of range or any value non-finite. *)
-
-val ingest_groups : t -> (int * float array) array -> unit
-(** {!ingest} for a batch that arrives pre-grouped as [(key, values)] runs
-    — the shape of a decoded network ingest frame — each run blitted
-    whole, without ever materialising per-point [(key, value)] pairs.
-    Keys may repeat; a shard's sub-batch is its groups' values
-    concatenated in group order, so [ingest_groups t gs] is observationally identical to [ingest t]
-    of the flattened pairs (same single-producer contract, same
-    validation, same per-batch refresh cadence). *)
-
 val ingest_columns :
   t -> keys:int array -> values:float array -> len:int -> unit
-(** {!ingest} for a batch held as columns: row [i < len] is the point
+(** Ingest one batch held as columns: row [i < len] is the point
     [values.(i)] for key [keys.(i)], in arrival order — the shape the
-    serve loop decodes a round of ingest requests into.  Observationally
-    identical to {!ingest} of the rows as pairs (same contract, same
-    validation, same per-batch refresh cadence); nothing is allocated per
-    point.  Raises [Invalid_argument] if [len] exceeds either column. *)
+    serve loop decodes a round of ingest requests into, and the one the
+    in-process [shist serve] draws its batches into.  The batch is
+    routed to its shards and each shard's sub-batch is applied as a
+    single {!Stream_histogram.Fixed_window.push_slice} in arrival order,
+    so the per-batch refresh amortisation of the sequential path carries
+    over unchanged.  Returns once every point of the batch is applied; no
+    value is ever left in flight between calls, and nothing is allocated
+    per point.  The engine is single-producer: at most one ingest call
+    ([ingest_columns] or {!ingest_groups}) per engine at a time.  Raises
+    [Invalid_argument], before ingesting anything, if [len] exceeds
+    either column, any key is out of range or any value non-finite. *)
+
+val ingest_groups : t -> (int * float array) array -> unit
+(** {!ingest_columns} for a batch that arrives pre-grouped as
+    [(key, values)] runs — the shape of a decoded network ingest frame —
+    each run blitted whole.  Keys may repeat; a shard's sub-batch is its
+    groups' values concatenated in group order, so [ingest_groups t gs]
+    is observationally identical to {!ingest_columns} of the flattened
+    rows (same single-producer contract, same validation, same per-batch
+    refresh cadence). *)
 
 val refresh_all : ?cold:bool -> t -> unit
 (** Rebuild every stale shard's interval lists across the pool — the
@@ -87,7 +90,7 @@ val refresh_all : ?cold:bool -> t -> unit
     padded atomic pointer, republished by the shard's publisher (the task
     that refreshed it) at every publication point.  Publication points
     are refresh completions — a {!refresh_all} sweep, or an
-    arrival-driven rebuild inside {!ingest} ([Eager] every batch,
+    arrival-driven rebuild inside an ingest call ([Eager] every batch,
     [Every k] whenever a batch crosses the cadence boundary).
 
     Publication recycles views.  Each owner keeps one spare view; to
@@ -108,19 +111,18 @@ val refresh_all : ?cold:bool -> t -> unit
     summary has let go of them too.  Answers are those of immutable
     snapshots.
 
-    {!current_error}, {!current_histogram}, {!herror}, {!length} and
-    {!query_many} answer from the published view.
+    {!query_many}, {!with_view} and {!view} read the published view.
     A read is pin + load + evaluate + unpin: it takes no lock, never
     touches what the live summary writes, and never waits for an in-flight
-    {!ingest} / {!refresh_all}.  It is lock-free rather than wait-free:
+    ingest call / {!refresh_all}.  It is lock-free rather than wait-free:
     it retries only when the same key is republished between its load and
     its check.  So these calls are safe from any domain and complete
     while the owner holds a shard (tested: a reader's {!query_many} on a
     key finishes while {!with_key} on that key is blocked).  While
-    latency tracking is on ({!Sh_obs.Obs.set_latency_enabled}), each of
-    these calls except {!length} also takes the ["latency.query"]
-    tracker's mutex once, to record its duration; readers contend only
-    with each other there, never with ingest.  The price is bounded
+    latency tracking is on ({!Sh_obs.Obs.set_latency_enabled}), each
+    {!query_many} call also takes the ["latency.query"] tracker's mutex
+    once, to record its duration; readers contend only with each other
+    there, never with ingest.  The price is bounded
     staleness: answers reflect the shard as of its last publication
     point, i.e. at most one refresh cadence behind the live summary
     ([Lazy] defers publication to the next {!refresh_all} — call it
@@ -136,27 +138,18 @@ val refresh_all : ?cold:bool -> t -> unit
 
     Live-shard escape hatches ({!with_key}, {!fold}, {!set_refresh_policy},
     {!checkpoint}) bypass the view and require the same exclusivity as
-    {!ingest} itself (no overlap with an in-flight engine call — the
+    an ingest call itself (no overlap with an in-flight engine call — the
     single producer that drives ingest may use them between batches,
     which is every in-tree usage). *)
-
-val length : t -> key:int -> int
-(** Window length, from the published view (not counted as an estimation
-    query). *)
-
-val current_error : t -> key:int -> float
-val current_histogram : t -> key:int -> Sh_histogram.Histogram.t
-(** A copy of the published view's histogram
-    ({!Stream_histogram.Fixed_window.View.current_histogram}): the view
-    is refilled in place once it is retired, the copy never changes. *)
-
-val herror : t -> key:int -> k:int -> x:int -> float
 
 val with_view : t -> key:int -> f:(Stream_histogram.Fixed_window.View.t -> 'a) -> 'a
 (** [f] applied to the shard's currently published view, pinned while [f]
     runs: the view stays bit-identical until [f] returns (or raises),
     whatever is published meanwhile, and may be recycled afterwards, so
-    [f] must not keep it.  A stable snapshot across several estimates. *)
+    [f] must not keep it.  A stable snapshot across several estimates;
+    [with_view ~f:Stream_histogram.Fixed_window.View.current_histogram]
+    returns a copy of the histogram that later publications never
+    change.  Neither counted in ["engine.queries"] nor timed. *)
 
 val view : t -> key:int -> Stream_histogram.Fixed_window.View.t
 (** The shard's currently published view, pinned for good: it is never
@@ -237,8 +230,8 @@ val refresh_steals : t -> int
     sweeps (["engine.refresh_steals"]). *)
 
 val queries : t -> int
-(** Estimation queries answered (["engine.queries"]): single-query calls
-    plus one per {!query_many} element. *)
+(** Estimation queries answered (["engine.queries"]): one per
+    {!query_many} element. *)
 
 val snapshots_published : t -> int
 (** Read views published since creation (["engine.snapshots_published"]),
@@ -255,9 +248,9 @@ val snapshots_published : t -> int
 
 val checkpoint : t -> file:string -> unit
 (** Capture every shard and atomically publish the file.  Every point of
-    a returned {!ingest} is already in its shard, so each frame captures
+    a returned ingest call is already in its shard, so each frame captures
     a shard with no in-flight values.  Do not run concurrently with
-    {!ingest}: frames are per-shard consistent, but a mid-batch checkpoint would split that
+    an ingest call: frames are per-shard consistent, but a mid-batch checkpoint would split that
     batch across the checkpoint boundary. *)
 
 val restore_from : pool:Domain_pool.t -> file:string -> t

@@ -29,7 +29,10 @@ let create eng ~file ~restored ~window ~buckets =
     last_pts = SE.total_points eng;
   }
 
-let observe t arrivals = Array.iter (fun (k, v) -> EW.push t.exact.(k) v) arrivals
+let observe t ~keys ~values ~len =
+  for i = 0 to len - 1 do
+    EW.push t.exact.(keys.(i)) values.(i)
+  done
 
 let sample t =
   let eng = t.eng in

@@ -23,8 +23,10 @@ val create : Sh_par.Shard_engine.t -> file:string -> restored:bool -> window:int
 (** Open [file] for appending.  [window] and [buckets] are the engine's
     geometry; [restored] says its windows did not start empty. *)
 
-val observe : t -> (int * float) array -> unit
-(** Mirror a batch the engine has just ingested. *)
+val observe : t -> keys:int array -> values:float array -> len:int -> unit
+(** Mirror a batch the engine has just ingested with
+    {!Sh_par.Shard_engine.ingest_columns}: row [i < len] is the point
+    [values.(i)] for key [keys.(i)]. *)
 
 val sample : t -> unit
 (** Append one sample line and flush. *)

@@ -141,7 +141,7 @@ let reader eng ~rng ~query_mix ~window ~buckets ~stop () =
   done;
   (!served, lag)
 
-(* Generate [count] points of {!Traffic} in [batch]-sized ingests, with
+(* Generate [count] points of {!Traffic} in [batch]-sized column ingests, with
    the optional recorder, reader domain and checkpoint cadence. *)
 let serve_generate c eng =
   let shards = SE.shard_count eng in
@@ -164,14 +164,21 @@ let serve_generate c eng =
       let rng = Rng.split_ix root (shards + 1) in
       Some (Domain.spawn (reader eng ~rng ~query_mix:c.query_mix ~window ~buckets ~stop))
   in
+  (* each batch is drawn into these columns, the serve loop's shape *)
+  let keys = Array.make (min c.batch (max 0 c.count)) 0 in
+  let values = Array.make (Array.length keys) 0.0 in
   let t0 = Clock.now () in
   let remaining = ref c.count in
   let batches = ref 0 in
   while !remaining > 0 do
     let b = min c.batch !remaining in
-    let arrivals = Array.init b (fun _ -> Traffic.next traffic) in
-    SE.ingest eng arrivals;
-    Option.iter (fun r -> Recorder.observe r arrivals) recorder;
+    for i = 0 to b - 1 do
+      let k, v = Traffic.next traffic in
+      keys.(i) <- k;
+      values.(i) <- v
+    done;
+    SE.ingest_columns eng ~keys ~values ~len:b;
+    Option.iter (fun r -> Recorder.observe r ~keys ~values ~len:b) recorder;
     remaining := !remaining - b;
     incr batches;
     (match recorder with
@@ -213,6 +220,17 @@ let serve c =
   | Some k when k < 1 -> invalid_arg "serve: --checkpoint-every must be >= 1"
   | Some _ when c.checkpoint = None -> invalid_arg "serve: --checkpoint-every requires --checkpoint"
   | _ -> ());
+  (* A listening engine is fed and read by clients only: nothing would
+     run [refresh_all], the in-process reader or the recorder. *)
+  if c.listen <> [] then begin
+    if c.policy = Params.Lazy then
+      invalid_arg
+        "serve: --refresh lazy publishes no view while listening, so every query would read \
+         an empty window; use eager or every:K";
+    if c.record <> None then invalid_arg "serve: --record is in-process only, not for --listen";
+    if c.query_mix > 0.0 then
+      invalid_arg "serve: --query-mix is in-process only, not for --listen"
+  end;
   (* serve always collects latency quantiles: a GK insert per timed
      section is far below the batch work it measures, and the end-of-run
      report depends on it. *)

@@ -21,16 +21,16 @@ type config = {
   window : int;
   buckets : int;
   epsilon : float;
-  policy : Stream_histogram.Params.refresh_policy;
+  policy : Stream_histogram.Params.refresh_policy;  (** not [Lazy] when listening *)
   dist : Traffic.dist;  (** in-process: the key chooser *)
   seed : int;
   checkpoint : string option;
       (** written at the end of the run (in-process mode refreshes every shard first) *)
   checkpoint_every : int option;  (** also every k batches (ingest rounds when listening) *)
   restore : string option;  (** start from this checkpoint; geometry flags are ignored *)
-  record : string option;  (** in-process: {!Recorder} output *)
+  record : string option;  (** in-process only: {!Recorder} output *)
   record_every : int;  (** in-process: sample every k batches (>= 1) *)
-  query_mix : float;  (** in-process: reader-domain queries per ingested point *)
+  query_mix : float;  (** in-process only: reader-domain queries per ingested point *)
   listen : Addr.t list;  (** non-empty: serve the wire protocol instead of generating *)
   max_points : int option;  (** listening: stop after this many acked points *)
   idle_timeout : float;  (** listening: the slow-loris reaper's limit, seconds *)
@@ -38,7 +38,10 @@ type config = {
 
 val serve : config -> unit
 (** Raises [Invalid_argument] on a bad [batch], [record_every],
-    [query_mix] or [checkpoint_every]. *)
+    [query_mix] or [checkpoint_every], and, before binding any address,
+    on a non-empty [listen] with the [Lazy] policy (no view would ever
+    be published for clients to read), a [record] file or a positive
+    [query_mix] (both drive the in-process stream only). *)
 
 val aggregate :
   leaves:Addr.t list -> listen:Addr.t list -> timeout:float -> idle_timeout:float -> unit

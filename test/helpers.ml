@@ -74,3 +74,66 @@ let exposed_count family =
       | _ -> None)
     (exposition ())
   |> Option.value ~default:0
+
+(* Ingest [(key, value)] arrivals through the engine's column entry, the
+   one the serve loop calls. *)
+let ingest_pairs eng pairs =
+  Sh_par.Shard_engine.ingest_columns eng ~keys:(Array.map fst pairs)
+    ~values:(Array.map snd pairs) ~len:(Array.length pairs)
+
+(* A wire peer on a fresh Unix socket, on its own domain: it completes
+   the handshake, reads one request per element of [replies] and answers
+   it with that response, then stops reading.  It closes the connection
+   [linger] seconds after accepting it, or as soon as [f] returns. *)
+let with_stalled_peer ?(replies = []) ~linger f =
+  let module Wire = Sh_net.Wire in
+  let path = Filename.temp_file "shist_stalled" ".sock" in
+  Unix.unlink path;
+  let addr = Sh_net.Addr.Unix_sock path in
+  let listener = Sh_net.Server.listen addr in
+  let released = Atomic.make false in
+  let peer =
+    Domain.spawn (fun () ->
+        match Unix.select [ listener ] [] [] linger with
+        | [], _, _ -> ()
+        | _ ->
+          let fd, _ = Unix.accept listener in
+          Unix.clear_nonblock fd;
+          let deadline = Sh_net.Clock.now () +. linger in
+          let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+          let read_more () =
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 -> failwith "stalled peer: EOF before its requests"
+            | n -> Buffer.add_subbytes buf chunk 0 n
+          in
+          let write s = ignore (Unix.write_substring fd s 0 (String.length s) : int) in
+          while Buffer.length buf < Wire.preamble_len do
+            read_more ()
+          done;
+          write Wire.preamble;
+          let pos = ref Wire.preamble_len in
+          List.iter
+            (fun reply ->
+              let rec request () =
+                let s = Buffer.contents buf in
+                match Sh_persist.Frame.scan_frame s ~pos:!pos ~len:(String.length s - !pos) with
+                | Sh_persist.Frame.Frame { consumed; _ } -> pos := !pos + consumed
+                | Sh_persist.Frame.Incomplete ->
+                  read_more ();
+                  request ()
+              in
+              request ();
+              write (Wire.encode_response reply))
+            replies;
+          while (not (Atomic.get released)) && Sh_net.Clock.now () < deadline do
+            Unix.sleepf 0.01
+          done;
+          Unix.close fd)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set released true;
+      Domain.join peer;
+      Unix.close listener;
+      try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
+    (fun () -> f addr)

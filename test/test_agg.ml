@@ -53,10 +53,8 @@ let test_global_is_key_fold () =
   let rng = Helpers.rng ~seed:5 in
   Array.iter
     (fun k ->
-      SE.ingest eng
-        (Array.init
-           (16 + (8 * k))
-           (fun _ -> (k, float_of_int (Rng.int rng 100)))))
+      SE.ingest_groups eng
+        [| (k, Array.init (16 + (8 * k)) (fun _ -> float_of_int (Rng.int rng 100))) |])
     (Array.init shards Fun.id);
   SE.refresh_all eng;
   List.iter
@@ -383,6 +381,25 @@ let test_root_serves_metrics_and_degrades () =
   Alcotest.(check int) "report: partial replies" 1 rep.Server.partial_replies;
   Alcotest.(check int) "report: connections" 2 rep.Server.connections
 
+(* A leaf that answers the root's [Stats] probe and then stops reading:
+   an ingest forwarded to it must come back as a partial, the leaf
+   missing, within a few timeouts, not when the leaf closes (after
+   5 s). *)
+let test_aggregator_stalled_leaf () =
+  let probe =
+    { Wire.shards = 2; window = 64; buckets = 4; total_points = 0; batches = 0; queries = 0;
+      backpressure_waits = 0; snapshots_published = 0 }
+  in
+  Helpers.with_stalled_peer ~replies:[ Wire.Stats_reply probe ] ~linger:5.0 @@ fun addr ->
+  let agg = Aggregator.create ~timeout:0.5 [ addr ] in
+  Fun.protect ~finally:(fun () -> Aggregator.close agg) @@ fun () ->
+  let t0 = Sh_net.Clock.now () in
+  let acked, missing = Aggregator.ingest agg [| (0, Array.make 1_000_000 1.0) |] in
+  let elapsed = Sh_net.Clock.now () -. t0 in
+  Alcotest.(check int) "nothing acked" 0 acked;
+  Alcotest.(check int) "the stalled leaf is missing" 1 missing;
+  if elapsed >= 3.0 then Alcotest.failf "ingest returned after %.2fs, not within 3s" elapsed
+
 let () =
   Alcotest.run "agg"
     [
@@ -397,6 +414,8 @@ let () =
             test_aggregator_matches_single_process;
           Alcotest.test_case "killed leaf degrades to typed partial" `Quick
             test_aggregator_leaf_failure_partial;
+          Alcotest.test_case "stalled leaf degrades within the timeout" `Quick
+            test_aggregator_stalled_leaf;
           Alcotest.test_case "out-of-range keys rejected" `Quick
             test_aggregator_rejects_bad_key;
           Alcotest.test_case "leaf geometry mismatch refused" `Quick

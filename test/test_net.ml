@@ -958,6 +958,22 @@ let test_serve_checkpoint_restart_reconnect () =
    timeout must be refused where it enters, before any socket exists: the
    address below names no socket, so reaching [connect] would raise
    [Net_error] instead. *)
+(* A peer that completes the handshake and then never reads: a write
+   larger than the socket buffers must give up after about the client's
+   timeout, not wait until the peer closes (after 5 s). *)
+let test_client_write_times_out () =
+  Helpers.with_stalled_peer ~linger:5.0 @@ fun addr ->
+  let c = Client.connect ~timeout:0.5 addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let t0 = Sh_net.Clock.now () in
+  match Client.send c (Wire.Ingest [| (0, Array.make 1_000_000 1.0) |]) with
+  | () -> Alcotest.fail "a 1M-point ingest fit in the socket buffers"
+  | exception Client.Net_error msg ->
+    let elapsed = Sh_net.Clock.now () -. t0 in
+    if elapsed >= 3.0 then
+      Alcotest.failf "send raised after %.2fs (%s), not within 3s" elapsed msg;
+    Alcotest.(check bool) ("a timeout: " ^ msg) true (String.starts_with ~prefix:"timeout" msg)
+
 let test_connect_rejects_bad_timeout () =
   let addr =
     Addr.Unix_sock (Filename.concat (Filename.get_temp_dir_name ()) "shist_no_such.sock")
@@ -1021,6 +1037,9 @@ let () =
           Alcotest.test_case "run rejects a bad idle timeout" `Quick
             test_run_rejects_bad_idle_timeout;
         ] );
+      ( "conn",
+        [ Alcotest.test_case "write to a stalled peer times out" `Quick
+            test_client_write_times_out ] );
       ( "wire",
         [
           Alcotest.test_case "request round trips" `Quick test_wire_request_round_trips;

@@ -133,7 +133,7 @@ let engine_matches_sequential ~domains ~shards ~window ~buckets ~epsilon ~policy
       in
       List.iter
         (fun batch ->
-          SE.ingest eng batch;
+          Helpers.ingest_pairs eng batch;
           (* reference: same per-key subsequences, same batched entry *)
           Array.iteri
             (fun k _ ->
@@ -154,11 +154,12 @@ let engine_matches_sequential ~domains ~shards ~window ~buckets ~epsilon ~policy
       let ok = ref true in
       Array.iteri
         (fun k fw ->
-          if SE.length eng ~key:k <> FW.length fw then ok := false;
+          if SE.with_view eng ~key:k ~f:FW.View.length <> FW.length fw then ok := false;
           if FW.length fw > 0 then begin
-            let he = SE.current_error eng ~key:k and hr = FW.current_error fw in
+            let he = SE.with_view eng ~key:k ~f:FW.View.current_error in
+            let hr = FW.current_error fw in
             if not (Helpers.close he hr) then ok := false;
-            let se = H.to_series (SE.current_histogram eng ~key:k) in
+            let se = H.to_series (SE.with_view eng ~key:k ~f:FW.View.current_histogram) in
             let sr = H.to_series (FW.current_histogram fw) in
             if se <> sr then ok := false
           end)
@@ -259,24 +260,30 @@ let test_engine_validation () =
           ignore (SE.create ~pool ~shards:0 ~window:8 ~buckets:2 ~epsilon:0.1));
       let eng = SE.create ~pool ~shards:4 ~window:8 ~buckets:2 ~epsilon:0.1 in
       Alcotest.(check int) "shard count" 4 (SE.shard_count eng);
-      Alcotest.check_raises "key out of range"
+      Alcotest.check_raises "group key out of range"
         (Invalid_argument "Shard_engine: key 4 out of range [0, 4)") (fun () ->
-          SE.ingest eng [| (4, 1.0) |]);
+          SE.ingest_groups eng [| (0, [| 1.0 |]); (4, [| 1.0 |]) |]);
+      Alcotest.check_raises "group value not finite"
+        (Invalid_argument "Shard_engine.ingest_groups: non-finite value") (fun () ->
+          SE.ingest_groups eng [| (0, [| 1.0 |]); (1, [| 2.0; Float.infinity |]) |]);
       Alcotest.check_raises "column key out of range"
         (Invalid_argument "Shard_engine: key 4 out of range [0, 4)") (fun () ->
           SE.ingest_columns eng ~keys:[| 0; 4 |] ~values:[| 1.0; 2.0 |] ~len:2);
       Alcotest.check_raises "column length"
         (Invalid_argument "Shard_engine.ingest_columns: len out of range") (fun () ->
           SE.ingest_columns eng ~keys:[| 0 |] ~values:[| 1.0; 2.0 |] ~len:2);
+      Alcotest.check_raises "column value not finite"
+        (Invalid_argument "Shard_engine.ingest_columns: non-finite value") (fun () ->
+          SE.ingest_columns eng ~keys:[| 0; 1 |] ~values:[| 1.0; Float.nan |] ~len:2);
       (* the rejected batches must not have ingested their valid prefixes *)
       Alcotest.(check int) "nothing ingested" 0 (SE.total_points eng);
-      Alcotest.(check int) "shard untouched" 0 (SE.length eng ~key:0))
+      Alcotest.(check int) "shard untouched" 0 (SE.with_view eng ~key:0 ~f:FW.View.length))
 
 let test_engine_refresh_all_and_counters () =
   Pool.with_pool ~domains:2 (fun pool ->
       let eng = SE.create ~pool ~shards:3 ~window:16 ~buckets:3 ~epsilon:0.2 in
       let batch = Array.init 60 (fun i -> (i mod 3, Float.of_int ((i * 13) mod 97))) in
-      SE.ingest eng batch;
+      Helpers.ingest_pairs eng batch;
       Alcotest.(check int) "points counted" 60 (SE.total_points eng);
       Alcotest.(check int) "one batch" 1 (SE.batches eng);
       (* publish the snapshots: lengths read the view, which under the
@@ -284,7 +291,8 @@ let test_engine_refresh_all_and_counters () =
       SE.refresh_all eng;
       Array.iter
         (fun k ->
-          Alcotest.(check int) (Printf.sprintf "shard %d length" k) 16 (SE.length eng ~key:k))
+          Alcotest.(check int) (Printf.sprintf "shard %d length" k) 16
+            (SE.with_view eng ~key:k ~f:FW.View.length))
         [| 0; 1; 2 |];
       SE.refresh_all eng;
       Array.iter
@@ -296,12 +304,12 @@ let test_engine_refresh_all_and_counters () =
                  if k = k' then FW.needs_refresh fw else acc)))
         [| 0; 1; 2 |];
       (* cold refresh is the oracle: answers must not move *)
-      let errs = Array.init 3 (fun k -> SE.current_error eng ~key:k) in
+      let errs = Array.init 3 (fun k -> SE.with_view eng ~key:k ~f:FW.View.current_error) in
       SE.refresh_all ~cold:true eng;
       Array.iteri
         (fun k e ->
           Helpers.check_close (Printf.sprintf "cold refresh agrees, shard %d" k) e
-            (SE.current_error eng ~key:k))
+            (SE.with_view eng ~key:k ~f:FW.View.current_error))
         errs)
 
 (* ------------------------------- reads beside the owner, skewed batches *)
@@ -323,7 +331,7 @@ let test_reads_beside_held_key () =
     (fun domains ->
       Pool.with_pool ~domains (fun pool ->
           let eng = SE.create ~pool ~shards:4 ~window:32 ~buckets:2 ~epsilon:0.3 in
-          SE.ingest eng (Array.init 64 (fun i -> (i mod 4, Float.of_int i)));
+          Helpers.ingest_pairs eng (Array.init 64 (fun i -> (i mod 4, Float.of_int i)));
           SE.refresh_all eng;
           let before = SE.query_many eng qs in
           let held = Atomic.make false and answered = Atomic.make false in
@@ -359,7 +367,7 @@ let test_reads_beside_held_key () =
 
 (* One key far hotter than the rest, more than a thousand points of it
    in one batch: every point must land in order, whether the batch comes
-   as pairs or as groups that repeat the hot key, and each shard must
+   as columns or as groups that repeat the hot key, and each shard must
    answer bit for bit like a memo-off sequential summary fed its
    per-key subsequence. *)
 let test_backpressure_no_point_dropped () =
@@ -415,31 +423,30 @@ let test_backpressure_no_point_dropped () =
                 (fun key fw ->
                   let what = Printf.sprintf "%s, %d domains, shard %d" entry domains key in
                   Alcotest.(check int) (what ^ ": length") (FW.length fw)
-                    (SE.length eng ~key);
+                    (SE.with_view eng ~key ~f:FW.View.length);
                   Alcotest.(check int64) (what ^ ": current error")
-                    (bits (FW.current_error fw)) (bits (SE.current_error eng ~key));
+                    (bits (FW.current_error fw))
+                    (bits (SE.with_view eng ~key ~f:FW.View.current_error));
                   Alcotest.(check (list int64)) (what ^ ": histogram")
                     (List.map bits (Array.to_list (H.to_series (FW.current_histogram fw))))
                     (List.map bits
-                       (Array.to_list (H.to_series (SE.current_histogram eng ~key))));
+                       (Array.to_list
+                          (H.to_series (SE.with_view eng ~key ~f:FW.View.current_histogram))));
                   List.iter
                     (fun x ->
                       Alcotest.(check int64)
                         (Printf.sprintf "%s: herror x=%d" what x)
                         (bits (FW.herror fw ~k:buckets ~x))
-                        (bits (SE.herror eng ~key ~k:buckets ~x)))
+                        (bits
+                           (SE.with_view eng ~key ~f:(fun v -> FW.View.herror v ~k:buckets ~x))))
                     [ 1; FW.length fw / 2; FW.length fw ])
                 refs))
-        [ ("ingest", fun eng -> SE.ingest eng pairs);
-          ("ingest_groups", fun eng -> SE.ingest_groups eng groups);
-          ( "ingest_columns",
-            fun eng ->
-              SE.ingest_columns eng ~keys:(Array.map fst pairs) ~values:(Array.map snd pairs)
-                ~len:(Array.length pairs) ) ])
+        [ ("ingest_groups", fun eng -> SE.ingest_groups eng groups);
+          ("ingest_columns", fun eng -> Helpers.ingest_pairs eng pairs) ])
     domain_counts
 
 (* The .mli's promise for [ingest_groups]: the same engine state as
-   [ingest] of the flattened pairs, batch for batch — answers, counters
+   [ingest_columns] of the flattened rows, batch for batch — answers, counters
    and publications — with keys repeating across groups and empty groups
    mixed in. *)
 let prop_ingest_groups_equals_ingest =
@@ -483,14 +490,16 @@ let prop_ingest_groups_equals_ingest =
                 check (SE.snapshots_published by_groups = SE.snapshots_published by_pairs);
                 for key = 0 to shards - 1 do
                   check (read_gen by_groups ~key = read_gen by_pairs ~key);
-                  check (SE.length by_groups ~key = SE.length by_pairs ~key);
                   check
-                    (Float.equal (SE.current_error by_groups ~key)
-                       (SE.current_error by_pairs ~key));
-                  if SE.length by_pairs ~key > 0 then
+                    (SE.with_view by_groups ~key ~f:FW.View.length
+                    = SE.with_view by_pairs ~key ~f:FW.View.length);
+                  check
+                    (Float.equal (SE.with_view by_groups ~key ~f:FW.View.current_error)
+                       (SE.with_view by_pairs ~key ~f:FW.View.current_error));
+                  if SE.with_view by_pairs ~key ~f:FW.View.length > 0 then
                     check
-                      (H.to_series (SE.current_histogram by_groups ~key)
-                      = H.to_series (SE.current_histogram by_pairs ~key));
+                      (H.to_series (SE.with_view by_groups ~key ~f:FW.View.current_histogram)
+                      = H.to_series (SE.with_view by_pairs ~key ~f:FW.View.current_histogram));
                   check
                     (SE.with_key by_groups ~key ~f:FW.length
                     = SE.with_key by_pairs ~key ~f:FW.length)
@@ -501,7 +510,7 @@ let prop_ingest_groups_equals_ingest =
               List.iter
                 (fun gs ->
                   SE.ingest_groups by_groups gs;
-                  SE.ingest by_pairs (flatten gs);
+                  Helpers.ingest_pairs by_pairs (flatten gs);
                   if not (same ()) then ok := false)
                 batches;
               SE.refresh_all by_groups;
@@ -525,7 +534,7 @@ let test_work_stealing_sweep_exactly_once () =
                 let k = if i < 40 then i mod shards else 0 in
                 (k, Float.of_int ((i * 11) mod 89)))
           in
-          SE.ingest eng batch;
+          Helpers.ingest_pairs eng batch;
           let before =
             Array.init shards (fun k ->
                 (SE.with_key eng ~key:k ~f:FW.work_counters).FW.refreshes)
@@ -567,7 +576,7 @@ let test_stolen_sweeps_match_memo_off () =
                   if i < 160 then (0, Float.of_int (((round * 240) + i) * 53 mod 211))
                   else (i mod shards, Float.of_int (i mod shards)))
             in
-            SE.ingest eng batch;
+            Helpers.ingest_pairs eng batch;
             Array.iter (fun (k, v) -> FW.push refs.(k) v) batch;
             SE.refresh_all eng;
             Array.iteri
@@ -579,18 +588,19 @@ let test_stolen_sweeps_match_memo_off () =
                 let live f = SE.with_key eng ~key ~f in
                 let expect = FW.current_error fw in
                 same expect (live FW.current_error);
-                same expect (SE.current_error eng ~key);
+                same expect (SE.with_view eng ~key ~f:FW.View.current_error);
                 for k = 1 to buckets do
                   for x = 0 to FW.length fw do
                     let expect = FW.herror fw ~k ~x in
                     same expect (live (fun s -> FW.herror s ~k ~x));
-                    same expect (SE.herror eng ~key ~k ~x)
+                    same expect (SE.with_view eng ~key ~f:(fun v -> FW.View.herror v ~k ~x))
                   done
                 done;
                 let series h = List.map Int64.bits_of_float (Array.to_list (H.to_series h)) in
                 let expect = series (FW.current_histogram fw) in
                 if series (live FW.current_histogram) <> expect then ok := false;
-                if series (SE.current_histogram eng ~key) <> expect then ok := false;
+                if series (SE.with_view eng ~key ~f:FW.View.current_histogram) <> expect then
+                  ok := false;
                 Alcotest.(check bool)
                   (Printf.sprintf "%d domains, round %d, shard %d: bit-identical" domains round key)
                   true !ok)
@@ -630,7 +640,7 @@ let prop_snapshot_equals_quiesced_live =
           Pool.with_pool ~domains (fun pool ->
               let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon:0.15 in
               SE.set_refresh_policy eng policy;
-              List.iter (SE.ingest eng) batches;
+              List.iter (Helpers.ingest_pairs eng) batches;
               SE.refresh_all eng;
               let ok = ref true in
               let check b = if not b then ok := false in
@@ -644,11 +654,11 @@ let prop_snapshot_equals_quiesced_live =
                 check (FW.View.buckets v = buckets);
                 let live_err = SE.with_key eng ~key ~f:FW.current_error in
                 check (Float.equal (FW.View.current_error v) live_err);
-                check (Float.equal (SE.current_error eng ~key) live_err);
+                check (Float.equal (SE.with_view eng ~key ~f:FW.View.current_error) live_err);
                 if n > 0 then begin
                   let sv = H.to_series (FW.View.current_histogram v) in
                   check (sv = H.to_series (SE.with_key eng ~key ~f:FW.current_histogram));
-                  check (sv = H.to_series (SE.current_histogram eng ~key));
+                  check (sv = H.to_series (SE.with_view eng ~key ~f:FW.View.current_histogram));
                   List.iter
                     (fun k ->
                       List.iter
@@ -657,7 +667,10 @@ let prop_snapshot_equals_quiesced_live =
                             SE.with_key eng ~key ~f:(fun fw -> FW.herror fw ~k ~x)
                           in
                           check (Float.equal (FW.View.herror v ~k ~x) live);
-                          check (Float.equal (SE.herror eng ~key ~k ~x) live))
+                          check
+                            (Float.equal
+                               (SE.with_view eng ~key ~f:(fun v -> FW.View.herror v ~k ~x))
+                               live))
                         [ 0; 1; (n + 1) / 2; n ])
                     (List.init buckets (fun i -> i + 1))
                 end
@@ -666,7 +679,7 @@ let prop_snapshot_equals_quiesced_live =
                  reads above just checked: same association, from 0.0 *)
               let expect = ref 0.0 in
               for key = 0 to shards - 1 do
-                expect := !expect +. Float.of_int (SE.length eng ~key)
+                expect := !expect +. Float.of_int (SE.with_view eng ~key ~f:FW.View.length)
               done;
               check
                 (Float.equal
@@ -712,12 +725,12 @@ let prop_view_never_stale =
               let ok = ref (fresh ()) in
               List.iter
                 (fun b ->
-                  SE.ingest eng b;
+                  Helpers.ingest_pairs eng b;
                   if not (fresh ()) then ok := false)
                 batches;
               for key = 0 to shards - 1 do
-                ignore (SE.current_error eng ~key);
-                ignore (SE.length eng ~key)
+                ignore (SE.with_view eng ~key ~f:FW.View.current_error);
+                ignore (SE.with_view eng ~key ~f:FW.View.length)
               done;
               if not (fresh ()) then ok := false;
               SE.refresh_all eng;
@@ -729,14 +742,14 @@ let prop_view_never_stale =
               !ok))
         domain_counts)
 
-(* Serving-layer clamping of [query_many], against the strict single-query
-   entry points; also pins down the query counters. *)
+(* Serving-layer clamping of [query_many], against the strict view
+   readers; also pins down the query counters. *)
 let test_query_many_clamping () =
   Pool.with_pool ~domains:2 (fun pool ->
       let eng = SE.create ~pool ~shards:2 ~window:8 ~buckets:2 ~epsilon:0.3 in
-      SE.ingest eng (Array.init 16 (fun i -> (i mod 2, Float.of_int (i + 1))));
+      Helpers.ingest_pairs eng (Array.init 16 (fun i -> (i mod 2, Float.of_int (i + 1))));
       SE.refresh_all eng;
-      Alcotest.(check int) "window filled" 8 (SE.length eng ~key:0);
+      Alcotest.(check int) "window filled" 8 (SE.with_view eng ~key:0 ~f:FW.View.length);
       let key0 = Qop.Key 0 in
       let qs =
         [|
@@ -753,12 +766,12 @@ let test_query_many_clamping () =
         |]
       in
       let out = SE.query_many eng qs in
-      let h = SE.current_histogram eng ~key:0 in
+      let h = SE.with_view eng ~key:0 ~f:FW.View.current_histogram in
       Alcotest.(check (float 0.0)) "window length" 8.0 out.(0);
-      Alcotest.(check (float 0.0)) "current error == single-query entry"
-        (SE.current_error eng ~key:0) out.(1);
+      Alcotest.(check (float 0.0)) "current error == the view's"
+        (SE.with_view eng ~key:0 ~f:FW.View.current_error) out.(1);
       Alcotest.(check (float 0.0)) "clamped herror == strict herror at the bounds"
-        (SE.herror eng ~key:0 ~k:2 ~x:8) out.(2);
+        (SE.with_view eng ~key:0 ~f:(fun v -> FW.View.herror v ~k:2 ~x:8)) out.(2);
       Alcotest.(check (float 0.0)) "herror clamped to x=0 is 0" 0.0 out.(3);
       Alcotest.(check (float 1e-9)) "full-range sum estimate"
         (H.range_sum_estimate h ~lo:1 ~hi:8) out.(4);
@@ -767,9 +780,9 @@ let test_query_many_clamping () =
       Alcotest.(check (float 1e-9)) "point estimate" (H.point_estimate h 1) out.(7);
       Alcotest.(check (float 0.0)) "second shard length" 8.0 out.(8);
       Alcotest.(check (float 0.0)) "global length sums both shards" 16.0 out.(9);
-      (* a batched call counts each element once; the three single-query
-         entries used above (histogram, error, herror) add three more *)
-      Alcotest.(check int) "query counter" (10 + 3) (SE.queries eng))
+      (* a batched call counts each element once; the three [with_view]
+         reads above (histogram, error, herror) count nothing *)
+      Alcotest.(check int) "query counter" 10 (SE.queries eng))
 
 (* ------------------------------------------------ recycled views *)
 
@@ -804,15 +817,15 @@ let test_held_views_stay_put () =
       in
       (* fill every window, so recycled views carry full-length state *)
       for key = 0 to shards - 1 do
-        SE.ingest eng (batch key window)
+        Helpers.ingest_pairs eng (batch key window)
       done;
       (* republish [key] [times] times, with other keys published between *)
       let republish key times =
         let g = read_gen eng ~key in
         for _ = 1 to times do
-          SE.ingest eng (batch ((key + 1) mod shards) 5);
-          SE.ingest eng (batch key 7);
-          SE.ingest eng (batch ((key + 2) mod shards) 3)
+          Helpers.ingest_pairs eng (batch ((key + 1) mod shards) 5);
+          Helpers.ingest_pairs eng (batch key 7);
+          Helpers.ingest_pairs eng (batch ((key + 2) mod shards) 3)
         done;
         Alcotest.(check int) "republished" (g + times) (read_gen eng ~key)
       in
@@ -828,10 +841,11 @@ let test_held_views_stay_put () =
       (* and the engine still answers from its latest publication *)
       let live = SE.with_key eng ~key:1 ~f:FW.current_error in
       Alcotest.(check int64) "latest answers" (Int64.bits_of_float live)
-        (Int64.bits_of_float (SE.current_error eng ~key:1)))
+        (Int64.bits_of_float (SE.with_view eng ~key:1 ~f:FW.View.current_error)))
 
 (* Publication recomputes a retired view's histogram into the view's own
-   storage.  So [SE.current_histogram] must hand out a copy: one taken
+   storage.  So [FW.View.current_histogram] read under [SE.with_view]
+   must hand out a copy: one taken
    before any number of later republications of its key stays
    bit-identical.  And a reader holding a view through [with_view] reads
    [Range_sum] and [Point_estimate] in place: on a refilled view they
@@ -863,7 +877,7 @@ let test_refilled_view_reads () =
       let seen = ref [] and refilled = ref 0 and held = ref [] in
       for round = 0 to 59 do
         let key = round mod shards in
-        SE.ingest eng (batch key (1 + (round mod 7)));
+        Helpers.ingest_pairs eng (batch key (1 + (round mod 7)));
         let fresh = SE.with_key eng ~key ~f:FW.view in
         SE.with_view eng ~key ~f:(fun v ->
             Alcotest.(check int) "same generation" (FW.View.generation fresh) (FW.View.generation v);
@@ -871,7 +885,7 @@ let test_refilled_view_reads () =
             if answers v <> answers fresh then
               Alcotest.failf "round %d key %d: in-place estimates differ from a fresh view's"
                 round key);
-        let h = SE.current_histogram eng ~key:0 in
+        let h = SE.with_view eng ~key:0 ~f:FW.View.current_histogram in
         held := (h, series h) :: !held;
         List.iteri
           (fun age (h, before) ->
@@ -966,7 +980,7 @@ let test_concurrent_reads_match_oracle () =
           while not (Atomic.get started) do
             Domain.cpu_relax ()
           done;
-          Array.iter (SE.ingest eng) batches;
+          Array.iter (Helpers.ingest_pairs eng) batches;
           Atomic.set stop true;
           let kept, stamped = Domain.join reader in
           List.iter
@@ -1009,7 +1023,7 @@ let test_obs_reset_leaves_state () =
       let eng = SE.create ~pool ~shards:4 ~window:32 ~buckets:3 ~epsilon:0.2 in
       SE.set_refresh_policy eng (Params.Every 8);
       for b = 0 to 4 do
-        SE.ingest eng
+        Helpers.ingest_pairs eng
           (Array.init 20 (fun i -> ((i + b) mod 4, Float.of_int ((((b * 20) + i) * 37) mod 101))))
       done;
       SE.refresh_all eng;
@@ -1036,7 +1050,7 @@ let test_obs_reset_leaves_state () =
 let test_series_count_independent_of_structures () =
   Pool.with_pool ~domains:1 (fun pool ->
       let first = SE.create ~pool ~shards:2 ~window:8 ~buckets:2 ~epsilon:0.5 in
-      SE.ingest first [| (0, 1.0); (1, 2.0) |];
+      Helpers.ingest_pairs first [| (0, 1.0); (1, 2.0) |];
       SE.refresh_all first;
       let families = Helpers.exposed_families () in
       for i = 1 to 1000 do
@@ -1047,7 +1061,7 @@ let test_series_count_independent_of_structures () =
         Stream_histogram.Exact_window.push ew (Float.of_int i)
       done;
       let second = SE.create ~pool ~shards:3 ~window:8 ~buckets:2 ~epsilon:0.5 in
-      SE.ingest second [| (2, 1.0) |];
+      Helpers.ingest_pairs second [| (2, 1.0) |];
       SE.refresh_all second;
       Alcotest.(check (list string)) "exposed families unchanged" families
         (Helpers.exposed_families ()))

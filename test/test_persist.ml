@@ -313,10 +313,14 @@ let engines_equal a b =
   &&
   let ok = ref true in
   for k = 0 to SE.shard_count a - 1 do
-    if SE.length a ~key:k <> SE.length b ~key:k then ok := false
-    else if SE.length a ~key:k > 0 then begin
-      if bits (SE.current_error a ~key:k) <> bits (SE.current_error b ~key:k) then ok := false;
-      if H.to_series (SE.current_histogram a ~key:k) <> H.to_series (SE.current_histogram b ~key:k)
+    let read eng f = SE.with_view eng ~key:k ~f in
+    let n = read a FW.View.length in
+    if n <> read b FW.View.length then ok := false
+    else if n > 0 then begin
+      if bits (read a FW.View.current_error) <> bits (read b FW.View.current_error) then
+        ok := false;
+      if H.to_series (read a FW.View.current_histogram)
+         <> H.to_series (read b FW.View.current_histogram)
       then ok := false
     end
   done;
@@ -332,7 +336,7 @@ let test_engine_checkpoint_restore () =
       let eng = SE.create ~pool ~shards ~window:24 ~buckets:3 ~epsilon:0.2 in
       SE.set_refresh_policy eng (Params.Every 3);
       for b = 0 to 5 do
-        SE.ingest eng (mk_batch ~shards ~n:40 b)
+        Helpers.ingest_pairs eng (mk_batch ~shards ~n:40 b)
       done;
       (* quiesce so both sides' read planes agree (see [engines_equal]) *)
       SE.refresh_all eng;
@@ -352,8 +356,8 @@ let test_engine_checkpoint_restore () =
             (P.read_file file) (P.read_file file2));
       (* and it must track the original through further ingest *)
       let more = mk_batch ~shards ~n:60 99 in
-      SE.ingest eng more;
-      SE.ingest restored more;
+      Helpers.ingest_pairs eng more;
+      Helpers.ingest_pairs restored more;
       SE.refresh_all eng;
       SE.refresh_all restored;
       Alcotest.(check bool)
@@ -421,7 +425,7 @@ let test_checkpoint_format_pinned () =
       let shards = 2 in
       let eng = SE.create ~pool ~shards ~window:16 ~buckets:3 ~epsilon:0.2 in
       SE.set_refresh_policy eng (Params.Every 3);
-      SE.ingest eng (mk_batch ~shards ~n:41 5);
+      Helpers.ingest_pairs eng (mk_batch ~shards ~n:41 5);
       SE.checkpoint eng ~file;
       let image = P.read_file file in
       let tag = Printf.sprintf "%d domains" domains in
@@ -444,7 +448,7 @@ let engine_scenario pool =
     SE.create ~pool ~shards ~window:16 ~buckets:3 ~epsilon:0.2
   in
   for b = 0 to 3 do
-    SE.ingest eng (mk_batch ~shards ~n:30 b)
+    Helpers.ingest_pairs eng (mk_batch ~shards ~n:30 b)
   done;
   eng
 
@@ -465,7 +469,7 @@ let test_fault_crash_matrix () =
     (fun i inj ->
       (* advance the live engine so the aborted checkpoint would have
          written different bytes than checkpoint A *)
-      SE.ingest eng (mk_batch ~shards ~n:25 (1000 + i));
+      Helpers.ingest_pairs eng (mk_batch ~shards ~n:25 (1000 + i));
       let fired_before = Fault.fired_count () in
       Fault.arm inj;
       expect_injected "crashing checkpoint" (fun () -> SE.checkpoint eng ~file);
@@ -541,7 +545,7 @@ let test_fault_disarm () =
   Pool.with_pool ~domains:1 @@ fun pool ->
   with_temp_file @@ fun file ->
   let eng = SE.create ~pool ~shards:2 ~window:4 ~buckets:2 ~epsilon:0.5 in
-  SE.ingest eng [| (0, 1.0) |];
+  Helpers.ingest_pairs eng [| (0, 1.0) |];
   SE.checkpoint eng ~file;
   Alcotest.(check int) "write unaffected after disarm" 1
     (SE.total_points (SE.restore_from ~pool ~file))

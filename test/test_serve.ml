@@ -139,13 +139,17 @@ let base ~domains =
   }
 
 (* The oracle: an engine fed [c]'s traffic directly, in [c.batch]-sized
-   ingests, optionally from a checkpoint. *)
+   ingests of one-point groups (not the columns the runner ingests),
+   optionally from a checkpoint. *)
 let oracle_ingest eng (c : Runner.config) =
   let traffic = Traffic.create (Rng.create ~seed:c.seed) ~shards:(SE.shard_count eng) c.dist in
   let remaining = ref c.count in
   while !remaining > 0 do
     let b = min c.batch !remaining in
-    SE.ingest eng (Array.init b (fun _ -> Traffic.next traffic));
+    SE.ingest_groups eng
+      (Array.init b (fun _ ->
+           let k, v = Traffic.next traffic in
+           (k, [| v |])));
     remaining := !remaining - b
   done
 
@@ -256,6 +260,23 @@ let test_listen_driven_by_loadgen () =
               (i / 4) answers.(i) e)
         expected)
     domain_counts
+
+(* A listening runner refuses, before it binds, what it cannot honour:
+   [Lazy] would publish no view for clients to read, and [record] and
+   [query_mix] drive the in-process stream only.  [max_points = Some 0]
+   ends at once a run that wrongly starts serving. *)
+let test_listen_refuses_in_process_settings () =
+  with_temp ".sock" @@ fun path ->
+  let c = { (base ~domains:1) with listen = [ Addr.Unix_sock path ]; max_points = Some 0 } in
+  List.iter
+    (fun (what, c) ->
+      (match Runner.serve c with
+      | () -> Alcotest.failf "%s: served instead of refusing" what
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check bool) (what ^ ": no socket left") false (Sys.file_exists path))
+    [ ("--refresh lazy", { c with policy = Params.Lazy });
+      ("--record", { c with record = Some (path ^ ".jsonl") });
+      ("--query-mix", { c with query_mix = 0.5 }) ]
 
 (* [--checkpoint F] on a listening runner with no cadence: the client's
    Shutdown ends the run, and the runner writes F then — the bytes of an
@@ -510,6 +531,8 @@ let () =
           Alcotest.test_case "checkpoint equals engine" `Quick test_checkpoint_matches_engine;
           Alcotest.test_case "listen + loadgen equal engine" `Quick test_listen_driven_by_loadgen;
           Alcotest.test_case "listen writes a final checkpoint" `Quick test_listen_final_checkpoint;
+          Alcotest.test_case "listen refuses in-process settings" `Quick
+            test_listen_refuses_in_process_settings;
           Alcotest.test_case "record within (1+eps) bound" `Quick test_recorder_within_bound;
         ] );
       ( "exposition",
