@@ -1277,6 +1277,76 @@ let serve_words_per_point ~points =
   assert (rep.Net_server.points = !sent + batch);
   (words /. Float.of_int rep.Net_server.points, rep.Net_server.ingest_rounds)
 
+(* ------------------------------------------- client allocation gate
+
+   Words the client allocates per call, on one client domain of its own,
+   against a served 64-key engine of [wire-bound]'s shape: a fixed seeded
+   sequence of 16-point ingest calls, then of 64-key query calls (every
+   query op, keys in order), then of pings, each call a blocking
+   [Client.call].  The requests are built before counting, so a row counts
+   framing, writing, reading and decoding: [Gc.minor_words] plus words
+   allocated directly in the major heap, as for the serving domain. *)
+
+(* about 10% above the counts, which repeat exactly from run to run on a
+   2-vCPU host (65, 98 and 26); a client that filled a fresh 64 KiB read
+   buffer per call allocated 8,612, 9,356 and 8,258 *)
+let budget_client_words = [ ("ingest", 72.0); ("query", 108.0); ("ping", 29.0) ]
+
+let client_words_per_call ~calls =
+  let shards, window, buckets, epsilon, every, batch = wire_bound in
+  let sock = Filename.temp_file "shist-bench-client" ".sock" in
+  Unix.unlink sock;
+  let addr = Net_addr.Unix_sock sock in
+  let listener = Net_server.listen addr in
+  let srv =
+    Domain.spawn (fun () ->
+        Pool.with_pool ~domains:1 (fun pool ->
+            let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon in
+            SE.set_refresh_policy eng (Stream_histogram.Params.Every every);
+            ignore
+              (Net_server.run ~backend:(Net_server.engine eng) ~listeners:[ listener ] ()
+                : Net_server.report)))
+  in
+  let rng = Rng.create ~seed:74 in
+  let ingests =
+    Array.init calls (fun _ ->
+        Wire.Ingest (Array.init batch (fun _ -> (Rng.int rng shards, [| Rng.float rng 100.0 |]))))
+  in
+  let op k =
+    match k mod 4 with
+    | 0 -> Qop.Current_error
+    | 1 -> Qop.Herror { k = 1 + Rng.int rng buckets; x = Rng.int rng (window + 1) }
+    | 2 ->
+      let lo = 1 + Rng.int rng window in
+      Qop.Range_sum { lo; hi = lo + Rng.int rng (window - lo + 1) }
+    | _ -> Qop.Point_estimate { index = 1 + Rng.int rng window }
+  in
+  let queries = Array.init calls (fun _ -> Wire.Query (Array.init shards (fun k -> (Qop.Key k, op k)))) in
+  let pings = Array.make calls Wire.Ping in
+  let rows =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let c = Net_client.connect ~timeout:60. ~retries:50 addr in
+           let words reqs =
+             (* one untimed call first: buffers reach their working size *)
+             ignore (Net_client.call c reqs.(0) : Wire.response);
+             Gc.minor ();
+             let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+             Array.iter (fun r -> ignore (Net_client.call c r : Wire.response)) reqs;
+             let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+             (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+             /. Float.of_int (Array.length reqs)
+           in
+           let rows = [ ("ingest", words ingests); ("query", words queries); ("ping", words pings) ] in
+           Net_client.shutdown c;
+           Net_client.close c;
+           rows))
+  in
+  Domain.join srv;
+  Unix.close listener;
+  (try Unix.unlink sock with Unix.Unix_error _ | Sys_error _ -> ());
+  rows
+
 let run_net scale =
   Report.section "BENCH-MICRO-NET: loopback wire ingest vs in-process ingest_groups";
   let shards, window, buckets, epsilon, points, conn_counts, batch_sizes =
@@ -1358,6 +1428,8 @@ let run_net scale =
     match scale with Bench_config.Small -> 131_072 | Bench_config.Default | Bench_config.Full -> 524_288
   in
   let server_words, words_rounds = serve_words_per_point ~points:words_points in
+  let client_calls = 2_000 in
+  let client_words = client_words_per_call ~calls:client_calls in
   let baselines = List.map (fun b -> (b, measure_in_process ~batch:b)) batch_sizes in
   let sweep =
     List.concat_map
@@ -1405,6 +1477,12 @@ let run_net scale =
       (budget %.1f; wire-bound shape S=%d n=%d B=%d eps=%g every:%d, %d-point requests, \
       %d points in %d rounds)"
      server_words budget_server_words_per_point ws ww wb we wk wbatch words_points words_rounds);
+  List.iter
+    (fun (call, w) ->
+      Report.note "net.client_words.%s: %.1f words allocated per call on the client domain \
+                   (budget %.0f, %d calls)" call w (List.assoc call budget_client_words)
+        client_calls)
+    client_words;
   Report.json_add "net"
     (Report.Jobj
        [
@@ -1423,6 +1501,15 @@ let run_net scale =
                ("words_per_point", Report.Jfloat server_words);
                ("budget_words_per_point", Report.Jfloat budget_server_words_per_point);
              ] );
+         ( "client_words",
+           Report.Jobj
+             (("calls", Report.Jint client_calls)
+             :: List.concat_map
+                  (fun (call, w) ->
+                    [ (call ^ "_words_per_call", Report.Jfloat w);
+                      ("budget_" ^ call ^ "_words_per_call",
+                       Report.Jfloat (List.assoc call budget_client_words)) ])
+                  client_words) );
          ("shards", Report.Jint shards);
          ("window", Report.Jint window);
          ("buckets", Report.Jint buckets);

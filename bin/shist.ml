@@ -76,6 +76,14 @@ let policy_conv =
   in
   Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Stream_histogram.Params.policy_to_string p))
 
+(* A configuration that [check] refuses is a usage error (exit 124, the
+   check's message); [run] itself is not wrapped, so what it raises once
+   started stays an internal error. *)
+let checked check run =
+  match check () with
+  | () -> `Ok (run ())
+  | exception Invalid_argument msg -> `Error (false, msg)
+
 (* ---------------------------------------------------------- addresses *)
 
 let addr_conv =
@@ -408,20 +416,23 @@ let serve_cmd =
   let run shards domains count batch window buckets epsilon policy dist seed metrics checkpoint
       checkpoint_every restore record record_every query_mix listen max_points
       idle_timeout =
-    with_metrics metrics @@ fun () ->
-    Runner.serve
+    let c =
       { Runner.shards; domains; count; batch; window; buckets; epsilon; policy; dist; seed;
         checkpoint; checkpoint_every; restore; record; record_every; query_mix;
         listen; max_points; idle_timeout }
+    in
+    checked (fun () -> Runner.check c) @@ fun () ->
+    with_metrics metrics @@ fun () -> Runner.serve c
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Ingest many independent streams in parallel across a sharded domain pool")
     Term.(
-      const run $ shards $ domains $ count $ batch $ window $ buckets_arg $ epsilon_arg $ policy
-      $ dist_arg $ seed_arg $ metrics_arg $ checkpoint_file $ checkpoint_every
-      $ restore_file $ record_file $ record_every $ query_mix
-      $ listen $ max_points $ idle_timeout_arg)
+      ret
+        (const run $ shards $ domains $ count $ batch $ window $ buckets_arg $ epsilon_arg
+       $ policy $ dist_arg $ seed_arg $ metrics_arg $ checkpoint_file $ checkpoint_every
+       $ restore_file $ record_file $ record_every $ query_mix $ listen $ max_points
+       $ idle_timeout_arg))
 
 (* ---------------------------------------------------------- loadgen *)
 
@@ -475,15 +486,16 @@ let loadgen_cmd =
       { Loadgen.connect; connections; batch; count; dist; seed; query_mix; global_mix;
         shutdown; timeout; retries }
     in
-    if not (Loadgen.run c).spot_ok then exit 1
+    checked (fun () -> Loadgen.check c) @@ fun () -> if not (Loadgen.run c).spot_ok then exit 1
   in
   Cmd.v
     (Cmd.info "loadgen"
        ~doc:"Drive a shist serve --listen endpoint: concurrent connections, batched ingest, \
              mixed queries, RTT quantiles")
     Term.(
-      const run $ connect $ connections $ batch $ count $ dist_arg $ seed_arg $ query_mix
-      $ global_mix $ do_shutdown $ client_timeout_arg $ retries_arg)
+      ret
+        (const run $ connect $ connections $ batch $ count $ dist_arg $ seed_arg $ query_mix
+       $ global_mix $ do_shutdown $ client_timeout_arg $ retries_arg))
 
 (* -------------------------------------------------------- aggregate *)
 

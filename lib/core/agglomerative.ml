@@ -25,10 +25,7 @@ type t = {
 }
 
 let create ~buckets ~epsilon =
-  let params =
-    Params.make_with_delta ~buckets ~epsilon
-      ~delta:(epsilon /. (2.0 *. Float.of_int buckets))
-  in
+  let params = Params.make ~buckets ~epsilon in
   let buckets = params.Params.buckets in
   {
     params;

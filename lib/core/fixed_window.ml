@@ -554,20 +554,20 @@ let mk ~params ~sp =
     gen = 0;
     seen = 0;
     dirty = true;
-    policy = params.Params.policy;
+    policy = Params.Lazy;
     slide = 0;
     pushes_since_refresh = 0;
     work = Array.make (Array.length families) 0;
   }
 
-let create_with_delta ~window ~buckets ~epsilon ~delta =
-  let params = Params.make_with_delta ~buckets ~epsilon ~delta in
+let of_params ~window params =
   if window < 1 then invalid_arg "Fixed_window.create: window must be >= 1";
   mk ~params ~sp:(Sliding_prefix.create ~capacity:window)
 
-let create ~window ~buckets ~epsilon =
-  create_with_delta ~window ~buckets ~epsilon
-    ~delta:(epsilon /. (2.0 *. Float.of_int buckets))
+let create_with_delta ~window ~buckets ~epsilon ~delta =
+  of_params ~window (Params.make_with_delta ~buckets ~epsilon ~delta)
+
+let create ~window ~buckets ~epsilon = of_params ~window (Params.make ~buckets ~epsilon)
 
 let window t = Sliding_prefix.capacity t.sp
 let buckets t = t.params.Params.buckets
@@ -583,9 +583,7 @@ let memoisation t = t.memo_on
 
 let set_memoisation t on = t.memo_on <- on
 
-let set_refresh_policy t policy =
-  (* Reuse the Params validation (rejects [Every k] with k < 1). *)
-  t.policy <- (Params.with_policy t.params policy).Params.policy
+let set_refresh_policy t policy = t.policy <- Params.validate_policy policy
 
 (* Add the scratch's work tallies to the summary's totals and to the
    fw.* families, and zero them.  Every entry point that evaluates ends
@@ -1116,12 +1114,12 @@ let decode r =
   let memo_on = Codec.get_bool r in
   let pending = Codec.get_varint r in
   let sp = Sliding_prefix.decode r in
-  let params =
-    try Params.with_policy (Params.make_with_delta ~buckets ~epsilon ~delta) policy
+  let params, policy =
+    try (Params.make_with_delta ~buckets ~epsilon ~delta, Params.validate_policy policy)
     with Invalid_argument m -> Codec.corruptf "Fixed_window.decode: %s" m
   in
   let t = mk ~params ~sp in
-  t.policy <- params.Params.policy;
+  t.policy <- policy;
   set_memoisation t memo_on;
   (* Rebuild the interval lists from the restored window (a first refresh,
      seeded like any other), then put the arrival-cadence counter back so

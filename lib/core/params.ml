@@ -21,15 +21,13 @@ let policy_of_string s =
       | _ -> None)
     | _ -> None)
 
-type t = { buckets : int; epsilon : float; delta : float; policy : refresh_policy }
+type t = { buckets : int; epsilon : float; delta : float }
 
 let make_with_delta ~buckets ~epsilon ~delta =
   if buckets < 1 then invalid_arg "Params: buckets must be >= 1";
   if epsilon <= 0.0 then invalid_arg "Params: epsilon must be > 0";
   if delta <= 0.0 then invalid_arg "Params: delta must be > 0";
-  { buckets; epsilon; delta; policy = Lazy }
+  { buckets; epsilon; delta }
 
 let make ~buckets ~epsilon =
   make_with_delta ~buckets ~epsilon ~delta:(epsilon /. (2.0 *. Float.of_int buckets))
-
-let with_policy t policy = { t with policy = validate_policy policy }

@@ -8,6 +8,10 @@ type refresh_policy =
     arrivals.  Queries ([current_error] / [current_histogram] / [herror])
     always see fresh lists regardless of the policy. *)
 
+val validate_policy : refresh_policy -> refresh_policy
+(** The policy itself; raises [Invalid_argument] on [Every k] with
+    [k < 1]. *)
+
 val policy_to_string : refresh_policy -> string
 (** ["eager"], ["lazy"], or ["every:<k>"] — the CLI / report spelling. *)
 
@@ -18,7 +22,6 @@ type t = private {
   buckets : int;  (** B, the space budget in buckets; >= 1 *)
   epsilon : float;(** the approximation precision; > 0 *)
   delta : float;  (** the per-level interval slack, epsilon / (2 B) as in the paper *)
-  policy : refresh_policy; (** arrival-time rebuild policy; [Lazy] unless {!with_policy}d *)
 }
 
 val make : buckets:int -> epsilon:float -> t
@@ -28,7 +31,3 @@ val make : buckets:int -> epsilon:float -> t
 val make_with_delta : buckets:int -> epsilon:float -> delta:float -> t
 (** Same, but with an explicit [delta] — used by the delta-split ablation
     benchmark to decouple the interval slack from epsilon. *)
-
-val with_policy : t -> refresh_policy -> t
-(** A copy with the given refresh policy.  Raises [Invalid_argument] on
-    [Every k] with [k < 1]. *)

@@ -1,126 +1,69 @@
 module Codec = Sh_persist.Codec
-module Frame = Sh_persist.Frame
 
 exception Net_error of string
 
 let net_errorf fmt = Printf.ksprintf (fun s -> raise (Net_error s)) fmt
 
 type t = {
-  sock : Unix.file_descr;
+  conn : Conn.t;
   timeout : float;
-  mutable inbuf : Buffer.t; (* bytes read, not yet consumed by a frame *)
-  mutable in_pos : int; (* consumed prefix of [inbuf] *)
-  mutable bytes_in : int;
-  mutable bytes_out : int;
-  mutable closed : bool;
+  payload : Buffer.t; (* the request being framed, reused across sends *)
 }
 
-let close t =
-  if not t.closed then begin
-    t.closed <- true;
-    (try Unix.close t.sock with Unix.Unix_error _ -> ())
-  end
+let close t = Conn.close t.conn
+let bytes_in t = Conn.bytes_in t.conn
+let bytes_out t = Conn.bytes_out t.conn
 
-let bytes_in t = t.bytes_in
-let bytes_out t = t.bytes_out
-
-let wait_readable t =
-  match Unix.select [ t.sock ] [] [] t.timeout with
-  | [], _, _ -> net_errorf "timeout after %gs waiting for the server" t.timeout
+(* Wait until the socket is ready in the direction given, at most
+   [timeout] seconds. *)
+let wait t ~reading =
+  let fd = [ Conn.fd t.conn ] in
+  let r, w = if reading then (fd, []) else ([], fd) in
+  match Unix.select r w [] t.timeout with
+  | [], [], _ when reading -> net_errorf "timeout after %gs waiting for the server" t.timeout
+  | [], [], _ -> net_errorf "timeout after %gs writing to the server" t.timeout
   | _ -> ()
   | exception Unix.Unix_error (EINTR, _, _) -> ()
 
-(* Read until [inbuf] holds at least [n] unconsumed bytes. *)
-let fill t n =
-  let buf = Bytes.create 65536 in
-  while Buffer.length t.inbuf - t.in_pos < n do
-    wait_readable t;
-    match Unix.read t.sock buf 0 (Bytes.length buf) with
-    | 0 -> net_errorf "connection closed by server mid-message"
-    | got ->
-      Buffer.add_subbytes t.inbuf buf 0 got;
-      t.bytes_in <- t.bytes_in + got
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-    | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) ->
-      net_errorf "connection reset by server"
-  done
+(* Write everything queued, waiting for room while the peer reads. *)
+let rec flush t =
+  match Conn.flush t.conn with
+  | `Flushed -> ()
+  | `Blocked ->
+    wait t ~reading:false;
+    flush t
+  | `Closed -> net_errorf "connection reset by server"
 
-let compact t =
-  if t.in_pos > 0 && t.in_pos = Buffer.length t.inbuf then begin
-    Buffer.clear t.inbuf;
-    t.in_pos <- 0
-  end
-  else if t.in_pos > 65536 then begin
-    let rest =
-      Buffer.sub t.inbuf t.in_pos (Buffer.length t.inbuf - t.in_pos)
-    in
-    Buffer.clear t.inbuf;
-    Buffer.add_string t.inbuf rest;
-    t.in_pos <- 0
-  end
+(* [take] from the input buffer, reading more until it succeeds. *)
+let rec await t take =
+  match take t.conn with
+  | Some x -> x
+  | None ->
+    wait t ~reading:true;
+    (match Conn.read_into t.conn with
+    | `Data _ | `Again -> ()
+    | `Eof -> net_errorf "connection closed by server mid-message");
+    await t take
 
-let take t n =
-  fill t n;
-  let s = Buffer.sub t.inbuf t.in_pos n in
-  t.in_pos <- t.in_pos + n;
-  compact t;
-  s
+let take_frame = Conn.next_frame ~max_len:Wire.max_frame_payload
 
-let next_frame t =
-  let rec go () =
-    let s = Buffer.contents t.inbuf in
-    match
-      Frame.scan_frame ~max_len:Wire.max_frame_payload s ~pos:t.in_pos
-        ~len:(String.length s - t.in_pos)
-    with
-    | Frame.Frame { payload; consumed } ->
-      t.in_pos <- t.in_pos + consumed;
-      compact t;
-      payload
-    | Frame.Incomplete ->
-      fill t (Buffer.length t.inbuf - t.in_pos + 1);
-      go ()
-  in
-  go ()
-
-let write_all t s =
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    match Unix.write_substring t.sock s !off (len - !off) with
-    | n ->
-      off := !off + n;
-      t.bytes_out <- t.bytes_out + n
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-      (* the socket's SO_SNDTIMEO expired with the peer not reading *)
-      net_errorf "timeout after %gs writing to the server" t.timeout
-    | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
-      net_errorf "connection reset by server"
-  done
+let take_preamble conn =
+  let p = Conn.peek conn Wire.preamble_len in
+  if Option.is_some p then Conn.consume conn Wire.preamble_len;
+  p
 
 let connect_once ~timeout addr =
   let sock = Addr.socket_for addr in
   match
     Unix.connect sock (Addr.to_sockaddr addr);
-    Unix.setsockopt_float sock SO_SNDTIMEO timeout;
-    sock
+    Conn.create sock
   with
-  | sock ->
-    let t =
-      {
-        sock;
-        timeout;
-        inbuf = Buffer.create 65536;
-        in_pos = 0;
-        bytes_in = 0;
-        bytes_out = 0;
-        closed = false;
-      }
-    in
+  | conn ->
+    let t = { conn; timeout; payload = Buffer.create 64 } in
     (try
-       write_all t Wire.preamble;
-       Wire.check_preamble (take t Wire.preamble_len)
+       Conn.send t.conn Wire.preamble;
+       flush t;
+       Wire.check_preamble (await t take_preamble)
      with e ->
        close t;
        raise e);
@@ -150,8 +93,13 @@ let connect ?(timeout = 30.) ?(retries = 0) ?(retry_delay = 0.2) addr =
   in
   go 0
 
-let send t req = write_all t (Wire.encode_request req)
-let recv t = Wire.decode_response (next_frame t)
+let send t req =
+  Buffer.clear t.payload;
+  Wire.add_request t.payload req;
+  Conn.send_frame t.conn t.payload;
+  flush t
+
+let recv t = Wire.decode_response (await t take_frame)
 
 let call t req =
   send t req;

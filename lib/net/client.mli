@@ -7,6 +7,9 @@
     collect the responses in order (the server's per-connection ordering
     guarantee makes this sound).  {!call} is the one-shot convenience.
 
+    The connection is a {!Conn.t}, the serve loop's framed buffers, with
+    every wait a [select] bounded by the connect [timeout].
+
     Every transport-level failure — refused/absent peer after the retry
     budget, timeout, mid-frame EOF, reset — raises {!Net_error} with a
     human-readable reason.  Protocol-level garbage from the peer raises
@@ -25,7 +28,7 @@ val connect :
 (** Connect, send our preamble and validate the server's.  [timeout]
     (default 30 s) bounds every subsequent socket wait, reads and writes
     alike: a write to a peer that stops reading raises {!Net_error}
-    once the socket's send timeout expires without progress.  [retries]
+    once [select] has waited [timeout] seconds for room.  [retries]
     (default 0) extra attempts are made on refused / missing / reset
     peers, [retry_delay] (default 0.2 s) apart — the reconnect story for
     a server that is restarting from a checkpoint.
@@ -34,7 +37,7 @@ val connect :
 
 val send : t -> Wire.request -> unit
 (** Write one request frame: blocks until the kernel has all of it, and
-    raises {!Net_error} if a write makes no progress for [timeout]
+    raises {!Net_error} if the socket takes no bytes for [timeout]
     seconds. *)
 
 val recv : t -> Wire.response

@@ -75,8 +75,12 @@ let reserve t n =
 let read_into t =
   if t.closed then `Eof
   else begin
-    reserve t chunk;
-    match Unix.read t.sock t.inbuf (t.in_start + t.in_len) chunk with
+    (* Up to one chunk, in the room the buffer has once its live bytes
+       slide to the front; it doubles only when they fill it. *)
+    let cap = Bytes.length t.inbuf in
+    reserve t (if t.in_len < cap then min chunk (cap - t.in_len) else chunk);
+    let off = t.in_start + t.in_len in
+    match Unix.read t.sock t.inbuf off (min chunk (Bytes.length t.inbuf - off)) with
     | 0 -> `Eof
     | n ->
       t.in_len <- t.in_len + n;

@@ -1,5 +1,7 @@
 (** One buffered, non-blocking connection: byte buffers on both sides of a
-    socket, with incremental frame extraction on the read side.
+    socket, with incremental frame extraction on the read side.  Both ends
+    of the wire use it: the serve loop multiplexes many, and
+    {!Client} wraps one in blocking [select] waits.
 
     The read path accumulates whatever [read] returns and hands out complete
     frames via {!next_frame}, scanned in place in the input buffer
@@ -9,8 +11,11 @@
     without blocking the serve loop.  The write path frames responses
     straight into one output buffer and drains it with one [write] per
     {!flush}, as far as the socket accepts; {!flush} never blocks.  Both
-    buffers start at 64 KiB, slide their live bytes to the front when they
-    run out of room and double when that is not enough; neither shrinks. *)
+    buffers start at 64 KiB and neither shrinks.  A read takes at most
+    64 KiB, into the room left once the live bytes slide to the front, so
+    the input buffer doubles only when unconsumed bytes fill it: a frame
+    larger than the buffer.  The output buffer slides or doubles to fit
+    what is queued. *)
 
 type t
 

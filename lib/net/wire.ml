@@ -90,15 +90,14 @@ let tag_error = 0xFF
 
 let frame_of buf = Frame.frame_string (Buffer.contents buf)
 
-let encode_request req =
-  let buf = Buffer.create 64 in
-  (match req with
+let add_request buf req =
+  match req with
   | Ingest groups ->
     Codec.put_u8 buf tag_ingest;
     Codec.put_varint buf (Array.length groups);
     Array.iter
       (fun (k, vs) ->
-        if k < 0 then invalid_arg "Wire.encode_request: negative key";
+        if k < 0 then invalid_arg "Wire.add_request: negative key";
         Codec.put_varint buf k;
         Codec.put_float_array buf vs)
       groups
@@ -114,7 +113,11 @@ let encode_request req =
   | Metrics -> Codec.put_u8 buf tag_metrics
   | Checkpoint -> Codec.put_u8 buf tag_checkpoint
   | Ping -> Codec.put_u8 buf tag_ping
-  | Shutdown -> Codec.put_u8 buf tag_shutdown);
+  | Shutdown -> Codec.put_u8 buf tag_shutdown
+
+let encode_request req =
+  let buf = Buffer.create 64 in
+  add_request buf req;
   frame_of buf
 
 let add_response buf resp =

@@ -122,6 +122,11 @@ end
     {!Sh_persist.Frame.scan_frame} and verify it is exactly one message. *)
 
 val encode_request : request -> string
+
+val add_request : Buffer.t -> request -> unit
+(** Append the request's payload (no framing) — what {!encode_request}
+    frames; the client frames it in place ({!Conn.send_frame}). *)
+
 val decode_request : Sh_persist.Codec.reader -> request
 (** An [Ingest] payload goes through the same validator as
     {!decode_request_into}'s: group count and run lengths bounded by the

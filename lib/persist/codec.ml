@@ -10,14 +10,14 @@ let put_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
 
 let put_varint buf n =
   if n < 0 then invalid_arg "Codec.put_varint: negative";
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.unsafe_chr n)
-    else begin
-      Buffer.add_char buf (Char.unsafe_chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+  (* A loop, not a local recursive function closing over [buf], so a
+     call allocates nothing. *)
+  let n = ref n in
+  while !n >= 0x80 do
+    Buffer.add_char buf (Char.unsafe_chr (0x80 lor (!n land 0x7f)));
+    n := !n lsr 7
+  done;
+  Buffer.add_char buf (Char.unsafe_chr !n)
 
 let put_bool buf b = put_u8 buf (if b then 1 else 0)
 let put_float buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
@@ -28,7 +28,9 @@ let put_string buf s =
 
 let put_float_array buf a =
   put_varint buf (Array.length a);
-  Array.iter (fun f -> put_float buf f) a
+  for i = 0 to Array.length a - 1 do
+    put_float buf a.(i)
+  done
 
 (* --- readers ------------------------------------------------------- *)
 
@@ -121,7 +123,13 @@ let get_float_array r =
   if n > remaining r / 8 then
     corruptf "float array length %d exceeds %d remaining byte(s)" n
       (remaining r);
-  Array.init n (fun _ -> get_float r)
+  (* read in place: a [get_float] call per element would box each float *)
+  let a = Array.create_float n in
+  for i = 0 to n - 1 do
+    a.(i) <- Int64.float_of_bits (Bytes.get_int64_le r.src (r.pos + (8 * i)))
+  done;
+  r.pos <- r.pos + (8 * n);
+  a
 
 let expect_end r ~what =
   if not (at_end r) then

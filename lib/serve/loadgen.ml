@@ -39,14 +39,17 @@ let make_batch traffic b =
   Array.of_list
     (List.rev_map (fun k -> (k, Array.of_list (List.rev !(Hashtbl.find per_key k)))) !order)
 
-let run c =
+let check c =
   if c.connections < 1 then invalid_arg "loadgen: --connections must be >= 1";
   if c.batch < 1 then invalid_arg "loadgen: --batch must be >= 1";
   if c.count < 0 then invalid_arg "loadgen: --count must be >= 0";
   if c.query_mix < 0.0 || not (Float.is_finite c.query_mix) then
     invalid_arg "loadgen: --query-mix must be a finite ratio >= 0";
   if c.global_mix < 0.0 || c.global_mix > 1.0 || not (Float.is_finite c.global_mix) then
-    invalid_arg "loadgen: --global-mix must be a fraction in [0, 1]";
+    invalid_arg "loadgen: --global-mix must be a fraction in [0, 1]"
+
+let run c =
+  check c;
   let connect_one () =
     Client.connect ~timeout:c.timeout ~retries:c.retries ~retry_delay:0.2 c.connect
   in

@@ -22,6 +22,10 @@ type outcome = {
   spot_ok : bool;  (** every spot-checked window length lies in [\[0, window\]] *)
 }
 
+val check : config -> unit
+(** Raises [Invalid_argument], naming the flag, on a bad [connections],
+    [batch], [count], [query_mix] or [global_mix]. *)
+
 val run : config -> outcome
 (** Drive the endpoint with {!Traffic} — the key space and geometry come
     from its [Stats] — in rounds: one pipelined ingest request per
@@ -29,7 +33,7 @@ val run : config -> outcome
     fresh connection (at least once, so a server restart never loses an
     acknowledged point).  Prints the [loadgen:] report: acks, throughput,
     wire bytes, round-trip quantiles, query counts and the spot check.
-    Raises [Invalid_argument] on a bad [config] field. *)
+    Runs {!check} first. *)
 
 val peek : timeout:float -> retries:int -> Addr.t -> unit
 (** Print the [Global] window length, full-window range sum and current

@@ -211,7 +211,14 @@ let serve_generate c eng =
   in
   Printf.printf "total: %d refreshes, %d intervals built\n" tot_refreshes tot_intervals
 
-let serve c =
+let check c =
+  if c.domains < 1 then invalid_arg "serve: --domains must be >= 1";
+  if c.restore = None then begin
+    if c.shards < 1 then invalid_arg "serve: --shards must be >= 1";
+    if c.window < 1 then invalid_arg "serve: --window must be >= 1";
+    if c.buckets < 1 then invalid_arg "serve: --buckets must be >= 1";
+    if c.epsilon <= 0.0 then invalid_arg "serve: --epsilon must be > 0"
+  end;
   if c.batch < 1 then invalid_arg "serve: --batch must be >= 1";
   if c.record_every < 1 then invalid_arg "serve: --record-every must be >= 1";
   if c.query_mix < 0.0 || not (Float.is_finite c.query_mix) then
@@ -230,7 +237,10 @@ let serve c =
     if c.record <> None then invalid_arg "serve: --record is in-process only, not for --listen";
     if c.query_mix > 0.0 then
       invalid_arg "serve: --query-mix is in-process only, not for --listen"
-  end;
+  end
+
+let serve c =
+  check c;
   (* serve always collects latency quantiles: a GK insert per timed
      section is far below the batch work it measures, and the end-of-run
      report depends on it. *)

@@ -36,12 +36,16 @@ type config = {
   idle_timeout : float;  (** listening: the slow-loris reaper's limit, seconds *)
 }
 
-val serve : config -> unit
-(** Raises [Invalid_argument] on a bad [batch], [record_every],
-    [query_mix] or [checkpoint_every], and, before binding any address,
-    on a non-empty [listen] with the [Lazy] policy (no view would ever
-    be published for clients to read), a [record] file or a positive
+val check : config -> unit
+(** Raises [Invalid_argument], naming the flag, on a bad [domains],
+    [batch], [record_every], [query_mix] or [checkpoint_every], on a bad
+    [shards], [window], [buckets] or [epsilon] unless restoring, and on
+    a non-empty [listen] with the [Lazy] policy (no view would ever be
+    published for clients to read), a [record] file or a positive
     [query_mix] (both drive the in-process stream only). *)
+
+val serve : config -> unit
+(** Runs {!check} first, so it raises before any work or binding. *)
 
 val aggregate :
   leaves:Addr.t list -> listen:Addr.t list -> timeout:float -> idle_timeout:float -> unit

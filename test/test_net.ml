@@ -445,29 +445,33 @@ let read_exact fd n =
   done;
   Bytes.to_string b
 
-(* Every complete response frame in [s], in order. *)
-let responses_of s =
+(* Every complete frame in [s], decoded, in order. *)
+let frames_of decode s =
   let rec go pos acc =
     match Frame.scan_frame s ~pos ~len:(String.length s - pos) with
-    | Frame.Frame { payload; consumed } -> go (pos + consumed) (Wire.decode_response payload :: acc)
+    | Frame.Frame { payload; consumed } -> go (pos + consumed) (decode payload :: acc)
     | Frame.Incomplete -> List.rev acc
   in
   go 0 []
 
-(* The first [n] responses on a raw connection (its preamble already read). *)
-let read_responses fd n =
+let responses_of = frames_of Wire.decode_response
+
+(* The first [n] frames on a raw connection (its preamble already read). *)
+let read_frames decode fd n =
   let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
   let rec go () =
-    let rs = responses_of (Buffer.contents buf) in
+    let rs = frames_of decode (Buffer.contents buf) in
     if List.length rs >= n then rs
     else
       match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> Alcotest.failf "EOF after %d of %d responses" (List.length rs) n
+      | 0 -> Alcotest.failf "EOF after %d of %d frames" (List.length rs) n
       | got ->
         Buffer.add_subbytes buf chunk 0 got;
         go ()
   in
   go ()
+
+let read_responses = read_frames Wire.decode_response
 
 let reply_name = function
   | Wire.Ack n -> Printf.sprintf "Ack %d" n
@@ -974,6 +978,121 @@ let test_client_write_times_out () =
       Alcotest.failf "send raised after %.2fs (%s), not within 3s" elapsed msg;
     Alcotest.(check bool) ("a timeout: " ^ msg) true (String.starts_with ~prefix:"timeout" msg)
 
+(* [Conn]'s input buffer grows only for a frame that does not fit: one
+   and a half frames read, the first taken, then the rest read behind the
+   leftover half, leave the connection exactly its fresh size. *)
+let test_conn_partial_frame_keeps_size () =
+  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let conn = Conn.create ours in
+  Fun.protect ~finally:(fun () -> Conn.close conn; Unix.close theirs) @@ fun () ->
+  let fresh = Obj.reachable_words (Obj.repr conn) in
+  let frame = ingest_frame [| (1, Array.make 100 2.5) |] in
+  let two = frame ^ frame in
+  let half = String.length frame * 3 / 2 in
+  let frames_read = ref 0 in
+  let read_all want =
+    while !frames_read < want do
+      (match Conn.read_into conn with
+      | `Data _ | `Again -> ()
+      | `Eof -> Alcotest.fail "unexpected EOF");
+      let rec take () =
+        match Conn.next_frame ~max_len:Wire.max_frame_payload conn with
+        | Some payload ->
+          ignore (Wire.decode_request payload : Wire.request);
+          incr frames_read;
+          take ()
+        | None -> ()
+      in
+      take ()
+    done
+  in
+  write_string theirs (String.sub two 0 half);
+  read_all 1;
+  Alcotest.(check int) "half a frame left" (half - String.length frame) (Conn.buffered conn);
+  write_string theirs (String.sub two half (String.length two - half));
+  read_all 2;
+  Alcotest.(check int) "reachable words after the split frame" fresh
+    (Obj.reachable_words (Obj.repr conn))
+
+(* A raw server on its own domain: it accepts one connection, reads the
+   client's preamble and hands the socket to [peer], which speaks the
+   server's side (its preamble included) byte for byte as it likes. *)
+let with_raw_peer peer f =
+  with_temp_sock @@ fun addr ->
+  let listener = Server.listen addr in
+  let d =
+    Domain.spawn (fun () ->
+        match Unix.select [ listener ] [] [] 5.0 with
+        | [], _, _ -> failwith "raw peer: no connection"
+        | _ ->
+          let fd, _ = Unix.accept listener in
+          Unix.clear_nonblock fd;
+          Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+          Wire.check_preamble (read_exact fd Wire.preamble_len);
+          peer fd)
+  in
+  Fun.protect ~finally:(fun () -> Domain.join d; Unix.close listener) (fun () -> f addr)
+
+(* A reply larger than the client's 64 KiB initial input buffer. *)
+let test_client_reply_above_buffer () =
+  let shards, window, buckets, epsilon = geometry in
+  with_temp_sock @@ fun addr ->
+  with_server ~shards ~window ~buckets ~epsilon addr @@ fun () ->
+  let c = Client.connect ~timeout:5. addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  Alcotest.(check int) "acked" 3 (Client.ingest c [| (2, [| 1.0; 2.0; 3.0 |]) |]);
+  let qs = Array.init 10_000 (fun i -> (Qop.Key (i mod shards), Qop.Window_length)) in
+  let answers = Client.query c qs in
+  Alcotest.(check int) "answer count" 10_000 (Array.length answers);
+  Array.iteri
+    (fun i a ->
+      let expect = if i mod shards = 2 then 3.0 else 0.0 in
+      if a <> expect then Alcotest.failf "answer %d: %g, expected %g" i a expect)
+    answers;
+  Client.ping c
+
+(* Eight pipelined requests whose replies the peer writes in one write,
+   so one read brings them all: each [recv] takes the next, in order. *)
+let test_client_pipelined_replies () =
+  let n = 8 in
+  with_raw_peer
+    (fun fd ->
+      write_string fd Wire.preamble;
+      let reqs = read_frames Wire.decode_request fd n in
+      if List.exists (fun r -> r <> Wire.Ping) reqs then failwith "raw peer: not a ping";
+      write_string fd (String.concat "" (List.init n (fun i -> Wire.encode_response (Wire.Ack i)))))
+  @@ fun addr ->
+  let c = Client.connect ~timeout:5. addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  for _ = 1 to n do
+    Client.send c Wire.Ping
+  done;
+  let replies = List.init n (fun _ -> reply_name (Client.recv c)) in
+  Alcotest.(check (list string)) "replies in order"
+    (List.init n (Printf.sprintf "Ack %d"))
+    replies
+
+(* A peer that writes its preamble and a reply one byte at a time. *)
+let test_client_reply_byte_by_byte () =
+  let answers = [| 1.5; -2.25; 1e300; 0.0 |] in
+  with_raw_peer
+    (fun fd ->
+      let trickle s =
+        String.iter
+          (fun ch ->
+            write_string fd (String.make 1 ch);
+            Unix.sleepf 0.001)
+          s
+      in
+      trickle Wire.preamble;
+      ignore (read_frames Wire.decode_request fd 1 : Wire.request list);
+      trickle (Wire.encode_response (Wire.Answers answers)))
+  @@ fun addr ->
+  let c = Client.connect ~timeout:5. addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let got = Client.query c [| (Qop.Key 0, Qop.Window_length) |] in
+  Alcotest.(check (array (float 0.0))) "answers" answers got
+
 let test_connect_rejects_bad_timeout () =
   let addr =
     Addr.Unix_sock (Filename.concat (Filename.get_temp_dir_name ()) "shist_no_such.sock")
@@ -1038,8 +1157,18 @@ let () =
             test_run_rejects_bad_idle_timeout;
         ] );
       ( "conn",
-        [ Alcotest.test_case "write to a stalled peer times out" `Quick
-            test_client_write_times_out ] );
+        [
+          Alcotest.test_case "write to a stalled peer times out" `Quick
+            test_client_write_times_out;
+          Alcotest.test_case "partial frame keeps the input buffer's size" `Quick
+            test_conn_partial_frame_keeps_size;
+          Alcotest.test_case "reply above the 64 KiB input buffer" `Quick
+            test_client_reply_above_buffer;
+          Alcotest.test_case "pipelined replies in one read" `Quick
+            test_client_pipelined_replies;
+          Alcotest.test_case "reply written byte by byte" `Quick
+            test_client_reply_byte_by_byte;
+        ] );
       ( "wire",
         [
           Alcotest.test_case "request round trips" `Quick test_wire_request_round_trips;

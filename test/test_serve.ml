@@ -278,6 +278,21 @@ let test_listen_refuses_in_process_settings () =
       ("--record", { c with record = Some (path ^ ".jsonl") });
       ("--query-mix", { c with query_mix = 0.5 }) ]
 
+(* [Runner.check] refuses bad geometry before any work, naming the flag;
+   a restore takes its geometry from the checkpoint, so it checks none. *)
+let test_check_names_the_flag () =
+  let c = base ~domains:1 in
+  List.iter
+    (fun (flag, bad) ->
+      (match Runner.check bad with
+      | () -> Alcotest.failf "%s: accepted" flag
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) flag ("serve: " ^ flag ^ " must be >= 1") msg);
+      Runner.check { bad with restore = Some "unused.ckpt" })
+    [ ("--shards", { c with shards = 0 });
+      ("--window", { c with window = 0 });
+      ("--buckets", { c with buckets = 0 }) ]
+
 (* [--checkpoint F] on a listening runner with no cadence: the client's
    Shutdown ends the run, and the runner writes F then — the bytes of an
    in-process engine fed the same stream, and a restore from F answers
@@ -533,6 +548,7 @@ let () =
           Alcotest.test_case "listen writes a final checkpoint" `Quick test_listen_final_checkpoint;
           Alcotest.test_case "listen refuses in-process settings" `Quick
             test_listen_refuses_in_process_settings;
+          Alcotest.test_case "check names the flag" `Quick test_check_names_the_flag;
           Alcotest.test_case "record within (1+eps) bound" `Quick test_recorder_within_bound;
         ] );
       ( "exposition",
